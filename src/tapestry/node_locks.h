@@ -2,7 +2,7 @@
 // protocol paths — §4.4 joins (threaded_join.h), §5.1 leaves / §5.2
 // fail-stop repair / heartbeat sweeps (threaded_repair.h), and the
 // guarded §4.2 pointer reroutes those repair waves perform inline
-// (ObjectDirectory::*_guarded).
+// (ObjectDirectory's pointer maintenance given a NodeLockTable).
 //
 // The registry's index is already lock-free for readers, and the object
 // stores bring their own synchronisation (ShardedStore's guid stripes) —

@@ -13,8 +13,6 @@
 #include "src/tapestry/object_directory.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <limits>
 
 #include "src/sim/metrics.h"
@@ -23,16 +21,6 @@
 #include "src/tapestry/sharded_store.h"
 
 namespace tap {
-
-namespace {
-
-void record_locate_metrics(const LocateResult& res) {
-  metrics::locate_total().inc();
-  if (res.found) metrics::locate_found_total().inc();
-  metrics::locate_hops().observe(static_cast<double>(res.hops));
-}
-
-}  // namespace
 
 ObjectDirectory::ObjectDirectory(NodeRegistry& registry, Router& router,
                                  const TapestryParams& params,
@@ -59,70 +47,182 @@ void ObjectDirectory::invalidate_node_cache(const NodeId& id) {
 }
 
 // ---------------------------------------------------------------------
-// Publish / unpublish
+// Operation records
 // ---------------------------------------------------------------------
+//
+// A publish or a locate is a record plus a step function.  Each step is
+// what one node does when the operation's message arrives — act, then
+// forward — and returns the delay until the next step (the message's
+// flight time, or 0 for a hand-off between phases).  The synchronous
+// engine loops the steps inline; the event engine runs one step per
+// EventQueue event, so anything may happen in between — hence steps keep
+// no node pointers across calls: the carrier may have died meanwhile.
 
-void ObjectDirectory::publish_one(TapestryNode& server, const Guid& salted,
-                                  Trace* trace) {
-  const double expires = events_.now() + params_.pointer_ttl;
-  RouteState state;
-  TapestryNode* cur = &server;
-  // The record a node deposits is exactly the payload of the publish
-  // message that arrived there (the server starts the chain locally);
-  // each hop re-derives it from the delivered copy.
-  PointerRecord arriving{server.id(), std::nullopt, 0, false, expires};
-  for (;;) {
-    cur->store().upsert(salted, arriving);
-    auto next = router_.route_step(*cur, salted, state, trace);
-    if (!next.has_value()) {  // cur is the root
-      if (replicator_)
-        replicator_->mirror_publish(*cur, salted, arriving, trace);
-      break;
-    }
-    // §2.4 PRR variant: also deposit on the secondaries of the slot being
-    // routed through ("equivalent to publishing on all the secondary
-    // neighbors"); queries under the same flag probe those secondaries.
-    if (params_.prr_secondary_search && state.level >= 1) {
-      const unsigned slot_level = state.level - 1;
-      const unsigned digit = next->digit(slot_level);
-      const auto members = cur->table().at(slot_level, digit).entries();
-      for (const auto& member : members) {
-        if (member.id == *next || member.id == cur->id()) continue;
-        TapestryNode* m = reg_.find(member.id);
-        if (m == nullptr || !m->alive) continue;
-        if (!reg_.reachable(cur->id(), member.id)) continue;
-        reg_.acct(trace, *cur, *m, 1);
-        m->store().upsert(salted,
-                          PointerRecord{server.id(), cur->id(), state.level,
-                                        state.past_hole, expires});
-      }
-    }
-    TapestryNode& nxt = reg_.live(*next);
-    Message m = make_message(MessageKind::kPublishDeposit, cur->id(),
-                             nxt.id(), salted);
-    m.server = server.id();
-    m.last_hop = cur->id();
-    m.level = state.level;
-    m.flag = state.past_hole;
-    m.expires_at = expires;
-    m = transport_->deliver(m);
-    reg_.acct(trace, *cur, nxt);
-    arriving = PointerRecord{m.server, m.last_hop, m.level, m.flag,
-                             m.expires_at};
-    cur = &nxt;
-  }
+struct ObjectDirectory::PublishOp {
+  NodeId server{};
+  Guid base{};
+  unsigned salt = 0;  // root-name paths started so far (§2.2)
+  bool finished = false;
+  // Per-path cursor (reset by next_publish_path).  The record a node
+  // deposits is exactly the payload of the publish message that arrived
+  // there (the server starts the chain locally).
+  Guid target{};
+  NodeId cur{};
+  RouteState state{};
+  PointerRecord arriving{};
+  // Costs land in *trace: the caller's (sync) or `own` (event, absorbed
+  // into `external` at completion).
+  Trace own{false};
+  Trace* trace = nullptr;
+  Trace* external = nullptr;
+  PublishCallback done;
+};
+
+struct ObjectDirectory::LocateOp {
+  // walk: surrogate-route toward the root name, checking each node's
+  //   store and locate cache (§2.2, §2.3);
+  // cache-verify: a cache hit jumped to the remembered holder, whose real
+  //   store is re-read on arrival (hotspot.h);
+  // replica-leg: a pointer was found; route to the replica it names;
+  // done: `res` is final.
+  enum class Phase { kWalk, kCacheVerify, kReplicaLeg, kDone };
+  Phase phase = Phase::kWalk;
+  Guid base{};
+  NodeId client{};
+  unsigned first_salt = 0;
+  unsigned attempts = 1;
+  unsigned attempt = 0;  // attempts started so far
+  // Per-attempt cursor (reset by next_locate_attempt).
+  Guid target{};
+  NodeId cur{};
+  RouteState state{};
+  std::unordered_set<std::uint64_t> visited{};  // loop guard (§4.3)
+  Router::ExcludeSet excluded{};  // inserting nodes bounced off (Figure 10)
+  // Nodes this attempt's walk has passed through; on success each one gets
+  // a locate-cache hint pointing at the resolving holder.
+  std::vector<NodeId> path{};
+  // cache-verify: the query jumped from cache_from toward cache_holder;
+  // the hint's salted name rides along (it may differ from `target`).
+  Guid cache_target{};
+  NodeId cache_holder{};
+  NodeId cache_from{};
+  // replica-leg (§2.2, Figure 3): exact-id route toward the replica.
+  NodeId replica{};
+  RouteState leg_state{};
+  // Costs land in *trace; the result's hops/latency are what accrued
+  // there since msgs0/lat0.
+  Trace own{false};
+  Trace* trace = nullptr;
+  std::size_t msgs0 = 0;
+  double lat0 = 0.0;
+  Trace* external = nullptr;  // event engine: absorbs `own` at completion
+  LocateCallback done;
+  LocateResult res{};
+};
+
+double ObjectDirectory::hop_delay(const TapestryNode& a,
+                                  const TapestryNode& b) const {
+  return reg_.dist(a, b) * params_.hop_delay_scale;
 }
 
-void ObjectDirectory::publish(NodeId server, const Guid& guid, Trace* trace) {
-  TapestryNode& s = reg_.live(server);
-  TAP_CHECK(guid.valid() && guid.spec() == params_.id,
-            "guid does not match the network's IdSpec");
-  metrics::publish_total().inc();
-  for (unsigned salt = 0; salt < params_.root_multiplicity; ++salt)
-    publish_one(s, salted_guid(guid, salt), trace);
+PointerRecord ObjectDirectory::carry_pointer(MessageKind kind,
+                                             const TapestryNode& from,
+                                             const TapestryNode& to,
+                                             const Guid& target,
+                                             const PointerRecord& rec,
+                                             Trace* trace) const {
+  Message m = make_message(kind, from.id(), to.id(), target);
+  m.server = rec.server;
+  m.last_hop = rec.last_hop;
+  m.level = rec.level;
+  m.flag = rec.past_hole;
+  m.expires_at = rec.expires_at;
+  m = transport_->deliver(m);
+  reg_.acct(trace, from, to);
+  return PointerRecord{m.server, m.last_hop, m.level, m.flag, m.expires_at};
+}
+
+void ObjectDirectory::register_replica(const Guid& guid, const NodeId& server) {
   auto& servers = replicas_[guid];
   if (std::find(servers.begin(), servers.end(), server) == servers.end())
     servers.push_back(server);
+}
+
+// ---------------------------------------------------------------------
+// Publish / unpublish
+// ---------------------------------------------------------------------
+
+double ObjectDirectory::next_publish_path(PublishOp& op) {
+  if (op.salt == params_.root_multiplicity || !reg_.is_live(op.server)) {
+    op.finished = true;
+    return 0.0;
+  }
+  op.target = salted_guid(op.base, op.salt++);
+  op.cur = op.server;
+  op.state = RouteState{};
+  op.arriving = PointerRecord{op.server, std::nullopt, 0, false,
+                              events_.now() + params_.pointer_ttl};
+  return 0.0;
+}
+
+double ObjectDirectory::publish_step(PublishOp& op) {
+  TapestryNode* cur = reg_.find(op.cur);
+  if (cur == nullptr || !cur->alive) {
+    // The carrier died under the message: this path is lost; soft-state
+    // republish restores it (§6.5).  Continue with the next root name.
+    return next_publish_path(op);
+  }
+  cur->store().upsert(op.target, op.arriving);
+  auto next = router_.route_step(*cur, op.target, op.state, op.trace);
+  if (!next.has_value()) {  // cur is the root
+    if (replicator_)
+      replicator_->mirror_publish(*cur, op.target, op.arriving, op.trace);
+    return next_publish_path(op);
+  }
+  // §2.4 PRR variant: also deposit on the secondaries of the slot being
+  // routed through ("equivalent to publishing on all the secondary
+  // neighbors"); queries under the same flag probe those secondaries.
+  const PointerRecord sent{op.server, cur->id(), op.state.level,
+                           op.state.past_hole, op.arriving.expires_at};
+  if (params_.prr_secondary_search && op.state.level >= 1) {
+    const unsigned slot_level = op.state.level - 1;
+    const unsigned digit = next->digit(slot_level);
+    const auto members = cur->table().at(slot_level, digit).entries();
+    for (const auto& member : members) {
+      if (member.id == *next || member.id == cur->id()) continue;
+      TapestryNode* m = reg_.find(member.id);
+      if (m == nullptr || !m->alive) continue;
+      if (!reg_.reachable(cur->id(), member.id)) continue;
+      reg_.acct(op.trace, *cur, *m, 1);
+      m->store().upsert(op.target, sent);
+    }
+  }
+  TapestryNode& nxt = reg_.live(*next);
+  op.arriving = carry_pointer(MessageKind::kPublishDeposit, *cur, nxt,
+                              op.target, sent, op.trace);
+  op.state.level = op.arriving.level;
+  op.state.past_hole = op.arriving.past_hole;
+  op.cur = nxt.id();
+  return hop_delay(*cur, nxt);
+}
+
+void ObjectDirectory::publish_paths(NodeId server, const Guid& guid,
+                                    Trace* trace) {
+  PublishOp op;
+  op.server = server;
+  op.base = guid;
+  op.trace = trace;
+  next_publish_path(op);
+  while (!op.finished) publish_step(op);
+}
+
+void ObjectDirectory::publish(NodeId server, const Guid& guid, Trace* trace) {
+  (void)reg_.live(server);
+  TAP_CHECK(guid.valid() && guid.spec() == params_.id,
+            "guid does not match the network's IdSpec");
+  metrics::publish_total().inc();
+  publish_paths(server, guid, trace);
+  register_replica(guid, server);
 }
 
 void ObjectDirectory::publish_batch(const std::vector<PublishRequest>& batch,
@@ -146,9 +246,7 @@ void ObjectDirectory::publish_batch(const std::vector<PublishRequest>& batch,
     TAP_CHECK(r.guid.valid() && r.guid.spec() == params_.id,
               "guid does not match the network's IdSpec");
     TAP_CHECK(reg_.is_live(r.server), "publish_batch: server must be alive");
-    auto& servers = replicas_[r.guid];
-    if (std::find(servers.begin(), servers.end(), r.server) == servers.end())
-      servers.push_back(r.server);
+    register_replica(r.guid, r.server);
   }
   const double expires = events_.now() + params_.pointer_ttl;
 
@@ -188,7 +286,7 @@ void ObjectDirectory::publish_batch(const std::vector<PublishRequest>& batch,
   // join wave mutating the tables underneath it.
   std::vector<std::vector<Deposit>> deposits(n_tasks);
   std::vector<Trace> task_traces(n_tasks);
-  const NodeLockTable& locks = reg_.node_locks();
+  const NodeLockTable* locks = guarded ? &reg_.node_locks() : nullptr;
   parallel_for(
       radix,
       [&](std::size_t d) {
@@ -196,31 +294,22 @@ void ObjectDirectory::publish_batch(const std::vector<PublishRequest>& batch,
           const Task& task = tasks[t];
           TapestryNode* cur = &reg_.live(task.server);
           RouteState state;
-          // As in publish_one: each deposit is the payload of the publish
+          // As in publish_step: each deposit is the payload of the publish
           // message that arrived at the depositing node.
           PointerRecord arriving{task.server, std::nullopt, 0, false,
                                  expires};
           for (;;) {
             deposits[t].push_back(Deposit{cur, arriving});
-            std::optional<NodeLockTable::Guard> g;
-            if (guarded) g.emplace(locks, cur->id());
             const auto next =
-                router_.route_step_peek(cur->id(), task.target, state);
-            g.reset();
+                router_.route_step_peek(cur->id(), task.target, state, locks);
             if (!next.has_value()) break;  // cur is the root
             TapestryNode* nxt = reg_.find(*next);
             TAP_ASSERT(nxt != nullptr);
-            Message m = make_message(MessageKind::kPublishDeposit, cur->id(),
-                                     nxt->id(), task.target);
-            m.server = task.server;
-            m.last_hop = cur->id();
-            m.level = state.level;
-            m.flag = state.past_hole;
-            m.expires_at = expires;
-            m = transport_->deliver(m);
-            reg_.acct(&task_traces[t], *cur, *nxt);
-            arriving = PointerRecord{m.server, m.last_hop, m.level, m.flag,
-                                     m.expires_at};
+            arriving = carry_pointer(
+                MessageKind::kPublishDeposit, *cur, *nxt, task.target,
+                PointerRecord{task.server, cur->id(), state.level,
+                              state.past_hole, expires},
+                &task_traces[t]);
             cur = nxt;
           }
         }
@@ -295,12 +384,9 @@ void ObjectDirectory::unpublish_one(TapestryNode& server, const Guid& salted,
       }
     }
     TapestryNode& nxt = reg_.live(*next);
-    Message m = make_message(MessageKind::kUnpublish, cur->id(), nxt.id(),
-                             salted);
-    m.server = victim;
-    m = transport_->deliver(m);
-    reg_.acct(trace, *cur, nxt);
-    victim = m.server;
+    victim = carry_pointer(MessageKind::kUnpublish, *cur, nxt, salted,
+                           PointerRecord{victim}, trace)
+                 .server;
     cur = &nxt;
   }
 }
@@ -375,286 +461,283 @@ std::optional<PointerRecord> ObjectDirectory::pick_live_replica(
   return best;
 }
 
-void ObjectDirectory::cache_fill_path(const Guid& base,
-                                      const std::vector<NodeId>& path,
-                                      const Guid& via, const NodeId& holder,
-                                      const PointerRecord& rec) {
-  if (!cache_.enabled()) return;
-  const double now = events_.now();
-  for (const NodeId& at : path) {
-    if (at == holder) continue;  // the holder has the real record
-    cache_.insert(at, base,
-                  LocateCache::Entry{via, holder, rec.server, rec.expires_at},
-                  now);
+double ObjectDirectory::next_locate_attempt(LocateOp& op) {
+  if (op.attempt == op.attempts) {
+    // Every root name missed.  A failed final leg may have left
+    // pointer_node/server populated; a miss must not leak a stale "last
+    // known location".
+    op.res = LocateResult{};
+    finish_locate(op);
+    return 0.0;
   }
+  const unsigned salt =
+      (op.first_salt + op.attempt++) % params_.root_multiplicity;
+  op.target = salted_guid(op.base, salt);
+  op.cur = op.client;
+  op.state = RouteState{};
+  op.visited.clear();
+  op.excluded.clear();
+  op.path.clear();
+  op.res = LocateResult{};
+  op.phase = LocateOp::Phase::kWalk;
+  return 0.0;
 }
 
-LocateResult ObjectDirectory::locate_attempt(TapestryNode& client,
-                                             const Guid& target,
-                                             Trace* trace, const Guid* base) {
-  LocateResult res;
-  Trace local(false);
-  Trace* t = trace != nullptr ? trace : &local;
-  const std::size_t msgs0 = t->messages();
-  const double lat0 = t->latency();
-  const bool use_cache = base != nullptr && cache_.enabled();
-  std::vector<NodeId> walked;  // query path, for cache population
+double ObjectDirectory::start_locate(LocateOp& op, NodeId client,
+                                     const Guid& guid, Trace* sink) {
+  op.base = guid;
+  op.client = client;
+  // "At the beginning of the query, we select a root randomly from R_psi."
+  op.first_salt = params_.root_multiplicity == 1
+                      ? 0
+                      : static_cast<unsigned>(
+                            rng_.next_u64(params_.root_multiplicity));
+  // Observation 1: when enabled, a miss retries the remaining independent
+  // root names, accumulating cost; the first hit wins.
+  op.attempts = params_.retry_all_roots ? params_.root_multiplicity : 1;
+  op.trace = sink != nullptr ? sink : &op.own;
+  op.msgs0 = op.trace->messages();
+  op.lat0 = op.trace->latency();
+  return next_locate_attempt(op);
+}
 
-  auto resolve = [&](TapestryNode& holder, const PointerRecord& rec,
-                     const Guid& via) {
-    res.found = true;
-    res.pointer_node = holder.id();
-    // The pointer hit travels as a message naming the replica; the final
-    // leg routes toward the server the delivered copy names.
-    Message found = make_message(MessageKind::kLocateFound, holder.id(),
-                                 rec.server, via);
-    found.server = rec.server;
-    found = transport_->deliver(found);
-    res.server = found.server;
-    if (use_cache) cache_fill_path(*base, walked, via, holder.id(), rec);
-    // Forward the query along neighbor links to the replica.
-    if (!(found.server == holder.id())) {
-      RouteResult leg = router_.route_to_root(holder.id(), found.server, t);
-      if (!(leg.root == found.server)) {
-        // Only a partition can divert exact-id routing: the replica is
-        // alive and same-side as the holder, but the side-local digit
-        // path may lack the entries needed to land on it exactly.  The
-        // query dead-ends at a surrogate — a miss, not a bug.
-        TAP_ASSERT_MSG(reg_.partition_active(),
-                       "exact-id routing must terminate at the server");
-        res.found = false;
+void ObjectDirectory::finish_locate(LocateOp& op) {
+  op.res.hops = op.trace->messages() - op.msgs0;
+  op.res.latency = op.trace->latency() - op.lat0;
+  metrics::locate_total().inc();
+  if (op.res.found) metrics::locate_found_total().inc();
+  metrics::locate_hops().observe(static_cast<double>(op.res.hops));
+  op.phase = LocateOp::Phase::kDone;
+}
+
+double ObjectDirectory::resolve_locate(LocateOp& op, TapestryNode& holder,
+                                       const PointerRecord& rec,
+                                       const Guid& via) {
+  // The pointer hit travels as a message naming the replica; the final
+  // leg routes toward the server the delivered copy names.
+  op.res.pointer_node = holder.id();
+  Message found =
+      make_message(MessageKind::kLocateFound, holder.id(), rec.server, via);
+  found.server = rec.server;
+  found = transport_->deliver(found);
+  op.res.server = found.server;
+  // Every node the walk passed through learns a hint pointing at the
+  // holder (paths toward a root converge, so hot objects get cached
+  // exactly where future queries will pass); the holder has the record.
+  if (cache_.enabled()) {
+    const double now = events_.now();
+    for (const NodeId& at : op.path)
+      if (!(at == holder.id()))
+        cache_.insert(at, op.base,
+                      LocateCache::Entry{via, holder.id(), rec.server,
+                                         rec.expires_at},
+                      now);
+  }
+  if (found.server == holder.id()) {  // the pointer holder is the replica
+    op.res.found = true;
+    finish_locate(op);
+    return 0.0;
+  }
+  op.replica = found.server;
+  op.leg_state = RouteState{};
+  op.cur = holder.id();
+  op.phase = LocateOp::Phase::kReplicaLeg;
+  return 0.0;
+}
+
+double ObjectDirectory::locate_step(LocateOp& op) {
+  Trace* t = op.trace;
+  switch (op.phase) {
+    case LocateOp::Phase::kWalk: {
+      TapestryNode* curp = reg_.find(op.cur);
+      // The node carrying the query died while the message was in
+      // flight: this root attempt is lost.
+      if (curp == nullptr || !curp->alive) return next_locate_attempt(op);
+      TapestryNode& cur = *curp;
+
+      // Check the current node for a pointer before routing further.
+      if (auto rec = pick_live_replica(cur, op.target, cur); rec.has_value()) {
+        op.path.push_back(cur.id());
+        return resolve_locate(op, cur, *rec, op.target);
       }
-    }
-    res.hops = t->messages() - msgs0;
-    res.latency = t->latency() - lat0;
-  };
 
-  TapestryNode* cur = &client;
-  RouteState state;
-  std::unordered_set<std::uint64_t> visited;  // loop guard (§4.3)
-  Router::ExcludeSet excluded;  // inserting nodes we bounced off (Figure 10)
-  for (;;) {
-    // Check the current node for a pointer before routing further.
-    if (auto rec = pick_live_replica(*cur, target, *cur); rec.has_value()) {
-      walked.push_back(cur->id());
-      resolve(*cur, *rec, target);
-      return res;
-    }
-
-    // A remembered resolution short-circuits the walk: jump one message to
-    // the cached pointer holder and re-read its real store there.  Success
-    // resolves exactly as an uncached arrival at that holder would; failure
-    // (holder dead, record gone/expired/rerouted, replica dead) erases the
-    // hint, pays the probe round trip, and resumes the walk right here.
-    if (use_cache) {
-      if (auto ce = cache_.lookup(cur->id(), *base, events_.now());
-          ce.has_value()) {
-        TapestryNode* h = reg_.find(ce->holder);
-        if (h != nullptr && h->alive && !(h->id() == cur->id()) &&
-            reg_.reachable(cur->id(), h->id())) {
-          wire(MessageKind::kLocateStep, cur->id(), h->id(), target);
-          reg_.acct(t, *cur, *h);  // forward to the remembered holder
-          if (auto rec = pick_live_replica(*h, ce->target, *h);
-              rec.has_value()) {
-            walked.push_back(cur->id());
-            resolve(*h, *rec, ce->target);
-            return res;
+      // A remembered resolution short-circuits the walk: jump one message
+      // to the cached holder and verify its real store when the message
+      // lands (cache-verify) — the holder's state *then* decides.  Checked
+      // after the authoritative store and before the loop guard: a failed
+      // verification resumes the walk here, and that resumption must not
+      // count as a revisit.
+      if (cache_.enabled()) {
+        if (auto ce = cache_.lookup(cur.id(), op.base, events_.now());
+            ce.has_value()) {
+          TapestryNode* h = reg_.find(ce->holder);
+          if (h != nullptr && h->alive && !(h->id() == cur.id()) &&
+              reg_.reachable(cur.id(), h->id())) {
+            wire(MessageKind::kLocateStep, cur, *h, op.target, t);
+            op.cache_target = ce->target;
+            op.cache_holder = ce->holder;
+            op.cache_from = cur.id();
+            op.phase = LocateOp::Phase::kCacheVerify;
+            return hop_delay(cur, *h);
           }
-          wire(MessageKind::kLocateStep, h->id(), cur->id(), target);
-          reg_.acct(t, *h, *cur);  // verification failed: bounce back
-          cache_.note_fallback();
-        }
-        cache_.erase(cur->id(), *base);
-      }
-    }
-
-    walked.push_back(cur->id());
-    if (!visited.insert(cur->id().value()).second) break;  // loop -> miss
-
-    const unsigned level_before = state.level;
-    auto next = router_.route_step(*cur, target, state, t,
-                                   excluded.empty() ? nullptr : &excluded);
-    if (next.has_value()) {
-      // §2.4 PRR variant: before taking the hop, probe the *secondary*
-      // members of the slot being routed through for pointers (the
-      // primary is about to be visited anyway).
-      if (params_.prr_secondary_search) {
-        TAP_ASSERT(state.level >= 1);
-        const unsigned slot_level =
-            state.level - 1 >= level_before ? state.level - 1 : level_before;
-        const unsigned digit = next->digit(slot_level);
-        // Copy: probing may prune dead members.
-        const auto members = cur->table().at(slot_level, digit).entries();
-        for (const auto& member : members) {
-          if (member.id == *next || member.id == cur->id()) continue;
-          TapestryNode* m = reg_.find(member.id);
-          if (m == nullptr || !m->alive) continue;
-          if (!reg_.reachable(cur->id(), member.id)) continue;
-          wire(MessageKind::kLocateStep, cur->id(), m->id(), target);
-          reg_.acct(t, *cur, *m, 2);  // probe round trip
-          if (auto rec = pick_live_replica(*m, target, *cur);
-              rec.has_value()) {
-            resolve(*m, *rec, target);
-            return res;
-          }
+          cache_.erase(cur.id(), op.base);
         }
       }
-      TapestryNode& nxt = reg_.live(*next);
-      Message q = make_message(MessageKind::kLocateStep, cur->id(), nxt.id(),
-                               target);
-      q.level = state.level;
-      q.flag = state.past_hole;
-      q = transport_->deliver(q);
-      state.level = q.level;
-      state.past_hole = q.flag;
-      reg_.acct(t, *cur, nxt);
-      cur = &nxt;
-      continue;
-    }
 
-    // cur is the root and has no pointer.  If cur is still inserting, the
-    // pointer may not have been transferred yet: send the request back out
-    // at the hole level to the surrogate, which routes it as if the new
-    // node had not yet entered the network (Figure 10).
-    if (cur->inserting && cur->psurrogate.has_value() &&
-        reg_.is_live(*cur->psurrogate)) {
-      excluded.insert(cur->id().value());
-      TapestryNode& sur = reg_.live(*cur->psurrogate);
-      wire(MessageKind::kLocateStep, cur->id(), sur.id(), target);
-      reg_.acct(t, *cur, sur);
-      // Resume at the level of the hole the inserting node fills.  The
+      op.path.push_back(cur.id());
+      if (!op.visited.insert(cur.id().value()).second)  // loop -> miss
+        return next_locate_attempt(op);
+
+      const unsigned level_before = op.state.level;
+      auto next = router_.route_step(
+          cur, op.target, op.state, t,
+          op.excluded.empty() ? nullptr : &op.excluded);
+      if (next.has_value()) {
+        // §2.4 PRR variant: before taking the hop, probe the *secondary*
+        // members of the slot being routed through for pointers (the
+        // primary is about to be visited anyway).
+        if (params_.prr_secondary_search) {
+          TAP_ASSERT(op.state.level >= 1);
+          const unsigned slot_level = op.state.level - 1 >= level_before
+                                          ? op.state.level - 1
+                                          : level_before;
+          const unsigned digit = next->digit(slot_level);
+          // Copy: probing may prune dead members.
+          const auto members = cur.table().at(slot_level, digit).entries();
+          for (const auto& member : members) {
+            if (member.id == *next || member.id == cur.id()) continue;
+            TapestryNode* m = reg_.find(member.id);
+            if (m == nullptr || !m->alive) continue;
+            if (!reg_.reachable(cur.id(), member.id)) continue;
+            wire(MessageKind::kLocateStep, cur, *m, op.target, t,
+                 2);  // probe round trip
+            if (auto rec = pick_live_replica(*m, op.target, cur);
+                rec.has_value())
+              return resolve_locate(op, *m, *rec, op.target);
+          }
+        }
+        TapestryNode& nxt = reg_.live(*next);
+        router_.forward(MessageKind::kLocateStep, cur, nxt, op.target,
+                        op.state, t);
+        op.cur = nxt.id();
+        return hop_delay(cur, nxt);
+      }
+
+      // cur is the root and has no pointer.  If cur is still inserting,
+      // the pointer may not have been transferred yet: send the request
+      // back out at the hole level to the surrogate, which routes it as if
+      // the new node had not yet entered the network (Figure 10).  The
       // re-route may legally revisit earlier nodes; termination is
       // guaranteed because each bounce permanently excludes one more
       // inserting node.
-      state.level = cur->id().common_prefix_len(sur.id());
-      visited.clear();
-      cur = &sur;
-      continue;
-    }
+      if (cur.inserting && cur.psurrogate.has_value() &&
+          reg_.is_live(*cur.psurrogate)) {
+        op.excluded.insert(cur.id().value());
+        TapestryNode& sur = reg_.live(*cur.psurrogate);
+        wire(MessageKind::kLocateStep, cur, sur, op.target, t);
+        op.state.level = cur.id().common_prefix_len(sur.id());
+        op.visited.clear();
+        op.cur = sur.id();
+        return hop_delay(cur, sur);
+      }
 
-    // Quorum fallback: the root lost its records (typically it is a fresh
-    // surrogate after the old root died).  Read R-of-N from the holder
-    // set, install the merged records here so future queries hit the fast
-    // path, and resolve as if the root had held them all along.
-    if (replicator_ != nullptr) {
-      const auto merged =
-          replicator_->quorum_read(*cur, target, events_.now(), t);
-      if (!merged.empty()) {
-        for (const PointerRecord& r : merged) cur->store().upsert(target, r);
-        if (auto rec = pick_live_replica(*cur, target, *cur);
-            rec.has_value()) {
-          resolve(*cur, *rec, target);
-          return res;
+      // Quorum fallback: the root lost its records (typically it is a
+      // fresh surrogate after the old root died).  Read R-of-N from the
+      // holder set, install the merged records here so future queries hit
+      // the fast path, and resolve as if the root had held them all along.
+      if (replicator_ != nullptr) {
+        const auto merged =
+            replicator_->quorum_read(cur, op.target, events_.now(), t);
+        if (!merged.empty()) {
+          for (const PointerRecord& r : merged)
+            cur.store().upsert(op.target, r);
+          if (auto rec = pick_live_replica(cur, op.target, cur);
+              rec.has_value())
+            return resolve_locate(op, cur, *rec, op.target);
         }
       }
+      return next_locate_attempt(op);  // definitive miss for this root
     }
-    break;  // definitive miss
-  }
 
-  res.hops = t->messages() - msgs0;
-  res.latency = t->latency() - lat0;
-  return res;
+    case LocateOp::Phase::kCacheVerify: {
+      // The jump message has landed (or tried to): verify the remembered
+      // holder's real store against the hint.  Everything may have changed
+      // while the message flew — holder crashed, record unpublished,
+      // expired or rerouted away, named replica dead — and each of those
+      // must behave exactly as the uncached walk would have: resume
+      // routing, don't fail.
+      TapestryNode* h = reg_.find(op.cache_holder);
+      if (h != nullptr && h->alive) {
+        if (auto rec = pick_live_replica(*h, op.cache_target, *h);
+            rec.has_value()) {
+          // Same resolution an uncached arrival at this holder would
+          // produce; the jumping node joins the path only now.
+          op.path.push_back(op.cache_from);
+          return resolve_locate(op, *h, *rec, op.cache_target);
+        }
+      }
+      // Verification failed: drop the hint and bounce back to where the
+      // walk left off, which resumes there as a fresh arrival.  If that
+      // node died meanwhile, the attempt is lost like any other carrier
+      // death.
+      cache_.erase(op.cache_from, op.base);
+      cache_.note_fallback();
+      TapestryNode* from = reg_.find(op.cache_from);
+      if (from == nullptr || !from->alive) return next_locate_attempt(op);
+      op.cur = op.cache_from;
+      op.phase = LocateOp::Phase::kWalk;
+      if (h == nullptr) return 0.0;
+      wire(MessageKind::kLocateStep, *h, *from, op.target, t);  // bounce back
+      return hop_delay(*h, *from);
+    }
+
+    case LocateOp::Phase::kReplicaLeg: {
+      // Final leg to the replica: one routing decision per step, exactly
+      // like the walk to the pointer, so a replica (or carrier) crash can
+      // strike while the query is already heading for it (§6.5).
+      TapestryNode* curp = reg_.find(op.cur);
+      if (curp == nullptr || !curp->alive) return next_locate_attempt(op);
+      TapestryNode& cur = *curp;
+      if (cur.id() == op.replica) {  // arrived at the replica
+        op.res.found = true;
+        finish_locate(op);
+        return 0.0;
+      }
+      // route_step hands back live nodes only.  If the replica crashed
+      // after the pointer was read, lazy repair purges it and the walk
+      // terminates at its surrogate instead; a partition can likewise
+      // leave the side-local digit path without the entries needed to land
+      // on it exactly.  Either way the query dead-ends: a lost attempt,
+      // retried on the remaining roots like any other casualty.
+      auto next = router_.route_step(cur, op.replica, op.leg_state, t);
+      if (!next.has_value()) return next_locate_attempt(op);
+      TapestryNode& nxt = reg_.live(*next);
+      router_.forward(MessageKind::kRouteHop, cur, nxt, op.replica,
+                      op.leg_state, t);
+      op.cur = nxt.id();
+      return hop_delay(cur, nxt);
+    }
+
+    case LocateOp::Phase::kDone:
+      break;
+  }
+  return 0.0;
 }
 
 LocateResult ObjectDirectory::locate(NodeId client, const Guid& guid,
                                      Trace* trace) {
-  TapestryNode& c = reg_.live(client);
+  (void)reg_.live(client);
   TAP_CHECK(guid.valid() && guid.spec() == params_.id,
             "guid does not match the network's IdSpec");
-  // "At the beginning of the query, we select a root randomly from R_psi."
-  const unsigned first = params_.root_multiplicity == 1
-                             ? 0
-                             : static_cast<unsigned>(
-                                   rng_.next_u64(params_.root_multiplicity));
-  // Observation 1: when enabled, a miss retries the remaining independent
-  // root names, accumulating cost; the first hit wins.
-  const unsigned attempts =
-      params_.retry_all_roots ? params_.root_multiplicity : 1;
-  Trace local(false);
-  Trace* t = trace != nullptr ? trace : &local;
-  LocateResult res;
-  double spent_latency = 0.0;
-  std::size_t spent_hops = 0;
-  for (unsigned a = 0; a < attempts; ++a) {
-    const unsigned salt = (first + a) % params_.root_multiplicity;
-    res = locate_attempt(c, salted_guid(guid, salt), t, &guid);
-    if (res.found) {
-      res.hops += spent_hops;
-      res.latency += spent_latency;
-      record_locate_metrics(res);
-      return res;
-    }
-    spent_hops += res.hops;
-    spent_latency += res.latency;
-  }
-  res.hops = spent_hops;
-  res.latency = spent_latency;
-  record_locate_metrics(res);
-  return res;
+  LocateOp op;
+  start_locate(op, client, guid, trace);
+  while (op.phase != LocateOp::Phase::kDone) locate_step(op);
+  return op.res;
 }
 
 // ---------------------------------------------------------------------
-// Event-driven publish / locate
+// Event-driven publish / locate: the same records, one event per step
 // ---------------------------------------------------------------------
-//
-// The async variants run the same per-node logic as the synchronous code
-// above, but as one EventQueue event per routing hop: between two hops of
-// one operation, any number of other events — churn, repairs, republish
-// refreshes, expiry sweeps, other operations' hops — may fire.  State that
-// the synchronous code keeps on the stack lives in a shared_ptr'd op
-// struct; each scheduled step captures the struct, never raw node
-// pointers, and re-resolves nodes through the registry when it fires (the
-// node a query is parked on may have died in the meantime).
-
-struct ObjectDirectory::AsyncLocateOp {
-  Guid base{};
-  NodeId client{};
-  unsigned first_salt = 0;
-  unsigned attempts = 1;
-  unsigned attempt = 0;
-  // Per-attempt cursor (reset by begin_locate_attempt).
-  Guid target{};
-  NodeId cur{};
-  RouteState state{};
-  std::unordered_set<std::uint64_t> visited{};
-  Router::ExcludeSet excluded{};
-  // Nodes this attempt's walk has passed through; on success each one gets
-  // a locate-cache hint pointing at the resolving holder.
-  std::vector<NodeId> path{};
-  // A cache hit in flight: the query jumped from cache_from toward the
-  // remembered holder and will verify the real store there
-  // (locate_cache_step); the hint's salted name rides along because it may
-  // differ from this attempt's target.
-  Guid cache_target{};
-  NodeId cache_holder{};
-  NodeId cache_from{};
-  // Final pointer -> replica leg (§2.2, Figure 3), decomposed per hop like
-  // the walk to the pointer: set once a pointer is found.  (Which phase a
-  // query is in is encoded by the scheduled callback — locate_step vs
-  // locate_replica_step — not by a flag.)
-  NodeId replica_target{};
-  RouteState leg_state{};
-  // Accounting: everything lands here; absorbed into `external` at the end.
-  Trace per_op{false};
-  Trace* external = nullptr;
-  LocateCallback done;
-  LocateResult res{};
-};
-
-struct ObjectDirectory::AsyncPublishOp {
-  NodeId server{};
-  Guid base{};
-  unsigned salt = 0;
-  // Per-path cursor (reset by begin_publish_path).
-  Guid target{};
-  NodeId cur{};
-  std::optional<NodeId> last_hop{};
-  RouteState state{};
-  double expires = 0.0;
-  Trace per_op{false};
-  Trace* external = nullptr;
-  PublishCallback done;
-};
 
 void ObjectDirectory::publish_async(NodeId server, const Guid& guid,
                                     Trace* trace, PublishCallback done) {
@@ -664,88 +747,27 @@ void ObjectDirectory::publish_async(NodeId server, const Guid& guid,
   metrics::publish_total().inc();
   // The replica exists from this instant; the directory catches up hop by
   // hop (queries racing the deposit may legitimately miss meanwhile).
-  auto& servers = replicas_[guid];
-  if (std::find(servers.begin(), servers.end(), server) == servers.end())
-    servers.push_back(server);
-  auto op = std::make_shared<AsyncPublishOp>();
+  register_replica(guid, server);
+  auto op = std::make_shared<PublishOp>();
   op->server = server;
   op->base = guid;
+  op->trace = &op->own;
   op->external = trace;
   op->done = std::move(done);
   ++in_flight_;
-  begin_publish_path(op);
+  drive_publish(op, next_publish_path(*op));
 }
 
-void ObjectDirectory::begin_publish_path(
-    const std::shared_ptr<AsyncPublishOp>& op) {
-  if (op->salt >= params_.root_multiplicity || !reg_.is_live(op->server)) {
-    if (op->external != nullptr) op->external->absorb(op->per_op);
+void ObjectDirectory::drive_publish(const std::shared_ptr<PublishOp>& op,
+                                    double delay) {
+  if (op->finished) {
+    if (op->external != nullptr) op->external->absorb(op->own);
     --in_flight_;
     if (op->done) op->done();
     return;
   }
-  op->target = salted_guid(op->base, op->salt);
-  op->cur = op->server;
-  op->last_hop.reset();
-  op->state = RouteState{};
-  op->expires = events_.now() + params_.pointer_ttl;
-  events_.schedule_in(0.0, [this, op] { publish_step(op); });
-}
-
-void ObjectDirectory::publish_step(const std::shared_ptr<AsyncPublishOp>& op) {
-  TapestryNode* cur = reg_.find(op->cur);
-  if (cur == nullptr || !cur->alive) {
-    // The carrier died under the message: this path is lost; soft-state
-    // republish restores it (§6.5).  Continue with the next root name.
-    ++op->salt;
-    begin_publish_path(op);
-    return;
-  }
-  const PointerRecord rec{op->server, op->last_hop, op->state.level,
-                          op->state.past_hole, op->expires};
-  cur->store().upsert(op->target, rec);
-  auto next = router_.route_step(*cur, op->target, op->state, &op->per_op);
-  if (!next.has_value()) {  // root reached and stamped
-    if (replicator_) {
-      replicator_->mirror_publish(*cur, op->target, rec, &op->per_op);
-    }
-    ++op->salt;
-    begin_publish_path(op);
-    return;
-  }
-  if (params_.prr_secondary_search && op->state.level >= 1) {
-    // Mirror the synchronous path: deposit on the slot's secondaries too.
-    const unsigned slot_level = op->state.level - 1;
-    const unsigned digit = next->digit(slot_level);
-    const auto members = cur->table().at(slot_level, digit).entries();
-    for (const auto& member : members) {
-      if (member.id == *next || member.id == cur->id()) continue;
-      TapestryNode* m = reg_.find(member.id);
-      if (m == nullptr || !m->alive) continue;
-      if (!reg_.reachable(cur->id(), member.id)) continue;
-      reg_.acct(&op->per_op, *cur, *m, 1);
-      m->store().upsert(op->target,
-                        PointerRecord{op->server, cur->id(), op->state.level,
-                                      op->state.past_hole, op->expires});
-    }
-  }
-  TapestryNode& nxt = reg_.live(*next);
-  Message m = make_message(MessageKind::kPublishDeposit, cur->id(), nxt.id(),
-                           op->target);
-  m.server = op->server;
-  m.last_hop = cur->id();
-  m.level = op->state.level;
-  m.flag = op->state.past_hole;
-  m.expires_at = op->expires;
-  m = transport_->deliver(m);
-  reg_.acct(&op->per_op, *cur, nxt);
-  op->last_hop = m.last_hop;
-  op->state.level = m.level;
-  op->state.past_hole = m.flag;
-  op->expires = m.expires_at;
-  op->cur = *next;
-  events_.schedule_in(reg_.dist(*cur, nxt) * params_.hop_delay_scale,
-                      [this, op] { publish_step(op); });
+  events_.schedule_in(delay,
+                      [this, op] { drive_publish(op, publish_step(*op)); });
 }
 
 void ObjectDirectory::locate_async(NodeId client, const Guid& guid,
@@ -754,292 +776,23 @@ void ObjectDirectory::locate_async(NodeId client, const Guid& guid,
   TAP_CHECK(guid.valid() && guid.spec() == params_.id,
             "guid does not match the network's IdSpec");
   TAP_CHECK(reg_.is_live(client), "locate_async: client must be alive");
-  auto op = std::make_shared<AsyncLocateOp>();
-  op->base = guid;
-  op->client = client;
-  op->first_salt = params_.root_multiplicity == 1
-                       ? 0
-                       : static_cast<unsigned>(
-                             rng_.next_u64(params_.root_multiplicity));
-  op->attempts = params_.retry_all_roots ? params_.root_multiplicity : 1;
+  auto op = std::make_shared<LocateOp>();
   op->external = trace;
   op->done = std::move(done);
   ++in_flight_;
-  begin_locate_attempt(op);
+  drive_locate(op, start_locate(*op, client, guid, nullptr));
 }
 
-void ObjectDirectory::begin_locate_attempt(
-    const std::shared_ptr<AsyncLocateOp>& op) {
-  const unsigned salt =
-      (op->first_salt + op->attempt) % params_.root_multiplicity;
-  op->target = salted_guid(op->base, salt);
-  op->cur = op->client;
-  op->state = RouteState{};
-  op->visited.clear();
-  op->excluded.clear();
-  op->path.clear();
-  op->replica_target = NodeId{};
-  op->leg_state = RouteState{};
-  op->res = LocateResult{};  // a failed leg may have left partial fields
-  events_.schedule_in(0.0, [this, op] { locate_step(op); });
-}
-
-void ObjectDirectory::next_locate_attempt(
-    const std::shared_ptr<AsyncLocateOp>& op) {
-  ++op->attempt;
-  if (op->attempt >= op->attempts) {
-    // A failed final leg may have left pointer_node/server populated;
-    // a miss must not leak a stale "last known location".
-    op->res = LocateResult{};
-    finish_locate(op);
+void ObjectDirectory::drive_locate(const std::shared_ptr<LocateOp>& op,
+                                   double delay) {
+  if (op->phase == LocateOp::Phase::kDone) {
+    if (op->external != nullptr) op->external->absorb(op->own);
+    --in_flight_;
+    op->done(op->res);
     return;
   }
-  begin_locate_attempt(op);
-}
-
-void ObjectDirectory::finish_locate(const std::shared_ptr<AsyncLocateOp>& op) {
-  op->res.hops = op->per_op.messages();
-  op->res.latency = op->per_op.latency();
-  record_locate_metrics(op->res);
-  if (op->external != nullptr) op->external->absorb(op->per_op);
-  --in_flight_;
-  op->done(op->res);
-}
-
-void ObjectDirectory::locate_step(const std::shared_ptr<AsyncLocateOp>& op) {
-  TapestryNode* curp = reg_.find(op->cur);
-  if (curp == nullptr || !curp->alive) {
-    // The node carrying the query died while the message was in flight:
-    // this root attempt is lost.  (The synchronous path can never observe
-    // this state — it completes atomically against a liveness snapshot.)
-    next_locate_attempt(op);
-    return;
-  }
-  TapestryNode& cur = *curp;
-  Trace* t = &op->per_op;
-
-  auto resolve = [&](TapestryNode& holder, const PointerRecord& rec,
-                     const Guid& via) {
-    op->res.pointer_node = holder.id();
-    Message found = make_message(MessageKind::kLocateFound, holder.id(),
-                                 rec.server, via);
-    found.server = rec.server;
-    found = transport_->deliver(found);
-    op->res.server = found.server;
-    cache_fill_path(op->base, op->path, via, holder.id(), rec);
-    if (found.server == holder.id()) {  // the pointer holder is the replica
-      op->res.found = true;
-      finish_locate(op);
-      return;
-    }
-    // Final leg to the replica: one routing decision per event, exactly
-    // like the walk to the pointer, so a replica (or carrier) crash can
-    // strike while the query is already heading for it — the §6.5
-    // interleaving the atomic leg could never observe.
-    op->replica_target = found.server;
-    op->leg_state = RouteState{};
-    op->cur = holder.id();
-    events_.schedule_in(0.0, [this, op] { locate_replica_step(op); });
-  };
-
-  // Check the current node for a pointer before routing further.
-  if (auto rec = pick_live_replica(cur, op->target, cur); rec.has_value()) {
-    op->path.push_back(cur.id());
-    resolve(cur, *rec, op->target);
-    return;
-  }
-
-  // A remembered resolution short-circuits the walk: jump one message to
-  // the cached holder and verify its real store when the message lands
-  // (locate_cache_step) — the holder's state *then* decides, exactly as
-  // for any other in-flight hop.  Checked after the authoritative store
-  // and before the loop guard: a failed verification resumes the walk
-  // here, and that resumption must not count as a revisit.
-  if (cache_.enabled()) {
-    if (auto ce = cache_.lookup(cur.id(), op->base, events_.now());
-        ce.has_value()) {
-      TapestryNode* h = reg_.find(ce->holder);
-      if (h != nullptr && h->alive && !(h->id() == cur.id()) &&
-          reg_.reachable(cur.id(), h->id())) {
-        wire(MessageKind::kLocateStep, cur.id(), h->id(), op->target);
-        reg_.acct(t, cur, *h);  // forward to the remembered holder
-        op->path.push_back(cur.id());
-        op->cache_target = ce->target;
-        op->cache_holder = ce->holder;
-        op->cache_from = cur.id();
-        events_.schedule_in(reg_.dist(cur, *h) * params_.hop_delay_scale,
-                            [this, op] { locate_cache_step(op); });
-        return;
-      }
-      cache_.erase(cur.id(), op->base);
-    }
-  }
-
-  op->path.push_back(cur.id());
-  if (!op->visited.insert(cur.id().value()).second) {  // loop -> miss (§4.3)
-    next_locate_attempt(op);
-    return;
-  }
-
-  const unsigned level_before = op->state.level;
-  auto next = router_.route_step(cur, op->target, op->state, t,
-                                 op->excluded.empty() ? nullptr
-                                                      : &op->excluded);
-  if (next.has_value()) {
-    if (params_.prr_secondary_search) {
-      // §2.4: probe the secondaries of the slot being routed through.
-      TAP_ASSERT(op->state.level >= 1);
-      const unsigned slot_level = op->state.level - 1 >= level_before
-                                      ? op->state.level - 1
-                                      : level_before;
-      const unsigned digit = next->digit(slot_level);
-      const auto members = cur.table().at(slot_level, digit).entries();
-      for (const auto& member : members) {
-        if (member.id == *next || member.id == cur.id()) continue;
-        TapestryNode* m = reg_.find(member.id);
-        if (m == nullptr || !m->alive) continue;
-        if (!reg_.reachable(cur.id(), member.id)) continue;
-        wire(MessageKind::kLocateStep, cur.id(), m->id(), op->target);
-        reg_.acct(t, cur, *m, 2);  // probe round trip
-        if (auto rec = pick_live_replica(*m, op->target, cur);
-            rec.has_value()) {
-          resolve(*m, *rec, op->target);
-          return;
-        }
-      }
-    }
-    TapestryNode& nxt = reg_.live(*next);
-    Message hop = make_message(MessageKind::kLocateStep, cur.id(), nxt.id(),
-                               op->target);
-    hop.level = op->state.level;
-    hop.flag = op->state.past_hole;
-    hop = transport_->deliver(hop);
-    op->state.level = hop.level;
-    op->state.past_hole = hop.flag;
-    reg_.acct(t, cur, nxt);
-    op->cur = *next;
-    events_.schedule_in(reg_.dist(cur, nxt) * params_.hop_delay_scale,
-                        [this, op] { locate_step(op); });
-    return;
-  }
-
-  // Root without a pointer; bounce to the surrogate if the root is still
-  // inserting (Figure 10), exactly as in the synchronous path.
-  if (cur.inserting && cur.psurrogate.has_value() &&
-      reg_.is_live(*cur.psurrogate)) {
-    op->excluded.insert(cur.id().value());
-    TapestryNode& sur = reg_.live(*cur.psurrogate);
-    wire(MessageKind::kLocateStep, cur.id(), sur.id(), op->target);
-    reg_.acct(t, cur, sur);
-    op->state.level = cur.id().common_prefix_len(sur.id());
-    op->visited.clear();
-    op->cur = sur.id();
-    events_.schedule_in(reg_.dist(cur, sur) * params_.hop_delay_scale,
-                        [this, op] { locate_step(op); });
-    return;
-  }
-
-  // Quorum fallback, mirroring the synchronous path: a root with no
-  // records asks its holder set before declaring a miss.
-  if (replicator_ != nullptr) {
-    const auto merged =
-        replicator_->quorum_read(cur, op->target, events_.now(), t);
-    if (!merged.empty()) {
-      for (const PointerRecord& r : merged) cur.store().upsert(op->target, r);
-      if (auto rec = pick_live_replica(cur, op->target, cur);
-          rec.has_value()) {
-        resolve(cur, *rec, op->target);
-        return;
-      }
-    }
-  }
-  next_locate_attempt(op);  // definitive miss for this root
-}
-
-void ObjectDirectory::locate_cache_step(
-    const std::shared_ptr<AsyncLocateOp>& op) {
-  // The jump message has landed (or tried to): verify the remembered
-  // holder's real store against the hint.  Everything may have changed
-  // while the message flew — holder crashed, record unpublished, expired
-  // or rerouted away, named replica dead — and each of those must behave
-  // exactly as the uncached walk would have: resume routing, don't fail.
-  TapestryNode* h = reg_.find(op->cache_holder);
-  if (h != nullptr && h->alive) {
-    if (auto rec = pick_live_replica(*h, op->cache_target, *h);
-        rec.has_value()) {
-      // Same resolution an uncached arrival at this holder would produce.
-      op->res.pointer_node = h->id();
-      Message found = make_message(MessageKind::kLocateFound, h->id(),
-                                   rec->server, op->cache_target);
-      found.server = rec->server;
-      found = transport_->deliver(found);
-      op->res.server = found.server;
-      cache_fill_path(op->base, op->path, op->cache_target, h->id(), *rec);
-      if (found.server == h->id()) {
-        op->res.found = true;
-        finish_locate(op);
-        return;
-      }
-      op->replica_target = found.server;
-      op->leg_state = RouteState{};
-      op->cur = h->id();
-      events_.schedule_in(0.0, [this, op] { locate_replica_step(op); });
-      return;
-    }
-  }
-  // Verification failed: drop the hint and bounce back to where the walk
-  // left off.  If that node died meanwhile, the attempt is lost like any
-  // other carrier death.
-  cache_.erase(op->cache_from, op->base);
-  cache_.note_fallback();
-  TapestryNode* from = reg_.find(op->cache_from);
-  if (from == nullptr || !from->alive) {
-    next_locate_attempt(op);
-    return;
-  }
-  double delay = 0.0;
-  if (h != nullptr) {
-    wire(MessageKind::kLocateStep, h->id(), from->id(), op->target);
-    reg_.acct(&op->per_op, *h, *from);  // the bounce-back message
-    delay = reg_.dist(*h, *from) * params_.hop_delay_scale;
-  }
-  op->cur = op->cache_from;
-  events_.schedule_in(delay, [this, op] { locate_step(op); });
-}
-
-void ObjectDirectory::locate_replica_step(
-    const std::shared_ptr<AsyncLocateOp>& op) {
-  TapestryNode* curp = reg_.find(op->cur);
-  if (curp == nullptr || !curp->alive) {
-    // The node carrying the query died while the leg was in flight: this
-    // root attempt is lost, like a carrier death on the walk to the
-    // pointer.
-    next_locate_attempt(op);
-    return;
-  }
-  TapestryNode& cur = *curp;
-  if (cur.id() == op->replica_target) {  // arrived at the replica
-    op->res.found = true;
-    finish_locate(op);
-    return;
-  }
-  // One exact-id routing decision toward the replica per event.
-  // route_step hands back live nodes only; if the replica crashed after
-  // the pointer was read, lazy repair purges it and the walk terminates
-  // at its surrogate instead — a lost attempt, retried on the remaining
-  // roots like any other in-flight casualty.
-  auto next = router_.route_step(cur, op->replica_target, op->leg_state,
-                                 &op->per_op);
-  if (!next.has_value()) {
-    next_locate_attempt(op);
-    return;
-  }
-  TapestryNode& nxt = reg_.live(*next);
-  wire(MessageKind::kRouteHop, cur.id(), nxt.id(), op->replica_target);
-  reg_.acct(&op->per_op, cur, nxt);
-  op->cur = *next;
-  events_.schedule_in(reg_.dist(cur, nxt) * params_.hop_delay_scale,
-                      [this, op] { locate_replica_step(op); });
+  events_.schedule_in(delay,
+                      [this, op] { drive_locate(op, locate_step(*op)); });
 }
 
 // ---------------------------------------------------------------------
@@ -1049,23 +802,15 @@ void ObjectDirectory::locate_replica_step(
 void ObjectDirectory::republish_server(NodeId server, Trace* trace) {
   if (!reg_.is_live(server)) return;
   for (const auto& [guid, servers] : replicas_) {
-    if (std::find(servers.begin(), servers.end(), server) != servers.end()) {
-      TapestryNode& s = reg_.live(server);
-      for (unsigned salt = 0; salt < params_.root_multiplicity; ++salt)
-        publish_one(s, salted_guid(guid, salt), trace);
-    }
+    if (std::find(servers.begin(), servers.end(), server) != servers.end())
+      publish_paths(server, guid, trace);
   }
 }
 
 void ObjectDirectory::republish_all(Trace* trace) {
-  for (const auto& [guid, servers] : replicas_) {
-    for (const NodeId& server : servers) {
-      if (!reg_.is_live(server)) continue;
-      TapestryNode& s = reg_.live(server);
-      for (unsigned salt = 0; salt < params_.root_multiplicity; ++salt)
-        publish_one(s, salted_guid(guid, salt), trace);
-    }
-  }
+  for (const auto& [guid, servers] : replicas_)
+    for (const NodeId& server : servers)
+      if (reg_.is_live(server)) publish_paths(server, guid, trace);
 }
 
 void ObjectDirectory::expire_pointers(std::size_t workers) {
@@ -1089,81 +834,6 @@ void ObjectDirectory::expire_pointers(std::size_t workers) {
         if (nodes[i]->alive) nodes[i]->store().remove_expired(now);
       },
       workers);
-}
-
-// ---------------------------------------------------------------------
-// Checkpoint / restore (persistent backend)
-// ---------------------------------------------------------------------
-
-void ObjectDirectory::checkpoint(const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  TAP_CHECK(!ec, "checkpoint: cannot create " + dir);
-  // Push every store's buffered durable state first: the manifest must
-  // never describe records the WALs have not seen.
-  for (const auto& n : reg_.nodes()) n->store().flush();
-
-  const std::string tmp = dir + "/manifest.tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  TAP_CHECK(f != nullptr, "checkpoint: cannot write " + tmp);
-  std::fprintf(f, "T %.17g\n", events_.now());
-  for (const auto& n : reg_.nodes())
-    if (n->alive)
-      std::fprintf(f, "N %llx %zu\n",
-                   static_cast<unsigned long long>(n->id().value()),
-                   n->location());
-  for (const auto& [guid, servers] : replicas_)
-    for (const NodeId& s : servers)
-      std::fprintf(f, "O %llx %llx\n",
-                   static_cast<unsigned long long>(guid.value()),
-                   static_cast<unsigned long long>(s.value()));
-  // Verify before the atomic publish: renaming a truncated manifest over
-  // the previous good one would make the next restore silently rebuild a
-  // smaller overlay.
-  const bool wrote = std::fflush(f) == 0 && std::ferror(f) == 0;
-  const bool closed = std::fclose(f) == 0;
-  TAP_CHECK(wrote && closed, "checkpoint: manifest write failed in " + dir);
-  std::filesystem::rename(tmp, dir + "/manifest", ec);
-  TAP_CHECK(!ec, "checkpoint: cannot publish " + dir + "/manifest");
-}
-
-ObjectDirectory::CheckpointManifest ObjectDirectory::read_manifest(
-    const std::string& dir) {
-  CheckpointManifest m;
-  const std::string path = dir + "/manifest";
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  TAP_CHECK(f != nullptr, "read_manifest: cannot read " + path);
-  char line[128];
-  while (std::fgets(line, sizeof line, f) != nullptr) {
-    if (line[0] == 'T') {
-      TAP_CHECK(std::sscanf(line, "T %lf", &m.time) == 1,
-                "read_manifest: bad T line");
-    } else if (line[0] == 'N') {
-      unsigned long long id = 0;
-      std::size_t loc = 0;
-      TAP_CHECK(std::sscanf(line, "N %llx %zu", &id, &loc) == 2,
-                "read_manifest: bad N line");
-      m.nodes.emplace_back(id, loc);
-    } else if (line[0] == 'O') {
-      unsigned long long g = 0, s = 0;
-      TAP_CHECK(std::sscanf(line, "O %llx %llx", &g, &s) == 2,
-                "read_manifest: bad O line");
-      m.replicas.emplace_back(g, s);
-    } else {
-      TAP_CHECK(line[0] == '\n' || line[0] == '\0',
-                "read_manifest: unknown line kind in " + path);
-    }
-  }
-  std::fclose(f);
-  return m;
-}
-
-double ObjectDirectory::restore(const std::string& dir) {
-  const CheckpointManifest m = read_manifest(dir);
-  replicas_.clear();
-  for (const auto& [g, s] : m.replicas)
-    replicas_[Guid(params_.id, g)].push_back(NodeId(params_.id, s));
-  return m.time;
 }
 
 void ObjectDirectory::start_soft_state(double republish_every,
@@ -1231,59 +901,85 @@ std::optional<NodeId> ObjectDirectory::pointer_next_hop(
 }
 
 std::vector<ObjectDirectory::PendingReroute>
-ObjectDirectory::snapshot_pointer_hops(const TapestryNode& at) const {
+ObjectDirectory::snapshot_pointer_hops(const TapestryNode& at,
+                                       const NodeLockTable* locks) const {
+  // The store snapshot synchronises itself (sharded backend); with `locks`
+  // the table walk per record runs under `at`'s stripe so no concurrent
+  // repair half-writes a row out from under the selector.
+  const auto records = at.store().snapshot();
   std::vector<PendingReroute> out;
-  for (const auto& [guid, rec] : at.store().snapshot())
+  out.reserve(records.size());
+  std::optional<NodeLockTable::Guard> g;
+  if (locks != nullptr) g.emplace(*locks, at.id());
+  for (const auto& [guid, rec] : records)
     out.push_back(PendingReroute{guid, rec, pointer_next_hop(at, guid, rec)});
   return out;
 }
 
 void ObjectDirectory::reroute_changed_pointers(
-    TapestryNode& at, const std::vector<PendingReroute>& before,
-    Trace* trace) {
+    TapestryNode& at, const std::vector<PendingReroute>& before, Trace* trace,
+    const NodeLockTable* locks) {
   for (const auto& p : before) {
     // The record may have been refreshed or dropped meanwhile; re-read.
     const auto current = at.store().find(p.guid, p.record.server);
     if (!current.has_value()) continue;
+    std::optional<NodeLockTable::Guard> g;
+    if (locks != nullptr) g.emplace(*locks, at.id());
     const auto now_hop = pointer_next_hop(at, p.guid, *current);
+    g.reset();
     if (now_hop == p.next_hop) continue;
-    optimize_pointer(at, p.guid, *current, trace);
+    optimize_pointer(at, p.guid, *current, trace, locks);
   }
 }
 
 void ObjectDirectory::optimize_pointer(TapestryNode& from, const Guid& guid,
                                        const PointerRecord& record,
-                                       Trace* trace) {
+                                       Trace* trace,
+                                       const NodeLockTable* locks) {
+  // Serial (no `locks`): the mutating route_step, repairing corpses it
+  // trips over.  Inside a thread-parallel wave every routing decision uses
+  // the mutation-free peek under the deciding node's stripe instead —
+  // route_step's lazy repair would re-enter the table surgery that belongs
+  // to the wave itself — and store writes go through the backend's own
+  // synchronisation.  A row left transiently without a live slot mid-wave
+  // aborts that walk; repair_pointer_chains() re-pushes whatever was cut
+  // short once the wave settles.
   const NodeId changed = from.id();
   RouteState state{record.level, record.past_hole};
   TapestryNode* prev = &from;
-  auto step = router_.route_step(from, guid, state, trace);
-  while (step.has_value()) {
+  for (;;) {
+    std::optional<NodeId> step;
+    if (locks == nullptr) {
+      step = router_.route_step(*prev, guid, state, trace);
+    } else {
+      try {
+        step = router_.route_step_peek(prev->id(), guid, state, locks);
+      } catch (const CheckError&) {
+        return;  // transiently unroutable under the race
+      }
+    }
+    if (!step.has_value()) return;
     TapestryNode& v = reg_.live(*step);
-    Message m = make_message(MessageKind::kPointerOptimize, prev->id(),
-                             v.id(), guid);
-    m.server = record.server;
-    m.last_hop = prev->id();
-    m.level = state.level;
-    m.flag = state.past_hole;
-    m.expires_at = record.expires_at;
-    m = transport_->deliver(m);
-    reg_.acct(trace, *prev, v);
+    const PointerRecord arrived = carry_pointer(
+        MessageKind::kPointerOptimize, *prev, v, guid,
+        PointerRecord{record.server, prev->id(), state.level, state.past_hole,
+                      record.expires_at},
+        trace);
     const auto existing = v.store().find(guid, record.server);
-    const std::optional<NodeId> old_sender =
-        existing.has_value() ? existing->last_hop : std::nullopt;
-    v.store().upsert(guid, PointerRecord{m.server, m.last_hop, m.level,
-                                         m.flag, m.expires_at});
-    if (existing.has_value() && old_sender.has_value() &&
-        !(*old_sender == prev->id())) {
+    v.store().upsert(guid, arrived);
+    if (existing.has_value() && existing->last_hop.has_value() &&
+        !(*existing->last_hop == prev->id())) {
       // Converged onto the old path: above here nothing changed.  Prune the
-      // outdated branch backward along last-hop links.
-      if (!(*old_sender == changed))
-        delete_backward(v.id(), *old_sender, guid, record.server, changed, trace);
+      // outdated branch backward along last-hop links.  delete_backward
+      // touches only stores, never routing tables, so it serves both
+      // modes; its confirm-then-delete structure keeps racy interleavings
+      // on the under-deletion side, which soft-state expiry absorbs.
+      if (!(*existing->last_hop == changed))
+        delete_backward(v.id(), *existing->last_hop, guid, record.server,
+                        changed, trace);
       return;
     }
     prev = &v;
-    step = router_.route_step(v, guid, state, trace);
   }
 }
 
@@ -1333,94 +1029,6 @@ void ObjectDirectory::delete_backward(const NodeId& notifier,
     w->store().remove(guid, victim);
     prev = w;
     sender = id;
-  }
-}
-
-// ---------------------------------------------------------------------
-// Guarded pointer maintenance (§4.2 inside thread-parallel repair waves)
-// ---------------------------------------------------------------------
-
-std::vector<ObjectDirectory::PendingReroute>
-ObjectDirectory::snapshot_pointer_hops_guarded(
-    const TapestryNode& at, const NodeLockTable& locks) const {
-  // The store snapshot synchronises itself (sharded backend); the table
-  // walk per record runs under `at`'s stripe so no concurrent repair
-  // half-writes a row out from under the selector.
-  const auto records = at.store().snapshot();
-  std::vector<PendingReroute> out;
-  out.reserve(records.size());
-  NodeLockTable::Guard g(locks, at.id());
-  for (const auto& [guid, rec] : records)
-    out.push_back(PendingReroute{guid, rec, pointer_next_hop(at, guid, rec)});
-  return out;
-}
-
-void ObjectDirectory::reroute_changed_pointers_guarded(
-    TapestryNode& at, const std::vector<PendingReroute>& before,
-    const NodeLockTable& locks, Trace* trace) {
-  for (const auto& p : before) {
-    const auto current = at.store().find(p.guid, p.record.server);
-    if (!current.has_value()) continue;
-    std::optional<NodeId> now_hop;
-    {
-      NodeLockTable::Guard g(locks, at.id());
-      now_hop = pointer_next_hop(at, p.guid, *current);
-    }
-    if (now_hop == p.next_hop) continue;
-    optimize_pointer_guarded(at, p.guid, *current, locks, trace);
-  }
-}
-
-void ObjectDirectory::optimize_pointer_guarded(TapestryNode& from,
-                                               const Guid& guid,
-                                               const PointerRecord& record,
-                                               const NodeLockTable& locks,
-                                               Trace* trace) {
-  // Same shape as optimize_pointer, but every routing decision uses the
-  // mutation-free peek selector under the deciding node's stripe — never
-  // the mutating route_step, whose lazy repair would re-enter the table
-  // surgery that belongs to the wave itself.  Store writes go through the
-  // backend's own synchronisation.  A row left transiently without a live
-  // slot mid-wave aborts the walk; repair_pointer_chains() re-pushes
-  // whatever was cut short once the wave settles.
-  const NodeId changed = from.id();
-  RouteState state{record.level, record.past_hole};
-  TapestryNode* prev = &from;
-  for (;;) {
-    std::optional<NodeId> step;
-    try {
-      NodeLockTable::Guard g(locks, prev->id());
-      step = router_.route_step_peek(prev->id(), guid, state);
-    } catch (const CheckError&) {
-      return;  // transiently unroutable under the race
-    }
-    if (!step.has_value()) return;
-    TapestryNode& v = reg_.live(*step);
-    Message m = make_message(MessageKind::kPointerOptimize, prev->id(),
-                             v.id(), guid);
-    m.server = record.server;
-    m.last_hop = prev->id();
-    m.level = state.level;
-    m.flag = state.past_hole;
-    m.expires_at = record.expires_at;
-    m = transport_->deliver(m);
-    reg_.acct(trace, *prev, v);
-    const auto existing = v.store().find(guid, record.server);
-    const std::optional<NodeId> old_sender =
-        existing.has_value() ? existing->last_hop : std::nullopt;
-    v.store().upsert(guid, PointerRecord{m.server, m.last_hop, m.level,
-                                         m.flag, m.expires_at});
-    if (existing.has_value() && old_sender.has_value() &&
-        !(*old_sender == prev->id())) {
-      // delete_backward touches only stores (backend-synchronised), never
-      // routing tables, so the serial version is reusable as-is; its
-      // confirm-then-delete structure keeps racy interleavings on the
-      // under-deletion side, which soft-state expiry absorbs.
-      if (!(*old_sender == changed))
-        delete_backward(v.id(), *old_sender, guid, record.server, changed, trace);
-      return;
-    }
-    prev = &v;
   }
 }
 

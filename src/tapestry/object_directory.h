@@ -84,14 +84,13 @@ class ObjectDirectory {
                      bool guarded = false);
 
   // --- event-driven publication and location ---
-  // Per-hop decomposition of publish/locate onto the EventQueue: each
-  // routing hop is a separate event, delayed by the link's metric distance
-  // scaled by params.hop_delay_scale, so repairs, republishes and expiry
-  // genuinely interleave with in-flight operations (the execution model
-  // §6.5's churn results assume).  All cost accounting for one operation
-  // lands in a private per-operation Trace and is absorbed into `trace` at
-  // completion, so per-query hop/latency figures stay exact even when many
-  // operations overlap.
+  // The same operation record and step function as publish/locate, but
+  // each step is its own EventQueue event, delayed by the hop's metric
+  // distance scaled by params.hop_delay_scale, so repairs, republishes and
+  // expiry genuinely interleave with in-flight operations (the execution
+  // model §6.5's churn results assume).  One operation's costs land in its
+  // own Trace, absorbed into `trace` at completion, so per-query
+  // hop/latency figures stay exact even when many operations overlap.
   using LocateCallback = std::function<void(const LocateResult&)>;
   using PublishCallback = std::function<void()>;
 
@@ -165,16 +164,23 @@ class ObjectDirectory {
   void stop_soft_state();
 
   // --- pointer maintenance (§4.2, Figure 9) ---
+  // Serial on a quiescent mesh when `locks` is null.  Repair waves that
+  // mutate routing tables from many threads pass the registry's
+  // NodeLockTable: every table read then runs under the owning node's
+  // stripe, one guard at a time (node_locks.h), routing uses the peek, and
+  // deposits rely on the store backend's own synchronisation.
   /// Snapshot the records of `at` whose next hop will change if tables
   /// change; used around table mutations.
   [[nodiscard]] std::vector<PendingReroute> snapshot_pointer_hops(
-      const TapestryNode& at) const;
+      const TapestryNode& at, const NodeLockTable* locks = nullptr) const;
   /// Re-push the affected records along the new paths (OPTIMIZEOBJECTPTRS).
   void reroute_changed_pointers(TapestryNode& at,
                                 const std::vector<PendingReroute>& before,
-                                Trace* trace);
+                                Trace* trace,
+                                const NodeLockTable* locks = nullptr);
   void optimize_pointer(TapestryNode& from, const Guid& guid,
-                        const PointerRecord& record, Trace* trace);
+                        const PointerRecord& record, Trace* trace,
+                        const NodeLockTable* locks = nullptr);
   /// `notifier` is the converge node that discovered the outdated branch:
   /// it originates the first delete message of the backward chain (§4.2).
   void delete_backward(const NodeId& notifier, const NodeId& start,
@@ -184,20 +190,6 @@ class ObjectDirectory {
       const TapestryNode& at, const Guid& guid,
       const PointerRecord& record) const;
 
-  // --- guarded pointer maintenance (§4.2 inside thread-parallel waves) ---
-  // Stripe-locked variants of the block above for repair waves that mutate
-  // routing tables from many threads: every table read happens under the
-  // owning node's stripe in `locks`, one guard at a time (the node_locks.h
-  // discipline), and pointer deposits rely on the store backend's own
-  // synchronisation (StoreBackend::kSharded when genuinely racing).
-  [[nodiscard]] std::vector<PendingReroute> snapshot_pointer_hops_guarded(
-      const TapestryNode& at, const NodeLockTable& locks) const;
-  void reroute_changed_pointers_guarded(
-      TapestryNode& at, const std::vector<PendingReroute>& before,
-      const NodeLockTable& locks, Trace* trace);
-  void optimize_pointer_guarded(TapestryNode& from, const Guid& guid,
-                                const PointerRecord& record,
-                                const NodeLockTable& locks, Trace* trace);
   /// Quiescent convergence pass after a threaded wave: re-pushes every
   /// record whose snapshot-time next hop no longer holds it (two waves'
   /// guarded reroutes can interleave so a deposit lands after its holder's
@@ -225,7 +217,7 @@ class ObjectDirectory {
 
   // --- locate cache (hotspot.h) ---
   /// The per-node locate cache (disabled when params.locate_cache_size is
-  /// 0).  Both locate paths consult it at every node of the walk before
+  /// 0).  Both engines' locates consult it at every node of the walk before
   /// routing onward and repopulate it on success; every hit re-reads the
   /// remembered holder's store before resolving, so cached and uncached
   /// locates agree on found/not-found (see hotspot.h).
@@ -258,31 +250,39 @@ class ObjectDirectory {
   }
 
  private:
-  struct AsyncLocateOp;
-  struct AsyncPublishOp;
-  void begin_locate_attempt(const std::shared_ptr<AsyncLocateOp>& op);
-  void locate_step(const std::shared_ptr<AsyncLocateOp>& op);
-  void locate_cache_step(const std::shared_ptr<AsyncLocateOp>& op);
-  void locate_replica_step(const std::shared_ptr<AsyncLocateOp>& op);
-  void next_locate_attempt(const std::shared_ptr<AsyncLocateOp>& op);
-  void finish_locate(const std::shared_ptr<AsyncLocateOp>& op);
-  void begin_publish_path(const std::shared_ptr<AsyncPublishOp>& op);
-  void publish_step(const std::shared_ptr<AsyncPublishOp>& op);
+  // One publish / locate in flight and its step functions, which both
+  // engines drive (object_directory.cc, "Operation records").  Each step
+  // returns the delay until the next one.
+  struct PublishOp;
+  struct LocateOp;
+  double next_publish_path(PublishOp& op);
+  double publish_step(PublishOp& op);
+  double start_locate(LocateOp& op, NodeId client, const Guid& guid,
+                      Trace* sink);
+  double next_locate_attempt(LocateOp& op);
+  double locate_step(LocateOp& op);
+  double resolve_locate(LocateOp& op, TapestryNode& holder,
+                        const PointerRecord& rec, const Guid& via);
+  void finish_locate(LocateOp& op);
+  /// Event engine: schedule the next step `delay` from now, or complete.
+  void drive_publish(const std::shared_ptr<PublishOp>& op, double delay);
+  void drive_locate(const std::shared_ptr<LocateOp>& op, double delay);
+  /// Synchronous engine: every root path of one replica, inline.
+  void publish_paths(NodeId server, const Guid& guid, Trace* trace);
   void schedule_republish_tick(double every, Trace* trace);
   void schedule_expiry_tick(double every);
 
-  void publish_one(TapestryNode& server, const Guid& salted, Trace* trace);
   void unpublish_one(TapestryNode& server, const Guid& salted, Trace* trace);
-  /// One query attempt toward one (salted) root name.  `base` keys the
-  /// locate cache (nullptr skips caching, e.g. for internal probes).
-  LocateResult locate_attempt(TapestryNode& client, const Guid& target,
-                              Trace* trace, const Guid* base = nullptr);
-  /// Deposits a locate-cache hint pointing at `holder` on every node the
-  /// successful query walked through (paths toward a root converge, so
-  /// hot objects get cached exactly where future queries will pass).
-  void cache_fill_path(const Guid& base, const std::vector<NodeId>& path,
-                       const Guid& via, const NodeId& holder,
-                       const PointerRecord& rec);
+  /// The one pointer-carrying hop (publish and batch deposits, unpublish,
+  /// §4.2 reroute): builds the message from `rec`, delivers it, books it,
+  /// and returns the record as the receiver observed it.
+  PointerRecord carry_pointer(MessageKind kind, const TapestryNode& from,
+                              const TapestryNode& to, const Guid& target,
+                              const PointerRecord& rec, Trace* trace) const;
+  /// Ground-truth replica registry insert (no duplicates).
+  void register_replica(const Guid& guid, const NodeId& server);
+  /// Event-engine flight time of one message from `a` to `b`.
+  double hop_delay(const TapestryNode& a, const TapestryNode& b) const;
   /// Picks the closest live replica among records; prunes dead-server
   /// records it trips over.  Returns nullopt when none is live.
   std::optional<PointerRecord> pick_live_replica(
@@ -290,12 +290,13 @@ class ObjectDirectory {
       const TapestryNode& relative_to);
 
   /// Fire-and-forget wire delivery for messages whose payload carries no
-  /// fields the receiver continues from (probes, bounces, hop
-  /// notifications) — the kinds with onward-flowing payloads construct
-  /// and consume delivered Messages at their call sites instead.
-  void wire(MessageKind kind, const NodeId& src, const NodeId& dst,
-            const Id& target) {
-    (void)transport_->deliver(make_message(kind, src, dst, target));
+  /// fields the receiver continues from (probes, bounces, cache jumps),
+  /// booked as `msgs` messages of distance dist(src, dst) — the kinds with
+  /// onward-flowing payloads go through carry_pointer / Router::forward.
+  void wire(MessageKind kind, const TapestryNode& src, const TapestryNode& dst,
+            const Id& target, Trace* trace, std::size_t msgs = 1) {
+    (void)transport_->deliver(make_message(kind, src.id(), dst.id(), target));
+    reg_.acct(trace, src, dst, msgs);
   }
 
   NodeRegistry& reg_;

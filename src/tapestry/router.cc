@@ -206,9 +206,14 @@ std::optional<NodeId> Router::route_step(TapestryNode& at, const Id& target,
   return std::nullopt;  // `at` is the root
 }
 
-std::optional<NodeId> Router::route_step_peek(const NodeId& at,
-                                              const Id& target,
-                                              RouteState& state) const {
+std::optional<NodeId> Router::route_step_peek(
+    const NodeId& at, const Id& target, RouteState& state,
+    const NodeLockTable* locks) const {
+  // One stripe per routing decision when guarded: the step reads only
+  // `at`'s table (member liveness probes go through the lock-free registry
+  // index).
+  std::optional<NodeLockTable::Guard> g;
+  if (locks != nullptr) g.emplace(*locks, at);
   const TapestryNode& n = reg_.checked(at);
   const unsigned digits = params_.id.num_digits;
   const unsigned radix = params_.id.radix();
@@ -283,82 +288,67 @@ std::optional<NodeId> Router::route_step_peek(const NodeId& at,
   return std::nullopt;
 }
 
-RouteResult Router::route_to_root(NodeId from, const Id& target,
-                                  Trace* trace) {
-  TapestryNode* cur = &reg_.live(from);
+void Router::forward(MessageKind kind, const TapestryNode& from,
+                     const TapestryNode& to, const Id& target,
+                     RouteState& state, Trace* trace) const {
+  // The hop itself is a wire message; continue from the delivered copy
+  // (identical for the direct transport, decoded bytes for loopback).
+  Message hop = make_message(kind, from.id(), to.id(), target);
+  hop.level = state.level;
+  hop.flag = state.past_hole;
+  hop = transport_->deliver(hop);
+  state.level = hop.level;
+  state.past_hole = hop.flag;
+  reg_.acct(trace, from, to);
+}
+
+template <typename NextHop>
+RouteResult Router::walk_to_root(NodeId from, const Id& target, Trace* trace,
+                                 NextHop&& next_hop) const {
+  TapestryNode* cur = &reg_.checked(from);
+  TAP_CHECK(cur->alive, "route_to_root: start node must be alive");
   RouteResult res;
   res.path.push_back(from);
   RouteState state;
   for (;;) {
-    auto next = route_step(*cur, target, state, trace);
+    const auto next = next_hop(*cur, state);
     if (!next.has_value()) {
       res.root = cur->id();
       return res;
     }
-    TapestryNode& nxt = reg_.live(*next);
-    // The hop itself is a wire message; continue from the delivered copy
-    // (identical for the direct transport, decoded bytes for loopback).
-    Message hop = make_message(MessageKind::kRouteHop, cur->id(), nxt.id(),
-                               target);
-    hop.level = state.level;
-    hop.flag = state.past_hole;
-    hop = transport_->deliver(hop);
-    reg_.acct(trace, *cur, nxt);
+    TapestryNode& nxt = reg_.checked(*next);
+    forward(MessageKind::kRouteHop, *cur, nxt, target, state, trace);
     res.latency += reg_.dist(*cur, nxt);
     ++res.hops;
-    if (hop.flag) ++res.surrogate_hops;
+    if (state.past_hole) ++res.surrogate_hops;
     res.path.push_back(nxt.id());
     cur = &nxt;
   }
 }
 
-RouteResult Router::walk_to_root_peek(NodeId from, const Id& target,
-                                      Trace* trace,
-                                      const NodeLockTable* locks) const {
-  const TapestryNode* cur = &reg_.checked(from);
-  {
-    std::optional<NodeLockTable::Guard> g;
-    if (locks != nullptr) g.emplace(*locks, from);
-    TAP_CHECK(cur->alive, "route_to_root_peek: start node must be alive");
-  }
-  RouteResult res;
-  res.path.push_back(from);
-  RouteState state;
-  for (;;) {
-    // One stripe per routing decision in guarded mode: the step reads only
-    // the current node's table (member liveness probes go through the
-    // lock-free registry index).
-    std::optional<NodeLockTable::Guard> g;
-    if (locks != nullptr) g.emplace(*locks, cur->id());
-    const auto next = route_step_peek(cur->id(), target, state);
-    g.reset();
-    if (!next.has_value()) {
-      res.root = cur->id();
-      return res;
-    }
-    const TapestryNode& nxt = reg_.checked(*next);
-    Message hop = make_message(MessageKind::kRouteHop, cur->id(), nxt.id(),
-                               target);
-    hop.level = state.level;
-    hop.flag = state.past_hole;
-    hop = transport_->deliver(hop);
-    reg_.acct(trace, *cur, nxt);
-    res.latency += reg_.dist(*cur, nxt);
-    ++res.hops;
-    if (hop.flag) ++res.surrogate_hops;
-    res.path.push_back(nxt.id());
-    cur = &nxt;
-  }
+RouteResult Router::route_to_root(NodeId from, const Id& target,
+                                  Trace* trace) {
+  return walk_to_root(from, target, trace,
+                      [&](TapestryNode& at, RouteState& state) {
+                        return route_step(at, target, state, trace);
+                      });
 }
 
 RouteResult Router::route_to_root_peek(NodeId from, const Id& target,
                                        Trace* trace) const {
-  return walk_to_root_peek(from, target, trace, nullptr);
+  return walk_to_root(from, target, trace,
+                      [&](TapestryNode& at, RouteState& state) {
+                        return route_step_peek(at.id(), target, state);
+                      });
 }
 
 RouteResult Router::route_to_root_guarded(NodeId from, const Id& target,
                                           Trace* trace) const {
-  return walk_to_root_peek(from, target, trace, &reg_.node_locks());
+  return walk_to_root(from, target, trace,
+                      [&](TapestryNode& at, RouteState& state) {
+                        return route_step_peek(at.id(), target, state,
+                                               &reg_.node_locks());
+                      });
 }
 
 NodeId Router::surrogate_root(const Id& target) const {

@@ -78,10 +78,19 @@ class Router {
   /// One routing decision at node `at` given cursor `state`: returns the
   /// next (different) node and advances the cursor past any self-matching
   /// levels, or nullopt when `at` is the root.  Pure peek — never repairs;
-  /// dead primaries are skipped in favor of live members.
-  [[nodiscard]] std::optional<NodeId> route_step_peek(const NodeId& at,
-                                                      const Id& target,
-                                                      RouteState& state) const;
+  /// dead primaries are skipped in favor of live members.  With `locks`
+  /// the decision runs under `at`'s stripe, which makes it safe against
+  /// concurrent routing-table mutation (a thread-parallel wave).
+  [[nodiscard]] std::optional<NodeId> route_step_peek(
+      const NodeId& at, const Id& target, RouteState& state,
+      const NodeLockTable* locks = nullptr) const;
+
+  /// Sends one routing hop from `from` to `to` as a `kind` wire message
+  /// carrying the cursor, books it against `trace`, and continues `state`
+  /// from the delivered copy (what the receiver observed).
+  void forward(MessageKind kind, const TapestryNode& from,
+               const TapestryNode& to, const Id& target, RouteState& state,
+               Trace* trace) const;
 
   /// Surrogate-routes from `from` toward `target` (a GUID or node-ID) and
   /// returns the root reached (§2.3).  Repairs dead links lazily en route.
@@ -122,12 +131,14 @@ class Router {
                            const std::vector<NodeId>& exclude = {});
 
  private:
-  /// Shared walk loop behind route_to_root_peek (locks == nullptr) and
-  /// route_to_root_guarded (locks != nullptr): one copy of the hop /
-  /// latency / surrogate-hop / path accounting, with the per-decision
-  /// stripe lock as the only difference.
-  RouteResult walk_to_root_peek(NodeId from, const Id& target, Trace* trace,
-                                const NodeLockTable* locks) const;
+  /// The one walk loop behind route_to_root (repairing step),
+  /// route_to_root_peek (peek step) and route_to_root_guarded (stripe-
+  /// locked peek step): `next_hop(node, state)` makes each routing
+  /// decision; the loop owns the hop message and the hop / latency /
+  /// surrogate-hop / path accounting.
+  template <typename NextHop>
+  RouteResult walk_to_root(NodeId from, const Id& target, Trace* trace,
+                           NextHop&& next_hop) const;
 
   /// Live primary of a slot with lazy repair: prunes dead members it
   /// trips over (§5.2) and, if the slot empties, hunts a replacement.

@@ -100,7 +100,7 @@ void ThreadedRepairDriver::leave_one(Session& s) {
       TapestryNode* bp = reg_.find(holder);
       if (bp == nullptr || !bp->alive) continue;
       reg_.acct(&s.trace, a, *bp, 1);  // LEAVINGNETWORK with hints
-      const auto before = dir_.snapshot_pointer_hops_guarded(*bp, locks_);
+      const auto before = dir_.snapshot_pointer_hops(*bp, &locks_);
       striped::unlink(reg_, locks_, *bp, l, s.victim);
       for (const NodeId& hint : s.hints[l]) {
         if (hint == holder) continue;
@@ -120,7 +120,7 @@ void ThreadedRepairDriver::leave_one(Session& s) {
       // §4.2 inside the wave: re-push local pointers whose paths crossed
       // the leaver — including those the leaver rooted, which now flow on
       // to their new surrogate roots.
-      dir_.reroute_changed_pointers_guarded(*bp, before, locks_, &s.trace);
+      dir_.reroute_changed_pointers(*bp, before, &s.trace, &locks_);
     }
   }
 
@@ -198,7 +198,7 @@ void ThreadedRepairDriver::fail_one(Session& s) {
 
 void ThreadedRepairDriver::purge_holder(TapestryNode& at, const NodeId& dead,
                                         Trace* trace) {
-  const auto before = dir_.snapshot_pointer_hops_guarded(at, locks_);
+  const auto before = dir_.snapshot_pointer_hops(at, &locks_);
   const unsigned gcp = at.id().common_prefix_len(dead);
   const unsigned digits = params_.id.num_digits;
   for (unsigned l = 0; l <= gcp && l < digits; ++l) {
@@ -218,7 +218,7 @@ void ThreadedRepairDriver::purge_holder(TapestryNode& at, const NodeId& dead,
     NodeLockTable::Guard g(locks_, at.id());
     at.table().remove_backpointer(l, dead);
   }
-  dir_.reroute_changed_pointers_guarded(at, before, locks_, trace);
+  dir_.reroute_changed_pointers(at, before, trace, &locks_);
 }
 
 // ---------------------------------------------------------------------

@@ -12,10 +12,10 @@
 //
 // §4.2 pointer rerouting happens *incrementally inside the wave*: around
 // each holder's table mutations the holder's pointer hops are snapshotted
-// and re-pushed under the guarded directory variants
-// (ObjectDirectory::snapshot_pointer_hops_guarded /
-// reroute_changed_pointers_guarded), never deferred to the §6.5 republish
-// backstop.  Two racing reroutes can strand a record that lands on a
+// and re-pushed through the directory's pointer maintenance given the
+// stripe locks (ObjectDirectory::snapshot_pointer_hops /
+// reroute_changed_pointers with a NodeLockTable), never deferred to the
+// §6.5 republish backstop.  Two racing reroutes can strand a record that lands on a
 // holder after that holder's snapshot was taken (impossible serially); the
 // quiescent ObjectDirectory::repair_pointer_chains pass at the end of
 // every wave closes exactly that window, so objects are locatable the

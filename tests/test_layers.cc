@@ -1,11 +1,17 @@
 // Seam tests for the layered subsystems behind the Network facade:
-// Router's pure peek vs the mutating repair walk, and NodeRegistry's
-// liveness/index bookkeeping across join, leave and fail.
+// Router's pure peek vs the mutating repair walk, NodeRegistry's
+// liveness/index bookkeeping across join, leave and fail, and the
+// synchronous vs event-driven directory engines run on twin overlays.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <optional>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
+#include "src/tapestry/replicated_store.h"
 #include "tests/test_util.h"
 
 namespace tap {
@@ -162,6 +168,317 @@ TEST(FacadeSeam, SubsystemsShareStateWithFacade) {
   EXPECT_EQ(r.server, g.ids[0]);
   g.net->directory().unpublish(g.ids[0], guid);
   EXPECT_TRUE(g.net->servers_of(guid).empty());
+}
+
+// ------------------------------------------------------------ engine twins
+//
+// The synchronous engine (publish/locate) and the event engine
+// (publish_async/locate_async, drained one operation at a time) must be
+// the same machine: on twin overlays built from one seed, with no other
+// event interleaving, every result, every message and every store write
+// agrees.  One overlay per engine, because quorum reads, read repair and
+// cache fills by one engine would change what the other sees.
+
+struct TwinConfig {
+  std::size_t cache = 0;
+  bool secondary = false;
+  RoutingMode routing = RoutingMode::kTapestryNative;
+  bool replicated = false;  // + kill object roots so quorum reads run
+};
+
+std::string describe(const TwinConfig& c) {
+  return "cache=" + std::to_string(c.cache) +
+         " secondary=" + std::to_string(c.secondary) + " routing=" +
+         (c.routing == RoutingMode::kPrrLike ? "prr" : "native") +
+         (c.replicated ? " store=replicated" : " store=default");
+}
+
+TapestryParams twin_params(const TwinConfig& c) {
+  // One small_params() call per twin: the disk-backed TAP_STORE legs hand
+  // each call a fresh store directory.
+  TapestryParams p = small_params(c.routing);
+  p.locate_cache_size = c.cache;
+  p.prr_secondary_search = c.secondary;
+  if (c.replicated) p.store_backend = StoreBackend::kReplicated;
+  return p;
+}
+
+using KindCounts = std::array<std::uint64_t, kWireKindCount + 1>;
+
+KindCounts transport_counts(const Network& net) {
+  KindCounts out{};
+  const TransportStats& s = net.transport().stats();
+  for (std::size_t k = 0; k < kWireKindCount; ++k)
+    out[k] = s.kind_count(static_cast<MessageKind>(k));
+  out[kWireKindCount] = s.bytes.load();
+  return out;
+}
+
+KindCounts delta(const KindCounts& after, const KindCounts& before) {
+  KindCounts d{};
+  for (std::size_t k = 0; k < d.size(); ++k) d[k] = after[k] - before[k];
+  return d;
+}
+
+void expect_same_stores(Network& a, Network& b, const std::string& what) {
+  for (const NodeId& id : a.node_ids()) {
+    auto sa = a.node(id).store().snapshot();
+    auto sb = b.node(id).store().snapshot();
+    ASSERT_EQ(sa.size(), sb.size()) << what << " node " << id.to_string();
+    auto key = [](const std::pair<Guid, PointerRecord>& e) {
+      return std::make_pair(e.first.value(), e.second.server.value());
+    };
+    auto by_key = [&](const auto& x, const auto& y) { return key(x) < key(y); };
+    std::sort(sa.begin(), sa.end(), by_key);
+    std::sort(sb.begin(), sb.end(), by_key);
+    for (std::size_t i = 0; i < sa.size(); ++i) {
+      const PointerRecord& ra = sa[i].second;
+      const PointerRecord& rb = sb[i].second;
+      EXPECT_EQ(sa[i].first, sb[i].first) << what;
+      EXPECT_EQ(ra.server, rb.server) << what;
+      EXPECT_EQ(ra.last_hop, rb.last_hop) << what;
+      EXPECT_EQ(ra.level, rb.level) << what;
+      EXPECT_EQ(ra.past_hole, rb.past_hole) << what;
+      EXPECT_EQ(ra.expires_at, rb.expires_at) << what;
+    }
+  }
+}
+
+LocateResult drain_locate_async(Network& net, const NodeId& client,
+                                const Guid& guid) {
+  std::optional<LocateResult> out;
+  net.locate_async(client, guid, [&](const LocateResult& r) { out = r; });
+  net.events().run();
+  EXPECT_TRUE(out.has_value());
+  return out.value_or(LocateResult{});
+}
+
+void expect_same_result(const LocateResult& s, const LocateResult& e,
+                        const std::string& what) {
+  EXPECT_EQ(s.found, e.found) << what;
+  EXPECT_EQ(s.server, e.server) << what;
+  EXPECT_EQ(s.pointer_node, e.pointer_node) << what;
+  EXPECT_EQ(s.hops, e.hops) << what;
+  EXPECT_EQ(s.latency, e.latency) << what;
+}
+
+/// Publishes `objects` on both twins (sync on `sync`, event-driven on
+/// `event`) and checks stores and per-kind traffic agree.
+std::vector<Guid> publish_twins(Network& sync, Network& event,
+                                const std::vector<NodeId>& ids,
+                                std::size_t objects, const std::string& what) {
+  std::vector<Guid> guids;
+  for (std::size_t k = 0; k < objects; ++k) {
+    const Guid guid = make_guid(sync, 0x7000 + k);
+    const NodeId server = ids[(k * 37 + 5) % ids.size()];
+    const KindCounts s0 = transport_counts(sync);
+    const KindCounts e0 = transport_counts(event);
+    sync.publish(server, guid);
+    event.publish_async(server, guid);
+    event.events().run();
+    EXPECT_EQ(delta(transport_counts(sync), s0),
+              delta(transport_counts(event), e0))
+        << what << " publish " << k;
+    guids.push_back(guid);
+  }
+  expect_same_stores(sync, event, what + " after publish");
+  return guids;
+}
+
+TEST(EngineTwin, SyncAndEventEnginesAgreeAcrossTheMatrix) {
+  std::vector<TwinConfig> matrix;
+  for (const std::size_t cache : {std::size_t{0}, std::size_t{128}})
+    for (const bool secondary : {false, true})
+      for (const RoutingMode routing :
+           {RoutingMode::kTapestryNative, RoutingMode::kPrrLike})
+        for (const bool replicated : {false, true})
+          matrix.push_back(TwinConfig{cache, secondary, routing, replicated});
+
+  for (const TwinConfig& cfg : matrix) {
+    const std::string what = describe(cfg);
+    auto sync = static_ring_network(256, 404, twin_params(cfg));
+    auto event = static_ring_network(256, 404, twin_params(cfg));
+    ASSERT_EQ(sync.ids, event.ids);
+    const std::vector<Guid> guids =
+        publish_twins(*sync.net, *event.net, sync.ids, 32, what);
+
+    if (cfg.replicated) {
+      // Kill every object root that serves nothing, so locates
+      // for them reach a fresh surrogate with no records: quorum reads.
+      std::unordered_set<std::uint64_t> servers;
+      for (const auto& [g, s] : sync.net->directory().published())
+        servers.insert(s.value());
+      for (std::size_t k = 0; k < guids.size(); ++k) {
+        const NodeId root = sync.net->surrogate_root(guids[k]);
+        if (servers.count(root.value()) != 0 || !sync.net->contains(root))
+          continue;
+        sync.net->fail(root);
+        event.net->fail(root);
+      }
+      expect_same_stores(*sync.net, *event.net, what + " after root kills");
+    }
+
+    const std::vector<NodeId> clients = sync.net->node_ids();
+    Rng rng(77);
+    for (int q = 0; q < 256; ++q) {
+      const NodeId client = clients[rng.next_u64(clients.size())];
+      const Guid guid = guids[rng.next_u64(guids.size())];
+      const std::string at = what + " query " + std::to_string(q);
+      const KindCounts s0 = transport_counts(*sync.net);
+      const KindCounts e0 = transport_counts(*event.net);
+      const LocateResult s = sync.net->locate(client, guid);
+      const LocateResult e = drain_locate_async(*event.net, client, guid);
+      expect_same_result(s, e, at);
+      EXPECT_EQ(delta(transport_counts(*sync.net), s0),
+                delta(transport_counts(*event.net), e0))
+          << at;
+    }
+    expect_same_stores(*sync.net, *event.net, what + " after locates");
+    if (cfg.replicated) {
+      const auto& sq = sync.net->directory().replicator()->stats();
+      const auto& eq = event.net->directory().replicator()->stats();
+      EXPECT_GT(sq.quorum_reads, 0u) << what;
+      EXPECT_EQ(sq.quorum_reads, eq.quorum_reads) << what;
+      EXPECT_EQ(sq.read_repairs, eq.read_repairs) << what;
+    }
+  }
+}
+
+// Figure 10: a query reaching a root that is still inserting (and lacks
+// the pointer) bounces to the root's surrogate, excluding it from then on.
+TEST(EngineTwin, InsertingRootBounceAgrees) {
+  auto sync = static_ring_network(256, 405, small_params());
+  auto event = static_ring_network(256, 405, small_params());
+  const Guid guid = make_guid(*sync.net, 0xb0b);
+  const NodeId server = sync.ids[11];
+  sync.net->publish(server, guid);
+  event.net->publish_async(server, guid);
+  event.net->events().run();
+
+  // The node before the root on the publish path holds the pointer and
+  // plays the surrogate the inserting root bounces queries to.
+  const RouteResult path =
+      sync.net->router().route_to_root_peek(server, guid);
+  ASSERT_GE(path.path.size(), 2u);
+  const NodeId root = path.root;
+  const NodeId surrogate = path.path[path.path.size() - 2];
+  for (Network* n : {sync.net.get(), event.net.get()}) {
+    TapestryNode& r = n->node(root);
+    r.inserting = true;
+    r.psurrogate = surrogate;
+    r.store().remove(guid, server);
+  }
+
+  Rng rng(78);
+  std::size_t bounced = 0;
+  for (int q = 0; q < 256; ++q) {
+    const NodeId client = sync.ids[rng.next_u64(sync.ids.size())];
+    const KindCounts s0 = transport_counts(*sync.net);
+    const KindCounts e0 = transport_counts(*event.net);
+    const LocateResult s = sync.net->locate(client, guid);
+    const LocateResult e = drain_locate_async(*event.net, client, guid);
+    expect_same_result(s, e, "query " + std::to_string(q));
+    EXPECT_EQ(delta(transport_counts(*sync.net), s0),
+              delta(transport_counts(*event.net), e0));
+    if (s.found && s.pointer_node == surrogate) ++bounced;
+  }
+  EXPECT_GT(bounced, 0u) << "no query reached the inserting root";
+  expect_same_stores(*sync.net, *event.net, "after bounces");
+}
+
+// A cache hint whose holder lost the record: every verification fails,
+// bounces back and resumes the walk.  Both engines must count the bounce
+// node once and perform the same resume lookup.
+TEST(EngineTwin, CacheStatsAgreeOnForcedBounce) {
+  TapestryParams p = small_params();
+  p.locate_cache_size = 128;
+  auto sync = static_ring_network(256, 406, p);
+  p = small_params();
+  p.locate_cache_size = 128;
+  auto event = static_ring_network(256, 406, p);
+  const Guid guid = make_guid(*sync.net, 0xcafe);
+  const NodeId server = sync.ids[21];
+  sync.net->publish(server, guid);
+  event.net->publish_async(server, guid);
+  event.net->events().run();
+  // Pick a client whose walk meets the publish path short of the root, so
+  // the root still answers once that holder loses its record.
+  const Router& router = sync.net->router();
+  const std::vector<NodeId> publish_path =
+      router.route_to_root_peek(server, guid).path;
+  const std::unordered_set<std::uint64_t> on_path = [&] {
+    std::unordered_set<std::uint64_t> s;
+    for (std::size_t i = 0; i + 1 < publish_path.size(); ++i)
+      s.insert(publish_path[i].value());
+    return s;
+  }();
+  std::optional<NodeId> client;
+  for (const NodeId& c : sync.ids) {
+    if (on_path.count(c.value()) != 0) continue;
+    const auto walk = router.route_to_root_peek(c, guid).path;
+    if (std::any_of(walk.begin(), walk.end(), [&](const NodeId& n) {
+          return on_path.count(n.value()) != 0;
+        })) {
+      client = c;
+      break;
+    }
+  }
+  ASSERT_TRUE(client.has_value());
+  // Warm both caches with one query; the hints name the holder.
+  const LocateResult warm = sync.net->locate(*client, guid);
+  expect_same_result(warm, drain_locate_async(*event.net, *client, guid),
+                     "warm-up");
+  ASSERT_TRUE(warm.found);
+  const NodeId holder = warm.pointer_node;
+  ASSERT_EQ(on_path.count(holder.value()), 1u);
+  for (Network* n : {sync.net.get(), event.net.get()})
+    n->node(holder).store().remove(guid, server);
+
+  const LocateCache::Stats s0 = sync.net->directory().locate_cache().stats();
+  const LocateCache::Stats e0 = event.net->directory().locate_cache().stats();
+  EXPECT_EQ(s0.hits, e0.hits);
+  EXPECT_EQ(s0.misses, e0.misses);
+  EXPECT_EQ(s0.insertions, e0.insertions);
+  const LocateResult s = sync.net->locate(*client, guid);
+  const LocateResult e = drain_locate_async(*event.net, *client, guid);
+  expect_same_result(s, e, "bounced query");
+  EXPECT_TRUE(s.found);
+
+  const LocateCache::Stats& sc = sync.net->directory().locate_cache().stats();
+  const LocateCache::Stats& ec = event.net->directory().locate_cache().stats();
+  EXPECT_GT(sc.fallbacks, s0.fallbacks) << "no bounce happened";
+  EXPECT_EQ(sc.hits, ec.hits);
+  EXPECT_EQ(sc.misses, ec.misses);
+  EXPECT_EQ(sc.expired, ec.expired);
+  EXPECT_EQ(sc.fallbacks, ec.fallbacks);
+  EXPECT_EQ(sc.insertions, ec.insertions);
+  EXPECT_EQ(sc.invalidated, ec.invalidated);
+}
+
+// Regression: a pointer found, then a partition diverting the final
+// pointer -> replica leg, is a miss — and a miss names no server or
+// pointer holder.  The synchronous engine used to return both fields
+// from the failed leg.  Found by sweeping small partitioned overlays.
+TEST(EngineTwin, PartitionDivertedLegMissNamesNoServer) {
+  for (const bool event_engine : {false, true}) {
+    auto g = static_ring_network(32, 6, small_params());
+    const Guid guid = make_guid(*g.net, 0x5000);
+    g.net->publish(g.ids[0], guid);
+    auto sorted = g.ids;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<NodeId> side_b;  // odd ranks, as the partition scenario
+    for (std::size_t i = 1; i < sorted.size(); i += 2)
+      side_b.push_back(sorted[i]);
+    g.net->set_partition(side_b);
+    const NodeId client = g.ids[4];
+    const LocateResult r = event_engine
+                               ? drain_locate_async(*g.net, client, guid)
+                               : g.net->locate(client, guid);
+    EXPECT_FALSE(r.found) << "engine " << event_engine;
+    EXPECT_FALSE(r.server.valid()) << "engine " << event_engine;
+    EXPECT_FALSE(r.pointer_node.valid()) << "engine " << event_engine;
+    EXPECT_GT(r.hops, 0u);
+  }
 }
 
 }  // namespace
