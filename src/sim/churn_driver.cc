@@ -624,7 +624,10 @@ Guid ThreadedChurnSoak::soak_guid() {
 
 ThreadedChurnSoak::RoundPlan ThreadedChurnSoak::plan_round() {
   RoundPlan plan;
-  const std::vector<NodeId> ids = net_.node_ids();
+  // Ascending ids: join waves register nodes in thread-scheduling order,
+  // so the registry's order must not steer the draws below.
+  std::vector<NodeId> ids = net_.node_ids();
+  std::sort(ids.begin(), ids.end());
 
   // Joins: vacated or never-used locations, fresh random ids (drawn inside
   // join_bulk's serial preamble — part of its determinism contract).
@@ -765,7 +768,8 @@ ThreadedChurnReport ThreadedChurnSoak::run() {
 
     // Quiescent availability sweep: every tracked object (servers are all
     // still live by construction) from a random live client, no republish.
-    const std::vector<NodeId> ids = net_.node_ids();
+    std::vector<NodeId> ids = net_.node_ids();
+    std::sort(ids.begin(), ids.end());
     for (const auto& entry : tracked_) {
       if (!net_.contains(entry.second)) continue;
       ++rep.queries;

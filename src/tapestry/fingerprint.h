@@ -32,7 +32,8 @@ class Fnv1a {
 }  // namespace detail
 
 /// Every live node's routing state: occupancy masks, slot entries in
-/// stored (distance) order with pin marks, and backpointer sets.
+/// stored (distance) order with pin marks, and backpointers in ascending
+/// id order.
 [[nodiscard]] inline std::uint64_t fingerprint_tables(const Network& net) {
   detail::Fnv1a h;
   for (const auto& n : net.registry().nodes()) {

@@ -39,8 +39,7 @@ void MaintenanceEngine::leave(NodeId id, Trace* trace) {
     for (const auto& e : a.table().at(l, a.id().digit(l)).entries())
       if (!(e.id == id) && reg_.is_live(e.id)) hints.push_back(e.id);
 
-    const std::vector<NodeId> holders(a.table().backpointers(l).begin(),
-                                      a.table().backpointers(l).end());
+    const std::vector<NodeId> holders = a.table().backpointers(l);
     for (const NodeId& holder : holders) {
       if (!reg_.is_live(holder)) continue;
       TapestryNode& b = reg_.live(holder);

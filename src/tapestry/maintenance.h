@@ -151,8 +151,8 @@ class MaintenanceEngine final : public RepairHandler {
   /// by construction), fanning the per-node work out across `workers`
   /// threads (0 = hardware concurrency).  The result is bit-identical for
   /// every worker count: forward tables are a per-node function of the
-  /// global candidate buckets, and backpointers land in ordered sets, so
-  /// scheduling cannot leak into the outcome.
+  /// global candidate buckets, and backpointers land in sorted per-level
+  /// vectors, so scheduling cannot leak into the outcome.
   void rebuild_static_tables(std::size_t workers = 1);
 
   // --- join internals (§3-§4), shared with ParallelJoinCoordinator ---

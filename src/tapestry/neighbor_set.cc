@@ -12,6 +12,11 @@ bool closer(const NeighborEntry& a, const NeighborEntry& b) {
 }  // namespace
 
 void NeighborSet::insert_sorted(NeighborEntry e) {
+  // Grow one entry at a time up to R so a full slot holds exactly R
+  // entries instead of the next power of two; pinned members past R fall
+  // back to normal vector growth.
+  if (entries_.size() == entries_.capacity() && entries_.size() < capacity_)
+    entries_.reserve(entries_.size() + 1);
   const auto it = std::lower_bound(entries_.begin(), entries_.end(), e, closer);
   entries_.insert(it, e);
 }

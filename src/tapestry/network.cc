@@ -139,7 +139,7 @@ void Network::check_backpointer_symmetry() const {
           if (e.id == n->id()) continue;
           const TapestryNode* other = registry_.find(e.id);
           TAP_CHECK(other != nullptr, "table entry references unknown node");
-          TAP_CHECK(other->table().backpointers(l).count(n->id()) == 1,
+          TAP_CHECK(other->table().has_backpointer(l, n->id()),
                     "missing backpointer: " + e.id.to_string() +
                         " lacks backpointer to " + n->id().to_string() +
                         " at level " + std::to_string(l));

@@ -72,13 +72,22 @@ std::vector<NodeId> RoutingTable::row_members(unsigned level) const {
   return out;
 }
 
+namespace {
+/// Sorts ascending by id and drops repeats.
+void sort_unique(std::vector<NodeId>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+}  // namespace
+
 std::vector<NodeId> RoutingTable::all_neighbors() const {
-  std::set<NodeId> uniq;
+  std::vector<NodeId> out;
   for (unsigned l = 0; l < levels_; ++l)
     for (unsigned j = 0; j < radix_; ++j)
       for (const auto& e : at(l, j).entries())
-        if (!(e.id == self_)) uniq.insert(e.id);
-  return {uniq.begin(), uniq.end()};
+        if (!(e.id == self_)) out.push_back(e.id);
+  sort_unique(out);
+  return out;
 }
 
 std::size_t RoutingTable::total_entries() const {
@@ -93,23 +102,35 @@ std::size_t RoutingTable::total_entries() const {
 void RoutingTable::add_backpointer(unsigned level, NodeId who) {
   TAP_ASSERT(level < levels_);
   TAP_ASSERT_MSG(!(who == self_), "node cannot backpoint to itself");
-  backptrs_[level].insert(who);
+  auto& v = backptrs_[level];
+  const auto it = std::lower_bound(v.begin(), v.end(), who);
+  if (it == v.end() || who < *it) v.insert(it, who);
 }
 
 void RoutingTable::remove_backpointer(unsigned level, const NodeId& who) {
   TAP_ASSERT(level < levels_);
-  backptrs_[level].erase(who);
+  auto& v = backptrs_[level];
+  const auto it = std::lower_bound(v.begin(), v.end(), who);
+  if (it != v.end() && !(who < *it)) v.erase(it);
 }
 
-const std::set<NodeId>& RoutingTable::backpointers(unsigned level) const {
+bool RoutingTable::has_backpointer(unsigned level, const NodeId& who) const {
+  TAP_ASSERT(level < levels_);
+  return std::binary_search(backptrs_[level].begin(), backptrs_[level].end(),
+                            who);
+}
+
+const std::vector<NodeId>& RoutingTable::backpointers(unsigned level) const {
   TAP_ASSERT(level < levels_);
   return backptrs_[level];
 }
 
 std::vector<NodeId> RoutingTable::all_backpointers() const {
-  std::set<NodeId> uniq;
-  for (const auto& level : backptrs_) uniq.insert(level.begin(), level.end());
-  return {uniq.begin(), uniq.end()};
+  std::vector<NodeId> out;
+  for (const auto& level : backptrs_)
+    out.insert(out.end(), level.begin(), level.end());
+  sort_unique(out);
+  return out;
 }
 
 }  // namespace tap

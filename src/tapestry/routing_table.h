@@ -12,7 +12,11 @@
 // above this level") then falls out of plain next-filled-slot traversal.
 //
 // For each forward link A -> B, node B keeps a backpointer (level, A);
-// the Network layer keeps the two sides coherent.
+// the Network layer keeps the two sides coherent.  Each level's
+// backpointers live in one sorted, duplicate-free vector: 16 bytes per
+// holder (a node-based set spends a 64-byte heap chunk on each), and the
+// ascending-id order that table fingerprints and join/repair candidate
+// lists depend on.
 //
 // Occupancy bitmasks: each row carries a bitmask with bit j set iff slot
 // (l, j) is non-empty, so the routing hot path (Router::select_slot /
@@ -25,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "src/common/assert.h"
@@ -164,10 +167,15 @@ class RoutingTable {
   [[nodiscard]] std::size_t total_entries() const;
 
   // --- backpointers ---
+  /// Idempotent: adding a present holder is a no-op.
   void add_backpointer(unsigned level, NodeId who);
+  /// Removing an absent holder is a no-op.
   void remove_backpointer(unsigned level, const NodeId& who);
-  [[nodiscard]] const std::set<NodeId>& backpointers(unsigned level) const;
-  /// Unique nodes holding any backpointer to the owner.
+  [[nodiscard]] bool has_backpointer(unsigned level, const NodeId& who) const;
+  /// Holders at one level, ascending by id.  Mutations invalidate
+  /// iterators, so a caller that edits backpointers while walking copies.
+  [[nodiscard]] const std::vector<NodeId>& backpointers(unsigned level) const;
+  /// Unique nodes holding any backpointer to the owner, ascending by id.
   [[nodiscard]] std::vector<NodeId> all_backpointers() const;
 
  private:
@@ -191,8 +199,8 @@ class RoutingTable {
   unsigned radix_;
   unsigned words_;  // mask words per row
   std::vector<NeighborSet> slots_;
-  std::vector<std::uint64_t> occupancy_;    // levels_ * words_ mask words
-  std::vector<std::set<NodeId>> backptrs_;  // per level
+  std::vector<std::uint64_t> occupancy_;       // levels_ * words_ mask words
+  std::vector<std::vector<NodeId>> backptrs_;  // per level, sorted, unique
 };
 
 }  // namespace tap

@@ -15,8 +15,8 @@
 //                         under the total order (distance, id), so the
 //                         outcome does not depend on scan interleaving;
 //   3. backpointers     — the inverse of the forward links, inserted into
-//                         per-level ordered sets under striped per-target
-//                         locks; set order canonicalises whatever insert
+//                         per-level sorted vectors under striped per-target
+//                         locks; sorted order canonicalises whatever insert
 //                         order the scheduler produced.
 // Phases 2+3 replace the serial link() walk (which interleaves forward
 // inserts with backpointer bookkeeping on *other* nodes and therefore
@@ -82,7 +82,7 @@ void MaintenanceEngine::rebuild_static_tables(std::size_t workers) {
 
   // Phase 3: derive backpointers from the settled forward links.  Inserts
   // touch *other* nodes' tables, so they stripe-lock on the target; the
-  // per-level std::set makes the result order-independent.
+  // per-level sorted vector makes the result order-independent.
   constexpr std::size_t kStripes = 256;
   std::vector<std::mutex> stripes(kStripes);
   parallel_for(

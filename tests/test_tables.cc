@@ -120,6 +120,24 @@ TEST(NeighborSet, PinExistingMember) {
   EXPECT_EQ(set.size(), 1u);  // no duplicate
 }
 
+TEST(NeighborSet, FullSlotHoldsExactlyCapacity) {
+  // Closer candidates keep arriving and evicting: the entry vector grows
+  // one at a time to R and never past it.
+  NeighborSet set(3);
+  for (std::uint64_t i = 0; i < 10; ++i)
+    set.consider(nid(i), 10.0 - static_cast<double>(i));
+  EXPECT_EQ(set.size(), 3u);
+  EXPECT_EQ(set.entries().capacity(), 3u);
+  EXPECT_EQ(*set.primary(), nid(9));
+
+  // Pinned members live outside the budget and still push past R.
+  set.pin(nid(20), 50.0);
+  set.pin(nid(21), 60.0);
+  EXPECT_EQ(set.size(), 5u);
+  EXPECT_GT(set.entries().capacity(), 3u);
+  EXPECT_EQ(set.unpinned_count(), 3u);
+}
+
 TEST(NeighborSet, ZeroCapacityRejected) {
   NeighborSet set(0);
   EXPECT_THROW(set.consider(nid(1), 1.0), CheckError);
@@ -171,6 +189,30 @@ TEST(RoutingTable, BackpointerBookkeeping) {
   table.remove_backpointer(1, nid(0x1234));
   EXPECT_EQ(table.backpointers(1).size(), 1u);
   EXPECT_EQ(table.all_backpointers().size(), 2u);  // still at level 2
+
+  // Ascending by id whatever the insertion order.
+  table.add_backpointer(1, nid(0x1F00));
+  table.add_backpointer(1, nid(0x1001));
+  table.add_backpointer(1, nid(0x1800));
+  const std::vector<NodeId> want{nid(0x1001), nid(0x1567), nid(0x1800),
+                                 nid(0x1F00)};
+  EXPECT_EQ(table.backpointers(1), want);
+
+  // A duplicate add is idempotent; removing an absent id is a no-op.
+  table.add_backpointer(1, nid(0x1800));
+  EXPECT_EQ(table.backpointers(1), want);
+  table.remove_backpointer(1, nid(0x1234));
+  table.remove_backpointer(3, nid(0x1234));
+  EXPECT_EQ(table.backpointers(1), want);
+
+  EXPECT_TRUE(table.has_backpointer(1, nid(0x1800)));
+  EXPECT_FALSE(table.has_backpointer(1, nid(0x1234)));
+  EXPECT_TRUE(table.has_backpointer(2, nid(0x1234)));
+  EXPECT_FALSE(table.has_backpointer(3, nid(0x1234)));
+
+  const std::vector<NodeId> all{nid(0x1001), nid(0x1234), nid(0x1567),
+                                nid(0x1800), nid(0x1F00)};
+  EXPECT_EQ(table.all_backpointers(), all);  // ascending, deduplicated
 }
 
 // ---------------------------------------------------- MemoryStore backend
