@@ -9,19 +9,27 @@
 // wall-clock speedup.
 //
 // Flags: --nodes=N [50000]  --objects=M [nodes/10]  --threads=T [4]
-//        --seed=S [1]  --json (machine-readable metrics for CI)
+//        --seed=S [1]  --space=ring|transit-stub [ring]
+//        --json (machine-readable metrics for CI)
 //
 // JSON metrics (tools/check_bench.py compares them against
-// bench/baselines/bench_parallel_build.json):
+// bench/baselines/bench_parallel_build.json for the ring and
+// bench_parallel_build_transit_stub.json for transit-stub):
 //   tables_match / stores_match   determinism contract, exact
 //   total_table_entries           deterministic table mass, exact
 //   locate_found                  query success over the batch-published
 //                                 workload, exact
+//   distance_evals                metric distance evaluations of one
+//                                 extra, untimed serial table build, exact
+//                                 (the static builder's work, independent
+//                                 of the runner)
 //   build_speedup                 wall-clock serial/parallel ratio; a
 //                                 floor gate — it depends on the runner's
 //                                 core count (1.0 on a single-core box)
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <string>
 
 #include "bench_util.h"
 #include "src/sim/thread_pool.h"
@@ -34,6 +42,43 @@ double wall_ms(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// Counts every distance() call it forwards to the wrapped space.
+class CountingSpace final : public MetricSpace {
+ public:
+  explicit CountingSpace(const MetricSpace& inner) : inner_(inner) {}
+  [[nodiscard]] std::size_t size() const noexcept override {
+    return inner_.size();
+  }
+  [[nodiscard]] double distance(Location a, Location b) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return inner_.distance(a, b);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] std::uint64_t calls() const noexcept {
+    return calls_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  const MetricSpace& inner_;
+  mutable std::atomic<std::uint64_t> calls_{0};
+};
+
+/// Distance evaluations of one serial rebuild_static_tables over the same
+/// nodes build_once registers.
+std::uint64_t count_build_distance_evals(const MetricSpace& space,
+                                         const TapestryParams& params,
+                                         std::size_t nodes,
+                                         std::uint64_t seed) {
+  CountingSpace counting(space);
+  Network net(counting, params, seed);
+  std::vector<Location> locs(nodes);
+  for (std::size_t i = 0; i < nodes; ++i) locs[i] = i;
+  net.insert_static_bulk(locs, 1);
+  const std::uint64_t before = counting.calls();
+  net.rebuild_static_tables(1);
+  return counting.calls() - before;
 }
 
 struct BuildResult {
@@ -84,6 +129,7 @@ int main(int argc, char** argv) {
 
   std::size_t nodes = 50'000, objects = 0, threads = 4;
   std::uint64_t seed = 1;
+  std::string space_kind = "ring";
   bool json = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--nodes=", 8) == 0) nodes = std::stoul(argv[i] + 8);
@@ -93,6 +139,8 @@ int main(int argc, char** argv) {
       threads = std::stoul(argv[i] + 10);
     else if (std::strncmp(argv[i], "--seed=", 7) == 0)
       seed = std::stoull(argv[i] + 7);
+    else if (std::strncmp(argv[i], "--space=", 8) == 0)
+      space_kind = argv[i] + 8;
     else if (std::strcmp(argv[i], "--json") == 0) json = true;
     else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
@@ -100,9 +148,13 @@ int main(int argc, char** argv) {
     }
   }
   if (objects == 0) objects = nodes / 10;
+  if (space_kind != "ring" && space_kind != "transit-stub") {
+    std::fprintf(stderr, "--space must be ring or transit-stub\n");
+    return 2;
+  }
 
   Rng rng(seed);
-  auto space = make_space("ring", nodes + 8, rng);
+  auto space = make_space(space_kind, nodes + 8, rng);
   const TapestryParams params = default_params();
 
   const BuildResult serial =
@@ -130,17 +182,21 @@ int main(int argc, char** argv) {
       ++found;
   const double locate_found =
       probes == 0 ? 1.0 : double(found) / double(probes);
+  const std::uint64_t distance_evals =
+      count_build_distance_evals(*space, params, nodes, seed);
 
   if (json) {
     std::printf(
         "{\"bench\":\"bench_parallel_build\",\"metrics\":{"
         "\"tables_match\":%d,\"stores_match\":%d,"
         "\"total_table_entries\":%zu,\"locate_found\":%.4f,"
+        "\"distance_evals\":%llu,"
         "\"build_speedup\":%.3f,\"publish_speedup\":%.3f,"
         "\"build_ms_serial\":%.1f,\"build_ms_parallel\":%.1f,"
         "\"threads\":%zu,\"hardware_threads\":%zu}}\n",
         tables_match ? 1 : 0, stores_match ? 1 : 0, serial.entries,
-        locate_found, build_speedup, publish_speedup, serial.build_ms,
+        locate_found, static_cast<unsigned long long>(distance_evals),
+        build_speedup, publish_speedup, serial.build_ms,
         parallel.build_ms, threads, default_worker_count());
     return tables_match && stores_match ? 0 : 1;
   }
@@ -159,10 +215,12 @@ int main(int argc, char** argv) {
   table.print();
   std::printf(
       "\nbuild speedup %.2fx, publish speedup %.2fx at %zu workers "
-      "(%zu hardware threads); %zu table entries; locate success %.1f%%\n"
+      "(%zu hardware threads); %zu table entries; locate success %.1f%%;\n"
+      "%llu distance evaluations per serial table build\n"
       "reading guide: speedup tracks min(workers, cores); the fingerprints\n"
       "must match for every thread count — the determinism contract.\n",
       build_speedup, publish_speedup, threads, default_worker_count(),
-      serial.entries, 100.0 * locate_found);
+      serial.entries, 100.0 * locate_found,
+      static_cast<unsigned long long>(distance_evals));
   return tables_match && stores_match ? 0 : 1;
 }

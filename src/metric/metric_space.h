@@ -38,7 +38,12 @@ class MetricSpace {
   [[nodiscard]] virtual std::size_t size() const noexcept = 0;
 
   /// Distance between two locations.  Must be symmetric and obey the
-  /// triangle inequality.
+  /// triangle inequality.  The static table builder
+  /// (MaintenanceEngine::rebuild_static_tables) relies on the latter: it
+  /// prunes candidates by |d(x, p) - d(c, p)| <= d(x, c), so a space that
+  /// violates it by more than the builder's slack (1e-9 of the largest
+  /// pivot distance) would get wrong tables.  tests/test_metric.cc checks
+  /// it for every space.
   [[nodiscard]] virtual double distance(Location a, Location b) const = 0;
 
   /// Human-readable name used in benchmark tables.

@@ -152,7 +152,9 @@ class MaintenanceEngine final : public RepairHandler {
   /// threads (0 = hardware concurrency).  The result is bit-identical for
   /// every worker count: forward tables are a per-node function of the
   /// global candidate buckets, and backpointers land in sorted per-level
-  /// vectors, so scheduling cannot leak into the outcome.
+  /// vectors, so scheduling cannot leak into the outcome.  Relies on the
+  /// metric's triangle inequality: the forward scan prunes candidates by
+  /// it (static_build.cc).
   void rebuild_static_tables(std::size_t workers = 1);
 
   // --- join internals (§3-§4), shared with ParallelJoinCoordinator ---

@@ -1,7 +1,6 @@
 #include "src/tapestry/replicated_store.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "src/common/assert.h"
 #include "src/sim/metrics.h"
@@ -45,37 +44,47 @@ ReplicatedStore* QuorumReplicator::replica_store_of(const NodeId& id) {
   return dynamic_cast<ReplicatedStore*>(&node->store());
 }
 
-std::vector<NodeId>& QuorumReplicator::holder_set(const TapestryNode& root,
-                                                  const Guid& target) {
-  const auto it = holder_sets_.find(target);
-  if (it != holder_sets_.end()) return it->second;
-
-  // First mirror for this (salted) guid: pick the k live nodes nearest to
-  // the root, excluding the root itself.  node_ids() enumerates live
-  // members in insertion order, which is identical across same-seed
-  // replays, and ties on distance break toward the smaller id — so the
-  // chosen set is a pure function of the membership.
+std::vector<NodeId> QuorumReplicator::nearest_live(
+    const TapestryNode& anchor, std::size_t k,
+    const std::vector<NodeId>& taken) const {
+  // One pass over the registry keeping a sorted top-k.  Ties on distance
+  // break toward the smaller id, so the result is a pure function of the
+  // membership whatever the visit order.
   struct Candidate {
     double d;
     NodeId id;
   };
-  std::vector<Candidate> candidates;
-  for (const NodeId& id : reg_.node_ids()) {
-    if (id == root.id()) continue;
-    candidates.push_back(Candidate{reg_.distance(root.id(), id), id});
+  const auto closer = [](const Candidate& a, const Candidate& b) {
+    if (a.d != b.d) return a.d < b.d;
+    return a.id < b.id;
+  };
+  std::vector<Candidate> best;
+  best.reserve(k + 1);
+  const MetricSpace& space = reg_.space();
+  for (const auto& n : reg_.nodes()) {
+    if (!n->alive || n->id() == anchor.id()) continue;
+    const Candidate c{space.distance(anchor.location(), n->location()),
+                      n->id()};
+    if (best.size() == k && !closer(c, best.back())) continue;
+    if (std::find(taken.begin(), taken.end(), c.id) != taken.end()) continue;
+    best.insert(std::upper_bound(best.begin(), best.end(), c, closer), c);
+    if (best.size() > k) best.pop_back();
   }
-  const std::size_t k = params_.replication.k;
-  const std::size_t take = std::min<std::size_t>(k, candidates.size());
-  std::partial_sort(candidates.begin(), candidates.begin() + take,
-                    candidates.end(),
-                    [](const Candidate& a, const Candidate& b) {
-                      if (a.d != b.d) return a.d < b.d;
-                      return a.id < b.id;
-                    });
-  std::vector<NodeId> holders;
-  holders.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) holders.push_back(candidates[i].id);
-  return holder_sets_.emplace(target, std::move(holders)).first->second;
+  std::vector<NodeId> out;
+  out.reserve(best.size());
+  for (const Candidate& c : best) out.push_back(c.id);
+  return out;
+}
+
+std::vector<NodeId>& QuorumReplicator::holder_set(const TapestryNode& root,
+                                                  const Guid& target) {
+  const auto it = holder_sets_.find(target);
+  if (it != holder_sets_.end()) return it->second;
+  // First mirror for this (salted) guid: the k live nodes nearest to the
+  // root, excluding the root itself.
+  return holder_sets_
+      .emplace(target, nearest_live(root, params_.replication.k, {}))
+      .first->second;
 }
 
 std::size_t QuorumReplicator::mirror_publish(const TapestryNode& root,
@@ -213,27 +222,14 @@ void QuorumReplicator::on_node_death(const NodeId& dead) {
     if (pos == holders.end()) continue;
 
     // Replacement: the live node nearest to the dead holder (its tombstone
-    // keeps the location) that is not already in the set.  Same
-    // deterministic scan-and-tiebreak as the initial selection.
-    bool found = false;
-    NodeId best{};
-    double best_d = std::numeric_limits<double>::infinity();
-    for (const NodeId& id : reg_.node_ids()) {
-      if (id == dead) continue;
-      if (std::find(holders.begin(), holders.end(), id) != holders.end()) {
-        continue;
-      }
-      const double d = reg_.distance(dead, id);
-      if (!found || d < best_d || (d == best_d && id < best)) {
-        found = true;
-        best = id;
-        best_d = d;
-      }
-    }
-    if (!found) {  // overlay too small to keep k holders; shrink the set
+    // keeps the location) that is not already in the set.
+    const std::vector<NodeId> next =
+        nearest_live(reg_.checked(dead), 1, holders);
+    if (next.empty()) {  // overlay too small to keep k holders; shrink the set
       holders.erase(pos);
       continue;
     }
+    const NodeId best = next.front();
     *pos = best;
 
     // Copy the merged surviving records onto the replacement so the set is

@@ -205,6 +205,13 @@ class QuorumReplicator {
   /// membership.
   std::vector<NodeId>& holder_set(const TapestryNode& root,
                                   const Guid& target);
+  /// The (up to) k live nodes nearest to `anchor`'s location under
+  /// (distance, id), nearest first, skipping `anchor` and every id in
+  /// `taken`.  Serves both holder selection and the death-time
+  /// replacement hunt.
+  [[nodiscard]] std::vector<NodeId> nearest_live(
+      const TapestryNode& anchor, std::size_t k,
+      const std::vector<NodeId>& taken) const;
   /// The node's store as a ReplicatedStore, or nullptr when the node is
   /// absent or runs a different backend.
   ReplicatedStore* replica_store_of(const NodeId& id);

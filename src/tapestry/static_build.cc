@@ -9,11 +9,12 @@
 // worker count:
 //   1. fresh tables     — per node, independent (table construction alone
 //                         is levels * radix neighbor sets, a real cost at
-//                         100k nodes);
+//                         100k nodes), plus each node's distance to one
+//                         pivot (the first live node);
 //   2. forward tables   — per node, reading only the shared read-only
 //                         candidate buckets; each slot keeps the R closest
 //                         under the total order (distance, id), so the
-//                         outcome does not depend on scan interleaving;
+//                         outcome does not depend on scan order;
 //   3. backpointers     — the inverse of the forward links, inserted into
 //                         per-level sorted vectors under striped per-target
 //                         locks; sorted order canonicalises whatever insert
@@ -22,14 +23,76 @@
 // inserts with backpointer bookkeeping on *other* nodes and therefore
 // cannot fan out); the final tables are identical because link() ends at
 // exactly "backpointers = inverse of forward links".
+//
+// Phase 2 is a pivot-ordered scan rather than an all-pairs one.  Each
+// (prefix length, prefix) bucket is sorted by its members' pivot
+// distance d(c, p).  Slot (l, j) of node x starts at d(x, p) in its
+// bucket and walks outward, always to the side with the smaller gap
+// |d(x, p) - d(c, p)|.  By the triangle inequality (MetricSpace's
+// contract) that gap is a lower bound on d(x, c), and the walk visits
+// gaps in nondecreasing order.  So once the next gap exceeds the slot's
+// current R-th distance, every unvisited candidate is strictly farther
+// than R members already held.  consider() would reject it, and the R-th
+// distance only shrinks as the walk goes on.  The cutoff is padded by a
+// slack of 1e-9 * (1 + the largest pivot distance): rounding in the three
+// computed distances, and the absolute 1e-9 triangle excess
+// tests/test_metric.cc tolerates, both stay below it.  The padding only
+// widens the walk.  A visited candidate strictly farther than the R-th skips
+// consider(); an equal one still reaches it, so the (distance, id)
+// tiebreak decides exactly as it would over every candidate.
 #include "src/tapestry/maintenance.h"
 
+#include <algorithm>
+#include <limits>
 #include <mutex>
+#include <numeric>
 #include <unordered_map>
 
 #include "src/sim/thread_pool.h"
 
 namespace tap {
+
+namespace {
+
+/// A live node and its distance to the build's pivot.
+struct Ranked {
+  double pivot_dist;
+  TapestryNode* node;
+};
+
+/// Fills slot (level, digit) of `owner` from `bucket` (the live nodes with
+/// the slot's prefix, in ascending pivot distance) by the outward walk
+/// the header describes.
+void fill_slot(const NodeRegistry& reg, TapestryNode& owner, double dx,
+               unsigned level, unsigned digit,
+               const std::vector<Ranked>& bucket, double slack) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  RoutingTable& table = owner.table();
+  const NeighborSet& slot = table.at(level, digit);
+  std::size_t hi = static_cast<std::size_t>(
+      std::lower_bound(bucket.begin(), bucket.end(), dx,
+                       [](const Ranked& r, double d) {
+                         return r.pivot_dist < d;
+                       }) -
+      bucket.begin());
+  std::size_t lo = hi;
+  while (lo > 0 || hi < bucket.size()) {
+    const double down = lo > 0 ? dx - bucket[lo - 1].pivot_dist : kInf;
+    const double up = hi < bucket.size() ? bucket[hi].pivot_dist - dx : kInf;
+    const double rth = slot.size() < slot.capacity()
+                           ? kInf
+                           : slot.entries().back().dist;
+    if (std::min(down, up) > rth + slack) break;
+    const bool step_down = hi == bucket.size() || (lo > 0 && down < up);
+    TapestryNode* cand = step_down ? bucket[--lo].node : bucket[hi++].node;
+    if (cand == &owner) continue;
+    const double d = reg.dist(owner, *cand);
+    if (d > rth) continue;
+    table.consider(level, digit, cand->id(), d);
+  }
+}
+
+}  // namespace
 
 void MaintenanceEngine::rebuild_static_tables(std::size_t workers) {
   const unsigned digits = params_.id.num_digits;
@@ -39,29 +102,45 @@ void MaintenanceEngine::rebuild_static_tables(std::size_t workers) {
   live.reserve(reg_.live_count());
   for (const auto& n : reg_.nodes())
     if (n->alive) live.push_back(n.get());
+  if (live.empty()) return;
 
-  // Phase 1: fresh tables (drops any dynamically accumulated state).
+  // Phase 1: fresh tables (drops any dynamically accumulated state) and
+  // pivot distances.
+  const TapestryNode& pivot = *live.front();
+  std::vector<double> pivot_dist(live.size());
   parallel_for(
       live.size(),
       [&](std::size_t i) {
         live[i]->table() =
             RoutingTable(params_.id, live[i]->id(), params_.redundancy);
+        pivot_dist[i] = reg_.dist(*live[i], pivot);
       },
       workers);
 
-  // Bucket live nodes by (prefix length, prefix value) — read-only below.
+  // Bucket live nodes by (prefix length, prefix value), each bucket in
+  // ascending pivot distance — read-only below.  Appending in one global
+  // (pivot distance, id) order sorts every bucket at once.
+  std::vector<std::size_t> order(live.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (pivot_dist[a] != pivot_dist[b]) return pivot_dist[a] < pivot_dist[b];
+    return live[a]->id() < live[b]->id();
+  });
   auto key = [&](unsigned len, std::uint64_t prefix) {
     return (static_cast<std::uint64_t>(len) << 56) | prefix;
   };
-  std::unordered_map<std::uint64_t, std::vector<TapestryNode*>> buckets;
-  for (TapestryNode* n : live)
+  std::unordered_map<std::uint64_t, std::vector<Ranked>> buckets;
+  for (const std::size_t i : order)
     for (unsigned len = 1; len <= digits; ++len)
-      buckets[key(len, n->id().prefix_value(len))].push_back(n);
+      buckets[key(len, live[i]->id().prefix_value(len))].push_back(
+          Ranked{pivot_dist[i], live[i]});
+  const double slack = 1e-9 * (1.0 + pivot_dist[order.back()]);
 
-  // Phase 2: every slot considers every qualifying node; NeighborSet
-  // retains the R closest, which is Property 2 by construction, and no
-  // slot with candidates stays empty, which is Property 1.  Each task
-  // writes only its own node's table.
+  // Phase 2: each slot walks its bucket outward from the owner's pivot
+  // distance until the gap rules out every remaining candidate (header);
+  // NeighborSet retains the R closest, which is Property 2 by
+  // construction, and no slot with candidates stays empty, which is
+  // Property 1.  Each task writes only its own node's table.
   parallel_for(
       live.size(),
       [&](std::size_t i) {
@@ -70,11 +149,8 @@ void MaintenanceEngine::rebuild_static_tables(std::size_t workers) {
           const std::uint64_t base = n->id().prefix_value(l) << bits;
           for (unsigned j = 0; j < params_.id.radix(); ++j) {
             auto it = buckets.find(key(l + 1, base | j));
-            if (it == buckets.end()) continue;
-            for (TapestryNode* cand : it->second) {
-              if (cand->id() == n->id()) continue;
-              n->table().consider(l, j, cand->id(), reg_.dist(*n, *cand));
-            }
+            if (it != buckets.end())
+              fill_slot(reg_, *n, pivot_dist[i], l, j, it->second, slack);
           }
         }
       },

@@ -706,6 +706,64 @@ TEST(QuorumReplication, RootDeathLosesZeroLocates) {
   ASSERT_GT(locatable, 0u);
 }
 
+/// Live ids other than `anchor` and those in `taken`, sorted by (distance
+/// to `anchor`, id) — the brute-force holder order.
+std::vector<NodeId> by_distance_from(const Network& net, const NodeId& anchor,
+                                     const std::vector<NodeId>& taken) {
+  std::vector<NodeId> ids;
+  for (const NodeId& id : net.node_ids())
+    if (!(id == anchor) &&
+        std::find(taken.begin(), taken.end(), id) == taken.end())
+      ids.push_back(id);
+  std::sort(ids.begin(), ids.end(), [&](const NodeId& a, const NodeId& b) {
+    const double da = net.registry().distance(anchor, a);
+    const double db = net.registry().distance(anchor, b);
+    if (da != db) return da < db;
+    return a < b;
+  });
+  return ids;
+}
+
+/// Holder sets are exactly the k live nodes nearest to the root under
+/// (distance, id), and a dead holder's replacement is the live node
+/// nearest to it that the set did not already hold.
+TEST(QuorumReplication, HolderSetsAreKNearestLive) {
+  const auto params = replicated_params();
+  auto g = test::static_ring_network(96, 23, params);
+  Network& net = *g.net;
+  QuorumReplicator* repl = net.directory().replicator();
+  ASSERT_NE(repl, nullptr);
+  const std::size_t k = params.replication.k;
+
+  std::vector<Guid> salted;
+  Rng wl(8);
+  for (std::size_t i = 0; i < 12; ++i) {
+    const Guid obj = test::make_guid(net, 300 + i);
+    net.publish(g.ids[wl.next_u64(g.ids.size())], obj);
+    salted.push_back(salted_guid(obj, 0));
+  }
+  for (const Guid& s : salted) {
+    const auto* holders = repl->holders(s);
+    ASSERT_NE(holders, nullptr);
+    std::vector<NodeId> want = by_distance_from(net, net.surrogate_root(s), {});
+    want.resize(k);
+    EXPECT_EQ(*holders, want) << s.to_string();
+  }
+
+  // Fail one holder of each of four sets, a different position each time.
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::vector<NodeId> before = *repl->holders(salted[i]);
+    ASSERT_EQ(before.size(), k);
+    const std::size_t pos = i % k;
+    const NodeId victim = before[pos];
+    std::vector<NodeId> want = before;
+    want[pos] = by_distance_from(net, victim, before).front();
+    net.fail(victim);
+    EXPECT_EQ(*repl->holders(salted[i]), want)
+        << "replacement for " << victim.to_string();
+  }
+}
+
 /// A holder death re-replicates: the dead holder is replaced by the next
 /// nearest live node and the surviving copies are merged onto it.
 TEST(QuorumReplication, HolderDeathReReplicatesOntoReplacement) {

@@ -2,15 +2,20 @@
 // parallel rebuild_static_tables + publish_batch) must produce bit-identical
 // results for every worker count and match the serial paths exactly; the
 // sharded registry's lock-free snapshot reads must stay coherent while a
-// bulk registration races them.  This binary is the ThreadSanitizer CI
-// target for the sharded-registry / parallel-build / thread_pool machinery.
+// bulk registration races them.  The pivot-ordered table build must equal
+// an every-candidate reference scan on every space.  This binary is the
+// ThreadSanitizer CI target for the sharded-registry / parallel-build /
+// thread_pool machinery.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/metric/general.h"
 #include "src/sim/thread_pool.h"
 #include "src/tapestry/fingerprint.h"
 #include "test_util.h"
@@ -75,6 +80,108 @@ TEST(ParallelBuild, SatisfiesOverlayInvariants) {
   b.net->check_backpointer_symmetry();
   // The static oracle is Property 2 (locality) by construction.
   EXPECT_DOUBLE_EQ(b.net->property2_quality(), 1.0);
+}
+
+// ---------------------------------------------------------------------
+// Pivot-ordered build == every-candidate reference
+// ---------------------------------------------------------------------
+
+/// Every-candidate reference for the static builder: every live node is
+/// offered to every slot it qualifies for, serially, then backpointers are
+/// the inverse of the forward links.
+void rebuild_exhaustive(Network& net) {
+  NodeRegistry& reg = net.registry();
+  const TapestryParams& p = net.params();
+  std::vector<TapestryNode*> live;
+  for (const auto& n : reg.nodes())
+    if (n->alive) live.push_back(n.get());
+  for (TapestryNode* n : live)
+    n->table() = RoutingTable(p.id, n->id(), p.redundancy);
+  for (TapestryNode* n : live) {
+    for (TapestryNode* cand : live) {
+      if (cand == n) continue;
+      const double d = reg.dist(*n, *cand);
+      // cand qualifies for level l while it shares n's first l digits.
+      for (unsigned l = 0; l < p.id.num_digits; ++l) {
+        if (n->id().prefix_value(l) != cand->id().prefix_value(l)) break;
+        n->table().consider(l, cand->id().digit(l), cand->id(), d);
+      }
+    }
+  }
+  for (TapestryNode* owner : live)
+    for (unsigned l = 0; l < p.id.num_digits; ++l)
+      for (const NodeId& member : owner->table().row_members(l))
+        if (!(member == owner->id()))
+          reg.find(member)->table().add_backpointer(l, owner->id());
+}
+
+/// Integer Manhattan distance on a side x side grid: many nodes sit at
+/// equal distance, so slot cutoffs land on ties the id order must break.
+class ManhattanGrid final : public MetricSpace {
+ public:
+  explicit ManhattanGrid(std::size_t side) : side_(side) {}
+  [[nodiscard]] std::size_t size() const noexcept override {
+    return side_ * side_;
+  }
+  [[nodiscard]] double distance(Location a, Location b) const override {
+    const auto axis = [](std::size_t u, std::size_t v) {
+      return static_cast<double>(u > v ? u - v : v - u);
+    };
+    return axis(a % side_, b % side_) + axis(a / side_, b / side_);
+  }
+  [[nodiscard]] std::string name() const override { return "manhattan"; }
+
+ private:
+  std::size_t side_;
+};
+
+std::unique_ptr<MetricSpace> matrix_space(const std::string& kind,
+                                          std::size_t n, Rng& rng) {
+  if (kind == "ring") return std::make_unique<RingMetric>(n, rng);
+  if (kind == "torus") return std::make_unique<Torus2D>(n, rng);
+  if (kind == "transit-stub")
+    return std::make_unique<TransitStubMetric>(n, rng);
+  if (kind == "euclid6d") return std::make_unique<HighDimEuclidean>(n, 6, rng);
+  if (kind == "two-cluster") return std::make_unique<TwoClusterMetric>(n, rng);
+  if (kind == "manhattan")
+    return std::make_unique<ManhattanGrid>(
+        static_cast<std::size_t>(std::ceil(std::sqrt(double(n)))));
+  ADD_FAILURE() << "unknown space " << kind;
+  return nullptr;
+}
+
+TEST(ParallelBuild, PivotOrderedBuildMatchesExhaustiveReference) {
+  const std::size_t n = 300;
+  for (const std::string kind : {"ring", "torus", "transit-stub", "euclid6d",
+                                 "two-cluster", "manhattan"}) {
+    for (const unsigned r : {1u, 3u, 5u}) {
+      for (const bool tombstones : {false, true}) {
+        SCOPED_TRACE(kind + " R=" + std::to_string(r) +
+                     (tombstones ? " with tombstones" : ""));
+        Rng rng(r * 131 + (tombstones ? 7 : 0));
+        const auto space = matrix_space(kind, n, rng);
+        ASSERT_NE(space, nullptr);
+        TapestryParams params;
+        params.id = IdSpec{4, 8};
+        params.redundancy = r;
+        Network net(*space, params, 40 + r);
+        std::vector<Location> locs(n);
+        for (std::size_t i = 0; i < n; ++i) locs[i] = i;
+        const std::vector<NodeId> ids = net.insert_static_bulk(locs, 2);
+        if (tombstones)
+          for (std::size_t i = 0; i < ids.size(); i += 7)
+            net.registry().mark_dead(net.registry().checked(ids[i]));
+
+        rebuild_exhaustive(net);
+        const std::uint64_t want = fingerprint_tables(net);
+        for (const std::size_t workers : {1ul, 4ul}) {
+          net.rebuild_static_tables(workers);
+          EXPECT_EQ(fingerprint_tables(net), want)
+              << "diverged at " << workers << " workers";
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
