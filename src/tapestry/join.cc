@@ -106,11 +106,11 @@ void MaintenanceEngine::copy_preliminary_table(TapestryNode& nn,
         if (e.id == nn.id()) continue;
         if (TapestryNode* cand = reg_.find(e.id);
             cand != nullptr && cand->alive)
-          link(nn, l, *cand);
+          link(reg_, nn, l, *cand);
       }
     }
   }
-  add_to_table_if_closer(nn, surrogate);
+  add_to_table_if_closer(reg_, nn, surrogate);
 }
 
 void MaintenanceEngine::link_and_xfer_root(TapestryNode& host,
@@ -120,7 +120,7 @@ void MaintenanceEngine::link_and_xfer_root(TapestryNode& host,
   // path changed (this transfers to the new node the pointers it is now
   // root of, and deposits them along the new paths — §4.2).
   const auto before = dir_.snapshot_pointer_hops(host);
-  add_to_table_if_closer(host, nn);
+  add_to_table_if_closer(reg_, host, nn);
   dir_.reroute_changed_pointers(host, before, trace);
 }
 
@@ -161,7 +161,7 @@ void MaintenanceEngine::build_row_from_list(TapestryNode& nn,
     TapestryNode& cand = reg_.live(x);
     TAP_ASSERT_MSG(nn.id().common_prefix_len(x) >= level,
                    "candidate does not share the row prefix");
-    link(nn, level, cand);
+    link(reg_, nn, level, cand);
   }
 }
 

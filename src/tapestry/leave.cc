@@ -8,10 +8,9 @@
 // surrogates as a side effect of the holders' pointer re-routing.
 //
 // The involuntary-delete path (§5.2) — fail(), lazy repair, the heartbeat
-// sweep — lives in maintenance.cc.
+// sweep — and the thread-parallel waves live in maintenance.cc; leave_bulk
+// runs depart() below on every victim at once.
 #include "src/tapestry/maintenance.h"
-
-#include <algorithm>
 
 namespace tap {
 
@@ -25,53 +24,67 @@ void MaintenanceEngine::leave(NodeId id, Trace* trace) {
   // From here on the node is gone for routing purposes: repairs and
   // replacement searches must not hand it back out.  (The unpublishes
   // above already dropped every cached hint naming this node as replica;
-  // this sweeps its own LRU and any hint naming it as pointer holder.)
-  reg_.mark_dead(a);
-  dir_.invalidate_node_cache(id);
+  // fail() sweeps its own LRU and any hint naming it as pointer holder.)
+  fail(id);
+  depart(a, trace, nullptr);
+}
+
+void MaintenanceEngine::depart(TapestryNode& a, Trace* trace,
+                               const NodeLockTable* locks) {
+  const NodeId id = a.id();
+  const unsigned digits = params_.id.num_digits;
 
   // 1. Notify every backpointer holder, level by level, with replacement
   //    candidates: the secondaries of our own-digit slot at that level
   //    share one more digit of our ID and are exactly what the holder's
-  //    vacated slot requires.
-  const unsigned digits = params_.id.num_digits;
+  //    vacated slot requires.  Both lists are read when their level comes
+  //    up: repairs at lower levels may already have dropped holders.
+  std::vector<NodeId> hints;
+  std::vector<NodeId> holders;
   for (unsigned l = 0; l < digits; ++l) {
-    std::vector<NodeId> hints;
-    for (const auto& e : a.table().at(l, a.id().digit(l)).entries())
-      if (!(e.id == id) && reg_.is_live(e.id)) hints.push_back(e.id);
-
-    const std::vector<NodeId> holders = a.table().backpointers(l);
+    const unsigned digit = id.digit(l);
+    hints.clear();
+    {
+      NodeLockTable::Guard g(locks, id);
+      for (const auto& e : a.table().at(l, digit).entries())
+        if (!(e.id == id) && reg_.is_live(e.id)) hints.push_back(e.id);
+      holders = a.table().backpointers(l);
+    }
     for (const NodeId& holder : holders) {
       if (!reg_.is_live(holder)) continue;
       TapestryNode& b = reg_.live(holder);
       reg_.acct(trace, a, b, 1);  // LEAVINGNETWORK notification with hints
-      const auto before = dir_.snapshot_pointer_hops(b);
-      unlink(b, l, id);
+      const auto before = dir_.snapshot_pointer_hops(b, locks);
+      unlink(reg_, b, l, id, locks);
       for (const NodeId& h : hints)
-        if (!(h == holder) && reg_.is_live(h)) link(b, l, reg_.live(h));
-      if (b.table().slot_empty(l, id.digit(l))) {
-        if (auto rep = find_replacement(b, l, id.digit(l), trace);
-            rep.has_value())
-          link(b, l, reg_.live(*rep));
-      }
+        if (!(h == holder) && reg_.is_live(h))
+          link(reg_, b, l, reg_.live(h), locks);
+      refill_slot(b, l, digit, trace, locks);
       // Re-route local pointers that used to travel through the leaver —
       // including those the leaver *rooted*, which now flow onward to
       // their new surrogate roots.
-      dir_.reroute_changed_pointers(b, before, trace);
+      dir_.reroute_changed_pointers(b, before, trace, locks);
     }
   }
 
   // 2. REMOVELINK: retract our own forward links so no one holds a
   //    backpointer to a ghost.
+  std::vector<NodeId> members;
   for (unsigned l = 0; l < digits; ++l) {
     for (unsigned j = 0; j < params_.id.radix(); ++j) {
-      const auto members = a.table().at(l, j).entries();  // copy
-      for (const auto& e : members) {
-        if (e.id == id) continue;
-        if (TapestryNode* other = reg_.find(e.id); other != nullptr) {
-          reg_.acct(trace, a, *other, 1);
-          other->table().remove_backpointer(l, id);
-        }
-        a.table().remove(l, j, e.id);
+      members.clear();
+      {
+        NodeLockTable::Guard g(locks, id);
+        for (const auto& e : a.table().at(l, j).entries())
+          members.push_back(e.id);
+      }
+      for (const NodeId& m : members) {
+        if (m == id) continue;
+        TapestryNode* other = reg_.find(m);
+        if (other != nullptr) reg_.acct(trace, a, *other, 1);
+        NodeLockTable::Guard g(locks, id, m);
+        if (other != nullptr) other->table().remove_backpointer(l, id);
+        a.table().remove(l, j, m);
       }
     }
   }

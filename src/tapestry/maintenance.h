@@ -10,9 +10,16 @@
 // routing walk discovers a corpse, the purge (secondary promotion, slot
 // replacement hunt, pointer re-route) happens here.  Pointer re-routing is
 // delegated to the ObjectDirectory so Property 4 survives table churn.
+//
+// Every §5 repair step — departure, purge, replacement search, heartbeat
+// probe and fill — and every table link is one implementation taking a
+// `const NodeLockTable* locks`: null runs it serially on a quiescent mesh,
+// the registry's table runs it inside a thread-parallel wave (leave_bulk
+// and friends below) under the stripe discipline of node_locks.h.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <unordered_set>
 #include <vector>
@@ -38,6 +45,41 @@ struct JoinRequest {
 [[nodiscard]] std::vector<NodeId> trim_closest_candidates(
     const NodeRegistry& reg, const TapestryNode& nn, std::vector<NodeId> list,
     std::size_t k);
+
+// --- table-link coherence ---
+// The one copy of the rules every routing-table mutation goes through,
+// serial (`locks` null) or racing other threads (the registry's
+// NodeLockTable):
+//   * a mutation of owner's slot plus the mirroring backpointer on the
+//     other side happens under the two-node Guard (address-ordered,
+//     deduplicated stripes);
+//   * a third node touched as a side effect (the evictee of consider())
+//     is never locked while two stripes are held — the pair is
+//     re-validated after the locks drop (sync_backpointer), and the
+//     temporally last validation for an (owner, member, level) triple
+//     writes the truth;
+//   * a thread holds at most one Guard at any instant, so the scheme is
+//     deadlock-free by construction.
+
+/// owner.table slot (level, nbr.digit(level)) considers nbr; keeps
+/// backpointers coherent on insert and evict.  Returns true if inserted.
+bool link(NodeRegistry& reg, TapestryNode& owner, unsigned level,
+          TapestryNode& nbr, const NodeLockTable* locks = nullptr);
+/// Removes nbr from owner's slot at `level` (if present).  NodeId is
+/// taken by value: callers often pass ids that live inside the very
+/// containers these routines mutate.
+void unlink(NodeRegistry& reg, TapestryNode& owner, unsigned level,
+            NodeId nbr, const NodeLockTable* locks = nullptr);
+/// Offers `cand` to every slot of `host` it qualifies for (all levels
+/// l <= common prefix).  The paper's ADDTOTABLEIFCLOSER.
+bool add_to_table_if_closer(NodeRegistry& reg, TapestryNode& host,
+                            TapestryNode& cand,
+                            const NodeLockTable* locks = nullptr);
+/// Validating backpointer mirror: sets member's backpointer to reflect
+/// owner's *current* slot membership (not a replay of any one mutation).
+void sync_backpointer(NodeRegistry& reg, const NodeId& owner,
+                      const NodeId& member, unsigned level,
+                      const NodeLockTable* locks = nullptr);
 
 class MaintenanceEngine final : public RepairHandler {
  public:
@@ -80,30 +122,69 @@ class MaintenanceEngine final : public RepairHandler {
   void leave(NodeId node, Trace* trace = nullptr);
   /// Involuntary fail-stop (§5.2): the node simply stops responding.
   void fail(NodeId node);
-  /// Thread-parallel voluntary departure (§5.1 on real threads): every
-  /// victim leaves at once, each worker thread driving one victim's
-  /// holder notifications, slot repair and REMOVELINK under the stripe
-  /// discipline, with §4.2 rerouting performed incrementally inside the
-  /// wave (no republish backstop).  Same determinism contract as
-  /// join_bulk: victims are validated and marked serially up front, so
-  /// same seed + any worker count yields identical surviving membership
-  /// and identical fingerprint_occupancy at quiescence.
-  void leave_bulk(const std::vector<NodeId>& victims, std::size_t workers = 0,
-                  Trace* trace = nullptr);
-  /// Thread-parallel fail-stop plus eager repair (§5.2 on real threads):
-  /// all victims stop at once, then every backpointer holder is purged in
-  /// parallel (slot removal, complete replacement hunt, in-wave reroute)
-  /// and a threaded sweep restores Property 1 — locatability is back the
-  /// moment the call returns, without republishing.
-  void fail_and_repair_bulk(const std::vector<NodeId>& victims,
-                            std::size_t workers = 0, Trace* trace = nullptr);
-  /// heartbeat_sweep fanned out across `workers` real threads (one per
-  /// node, striped locks).  Membership must be quiescent; guarded store
-  /// racers (publish batches, expiry sweeps, peeked queries) are fine.
-  void heartbeat_sweep_bulk(std::size_t workers = 0, Trace* trace = nullptr);
   /// Soft-state heartbeat maintenance (§5.2, §6.5): probe table entries,
   /// purge corpses, then hunt replacements for emptied slots to fixpoint.
   void heartbeat_sweep(Trace* trace = nullptr);
+
+  // --- thread-parallel repair waves (§5.1, §5.2 on real threads) ---
+  // The waves run the serial calls' protocol code given the registry's
+  // NodeLockTable, fanned out over `workers` real threads (0 = hardware
+  // concurrency).  Each worker thread drives the complete repair protocol
+  // for one victim — for a leave: the LEAVINGNETWORK notifications to
+  // every backpointer holder with replacement hints, the holders' slot
+  // repair, and the final REMOVELINK retraction; for a failure: the
+  // proactive purge every holder would otherwise perform lazily — racing
+  // every other victim's repair through the shared link primitives.
+  //
+  // §4.2 pointer rerouting happens *incrementally inside the wave*: around
+  // each holder's table mutations the holder's pointer hops are
+  // snapshotted and re-pushed through the directory's pointer maintenance
+  // given the stripe locks, never deferred to the §6.5 republish backstop.
+  // Two racing reroutes can strand a record that lands on a holder after
+  // that holder's snapshot was taken (impossible serially).  Every wave
+  // therefore ends with one epilogue: a threaded heartbeat sweep restores
+  // Property 1, then the quiescent ObjectDirectory::repair_pointer_chains
+  // pass closes exactly that window, so objects are locatable the moment
+  // the wave returns.
+  //
+  // Determinism contract (invariant-convergent, as for joins): victims are
+  // validated and membership changes are applied serially before any
+  // thread starts, so same seed + any worker count produces identical
+  // membership.  The replacement search is *complete*: local peers first,
+  // then a prefix-range probe of a sorted live-id index built at the
+  // wave's start, standing in for the serial path's acknowledged multicast
+  // (same candidate set, same (distance, id) winner).  At quiescence a
+  // slot is therefore occupied iff a live candidate exists, which makes
+  // the Property 1 occupancy fingerprint (fingerprint_occupancy) a
+  // function of membership alone.  Message orderings — and which of
+  // several equally good neighbors a slot holds — may differ run to run;
+  // convergence is asserted on invariants.
+  //
+  // Concurrency requirements: guarded reroutes write through the store
+  // backends, so waves racing other store users require
+  // StoreBackend::kSharded; a wave itself also relies on it when
+  // workers > 1 (per-holder snapshots race pointer deposits).
+
+  /// Voluntary departure of every victim at once.  Serial preamble:
+  /// withdraw the victims' replicas while the mesh still routes through
+  /// them, then mark every victim dead, so hint and holder lists never
+  /// name a co-departing node.  Parallel phase: per-victim holder repair
+  /// with in-wave rerouting, then REMOVELINK.  Then the epilogue.
+  void leave_bulk(const std::vector<NodeId>& victims, std::size_t workers = 0,
+                  Trace* trace = nullptr);
+  /// Fail-stop of every victim at once plus the repair a lazy system would
+  /// perform over time: victims are marked dead serially, then every
+  /// backpointer holder of each victim is purged in parallel (slot
+  /// removal, complete replacement hunt, in-wave reroute), then the
+  /// epilogue.  Backpointer symmetry makes the holders exactly the nodes
+  /// lazy repair would eventually have discovered the corpse from.
+  void fail_and_repair_bulk(const std::vector<NodeId>& victims,
+                            std::size_t workers = 0, Trace* trace = nullptr);
+  /// heartbeat_sweep fanned out across `workers` real threads (one task
+  /// per node), then the chain-repair pass of the epilogue.  Membership
+  /// must be quiescent; guarded store racers (publish batches, expiry
+  /// sweeps, peeked queries) are fine.
+  void heartbeat_sweep_bulk(std::size_t workers = 0, Trace* trace = nullptr);
 
   /// Runs heartbeat_sweep as a recurring EventQueue event every `every`
   /// simulated time units (first firing at now + every), so lazy repair
@@ -117,22 +198,9 @@ class MaintenanceEngine final : public RepairHandler {
   }
 
   // --- failure repair (§5.2) ---
+  /// Lazy repair of a corpse a routing walk tripped over (serial).
   void purge_dead_neighbor(TapestryNode& at, NodeId dead,
                            Trace* trace) override;
-  std::optional<NodeId> find_replacement(TapestryNode& at, unsigned level,
-                                         unsigned digit, Trace* trace);
-
-  // --- table-link coherence ---
-  /// owner.table slot (level, nbr.digit(level)) considers nbr; keeps
-  /// backpointers coherent on insert and evict.  Returns true if inserted.
-  bool link(TapestryNode& owner, unsigned level, TapestryNode& nbr);
-  /// Removes nbr from owner's slot at `level` (if present).  NodeId is
-  /// taken by value: callers often pass ids that live inside the very
-  /// containers these routines mutate.
-  void unlink(TapestryNode& owner, unsigned level, NodeId nbr);
-  /// Offers `cand` to every slot of `host` it qualifies for (all levels
-  /// l <= common prefix).  The paper's ADDTOTABLEIFCLOSER.
-  bool add_to_table_if_closer(TapestryNode& host, TapestryNode& cand);
 
   // --- continual optimization (§6.4) ---
   /// Moves a node to a new underlay location (network drift model).
@@ -176,6 +244,45 @@ class MaintenanceEngine final : public RepairHandler {
 
   void schedule_heartbeat_tick(double every, Trace* trace);
 
+  // Non-null `locks` below means "inside a wave": the wave's preamble has
+  // built live_index_, which the replacement search falls back to.
+
+  /// Drops `dead` from every slot of `at` it could occupy, refills each
+  /// slot that empties, and re-routes the pointers whose next hop moved.
+  void purge_dead_neighbor(TapestryNode& at, NodeId dead, Trace* trace,
+                           const NodeLockTable* locks);
+  /// Closest live node for slot (level, digit) of `at`: asks the
+  /// level-`level` contacts first, then falls back to the acknowledged
+  /// multicast (serial) or the live-id index (inside a wave).
+  std::optional<NodeId> find_replacement(TapestryNode& at, unsigned level,
+                                         unsigned digit, Trace* trace,
+                                         const NodeLockTable* locks);
+  /// §5.1 holder notifications and REMOVELINK for `a`, already dead.
+  void depart(TapestryNode& a, Trace* trace, const NodeLockTable* locks);
+  /// Refills slot (level, digit) of `at` if it is empty (Property 1).
+  void refill_slot(TapestryNode& at, unsigned level, unsigned digit,
+                   Trace* trace, const NodeLockTable* locks);
+  /// Heartbeat-probes `n`'s table members and returns the first corpse.
+  std::optional<NodeId> first_corpse(TapestryNode& n, Trace* trace,
+                                     const NodeLockTable* locks);
+  /// Probe pass, then up to four fill rounds over every live node.
+  void sweep(Trace* trace, const NodeLockTable* locks, std::size_t workers);
+  /// Runs `body` on every live node; true if any call returned true.
+  /// Serial: registry order, `trace` passed straight through.  Threaded:
+  /// one task and one Trace per node, absorbed in node order.
+  bool for_each_live(const NodeLockTable* locks, std::size_t workers,
+                     Trace* trace,
+                     const std::function<bool(TapestryNode&, Trace*)>& body);
+  /// Rebuilds the sorted live-id index the wave fallback probes; the live
+  /// set is fixed for the duration of a wave.
+  void index_live_nodes();
+  /// The threaded half of a wave: `repair` per victim, then the epilogue.
+  void run_wave(const std::vector<NodeId>& victims, std::size_t workers,
+                Trace* trace,
+                const std::function<void(const NodeId&, Trace*)>& repair);
+  /// The epilogue: threaded sweep, then the quiescent chain repair.
+  void finish_wave(std::size_t workers, Trace* trace);
+
   Transport* transport_ = default_transport();
   NodeRegistry& reg_;
   Router& router_;
@@ -184,6 +291,7 @@ class MaintenanceEngine final : public RepairHandler {
   EventQueue& events_;
   Rng& rng_;
   std::optional<EventId> heartbeat_event_;
+  std::vector<std::uint64_t> live_index_;  ///< sorted live ids (wave start)
 };
 
 }  // namespace tap

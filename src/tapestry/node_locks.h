@@ -1,8 +1,10 @@
 // NodeLockTable: striped per-node mutexes for the thread-parallel
-// protocol paths — §4.4 joins (threaded_join.h), §5.1 leaves / §5.2
-// fail-stop repair / heartbeat sweeps (threaded_repair.h), and the
-// guarded §4.2 pointer reroutes those repair waves perform inline
-// (ObjectDirectory's pointer maintenance given a NodeLockTable).
+// protocol paths — §4.4 joins (threaded_join.h), the §5.1 leave / §5.2
+// fail-stop repair / heartbeat-sweep waves (MaintenanceEngine::leave_bulk
+// and friends, maintenance.h), and the guarded §4.2 pointer reroutes those
+// repair waves perform inline (ObjectDirectory's pointer maintenance given
+// a NodeLockTable).  Every routine that takes a `const NodeLockTable*`
+// runs serially when it is null: a Guard on a null table locks nothing.
 //
 // The registry's index is already lock-free for readers, and the object
 // stores bring their own synchronisation (ShardedStore's guid stripes) —
@@ -19,8 +21,8 @@
 // shares — and collapses to a single lock when both ids hash to the same
 // stripe.  Operations that would touch a third node (eviction side
 // effects) drop their locks first and then re-synchronise the affected
-// pair; see striped::sync_backpointer (striped_links.h), the one copy of
-// these rules every threaded driver delegates to.
+// pair; see sync_backpointer (maintenance.h), the one copy of these rules
+// every table mutation, serial or threaded, goes through.
 #pragma once
 
 #include <array>
@@ -41,15 +43,19 @@ class NodeLockTable {
   }
 
   /// RAII lock over one node's stripe, or over two nodes' stripes acquired
-  /// in address order (deduplicated when they collide).
+  /// in address order (deduplicated when they collide).  A null table
+  /// locks nothing: the serial callers of the shared protocol code.
   class Guard {
    public:
-    Guard(const NodeLockTable& t, const NodeId& a) : first_(&t.stripe(a)) {
+    Guard(const NodeLockTable* t, const NodeId& a) {
+      if (t == nullptr) return;
+      first_ = &t->stripe(a);
       lock_counted(first_);
     }
-    Guard(const NodeLockTable& t, const NodeId& a, const NodeId& b) {
-      std::mutex* x = &t.stripe(a);
-      std::mutex* y = &t.stripe(b);
+    Guard(const NodeLockTable* t, const NodeId& a, const NodeId& b) {
+      if (t == nullptr) return;
+      std::mutex* x = &t->stripe(a);
+      std::mutex* y = &t->stripe(b);
       if (x == y) {
         first_ = x;
         lock_counted(first_);
@@ -63,7 +69,7 @@ class NodeLockTable {
     }
     ~Guard() {
       if (second_ != nullptr) second_->unlock();
-      first_->unlock();
+      if (first_ != nullptr) first_->unlock();
     }
     Guard(const Guard&) = delete;
     Guard& operator=(const Guard&) = delete;

@@ -909,8 +909,7 @@ ObjectDirectory::snapshot_pointer_hops(const TapestryNode& at,
   const auto records = at.store().snapshot();
   std::vector<PendingReroute> out;
   out.reserve(records.size());
-  std::optional<NodeLockTable::Guard> g;
-  if (locks != nullptr) g.emplace(*locks, at.id());
+  NodeLockTable::Guard g(locks, at.id());
   for (const auto& [guid, rec] : records)
     out.push_back(PendingReroute{guid, rec, pointer_next_hop(at, guid, rec)});
   return out;
@@ -923,10 +922,11 @@ void ObjectDirectory::reroute_changed_pointers(
     // The record may have been refreshed or dropped meanwhile; re-read.
     const auto current = at.store().find(p.guid, p.record.server);
     if (!current.has_value()) continue;
-    std::optional<NodeLockTable::Guard> g;
-    if (locks != nullptr) g.emplace(*locks, at.id());
-    const auto now_hop = pointer_next_hop(at, p.guid, *current);
-    g.reset();
+    std::optional<NodeId> now_hop;
+    {
+      NodeLockTable::Guard g(locks, at.id());
+      now_hop = pointer_next_hop(at, p.guid, *current);
+    }
     if (now_hop == p.next_hop) continue;
     optimize_pointer(at, p.guid, *current, trace, locks);
   }

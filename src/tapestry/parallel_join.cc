@@ -184,7 +184,7 @@ void ParallelJoinCoordinator::check_watch_list(std::size_t session_idx,
         // Report the filler to the inserting node (one message) and mark
         // the watch slot found before forwarding onward.
         s.trace.hop(net_.distance(at.id(), nn.id()));
-        net_.maintenance().link(nn, l, *filler);
+        link(net_.registry(), nn, l, *filler);
         watch.missing[l] &= ~(std::uint64_t{1} << j);
         break;
       }
@@ -225,7 +225,7 @@ void ParallelJoinCoordinator::handle_multicast(std::size_t session_idx,
                    net_.distance(at_id, nn.id()));
     nn.table().add_backpointer(s.alpha, at_id);
   }
-  net_.maintenance().add_to_table_if_closer(at, nn);
+  add_to_table_if_closer(net_.registry(), at, nn);
   net_.directory().reroute_changed_pointers(at, at_before, &s.trace);
 
   // Forwarding targets: the Lemma 4/5 rule shared with the threaded

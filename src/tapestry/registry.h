@@ -109,8 +109,8 @@ class NodeRegistry {
   [[nodiscard]] std::vector<TapestryNode*> nodes_snapshot() const;
 
   /// Striped per-node mutexes guarding routing-table and insertion-flag
-  /// access on the thread-parallel join path (see node_locks.h).  Serial
-  /// (quiescent) callers never touch them.
+  /// access on the thread-parallel join and repair paths (see
+  /// node_locks.h).  Serial (quiescent) callers pass a null table instead.
   [[nodiscard]] const NodeLockTable& node_locks() const noexcept {
     return node_locks_;
   }

@@ -212,8 +212,7 @@ std::optional<NodeId> Router::route_step_peek(
   // One stripe per routing decision when guarded: the step reads only
   // `at`'s table (member liveness probes go through the lock-free registry
   // index).
-  std::optional<NodeLockTable::Guard> g;
-  if (locks != nullptr) g.emplace(*locks, at);
+  NodeLockTable::Guard g(locks, at);
   const TapestryNode& n = reg_.checked(at);
   const unsigned digits = params_.id.num_digits;
   const unsigned radix = params_.id.radix();

@@ -2,20 +2,22 @@
 // the locking discipline).  The protocol steps mirror join.cc /
 // parallel_join.cc; what differs is only *where* synchronisation comes
 // from: per-node stripe locks instead of a single thread of control.
+// Table links go through the shared link / add_to_table_if_closer /
+// sync_backpointer (maintenance.h) given the stripe locks, so joins and
+// repairs run one copy of the lock discipline.
 #include "src/tapestry/threaded_join.h"
 
 #include <algorithm>
 
 #include "src/sim/thread_pool.h"
 #include "src/tapestry/parallel_join.h"
-#include "src/tapestry/striped_links.h"
 
 namespace tap {
 
 ThreadedJoinDriver::ThreadedJoinDriver(NodeRegistry& registry, Router& router,
                                        const TapestryParams& params, Rng& rng)
     : reg_(registry), router_(router), params_(params), rng_(rng),
-      locks_(registry.node_locks()) {}
+      locks_(&registry.node_locks()) {}
 
 std::vector<ThreadedJoinDriver::Outcome> ThreadedJoinDriver::run(
     const std::vector<JoinRequest>& requests, std::size_t workers) {
@@ -142,29 +144,6 @@ void ThreadedJoinDriver::do_join(std::size_t index) {
 }
 
 // ---------------------------------------------------------------------
-// Locked table-link coherence: thin delegations to the shared striped
-// primitives (striped_links.h) so joins and repairs run one copy of the
-// lock discipline.
-// ---------------------------------------------------------------------
-
-bool ThreadedJoinDriver::link(TapestryNode& owner, unsigned level,
-                              TapestryNode& nbr) {
-  return striped::link(reg_, locks_, owner, level, nbr);
-}
-
-void ThreadedJoinDriver::sync_backpointer(const NodeId& owner,
-                                          const NodeId& member,
-                                          unsigned level) {
-  striped::sync_backpointer(reg_, locks_, owner, member, level);
-}
-
-bool ThreadedJoinDriver::add_to_table_if_closer(TapestryNode& host,
-                                                TapestryNode& cand) {
-  return striped::add_to_table_if_closer(reg_, locks_, host, cand,
-                                         params_.id.num_digits);
-}
-
-// ---------------------------------------------------------------------
 // Protocol steps
 // ---------------------------------------------------------------------
 
@@ -185,8 +164,8 @@ void ThreadedJoinDriver::copy_preliminary(Session& s, TapestryNode& nn,
   }
   for (const auto& [l, id] : cands)
     if (TapestryNode* cand = reg_.find(id); cand != nullptr && cand->alive)
-      link(nn, l, *cand);
-  add_to_table_if_closer(nn, surrogate);
+      link(reg_, nn, l, *cand, locks_);
+  add_to_table_if_closer(reg_, nn, surrogate, locks_);
 }
 
 void ThreadedJoinDriver::check_watch_list(Session& s, TapestryNode& at,
@@ -217,7 +196,7 @@ void ThreadedJoinDriver::check_watch_list(Session& s, TapestryNode& at,
     s.trace.hop(reg_.distance(at.id(), nn.id()));  // the report message
     if (TapestryNode* filler = reg_.find(id); filler != nullptr &&
                                               filler->alive)
-      link(nn, l, *filler);
+      link(reg_, nn, l, *filler, locks_);
   }
 }
 
@@ -241,7 +220,7 @@ void ThreadedJoinDriver::multicast_visit(Session& s, NodeId at_id,
     nn.table().add_backpointer(s.alpha, at_id);
   }
   // ...and adopt it wherever it improves this node's table (Theorem 4).
-  add_to_table_if_closer(at, nn);
+  add_to_table_if_closer(reg_, at, nn, locks_);
 
   // Forwarding targets: the Lemma 4/5 rule shared with the event
   // coordinator (multicast_children in parallel_join.cc), computed from
@@ -273,7 +252,8 @@ void ThreadedJoinDriver::release_pin(Session& s, const NodeId& at_id) {
     NodeLockTable::Guard g(locks_, at_id);
     reg_.checked(at_id).table().unpin(s.alpha, s.hole_digit, s.nn, evicted);
   }
-  for (const NodeId& ev : evicted) sync_backpointer(at_id, ev, s.alpha);
+  for (const NodeId& ev : evicted)
+    sync_backpointer(reg_, at_id, ev, s.alpha, locks_);
 }
 
 // ---------------------------------------------------------------------
@@ -289,7 +269,7 @@ void ThreadedJoinDriver::build_row_from_list(TapestryNode& nn,
     if (cand == nullptr || !cand->alive) continue;
     TAP_ASSERT_MSG(nn.id().common_prefix_len(x) >= level,
                    "candidate does not share the row prefix");
-    link(nn, level, *cand);
+    link(reg_, nn, level, *cand, locks_);
   }
 }
 
@@ -328,7 +308,7 @@ std::vector<NodeId> ThreadedJoinDriver::get_next_list(
       TapestryNode* cand = reg_.find(x);
       if (cand == nullptr || !cand->alive) continue;
       reg_.acct(&s.trace, nn, *cand, 2);  // distance probe round trip
-      add_to_table_if_closer(*cand, nn);
+      add_to_table_if_closer(reg_, *cand, nn, locks_);
     }
   }
   return candidates;

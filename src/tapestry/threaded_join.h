@@ -19,8 +19,8 @@
 // thread never holds more than one Guard, so the scheme is deadlock-free
 // by construction.  Eviction side effects on third nodes are re-validated
 // against the owner's current table after the locks drop
-// (sync_backpointer) — the temporally last validation for a (owner,
-// member, level) triple writes the truth, so forward links and
+// (sync_backpointer, maintenance.h) — the temporally last validation for a
+// (owner, member, level) triple writes the truth, so forward links and
 // backpointers mirror exactly at quiescence.
 //
 // Determinism contract: node ids and gateways are drawn serially before
@@ -36,7 +36,7 @@
 // pointer rerouting (a joining node holds no pointers yet, and the walks
 // would couple every join to every store); the §6.5 soft-state republish
 // is the designated backstop for join waves.  Threaded *repair* waves are
-// different — leave_bulk / fail_and_repair_bulk (threaded_repair.h) reroute
+// different — leave_bulk / fail_and_repair_bulk (maintenance.h) reroute
 // incrementally inside the wave, per holder, under the same stripe
 // discipline, and do NOT rely on the republish backstop.
 #pragma once
@@ -97,10 +97,6 @@ class ThreadedJoinDriver {
                        WatchList watch);
   void check_watch_list(Session& s, TapestryNode& at, WatchList& watch);
   void release_pin(Session& s, const NodeId& at_id);
-  bool link(TapestryNode& owner, unsigned level, TapestryNode& nbr);
-  bool add_to_table_if_closer(TapestryNode& host, TapestryNode& cand);
-  void sync_backpointer(const NodeId& owner, const NodeId& member,
-                        unsigned level);
   void acquire_neighbor_table(Session& s, TapestryNode& nn,
                               unsigned max_level,
                               std::vector<NodeId> initial_list);
@@ -115,7 +111,7 @@ class ThreadedJoinDriver {
   Router& router_;
   const TapestryParams& params_;
   Rng& rng_;
-  const NodeLockTable& locks_;
+  const NodeLockTable* locks_;  ///< the registry's stripe locks
   std::vector<Session> sessions_;
   std::vector<Outcome> outcomes_;
 };

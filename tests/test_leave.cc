@@ -6,6 +6,7 @@
 #include <set>
 
 #include "src/common/stats.h"
+#include "src/tapestry/fingerprint.h"
 #include "test_util.h"
 
 namespace tap {
@@ -200,6 +201,34 @@ TEST(InvoluntaryFail, FailedTwiceRejected) {
   auto g = grow_ring_network(16, 91);
   g.net->fail(g.ids[3]);
   EXPECT_THROW(g.net->fail(g.ids[3]), CheckError);
+}
+
+TEST(SerialRepair, TranscriptIsPinned) {
+  // The serial §5 repair transcript, pinned: one grown overlay, 8 leaves,
+  // 8 unannounced failures and a heartbeat sweep, every message booked on
+  // one Trace.  Serial and threaded repair share one implementation; the
+  // constants hold its serial mode to the exact serial choices (hints,
+  // holder order, multicast fallback, known-empty memo).  A change that
+  // alters repair traffic on purpose updates them and says so.  Memory
+  // store and direct transport are set here, not taken from TAP_STORE /
+  // TAP_TRANSPORT, and no object is published, so no hash-map iteration
+  // order enters the pinned values.
+  TapestryParams p;
+  p.id = IdSpec{4, 8};
+  p.redundancy = 3;
+  p.store_backend = StoreBackend::kMemory;
+  p.transport = TransportKind::kDirect;
+  auto g = grow_ring_network(96, 93, p);
+  Trace trace;
+  for (std::size_t i = 0; i < 8; ++i) g.net->leave(g.ids[3 + 12 * i], &trace);
+  for (std::size_t i = 0; i < 8; ++i) g.net->fail(g.ids[9 + 12 * i]);
+  g.net->heartbeat_sweep(&trace);
+
+  g.net->check_property1();
+  g.net->check_backpointer_symmetry();
+  EXPECT_EQ(g.net->size(), 80u);
+  EXPECT_EQ(fingerprint_tables(*g.net), 13338653297885677374ull);
+  EXPECT_EQ(trace.messages(), 19990u);
 }
 
 TEST(MixedChurn, JoinsAndLeavesInterleaved) {

@@ -1,12 +1,14 @@
 // Thread-parallel leave / fail-stop repair (§5.1, §5.2 on real threads):
-// repair waves driven by ThreadedRepairDriver across sim/thread_pool
-// workers must converge — for the same seed at ANY worker count — to the
-// same surviving membership and the same Property 1 occupancy pattern,
-// with backpointer symmetry and no leftover pins at quiescence, and with
-// §4.2 rerouting completed INSIDE the wave: objects are locatable the
-// moment the call returns, no republish backstop.  The whole binary runs
-// under TSan in CI; the prober test is where guarded peeks genuinely race
-// the repair threads.
+// repair waves (MaintenanceEngine::leave_bulk and friends) across
+// sim/thread_pool workers must converge — for the same seed at ANY worker
+// count — to the same surviving membership and the same Property 1
+// occupancy pattern, with backpointer symmetry and no leftover pins at
+// quiescence, and with §4.2 rerouting completed INSIDE the wave: objects
+// are locatable the moment the call returns, no republish backstop.  The
+// serial calls and the waves run one protocol implementation; the *Agrees
+// WithSerial twins check both modes land on the same invariants.  The
+// whole binary runs under TSan in CI; the prober test is where guarded
+// peeks genuinely race the repair threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +20,7 @@
 
 #include "src/common/assert.h"
 #include "src/tapestry/fingerprint.h"
-#include "src/tapestry/threaded_repair.h"
+#include "src/tapestry/network.h"
 #include "test_util.h"
 
 namespace tap {
@@ -162,9 +164,9 @@ TEST(ThreadedRepair, FailWaveConvergesAndReroutesInsideTheWave) {
 
 TEST(ThreadedRepair, ThreadedLeaveAgreesWithSerial) {
   // Same seed, same victims, same workload: the serial §5.1 loop and the
-  // threaded wave must agree on the surviving membership and on the
-  // replica registry (published() set), and every object must remain
-  // locatable on both meshes without a republish.
+  // threaded wave must agree on the surviving membership, on the replica
+  // registry (published() set) and on the occupancy pattern, and every
+  // object must remain locatable on both meshes without a republish.
   auto serial = static_ring_network(96, 412, sharded_params());
   auto threaded = static_ring_network(96, 412, sharded_params());
   const auto ids = serial.net->node_ids();
@@ -184,6 +186,8 @@ TEST(ThreadedRepair, ThreadedLeaveAgreesWithSerial) {
   EXPECT_EQ(membership_fingerprint(*serial.net),
             membership_fingerprint(*threaded.net));
   EXPECT_EQ(sorted_published(*serial.net), sorted_published(*threaded.net));
+  EXPECT_EQ(fingerprint_occupancy(*serial.net),
+            fingerprint_occupancy(*threaded.net));
   threaded.net->check_property1();
   threaded.net->check_backpointer_symmetry();
   expect_no_pins(*threaded.net);
@@ -193,6 +197,50 @@ TEST(ThreadedRepair, ThreadedLeaveAgreesWithSerial) {
     EXPECT_TRUE(serial.net->locate(survivors[1], guid).found);
     EXPECT_TRUE(threaded.net->locate(survivors[1], guid).found);
   }
+}
+
+TEST(ThreadedRepair, ThreadedFailAgreesWithSerial) {
+  // The §5.2 twin: serial fail() of every victim followed by one serial
+  // heartbeat_sweep, against fail_and_repair_bulk on 4 threads.  Both
+  // must reach the same membership, replica registry and occupancy
+  // pattern with Property 1 and symmetric backpointers; the wave must
+  // also leave every object locatable without a republish (the serial
+  // side may not: a dead root waits for the §6.5 republish).
+  auto serial = static_ring_network(96, 416, sharded_params());
+  auto threaded = static_ring_network(96, 416, sharded_params());
+  const auto ids = serial.net->node_ids();
+  const auto victims = pick_victims(ids, 16, 5);
+  const auto servers = pick_survivor_servers(ids, victims, 10);
+  std::vector<Guid> guids;
+  for (std::size_t i = 0; i < servers.size(); ++i) {
+    const Guid guid = make_guid(*serial.net, 8500 + i);
+    guids.push_back(guid);
+    serial.net->publish(servers[i], guid);
+    threaded.net->publish(servers[i], guid);
+  }
+
+  for (const NodeId& v : victims) serial.net->fail(v);
+  serial.net->heartbeat_sweep();
+  threaded.net->fail_and_repair_bulk(victims, /*workers=*/4);
+
+  EXPECT_EQ(membership_fingerprint(*serial.net),
+            membership_fingerprint(*threaded.net));
+  EXPECT_EQ(sorted_published(*serial.net), sorted_published(*threaded.net));
+  EXPECT_EQ(fingerprint_occupancy(*serial.net),
+            fingerprint_occupancy(*threaded.net));
+  for (const Network* net : {serial.net.get(), threaded.net.get()}) {
+    net->check_property1();
+    net->check_backpointer_symmetry();
+    expect_no_pins(*net);
+  }
+
+  const auto survivors = threaded.net->node_ids();
+  Rng ql(66);
+  for (const Guid& guid : guids)
+    EXPECT_TRUE(threaded.net
+                    ->locate(survivors[ql.next_u64(survivors.size())], guid)
+                    .found)
+        << "the fail wave must keep every object locatable";
 }
 
 TEST(ThreadedRepair, GuardedPeekProberRacesFailWave) {
@@ -276,11 +324,20 @@ TEST(ThreadedRepair, LeaveKeepsObjectsLocatableOnGrownCore) {
 TEST(ThreadedRepair, HeartbeatSweepBulkRepairsUnannouncedFailures) {
   // Plain fail() marks corpses without repair; the threaded sweep must
   // then restore Property 1 and symmetry at any worker count, matching
-  // the serial sweep's invariants.
+  // the serial sweep's invariants.  Its purges and fills reroute pointers
+  // on parallel threads, so it ends with the wave epilogue's chain repair:
+  // objects published on survivors are locatable without a republish.
   for (const std::size_t workers : {1u, 4u}) {
     auto g = static_ring_network(96, 415, sharded_params());
     const auto ids = g.net->node_ids();
     const auto victims = pick_victims(ids, 12, 7);
+    const auto servers = pick_survivor_servers(ids, victims, 10);
+    std::vector<Guid> guids;
+    for (std::size_t i = 0; i < servers.size(); ++i) {
+      const Guid guid = make_guid(*g.net, 8600 + i);
+      guids.push_back(guid);
+      g.net->publish(servers[i], guid);
+    }
     for (const NodeId& v : victims) g.net->fail(v);
 
     g.net->heartbeat_sweep_bulk(workers);
@@ -288,6 +345,12 @@ TEST(ThreadedRepair, HeartbeatSweepBulkRepairsUnannouncedFailures) {
     g.net->check_property1();
     g.net->check_backpointer_symmetry();
     expect_no_pins(*g.net);
+    const auto survivors = g.net->node_ids();
+    Rng ql(88);
+    for (const Guid& guid : guids)
+      EXPECT_TRUE(
+          g.net->locate(survivors[ql.next_u64(survivors.size())], guid).found)
+          << "object lost in the sweep (workers=" << workers << ")";
   }
 }
 
