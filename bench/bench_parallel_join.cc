@@ -1,14 +1,15 @@
 // E14 — Thread-parallel dynamic insertion.
 //
-// The §4.4 join protocol driven on real threads (ThreadedJoinDriver via
-// Network::join_bulk): a wave of simultaneous insertions lands on a static
-// core once serially and once across --threads workers, and the bench
-// verifies the convergence contract — same seed at any worker count gives
-// the same membership and the same Property 1 occupancy pattern
-// (fingerprint_occupancy), with no leftover pins and full surrogate
-// agreement — then reports the wall-clock speedup.  A third leg races the
-// wave against a guarded ShardedStore batch publish and checks that one
-// soft-state republish restores full locatability.
+// The §4.4 join protocol driven on real threads (Network::join_bulk: the
+// shared insertion steps given the stripe locks): a wave of simultaneous
+// insertions lands on a static core once serially and once across
+// --threads workers, and the bench verifies the convergence contract —
+// same seed at any worker count gives the same membership and the same
+// Property 1 occupancy pattern (fingerprint_occupancy), with no leftover
+// pins and full surrogate agreement — then reports the wall-clock
+// speedup.  A third leg races the wave against a guarded ShardedStore
+// batch publish and checks that one soft-state republish restores full
+// locatability.
 //
 // Flags: --core=N [2000]  --wave=W [64]  --threads=T [4]  --seed=S [1]
 //        --json (machine-readable metrics for CI)
@@ -31,7 +32,6 @@
 #include "bench_util.h"
 #include "src/sim/thread_pool.h"
 #include "src/tapestry/fingerprint.h"
-#include "src/tapestry/threaded_join.h"
 
 namespace tap::bench {
 namespace {
@@ -70,18 +70,16 @@ WaveResult run_wave(const MetricSpace& space, const TapestryParams& params,
   net.insert_static_bulk(locs, workers == 0 ? 1 : workers);
   net.rebuild_static_tables(workers == 0 ? 1 : workers);
 
-  ThreadedJoinDriver driver(net.registry(), net.router(), net.params(),
-                            net.rng());
+  Trace trace;
   const auto t0 = std::chrono::steady_clock::now();
-  const auto outcomes = driver.run(wave_requests(core, wave), workers);
+  const auto joined =
+      net.join_bulk(wave_requests(core, wave), workers, &trace);
   r.wave_ms = wall_ms(t0);
+  r.messages = trace.messages();
 
   detail::Fnv1a members;
   std::vector<std::uint64_t> sorted;
-  for (const auto& o : outcomes) {
-    sorted.push_back(o.id.value());
-    r.messages += o.messages;
-  }
+  for (const NodeId& id : joined) sorted.push_back(id.value());
   std::sort(sorted.begin(), sorted.end());
   for (const std::uint64_t v : sorted) members.mix(v);
   r.membership_fp = members.value();

@@ -516,7 +516,7 @@ void MaintenanceEngine::rebuild_neighbor_table(NodeId id, Trace* trace) {
         if (!(y == id)) list.push_back(y);
       },
       trace, {id});
-  acquire_neighbor_table(n, max_level, std::move(list), trace);
+  acquire_neighbor_table(n, max_level, std::move(list), trace, nullptr);
   dir_.reroute_changed_pointers(n, before, trace);
 }
 

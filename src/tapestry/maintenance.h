@@ -11,11 +11,13 @@
 // replacement hunt, pointer re-route) happens here.  Pointer re-routing is
 // delegated to the ObjectDirectory so Property 4 survives table churn.
 //
-// Every §5 repair step — departure, purge, replacement search, heartbeat
-// probe and fill — and every table link is one implementation taking a
-// `const NodeLockTable* locks`: null runs it serially on a quiescent mesh,
-// the registry's table runs it inside a thread-parallel wave (leave_bulk
-// and friends below) under the stripe discipline of node_locks.h.
+// Every §3-§4.4 insertion step, every §5 repair step — departure, purge,
+// replacement search, heartbeat probe and fill — and every table link is
+// one implementation taking a `const NodeLockTable* locks`: null runs it
+// serially on a quiescent mesh (join_via, leave, heartbeat_sweep, and
+// ParallelJoinCoordinator's event-driven joins), the registry's table runs
+// it inside a thread-parallel wave (join_bulk, leave_bulk and friends
+// below) under the stripe discipline of node_locks.h.
 #pragma once
 
 #include <cstdint>
@@ -37,14 +39,44 @@ struct JoinRequest {
   std::optional<NodeId> gateway{};  ///< default: uniformly random live node
 };
 
-/// The §3 k-list trim, shared by the serial join (join.cc) and the
-/// threaded driver (threaded_join.cc) so both run the SAME rule: dedupe,
-/// drop dead nodes and the node itself, order by (distance, id), keep the
-/// k closest.  Pure reads — callers provide whatever synchronisation the
-/// candidate list itself needed.
-[[nodiscard]] std::vector<NodeId> trim_closest_candidates(
-    const NodeRegistry& reg, const TapestryNode& nn, std::vector<NodeId> list,
-    std::size_t k);
+/// Rejects a malformed join batch before any of it runs; join_bulk and
+/// ParallelJoinCoordinator::run share it.  The batch must be non-empty and
+/// the network not; locations must lie in the metric space, explicit ids
+/// must match the IdSpec and be unused and unique within the batch,
+/// explicit gateways live, and rows must fit one-word watch lists
+/// (radix <= 64).  Returns the explicit ids, which the ids drawn for the
+/// batch's other joins must avoid (MaintenanceEngine::fresh_join_id).
+[[nodiscard]] std::unordered_set<std::uint64_t> check_join_batch(
+    const NodeRegistry& reg, const std::vector<JoinRequest>& requests);
+
+/// The §4.4 watch list a multicast carries (Figure 11, Lemma 6): one
+/// bitmask per level, bit j set => slot (level, j) is still unknown to the
+/// inserting node.
+using WatchList = std::vector<std::uint64_t>;
+
+/// One forwarding target of the §4.4 acknowledged multicast.
+struct MulticastChild {
+  NodeId id{};
+  unsigned prefix_len = 0;
+};
+
+/// Per-join state of one insertion in flight (§4.4), shared by the three
+/// callers of the insertion steps: join_via, join_bulk and
+/// ParallelJoinCoordinator.
+struct InsertionSession {
+  NodeId nn{};              ///< the inserting node
+  NodeId surrogate{};       ///< core node the multicast starts from
+  unsigned alpha = 0;       ///< prefix length of the filled hole
+  unsigned hole_digit = 0;  ///< nn's digit at alpha: the slot nn fills
+  std::unordered_set<std::uint64_t> processed;  ///< nodes that ran FUNCTION
+  std::unordered_set<std::uint64_t> pinned_at;  ///< nodes holding our pin
+  std::vector<NodeId> alpha_list;  ///< the α-list, in visit order
+  /// Where this join's messages are booked: the caller's Trace for a
+  /// serial join (may be null), a per-join Trace in a wave or in the
+  /// coordinator.
+  Trace* trace = nullptr;
+  bool done = false;  ///< finish_insertion ran
+};
 
 // --- table-link coherence ---
 // The one copy of the rules every routing-table mutation goes through,
@@ -104,18 +136,61 @@ class MaintenanceEngine final : public RepairHandler {
   NodeId join_via(NodeId gateway, Location loc,
                   std::optional<NodeId> id = std::nullopt,
                   Trace* trace = nullptr);
-  /// Thread-parallel dynamic insertion (§4.4 on real threads): drives the
-  /// whole batch through ThreadedJoinDriver — each worker thread runs one
-  /// join's multicast/watch-list/pin state machine synchronously, racing
-  /// the others through the per-node stripe locks — and returns the new
-  /// node ids in request order.  `workers` = 0 uses hardware concurrency.
-  /// Determinism contract: ids/gateways are drawn serially up front, so
-  /// same seed + any worker count yields the same membership and a table
-  /// set satisfying the convergence invariants (Property 1, backpointer
-  /// symmetry, no leftover pins, surrogate agreement) — message orderings,
-  /// and therefore exact neighbor choices, may differ between runs.
+  /// Thread-parallel dynamic insertion (§4.4 on real threads).  Returns
+  /// the new node ids in request order; `workers` = 0 uses hardware
+  /// concurrency; `trace`, if given, absorbs each join's messages in
+  /// request order.
+  ///
+  /// The wave runs the insertion steps below given the registry's
+  /// NodeLockTable, fanned out over real threads.  Each worker thread
+  /// drives one join's complete state machine — surrogate acquisition,
+  /// preliminary table copy, acknowledged multicast with pinned pointers /
+  /// watch lists / filled-hole forwarding, pin release, and the §3
+  /// nearest-neighbor table construction — synchronously, racing every
+  /// other in-flight join through the registry's lock-free index
+  /// snapshots and the per-node stripe locks.  The multicast is a
+  /// depth-first walk whose return from a subtree IS that subtree's
+  /// acknowledgement.  Where ParallelJoinCoordinator interleaves
+  /// *messages* in simulated time, a wave interleaves *real memory
+  /// operations*: pinned-pointer insertion, filled-hole forwarding and
+  /// watch-list reports from concurrent joins genuinely contend on the
+  /// same RoutingTable mutation wrappers.
+  ///
+  /// Locking discipline (see node_locks.h): every access to a node's
+  /// routing table or insertion flags takes that node's stripe; mutations
+  /// that mirror into a second node's backpointers take both stripes in
+  /// address order; a thread never holds more than one Guard, so the
+  /// scheme is deadlock-free by construction.  Eviction side effects on
+  /// third nodes are re-validated against the owner's current table after
+  /// the locks drop (sync_backpointer) — the temporally last validation
+  /// for an (owner, member, level) triple writes the truth, so forward
+  /// links and backpointers mirror exactly at quiescence.
+  ///
+  /// Determinism contract: the batch is validated (check_join_batch) and
+  /// node ids and gateways are drawn serially before any thread starts,
+  /// so same seed + any worker count produces the same membership — and
+  /// therefore the same Property 1 occupancy pattern — while message
+  /// orderings (and hence which of several equally valid neighbors a slot
+  /// holds) may differ run to run.  Convergence is asserted on invariants
+  /// (no lost pins, all watched holes resolved, surrogate agreement,
+  /// backpointer symmetry), not on bit-identical transcripts;
+  /// fingerprint_occupancy (fingerprint.h) is the cross-worker-count
+  /// witness.
+  ///
+  /// Object pointers: waves touch no store.  The insertion steps do no
+  /// incremental §4.2 pointer rerouting given a lock table (a joining node
+  /// holds no pointers yet, and the walks would couple every join to every
+  /// store) — the one thing they do differently rather than only
+  /// synchronise differently; the §6.5 soft-state republish is the
+  /// designated backstop for join waves.  The network must be quiescent
+  /// apart from racers that synchronise through the node-lock table
+  /// (guarded publish batches, store expiry sweeps).  Repair waves are
+  /// different — leave_bulk / fail_and_repair_bulk reroute incrementally
+  /// inside the wave, per holder, under the same stripe discipline, and do
+  /// NOT rely on the republish backstop.
   std::vector<NodeId> join_bulk(const std::vector<JoinRequest>& requests,
-                                std::size_t workers = 0);
+                                std::size_t workers = 0,
+                                Trace* trace = nullptr);
 
   /// Voluntary departure (§5.1): notifies backpointer holders with
   /// replacement hints, re-roots object pointers, then disconnects.
@@ -225,22 +300,67 @@ class MaintenanceEngine final : public RepairHandler {
   /// it (static_build.cc).
   void rebuild_static_tables(std::size_t workers = 1);
 
-  // --- join internals (§3-§4), shared with ParallelJoinCoordinator ---
-  void copy_preliminary_table(TapestryNode& nn, TapestryNode& surrogate,
-                              unsigned max_level, Trace* trace);
-  void link_and_xfer_root(TapestryNode& host, TapestryNode& nn, Trace* trace);
-  void acquire_neighbor_table(TapestryNode& nn, unsigned max_level,
-                              std::vector<NodeId> initial_list, Trace* trace);
+  // --- insertion steps (§3-§4.4; join.cc) ---
+  // One implementation each, driven by join_via (serial, Figure 7's plain
+  // multicast), join_bulk (a wave on real threads, given the registry's
+  // lock table) and ParallelJoinCoordinator (events in simulated time,
+  // null locks).
+
+  /// A fresh random id outside `taken`, which it joins.
+  [[nodiscard]] NodeId fresh_join_id(std::unordered_set<std::uint64_t>& taken);
+  /// ACQUIREPRIMARYSURROGATE plus the §4.4 core-start rule: routes from
+  /// `gateway` toward `nn` and, while the root reached is itself
+  /// inserting, bounces to that node's own surrogate.
+  [[nodiscard]] NodeId acquire_surrogate(NodeId gateway, const NodeId& nn,
+                                         Trace* trace,
+                                         const NodeLockTable* locks);
+  /// Registers s.nn at `loc` as inserting under s.surrogate, fixes α and
+  /// the hole digit, and copies the surrogate's preliminary table.
+  void begin_insertion(InsertionSession& s, Location loc,
+                       const NodeLockTable* locks);
+  /// The watch list a §4.4 multicast starts with: every slot the new node
+  /// still knows no one for.
+  [[nodiscard]] WatchList watch_list(const InsertionSession& s,
+                                     const NodeLockTable* locks) const;
+  /// FUNCTION of the §4.4 multicast at `at`: serves the watch list, pins
+  /// the new node into the hole it fills, adopts it where it is closer,
+  /// and returns the forwarding targets — or nullopt if `at` already ran
+  /// FUNCTION for this session (a duplicate: acknowledge at once).
+  [[nodiscard]] std::optional<std::vector<MulticastChild>> visit(
+      InsertionSession& s, const NodeId& at, unsigned prefix_len,
+      WatchList& watch, const NodeLockTable* locks);
+  /// Unlocks the pin at `at` once its subtree is acknowledged (Lemma 4).
+  void release_pin(InsertionSession& s, const NodeId& at,
+                   const NodeLockTable* locks);
+  /// Releases leftover pins, runs the §3 descent over the α-list and
+  /// clears the node's inserting flag.
+  void finish_insertion(InsertionSession& s, const NodeLockTable* locks);
 
  private:
+  void copy_preliminary_table(TapestryNode& nn, TapestryNode& surrogate,
+                              unsigned max_level, Trace* trace,
+                              const NodeLockTable* locks);
+  void link_and_xfer_root(TapestryNode& host, TapestryNode& nn, Trace* trace,
+                          const NodeLockTable* locks);
+  void acquire_neighbor_table(TapestryNode& nn, unsigned max_level,
+                              std::vector<NodeId> initial_list, Trace* trace,
+                              const NodeLockTable* locks);
   std::vector<NodeId> get_next_list(
       TapestryNode& nn, const std::vector<NodeId>& list, unsigned level,
-      std::unordered_set<std::uint64_t>& contacted, Trace* trace);
+      std::unordered_set<std::uint64_t>& contacted, Trace* trace,
+      const NodeLockTable* locks);
   void build_row_from_list(TapestryNode& nn, const std::vector<NodeId>& list,
-                           unsigned level);
-  [[nodiscard]] std::vector<NodeId> trim_closest(const TapestryNode& nn,
-                                                 std::vector<NodeId> list,
-                                                 std::size_t k) const;
+                           unsigned level, const NodeLockTable* locks);
+  /// Figure 11 line 1: reports to the inserter every watched slot `at`
+  /// can fill, marking it found before the multicast moves on.
+  void serve_watch_list(InsertionSession& s, TapestryNode& at,
+                        TapestryNode& nn, WatchList& watch,
+                        const NodeLockTable* locks);
+  /// The wave's §4.4 multicast from `at`: depth-first over visit and
+  /// release_pin, each subtree's return being its acknowledgement.
+  void multicast_wave(InsertionSession& s, const NodeId& at,
+                      unsigned prefix_len, WatchList watch,
+                      const NodeLockTable* locks);
 
   void schedule_heartbeat_tick(double every, Trace* trace);
 

@@ -12,8 +12,9 @@
 // completion time — the longest forward+ack chain — is accumulated
 // separately since fan-out proceeds in parallel in a real network.
 //
-// The event-driven variant with pinned pointers and watch lists used by
-// *simultaneous* insertion (§4.4, Figure 11) lives in parallel_join.cc.
+// The variant with pinned pointers and watch lists used by *simultaneous*
+// insertion (§4.4, Figure 11) lives in join.cc (MaintenanceEngine::visit),
+// driven by join_bulk waves and ParallelJoinCoordinator.
 #include "src/tapestry/router.h"
 
 #include <algorithm>

@@ -114,10 +114,12 @@ class Network {
   /// Thread-parallel dynamic insertion: the whole batch of §4.4 joins runs
   /// on real `sim/thread_pool` workers racing each other through per-node
   /// stripe locks (see MaintenanceEngine::join_bulk for the determinism
-  /// contract).  Returns the new node ids in request order.
+  /// contract).  Returns the new node ids in request order; `trace`, if
+  /// given, absorbs every join's messages.
   std::vector<NodeId> join_bulk(const std::vector<JoinRequest>& requests,
-                                std::size_t workers = 0) {
-    return maintenance_.join_bulk(requests, workers);
+                                std::size_t workers = 0,
+                                Trace* trace = nullptr) {
+    return maintenance_.join_bulk(requests, workers, trace);
   }
 
   /// Voluntary departure (§5.1): notifies backpointer holders with

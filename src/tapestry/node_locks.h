@@ -1,10 +1,11 @@
 // NodeLockTable: striped per-node mutexes for the thread-parallel
-// protocol paths — §4.4 joins (threaded_join.h), the §5.1 leave / §5.2
-// fail-stop repair / heartbeat-sweep waves (MaintenanceEngine::leave_bulk
-// and friends, maintenance.h), and the guarded §4.2 pointer reroutes those
-// repair waves perform inline (ObjectDirectory's pointer maintenance given
-// a NodeLockTable).  Every routine that takes a `const NodeLockTable*`
-// runs serially when it is null: a Guard on a null table locks nothing.
+// protocol paths — §4.4 join waves (MaintenanceEngine::join_bulk), the
+// §5.1 leave / §5.2 fail-stop repair / heartbeat-sweep waves
+// (MaintenanceEngine::leave_bulk and friends; both in maintenance.h), and
+// the guarded §4.2 pointer reroutes those repair waves perform inline
+// (ObjectDirectory's pointer maintenance given a NodeLockTable).  Every
+// routine that takes a `const NodeLockTable*` runs serially when it is
+// null: a Guard on a null table locks nothing.
 //
 // The registry's index is already lock-free for readers, and the object
 // stores bring their own synchronisation (ShardedStore's guid stripes) —

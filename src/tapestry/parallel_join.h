@@ -1,30 +1,18 @@
-// Simultaneous insertion (paper §4.4): event-driven acknowledged multicast
-// with pinned pointers, watch lists, and filled-hole cross-notification
-// (Figure 11), so that nodes inserting at overlapping times discover each
-// other and Property 1 holds when the dust settles (Theorem 6).
+// Simultaneous insertion (paper §4.4) in simulated time: the event-driven
+// runner of the insertion steps MaintenanceEngine shares with join_via
+// and join_bulk (acquire_surrogate, begin_insertion, visit, release_pin,
+// finish_insertion; join.cc describes the §4.4 mechanics — pinned
+// pointers, filled-hole forwarding, watch lists, the core-start rule).
 //
-// Mechanics reproduced from the paper:
-//   * pinned pointers — a multicast recipient inserts the inserting node
-//     into the slot it fills as a *pinned* table entry; pinned entries are
-//     never evicted, and multicast forwarding for that slot goes to one
-//     unpinned member plus ALL pinned members (Lemma 4); the pin is
-//     released when the recipient's subtree is fully acknowledged;
-//   * filled-hole forwarding — a leaf that notices the hole an inserter
-//     fills is *already* filled forwards the multicast to the other
-//     fillers, so conflicting same-hole inserters learn about each other
-//     before either multicast completes (Lemma 5);
-//   * watch lists — the multicast carries the set of table slots the
-//     inserter knows no node for; any recipient able to fill a watched
-//     slot reports the filler directly to the inserter and marks the slot
-//     found before forwarding (Lemma 6);
-//   * core-start rule — multicasts start at a core node: if the surrogate
-//     reached by routing is itself still inserting, the request bounces to
-//     that node's own surrogate (cf. Figure 10).
-//
-// Message interleaving is genuine: every forward, report, and ack is an
-// EventQueue event whose delivery time is the metric distance (plus
-// optional jitter), so two insertions racing for the same hole exercise
-// the same orderings a real network would.
+// The coordinator owns only the event skeleton: every multicast forward
+// and acknowledgement is an EventQueue event whose delivery time is the
+// metric distance (plus optional seeded jitter), a per-session map of
+// outstanding child acks decides when a subtree is fully acknowledged,
+// and each join's start, core and done times are recorded.  Message
+// interleaving is therefore genuine: two insertions racing for the same
+// hole exercise the same orderings a real network would.  The steps run
+// with null locks (one thread), so the §4.2 pointer reroutes around
+// watch-list reports, pins and the final descent happen inline.
 #pragma once
 
 #include <cstdint>
@@ -36,27 +24,6 @@
 #include "src/tapestry/network.h"
 
 namespace tap {
-
-/// One forwarding target of the §4.4 acknowledged multicast.
-struct MulticastChild {
-  NodeId id{};
-  unsigned prefix_len = 0;
-};
-
-/// The §4.4 forwarding-target rule, shared by the event coordinator and
-/// the threaded driver so the two execute the SAME protocol: walking
-/// `at`'s prefix chain from `prefix_len`, per slot one unpinned member
-/// plus all pinned members (Lemma 4), stopping at the first row where
-/// `at` is alone; plus the members already filling the session's
-/// (alpha, hole_digit) slot so conflicting same-hole inserters learn of
-/// each other (MULTICASTTOFILLEDHOLE, Lemma 5).  Pure function of the
-/// node's table and the session constants; the caller provides whatever
-/// synchronisation the read needs (the threaded driver holds `at`'s
-/// stripe, the coordinator is single-threaded).
-[[nodiscard]] std::vector<MulticastChild> multicast_children(
-    NodeRegistry& reg, const TapestryNode& at, const NodeId& nn,
-    unsigned prefix_len, unsigned alpha, unsigned hole_digit,
-    const std::unordered_set<std::uint64_t>& processed);
 
 class ParallelJoinCoordinator {
  public:
@@ -81,37 +48,17 @@ class ParallelJoinCoordinator {
   /// racing multicasts interleave in varied (but seeded) orders.
   explicit ParallelJoinCoordinator(Network& net, double jitter = 0.0);
 
-  /// Schedules all requested insertions on the network's event queue, runs
-  /// it to quiescence, and returns per-join outcomes in request order.
+  /// Validates the whole batch (check_join_batch), schedules all requested
+  /// insertions on the network's event queue, runs it to quiescence, and
+  /// returns per-join outcomes in request order.  A malformed batch throws
+  /// CheckError before anything is scheduled.
   std::vector<Outcome> run(const std::vector<Request>& requests);
 
  private:
-  struct WatchList {
-    // One bitmask per level: bit j set => slot (level, j) still unknown to
-    // the inserting node.  Initialised as the complement of the new node's
-    // routing-table occupancy masks (single-word rows; the coordinator
-    // checks radix <= 64, which covers every digit_bits <= 6 IdSpec).
-    std::vector<std::uint64_t> missing;
-  };
-
-  struct Session {
-    std::size_t index = 0;  ///< position in the request/outcome vectors
-    NodeId nn{};
-    NodeId surrogate{};
-    unsigned alpha = 0;
-    unsigned hole_digit = 0;
-    std::unordered_set<std::uint64_t> processed;  ///< nodes that ran FUNCTION
-    std::unordered_set<std::uint64_t> pinned_at;  ///< nodes holding a pin
-    std::vector<NodeId> visited;                  ///< the α-list being built
-    Trace trace{};
-    bool multicast_done = false;
-  };
-
   // Per-(session, node) forwarding state: outstanding child acks + parent.
   struct PendingAcks {
     std::size_t remaining = 0;
     std::optional<NodeId> parent{};  ///< none at the session's start node
-    double started = 0.0;
   };
 
   void start_join(std::size_t index, const Request& req);
@@ -123,18 +70,20 @@ class ParallelJoinCoordinator {
                         WatchList watch);
   void deliver_ack(std::size_t session_idx, NodeId from, NodeId to);
   void handle_ack(std::size_t session_idx, NodeId at);
-  void release_pin(std::size_t session_idx, const NodeId& at);
+  /// `at`'s subtree is fully acknowledged: ack its parent, or complete the
+  /// multicast at the session's start node.
+  void acknowledge(std::size_t session_idx, NodeId at,
+                   std::optional<NodeId> parent);
   void finish_multicast(std::size_t session_idx);
-  void check_watch_list(std::size_t session_idx, TapestryNode& at,
-                        WatchList& watch);
   double delay(const NodeId& a, const NodeId& b);
 
   Network& net_;
   double jitter_;
-  std::vector<Session> sessions_;
+  std::unordered_set<std::uint64_t> taken_;  ///< ids fresh draws must avoid
+  std::vector<InsertionSession> sessions_;
+  std::vector<Trace> traces_;  ///< each session's messages
   std::vector<Outcome> outcomes_;
-  // Keyed by (session << 32) ^ node-hash? Simpler: per session, map node
-  // value -> PendingAcks.
+  /// Per session: node id value -> that node's outstanding acks.
   std::vector<std::unordered_map<std::uint64_t, PendingAcks>> pending_;
 };
 

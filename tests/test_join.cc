@@ -8,6 +8,7 @@
 
 #include "src/common/stats.h"
 #include "src/metric/analysis.h"
+#include "src/tapestry/fingerprint.h"
 #include "test_util.h"
 
 namespace tap {
@@ -231,6 +232,36 @@ TEST(Join, TraceCountsRealisticCosts) {
   g.net->join(64, std::nullopt, &t);
   EXPECT_GT(t.messages(), 0u);
   EXPECT_GT(t.latency(), 0.0);
+}
+
+TEST(SerialJoin, TranscriptIsPinned) {
+  // The serial Figure 7 transcript, pinned: 48 joins grow a 48-node ring
+  // with 32 objects already published, every join's messages booked on
+  // one Trace, so the §4.2 reroutes of LINKANDXFERROOT and of the new
+  // node's table settling are part of the count.  Serial, threaded and
+  // event-driven insertion share each §3-§4.4 step; these constants hold
+  // the serial mode to the exact serial choices.  A change that alters
+  // insertion traffic on purpose updates them and says so.  Memory store
+  // and direct transport are set here, not taken from TAP_STORE /
+  // TAP_TRANSPORT.
+  TapestryParams p;
+  p.id = IdSpec{4, 8};
+  p.redundancy = 3;
+  p.store_backend = StoreBackend::kMemory;
+  p.transport = TransportKind::kDirect;
+  auto g = grow_ring_network(48, 97, p);
+  for (std::size_t i = 0; i < 32; ++i)
+    g.net->publish(g.ids[5 * i % 48], make_guid(*g.net, 700 + i));
+  Trace trace;
+  for (std::size_t i = 0; i < 48; ++i)
+    g.net->join(48 + i, std::nullopt, &trace);
+
+  g.net->check_property1();
+  g.net->check_property4();
+  EXPECT_EQ(g.net->size(), 96u);
+  EXPECT_EQ(fingerprint_tables(*g.net), 15146335567267549962ull);
+  EXPECT_EQ(trace.messages(), 7454u);
+  EXPECT_EQ(g.net->registry().total_object_pointers(), 116u);
 }
 
 }  // namespace

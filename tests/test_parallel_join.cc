@@ -6,6 +6,7 @@
 
 #include <set>
 
+#include "src/tapestry/fingerprint.h"
 #include "src/tapestry/parallel_join.h"
 #include "test_util.h"
 
@@ -261,6 +262,70 @@ TEST(ParallelJoin, DeterministicGivenSeed) {
     return ids;
   };
   EXPECT_EQ(run_once(126), run_once(126));
+}
+
+TEST(ParallelJoin, MalformedBatchRejectedBeforeScheduling) {
+  // A malformed batch must throw before anything is scheduled.  A throw
+  // from inside the event loop would leave events behind that capture the
+  // coordinator and outlive it, and a joiner registered mid-insertion.
+  // The queue is deliberately not drained here.
+  auto g = grow_ring_network(64, 120);
+  g.net->fail(g.ids[9]);
+  const std::size_t size = g.net->size();
+  const NodeId unused = g.net->fresh_node_id();
+  auto expect_rejected =
+      [&](const std::vector<ParallelJoinCoordinator::Request>& reqs,
+          const char* what) {
+        {
+          ParallelJoinCoordinator coord(*g.net, 0.05);
+          EXPECT_THROW(coord.run(reqs), CheckError) << what;
+        }
+        EXPECT_EQ(g.net->events().pending(), 0u) << what;
+        EXPECT_EQ(g.net->size(), size) << what;
+        for (const auto& n : g.net->registry().nodes())
+          EXPECT_FALSE(n->inserting) << what;
+      };
+  expect_rejected(
+      {req(64, g.ids[0], 0.0, unused), req(65, g.ids[1], 0.001, unused)},
+      "duplicate id");
+  expect_rejected({req(64, g.ids[0], 0.0), req(65, g.ids[1], 0.001, g.ids[5])},
+                  "id already in use");
+  expect_rejected({req(64, g.ids[0], 0.0), req(65, g.ids[9], 0.001)},
+                  "failed gateway");
+  expect_rejected(
+      {req(64, g.ids[0], 0.0), req(g.space->size(), g.ids[1], 0.001)},
+      "location outside the metric space");
+}
+
+TEST(ParallelJoin, TranscriptIsPinned) {
+  // The event-driven §4.4 transcript, pinned: 16 overlapping joins on a
+  // grown 64-node ring holding 24 objects, so the §4.2 reroutes around
+  // watch-list reports, pins and the final descent are part of the
+  // count.  The coordinator drives the steps serial and threaded
+  // insertion share; these constants hold it to its exact message
+  // schedule and jitter draws.  Memory store and direct transport are set
+  // here, not taken from TAP_STORE / TAP_TRANSPORT.
+  TapestryParams p;
+  p.id = IdSpec{4, 8};
+  p.redundancy = 3;
+  p.store_backend = StoreBackend::kMemory;
+  p.transport = TransportKind::kDirect;
+  auto g = grow_ring_network(64, 98, p);
+  for (std::size_t i = 0; i < 24; ++i)
+    g.net->publish(g.ids[7 * i % 64], make_guid(*g.net, 800 + i));
+  std::vector<ParallelJoinCoordinator::Request> reqs;
+  for (std::size_t i = 0; i < 16; ++i)
+    reqs.push_back(req(64 + i, g.ids[3 * i % 64], 0.001 * double(i)));
+  ParallelJoinCoordinator coord(*g.net, 0.05);
+  std::size_t messages = 0;
+  for (const auto& o : coord.run(reqs)) messages += o.messages;
+
+  g.net->check_property1();
+  g.net->check_property4();
+  EXPECT_EQ(g.net->size(), 80u);
+  EXPECT_EQ(fingerprint_tables(*g.net), 585936318889549752ull);
+  EXPECT_EQ(messages, 2753u);
+  EXPECT_EQ(g.net->registry().total_object_pointers(), 66u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Thread-parallel dynamic insertion (§4.4 on real threads): batches of
-// joins driven by ThreadedJoinDriver across sim/thread_pool workers must
+// joins driven by join_bulk waves across sim/thread_pool workers must
 // converge — for the same seed at ANY worker count — to a table set
 // satisfying the §4.4 invariants (Property 1, backpointer symmetry, no
 // leftover pins, surrogate agreement), while deliberately racing guarded
@@ -15,7 +15,8 @@
 #include <vector>
 
 #include "src/tapestry/fingerprint.h"
-#include "src/tapestry/threaded_join.h"
+#include "src/tapestry/network.h"
+#include "src/tapestry/parallel_join.h"
 #include "test_util.h"
 
 namespace tap {
@@ -240,6 +241,63 @@ TEST(ThreadedJoin, GuardedPeekAgreesWithMutatingRouteAfterWave) {
     const NodeId mutating = g.net->route_to_root(src, target).root;
     EXPECT_EQ(peek.value(), guarded.value());
     EXPECT_EQ(peek.value(), mutating.value());
+  }
+}
+
+TEST(ThreadedJoin, WaveAgreesWithSerialAndCoordinator) {
+  // One protocol, run three ways: the same 24 insertions (explicit ids and
+  // gateways, drawn up front) through serial join_via in request order,
+  // through a 4-worker join_bulk wave, and through the event coordinator
+  // must reach the same membership and, Property 1 holding on each, the
+  // same occupancy pattern, with symmetric backpointers and no pins left.
+  for (const std::uint64_t seed : {411u, 412u, 413u}) {
+    auto serial = test::grow_ring_network(96, seed);
+    auto threaded = test::grow_ring_network(96, seed);
+    auto event = test::grow_ring_network(96, seed);
+    Rng draw(seed ^ 0x7a11);
+    std::set<std::uint64_t> used;
+    for (const NodeId& id : serial.ids) used.insert(id.value());
+    std::vector<JoinRequest> reqs;
+    std::vector<ParallelJoinCoordinator::Request> event_reqs;
+    while (reqs.size() < 24) {
+      const NodeId id = Id::random(serial.net->params().id, draw);
+      if (!used.insert(id.value()).second) continue;
+      const std::size_t i = reqs.size();
+      JoinRequest r;
+      r.loc = 96 + i;
+      r.id = id;
+      r.gateway = serial.ids[draw.next_u64(serial.ids.size())];
+      reqs.push_back(r);
+      ParallelJoinCoordinator::Request e;
+      e.loc = r.loc;
+      e.id = id;
+      e.gateway = *r.gateway;
+      e.start_time = 0.001 * double(i);
+      event_reqs.push_back(e);
+    }
+
+    for (const JoinRequest& r : reqs)
+      serial.net->join_via(*r.gateway, r.loc, r.id);
+    threaded.net->join_bulk(reqs, /*workers=*/4);
+    ParallelJoinCoordinator coord(*event.net, 0.05);
+    coord.run(event_reqs);
+
+    auto sorted_ids = [](const Network& net) {
+      std::vector<std::uint64_t> v;
+      for (const NodeId& id : net.node_ids()) v.push_back(id.value());
+      std::sort(v.begin(), v.end());
+      return v;
+    };
+    for (const Network* net : {serial.net.get(), threaded.net.get(),
+                               event.net.get()}) {
+      EXPECT_EQ(sorted_ids(*net), sorted_ids(*serial.net)) << "seed " << seed;
+      EXPECT_EQ(fingerprint_occupancy(*net),
+                fingerprint_occupancy(*serial.net))
+          << "seed " << seed;
+      net->check_property1();
+      net->check_backpointer_symmetry();
+      expect_no_pins(*net);
+    }
   }
 }
 

@@ -58,7 +58,7 @@
 //   --threads=N              worker threads (0 = hardware)           [0]
 //   --join-wave=W            concurrent dynamic joins on top         [0]
 //   --join-threads=N         drive the join wave on N real threads
-//                            (ThreadedJoinDriver) instead of the
+//                            (Network::join_bulk) instead of the
 //                            simulated-time event coordinator        [0]
 //
 // Churn-scenario flags (--scenario=churn; event-driven §6.5 experiments,
