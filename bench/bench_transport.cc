@@ -9,7 +9,10 @@
 //   * loopback_messages / loopback_wire_bytes — the loopback transport's
 //     lifetime counters after a fixed same-seed overlay workload (grow,
 //     publish, locate, multicast, fail + heartbeat sweep), proving every
-//     layer's traffic crosses the wire and the volume is reproducible.
+//     layer's traffic crosses the wire and the volume is reproducible;
+//   * loopback_heartbeat_probes / loopback_multicast_forwards — two of
+//     those messages' kinds (TransportStats::kind_count), so a change in
+//     sweep or multicast traffic names its layer.
 //
 // Timed metrics (tolerant gates):
 //   * codec_mps — encode+decode round-trips per second over the corpus;
@@ -150,6 +153,8 @@ struct WorkloadResult {
   double seconds = 0.0;
   std::uint64_t messages = 0;
   std::uint64_t wire_bytes = 0;
+  std::uint64_t heartbeat_probes = 0;
+  std::uint64_t multicast_forwards = 0;
 };
 
 WorkloadResult run_workload(TransportKind kind) {
@@ -176,10 +181,13 @@ WorkloadResult run_workload(TransportKind kind) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
+  const TransportStats& stats = net->transport().stats();
   WorkloadResult r;
   r.seconds = dt;
-  r.messages = net->transport().stats().messages.load();
-  r.wire_bytes = net->transport().stats().bytes.load();
+  r.messages = stats.messages.load();
+  r.wire_bytes = stats.bytes.load();
+  r.heartbeat_probes = stats.kind_count(MessageKind::kHeartbeatProbe);
+  r.multicast_forwards = stats.kind_count(MessageKind::kMulticastForward);
   return r;
 }
 
@@ -202,11 +210,16 @@ int run_json() {
               "\"wire_kinds\":%zu,\"wire_bytes_fixture\":%llu,"
               "\"codec_mps\":%.3f,\"loopback_messages\":%llu,"
               "\"loopback_wire_bytes\":%llu,"
+              "\"loopback_heartbeat_probes\":%llu,"
+              "\"loopback_multicast_forwards\":%llu,"
               "\"loopback_overhead_ratio\":%.4f}}\n",
               kWireKindCount,
               static_cast<unsigned long long>(fixture_bytes), mps,
               static_cast<unsigned long long>(loop.messages),
-              static_cast<unsigned long long>(loop.wire_bytes), ratio);
+              static_cast<unsigned long long>(loop.wire_bytes),
+              static_cast<unsigned long long>(loop.heartbeat_probes),
+              static_cast<unsigned long long>(loop.multicast_forwards),
+              ratio);
   return 0;
 }
 
@@ -244,6 +257,8 @@ int main(int argc, char** argv) {
   table.add_row({"codec round-trips/s (M)", fmt(mps, 2)});
   table.add_row({"workload msgs (loopback)", fmt(loop.messages)});
   table.add_row({"workload wire bytes", fmt(loop.wire_bytes)});
+  table.add_row({"  heartbeat probes", fmt(loop.heartbeat_probes)});
+  table.add_row({"  multicast forwards", fmt(loop.multicast_forwards)});
   table.add_row({"direct workload (s)", fmt(direct.seconds, 3)});
   table.add_row({"loopback workload (s)", fmt(loop.seconds, 3)});
   table.add_row({"loopback/direct ratio",

@@ -162,7 +162,7 @@ void ChurnDriver::reschedule_churn() {
 void ChurnDriver::do_churn_event() {
   const double total = sc_.join_rate + sc_.leave_rate + sc_.fail_rate;
   const double dice = rng_.next_double() * total;
-  const auto ids = net_.node_ids();
+  const std::vector<NodeId>& ids = net_.live_ids();  // read before churning
 
   auto is_replica_server = [&](const NodeId& id) {
     for (const Guid& g : objects_) {
@@ -384,7 +384,7 @@ void ChurnDriver::issue_query() {
     log_event('S', guid.to_string());
     return;
   }
-  const auto ids = net_.node_ids();
+  const std::vector<NodeId>& ids = net_.live_ids();
   const NodeId client = ids[rng_.next_u64(ids.size())];
   const double direct = net_.distance_to_nearest_replica(client, guid);
   const bool post_failure =

@@ -171,7 +171,7 @@ NodeId MaintenanceEngine::join(Location loc, std::optional<NodeId> id,
   TAP_CHECK(reg_.live_count() > 0,
             "join requires a non-empty network; bootstrap first");
   // Uniformly random live gateway.
-  std::vector<NodeId> ids = reg_.node_ids();
+  const std::vector<NodeId>& ids = reg_.live_ids();
   const NodeId gateway = ids[rng_.next_u64(ids.size())];
   return join_via(gateway, loc, id, trace);
 }

@@ -182,19 +182,10 @@ std::optional<NodeId> MaintenanceEngine::find_replacement(
   }
 
   // Inside a wave the multicast (an unguarded recursive walk) is unusable.
-  // Ids sharing our length-`level` prefix with `digit` next occupy one
-  // contiguous value range, so the sorted live-id index enumerates exactly
-  // the candidate set the multicast would have visited — and the
-  // (distance, id) minimum is the same winner regardless of enumeration
-  // order.
-  const unsigned shift =
-      (params_.id.num_digits - level - 1) * params_.id.digit_bits;
-  const std::uint64_t lo =
-      ((at.id().prefix_value(level) << params_.id.digit_bits) | digit)
-      << shift;
-  const std::uint64_t span = std::uint64_t{1} << shift;
-  for (auto it = std::lower_bound(live_index_.begin(), live_index_.end(), lo);
-       it != live_index_.end() && *it - lo < span; ++it) {
+  // The sorted live-id index enumerates exactly the candidate set the
+  // multicast would have visited — and the (distance, id) minimum is the
+  // same winner regardless of enumeration order.
+  for (auto [it, end] = live_in_slot(at.id(), level, digit); it != end; ++it) {
     const NodeId cand(params_.id, *it);
     if (cand == at.id()) continue;
     if (TapestryNode* c = reg_.find(cand); c != nullptr && c->alive) {
@@ -215,14 +206,21 @@ void MaintenanceEngine::heartbeat_sweep(Trace* trace) {
 }
 
 std::optional<NodeId> MaintenanceEngine::first_corpse(
-    TapestryNode& n, Trace* trace, const NodeLockTable* locks) {
+    TapestryNode& n, unsigned& level, std::vector<std::uint64_t>& confirmed,
+    Trace* trace, const NodeLockTable* locks) {
   NodeLockTable::Guard g(locks, n.id());
   const unsigned digits = params_.id.num_digits;
   const unsigned radix = params_.id.radix();
-  for (unsigned l = 0; l < digits; ++l) {
+  for (; level < digits; ++level) {
     for (unsigned j = 0; j < radix; ++j) {
-      for (const auto& e : n.table().at(l, j).entries()) {
+      for (const auto& e : n.table().at(level, j).entries()) {
         if (e.id == n.id()) continue;
+        // One probe per member a sweep: a member can also sit in our
+        // own-digit slot of each row above its own, and the scan after a
+        // purge revisits the corpse's row.
+        const auto pos =
+            std::lower_bound(confirmed.begin(), confirmed.end(), e.id.value());
+        if (pos != confirmed.end() && *pos == e.id.value()) continue;
         const TapestryNode* other = reg_.find(e.id);
         TAP_ASSERT(other != nullptr);
         (void)transport_->deliver(make_message(MessageKind::kHeartbeatProbe,
@@ -233,6 +231,7 @@ std::optional<NodeId> MaintenanceEngine::first_corpse(
             make_message(MessageKind::kHeartbeatAck, e.id, n.id(), n.id());
         ack.flag = true;  // alive
         (void)transport_->deliver(ack);
+        confirmed.insert(pos, e.id.value());
       }
     }
   }
@@ -267,28 +266,28 @@ void MaintenanceEngine::sweep(Trace* trace, const NodeLockTable* locks,
                               std::size_t workers) {
   const unsigned digits = params_.id.num_digits;
   const unsigned radix = params_.id.radix();
+  index_live_nodes();
 
   // Pass 1: heartbeat probes.  Each node pings its table members; a failed
   // ping triggers the same lazy repair a failed routing step would, and
-  // the node rescans its rewritten table.  Replacements are always live,
-  // so a node whose scan comes back clean holds no corpse.
+  // the scan resumes at the corpse's row.  A purge only drops the corpse
+  // and links live replacements, so the rows above stay corpse-free and a
+  // node whose scan comes back clean holds no corpse.
   for_each_live(locks, workers, trace, [&](TapestryNode& n, Trace* t) {
-    while (const auto dead = first_corpse(n, t, locks))
+    thread_local std::vector<std::uint64_t> confirmed;
+    confirmed.clear();
+    unsigned level = 0;
+    while (const auto dead = first_corpse(n, level, confirmed, t, locks))
       purge_dead_neighbor(n, *dead, t, locks);
     return false;
   });
 
   // Pass 2..k: purge-time replacement searches can miss while other tables
-  // are still dirty; retry emptied slots until nothing changes.  Serially,
-  // a memo of prefixes established (this round) to have no live node
-  // avoids re-multicasting for genuinely empty digit classes; a wave's
-  // index probe needs none.  The search mutates no table or store, so the
-  // pointer snapshot waits until a replacement turns up.
-  std::unordered_set<std::uint64_t> known_empty;
-  auto slot_key = [&](const TapestryNode& n, unsigned l, unsigned j) {
-    return (n.id().prefix_value(l) << params_.id.digit_bits | j) |
-           (static_cast<std::uint64_t>(l + 1) << 56);
-  };
+  // are still dirty; retry emptied slots until nothing changes.  A search
+  // can only return a live id carrying the slot's prefix, so a slot no
+  // indexed id fits (Property 1's empty slots, mostly) is skipped without
+  // one.  The search mutates no table or store, so the pointer snapshot
+  // waits until a replacement turns up.
   for (int round = 0; round < 4; ++round) {
     const bool changed =
         for_each_live(locks, workers, trace, [&](TapestryNode& n, Trace* t) {
@@ -296,13 +295,10 @@ void MaintenanceEngine::sweep(Trace* trace, const NodeLockTable* locks,
           for (unsigned l = 0; l < digits; ++l) {
             for (unsigned j = 0; j < radix; ++j) {
               if (!slot_empty(n, l, j, locks)) continue;
-              if (locks == nullptr && known_empty.count(slot_key(n, l, j)))
-                continue;
+              const auto [first, last] = live_in_slot(n.id(), l, j);
+              if (first == last) continue;
               const auto rep = find_replacement(n, l, j, t, locks);
-              if (!rep.has_value()) {
-                if (locks == nullptr) known_empty.insert(slot_key(n, l, j));
-                continue;
-              }
+              if (!rep.has_value()) continue;
               const auto before = dir_.snapshot_pointer_hops(n, locks);
               link(reg_, n, l, reg_.live(*rep), locks);
               dir_.reroute_changed_pointers(n, before, t, locks);
@@ -312,7 +308,6 @@ void MaintenanceEngine::sweep(Trace* trace, const NodeLockTable* locks,
           return filled;
         });
     if (!changed) break;
-    known_empty.clear();  // new links may make old conclusions stale
   }
 }
 
@@ -354,9 +349,23 @@ void check_victims(const NodeRegistry& reg, const std::vector<NodeId>& victims,
 
 void MaintenanceEngine::index_live_nodes() {
   live_index_.clear();
-  for (TapestryNode* n : reg_.nodes_snapshot())
-    if (n->alive) live_index_.push_back(n->id().value());
+  for (const NodeId& id : reg_.live_ids()) live_index_.push_back(id.value());
   std::sort(live_index_.begin(), live_index_.end());
+}
+
+std::pair<const std::uint64_t*, const std::uint64_t*>
+MaintenanceEngine::live_in_slot(const NodeId& at, unsigned level,
+                                unsigned digit) const {
+  const unsigned shift =
+      (params_.id.num_digits - level - 1) * params_.id.digit_bits;
+  const std::uint64_t lo =
+      ((at.prefix_value(level) << params_.id.digit_bits) | digit) << shift;
+  const std::uint64_t span = std::uint64_t{1} << shift;
+  const std::uint64_t* end = live_index_.data() + live_index_.size();
+  const std::uint64_t* first = std::lower_bound(live_index_.data(), end, lo);
+  return {first, std::partition_point(first, end, [&](std::uint64_t v) {
+            return v - lo < span;
+          })};
 }
 
 void MaintenanceEngine::run_wave(
@@ -420,7 +429,6 @@ void MaintenanceEngine::fail_and_repair_bulk(const std::vector<NodeId>& victims,
 void MaintenanceEngine::heartbeat_sweep_bulk(std::size_t workers,
                                              Trace* trace) {
   WaveTimer timer;
-  index_live_nodes();
   finish_wave(workers, trace);
 }
 

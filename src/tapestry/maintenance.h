@@ -24,6 +24,7 @@
 #include <functional>
 #include <optional>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/tapestry/object_directory.h"
@@ -382,9 +383,13 @@ class MaintenanceEngine final : public RepairHandler {
   /// Refills slot (level, digit) of `at` if it is empty (Property 1).
   void refill_slot(TapestryNode& at, unsigned level, unsigned digit,
                    Trace* trace, const NodeLockTable* locks);
-  /// Heartbeat-probes `n`'s table members and returns the first corpse.
-  std::optional<NodeId> first_corpse(TapestryNode& n, Trace* trace,
-                                     const NodeLockTable* locks);
+  /// Heartbeat-probes `n`'s table members from row `level` on and returns
+  /// the first corpse, leaving `level` at its row.  Ids in the sorted
+  /// `confirmed` were heard from earlier in the sweep and are skipped;
+  /// each member that acks joins them.
+  std::optional<NodeId> first_corpse(TapestryNode& n, unsigned& level,
+                                     std::vector<std::uint64_t>& confirmed,
+                                     Trace* trace, const NodeLockTable* locks);
   /// Probe pass, then up to four fill rounds over every live node.
   void sweep(Trace* trace, const NodeLockTable* locks, std::size_t workers);
   /// Runs `body` on every live node; true if any call returned true.
@@ -393,9 +398,14 @@ class MaintenanceEngine final : public RepairHandler {
   bool for_each_live(const NodeLockTable* locks, std::size_t workers,
                      Trace* trace,
                      const std::function<bool(TapestryNode&, Trace*)>& body);
-  /// Rebuilds the sorted live-id index the wave fallback probes; the live
-  /// set is fixed for the duration of a wave.
+  /// Rebuilds the sorted live-id index the sweep's fill filter and the
+  /// wave fallback probe; the live set is fixed for the duration of a
+  /// sweep or a wave.
   void index_live_nodes();
+  /// The indexed live ids that fit slot (level, digit) of `at`: its
+  /// length-`level` prefix, then `digit` — one contiguous value range.
+  [[nodiscard]] std::pair<const std::uint64_t*, const std::uint64_t*>
+  live_in_slot(const NodeId& at, unsigned level, unsigned digit) const;
   /// The threaded half of a wave: `repair` per victim, then the epilogue.
   void run_wave(const std::vector<NodeId>& victims, std::size_t workers,
                 Trace* trace,
@@ -411,7 +421,7 @@ class MaintenanceEngine final : public RepairHandler {
   EventQueue& events_;
   Rng& rng_;
   std::optional<EventId> heartbeat_event_;
-  std::vector<std::uint64_t> live_index_;  ///< sorted live ids (wave start)
+  std::vector<std::uint64_t> live_index_;  ///< sorted live ids (sweep/wave)
 };
 
 }  // namespace tap

@@ -365,6 +365,10 @@ class Network {
   [[nodiscard]] std::vector<NodeId> node_ids() const {  ///< live nodes
     return registry_.node_ids();
   }
+  /// node_ids() without the copy; see NodeRegistry::live_ids.
+  [[nodiscard]] const std::vector<NodeId>& live_ids() const noexcept {
+    return registry_.live_ids();
+  }
   [[nodiscard]] TapestryNode& node(const NodeId& id) {
     return registry_.checked(id);
   }

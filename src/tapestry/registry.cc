@@ -1,5 +1,6 @@
 #include "src/tapestry/registry.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "src/sim/metrics.h"
@@ -136,6 +137,7 @@ TapestryNode& NodeRegistry::register_node(NodeId id, Location loc,
   {
     std::lock_guard<std::mutex> lock(nodes_mu_);
     nodes_.push_back(std::move(owned));
+    live_ids_.push_back(id);
   }
   shard_insert(shards_[shard_of(id)], id.value(), node);
   live_count_.fetch_add(1, std::memory_order_relaxed);
@@ -182,6 +184,7 @@ void NodeRegistry::register_bulk(
           built[i] = nodes_[base + i].get();
         },
         workers);
+    for (const auto& entry : batch) live_ids_.push_back(entry.first);
   }
 
   // Index inserts grouped per shard — one writer per shard, no contention.
@@ -202,14 +205,13 @@ void NodeRegistry::mark_dead(TapestryNode& node) {
   TAP_CHECK(node.alive, "node " + node.id().to_string() + " is already dead");
   node.alive = false;
   live_count_.fetch_sub(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(nodes_mu_);
+  live_ids_.erase(std::find(live_ids_.begin(), live_ids_.end(), node.id()));
 }
 
 std::vector<NodeId> NodeRegistry::node_ids() const {
-  std::vector<NodeId> ids;
-  ids.reserve(live_count());
-  for (const auto& n : nodes_)
-    if (n->alive) ids.push_back(n->id());
-  return ids;
+  std::lock_guard<std::mutex> lock(nodes_mu_);
+  return live_ids_;
 }
 
 // ---------------------------------------------------------------------

@@ -21,10 +21,11 @@
 // doubling growth).  Deletions never happen — dead nodes are tombstones by
 // design — which is what makes the scheme this simple.
 //
-// The insertion-order nodes() vector is append-only under its own mutex;
-// iterating it concurrently with registration is the one operation that
-// still requires quiescence (every current caller is a whole-network
-// oracle/invariant pass that owns the simulator at that point).
+// The insertion-order nodes() vector is append-only under its own mutex,
+// which also guards the registration-order live-id list; iterating either
+// concurrently with registration is the one operation that still requires
+// quiescence (every current caller is a whole-network oracle/invariant
+// pass, or a serial draw, that owns the simulator at that point).
 #pragma once
 
 #include <array>
@@ -90,7 +91,14 @@ class NodeRegistry {
   [[nodiscard]] std::size_t live_count() const noexcept {
     return live_count_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::vector<NodeId> node_ids() const;  ///< live nodes
+  /// Live nodes in registration order (a copy of live_ids()).
+  [[nodiscard]] std::vector<NodeId> node_ids() const;
+  /// The live ids in registration order — nodes() filtered by `alive` —
+  /// without the copy: registration appends, mark_dead erases in place.
+  /// Reading it requires quiescence with respect to both.
+  [[nodiscard]] const std::vector<NodeId>& live_ids() const noexcept {
+    return live_ids_;
+  }
 
   /// Every node ever registered, tombstones included, in insertion order.
   /// The container is registry-owned; callers may mutate the *nodes* (the
@@ -203,8 +211,9 @@ class NodeRegistry {
   unsigned shard_shift_;  // id.value() >> shard_shift_ = shard index bits
   std::array<Shard, kShardCount> shards_;
 
-  mutable std::mutex nodes_mu_;  // guards appends to nodes_
+  mutable std::mutex nodes_mu_;  // guards nodes_ appends and live_ids_
   std::vector<std::unique_ptr<TapestryNode>> nodes_;
+  std::vector<NodeId> live_ids_;
   std::atomic<std::size_t> live_count_{0};
   NodeLockTable node_locks_;
 

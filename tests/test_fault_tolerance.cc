@@ -238,10 +238,50 @@ TEST(Heartbeat, IdempotentOnHealthyNetwork) {
 
 TEST(Heartbeat, CountsProbeTraffic) {
   auto g = grow_ring_network(48, 150);
+  const TransportStats& stats = g.net->transport().stats();
+  const std::uint64_t probes = stats.kind_count(MessageKind::kHeartbeatProbe);
+  const std::uint64_t acks = stats.kind_count(MessageKind::kHeartbeatAck);
+  const std::uint64_t forwards =
+      stats.kind_count(MessageKind::kMulticastForward);
   Trace t;
   g.net->heartbeat_sweep(&t);
-  // At least one probe per stored (non-self) table entry.
-  EXPECT_GE(t.messages(), g.net->total_table_entries());
+  // On a healthy overlay a sweep is one probe and one ack per distinct
+  // neighbor of each node, however many slots the neighbor occupies, and
+  // no replacement search: Property 1 leaves no fillable hole.
+  std::size_t neighbors = 0;
+  for (const NodeId& id : g.net->node_ids())
+    neighbors += g.net->node(id).table().all_neighbors().size();
+  EXPECT_EQ(t.messages(), neighbors);
+  EXPECT_EQ(stats.kind_count(MessageKind::kHeartbeatProbe) - probes,
+            neighbors);
+  EXPECT_EQ(stats.kind_count(MessageKind::kHeartbeatAck) - acks, neighbors);
+  EXPECT_EQ(stats.kind_count(MessageKind::kMulticastForward), forwards);
+}
+
+TEST(Heartbeat, WideIdHoleIsRefilled) {
+  // 64-bit ids.  Node a's level-14 digit-1 class is empty; b's is not, and
+  // only c fits it.  Both classes sit 56 bits deep, so a search memo keyed
+  // on fewer bits than the whole prefix would conflate them and leave b's
+  // hole open.
+  TapestryParams p;
+  p.id = IdSpec{4, 16};
+  p.redundancy = 3;
+  p.store_backend = StoreBackend::kMemory;
+  p.transport = TransportKind::kDirect;
+  Rng rng(19);
+  RingMetric space(8, rng);
+  Network net(space, p, 19);
+  const NodeId a(p.id, 0x1000000000000000ull);
+  const NodeId b(p.id, 0x2000000000000000ull);
+  const NodeId c(p.id, 0x2000000000000010ull);
+  net.bootstrap(0, a);
+  net.join(1, b);
+  net.join(2, c);
+  tap::unlink(net.registry(), net.node(b), 14, c);
+  ASSERT_TRUE(net.node(b).table().slot_empty(14, 1));
+  net.heartbeat_sweep();
+  EXPECT_NO_THROW(net.check_property1());
+  EXPECT_TRUE(net.node(b).table().at(14, 1).contains(c));
 }
 
 // ------------------------------------------------ store-at-root ablation

@@ -144,6 +144,43 @@ TEST(RegistrySeam, JoinLeaveFailKeepLivenessAndIndexConsistent) {
   EXPECT_EQ(std::find(ids.begin(), ids.end(), victim), ids.end());
 }
 
+TEST(RegistrySeam, LiveIdsKeepRegistrationOrder) {
+  // The live-id list that seeded draws index must be nodes() filtered by
+  // `alive`, in the same order, through every kind of membership change.
+  Rng rng(27);
+  RingMetric space(128, rng);
+  Network net(space, small_params(), 27);
+  std::vector<Location> locs(48);
+  for (Location i = 0; i < 48; ++i) locs[i] = i;
+  const std::vector<NodeId> bulk = net.insert_static_bulk(locs, 2);
+  net.rebuild_static_tables();
+  const NodeRegistry& reg = net.registry();
+  auto expect_live_order = [&](const char* step) {
+    std::vector<NodeId> alive;
+    for (const auto& n : reg.nodes())
+      if (n->alive) alive.push_back(n->id());
+    EXPECT_EQ(reg.live_ids(), alive) << step;
+    EXPECT_EQ(net.node_ids(), alive) << step;
+  };
+  expect_live_order("register_bulk");
+
+  for (Location loc = 48; loc < 56; ++loc) (void)net.join(loc);
+  expect_live_order("single joins");
+
+  net.fail(bulk[0]);
+  net.fail(bulk[47]);
+  net.leave(bulk[20]);
+  const NodeId last_join = net.live_ids().back();
+  net.fail(last_join);
+  expect_live_order("fails and a leave");
+
+  std::vector<JoinRequest> wave;
+  for (Location loc = 56; loc < 72; ++loc) wave.push_back({loc});
+  (void)net.join_bulk(wave, 2);
+  expect_live_order("join_bulk wave");
+  EXPECT_EQ(reg.live_ids().size(), reg.live_count());
+}
+
 TEST(RegistrySeam, FreshNodeIdAvoidsTombstones) {
   auto g = grow_ring_network(16, 31);
   NodeRegistry& reg = g.net->registry();

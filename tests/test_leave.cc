@@ -208,11 +208,11 @@ TEST(SerialRepair, TranscriptIsPinned) {
   // 8 unannounced failures and a heartbeat sweep, every message booked on
   // one Trace.  Serial and threaded repair share one implementation; the
   // constants hold its serial mode to the exact serial choices (hints,
-  // holder order, multicast fallback, known-empty memo).  A change that
-  // alters repair traffic on purpose updates them and says so.  Memory
-  // store and direct transport are set here, not taken from TAP_STORE /
-  // TAP_TRANSPORT, and no object is published, so no hash-map iteration
-  // order enters the pinned values.
+  // holder order, multicast fallback, the sweep's probe dedup and fill
+  // filter).  A change that alters repair traffic on purpose updates them
+  // and says so.  Memory store and direct transport are set here, not
+  // taken from TAP_STORE / TAP_TRANSPORT, and no object is published, so
+  // no hash-map iteration order enters the pinned values.
   TapestryParams p;
   p.id = IdSpec{4, 8};
   p.redundancy = 3;
@@ -228,7 +228,7 @@ TEST(SerialRepair, TranscriptIsPinned) {
   g.net->check_backpointer_symmetry();
   EXPECT_EQ(g.net->size(), 80u);
   EXPECT_EQ(fingerprint_tables(*g.net), 13338653297885677374ull);
-  EXPECT_EQ(trace.messages(), 19990u);
+  EXPECT_EQ(trace.messages(), 5579u);
 }
 
 TEST(MixedChurn, JoinsAndLeavesInterleaved) {
