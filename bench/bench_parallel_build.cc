@@ -26,7 +26,6 @@
 //   build_speedup                 wall-clock serial/parallel ratio; a
 //                                 floor gate — it depends on the runner's
 //                                 core count (1.0 on a single-core box)
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -43,27 +42,6 @@ double wall_ms(std::chrono::steady_clock::time_point t0) {
              std::chrono::steady_clock::now() - t0)
       .count();
 }
-
-/// Counts every distance() call it forwards to the wrapped space.
-class CountingSpace final : public MetricSpace {
- public:
-  explicit CountingSpace(const MetricSpace& inner) : inner_(inner) {}
-  [[nodiscard]] std::size_t size() const noexcept override {
-    return inner_.size();
-  }
-  [[nodiscard]] double distance(Location a, Location b) const override {
-    calls_.fetch_add(1, std::memory_order_relaxed);
-    return inner_.distance(a, b);
-  }
-  [[nodiscard]] std::string name() const override { return inner_.name(); }
-  [[nodiscard]] std::uint64_t calls() const noexcept {
-    return calls_.load(std::memory_order_relaxed);
-  }
-
- private:
-  const MetricSpace& inner_;
-  mutable std::atomic<std::uint64_t> calls_{0};
-};
 
 /// Distance evaluations of one serial rebuild_static_tables over the same
 /// nodes build_once registers.

@@ -24,6 +24,9 @@
 //     running.  Floor gate at 1.0 for the replicated backend — quorum
 //     reads must absorb every kill; the memory backend's figure under the
 //     identical kill schedule is reported for contrast.
+//   * replica_holder_distance_evals: metric distance evaluations the kill
+//     fixture's replicated publishes make beyond the same publishes on
+//     the memory backend — the holder-selection work, exact.
 //
 // Absolute throughput figures are reported as informational metrics.
 #include <algorithm>
@@ -185,6 +188,7 @@ struct KillRun {
   double availability = 1.0;
   std::size_t queries = 0;
   std::size_t kills = 0;
+  std::uint64_t publish_distance_evals = 0;  ///< metric calls of the publishes
 };
 
 /// Builds a static 128-node overlay on `backend`, publishes 24 objects,
@@ -201,20 +205,23 @@ KillRun kill_availability_run(StoreBackend backend) {
   p.redundancy = 3;
   p.store_backend = backend;
   Rng rng(11);
-  RingMetric space(kNodes + 8, rng);
+  RingMetric ring(kNodes + 8, rng);
+  CountingSpace space(ring);
   Network net(space, p, 51);
   for (std::size_t i = 0; i < kNodes; ++i) net.insert_static(i);
   net.rebuild_static_tables();
   const auto ids = net.node_ids();
 
+  KillRun out;
   std::vector<Guid> guids;
   Rng wl(5);
+  const std::uint64_t evals_before = space.calls();
   for (std::size_t i = 0; i < kObjects; ++i) {
     guids.push_back(guid_at(0x900 + i));
     net.publish(ids[wl.next_u64(ids.size())], guids.back());
   }
+  out.publish_distance_evals = space.calls() - evals_before;
 
-  KillRun out;
   QuorumReplicator* repl = net.directory().replicator();
   auto kill_unless_server = [&](const NodeId& victim, const Guid& object) {
     if (!net.registry().is_live(victim)) return;
@@ -397,6 +404,10 @@ int run(bool json, std::size_t threads) {
   const KillRun kill_mem = kill_availability_run(StoreBackend::kMemory);
   const KillRun kill_repl = kill_availability_run(StoreBackend::kReplicated);
   const bool kill_ok = kill_repl.availability >= kill_mem.availability;
+  // Holder selection's share of the publishes: the replicated backend's
+  // distance evaluations beyond the identical publishes on memory stores.
+  const std::uint64_t holder_evals =
+      kill_repl.publish_distance_evals - kill_mem.publish_distance_evals;
 
   if (json) {
     std::printf(
@@ -416,7 +427,8 @@ int run(bool json, std::size_t threads) {
         "\"persist_recover_ms\":%.2f,"
         "\"replicated_kill_availability\":%.4f,"
         "\"memory_kill_availability\":%.4f,"
-        "\"kill_count\":%zu}}\n",
+        "\"kill_count\":%zu,"
+        "\"replica_holder_distance_evals\":%llu}}\n",
         agreement ? 1 : 0, drain_match ? 1 : 0, roundtrip ? 1 : 0,
         upsert_ratio, read_ratio, drain_speedup, legacy_upsert_ms,
         mem_upsert_ms, shard_upsert_ms, persist_upsert_ms, legacy_read_ms,
@@ -424,7 +436,8 @@ int run(bool json, std::size_t threads) {
         shard_expire_ms, drain_serial_ms, drain_parallel_ms,
         static_cast<double>(persist_stats.wal_bytes) / (1024.0 * 1024.0),
         persist_stats.compactions, recover_ms, kill_repl.availability,
-        kill_mem.availability, kill_repl.kills);
+        kill_mem.availability, kill_repl.kills,
+        static_cast<unsigned long long>(holder_evals));
     return agreement && drain_match && roundtrip && kill_ok ? 0 : 1;
   }
 
@@ -465,6 +478,9 @@ int run(bool json, std::size_t threads) {
               kill_repl.kills, kill_repl.availability * 100.0,
               kill_mem.availability * 100.0, kill_repl.queries,
               kill_ok ? "replicated dominates" : "BROKEN");
+  std::printf("holder selection: %llu distance evaluations beyond the "
+              "same publishes on memory stores\n",
+              static_cast<unsigned long long>(holder_evals));
   return agreement && drain_match && roundtrip && kill_ok ? 0 : 1;
 }
 

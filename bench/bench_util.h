@@ -7,6 +7,8 @@
 // experiment index and EXPERIMENTS.md for paper-vs-measured narratives.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -51,6 +53,28 @@ inline std::unique_ptr<MetricSpace> make_space(const std::string& kind,
   std::fprintf(stderr, "unknown space %s\n", kind.c_str());
   std::abort();
 }
+
+/// Counts every distance() call it forwards to the wrapped space — the
+/// exact work figure behind the distance_evals gates.
+class CountingSpace final : public MetricSpace {
+ public:
+  explicit CountingSpace(const MetricSpace& inner) : inner_(inner) {}
+  [[nodiscard]] std::size_t size() const noexcept override {
+    return inner_.size();
+  }
+  [[nodiscard]] double distance(Location a, Location b) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return inner_.distance(a, b);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] std::uint64_t calls() const noexcept {
+    return calls_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  const MetricSpace& inner_;
+  mutable std::atomic<std::uint64_t> calls_{0};
+};
 
 inline TapestryParams default_params() {
   TapestryParams p;

@@ -304,6 +304,11 @@ void MaintenanceEngine::sweep(Trace* trace, const NodeLockTable* locks,
               dir_.reroute_changed_pointers(n, before, t, locks);
               filled = true;
             }
+            // Every deeper class lies inside n's own-digit class; once n
+            // is its only indexed member, no hole below is fillable.
+            const auto [mine, mine_end] =
+                live_in_slot(n.id(), l, n.id().digit(l));
+            if (mine_end - mine == 1) break;
           }
           return filled;
         });

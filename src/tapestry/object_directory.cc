@@ -228,6 +228,11 @@ void ObjectDirectory::publish(NodeId server, const Guid& guid, Trace* trace) {
 void ObjectDirectory::publish_batch(const std::vector<PublishRequest>& batch,
                                     std::size_t workers, Trace* trace,
                                     bool guarded) {
+  // The replicator has no internal synchronisation; racing a join wave
+  // would also form holder sets from tables in flux.
+  TAP_CHECK(!(guarded && replicator_),
+            "publish_batch: guarded mode is incompatible with the "
+            "replicated store backends");
   if (batch.empty()) return;
   if (params_.prr_secondary_search) {
     // Secondary deposits mutate neighbor stores mid-walk; keep the serial
@@ -349,6 +354,15 @@ void ObjectDirectory::publish_batch(const std::vector<PublishRequest>& batch,
         }
       },
       workers);
+
+  // Phase 3 (serial): mirror each root deposit to the root's quorum
+  // holders in task order, as publish_step does at the end of each path.
+  if (replicator_)
+    for (std::size_t t = 0; t < n_tasks; ++t) {
+      const Deposit& at_root = deposits[t].back();
+      replicator_->mirror_publish(*at_root.at, tasks[t].target, at_root.rec,
+                                  &task_traces[t]);
+    }
 
   // Accounting lands in task order, independent of phase scheduling.
   if (trace != nullptr)

@@ -65,12 +65,13 @@ class ObjectDirectory {
   /// with the Router's mutation-free peek (grouped by the salted guid's
   /// leading digit — the root region each path converges into), and the
   /// collected deposits land per registry shard, each shard applying its
-  /// deposits in batch order.  The result is identical to calling
-  /// publish() per request on a quiescent, fully-live mesh (the
-  /// bulk-build setting): stores, replica registry and message counts
-  /// match exactly; trace latency matches up to floating-point summation
-  /// order.  The §2.4 secondary-deposit variant falls back to the serial
-  /// loop.
+  /// deposits in batch order.  On the replicated backends a last, serial
+  /// phase mirrors each root deposit to its quorum holders in batch
+  /// order.  The result is identical to calling publish() per request on
+  /// a quiescent, fully-live mesh (the bulk-build setting): stores,
+  /// holder sets and mirrors, replica registry and message counts match
+  /// exactly; trace latency matches up to floating-point summation order.
+  /// The §2.4 secondary-deposit variant falls back to the serial loop.
   /// `guarded` switches the path walks from the lock-free peek to the
   /// per-hop node-stripe locks (the Router::route_to_root_guarded
   /// discipline): required when the mesh is NOT quiescent — i.e. when a
@@ -79,6 +80,8 @@ class ObjectDirectory {
   /// identical either way; under a race each hop observes whatever table
   /// state the contacted node holds at that instant, and the §6.5
   /// republish backstop restores Property 4 once the wave settles.
+  /// Guarded mode rejects the replicated backends: the replicator is
+  /// single-threaded.
   void publish_batch(const std::vector<PublishRequest>& batch,
                      std::size_t workers = 0, Trace* trace = nullptr,
                      bool guarded = false);

@@ -5,8 +5,41 @@
 #include "src/common/assert.h"
 #include "src/sim/metrics.h"
 #include "src/tapestry/registry.h"
+#include "src/tapestry/routing_table.h"
 
 namespace tap {
+
+namespace {
+
+// A holder candidate.  Both holder searches rank by (distance, id): ties
+// break toward the smaller id, so a result is a pure function of the
+// membership whatever the visit order.
+struct Candidate {
+  double d;
+  NodeId id;
+};
+
+bool closer(const Candidate& a, const Candidate& b) {
+  if (a.d != b.d) return a.d < b.d;
+  return a.id < b.id;
+}
+
+/// Offers `c` to `best`, the sorted (up to) k closest candidates so far.
+void keep_nearest(std::vector<Candidate>& best, std::size_t k,
+                  const Candidate& c) {
+  if (best.size() == k && !closer(c, best.back())) return;
+  best.insert(std::upper_bound(best.begin(), best.end(), c, closer), c);
+  if (best.size() > k) best.pop_back();
+}
+
+std::vector<NodeId> ids_of(const std::vector<Candidate>& best) {
+  std::vector<NodeId> out;
+  out.reserve(best.size());
+  for (const Candidate& c : best) out.push_back(c.id);
+  return out;
+}
+
+}  // namespace
 
 ReplicatedStore::ReplicatedStore(std::unique_ptr<ObjectStoreBackend> inner,
                                  const char* backend_name)
@@ -47,33 +80,78 @@ ReplicatedStore* QuorumReplicator::replica_store_of(const NodeId& id) {
 std::vector<NodeId> QuorumReplicator::nearest_live(
     const TapestryNode& anchor, std::size_t k,
     const std::vector<NodeId>& taken) const {
-  // One pass over the registry keeping a sorted top-k.  Ties on distance
-  // break toward the smaller id, so the result is a pure function of the
-  // membership whatever the visit order.
-  struct Candidate {
-    double d;
-    NodeId id;
-  };
-  const auto closer = [](const Candidate& a, const Candidate& b) {
-    if (a.d != b.d) return a.d < b.d;
-    return a.id < b.id;
-  };
+  // One pass over the registry keeping a sorted top-k.
   std::vector<Candidate> best;
   best.reserve(k + 1);
   const MetricSpace& space = reg_.space();
   for (const auto& n : reg_.nodes()) {
     if (!n->alive || n->id() == anchor.id()) continue;
-    const Candidate c{space.distance(anchor.location(), n->location()),
-                      n->id()};
-    if (best.size() == k && !closer(c, best.back())) continue;
-    if (std::find(taken.begin(), taken.end(), c.id) != taken.end()) continue;
-    best.insert(std::upper_bound(best.begin(), best.end(), c, closer), c);
-    if (best.size() > k) best.pop_back();
+    if (std::find(taken.begin(), taken.end(), n->id()) != taken.end())
+      continue;
+    keep_nearest(best, k,
+                 Candidate{space.distance(anchor.location(), n->location()),
+                           n->id()});
   }
-  std::vector<NodeId> out;
-  out.reserve(best.size());
-  for (const Candidate& c : best) out.push_back(c.id);
-  return out;
+  return ids_of(best);
+}
+
+std::optional<std::vector<NodeId>> QuorumReplicator::nearest_in_table(
+    const TapestryNode& root, std::size_t k) const {
+  // Property 2: a full slot holds the R closest members of its class, a
+  // non-full one the whole class (Property 1).  Each of the k <= R nearest
+  // nodes is among the R closest of its class (l, j) — the root shares
+  // exactly l digits with it — so it fills slot (l, j) of the root's table.
+  if (k > params_.redundancy) return std::nullopt;
+  const RoutingTable& table = root.table();
+  const MetricSpace& space = reg_.space();
+  thread_local std::vector<Candidate> best;
+  best.clear();
+  // The nearest of the farthest members of full slots holding a corpse:
+  // those classes may keep live members beyond the slot, so the walk is
+  // exact only if its k-th candidate is strictly closer than this.
+  std::optional<Candidate> bound;
+  for (unsigned l = 0; l < table.levels(); ++l) {
+    const std::uint64_t* row = table.row_occupancy(l);
+    const unsigned own = root.id().digit(l);
+    for (unsigned j = occ::next(row, table.radix(), 0); j != occ::kNone;
+         j = occ::next(row, table.radix(), j + 1)) {
+      // Own-digit members share another digit with the root, so they also
+      // sit in a deeper row.
+      if (j == own) continue;
+      const NeighborSet& slot = table.at(l, j);
+      const bool full = slot.size() >= slot.capacity();
+      bool corpse = false;
+      Candidate farthest{-1.0, NodeId{}};
+      for (const NeighborEntry& e : slot.entries()) {
+        // A pin sits outside the capacity, so the slot bounds nothing.
+        if (e.pinned) return std::nullopt;
+        const TapestryNode* n = reg_.find(e.id);
+        TAP_ASSERT(n != nullptr);
+        corpse = corpse || !n->alive;
+        if (!n->alive && !full) continue;  // a non-full slot hides nothing
+        const Candidate c{space.distance(root.location(), n->location()),
+                          e.id};
+        if (closer(farthest, c)) farthest = c;
+        if (n->alive) keep_nearest(best, k, c);
+      }
+      if (full && corpse && (!bound.has_value() || closer(farthest, *bound)))
+        bound = farthest;
+    }
+    // Nodes linking to the root where they first differ from it.  Dynamic
+    // joins keep Property 2 only approximately: a close newcomer can list
+    // the root without the root's slot ever taking it in.
+    for (const NodeId& b : table.backpointers(l)) {
+      if (b.digit(l) == own || table.at(l, b.digit(l)).contains(b)) continue;
+      const TapestryNode* n = reg_.find(b);
+      if (n != nullptr && n->alive)
+        keep_nearest(best, k,
+                     Candidate{space.distance(root.location(), n->location()),
+                               b});
+    }
+  }
+  if (best.size() < k) return std::nullopt;
+  if (bound.has_value() && !closer(best.back(), *bound)) return std::nullopt;
+  return ids_of(best);
 }
 
 std::vector<NodeId>& QuorumReplicator::holder_set(const TapestryNode& root,
@@ -81,10 +159,15 @@ std::vector<NodeId>& QuorumReplicator::holder_set(const TapestryNode& root,
   const auto it = holder_sets_.find(target);
   if (it != holder_sets_.end()) return it->second;
   // First mirror for this (salted) guid: the k live nodes nearest to the
-  // root, excluding the root itself.
-  return holder_sets_
-      .emplace(target, nearest_live(root, params_.replication.k, {}))
-      .first->second;
+  // root, excluding the root itself — read off the root's own table unless
+  // the walk cannot prove it found them.
+  const std::size_t k = params_.replication.k;
+  std::optional<std::vector<NodeId>> holders = nearest_in_table(root, k);
+  if (!holders.has_value()) {
+    holders = nearest_live(root, k, {});
+    ++stats_.holder_scans;
+  }
+  return holder_sets_.emplace(target, std::move(*holders)).first->second;
 }
 
 std::size_t QuorumReplicator::mirror_publish(const TapestryNode& root,

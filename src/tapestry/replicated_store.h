@@ -10,7 +10,13 @@
 //   * Every record that a publish deposits at a root is mirrored across
 //     the root's k nearest live neighbors (its holder set, chosen
 //     deterministically per salted guid by network distance — the same
-//     nearest-neighbor notion the §3 construction optimizes for).
+//     nearest-neighbor notion the §3 construction optimizes for).  The
+//     root reads them off its own routing table: by Property 2 each slot
+//     holds the R closest nodes of its prefix class, so with k <= R the k
+//     nearest all sit in the table.  Its backpointers join the candidates,
+//     because dynamic joins keep Property 2 only approximately.  When
+//     corpses, pins or k > R leave the walk unable to prove its answer, a
+//     scan of the registry picks the set.
 //   * A publish counts as replicated once W of the k holders acknowledged
 //     the mirrored write (ReplicationParams::w; the write quorum).
 //   * A locate that reaches a root with no record — the new surrogate
@@ -158,6 +164,9 @@ class QuorumReplicator {
     std::size_t quorum_reads = 0;     ///< quorum reads attempted at roots
     std::size_t read_repairs = 0;     ///< stale/missing copies repaired
     std::size_t rereplications = 0;   ///< holder replacements completed
+    /// Holder sets chosen by the registry scan because the root's table
+    /// could not prove its k nearest (local only; no metric mirrors it).
+    std::size_t holder_scans = 0;
   };
 
   /// `registry` and `params` must outlive the replicator (both live on
@@ -202,13 +211,24 @@ class QuorumReplicator {
  private:
   /// Existing holder set, or a fresh one: the k live nodes nearest to
   /// `root` (excluding it), ties broken by id — deterministic given the
-  /// membership.
+  /// membership.  A fresh set comes from nearest_in_table, or from the
+  /// nearest_live scan when the walk cannot prove its answer.
   std::vector<NodeId>& holder_set(const TapestryNode& root,
                                   const Guid& target);
+  /// The k live nodes nearest to `root` under (distance, id), read off
+  /// the root's own routing table: every slot except the root's own-digit
+  /// one per row, plus the backpointer holders that differ from the root
+  /// at their level, distances recomputed from registry locations.  Exact
+  /// under Property 2 when k <= R.  Returns nullopt — the caller scans —
+  /// when k > R, when fewer than k live candidates turn up, when a slot
+  /// holds a pin, or when a full slot holds a corpse and its farthest
+  /// member is not strictly farther than the k-th candidate.
+  [[nodiscard]] std::optional<std::vector<NodeId>> nearest_in_table(
+      const TapestryNode& root, std::size_t k) const;
   /// The (up to) k live nodes nearest to `anchor`'s location under
   /// (distance, id), nearest first, skipping `anchor` and every id in
-  /// `taken`.  Serves both holder selection and the death-time
-  /// replacement hunt.
+  /// `taken`: one pass over the registry.  Serves the holder-selection
+  /// fallback and the death-time replacement hunt.
   [[nodiscard]] std::vector<NodeId> nearest_live(
       const TapestryNode& anchor, std::size_t k,
       const std::vector<NodeId>& taken) const;

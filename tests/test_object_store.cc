@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/metric/general.h"
 #include "src/tapestry/object_store.h"
 #include "src/tapestry/params.h"
 #include "src/tapestry/persistent_store.h"
@@ -762,6 +763,238 @@ TEST(QuorumReplication, HolderSetsAreKNearestLive) {
     EXPECT_EQ(*repl->holders(salted[i]), want)
         << "replacement for " << victim.to_string();
   }
+}
+
+/// publish_batch mirrors every root deposit exactly as the serial publish
+/// loop does: same holder sets, same replica areas, same messages, and a
+/// locate still resolves after each object's root is killed.
+TEST(QuorumReplication, PublishBatchMirrorsLikeSerialPublish) {
+  const auto params = replicated_params();
+  auto serial = test::static_ring_network(256, 61, params);
+  auto batch = test::static_ring_network(256, 61, params);
+  ASSERT_EQ(serial.ids, batch.ids);
+  std::vector<ObjectDirectory::PublishRequest> reqs;
+  Rng wl(62);
+  for (std::size_t i = 0; i < 32; ++i)
+    reqs.push_back({serial.ids[wl.next_u64(serial.ids.size())],
+                    test::make_guid(*serial.net, 700 + i)});
+  Trace ts, tb;
+  for (const auto& r : reqs) serial.net->publish(r.server, r.guid, &ts);
+  batch.net->publish_batch(reqs, /*workers=*/4, &tb);
+  EXPECT_EQ(ts.messages(), tb.messages());
+
+  const QuorumReplicator* ra = serial.net->directory().replicator();
+  const QuorumReplicator* rb = batch.net->directory().replicator();
+  for (const auto& r : reqs) {
+    const Guid salted = salted_guid(r.guid, 0);
+    ASSERT_NE(ra->holders(salted), nullptr);
+    ASSERT_NE(rb->holders(salted), nullptr);
+    EXPECT_EQ(*ra->holders(salted), *rb->holders(salted));
+  }
+  EXPECT_EQ(ra->stats().replica_writes, rb->stats().replica_writes);
+  for (const NodeId& id : serial.ids) {
+    const auto& sa =
+        dynamic_cast<const ReplicatedStore&>(serial.net->node(id).store());
+    const auto& sb =
+        dynamic_cast<const ReplicatedStore&>(batch.net->node(id).store());
+    EXPECT_EQ(sa.replica_size(), sb.replica_size()) << id.to_string();
+    for (const auto& r : reqs) {
+      const auto a = sa.replica_all(salted_guid(r.guid, 0));
+      const auto b = sb.replica_all(salted_guid(r.guid, 0));
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_TRUE(record_eq(a[i], b[i]));
+    }
+  }
+
+  // Kill each object's root unless it serves the object; no republish runs.
+  for (auto* net : {serial.net.get(), batch.net.get()}) {
+    for (const auto& r : reqs) {
+      const NodeId root = net->surrogate_root(salted_guid(r.guid, 0));
+      const auto servers = net->servers_of(r.guid);
+      if (!net->registry().is_live(root) ||
+          std::find(servers.begin(), servers.end(), root) != servers.end())
+        continue;
+      net->fail(root);
+    }
+  }
+  std::size_t locatable = 0;
+  for (const auto& r : reqs) {
+    const auto servers = serial.net->servers_of(r.guid);
+    if (servers.empty() || !serial.net->registry().is_live(servers[0]))
+      continue;
+    ++locatable;
+    NodeId client = serial.ids[0];
+    for (const NodeId& id : serial.ids)
+      if (serial.net->registry().is_live(id) && !(id == servers[0])) {
+        client = id;
+        break;
+      }
+    EXPECT_TRUE(serial.net->locate(client, r.guid).found);
+    EXPECT_TRUE(batch.net->locate(client, r.guid).found)
+        << "batch lost " << r.guid.to_string();
+  }
+  EXPECT_GT(locatable, 0u);
+}
+
+// ------------------------------------------------------------------
+// Holder sets read off the root's routing table equal the registry scan
+// ------------------------------------------------------------------
+
+std::unique_ptr<MetricSpace> holder_space(const std::string& kind,
+                                          std::size_t n, Rng& rng) {
+  if (kind == "ring") return std::make_unique<RingMetric>(n, rng);
+  if (kind == "torus") return std::make_unique<Torus2D>(n, rng);
+  if (kind == "transit-stub")
+    return std::make_unique<TransitStubMetric>(n, rng);
+  if (kind == "euclid6d") return std::make_unique<HighDimEuclidean>(n, 6, rng);
+  return std::make_unique<TwoClusterMetric>(n, rng);
+}
+
+test::GrownNetwork static_overlay(const std::string& kind, std::size_t n,
+                                  std::uint64_t seed,
+                                  const TapestryParams& params) {
+  test::GrownNetwork g;
+  Rng rng(seed);
+  g.space = holder_space(kind, n, rng);
+  g.net = std::make_unique<Network>(*g.space, params, seed ^ 0xabcdef);
+  for (std::size_t i = 0; i < n; ++i) g.ids.push_back(g.net->insert_static(i));
+  g.net->rebuild_static_tables();
+  return g;
+}
+
+/// Publishes one object per live node, named by the node's own id so the
+/// node is its root, and expects every holder set formed to be the k
+/// nearest live nodes under (distance, id) — the scan's answer.
+void expect_holders_match_scan(Network& net, const std::string& label) {
+  const QuorumReplicator* repl = net.directory().replicator();
+  ASSERT_NE(repl, nullptr);
+  const std::size_t k = net.params().replication.k;
+  for (const NodeId& root : net.node_ids()) {
+    const Guid obj(net.params().id, root.value());
+    net.publish(root, obj);
+    const auto* holders = repl->holders(obj);
+    ASSERT_NE(holders, nullptr) << label;
+    std::vector<NodeId> want = by_distance_from(net, root, {});
+    want.resize(std::min(want.size(), k));
+    EXPECT_EQ(*holders, want) << label << " root " << root.to_string();
+  }
+}
+
+/// Static overlays satisfy Property 2 exactly, so the table walk proves
+/// every set on its own; after a threaded fail-and-repair wave of 5% of
+/// the nodes the sets still equal the scan.
+TEST(QuorumReplication, TableHoldersEqualScanOnStaticAndRepairedOverlays) {
+  for (const std::string kind :
+       {"ring", "torus", "transit-stub", "euclid6d", "two-cluster"}) {
+    auto fresh = static_overlay(kind, 240, 41, replicated_params());
+    expect_holders_match_scan(*fresh.net, kind);
+    EXPECT_EQ(fresh.net->directory().replicator()->stats().holder_scans, 0u)
+        << kind;
+
+    auto repaired = static_overlay(kind, 240, 41, replicated_params());
+    std::vector<NodeId> victims;
+    Rng pick(43);
+    for (const NodeId& id : repaired.ids)
+      if (pick.next_u64(20) == 0) victims.push_back(id);
+    ASSERT_FALSE(victims.empty());
+    repaired.net->fail_and_repair_bulk(victims, 2);
+    expect_holders_match_scan(*repaired.net, kind + " after repair");
+  }
+}
+
+TEST(QuorumReplication, TableHoldersEqualScanOnGrownOverlay) {
+  auto g = test::grow_ring_network(160, 47, replicated_params());
+  expect_holders_match_scan(*g.net, "grown");
+}
+
+/// Unrepaired fail() corpses: a full slot holding one bounds the classes
+/// it may hide.  Killing every node of one root's table up to the
+/// farthest member of the slot of its nearest neighbour leaves that root
+/// no live candidate inside the bound, so its walk must fall back; roots
+/// whose corpses sit far away keep their table-derived sets.
+TEST(QuorumReplication, TableHoldersEqualScanAroundCorpses) {
+  auto g = static_overlay("ring", 240, 53, replicated_params());
+  Network& net = *g.net;
+  const TapestryNode& root = net.node(g.ids[7]);
+  const RoutingTable& table = root.table();
+  auto dist_to_root = [&](const NodeId& id) {
+    return net.registry().distance(root.id(), id);
+  };
+  const NodeId nearest = by_distance_from(net, root.id(), {}).front();
+  const unsigned level = root.id().common_prefix_len(nearest);
+  const NeighborSet& slot = table.at(level, nearest.digit(level));
+  ASSERT_EQ(slot.size(), slot.capacity());
+  double reach = 0.0;
+  for (const NeighborEntry& e : slot.entries())
+    reach = std::max(reach, dist_to_root(e.id));
+  for (const NodeId& id : table.all_neighbors())
+    if (dist_to_root(id) <= reach) net.fail(id);
+
+  // Roots whose table holds a corpse in a full slot: the walk bounds them.
+  std::size_t bounded = 0;
+  for (const NodeId& id : net.node_ids()) {
+    const RoutingTable& t = net.node(id).table();
+    bool found = false;
+    for (unsigned l = 0; l < t.levels() && !found; ++l)
+      for (unsigned j = 0; j < t.radix() && !found; ++j) {
+        const NeighborSet& s = t.at(l, j);
+        if (j == id.digit(l) || s.size() < s.capacity()) continue;
+        for (const NeighborEntry& e : s.entries())
+          if (!net.registry().is_live(e.id)) found = true;
+      }
+    if (found) ++bounded;
+  }
+
+  expect_holders_match_scan(net, "corpses");
+  const std::size_t scans =
+      net.directory().replicator()->stats().holder_scans;
+  EXPECT_GE(scans, 1u);       // the root above cannot prove its set
+  EXPECT_LT(scans, bounded);  // others prove theirs despite corpses
+}
+
+/// Dynamic joins keep Property 2 only approximately: a close node can list
+/// the root in its table while the root's own slot lacks it.  The root's
+/// backpointers still name that node, so the walk finds it.
+TEST(QuorumReplication, TableHoldersIncludeBackpointerHolders) {
+  auto g = static_overlay("ring", 240, 71, replicated_params());
+  Network& net = *g.net;
+  const NodeId root = g.ids[5];
+  const NodeId nearest = by_distance_from(net, root, {}).front();
+  const unsigned level = root.common_prefix_len(nearest);
+  RoutingTable& table = net.node(root).table();
+  ASSERT_TRUE(table.has_backpointer(level, nearest));
+  ASSERT_TRUE(table.remove(level, nearest.digit(level), nearest));
+
+  expect_holders_match_scan(net, "asymmetric link");
+  EXPECT_EQ(net.directory().replicator()->stats().holder_scans, 0u);
+}
+
+/// A pinned member (a §4.4 insertion in flight) sits outside its slot's
+/// capacity, so the slot bounds nothing and the set comes from the scan.
+TEST(QuorumReplication, PinnedSlotFallsBackToScan) {
+  auto g = static_overlay("ring", 240, 67, replicated_params());
+  Network& net = *g.net;
+  const NodeId root = g.ids[3];
+  RoutingTable& table = net.node(root).table();
+  const NodeId inserting = by_distance_from(net, root, {}).back();
+  const unsigned level = root.common_prefix_len(inserting);
+  table.pin(level, inserting.digit(level), inserting,
+            net.registry().distance(root, inserting));
+
+  expect_holders_match_scan(net, "pinned");
+  EXPECT_EQ(net.directory().replicator()->stats().holder_scans, 1u);
+}
+
+/// k = 4 > R = 3: the k nearest need not all sit in the table, so every
+/// set comes from the scan.
+TEST(QuorumReplication, HolderSetsFallBackToScanWhenKExceedsR) {
+  auto params = replicated_params();
+  params.replication = ReplicationParams{4, 3, 2};
+  auto g = static_overlay("euclid6d", 240, 59, params);
+  expect_holders_match_scan(*g.net, "k=4");
+  EXPECT_EQ(g.net->directory().replicator()->stats().holder_scans,
+            g.ids.size());
 }
 
 /// A holder death re-replicates: the dead holder is replaced by the next

@@ -189,22 +189,9 @@ TEST(ParallelBuild, PivotOrderedBuildMatchesExhaustiveReference) {
 // ---------------------------------------------------------------------
 
 TEST(ParallelBuild, PublishBatchMatchesSerialPublish) {
-  // publish_batch deposits only along the publish paths and does not
-  // mirror to quorum holders, so a replicated backend (TAP_STORE=
-  // replicated|replicated+persist) stores more on the serial side.  Pin
-  // this comparison to the replicated backend's inner store.  Each call
-  // draws fresh params, so persistent stores get separate scratch dirs.
-  auto unreplicated = [] {
-    TapestryParams p = small_params();
-    if (p.store_backend == StoreBackend::kReplicated)
-      p.store_backend = StoreBackend::kMemory;
-    else if (p.store_backend == StoreBackend::kReplicatedPersistent)
-      p.store_backend = StoreBackend::kPersistent;
-    return p;
-  };
   const std::size_t n = 300, objects = 120;
-  auto a = bulk_ring_network(n, 15, 2, unreplicated());
-  auto b = bulk_ring_network(n, 15, 4, unreplicated());
+  auto a = bulk_ring_network(n, 15, 2);
+  auto b = bulk_ring_network(n, 15, 4);
   ASSERT_EQ(a.ids, b.ids);
 
   std::vector<ObjectDirectory::PublishRequest> batch;
