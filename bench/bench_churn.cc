@@ -195,8 +195,6 @@ int main(int argc, char** argv) {
       "interval (voluntary churn never interrupts service); the\n"
       "post-failure window column degrades as the republish interval\n"
       "grows — the paper's soft-state trade-off made quantitative.\n"
-      "queries and repairs interleave per-hop on the event queue; the\n"
-      "serialized engine of the pre-driver bench is still available via\n"
-      "tapestry_sim --scenario=churn --engine=sync.\n");
+      "queries and repairs interleave per-hop on the event queue.\n");
   return 0;
 }

@@ -12,25 +12,96 @@
 //     classic BM_ microbenchmarks, including a bitmask-vs-reference pair
 //     for the select_slot hot path;
 //   * a hand-rolled harness behind --json (no gbench dependency) that
-//     times Router::select_slot against select_slot_reference on the same
-//     deterministic workload, verifies digit-for-digit agreement, and
-//     emits the metrics the perf-smoke CI job gates via
-//     tools/check_bench.py.  Absolute nanoseconds are machine-dependent;
-//     the gated metrics are the *ratio* (bitmask speedup) and the exact
-//     agreement/work counters.
+//     times Router::select_slot against the linear-scan
+//     select_slot_reference (tests/select_slot_reference.h) on the same
+//     deterministic workload, verifies digit-for-digit agreement, counts
+//     the allocations of the routing read path, and emits the metrics the
+//     perf-smoke CI job gates via tools/check_bench.py.  Absolute
+//     nanoseconds are machine-dependent; the gated metrics are the *ratio*
+//     (bitmask speedup) and the exact agreement, work and allocation
+//     counters.
+//
+// Every allocation goes through the counting operator new below, so the
+// *_allocs metrics are exact counts (the same on every toolchain when 0).
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "bench_util.h"
+#include "tests/select_slot_reference.h"
 
 #ifdef TAPESTRY_HAVE_GBENCH
 #include <benchmark/benchmark.h>
 #endif
 
 namespace {
+std::uint64_t g_allocs = 0;  // bumped by every operator new below
+
+void* counted_alloc(std::size_t n) {
+  ++g_allocs;
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* counted_aligned_alloc(std::size_t n, std::align_val_t al) {
+  ++g_allocs;
+  const auto a = static_cast<std::size_t>(al);
+  return std::aligned_alloc(a, (n + a - 1) / a * a);
+}
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new(std::size_t n, std::align_val_t al) {
+  if (void* p = counted_aligned_alloc(n, al)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n, std::align_val_t al) {
+  if (void* p = counted_aligned_alloc(n, al)) return p;
+  throw std::bad_alloc();
+}
+// GCC flags free() inside a replaced operator delete once inlined next to
+// a new-expression; the pairing is ours and correct.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+#pragma GCC diagnostic pop
+
+namespace {
 
 using namespace tap;
 using namespace tap::bench;
+
+/// Allocations `body` makes (single-threaded callers only).
+template <typename Body>
+std::uint64_t allocs_of(Body&& body) {
+  const std::uint64_t before = g_allocs;
+  body();
+  return g_allocs - before;
+}
 
 // --------------------------------------------------------------------
 // Shared select_slot workload: a static overlay whose deeper rows are
@@ -110,7 +181,7 @@ int run_handrolled(bool json) {
   auto reference_pass = [&] {
     return slot_pass(w, [&](const TapestryNode& at, unsigned l, unsigned d,
                             bool& ph) {
-      return router.select_slot_reference(at, l, d, ph);
+      return select_slot_reference(w.net->registry(), at, l, d, ph);
     });
   };
 
@@ -156,14 +227,40 @@ int run_handrolled(bool json) {
                              .count() /
                          2000.0;
 
+  // Zero-allocation gates on the routing read path: the same 2000 walks
+  // step by step (route_to_root_peek's path vector aside), and the
+  // select_slot workload under the heaviest member filter.
+  const std::uint64_t peek_step_allocs = allocs_of([&] {
+    for (int q = 0; q < 2000; ++q) {
+      const Guid guid = bench_guid(*w.net, 900 + q);
+      RouteState st;
+      NodeId cur = ids[q % ids.size()];
+      while (const auto next = router.route_step_peek(cur, guid, st))
+        cur = *next;
+    }
+  });
+  Router::ExcludeSet exclude;
+  for (std::size_t i = 0; i < ids.size(); i += 37)
+    exclude.insert(ids[i].value());
+  const std::uint64_t filtered_allocs = allocs_of([&] {
+    slot_pass(w, [&](const TapestryNode& at, unsigned l, unsigned d,
+                     bool& ph) {
+      const NodeId* member = nullptr;
+      return router.select_slot(at, l, d, ph, &exclude, /*live_only=*/true,
+                                &member);
+    });
+  });
+
   if (json) {
     std::printf(
         "{\"bench\":\"bench_micro\",\"metrics\":{"
         "\"select_slot_agreement\":%d,\"select_slot_speedup\":%.3f,"
         "\"select_slot_ns_bitmask\":%.2f,\"select_slot_ns_reference\":%.2f,"
-        "\"peek_route_hops_2000q\":%zu,\"peek_route_us\":%.2f}}\n",
+        "\"peek_route_hops_2000q\":%zu,\"peek_route_us\":%.2f,"
+        "\"peek_step_allocs\":%llu,\"select_slot_filtered_allocs\":%llu}}\n",
         agree ? 1 : 0, speedup, ns_per_bitmask, ns_per_reference, peek_hops,
-        peek_us);
+        peek_us, static_cast<unsigned long long>(peek_step_allocs),
+        static_cast<unsigned long long>(filtered_allocs));
     return agree ? 0 : 1;
   }
 
@@ -177,6 +274,10 @@ int run_handrolled(bool json) {
   std::printf("route_to_root_peek: %.2f us/route (%zu hops over 2000 "
               "routes, const read path)\n",
               peek_us, peek_hops);
+  std::printf("allocations: %llu over 2000 route_step_peek walks, %llu over "
+              "the filtered select_slot workload\n",
+              static_cast<unsigned long long>(peek_step_allocs),
+              static_cast<unsigned long long>(filtered_allocs));
   return agree ? 0 : 1;
 }
 
@@ -243,11 +344,10 @@ BENCHMARK(BM_SelectSlotBitmask)->Unit(benchmark::kMicrosecond);
 
 void BM_SelectSlotReference(benchmark::State& state) {
   static const SlotWorkload w = make_slot_workload(512, 42);
-  const Router& router = w.net->router();
   for (auto _ : state) {
     benchmark::DoNotOptimize(slot_pass(
         w, [&](const TapestryNode& at, unsigned l, unsigned d, bool& ph) {
-          return router.select_slot_reference(at, l, d, ph);
+          return select_slot_reference(w.net->registry(), at, l, d, ph);
         }));
   }
   state.SetItemsProcessed(state.iterations() *

@@ -127,10 +127,7 @@ void ChurnDriver::publish_initial_objects() {
     for (unsigned r = 0; r < sc_.replicas; ++r) {
       const NodeId server = ids[rng_.next_u64(ids.size())];
       log_event('P', guid.to_string() + " @ " + server.to_string());
-      if (sc_.synchronous)
-        net_.publish(server, guid);
-      else
-        net_.publish_async(server, guid);
+      net_.publish_async(server, guid);
     }
   }
 }
@@ -412,28 +409,7 @@ void ChurnDriver::issue_query() {
                        std::to_string(r.hops));
     if (hotspot_ != nullptr) hotspot_->record_query(guid, client, r.found);
   };
-  if (sc_.synchronous)
-    handle(net_.locate(client, guid));
-  else
-    net_.locate_async(client, guid, handle);
-}
-
-void ChurnDriver::schedule_sync_maintenance() {
-  // Legacy engine: one atomic maintenance boundary per republish interval
-  // (sweep, expire, republish-all in a single instant), exactly what the
-  // pre-event-driven churn experiments did between batches.
-  const double every =
-      sc_.republish_interval > 0.0 ? sc_.republish_interval : 0.0;
-  if (every <= 0.0) return;
-  sync_maint_event_ = net_.events().schedule_in(every, [this] {
-    sync_maint_event_.reset();
-    if (!running_) return;
-    if (sc_.heartbeat_interval > 0.0) net_.heartbeat_sweep(&maint_trace_);
-    if (sc_.expiry_interval > 0.0) net_.expire_pointers();
-    net_.republish_all(&maint_trace_);
-    log_event('M', "sync-maintenance");
-    schedule_sync_maintenance();
-  });
+  net_.locate_async(client, guid, handle);
 }
 
 void ChurnDriver::schedule_checkpoint() {
@@ -492,15 +468,11 @@ ChurnReport ChurnDriver::run() {
   if (sc_.hotspot_replication)
     hotspot_ = std::make_unique<HotspotManager>(
         net_.registry(), net_.directory(), net_.events(), sc_.hotspot,
-        sc_.synchronous, &maint_trace_);
-  if (sc_.synchronous) {
-    schedule_sync_maintenance();
-  } else {
-    net_.start_soft_state(sc_.republish_interval, sc_.expiry_interval,
-                          &maint_trace_);
-    if (sc_.heartbeat_interval > 0.0)
-      net_.start_heartbeats(sc_.heartbeat_interval, &maint_trace_);
-  }
+        /*synchronous=*/false, &maint_trace_);
+  net_.start_soft_state(sc_.republish_interval, sc_.expiry_interval,
+                        &maint_trace_);
+  if (sc_.heartbeat_interval > 0.0)
+    net_.start_heartbeats(sc_.heartbeat_interval, &maint_trace_);
   running_ = true;
   if (hotspot_ != nullptr) hotspot_->start();
   schedule_churn();
@@ -522,7 +494,6 @@ ChurnReport ChurnDriver::run() {
   drain_.t0 = epochs_.back().t1;
   if (churn_event_.has_value()) net_.events().cancel(*churn_event_);
   if (query_event_.has_value()) net_.events().cancel(*query_event_);
-  if (sync_maint_event_.has_value()) net_.events().cancel(*sync_maint_event_);
   if (checkpoint_event_.has_value()) net_.events().cancel(*checkpoint_event_);
   if (flash_event_.has_value()) net_.events().cancel(*flash_event_);
   if (partition_event_.has_value()) net_.events().cancel(*partition_event_);
@@ -734,7 +705,8 @@ ThreadedChurnReport ThreadedChurnSoak::run() {
         const NodeId src = sources[prng.next_u64(sources.size())];
         const Guid& target = tracked_[prng.next_u64(tracked_.size())].first;
         try {
-          (void)net_.router().route_to_root_guarded(src, target);
+          (void)net_.router().route_to_root_peek(
+              src, target, nullptr, &net_.registry().node_locks());
         } catch (const CheckError&) {
           transients.fetch_add(1, std::memory_order_relaxed);
         }

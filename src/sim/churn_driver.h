@@ -4,16 +4,10 @@
 // publishes, soft-state republish and expiry timers, heartbeat repair
 // sweeps and locate queries as interleaved EventQueue events against one
 // Network, then reports per-epoch and aggregate availability / stretch /
-// maintenance-cost statistics.  Two execution engines share one schedule:
-//
-//   * event engine (default): publish/locate decompose into one event per
-//     routing hop (ObjectDirectory::publish_async / locate_async), repair
-//     and republish run on subsystem timers — queries genuinely observe
-//     mid-repair state, the regime §6.5's availability results assume;
-//   * synchronous engine: every operation executes atomically at its
-//     scheduled instant and maintenance runs as one combined tick — the
-//     serialized approximation the pre-event-driven experiments measured,
-//     kept for A/B comparison.
+// maintenance-cost statistics.  Publish/locate decompose into one event
+// per routing hop (ObjectDirectory::publish_async / locate_async), and
+// repair and republish run on subsystem timers — queries genuinely observe
+// mid-repair state, the regime §6.5's availability results assume.
 //
 // Everything is deterministic in (scenario, Network seed): the driver owns
 // its workload Rng, the EventQueue breaks timestamp ties by scheduling
@@ -103,7 +97,7 @@ struct ChurnScenario {
       4.0;  ///< queries issued this soon after a crash are bucketed
             ///< separately (availability_post_failure)
 
-  // Object workload, published at t = 0 through the selected engine.
+  // Object workload, published at t = 0 (publish_async).
   std::size_t objects = 64;
   unsigned replicas = 1;
 
@@ -149,8 +143,7 @@ struct ChurnScenario {
   /// byte-identical across same-seed runs.
   std::string metrics_out{};
 
-  std::uint64_t seed = 1;    ///< workload randomness (driver-owned Rng)
-  bool synchronous = false;  ///< legacy atomic-operation engine
+  std::uint64_t seed = 1;  ///< workload randomness (driver-owned Rng)
 
   // Checkpoint epochs (persistent object-store backend): every
   // `checkpoint_interval` simulated time units the driver flushes all node
@@ -268,7 +261,6 @@ class ChurnDriver {
   void schedule_churn();
   void reschedule_churn();
   void schedule_queries();
-  void schedule_sync_maintenance();
   void schedule_checkpoint();
   void schedule_faults();
   void schedule_burst();
@@ -308,7 +300,6 @@ class ChurnDriver {
   ChurnEpoch drain_;        ///< terminal bucket (see ChurnReport::drain)
   std::optional<EventId> churn_event_;
   std::optional<EventId> query_event_;
-  std::optional<EventId> sync_maint_event_;
   std::optional<EventId> checkpoint_event_;
   std::optional<EventId> flash_event_;
 

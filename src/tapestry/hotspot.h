@@ -140,9 +140,10 @@ class HotspotManager {
     std::size_t extra_pruned = 0;    ///< dead hosts dropped from `extra`
   };
 
-  /// `synchronous` selects publish() over publish_async() for promotions —
-  /// the driver's engine choice.  `trace` (if any) absorbs the replication
-  /// traffic and must outlive the manager.
+  /// `synchronous` selects publish() over publish_async() for promotions
+  /// (ChurnDriver promotes through events; standalone callers need not run
+  /// the queue).  `trace` (if any) absorbs the replication traffic and
+  /// must outlive the manager.
   HotspotManager(NodeRegistry& registry, ObjectDirectory& directory,
                  EventQueue& events, HotspotParams params, bool synchronous,
                  Trace* trace = nullptr);

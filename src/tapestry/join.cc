@@ -288,7 +288,7 @@ NodeId MaintenanceEngine::acquire_surrogate(NodeId gateway, const NodeId& nn,
   // Inside a wave the walk takes each hop's stripe.
   NodeId sur = locks == nullptr
                    ? router_.route_to_root(gateway, nn, trace).root
-                   : router_.route_to_root_guarded(gateway, nn, trace).root;
+                   : router_.route_to_root_peek(gateway, nn, trace, locks).root;
   // Multicasts must start at a core node (§4.4, Figure 10).  A bounce
   // target always was core when recorded and core status is permanent, so
   // the chain terminates.

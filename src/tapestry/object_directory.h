@@ -73,8 +73,8 @@ class ObjectDirectory {
   /// exactly; trace latency matches up to floating-point summation order.
   /// The §2.4 secondary-deposit variant falls back to the serial loop.
   /// `guarded` switches the path walks from the lock-free peek to the
-  /// per-hop node-stripe locks (the Router::route_to_root_guarded
-  /// discipline): required when the mesh is NOT quiescent — i.e. when a
+  /// per-hop node-stripe locks (Router::route_to_root_peek given
+  /// `locks`): required when the mesh is NOT quiescent — i.e. when a
   /// thread-parallel join wave is mutating routing tables while this
   /// batch deliberately races it.  On a quiescent mesh the result is
   /// identical either way; under a race each hop observes whatever table

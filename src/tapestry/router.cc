@@ -37,37 +37,54 @@ unsigned leading_bit_match(unsigned a, unsigned b, unsigned bits) {
 Router::Router(NodeRegistry& registry, const TapestryParams& params)
     : reg_(registry), params_(params) {}
 
+const NodeId* Router::usable_member(const TapestryNode& at, unsigned level,
+                                    unsigned j, const ExcludeSet* exclude,
+                                    bool live_only) const {
+  // A partitioned-away member is unreachable but alive: route around it
+  // without purging (the table must survive the cut intact).
+  for (const auto& e : at.table().at(level, j).entries()) {
+    if (exclude != nullptr && exclude->count(e.id.value()) != 0) continue;
+    if (!reg_.reachable(at.id(), e.id)) continue;
+    if (live_only && !reg_.is_live(e.id)) continue;
+    return &e.id;
+  }
+  return nullptr;
+}
+
 std::optional<unsigned> Router::select_slot(const TapestryNode& at,
                                             unsigned level, unsigned desired,
                                             bool& past_hole,
-                                            const ExcludeSet* exclude) const {
+                                            const ExcludeSet* exclude,
+                                            bool live_only,
+                                            const NodeId** member) const {
   const unsigned radix = params_.id.radix();
   const std::uint64_t* row = at.table().row_occupancy(level);
-  // Occupancy answers "slot non-empty" exactly; an exclude set or an
-  // active partition forces a look at the members themselves (and then
-  // only for occupied slots).  Partitioned-away members are skipped but
-  // never purged — the cut is not a death.
-  const bool cut = reg_.partition_active();
+  // Occupancy answers "slot non-empty" exactly; a filter, an active
+  // partition or a wanted member forces a look at the members themselves
+  // (and then only for occupied slots).
+  const bool bits_only = member == nullptr && exclude == nullptr &&
+                         !live_only && !reg_.partition_active();
+  const NodeId* found = nullptr;
   auto filled = [&](unsigned j) {
-    if (exclude == nullptr && !cut) return true;  // callers only offer occupied j
-    for (const auto& e : at.table().at(level, j).entries()) {
-      if (exclude != nullptr && exclude->count(e.id.value()) != 0) continue;
-      if (cut && !reg_.reachable(at.id(), e.id)) continue;
-      return true;
-    }
-    return false;
+    if (bits_only) return true;  // callers only offer occupied j
+    found = usable_member(at, level, j, exclude, live_only);
+    return found != nullptr;
+  };
+  auto chose = [&](unsigned j, const NodeId* m) {
+    if (member != nullptr) *member = m;
+    return std::optional<unsigned>(j);
   };
 
   if (params_.routing == RoutingMode::kTapestryNative) {
-    // First occupied slot at or after `desired`, wrapping (§2.3).  Without
-    // an exclude set this is a pure bit scan.
+    // First filled slot at or after `desired`, wrapping (§2.3).  Without
+    // a filter this is a pure bit scan.
     const unsigned first = occ::next_wrap(row, radix, desired);
     if (first == occ::kNone) return std::nullopt;
     unsigned j = first;
     do {
       if (filled(j)) {
         if (j != desired) past_hole = true;
-        return j;
+        return chose(j, found);
       }
       j = occ::next_wrap(row, radix, (j + 1) % radix);
     } while (j != first);
@@ -76,10 +93,12 @@ std::optional<unsigned> Router::select_slot(const TapestryNode& at,
 
   // RoutingMode::kPrrLike.
   if (!past_hole) {
-    if (occ::test(row, desired) && filled(desired)) return desired;
+    if (occ::test(row, desired) && filled(desired))
+      return chose(desired, found);
     past_hole = true;
     // First hole: best leading-bit match, ties to the higher digit.
     std::optional<unsigned> best;
+    const NodeId* best_found = nullptr;
     unsigned best_score = 0;
     for (unsigned j = occ::next(row, radix, 0); j != occ::kNone;
          j = occ::next(row, radix, j + 1)) {
@@ -89,97 +108,46 @@ std::optional<unsigned> Router::select_slot(const TapestryNode& at,
       if (!best.has_value() || score > best_score ||
           (score == best_score && j > *best)) {
         best = j;
+        best_found = found;
         best_score = score;
       }
     }
-    return best;
+    if (!best.has_value()) return std::nullopt;
+    return chose(*best, best_found);
   }
   // After the first hole: numerically highest filled digit.
   for (unsigned j = occ::prev(row, radix, radix - 1); j != occ::kNone;
        j = (j == 0 ? occ::kNone : occ::prev(row, radix, j - 1)))
-    if (filled(j)) return j;
-  return std::nullopt;
-}
-
-std::optional<unsigned> Router::select_slot_reference(
-    const TapestryNode& at, unsigned level, unsigned desired, bool& past_hole,
-    const ExcludeSet* exclude) const {
-  const unsigned radix = params_.id.radix();
-  const bool cut = reg_.partition_active();
-  auto filled = [&](unsigned j) {
-    for (const auto& e : at.table().at(level, j).entries()) {
-      if (exclude != nullptr && exclude->count(e.id.value()) != 0) continue;
-      if (cut && !reg_.reachable(at.id(), e.id)) continue;
-      return true;
-    }
-    return false;
-  };
-
-  if (params_.routing == RoutingMode::kTapestryNative) {
-    for (unsigned off = 0; off < radix; ++off) {
-      const unsigned j = (desired + off) % radix;
-      if (filled(j)) {
-        if (j != desired) past_hole = true;
-        return j;
-      }
-    }
-    return std::nullopt;
-  }
-
-  // RoutingMode::kPrrLike.
-  if (!past_hole) {
-    if (filled(desired)) return desired;
-    past_hole = true;
-    // First hole: best leading-bit match, ties to the higher digit.
-    std::optional<unsigned> best;
-    unsigned best_score = 0;
-    for (unsigned j = 0; j < radix; ++j) {
-      if (!filled(j)) continue;
-      const unsigned score =
-          leading_bit_match(j, desired, params_.id.digit_bits);
-      if (!best.has_value() || score > best_score ||
-          (score == best_score && j > *best)) {
-        best = j;
-        best_score = score;
-      }
-    }
-    return best;
-  }
-  // After the first hole: numerically highest filled digit.
-  for (unsigned j = radix; j-- > 0;)
-    if (filled(j)) return j;
+    if (filled(j)) return chose(j, found);
   return std::nullopt;
 }
 
 std::optional<NodeId> Router::live_primary_repair(TapestryNode& at,
                                                   unsigned level,
-                                                  unsigned digit, Trace* trace,
+                                                  unsigned digit,
+                                                  const NodeId* prim,
+                                                  Trace* trace,
                                                   const ExcludeSet* exclude) {
-  for (;;) {
-    // The primary for this step is the closest member not being routed
-    // around (Figure 10's "as if the new node had not yet entered").
-    std::optional<NodeId> prim;
-    for (const auto& e : at.table().at(level, digit).entries()) {
-      if (exclude != nullptr && exclude->count(e.id.value()) != 0) continue;
-      // A partitioned-away member is unreachable but alive: route around
-      // it without purging (the table must survive the cut intact).
-      if (!reg_.reachable(at.id(), e.id)) continue;
-      prim = e.id;
-      break;
-    }
-    if (!prim.has_value()) return std::nullopt;
-    if (*prim == at.id()) return prim;
-    TapestryNode* p = reg_.find(*prim);
+  // The primary for this step is the closest member not being routed
+  // around (Figure 10's "as if the new node had not yet entered").  After
+  // a purge the same slot is re-read: re-selecting would see past_hole
+  // already set and, under PRR, skip the first-hole best match.
+  for (; prim != nullptr;
+       prim = usable_member(at, level, digit, exclude, /*live_only=*/false)) {
+    const NodeId id = *prim;  // the purge below rewrites the slot
+    if (id == at.id()) return id;
+    TapestryNode* p = reg_.find(id);
     TAP_ASSERT(p != nullptr);
-    if (p->alive) return prim;
+    if (p->alive) return id;
     // Dead primary: the probe that discovered it cost one (unanswered)
     // message; then repair.
     (void)transport_->deliver(
-        make_message(MessageKind::kHeartbeatProbe, at.id(), *prim, *prim));
+        make_message(MessageKind::kHeartbeatProbe, at.id(), id, id));
     reg_.acct(trace, at, *p, 1);
     TAP_ASSERT_MSG(repair_ != nullptr, "router has no repair handler bound");
-    repair_->purge_dead_neighbor(at, *prim, trace);
+    repair_->purge_dead_neighbor(at, id, trace);
   }
+  return std::nullopt;
 }
 
 std::optional<NodeId> Router::route_step(TapestryNode& at, const Id& target,
@@ -188,20 +156,16 @@ std::optional<NodeId> Router::route_step(TapestryNode& at, const Id& target,
   TAP_ASSERT(target.valid() && target.spec() == params_.id);
   const unsigned digits = params_.id.num_digits;
   while (state.level < digits) {
-    for (;;) {
-      const unsigned desired = target.digit(state.level);
-      auto j = select_slot(at, state.level, desired, state.past_hole, exclude);
-      // Self-entries guarantee at least one filled slot per row.
-      TAP_ASSERT_MSG(j.has_value(), "routing row with no filled slot");
-      auto p = live_primary_repair(at, state.level, *j, trace, exclude);
-      if (!p.has_value()) continue;  // slot died under us; re-select
-      if (*p == at.id()) {
-        ++state.level;  // self-advance: resolve the digit locally
-        break;
-      }
-      ++state.level;
-      return p;
-    }
+    const NodeId* member = nullptr;
+    auto j = select_slot(at, state.level, target.digit(state.level),
+                         state.past_hole, exclude, /*live_only=*/false,
+                         &member);
+    // Self-entries guarantee at least one filled slot per row.
+    TAP_ASSERT_MSG(j.has_value(), "routing row with no filled slot");
+    auto p = live_primary_repair(at, state.level, *j, member, trace, exclude);
+    if (!p.has_value()) continue;  // slot died under us; re-select
+    ++state.level;
+    if (!(*p == at.id())) return p;  // else self-advance: resolved locally
   }
   return std::nullopt;  // `at` is the root
 }
@@ -215,75 +179,20 @@ std::optional<NodeId> Router::route_step_peek(
   NodeLockTable::Guard g(locks, at);
   const TapestryNode& n = reg_.checked(at);
   const unsigned digits = params_.id.num_digits;
-  const unsigned radix = params_.id.radix();
-  unsigned level = state.level;
-  while (level < digits) {
+  while (state.level < digits) {
     // Peek treats a slot as filled only if it has a live member; this is
-    // the steady-state the repairing walk converges to.  The occupancy
-    // mask prunes the scan to non-empty slots, and liveness is probed
-    // per candidate slot — allocation-free, mutation-free, lock-free.
-    const std::uint64_t* row = n.table().row_occupancy(level);
-    auto live_primary = [&](unsigned j) -> const NodeId* {
-      for (const auto& e : n.table().at(level, j).entries())
-        if (reg_.is_live(e.id) && reg_.reachable(n.id(), e.id)) return &e.id;
-      return nullptr;  // entries are distance-sorted; first live is primary
-    };
-    const unsigned desired = target.digit(level);
-    std::optional<unsigned> pick;
+    // the steady state the repairing walk converges to.
     const NodeId* prim = nullptr;
-    if (params_.routing == RoutingMode::kTapestryNative) {
-      const unsigned first = occ::next_wrap(row, radix, desired);
-      if (first != occ::kNone) {
-        unsigned j = first;
-        do {
-          if ((prim = live_primary(j)) != nullptr) {
-            if (j != desired) state.past_hole = true;
-            pick = j;
-            break;
-          }
-          j = occ::next_wrap(row, radix, (j + 1) % radix);
-        } while (j != first);
-      }
-    } else {
-      if (!state.past_hole && occ::test(row, desired) &&
-          (prim = live_primary(desired)) != nullptr) {
-        pick = desired;
-      } else if (!state.past_hole) {
-        state.past_hole = true;
-        unsigned best_score = 0;
-        for (unsigned j = occ::next(row, radix, 0); j != occ::kNone;
-             j = occ::next(row, radix, j + 1)) {
-          const NodeId* p = live_primary(j);
-          if (p == nullptr) continue;
-          const unsigned score =
-              leading_bit_match(j, desired, params_.id.digit_bits);
-          if (!pick.has_value() || score > best_score ||
-              (score == best_score && j > *pick)) {
-            pick = j;
-            prim = p;
-            best_score = score;
-          }
-        }
-      } else {
-        for (unsigned j = occ::prev(row, radix, radix - 1); j != occ::kNone;
-             j = (j == 0 ? occ::kNone : occ::prev(row, radix, j - 1))) {
-          if ((prim = live_primary(j)) != nullptr) {
-            pick = j;
-            break;
-          }
-        }
-      }
-    }
+    const auto j = select_slot(n, state.level, target.digit(state.level),
+                               state.past_hole, /*exclude=*/nullptr,
+                               /*live_only=*/true, &prim);
     // Reachable under failures before repair: every member of every slot
     // in this row is dead.  A real router would block on repair here; the
     // peek reports it as a checkable condition.
-    TAP_CHECK(pick.has_value(), "peek: routing row with no live slot");
-    const NodeId p = *prim;
-    ++level;
-    state.level = level;
-    if (!(p == n.id())) return p;
+    TAP_CHECK(j.has_value(), "peek: routing row with no live slot");
+    ++state.level;
+    if (!(*prim == n.id())) return *prim;
   }
-  state.level = level;
   return std::nullopt;
 }
 
@@ -334,19 +243,11 @@ RouteResult Router::route_to_root(NodeId from, const Id& target,
 }
 
 RouteResult Router::route_to_root_peek(NodeId from, const Id& target,
-                                       Trace* trace) const {
+                                       Trace* trace,
+                                       const NodeLockTable* locks) const {
   return walk_to_root(from, target, trace,
                       [&](TapestryNode& at, RouteState& state) {
-                        return route_step_peek(at.id(), target, state);
-                      });
-}
-
-RouteResult Router::route_to_root_guarded(NodeId from, const Id& target,
-                                          Trace* trace) const {
-  return walk_to_root(from, target, trace,
-                      [&](TapestryNode& at, RouteState& state) {
-                        return route_step_peek(at.id(), target, state,
-                                               &reg_.node_locks());
+                        return route_step_peek(at.id(), target, state, locks);
                       });
 }
 

@@ -54,21 +54,19 @@ class Router {
   [[nodiscard]] Transport& transport() const noexcept { return *transport_; }
 
   /// Scans row `level` of `at` for the slot serving `desired` under the
-  /// configured routing mode.  Returns the chosen digit or nullopt if the
-  /// whole row is empty (cannot happen while self-entries are intact).
-  /// Driven by the row's occupancy bitmask: empty slots are skipped with
-  /// O(1) bit scans, and a NeighborSet is only touched when an exclude set
-  /// forces a member check.
+  /// configured routing mode (§2.3).  A slot counts as filled when some
+  /// member is outside `exclude`, is reachable across an active partition
+  /// and, with `live_only`, is alive.  Returns the chosen digit, or nullopt
+  /// if no slot of the row is filled; `member` (if given) receives the
+  /// slot's first such member — its usable primary, a pointer into the
+  /// slot that a table mutation invalidates.  Driven by the row's
+  /// occupancy bitmask: empty slots are skipped with O(1) bit scans, and
+  /// each occupied slot considered has its members read once, only when a
+  /// filter or `member` asks for them.
   [[nodiscard]] std::optional<unsigned> select_slot(
       const TapestryNode& at, unsigned level, unsigned desired,
-      bool& past_hole, const ExcludeSet* exclude = nullptr) const;
-
-  /// The pre-bitmask linear slot scan, preserved verbatim as the
-  /// correctness oracle: tests assert digit-for-digit agreement with
-  /// select_slot, and bench_micro measures the speedup between the two.
-  [[nodiscard]] std::optional<unsigned> select_slot_reference(
-      const TapestryNode& at, unsigned level, unsigned desired,
-      bool& past_hole, const ExcludeSet* exclude = nullptr) const;
+      bool& past_hole, const ExcludeSet* exclude = nullptr,
+      bool live_only = false, const NodeId** member = nullptr) const;
 
   /// Mutating route step with lazy repair.
   std::optional<NodeId> route_step(TapestryNode& at, const Id& target,
@@ -77,10 +75,11 @@ class Router {
 
   /// One routing decision at node `at` given cursor `state`: returns the
   /// next (different) node and advances the cursor past any self-matching
-  /// levels, or nullopt when `at` is the root.  Pure peek — never repairs;
-  /// dead primaries are skipped in favor of live members.  With `locks`
-  /// the decision runs under `at`'s stripe, which makes it safe against
-  /// concurrent routing-table mutation (a thread-parallel wave).
+  /// levels, or nullopt when `at` is the root.  Pure peek — select_slot
+  /// with `live_only`, never repairing; dead primaries are skipped in
+  /// favor of live members.  With `locks` the decision runs under `at`'s
+  /// stripe, which makes it safe against concurrent routing-table mutation
+  /// (a thread-parallel wave).
   [[nodiscard]] std::optional<NodeId> route_step_peek(
       const NodeId& at, const Id& target, RouteState& state,
       const NodeLockTable* locks = nullptr) const;
@@ -98,22 +97,19 @@ class Router {
                             Trace* trace = nullptr);
 
   /// Mutation-free surrogate route built on route_step_peek: walks the
-  /// steady-state path (dead members skipped, nothing repaired, no locks
-  /// taken) with the same cost accounting as route_to_root.  This is the
-  /// read path concurrent builders and batched publishes use — any number
-  /// of threads may walk a quiescent mesh simultaneously.
+  /// steady-state path (dead members skipped, nothing repaired) with the
+  /// same cost accounting as route_to_root.  Without `locks` no lock is
+  /// taken: any number of threads may walk a quiescent mesh (concurrent
+  /// builders, batched publishes).  With `locks` (the registry's
+  /// NodeLockTable) each routing decision runs under the current node's
+  /// stripe, so the walk is safe against concurrent routing-table mutation
+  /// (a thread-parallel join wave).  Exactly one stripe is held at a time —
+  /// the per-hop granularity a real deployment has, where each hop
+  /// observes whatever table state the contacted node holds right then.
+  /// On a quiescent mesh both forms return the same result.
   RouteResult route_to_root_peek(NodeId from, const Id& target,
-                                 Trace* trace = nullptr) const;
-
-  /// route_to_root_peek for a mesh that is NOT quiescent: each routing
-  /// decision runs under the current node's stripe in the registry's
-  /// NodeLockTable, so the walk is safe against concurrent routing-table
-  /// mutation (a thread-parallel join wave).  Exactly one stripe is held
-  /// at a time — the per-hop granularity a real deployment has, where each
-  /// hop observes whatever table state the contacted node holds right
-  /// then.  On a quiescent mesh the result is identical to the peek walk.
-  RouteResult route_to_root_guarded(NodeId from, const Id& target,
-                                    Trace* trace = nullptr) const;
+                                 Trace* trace = nullptr,
+                                 const NodeLockTable* locks = nullptr) const;
 
   /// The unique surrogate root for `target` (Theorem 2), computed from an
   /// arbitrary start without cost accounting.  Oracle-flavored convenience
@@ -131,22 +127,33 @@ class Router {
                            const std::vector<NodeId>& exclude = {});
 
  private:
-  /// The one walk loop behind route_to_root (repairing step),
-  /// route_to_root_peek (peek step) and route_to_root_guarded (stripe-
-  /// locked peek step): `next_hop(node, state)` makes each routing
-  /// decision; the loop owns the hop message and the hop / latency /
-  /// surrogate-hop / path accounting.
+  /// The one walk loop behind route_to_root (repairing step) and
+  /// route_to_root_peek (peek step, stripe-locked with `locks`):
+  /// `next_hop(node, state)` makes each routing decision; the loop owns
+  /// the hop message and the hop / latency / surrogate-hop / path
+  /// accounting.
   template <typename NextHop>
   RouteResult walk_to_root(NodeId from, const Id& target, Trace* trace,
                            NextHop&& next_hop) const;
 
-  /// Live primary of a slot with lazy repair: prunes dead members it
-  /// trips over (§5.2) and, if the slot empties, hunts a replacement.
-  /// Private so the mutating-repair entry points stay at route_step /
-  /// route_to_root, which re-select after a slot empties.
-  std::optional<NodeId> live_primary_repair(
-      TapestryNode& at, unsigned level, unsigned digit, Trace* trace,
-      const ExcludeSet* exclude = nullptr);
+  /// First member of slot (level, j) of `at` passing select_slot's
+  /// filter, or nullptr.  Members are distance-sorted, so this is the
+  /// slot's usable primary.
+  [[nodiscard]] const NodeId* usable_member(const TapestryNode& at,
+                                            unsigned level, unsigned j,
+                                            const ExcludeSet* exclude,
+                                            bool live_only) const;
+
+  /// Live primary of slot (level, digit) with lazy repair, starting from
+  /// its usable member `prim`: prunes dead members it trips over (§5.2)
+  /// and re-reads the same slot after each purge; nullopt once the slot
+  /// has no usable member left.  Private so the mutating-repair entry
+  /// points stay at route_step / route_to_root, which re-select after a
+  /// slot empties.
+  std::optional<NodeId> live_primary_repair(TapestryNode& at, unsigned level,
+                                            unsigned digit, const NodeId* prim,
+                                            Trace* trace,
+                                            const ExcludeSet* exclude);
 
   NodeRegistry& reg_;
   const TapestryParams& params_;

@@ -17,7 +17,7 @@ namespace {
 using test::make_guid;
 using test::small_params;
 
-ChurnScenario small_scenario(std::uint64_t seed, bool synchronous) {
+ChurnScenario small_scenario(std::uint64_t seed) {
   ChurnScenario sc;
   sc.horizon = 16.0;
   sc.epoch = 4.0;
@@ -32,7 +32,6 @@ ChurnScenario small_scenario(std::uint64_t seed, bool synchronous) {
   sc.expiry_interval = 2.0;
   sc.heartbeat_interval = 4.0;
   sc.seed = seed;
-  sc.synchronous = synchronous;
   return sc;
 }
 
@@ -43,7 +42,7 @@ TEST(ChurnEngine, SameSeedReplaysIdenticalTraceAndStats) {
     TapestryParams p = small_params();
     p.pointer_ttl = 8.0;
     auto g = test::grow_ring_network(48, 7, p);
-    ChurnDriver driver(*g.net, small_scenario(7, false));
+    ChurnDriver driver(*g.net, small_scenario(7));
     const ChurnReport rep = driver.run();
     *log = driver.event_log();
     return rep;
@@ -76,7 +75,7 @@ TEST(ChurnEngine, DifferentSeedsDiverge) {
     TapestryParams p = small_params();
     p.pointer_ttl = 8.0;
     auto g = test::grow_ring_network(48, seed, p);
-    ChurnDriver driver(*g.net, small_scenario(seed, false));
+    ChurnDriver driver(*g.net, small_scenario(seed));
     driver.run();
     return driver.event_log();
   };
@@ -93,7 +92,7 @@ TEST(ChurnEngine, ZipfFlashHotspotScenarioReplaysIdentically) {
     p.pointer_ttl = 8.0;
     p.locate_cache_size = 64;
     auto g = test::grow_ring_network(48, 21, p);
-    ChurnScenario sc = small_scenario(21, false);
+    ChurnScenario sc = small_scenario(21);
     sc.popularity = ChurnScenario::Popularity::kZipf;
     sc.zipf_s = 1.0;
     sc.flash_at = 8.0;
@@ -136,7 +135,7 @@ TEST(ChurnEngine, ZipfWorkloadDivergesFromUniform) {
     TapestryParams p = small_params();
     p.pointer_ttl = 8.0;
     auto g = test::grow_ring_network(48, 23, p);
-    ChurnScenario sc = small_scenario(23, false);
+    ChurnScenario sc = small_scenario(23);
     if (zipf) {
       sc.popularity = ChurnScenario::Popularity::kZipf;
       sc.zipf_s = 1.0;
@@ -384,7 +383,7 @@ TEST(ChurnEngine, DrainedCompletionsLandInTerminalBucketNotLastEpoch) {
   // Slow hops make in-flight queries span the horizon reliably.
   p.hop_delay_scale = 4.0;
   auto g = test::grow_ring_network(48, 31, p);
-  ChurnScenario sc = small_scenario(31, false);
+  ChurnScenario sc = small_scenario(31);
   sc.query_rate = 40.0;  // a dense tail of queries straddles the horizon
   ChurnDriver driver(*g.net, sc);
   const ChurnReport rep = driver.run();
@@ -428,7 +427,7 @@ TEST(ChurnEngine, EventEngineSoakEndsConsistent) {
   TapestryParams p = small_params();
   p.pointer_ttl = 8.0;
   auto g = test::grow_ring_network(48, 17, p);
-  ChurnDriver driver(*g.net, small_scenario(17, false));
+  ChurnDriver driver(*g.net, small_scenario(17));
   const ChurnReport rep = driver.run();
 
   EXPECT_GT(rep.queries, 50u);

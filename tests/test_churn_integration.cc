@@ -130,54 +130,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChurnSoakTest,
                            return "seed" + std::to_string(ti.param);
                          });
 
-// The event-driven engine decomposes publish/locate into per-hop events
-// and runs maintenance on timers; the synchronous engine executes the
-// *same* scripted scenario (same driver seed, hence identical churn and
-// query schedules) with atomic operations and batch maintenance.  The two
-// executions interleave differently, so individual query outcomes may
-// differ — but aggregate availability measures the same soft-state
-// machinery and must agree within a small tolerance.
-TEST(ChurnIntegration, SyncAndEventEnginesAgreeOnAvailability) {
-  auto run_engine = [](bool synchronous) {
-    TapestryParams p = small_params();
-    p.pointer_ttl = 6.0;
-    auto g = test::grow_ring_network(64, 21, p);
-    ChurnScenario sc;
-    sc.horizon = 24.0;
-    sc.epoch = 6.0;
-    sc.join_rate = 0.6;
-    sc.leave_rate = 0.5;
-    sc.fail_rate = 1.2;  // harsh: availability must actually dip
-    sc.min_nodes = 32;
-    sc.query_rate = 16.0;
-    sc.objects = 32;
-    sc.replicas = 1;
-    sc.republish_interval = 6.0;
-    sc.expiry_interval = 3.0;
-    sc.heartbeat_interval = 6.0;
-    sc.seed = 21;
-    sc.synchronous = synchronous;
-    ChurnDriver driver(*g.net, sc);
-    return driver.run();
-  };
-  const ChurnReport sync_rep = run_engine(true);
-  const ChurnReport event_rep = run_engine(false);
-
-  // Both engines ran the same schedule: the churn mix must match closely
-  // (small drift is possible where an engine's liveness state diverges).
-  EXPECT_GT(sync_rep.queries, 200u);
-  EXPECT_GT(event_rep.queries, 200u);
-  EXPECT_GT(sync_rep.fails, 10u) << "scenario must actually crash nodes";
-  EXPECT_NEAR(static_cast<double>(sync_rep.fails),
-              static_cast<double>(event_rep.fails), 3.0);
-
-  EXPECT_GE(sync_rep.availability(), 0.85);
-  EXPECT_GE(event_rep.availability(), 0.85);
-  EXPECT_NEAR(sync_rep.availability(), event_rep.availability(), 0.05)
-      << "sync engine: " << sync_rep.found << "/" << sync_rep.queries
-      << ", event engine: " << event_rep.found << "/" << event_rep.queries;
-}
-
 TEST(ChurnIntegration, RootsStayUniqueUnderChurn) {
   Rng rng(9);
   RingMetric space(256, rng);

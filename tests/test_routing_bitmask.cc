@@ -1,14 +1,17 @@
 // Occupancy-bitmask invariants: the per-row masks RoutingTable maintains
 // must mirror slot contents through every mutation path (insert, remove,
 // pin/unpin, repair, full churn), the bitmask-driven Router::select_slot
-// must agree digit-for-digit with the preserved linear-scan reference, and
-// the const peek read path must agree with the mutating walk.
+// must agree digit-, hole- and member-for-member with the linear-scan
+// reference (tests/select_slot_reference.h) under every member filter, the
+// peek walk must equal the walk built from the reference selector, and the
+// const peek read path must agree with the mutating walk.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <set>
 #include <vector>
 
+#include "select_slot_reference.h"
 #include "src/tapestry/routing_table.h"
 #include "test_util.h"
 
@@ -129,53 +132,153 @@ TEST(OccupancyMask, MultiWordRowsByteRadix) {
 // select_slot: bitmask fast path vs the linear-scan reference
 // ---------------------------------------------------------------------
 
-void expect_select_agreement(const Network& net,
-                             const std::vector<NodeId>& ids,
-                             std::uint64_t seed) {
+/// Probes select_slot at random live nodes, levels and digits under a
+/// random member filter — an exclude sample drawn from every registered id
+/// (tombstones included) and `live_only` — and requires the reference's
+/// digit, past-hole flag and member.  The member-less form must pick the
+/// same digit.
+void expect_select_agreement(const Network& net, std::uint64_t seed) {
   Rng rng(seed);
   const Router& router = net.router();
+  const NodeRegistry& reg = net.registry();
   const unsigned digits = net.params().id.num_digits;
   const unsigned radix = net.params().id.radix();
+  const auto live = net.node_ids();
+  std::vector<NodeId> all;
+  for (const auto& n : reg.nodes()) all.push_back(n->id());
   for (int probe = 0; probe < 4000; ++probe) {
-    const TapestryNode& at = net.node(ids[rng.next_u64(ids.size())]);
+    const TapestryNode& at = net.node(live[rng.next_u64(live.size())]);
     const unsigned level = static_cast<unsigned>(rng.next_u64(digits));
     const unsigned desired = static_cast<unsigned>(rng.next_u64(radix));
     const bool start_hole = rng.bernoulli(0.3);
+    const bool live_only = rng.bernoulli(0.5);
 
-    // Optional exclude set: a random sample of overlay ids.
+    // Optional exclude set: a random sample of registered ids.
     Router::ExcludeSet exclude;
     const bool use_exclude = rng.bernoulli(0.3);
     if (use_exclude)
       for (int k = 0; k < 12; ++k)
-        exclude.insert(ids[rng.next_u64(ids.size())].value());
+        exclude.insert(all[rng.next_u64(all.size())].value());
+    const Router::ExcludeSet* ex = use_exclude ? &exclude : nullptr;
 
-    bool hole_fast = start_hole, hole_ref = start_hole;
-    const auto fast = router.select_slot(at, level, desired, hole_fast,
-                                         use_exclude ? &exclude : nullptr);
-    const auto ref = router.select_slot_reference(
-        at, level, desired, hole_ref, use_exclude ? &exclude : nullptr);
-    ASSERT_EQ(fast, ref) << "level " << level << " desired " << desired;
+    bool hole_fast = start_hole, hole_ref = start_hole, hole_bare = start_hole;
+    const NodeId* m_fast = nullptr;
+    const NodeId* m_ref = nullptr;
+    const auto fast = router.select_slot(at, level, desired, hole_fast, ex,
+                                         live_only, &m_fast);
+    const auto ref = select_slot_reference(reg, at, level, desired, hole_ref,
+                                           ex, live_only, &m_ref);
+    const auto bare =
+        router.select_slot(at, level, desired, hole_bare, ex, live_only);
+    ASSERT_EQ(fast, ref) << "level " << level << " desired " << desired
+                         << " live_only " << live_only;
     ASSERT_EQ(hole_fast, hole_ref) << "past_hole divergence";
+    ASSERT_EQ(m_fast, m_ref) << "reported member divergence";
+    ASSERT_EQ(fast.has_value(), m_fast != nullptr);
+    ASSERT_EQ(bare, fast) << "member-less selection diverged";
+    ASSERT_EQ(hole_bare, hole_fast);
   }
+}
+
+/// A grown ring after `corpses` unrepaired fail()s: tables still list the
+/// dead, which only a live-only filter skips.
+test::GrownNetwork grown_with_corpses(RoutingMode mode, std::size_t n,
+                                      int corpses, std::uint64_t seed) {
+  auto g = test::grow_ring_network(n, seed, small_params(mode));
+  Rng rng(seed ^ 0xdead);
+  for (int i = 0; i < corpses; ++i) {
+    const auto ids = g.net->node_ids();
+    g.net->fail(ids[rng.next_u64(ids.size())]);
+  }
+  return g;
+}
+
+/// Cuts the live overlay in half/half (registration order).
+void cut_in_half(Network& net) {
+  const auto ids = net.node_ids();
+  net.set_partition(
+      std::vector<NodeId>(ids.begin() + ids.size() / 2, ids.end()));
 }
 
 TEST(SelectSlot, BitmaskAgreesWithReferenceNative) {
   auto g = test::static_ring_network(128, 3,
                                      small_params(RoutingMode::kTapestryNative));
-  expect_select_agreement(*g.net, g.ids, 91);
+  expect_select_agreement(*g.net, 91);
 }
 
 TEST(SelectSlot, BitmaskAgreesWithReferencePrr) {
   auto g =
       test::static_ring_network(128, 3, small_params(RoutingMode::kPrrLike));
-  expect_select_agreement(*g.net, g.ids, 92);
+  expect_select_agreement(*g.net, 92);
 }
 
 TEST(SelectSlot, AgreesOnSparseGrownTablesWithHoles) {
   // A small grown network has rows dominated by holes at deep levels —
   // the wrap-around scans where the bitmask shortcut must still match.
   auto g = test::grow_ring_network(24, 13);
-  expect_select_agreement(*g.net, g.ids, 93);
+  expect_select_agreement(*g.net, 93);
+}
+
+TEST(SelectSlot, AgreesOverCorpsesAndPartitionBothModes) {
+  for (const RoutingMode mode :
+       {RoutingMode::kTapestryNative, RoutingMode::kPrrLike}) {
+    SCOPED_TRACE(mode == RoutingMode::kPrrLike ? "prr" : "native");
+    auto g = grown_with_corpses(mode, 96, 12, 41);
+    expect_select_agreement(*g.net, 94);
+    cut_in_half(*g.net);
+    expect_select_agreement(*g.net, 95);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Peek walk vs the walk built from the reference selector
+// ---------------------------------------------------------------------
+
+/// The peek walk rebuilt hop by hop from select_slot_reference with
+/// `live_only`: the next hop is the chosen slot's first usable member.
+RouteResult reference_peek_walk(const Network& net, NodeId from,
+                                const Guid& target) {
+  const NodeRegistry& reg = net.registry();
+  RouteResult res;
+  res.path.push_back(from);
+  RouteState state;
+  while (state.level < net.params().id.num_digits) {
+    const NodeId* m = nullptr;
+    const auto j = select_slot_reference(
+        reg, reg.checked(res.path.back()), state.level,
+        target.digit(state.level), state.past_hole, nullptr,
+        /*live_only=*/true, &m);
+    if (!j.has_value()) throw CheckError("reference: row with no live slot");
+    ++state.level;
+    if (*m == res.path.back()) continue;  // self-advance
+    res.path.push_back(*m);
+    ++res.hops;
+    if (state.past_hole) ++res.surrogate_hops;
+  }
+  res.root = res.path.back();
+  return res;
+}
+
+TEST(PeekRoute, EqualsWalkBuiltFromReferenceSelector) {
+  for (const RoutingMode mode :
+       {RoutingMode::kTapestryNative, RoutingMode::kPrrLike}) {
+    SCOPED_TRACE(mode == RoutingMode::kPrrLike ? "prr" : "native");
+    auto g = grown_with_corpses(mode, 96, 12, 43);
+    for (const bool cut : {false, true}) {
+      if (cut) cut_in_half(*g.net);
+      Rng rng(cut ? 47 : 46);
+      const auto live = g.net->node_ids();
+      for (int q = 0; q < 200; ++q) {
+        const Guid guid = make_guid(*g.net, 7000 + q);
+        const NodeId src = live[rng.next_u64(live.size())];
+        const RouteResult peek = g.net->router().route_to_root_peek(src, guid);
+        const RouteResult ref = reference_peek_walk(*g.net, src, guid);
+        ASSERT_EQ(peek.path, ref.path) << "cut " << cut << " query " << q;
+        ASSERT_EQ(peek.surrogate_hops, ref.surrogate_hops);
+        ASSERT_EQ(peek.root, ref.root);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

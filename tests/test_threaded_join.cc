@@ -212,13 +212,15 @@ TEST(ThreadedJoin, GuardedPeekAgreesWithMutatingRouteAfterWave) {
   std::atomic<bool> dead_root{false};
   std::atomic<std::size_t> probes{0};
   const auto core_ids = g.net->node_ids();
+  const NodeLockTable* locks = &g.net->registry().node_locks();
   std::thread prober([&] {
     // gtest assertions are not thread-safe off the main thread; flag it.
     Rng pr(4321);
     while (!stop.load(std::memory_order_relaxed)) {
       const NodeId src = core_ids[pr.next_u64(core_ids.size())];
       const Guid target = make_guid(*g.net, 5000 + pr.next_u64(64));
-      const RouteResult r = g.net->router().route_to_root_guarded(src, target);
+      const RouteResult r =
+          g.net->router().route_to_root_peek(src, target, nullptr, locks);
       if (!g.net->registry().is_live(r.root))
         dead_root.store(true, std::memory_order_relaxed);
       probes.fetch_add(1, std::memory_order_relaxed);
@@ -237,7 +239,7 @@ TEST(ThreadedJoin, GuardedPeekAgreesWithMutatingRouteAfterWave) {
     const Guid target = make_guid(*g.net, 5000 + pr.next_u64(64));
     const NodeId peek = g.net->router().route_to_root_peek(src, target).root;
     const NodeId guarded =
-        g.net->router().route_to_root_guarded(src, target).root;
+        g.net->router().route_to_root_peek(src, target, nullptr, locks).root;
     const NodeId mutating = g.net->route_to_root(src, target).root;
     EXPECT_EQ(peek.value(), guarded.value());
     EXPECT_EQ(peek.value(), mutating.value());

@@ -272,7 +272,8 @@ TEST(ThreadedRepair, GuardedPeekProberRacesFailWave) {
       const NodeId src = sources[pr.next_u64(sources.size())];
       const Guid target = make_guid(*g.net, 8300 + pr.next_u64(64));
       try {
-        (void)g.net->router().route_to_root_guarded(src, target);
+        (void)g.net->router().route_to_root_peek(
+            src, target, nullptr, &g.net->registry().node_locks());
       } catch (const CheckError&) {
         transients.fetch_add(1, std::memory_order_relaxed);
       }

@@ -12,7 +12,9 @@
 //   tapestry_sim --nodes=256 --churn-rounds=50 --fail-prob=0.2 --csv
 //   tapestry_sim --scenario=churn --nodes=256 --fail-rate=1.5 --ttl=8 --csv
 //
-// Flags (defaults in brackets):
+// Flags (defaults in brackets).  A numeric flag's value must parse whole —
+// no sign on a count, no trailing characters — or the run exits 2 naming
+// the flag, as it does for an unknown flag or choice:
 //   --space=ring|torus|transit-stub|euclid6d|two-cluster   [ring]
 //   --nodes=N        overlay size                           [256]
 //   --objects=N      published objects                      [nodes/2]
@@ -69,8 +71,6 @@
 //                            publishes, expiry sweeps and peeked probes
 //                            (requires --store=sharded, --cache=0)     [0]
 //   --scenario=static|churn  one-shot measurement vs scripted churn [static]
-//   --engine=event|sync      per-hop EventQueue execution or the legacy
-//                            atomic/serialized engine                [event]
 //   --horizon=T              simulated run length                    [40]
 //   --epoch-len=T            statistics bucket length                [5]
 //   --join-rate=R            Poisson joins per time unit             [0.8]
@@ -133,6 +133,7 @@
 //                            127.0.0.1:N for the life of the process
 //                            (N=0 picks an ephemeral port, printed)
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -174,7 +175,6 @@ struct Options {
 
   // Churn-scenario mode.
   std::string scenario = "static";
-  std::string engine = "event";
   double horizon = 40.0;
   double epoch_len = 5.0;
   double join_rate = 0.8;
@@ -236,6 +236,19 @@ bool churn_family(const std::string& scenario) {
          scenario == "rootfail" || scenario == "burst";
 }
 
+/// Parses the whole of `v` into `*out` for numeric flag `name`, or exits 2
+/// naming the flag.  std::from_chars takes no sign for unsigned types and
+/// no leading space, and the value must end where the argument does.
+template <typename T>
+void parse_number(const char* name, const std::string& v, T* out) {
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, *out);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "invalid value for %s: '%s'\n", name, v.c_str());
+    std::exit(2);
+  }
+}
+
 bool parse_flag(const char* arg, const char* name, std::string* out) {
   const std::size_t len = std::strlen(name);
   if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
@@ -249,81 +262,51 @@ Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
     std::string v;
+    auto num = [&](const char* name, auto* out) {
+      if (!parse_flag(argv[i], name, &v)) return false;
+      parse_number(name, v, out);
+      return true;
+    };
+    if (num("--nodes", &o.nodes) || num("--objects", &o.objects) ||
+        num("--queries", &o.queries) || num("--replicas", &o.replicas) ||
+        num("--r", &o.redundancy) || num("--roots", &o.roots) ||
+        num("--churn-rounds", &o.churn_rounds) ||
+        num("--fail-prob", &o.fail_prob) || num("--seed", &o.seed) ||
+        num("--horizon", &o.horizon) || num("--epoch-len", &o.epoch_len) ||
+        num("--join-rate", &o.join_rate) ||
+        num("--leave-rate", &o.leave_rate) ||
+        num("--fail-rate", &o.fail_rate) ||
+        num("--query-rate", &o.query_rate) ||
+        num("--republish-interval", &o.republish_interval) ||
+        num("--expiry-interval", &o.expiry_interval) ||
+        num("--heartbeat-interval", &o.heartbeat_interval) ||
+        num("--ttl", &o.ttl) || num("--min-nodes", &o.min_nodes) ||
+        num("--cache", &o.cache) || num("--cache-ttl", &o.cache_ttl) ||
+        num("--zipf-s", &o.zipf_s) || num("--flash-at", &o.flash_at) ||
+        num("--flash-factor", &o.flash_factor) ||
+        num("--flash-index", &o.flash_index) || num("--threads", &o.threads) ||
+        num("--join-wave", &o.join_wave) ||
+        num("--join-threads", &o.join_threads) ||
+        num("--churn-threads", &o.churn_threads) ||
+        num("--partition-at", &o.partition_at) ||
+        num("--partition-heal", &o.partition_heal) ||
+        num("--rackfail-at", &o.rackfail_at) ||
+        num("--rootfail-at", &o.rootfail_at) ||
+        num("--rootfail-count", &o.rootfail_count) ||
+        num("--burst-every", &o.burst_every) ||
+        num("--burst-len", &o.burst_len) ||
+        num("--burst-factor", &o.burst_factor) ||
+        num("--metrics-port", &o.metrics_port) ||
+        num("--checkpoint-interval", &o.checkpoint_interval))
+      continue;
     if (parse_flag(argv[i], "--space", &v)) o.space = v;
-    else if (parse_flag(argv[i], "--nodes", &v)) o.nodes = std::stoul(v);
-    else if (parse_flag(argv[i], "--objects", &v)) o.objects = std::stoul(v);
-    else if (parse_flag(argv[i], "--queries", &v)) o.queries = std::stoul(v);
-    else if (parse_flag(argv[i], "--replicas", &v))
-      o.replicas = static_cast<unsigned>(std::stoul(v));
     else if (parse_flag(argv[i], "--routing", &v)) o.routing = v;
-    else if (parse_flag(argv[i], "--r", &v))
-      o.redundancy = static_cast<unsigned>(std::stoul(v));
-    else if (parse_flag(argv[i], "--roots", &v))
-      o.roots = static_cast<unsigned>(std::stoul(v));
-    else if (parse_flag(argv[i], "--churn-rounds", &v))
-      o.churn_rounds = std::stoi(v);
-    else if (parse_flag(argv[i], "--fail-prob", &v)) o.fail_prob = std::stod(v);
-    else if (parse_flag(argv[i], "--seed", &v)) o.seed = std::stoull(v);
     else if (parse_flag(argv[i], "--scenario", &v)) o.scenario = v;
-    else if (parse_flag(argv[i], "--engine", &v)) o.engine = v;
-    else if (parse_flag(argv[i], "--horizon", &v)) o.horizon = std::stod(v);
-    else if (parse_flag(argv[i], "--epoch-len", &v)) o.epoch_len = std::stod(v);
-    else if (parse_flag(argv[i], "--join-rate", &v)) o.join_rate = std::stod(v);
-    else if (parse_flag(argv[i], "--leave-rate", &v))
-      o.leave_rate = std::stod(v);
-    else if (parse_flag(argv[i], "--fail-rate", &v)) o.fail_rate = std::stod(v);
-    else if (parse_flag(argv[i], "--query-rate", &v))
-      o.query_rate = std::stod(v);
-    else if (parse_flag(argv[i], "--republish-interval", &v))
-      o.republish_interval = std::stod(v);
-    else if (parse_flag(argv[i], "--expiry-interval", &v))
-      o.expiry_interval = std::stod(v);
-    else if (parse_flag(argv[i], "--heartbeat-interval", &v))
-      o.heartbeat_interval = std::stod(v);
-    else if (parse_flag(argv[i], "--ttl", &v)) o.ttl = std::stod(v);
-    else if (parse_flag(argv[i], "--min-nodes", &v))
-      o.min_nodes = std::stoul(v);
-    else if (parse_flag(argv[i], "--cache", &v)) o.cache = std::stoul(v);
-    else if (parse_flag(argv[i], "--cache-ttl", &v))
-      o.cache_ttl = std::stod(v);
     else if (parse_flag(argv[i], "--popularity", &v)) o.popularity = v;
-    else if (parse_flag(argv[i], "--zipf-s", &v)) o.zipf_s = std::stod(v);
-    else if (parse_flag(argv[i], "--flash-at", &v)) o.flash_at = std::stod(v);
-    else if (parse_flag(argv[i], "--flash-factor", &v))
-      o.flash_factor = std::stod(v);
-    else if (parse_flag(argv[i], "--flash-index", &v))
-      o.flash_index = std::stoul(v);
-    else if (parse_flag(argv[i], "--threads", &v)) o.threads = std::stoul(v);
-    else if (parse_flag(argv[i], "--join-wave", &v))
-      o.join_wave = std::stoul(v);
-    else if (parse_flag(argv[i], "--join-threads", &v))
-      o.join_threads = std::stoul(v);
-    else if (parse_flag(argv[i], "--churn-threads", &v))
-      o.churn_threads = std::stoul(v);
-    else if (parse_flag(argv[i], "--partition-at", &v))
-      o.partition_at = std::stod(v);
-    else if (parse_flag(argv[i], "--partition-heal", &v))
-      o.partition_heal = std::stod(v);
-    else if (parse_flag(argv[i], "--rackfail-at", &v))
-      o.rackfail_at = std::stod(v);
-    else if (parse_flag(argv[i], "--rootfail-at", &v))
-      o.rootfail_at = std::stod(v);
-    else if (parse_flag(argv[i], "--rootfail-count", &v))
-      o.rootfail_count = std::stoul(v);
-    else if (parse_flag(argv[i], "--burst-every", &v))
-      o.burst_every = std::stod(v);
-    else if (parse_flag(argv[i], "--burst-len", &v))
-      o.burst_len = std::stod(v);
-    else if (parse_flag(argv[i], "--burst-factor", &v))
-      o.burst_factor = std::stod(v);
     else if (parse_flag(argv[i], "--metrics-out", &v)) o.metrics_out = v;
-    else if (parse_flag(argv[i], "--metrics-port", &v))
-      o.metrics_port = std::stoi(v);
     else if (parse_flag(argv[i], "--store", &v)) o.store = v;
     else if (parse_flag(argv[i], "--store-dir", &v)) o.store_dir = v;
     else if (parse_flag(argv[i], "--transport", &v)) o.transport = v;
-    else if (parse_flag(argv[i], "--checkpoint-interval", &v))
-      o.checkpoint_interval = std::stod(v);
     else if (std::strcmp(argv[i], "--hotspot") == 0) o.hotspot = true;
     else if (std::strcmp(argv[i], "--retry") == 0) o.retry = true;
     else if (std::strcmp(argv[i], "--secondary") == 0) o.secondary = true;
@@ -428,10 +411,6 @@ Options parse(int argc, char** argv) {
   if (o.store_dir.empty()) o.store_dir = "tapestry_store." + o.scenario;
   if (o.join_wave >= o.nodes) {
     std::fprintf(stderr, "--join-wave must be smaller than --nodes\n");
-    std::exit(2);
-  }
-  if (o.engine != "event" && o.engine != "sync") {
-    std::fprintf(stderr, "unknown engine: %s\n", o.engine.c_str());
     std::exit(2);
   }
   if (o.churn_threads > 0) {
@@ -567,7 +546,6 @@ int run_churn_scenario(const Options& o, Network& net) {
   sc.expiry_interval = o.expiry_interval;
   sc.heartbeat_interval = o.heartbeat_interval;
   sc.seed = o.seed;
-  sc.synchronous = o.engine == "sync";
   sc.popularity = o.popularity == "zipf"
                       ? ChurnScenario::Popularity::kZipf
                       : ChurnScenario::Popularity::kUniform;
@@ -655,8 +633,8 @@ int run_churn_scenario(const Options& o, Network& net) {
     return gate_rc;
   }
 
-  std::printf("tapestry_sim churn — %zu nodes on %s (%s engine, seed %llu)\n",
-              o.nodes, o.space.c_str(), o.engine.c_str(),
+  std::printf("tapestry_sim churn — %zu nodes on %s (seed %llu)\n",
+              o.nodes, o.space.c_str(),
               static_cast<unsigned long long>(o.seed));
   std::printf("  rates: join %.2f / leave %.2f / fail %.2f per unit, "
               "queries %.1f/unit\n",
