@@ -28,9 +28,9 @@ std::optional<LocateCache::Entry> LocateCache::lookup(const NodeId& at,
     ++stats_.misses;
     return std::nullopt;
   }
-  // The expiry edge is inclusive to match the store's (§6.5 conformance:
-  // now == expires_at is already expired), so a hint can never name a
-  // pointer that the holder's own sweep would refuse to return.
+  // The cache is deliberately one instant stricter than the store, which
+  // still treats now == expires_at as live: a hint dies at its deadline,
+  // so it can never name a pointer the holder's store no longer returns.
   if (it->second->second.expires <= now) {
     pn.lru.erase(it->second);
     pn.index.erase(it);
@@ -117,6 +117,14 @@ std::size_t LocateCache::entries_at(const NodeId& at) const {
 // HotspotManager
 // ---------------------------------------------------------------------
 
+namespace {
+
+/// How many distinct querying clients to remember per object — promotion
+/// places the replica at the heaviest remembered one.
+constexpr std::size_t kDemandSites = 8;
+
+}  // namespace
+
 HotspotManager::HotspotManager(NodeRegistry& registry,
                                ObjectDirectory& directory, EventQueue& events,
                                HotspotParams params, bool synchronous,
@@ -186,7 +194,7 @@ void HotspotManager::record_query(const Guid& base, const NodeId& client,
                           [&](const Site& x) { return x.client == client; });
   if (sit != s.sites.end()) {
     sit->weight += 1.0;
-  } else if (s.sites.size() < hp_.demand_sites) {
+  } else if (s.sites.size() < kDemandSites) {
     s.sites.push_back(Site{client, 1.0});
   } else {
     // Full: displace the lightest remembered site if the newcomer's single

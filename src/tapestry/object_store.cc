@@ -1,5 +1,7 @@
 #include "src/tapestry/object_store.h"
 
+#include <cmath>
+
 #include "src/common/assert.h"
 #include "src/tapestry/params.h"
 #include "src/tapestry/persistent_store.h"
@@ -8,10 +10,43 @@
 
 namespace tap {
 
+std::vector<PointerRecord> ObjectStoreBackend::find_all(
+    const Guid& guid) const {
+  std::vector<PointerRecord> out;
+  for_each_of(guid, [&](const Guid&, const PointerRecord& r) {
+    out.push_back(r);
+  });
+  return out;
+}
+
+std::vector<PointerRecord> ObjectStoreBackend::find_live(const Guid& guid,
+                                                         double now) const {
+  std::vector<PointerRecord> out;
+  for_each_of(guid, [&](const Guid&, const PointerRecord& r) {
+    if (r.expires_at >= now) out.push_back(r);
+  });
+  return out;
+}
+
+std::vector<std::pair<Guid, PointerRecord>> ObjectStoreBackend::snapshot()
+    const {
+  std::vector<std::pair<Guid, PointerRecord>> out;
+  out.reserve(size());
+  for_each([&](const Guid& g, const PointerRecord& r) {
+    out.emplace_back(g, r);
+  });
+  return out;
+}
+
 void MemoryStore::upsert(const Guid& guid, const PointerRecord& record) {
   TAP_CHECK(guid.valid() && record.server.valid(),
             "upsert needs valid guid and server");
-  ++upserts_;
+  // A NaN deadline is never live and never expires, and a level past the
+  // last digit names no routing step; PersistentStore's replay refuses
+  // both, so no backend may accept them.
+  TAP_CHECK(!std::isnan(record.expires_at) &&
+                record.level <= guid.spec().num_digits,
+            "upsert needs a non-NaN deadline and level <= num_digits");
   auto& vec = map_[guid];
   for (auto& r : vec) {
     if (r.server == record.server) {
@@ -32,22 +67,6 @@ std::optional<PointerRecord> MemoryStore::find(const Guid& guid,
   return std::nullopt;
 }
 
-std::vector<PointerRecord> MemoryStore::find_all(const Guid& guid) const {
-  auto it = map_.find(guid);
-  if (it == map_.end()) return {};
-  return it->second;
-}
-
-std::vector<PointerRecord> MemoryStore::find_live(const Guid& guid,
-                                                  double now) const {
-  std::vector<PointerRecord> out;
-  auto it = map_.find(guid);
-  if (it == map_.end()) return out;
-  for (const auto& r : it->second)
-    if (r.expires_at >= now) out.push_back(r);
-  return out;
-}
-
 void MemoryStore::for_each_of(const Guid& guid, const Visitor& fn) const {
   auto it = map_.find(guid);
   if (it == map_.end()) return;
@@ -62,7 +81,6 @@ bool MemoryStore::remove(const Guid& guid, const NodeId& server) {
     if (r->server == server) {
       vec.erase(r);
       --count_;
-      ++removes_;
       if (vec.empty()) map_.erase(it);
       return true;
     }
@@ -85,7 +103,6 @@ std::size_t MemoryStore::remove_expired(double now) {
     }
     it = vec.empty() ? map_.erase(it) : std::next(it);
   }
-  expired_ += removed;
   return removed;
 }
 
@@ -94,20 +111,10 @@ void MemoryStore::for_each(const Visitor& fn) const {
     for (const auto& r : vec) fn(guid, r);
 }
 
-std::vector<std::pair<Guid, PointerRecord>> MemoryStore::snapshot() const {
-  std::vector<std::pair<Guid, PointerRecord>> out;
-  out.reserve(count_);
-  for_each([&](const Guid& g, const PointerRecord& r) { out.emplace_back(g, r); });
-  return out;
-}
-
 StoreStats MemoryStore::stats() const {
   StoreStats s;
   s.backend = "memory";
   s.records = count_;
-  s.upserts = upserts_;
-  s.removes = removes_;
-  s.expired = expired_;
   return s;
 }
 

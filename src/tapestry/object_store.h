@@ -19,19 +19,25 @@
 // the ObjectStoreBackend interface, with the implementations selected per
 // overlay through TapestryParams::store_backend (see make_object_store):
 //
-//   MemoryStore      unordered_map, the conformance reference — exactly the
-//                    pre-refactor behaviour (object_store.cc);
-//   ShardedStore     the same semantics behind striped internal locks, so
-//                    batch drains and expiry sweeps may hit one node's
-//                    store from several threads (sharded_store.{h,cc});
+//   MemoryStore      unordered_map, the conformance reference and the only
+//                    record container: every other backend keeps its
+//                    records in MemoryStores (object_store.cc);
+//   ShardedStore     sixteen {mutex, MemoryStore} stripes, so batch drains
+//                    and expiry sweeps may hit one node's store from
+//                    several threads (sharded_store.{h,cc});
 //   PersistentStore  MemoryStore mirror + append-only WAL and compacting
 //                    snapshot on disk; recover() rebuilds identical visible
 //                    state after a restart (persistent_store.{h,cc});
 //   ReplicatedStore  decorator over a MemoryStore ("replicated") or a
 //                    PersistentStore ("replicated+persist") that adds a
-//                    private replica area for records mirrored here by the
-//                    quorum replication layer (replicated_store.{h,cc};
+//                    MemoryStore replica area for records mirrored here by
+//                    the quorum replication layer (replicated_store.{h,cc};
 //                    docs/stores.md has the k/W/R semantics).
+//
+// A backend implements eight primitives — upsert, find, for_each_of,
+// remove, remove_expired, size, for_each, stats — plus flush() when it
+// holds durable state.  find_all, find_live and snapshot are defined once,
+// on top of for_each_of / for_each.
 //
 // Visible-state contract (what the conformance suite in
 // tests/test_object_store.cc pins down): after any single-threaded op
@@ -66,16 +72,13 @@ struct PointerRecord {
   double expires_at = std::numeric_limits<double>::infinity();
 };
 
-/// Counters a backend exposes for benchmarks and drivers.  Mutation
-/// counters cover the store's lifetime; the WAL fields are zero for
-/// non-persistent backends.
+/// Counters a backend exposes for benchmarks and churn reports.  The WAL
+/// fields cover the store's lifetime and are zero for non-persistent
+/// backends.
 struct StoreStats {
   const char* backend = "";   ///< "memory" | "sharded" | "persist" |
                               ///< "replicated" | "replicated+persist"
   std::size_t records = 0;    ///< live records (== size())
-  std::size_t upserts = 0;    ///< upsert() calls accepted
-  std::size_t removes = 0;    ///< records dropped via remove()
-  std::size_t expired = 0;    ///< records dropped via remove_expired()
   std::size_t stripes = 1;    ///< internal lock stripes (1 = unsynchronized)
   std::size_t wal_records = 0;   ///< WAL entries since the last compaction
   std::size_t wal_bytes = 0;     ///< bytes appended to the WAL (lifetime)
@@ -99,12 +102,11 @@ class ObjectStoreBackend {
       const Guid& guid, const NodeId& server) const = 0;
 
   /// All records for a guid (possibly several replicas); empty if none.
-  [[nodiscard]] virtual std::vector<PointerRecord> find_all(
-      const Guid& guid) const = 0;
+  [[nodiscard]] std::vector<PointerRecord> find_all(const Guid& guid) const;
 
   /// Non-expired records for a guid at simulated time `now`.
-  [[nodiscard]] virtual std::vector<PointerRecord> find_live(
-      const Guid& guid, double now) const = 0;
+  [[nodiscard]] std::vector<PointerRecord> find_live(const Guid& guid,
+                                                     double now) const;
 
   /// Visits every record of `guid` without materializing a vector — the
   /// locate hot path reads through this (see ObjectDirectory).  The
@@ -128,10 +130,9 @@ class ObjectStoreBackend {
   virtual void for_each(const Visitor& fn) const = 0;
 
   /// Copy of all (guid, record) pairs — safe to iterate while mutating.
-  [[nodiscard]] virtual std::vector<std::pair<Guid, PointerRecord>> snapshot()
-      const = 0;
+  [[nodiscard]] std::vector<std::pair<Guid, PointerRecord>> snapshot() const;
 
-  /// Lifetime counters (see StoreStats).
+  /// Counters (see StoreStats).
   [[nodiscard]] virtual StoreStats stats() const = 0;
 
   /// Pushes buffered durable state to disk.  No-op for volatile backends.
@@ -139,31 +140,23 @@ class ObjectStoreBackend {
 };
 
 /// The reference backend: exactly the pre-refactor ObjectStore.  Also the
-/// in-memory mirror PersistentStore replays its log into.
+/// record container of every other backend — ShardedStore's stripes,
+/// PersistentStore's mirror and ReplicatedStore's replica area.
 class MemoryStore : public ObjectStoreBackend {
  public:
   void upsert(const Guid& guid, const PointerRecord& record) override;
   [[nodiscard]] std::optional<PointerRecord> find(
       const Guid& guid, const NodeId& server) const override;
-  [[nodiscard]] std::vector<PointerRecord> find_all(
-      const Guid& guid) const override;
-  [[nodiscard]] std::vector<PointerRecord> find_live(
-      const Guid& guid, double now) const override;
   void for_each_of(const Guid& guid, const Visitor& fn) const override;
   bool remove(const Guid& guid, const NodeId& server) override;
   std::size_t remove_expired(double now) override;
   [[nodiscard]] std::size_t size() const noexcept override { return count_; }
   void for_each(const Visitor& fn) const override;
-  [[nodiscard]] std::vector<std::pair<Guid, PointerRecord>> snapshot()
-      const override;
   [[nodiscard]] StoreStats stats() const override;
 
  private:
   std::unordered_map<Guid, std::vector<PointerRecord>> map_;
   std::size_t count_ = 0;
-  std::size_t upserts_ = 0;
-  std::size_t removes_ = 0;
-  std::size_t expired_ = 0;
 };
 
 /// Builds the backend `params.store_backend` selects for the node `id`.

@@ -63,9 +63,6 @@ struct HotspotParams {
   /// Upper bound on concurrently tracked objects; demand for objects
   /// beyond it goes unrecorded until states decay away.
   std::size_t max_tracked = 4096;
-  /// How many distinct querying clients to remember per object —
-  /// promotion places the replica at the heaviest remembered one.
-  std::size_t demand_sites = 8;
 };
 
 /// Knobs of the quorum-replicated pointer store (see
@@ -94,9 +91,8 @@ struct TapestryParams {
   unsigned redundancy = 3;
 
   /// k (paper §3): length of the per-level closest-node lists maintained
-  /// while building a neighbor table.  0 = automatic: k = ceil(k_scale *
-  /// log2(n)) clamped to [k_min, n], following Theorem 3's k = O(log n).
-  unsigned list_size_k = 0;
+  /// while building a neighbor table: k = ceil(k_scale * log2(n)) clamped
+  /// to [k_min, n], following Theorem 3's k = O(log n).
   double k_scale = 3.0;
   unsigned k_min = 8;
 
@@ -162,7 +158,6 @@ struct TapestryParams {
   std::string store_dir{};
 
   [[nodiscard]] unsigned effective_k(std::size_t n) const {
-    if (list_size_k != 0) return list_size_k;
     const double lg = std::log2(static_cast<double>(n < 2 ? 2 : n));
     const auto k = static_cast<unsigned>(std::ceil(k_scale * lg));
     const auto clamped = k < k_min ? k_min : k;

@@ -1,9 +1,12 @@
 #include "src/tapestry/persistent_store.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cinttypes>
-#include <cstdlib>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <string_view>
 
 #include "src/common/assert.h"
 
@@ -26,6 +29,56 @@ int format_upsert(char* buf, std::size_t n, const Guid& guid,
       static_cast<unsigned long long>(
           rec.last_hop.has_value() ? rec.last_hop->value() : 0),
       rec.level, rec.past_hole ? 1 : 0, rec.expires_at);
+}
+
+// Replay readers.  Fields are separated by single spaces, exactly as the
+// writers emit them; each reader pops one field off `rest` and fails
+// unless the whole field parses to a value a writer can produce.
+
+std::string_view next_field(std::string_view& rest) {
+  const std::string_view field = rest.substr(0, rest.find(' '));
+  rest.remove_prefix(std::min(rest.size(), field.size() + 1));
+  return field;
+}
+
+template <typename T>
+bool read_uint(std::string_view& rest, T& out, int base = 10) {
+  const std::string_view f = next_field(rest);
+  const auto [end, ec] = std::from_chars(f.data(), f.data() + f.size(), out,
+                                         base);
+  return ec == std::errc() && end == f.data() + f.size();
+}
+
+bool read_id(std::string_view& rest, IdSpec spec, std::uint64_t& out) {
+  return read_uint(rest, out, 16) &&
+         (spec.total_bits() == 64 || out >> spec.total_bits() == 0);
+}
+
+bool read_flag(std::string_view& rest, bool& out) {
+  const std::string_view f = next_field(rest);
+  out = f == "1";
+  return out || f == "0";
+}
+
+/// A deadline or sweep time: any double %.17g writes, inf included, but
+/// never NaN — a NaN deadline is neither live nor expirable.
+bool read_time(std::string_view& rest, double& out) {
+  const std::string_view f = next_field(rest);
+  const auto [end, ec] = std::from_chars(f.data(), f.data() + f.size(), out);
+  return ec == std::errc() && end == f.data() + f.size() && !std::isnan(out);
+}
+
+/// The text of a line up to its newline.
+std::string_view line_text(const char* line) {
+  return std::string_view(line, std::strcspn(line, "\n"));
+}
+
+/// `H <digit_bits> <num_digits> <generation>`.
+bool read_header(const char* line, IdSpec& spec, std::uint64_t& gen) {
+  std::string_view rest = line_text(line);
+  return next_field(rest) == "H" && read_uint(rest, spec.digit_bits) &&
+         read_uint(rest, spec.num_digits) && read_uint(rest, gen) &&
+         rest.empty();
 }
 
 }  // namespace
@@ -70,13 +123,14 @@ void PersistentStore::replay_file(const std::string& path, bool is_wal,
     const bool complete = std::strchr(line, '\n') != nullptr;
     bool parsed = complete;
     bool stale_wal = false;
-    if (parsed && line[0] == 'H') {
-      unsigned digit_bits = 0, num_digits = 0;
-      unsigned long long gen = 0;
-      parsed = std::sscanf(line, "H %u %u %llu", &digit_bits, &num_digits,
-                           &gen) == 3;
+    std::string_view rest = line_text(line);
+    const std::string_view tag = next_field(rest);
+    if (parsed && tag == "H") {
+      IdSpec file_spec{};
+      std::uint64_t gen = 0;
+      parsed = read_header(line, file_spec, gen);
       if (parsed) {
-        TAP_CHECK((IdSpec{digit_bits, num_digits} == spec_),
+        TAP_CHECK(file_spec == spec_,
                   "PersistentStore: IdSpec mismatch in " + path);
         if (is_wal) {
           gen_ = gen;
@@ -90,31 +144,30 @@ void PersistentStore::replay_file(const std::string& path, bool is_wal,
       }
     } else if (parsed) {
       parsed = saw_header;
-      if (parsed && line[0] == 'U') {
-        unsigned long long g = 0, srv = 0, lh = 0;
-        int has_lh = 0, past_hole = 0;
-        unsigned level = 0;
-        char num[48];
-        parsed = std::sscanf(line, "U %llx %llx %d %llx %u %d %47s", &g,
-                             &srv, &has_lh, &lh, &level, &past_hole,
-                             num) == 7;
+      if (parsed && tag == "U") {
+        std::uint64_t g = 0, srv = 0, lh = 0;
+        bool has_lh = false;
+        PointerRecord rec;
+        parsed = read_id(rest, spec_, g) && read_id(rest, spec_, srv) &&
+                 read_flag(rest, has_lh) && read_id(rest, spec_, lh) &&
+                 read_uint(rest, rec.level) &&
+                 rec.level <= spec_.num_digits &&
+                 read_flag(rest, rec.past_hole) &&
+                 read_time(rest, rec.expires_at) && rest.empty();
         if (parsed) {
-          PointerRecord rec;
           rec.server = NodeId(spec_, srv);
-          if (has_lh != 0) rec.last_hop = NodeId(spec_, lh);
-          rec.level = level;
-          rec.past_hole = past_hole != 0;
-          rec.expires_at = std::strtod(num, nullptr);
+          if (has_lh) rec.last_hop = NodeId(spec_, lh);
           mirror_.upsert(Guid(spec_, g), rec);
         }
-      } else if (parsed && line[0] == 'R') {
-        unsigned long long g = 0, srv = 0;
-        parsed = std::sscanf(line, "R %llx %llx", &g, &srv) == 2;
+      } else if (parsed && tag == "R") {
+        std::uint64_t g = 0, srv = 0;
+        parsed = read_id(rest, spec_, g) && read_id(rest, spec_, srv) &&
+                 rest.empty();
         if (parsed) mirror_.remove(Guid(spec_, g), NodeId(spec_, srv));
-      } else if (parsed && line[0] == 'X') {
-        char num[48];
-        parsed = std::sscanf(line, "X %47s", num) == 1;
-        if (parsed) mirror_.remove_expired(std::strtod(num, nullptr));
+      } else if (parsed && tag == "X") {
+        double now = 0.0;
+        parsed = read_time(rest, now) && rest.empty();
+        if (parsed) mirror_.remove_expired(now);
       } else if (parsed) {
         parsed = line[0] == '\n' || line[0] == '\0';
       }
@@ -157,13 +210,11 @@ void PersistentStore::recover() {
     std::FILE* f = std::fopen(snap_path_.c_str(), "r");
     TAP_CHECK(f != nullptr, "PersistentStore: cannot read " + snap_path_);
     char line[kLineMax];
-    unsigned db = 0, nd = 0;
-    unsigned long long gen = 0;
-    TAP_CHECK(std::fgets(line, sizeof line, f) != nullptr &&
-                  std::sscanf(line, "H %u %u %llu", &db, &nd, &gen) == 3,
-              "PersistentStore: bad snapshot header in " + snap_path_);
+    IdSpec file_spec{};
+    const bool ok = std::fgets(line, sizeof line, f) != nullptr &&
+                    read_header(line, file_spec, snap_gen);
     std::fclose(f);
-    snap_gen = gen;
+    TAP_CHECK(ok, "PersistentStore: bad snapshot header in " + snap_path_);
     replay_file(snap_path_, /*is_wal=*/false, 0);
   }
   const bool have_wal = std::filesystem::exists(wal_path_);
@@ -243,7 +294,6 @@ void PersistentStore::maybe_compact() {
 
 void PersistentStore::upsert(const Guid& guid, const PointerRecord& record) {
   mirror_.upsert(guid, record);  // validates first; nothing logged on throw
-  ++upserts_;
   char line[kLineMax];
   format_upsert(line, sizeof line, guid, record);
   append_record(line);
@@ -251,7 +301,6 @@ void PersistentStore::upsert(const Guid& guid, const PointerRecord& record) {
 
 bool PersistentStore::remove(const Guid& guid, const NodeId& server) {
   if (!mirror_.remove(guid, server)) return false;
-  ++removes_;
   char line[kLineMax];
   std::snprintf(line, sizeof line, "R %llx %llx\n",
                 static_cast<unsigned long long>(guid.value()),
@@ -263,7 +312,6 @@ bool PersistentStore::remove(const Guid& guid, const NodeId& server) {
 std::size_t PersistentStore::remove_expired(double now) {
   const std::size_t removed = mirror_.remove_expired(now);
   if (removed == 0) return 0;  // replaying nothing is the same as this
-  expired_ += removed;
   char line[kLineMax];
   std::snprintf(line, sizeof line, "X %.17g\n", now);
   append_record(line);
@@ -283,9 +331,6 @@ StoreStats PersistentStore::stats() const {
   StoreStats s;
   s.backend = "persist";
   s.records = mirror_.size();
-  s.upserts = upserts_;
-  s.removes = removes_;
-  s.expired = expired_;
   s.wal_records = wal_records_;
   s.wal_bytes = wal_bytes_;
   s.compactions = compactions_;

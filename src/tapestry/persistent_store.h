@@ -24,6 +24,12 @@
 //     R <guid> <server>                  remove
 //     X <now>                            remove_expired sweep
 //
+// Replay accepts only what these writers produce: every field parses
+// whole, ids fit the IdSpec, level <= num_digits, flags are 0 or 1, and
+// times are never NaN.  Any other line ends a log replay, which cuts the
+// log there like a torn tail; in a snapshot it is corruption and recovery
+// fails loudly.
+//
 // Durability model: appends are buffered; flush() (or destruction) pushes
 // them to the OS.  The simulator's kill-and-resume experiments flush at
 // checkpoint epochs — see ObjectDirectory::checkpoint.
@@ -51,14 +57,6 @@ class PersistentStore : public ObjectStoreBackend {
       const Guid& guid, const NodeId& server) const override {
     return mirror_.find(guid, server);
   }
-  [[nodiscard]] std::vector<PointerRecord> find_all(
-      const Guid& guid) const override {
-    return mirror_.find_all(guid);
-  }
-  [[nodiscard]] std::vector<PointerRecord> find_live(
-      const Guid& guid, double now) const override {
-    return mirror_.find_live(guid, now);
-  }
   void for_each_of(const Guid& guid, const Visitor& fn) const override {
     mirror_.for_each_of(guid, fn);
   }
@@ -68,10 +66,6 @@ class PersistentStore : public ObjectStoreBackend {
     return mirror_.size();
   }
   void for_each(const Visitor& fn) const override { mirror_.for_each(fn); }
-  [[nodiscard]] std::vector<std::pair<Guid, PointerRecord>> snapshot()
-      const override {
-    return mirror_.snapshot();
-  }
   [[nodiscard]] StoreStats stats() const override;
   void flush() override;
 
@@ -104,9 +98,6 @@ class PersistentStore : public ObjectStoreBackend {
   std::size_t compact_backoff_ = 0;  ///< retry floor after a failed compact
   std::size_t wal_bytes_ = 0;
   std::size_t compactions_ = 0;
-  std::size_t upserts_ = 0;
-  std::size_t removes_ = 0;
-  std::size_t expired_ = 0;
 };
 
 }  // namespace tap

@@ -189,8 +189,9 @@ std::size_t QuorumReplicator::mirror_publish(const TapestryNode& root,
     w.expires_at = rec.expires_at;
     w = transport_->deliver(w);
     reg_.acct(trace, root, *node, 2);  // mirrored write + its ack
-    store->replica_upsert(target, PointerRecord{w.server, w.last_hop, w.level,
-                                                w.flag, w.expires_at});
+    store->replicas().upsert(target, PointerRecord{w.server, w.last_hop,
+                                                   w.level, w.flag,
+                                                   w.expires_at});
     Message ack =
         make_message(MessageKind::kReplicaWriteAck, h, root.id(), target);
     ack.flag = true;
@@ -218,7 +219,7 @@ void QuorumReplicator::mirror_remove(const TapestryNode& root,
     m.server = server;
     m = transport_->deliver(m);
     reg_.acct(trace, root, *node, 2);
-    store->replica_remove(target, m.server);
+    store->replicas().remove(target, m.server);
   }
 }
 
@@ -251,7 +252,7 @@ std::vector<PointerRecord> QuorumReplicator::quorum_read(
     reg_.acct(trace, root, *node, 2);  // read request + reply
     Message reply =
         make_message(MessageKind::kReplicaReadReply, h, root.id(), target);
-    reply.records = store->replica_all(target);
+    reply.records = store->replicas().find_all(target);
     reply = transport_->deliver(reply);
     responders.push_back(Responder{node, store, std::move(reply.records)});
   }
@@ -274,7 +275,7 @@ std::vector<PointerRecord> QuorumReplicator::quorum_read(
   // or missing gets the fresh one pushed back.
   for (const Responder& r : responders) {
     for (const auto& [server, rec] : merged) {
-      const auto have = r.store->replica_find(target, server);
+      const auto have = r.store->replicas().find(target, server);
       if (have.has_value() && have->expires_at >= rec.expires_at) continue;
       Message w = make_message(MessageKind::kReplicaWrite, root.id(),
                                r.node->id(), target);
@@ -285,9 +286,9 @@ std::vector<PointerRecord> QuorumReplicator::quorum_read(
       w.expires_at = rec.expires_at;
       w = transport_->deliver(w);
       reg_.acct(trace, root, *r.node, 1);
-      r.store->replica_upsert(target, PointerRecord{w.server, w.last_hop,
-                                                    w.level, w.flag,
-                                                    w.expires_at});
+      r.store->replicas().upsert(target,
+                                 PointerRecord{w.server, w.last_hop, w.level,
+                                               w.flag, w.expires_at});
       metrics::replica_read_repairs_total().inc();
       ++stats_.read_repairs;
     }
@@ -326,14 +327,15 @@ void QuorumReplicator::on_node_death(const NodeId& dead) {
       if (node == nullptr || !node->alive) continue;
       ReplicatedStore* src = replica_store_of(h);
       if (src == nullptr) continue;
-      for (const PointerRecord& rec : src->replica_all(target)) {
+      for (const PointerRecord& rec : src->replicas().find_all(target)) {
         auto [mit, inserted] = merged.emplace(rec.server, rec);
         if (!inserted && rec.expires_at > mit->second.expires_at) {
           mit->second = rec;
         }
       }
     }
-    for (const auto& [server, rec] : merged) dst->replica_upsert(target, rec);
+    for (const auto& [server, rec] : merged)
+      dst->replicas().upsert(target, rec);
     metrics::replica_rereplications_total().inc();
     ++stats_.rereplications;
   }

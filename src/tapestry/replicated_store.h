@@ -44,8 +44,8 @@
 //                     the visible-state contract of object_store.h holds
 //                     bit-for-bit.  Records mirrored TO this node on
 //                     behalf of roots elsewhere live in a separate
-//                     replica area reachable only through the replica_*
-//                     methods — invisible to size()/find()/snapshot(),
+//                     MemoryStore replica area reachable only through
+//                     replicas() — invisible to size()/find()/snapshot(),
 //                     swept alongside the primary area on
 //                     remove_expired() so mirrors obey §6.5 soft state.
 //
@@ -97,14 +97,6 @@ class ReplicatedStore : public ObjectStoreBackend {
       const Guid& guid, const NodeId& server) const override {
     return inner_->find(guid, server);
   }
-  [[nodiscard]] std::vector<PointerRecord> find_all(
-      const Guid& guid) const override {
-    return inner_->find_all(guid);
-  }
-  [[nodiscard]] std::vector<PointerRecord> find_live(
-      const Guid& guid, double now) const override {
-    return inner_->find_live(guid, now);
-  }
   void for_each_of(const Guid& guid, const Visitor& fn) const override {
     inner_->for_each_of(guid, fn);
   }
@@ -118,30 +110,13 @@ class ReplicatedStore : public ObjectStoreBackend {
     return inner_->size();
   }
   void for_each(const Visitor& fn) const override { inner_->for_each(fn); }
-  [[nodiscard]] std::vector<std::pair<Guid, PointerRecord>> snapshot()
-      const override {
-    return inner_->snapshot();
-  }
   [[nodiscard]] StoreStats stats() const override;
   void flush() override { inner_->flush(); }
 
   // --- replica area (QuorumReplicator and tests only) ---
-  void replica_upsert(const Guid& guid, const PointerRecord& record) {
-    replicas_.upsert(guid, record);
-  }
-  [[nodiscard]] std::optional<PointerRecord> replica_find(
-      const Guid& guid, const NodeId& server) const {
-    return replicas_.find(guid, server);
-  }
-  [[nodiscard]] std::vector<PointerRecord> replica_all(
-      const Guid& guid) const {
-    return replicas_.find_all(guid);
-  }
-  bool replica_remove(const Guid& guid, const NodeId& server) {
-    return replicas_.remove(guid, server);
-  }
-  [[nodiscard]] std::size_t replica_size() const noexcept {
-    return replicas_.size();
+  [[nodiscard]] MemoryStore& replicas() noexcept { return replicas_; }
+  [[nodiscard]] const MemoryStore& replicas() const noexcept {
+    return replicas_;
   }
 
  private:

@@ -1,102 +1,42 @@
 #include "src/tapestry/sharded_store.h"
 
-#include "src/common/assert.h"
-
 namespace tap {
 
 void ShardedStore::upsert(const Guid& guid, const PointerRecord& record) {
-  TAP_CHECK(guid.valid() && record.server.valid(),
-            "upsert needs valid guid and server");
   Stripe& s = stripes_[stripe_of(guid)];
   std::lock_guard<std::mutex> lock(s.mu);
-  ++s.upserts;
-  auto& vec = s.map[guid];
-  for (auto& r : vec) {
-    if (r.server == record.server) {
-      r = record;
-      return;
-    }
-  }
-  vec.push_back(record);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t before = s.store.size();
+  s.store.upsert(guid, record);
+  if (s.store.size() != before)
+    count_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::optional<PointerRecord> ShardedStore::find(const Guid& guid,
                                                 const NodeId& server) const {
   const Stripe& s = stripes_[stripe_of(guid)];
   std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.map.find(guid);
-  if (it == s.map.end()) return std::nullopt;
-  for (const auto& r : it->second)
-    if (r.server == server) return r;
-  return std::nullopt;
-}
-
-std::vector<PointerRecord> ShardedStore::find_all(const Guid& guid) const {
-  const Stripe& s = stripes_[stripe_of(guid)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.map.find(guid);
-  if (it == s.map.end()) return {};
-  return it->second;
-}
-
-std::vector<PointerRecord> ShardedStore::find_live(const Guid& guid,
-                                                   double now) const {
-  std::vector<PointerRecord> out;
-  const Stripe& s = stripes_[stripe_of(guid)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.map.find(guid);
-  if (it == s.map.end()) return out;
-  for (const auto& r : it->second)
-    if (r.expires_at >= now) out.push_back(r);
-  return out;
+  return s.store.find(guid, server);
 }
 
 void ShardedStore::for_each_of(const Guid& guid, const Visitor& fn) const {
   const Stripe& s = stripes_[stripe_of(guid)];
   std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.map.find(guid);
-  if (it == s.map.end()) return;
-  for (const auto& r : it->second) fn(guid, r);
+  s.store.for_each_of(guid, fn);
 }
 
 bool ShardedStore::remove(const Guid& guid, const NodeId& server) {
   Stripe& s = stripes_[stripe_of(guid)];
   std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.map.find(guid);
-  if (it == s.map.end()) return false;
-  auto& vec = it->second;
-  for (auto r = vec.begin(); r != vec.end(); ++r) {
-    if (r->server == server) {
-      vec.erase(r);
-      count_.fetch_sub(1, std::memory_order_relaxed);
-      ++s.removes;
-      if (vec.empty()) s.map.erase(it);
-      return true;
-    }
-  }
-  return false;
+  if (!s.store.remove(guid, server)) return false;
+  count_.fetch_sub(1, std::memory_order_relaxed);
+  return true;
 }
 
 std::size_t ShardedStore::remove_expired(double now) {
   std::size_t removed = 0;
   for (Stripe& s : stripes_) {
     std::lock_guard<std::mutex> lock(s.mu);
-    std::size_t stripe_removed = 0;
-    for (auto it = s.map.begin(); it != s.map.end();) {
-      auto& vec = it->second;
-      for (auto r = vec.begin(); r != vec.end();) {
-        if (r->expires_at < now) {
-          r = vec.erase(r);
-          ++stripe_removed;
-        } else {
-          ++r;
-        }
-      }
-      it = vec.empty() ? s.map.erase(it) : std::next(it);
-    }
-    s.expired += stripe_removed;
-    removed += stripe_removed;
+    removed += s.store.remove_expired(now);
   }
   count_.fetch_sub(removed, std::memory_order_relaxed);
   return removed;
@@ -105,16 +45,8 @@ std::size_t ShardedStore::remove_expired(double now) {
 void ShardedStore::for_each(const Visitor& fn) const {
   for (const Stripe& s : stripes_) {
     std::lock_guard<std::mutex> lock(s.mu);
-    for (const auto& [guid, vec] : s.map)
-      for (const auto& r : vec) fn(guid, r);
+    s.store.for_each(fn);
   }
-}
-
-std::vector<std::pair<Guid, PointerRecord>> ShardedStore::snapshot() const {
-  std::vector<std::pair<Guid, PointerRecord>> out;
-  out.reserve(size());
-  for_each([&](const Guid& g, const PointerRecord& r) { out.emplace_back(g, r); });
-  return out;
 }
 
 StoreStats ShardedStore::stats() const {
@@ -122,12 +54,6 @@ StoreStats ShardedStore::stats() const {
   st.backend = "sharded";
   st.records = size();
   st.stripes = kStripeCount;
-  for (const Stripe& s : stripes_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    st.upserts += s.upserts;
-    st.removes += s.removes;
-    st.expired += s.expired;
-  }
   return st;
 }
 

@@ -1,20 +1,23 @@
-// ShardedStore: the MemoryStore semantics behind striped internal locks.
+// ShardedStore: sixteen MemoryStores, each behind its own lock.
 //
-// Guids hash onto kStripeCount independent stripes, each a (map, mutex)
-// pair; the record count is a relaxed atomic.  Two threads touching
-// *different guids* of one node's store may therefore run concurrently —
-// this is what lets ObjectDirectory::publish_batch drain pointer deposits
-// per (registry shard x guid stripe) instead of serializing each registry
-// shard's stores behind a single worker (the PR 3 scheme), and what makes
-// multi-threaded expiry sweeps safe against concurrent deposits.
+// Guids hash onto kStripeCount independent stripes, each a {mutex,
+// MemoryStore} pair; every operation locks its guid's stripe and calls the
+// MemoryStore method, and the record count is a relaxed atomic.  Two
+// threads touching *different guids* of one node's store may therefore
+// run concurrently — this is what lets ObjectDirectory::publish_batch
+// drain pointer deposits per (registry shard x guid stripe) instead of
+// serializing each registry shard's stores behind a single worker, and
+// what makes multi-threaded expiry sweeps safe against concurrent
+// deposits.
 //
-// Determinism: all ordered state is per (guid, server) — per-guid record
-// vectors keep first-insertion order exactly like MemoryStore — so any
-// schedule that serializes same-guid operations (the batch drain does, by
-// keying its partition on the stripe) produces the same visible state as
-// the serial execution.  Whole-store iteration (for_each / snapshot) walks
-// stripes in index order; the global order differs from MemoryStore's
-// single hash map but the multiset of records is identical.
+// Determinism: all ordered state is per (guid, server) and a guid lives in
+// one stripe's MemoryStore, so per-guid first-insertion order is
+// MemoryStore's, and any schedule that serializes same-guid operations
+// (the batch drain does, by keying its partition on the stripe) produces
+// the same visible state as the serial execution.  Whole-store iteration
+// (for_each / snapshot) walks stripes in index order; the global order
+// differs from a single MemoryStore's but the multiset of records is
+// identical.
 #pragma once
 
 #include <array>
@@ -43,10 +46,6 @@ class ShardedStore : public ObjectStoreBackend {
   void upsert(const Guid& guid, const PointerRecord& record) override;
   [[nodiscard]] std::optional<PointerRecord> find(
       const Guid& guid, const NodeId& server) const override;
-  [[nodiscard]] std::vector<PointerRecord> find_all(
-      const Guid& guid) const override;
-  [[nodiscard]] std::vector<PointerRecord> find_live(
-      const Guid& guid, double now) const override;
   void for_each_of(const Guid& guid, const Visitor& fn) const override;
   bool remove(const Guid& guid, const NodeId& server) override;
   std::size_t remove_expired(double now) override;
@@ -54,17 +53,12 @@ class ShardedStore : public ObjectStoreBackend {
     return count_.load(std::memory_order_relaxed);
   }
   void for_each(const Visitor& fn) const override;
-  [[nodiscard]] std::vector<std::pair<Guid, PointerRecord>> snapshot()
-      const override;
   [[nodiscard]] StoreStats stats() const override;
 
  private:
   struct Stripe {
     mutable std::mutex mu;
-    std::unordered_map<Guid, std::vector<PointerRecord>> map;
-    std::size_t upserts = 0;  // guarded by mu
-    std::size_t removes = 0;
-    std::size_t expired = 0;
+    MemoryStore store;  // guarded by mu
   };
 
   std::array<Stripe, kStripeCount> stripes_;

@@ -10,9 +10,17 @@
 // and proves the PersistentStore crash-recovery round trip: after flush()
 // the on-disk state rebuilds a bit-identical store, through both recover()
 // and a fresh construction, across WAL-only and compacted histories.
+// Replay must refuse every line no writer produces, and ShardedStore,
+// driven from five threads at once, must end where a serial MemoryStore
+// does.
 #include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -201,20 +209,15 @@ TEST(StoreConformance, RandomOpSequencesAgree) {
     expect_same_state(mem, repl_persist, d.guid_pool, d.server_pool, probes,
                       "replicated+persist, round " + std::to_string(round));
   }
-  // The stats hook reports per-backend identities but shared mutation
-  // counts (upserts accepted are identical by construction).
+  // The stats hook reports per-backend identities.
   EXPECT_STREQ(mem.stats().backend, "memory");
   EXPECT_STREQ(shard.stats().backend, "sharded");
   EXPECT_STREQ(persist.stats().backend, "persist");
   EXPECT_STREQ(repl.stats().backend, "replicated");
   EXPECT_STREQ(repl_persist.stats().backend, "replicated+persist");
-  EXPECT_EQ(mem.stats().upserts, shard.stats().upserts);
-  EXPECT_EQ(mem.stats().upserts, persist.stats().upserts);
-  EXPECT_EQ(mem.stats().upserts, repl.stats().upserts);
-  EXPECT_EQ(mem.stats().upserts, repl_persist.stats().upserts);
   EXPECT_GT(shard.stats().stripes, 1u);
   // The replica area never leaks into the standard interface.
-  EXPECT_EQ(repl.replica_size(), 0u);
+  EXPECT_EQ(repl.replicas().size(), 0u);
 }
 
 TEST(StoreConformance, ExpiryDeadlineEdgeIsInclusive) {
@@ -382,6 +385,209 @@ TEST(PersistentStoreTest, InPlaceRecoverKeepsEveryAcceptedMutation) {
   store.recover();
   EXPECT_TRUE(store.find(gid(1), nid(1)).has_value());
   EXPECT_EQ(store.size(), 1u);
+}
+
+/// Path of node `node`'s log or snapshot (`ext` = "wal" | "snap") in `dir`.
+std::string store_file(const ScratchDir& dir, std::uint64_t node,
+                       const char* ext) {
+  char name[32];
+  std::snprintf(name, sizeof name, "%016llx.%s",
+                static_cast<unsigned long long>(nid(node).value()), ext);
+  return dir.path + "/" + name;
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr) << path;
+  std::fputs(text.c_str(), f);
+  std::fclose(f);
+}
+
+/// `bad` is a line no writer produces.  Between two valid records in a
+/// WAL, replay must keep the first, stop at `bad` and cut the log there;
+/// in a snapshot it must fail the load with a CheckError.
+void expect_replay_rejects(const std::string& bad) {
+  SCOPED_TRACE(bad);
+  const std::string head = "H 4 8 1\nU 1 2 0 0 0 0 10\n";
+  {
+    ScratchDir dir("malformed_wal");
+    std::filesystem::create_directories(dir.path);
+    const std::string wal = store_file(dir, 0x77, "wal");
+    write_file(wal, head + bad + "\nU 3 4 0 0 0 0 10\n");
+    {
+      PersistentStore store(dir.path, nid(0x77), kSpec);
+      EXPECT_EQ(store.size(), 1u);
+      EXPECT_TRUE(store.find(gid(1), nid(2)).has_value());
+    }
+    EXPECT_EQ(std::filesystem::file_size(wal), head.size());
+  }
+  {
+    ScratchDir dir("malformed_snap");
+    std::filesystem::create_directories(dir.path);
+    write_file(store_file(dir, 0x77, "snap"), head + bad + "\n");
+    EXPECT_THROW({ PersistentStore store(dir.path, nid(0x77), kSpec); },
+                 CheckError);
+  }
+}
+
+TEST(PersistentStoreTest, DeadlineMustParseWhole) {
+  expect_replay_rejects("U 11 22 0 0 3 0 garbage");
+  expect_replay_rejects("U 11 22 0 0 3 0 12abc");
+  expect_replay_rejects("U 11 22 0 0 3 0");
+  expect_replay_rejects("X 12abc");
+}
+
+TEST(PersistentStoreTest, NanTimesAreRejectedInfIsNot) {
+  expect_replay_rejects("U 11 22 0 0 3 0 nan");
+  expect_replay_rejects("X nan");
+  // %.17g writes infinite deadlines as inf; they stay valid.
+  ScratchDir dir("inf_times");
+  std::filesystem::create_directories(dir.path);
+  write_file(store_file(dir, 0x77, "wal"),
+             "H 4 8 1\nU 1 2 0 0 0 0 inf\nU 1 3 0 0 0 0 -inf\nX inf\n");
+  PersistentStore store(dir.path, nid(0x77), kSpec);
+  EXPECT_EQ(store.size(), 1u);
+  // A record replay would refuse is refused at upsert, before it is
+  // logged, on every backend.
+  EXPECT_THROW(store.upsert(gid(5), PointerRecord{nid(1), std::nullopt, 0,
+                                                  false, std::nan("")}),
+               CheckError);
+  EXPECT_EQ(store.stats().wal_records, 3u);
+}
+
+TEST(PersistentStoreTest, LevelMustNotExceedNumDigits) {
+  expect_replay_rejects("U 11 22 0 0 -1 0 5");
+  expect_replay_rejects("U 13 22 1 33 99 7 5");
+  expect_replay_rejects("U 13 22 1 33 9 0 5");  // kSpec has 8 digits
+  expect_replay_rejects("U 13 22 1 33 4294967296 0 5");
+  ScratchDir dir("level_edge");
+  PersistentStore store(dir.path, nid(0x77), kSpec);
+  store.upsert(gid(1), PointerRecord{nid(2), std::nullopt, 8, false, 5.0});
+  EXPECT_THROW(store.upsert(gid(1), PointerRecord{nid(3), std::nullopt, 9,
+                                                  false, 5.0}),
+               CheckError);
+  store.recover();
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.find(gid(1), nid(2))->level, 8u);
+}
+
+TEST(PersistentStoreTest, FlagsMustBeZeroOrOne) {
+  expect_replay_rejects("U 13 22 7 33 2 0 5");   // has_last_hop
+  expect_replay_rejects("U 13 22 -1 33 2 0 5");
+  expect_replay_rejects("U 13 22 1 33 2 7 5");   // past_hole
+  expect_replay_rejects("U 13 22 1 33 2 01 5");
+}
+
+TEST(PersistentStoreTest, IdsMustParseWholeInsideTheNamespace) {
+  expect_replay_rejects("R 11 22x");
+  expect_replay_rejects("R -1 22");
+  expect_replay_rejects("R 0x11 22");
+  expect_replay_rejects("U 100000000 22 0 0 0 0 5");  // 33 bits, kSpec has 32
+  expect_replay_rejects("U 11 22 1 100000000 0 0 5");
+  // A header field with trailing garbage is a bad snapshot header.
+  ScratchDir dir("bad_header");
+  std::filesystem::create_directories(dir.path);
+  write_file(store_file(dir, 0x77, "snap"), "H 4 8 1x\n");
+  EXPECT_THROW({ PersistentStore store(dir.path, nid(0x77), kSpec); },
+               CheckError);
+}
+
+// ------------------------------------------------------------------
+// ShardedStore under concurrent callers
+// ------------------------------------------------------------------
+
+/// One writer's seeded upsert/remove/find/for_each_of sequence over its
+/// own guids.  Returns a digest of everything its reads saw, so a
+/// concurrent run can be compared with a serial one.
+std::uint64_t drive_writer(ObjectStoreBackend& store,
+                           const std::vector<std::uint64_t>& guids,
+                           std::uint64_t seed, int ops) {
+  Rng rng(seed);
+  std::uint64_t digest = 0;
+  auto mix = [&](std::uint64_t v) { digest = splitmix64(digest ^ v); };
+  for (int i = 0; i < ops; ++i) {
+    const Guid g = gid(guids[rng.next_u64(guids.size())]);
+    const NodeId server = nid(1 + rng.next_u64(6));
+    const double dice = rng.next_double();
+    if (dice < 0.55) {
+      store.upsert(g, PointerRecord{server, std::nullopt,
+                                    static_cast<unsigned>(rng.next_u64(8)),
+                                    false, 10.0 + i});
+    } else if (dice < 0.8) {
+      mix(store.remove(g, server) ? 1 : 2);
+    } else if (dice < 0.9) {
+      const auto rec = store.find(g, server);
+      mix(rec.has_value() ? rec->level + 3 : 0);
+    } else {
+      store.for_each_of(g, [&](const Guid&, const PointerRecord& r) {
+        mix(r.server.value());
+        mix(r.level);
+      });
+    }
+  }
+  return digest;
+}
+
+/// Four writers drive one ShardedStore over disjoint guid sets that share
+/// every stripe, while a fifth thread sweeps at a time below every
+/// deadline and walks the whole store.  Each writer's reads, and the final
+/// state with its per-guid record order, must equal a MemoryStore fed
+/// each writer's sequence serially.
+TEST(ShardedStoreTest, ConcurrentWritersMatchSerialReference) {
+  constexpr std::size_t kWriters = 4;
+  constexpr int kOps = 20000;
+  std::vector<std::vector<std::uint64_t>> guids(kWriters);
+  std::vector<std::uint64_t> all_guids;
+  for (std::uint64_t g = 1; g <= 256; ++g) {
+    guids[g % kWriters].push_back(g);
+    all_guids.push_back(g);
+  }
+  std::vector<std::vector<bool>> writers_of(
+      ShardedStore::kStripeCount, std::vector<bool>(kWriters, false));
+  for (std::size_t w = 0; w < kWriters; ++w)
+    for (const std::uint64_t g : guids[w])
+      writers_of[ShardedStore::stripe_of(gid(g))][w] = true;
+  for (const auto& ws : writers_of)
+    ASSERT_GE(std::count(ws.begin(), ws.end(), true), 2);
+
+  ShardedStore shard;
+  std::vector<std::uint64_t> digests(kWriters, 0);
+  std::atomic<std::size_t> running{kWriters};
+  std::size_t sweeps = 0, swept = 0, max_seen = 0, max_size = 0;
+  double min_deadline = std::numeric_limits<double>::infinity();
+  std::thread sweeper([&] {
+    do {
+      swept += shard.remove_expired(5.0);  // below every deadline
+      std::size_t seen = 0;
+      shard.for_each([&](const Guid&, const PointerRecord& r) {
+        ++seen;
+        min_deadline = std::min(min_deadline, r.expires_at);
+      });
+      max_seen = std::max(max_seen, seen);
+      max_size = std::max(max_size, shard.size());
+      ++sweeps;
+    } while (running.load() > 0);
+  });
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w)
+    writers.emplace_back([&, w] {
+      digests[w] = drive_writer(shard, guids[w], 100 + w, kOps);
+      running.fetch_sub(1);
+    });
+  for (std::thread& t : writers) t.join();
+  sweeper.join();
+
+  MemoryStore ref;
+  for (std::size_t w = 0; w < kWriters; ++w)
+    EXPECT_EQ(drive_writer(ref, guids[w], 100 + w, kOps), digests[w])
+        << "writer " << w;
+  EXPECT_GT(sweeps, 0u);
+  EXPECT_EQ(swept, 0u);
+  EXPECT_GE(min_deadline, 10.0);
+  EXPECT_LE(max_seen, all_guids.size() * 6);
+  EXPECT_LE(max_size, all_guids.size() * 6);
+  expect_same_state(ref, shard, all_guids, {1, 2, 3, 4, 5, 6},
+                    {0.0, 5.0, 10.0 + kOps / 2.0}, "sharded vs serial");
 }
 
 // ------------------------------------------------------------------
@@ -599,7 +805,7 @@ TEST(QuorumReplication, PublishMirrorsToWOfKHolders) {
     EXPECT_NE(h, root);  // the root never mirrors to itself
     auto* store = dynamic_cast<ReplicatedStore*>(&net.node(h).store());
     ASSERT_NE(store, nullptr);
-    const auto copy = store->replica_find(salted, server);
+    const auto copy = store->replicas().find(salted, server);
     if (copy.has_value()) {
       ++acked;
       EXPECT_EQ(copy->server, server);
@@ -611,7 +817,7 @@ TEST(QuorumReplication, PublishMirrorsToWOfKHolders) {
   net.unpublish(server, obj);
   for (const NodeId& h : *holders) {
     auto* store = dynamic_cast<ReplicatedStore*>(&net.node(h).store());
-    EXPECT_FALSE(store->replica_find(salted, server).has_value());
+    EXPECT_FALSE(store->replicas().find(salted, server).has_value());
   }
 }
 
@@ -638,11 +844,11 @@ TEST(QuorumReplication, QuorumReadMergesFreshestAndReadRepairs) {
   auto* first = dynamic_cast<ReplicatedStore*>(
       &net.node((*holders)[0]).store());
   ASSERT_NE(first, nullptr);
-  const auto fresh = first->replica_find(salted, server);
+  const auto fresh = first->replicas().find(salted, server);
   ASSERT_TRUE(fresh.has_value());
   PointerRecord stale = *fresh;
   stale.expires_at = fresh->expires_at - 50.0;
-  first->replica_upsert(salted, stale);
+  first->replicas().upsert(salted, stale);
 
   const auto repairs_before = repl->stats().read_repairs;
   const auto merged =
@@ -653,7 +859,7 @@ TEST(QuorumReplication, QuorumReadMergesFreshestAndReadRepairs) {
   EXPECT_EQ(merged[0].expires_at, fresh->expires_at);  // freshest won
   EXPECT_GT(repl->stats().read_repairs, repairs_before);
   // Read-repair restored the stale responder's deadline.
-  EXPECT_EQ(first->replica_find(salted, server)->expires_at,
+  EXPECT_EQ(first->replicas().find(salted, server)->expires_at,
             fresh->expires_at);
 }
 
@@ -797,10 +1003,10 @@ TEST(QuorumReplication, PublishBatchMirrorsLikeSerialPublish) {
         dynamic_cast<const ReplicatedStore&>(serial.net->node(id).store());
     const auto& sb =
         dynamic_cast<const ReplicatedStore&>(batch.net->node(id).store());
-    EXPECT_EQ(sa.replica_size(), sb.replica_size()) << id.to_string();
+    EXPECT_EQ(sa.replicas().size(), sb.replicas().size()) << id.to_string();
     for (const auto& r : reqs) {
-      const auto a = sa.replica_all(salted_guid(r.guid, 0));
-      const auto b = sb.replica_all(salted_guid(r.guid, 0));
+      const auto a = sa.replicas().find_all(salted_guid(r.guid, 0));
+      const auto b = sb.replicas().find_all(salted_guid(r.guid, 0));
       ASSERT_EQ(a.size(), b.size());
       for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_TRUE(record_eq(a[i], b[i]));
@@ -1028,7 +1234,7 @@ TEST(QuorumReplication, HolderDeathReReplicatesOntoReplacement) {
     if (std::find(before.begin(), before.end(), h) != before.end()) continue;
     auto* store = dynamic_cast<ReplicatedStore*>(&net.node(h).store());
     ASSERT_NE(store, nullptr);
-    EXPECT_TRUE(store->replica_find(salted, server).has_value())
+    EXPECT_TRUE(store->replicas().find(salted, server).has_value())
         << "replacement " << h.to_string() << " missing the mirrored record";
   }
 }
