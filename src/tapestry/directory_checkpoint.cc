@@ -1,10 +1,15 @@
 // ObjectDirectory checkpoint / restore (persistent backend): the manifest
 // that records the checkpoint clock, the live membership and the replica
 // registry beside the per-node store files.
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <string>
+#include <string_view>
 
 #include "src/tapestry/object_directory.h"
+#include "src/tapestry/text_fields.h"
 
 namespace tap {
 
@@ -47,27 +52,33 @@ ObjectDirectory::CheckpointManifest ObjectDirectory::read_manifest(
   std::FILE* f = std::fopen(path.c_str(), "r");
   TAP_CHECK(f != nullptr, "read_manifest: cannot read " + path);
   char line[128];
-  while (std::fgets(line, sizeof line, f) != nullptr) {
-    if (line[0] == 'T') {
-      TAP_CHECK(std::sscanf(line, "T %lf", &m.time) == 1,
-                "read_manifest: bad T line");
-    } else if (line[0] == 'N') {
-      unsigned long long id = 0;
+  bool ok = true;
+  while (ok && std::fgets(line, sizeof line, f) != nullptr) {
+    // Every field parses whole, as the writer above emits it; a line
+    // without its newline is cut short or too long, never a record.
+    std::string_view rest = line_text(line);
+    const std::string_view tag = next_field(rest);
+    ok = std::strchr(line, '\n') != nullptr;
+    if (ok && tag == "T") {
+      // The clock restore() hands to run_until: finite and not negative.
+      ok = read_time(rest, m.time) && std::isfinite(m.time) && m.time >= 0.0;
+    } else if (ok && tag == "N") {
+      std::uint64_t id = 0;
       std::size_t loc = 0;
-      TAP_CHECK(std::sscanf(line, "N %llx %zu", &id, &loc) == 2,
-                "read_manifest: bad N line");
-      m.nodes.emplace_back(id, loc);
-    } else if (line[0] == 'O') {
-      unsigned long long g = 0, s = 0;
-      TAP_CHECK(std::sscanf(line, "O %llx %llx", &g, &s) == 2,
-                "read_manifest: bad O line");
-      m.replicas.emplace_back(g, s);
+      ok = read_uint(rest, id, 16) && read_uint(rest, loc);
+      if (ok) m.nodes.emplace_back(id, loc);
+    } else if (ok && tag == "O") {
+      std::uint64_t g = 0, s = 0;
+      ok = read_uint(rest, g, 16) && read_uint(rest, s, 16);
+      if (ok) m.replicas.emplace_back(g, s);
     } else {
-      TAP_CHECK(line[0] == '\n' || line[0] == '\0',
-                "read_manifest: unknown line kind in " + path);
+      ok = false;
     }
+    ok = ok && rest.empty();
   }
   std::fclose(f);
+  TAP_CHECK(ok, "read_manifest: malformed line in " + path + ": " +
+                    std::string(line_text(line)));
   return m;
 }
 

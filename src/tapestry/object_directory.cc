@@ -96,11 +96,14 @@ struct ObjectDirectory::LocateOp {
   Guid target{};
   NodeId cur{};
   RouteState state{};
-  std::unordered_set<std::uint64_t> visited{};  // loop guard (§4.3)
   Router::ExcludeSet excluded{};  // inserting nodes bounced off (Figure 10)
   // Nodes this attempt's walk has passed through; on success each one gets
   // a locate-cache hint pointing at the resolving holder.
   std::vector<NodeId> path{};
+  // Loop guard (§4.3): path[walk_start..] is the walk since the attempt
+  // began or last bounced off an inserting node (Figure 10), and a node
+  // already in it is a revisit.
+  std::size_t walk_start = 0;
   // cache-verify: the query jumped from cache_from toward cache_holder;
   // the hint's salted name rides along (it may differ from `target`).
   Guid cache_target{};
@@ -132,14 +135,10 @@ PointerRecord ObjectDirectory::carry_pointer(MessageKind kind,
                                              const PointerRecord& rec,
                                              Trace* trace) const {
   Message m = make_message(kind, from.id(), to.id(), target);
-  m.server = rec.server;
-  m.last_hop = rec.last_hop;
-  m.level = rec.level;
-  m.flag = rec.past_hole;
-  m.expires_at = rec.expires_at;
+  m.set_record(rec);
   m = transport_->deliver(m);
   reg_.acct(trace, from, to);
-  return PointerRecord{m.server, m.last_hop, m.level, m.flag, m.expires_at};
+  return m.record();
 }
 
 void ObjectDirectory::register_replica(const Guid& guid, const NodeId& server) {
@@ -489,9 +488,9 @@ double ObjectDirectory::next_locate_attempt(LocateOp& op) {
   op.target = salted_guid(op.base, salt);
   op.cur = op.client;
   op.state = RouteState{};
-  op.visited.clear();
   op.excluded.clear();
   op.path.clear();
+  op.walk_start = 0;
   op.res = LocateResult{};
   op.phase = LocateOp::Phase::kWalk;
   return 0.0;
@@ -598,9 +597,10 @@ double ObjectDirectory::locate_step(LocateOp& op) {
         }
       }
 
-      op.path.push_back(cur.id());
-      if (!op.visited.insert(cur.id().value()).second)  // loop -> miss
+      if (std::find(op.path.begin() + op.walk_start, op.path.end(),
+                    cur.id()) != op.path.end())  // loop -> miss
         return next_locate_attempt(op);
+      op.path.push_back(cur.id());
 
       const unsigned level_before = op.state.level;
       auto next = router_.route_step(
@@ -650,7 +650,7 @@ double ObjectDirectory::locate_step(LocateOp& op) {
         TapestryNode& sur = reg_.live(*cur.psurrogate);
         wire(MessageKind::kLocateStep, cur, sur, op.target, t);
         op.state.level = cur.id().common_prefix_len(sur.id());
-        op.visited.clear();
+        op.walk_start = op.path.size();
         op.cur = sur.id();
         return hop_delay(cur, sur);
       }
@@ -835,6 +835,7 @@ void ObjectDirectory::expire_pointers(std::size_t workers) {
   // never touch stores, so the per-node sweeps themselves race nothing —
   // with a striped backend not even concurrent guarded deposits).
   const std::vector<TapestryNode*> nodes = reg_.nodes_snapshot();
+  if (replicator_) replicator_->remove_expired(now);  // the mirrors
   if (workers <= 1) {
     for (TapestryNode* n : nodes)
       if (n->alive) n->store().remove_expired(now);

@@ -16,7 +16,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -120,10 +119,11 @@ class ObjectDirectory {
   // --- soft state (§6.5) ---
   void republish_all(Trace* trace = nullptr);
   void republish_server(NodeId server, Trace* trace = nullptr);
-  /// Sweeps expired pointers from every live node's store.  `workers` > 1
-  /// fans the per-node sweeps out through sim/thread_pool — safe with any
-  /// backend (stores are per node) and deterministic (each sweep is
-  /// independent); requires quiescence, like every whole-network pass.
+  /// Sweeps expired pointers from every live node's store, and expired
+  /// mirrors from the live holders' replica areas.  `workers` > 1 fans the
+  /// per-node sweeps out through sim/thread_pool — safe with any backend
+  /// (stores are per node) and deterministic (each sweep is independent);
+  /// requires quiescence, like every whole-network pass.
   void expire_pointers(std::size_t workers = 1);
 
   // --- checkpoint / restore (persistent backend) ---
@@ -153,6 +153,9 @@ class ObjectDirectory {
   double restore(const std::string& dir);
   /// Parses `dir`/manifest: checkpoint clock, live membership, replica
   /// registry.  The single reader of the format — restore() consumes it.
+  /// Throws CheckError on any line checkpoint() does not write: a field
+  /// that does not parse whole, a clock that is not finite and >= 0, a
+  /// line without its newline, or an unknown tag.
   [[nodiscard]] static CheckpointManifest read_manifest(
       const std::string& dir);
 
@@ -239,7 +242,7 @@ class ObjectDirectory {
 
   /// Quorum replication coordinator; nullptr unless params.store_backend
   /// is kReplicated / kReplicatedPersistent (tests and benches introspect
-  /// holder sets and stats through it).
+  /// holder sets, replica areas and stats through it).
   [[nodiscard]] QuorumReplicator* replicator() noexcept {
     return replicator_.get();
   }

@@ -5,7 +5,6 @@
 #include "src/common/assert.h"
 #include "src/tapestry/params.h"
 #include "src/tapestry/persistent_store.h"
-#include "src/tapestry/replicated_store.h"
 #include "src/tapestry/sharded_store.h"
 
 namespace tap {
@@ -122,23 +121,17 @@ std::unique_ptr<ObjectStoreBackend> make_object_store(
     const TapestryParams& params, const NodeId& id) {
   switch (params.store_backend) {
     case StoreBackend::kMemory:
+    case StoreBackend::kReplicated:
       return std::make_unique<MemoryStore>();
     case StoreBackend::kSharded:
       return std::make_unique<ShardedStore>();
     case StoreBackend::kPersistent:
-      TAP_CHECK(!params.store_dir.empty(),
-                "StoreBackend::kPersistent requires params.store_dir");
-      return std::make_unique<PersistentStore>(params.store_dir, id,
-                                               params.id);
-    case StoreBackend::kReplicated:
-      return std::make_unique<ReplicatedStore>(std::make_unique<MemoryStore>(),
-                                               "replicated");
     case StoreBackend::kReplicatedPersistent:
       TAP_CHECK(!params.store_dir.empty(),
-                "StoreBackend::kReplicatedPersistent requires params.store_dir");
-      return std::make_unique<ReplicatedStore>(
-          std::make_unique<PersistentStore>(params.store_dir, id, params.id),
-          "replicated+persist");
+                "the persist and replicated+persist backends require "
+                "params.store_dir");
+      return std::make_unique<PersistentStore>(params.store_dir, id,
+                                               params.id);
   }
   TAP_CHECK(false,
             "unknown StoreBackend (valid: memory, sharded, persist, "

@@ -27,12 +27,14 @@
 //                    several threads (sharded_store.{h,cc});
 //   PersistentStore  MemoryStore mirror + append-only WAL and compacting
 //                    snapshot on disk; recover() rebuilds identical visible
-//                    state after a restart (persistent_store.{h,cc});
-//   ReplicatedStore  decorator over a MemoryStore ("replicated") or a
-//                    PersistentStore ("replicated+persist") that adds a
-//                    MemoryStore replica area for records mirrored here by
-//                    the quorum replication layer (replicated_store.{h,cc};
-//                    docs/stores.md has the k/W/R semantics).
+//                    state after a restart (persistent_store.{h,cc}).
+//
+// The replicated backends are not a fourth storage discipline: they give
+// each node a MemoryStore ("replicated") or a PersistentStore
+// ("replicated+persist") and switch on the quorum replication protocol,
+// whose QuorumReplicator keeps the records mirrored to each holder in
+// replica areas of its own, outside the holder's store
+// (replicated_store.{h,cc}; docs/stores.md has the k/W/R semantics).
 //
 // A backend implements eight primitives — upsert, find, for_each_of,
 // remove, remove_expired, size, for_each, stats — plus flush() when it
@@ -76,8 +78,9 @@ struct PointerRecord {
 /// fields cover the store's lifetime and are zero for non-persistent
 /// backends.
 struct StoreStats {
-  const char* backend = "";   ///< "memory" | "sharded" | "persist" |
-                              ///< "replicated" | "replicated+persist"
+  const char* backend = "";   ///< "memory" | "sharded" | "persist" (the
+                              ///< replicated backends report their node
+                              ///< store: "memory" or "persist")
   std::size_t records = 0;    ///< live records (== size())
   std::size_t stripes = 1;    ///< internal lock stripes (1 = unsynchronized)
   std::size_t wal_records = 0;   ///< WAL entries since the last compaction
@@ -141,7 +144,7 @@ class ObjectStoreBackend {
 
 /// The reference backend: exactly the pre-refactor ObjectStore.  Also the
 /// record container of every other backend — ShardedStore's stripes,
-/// PersistentStore's mirror and ReplicatedStore's replica area.
+/// PersistentStore's mirror — and of QuorumReplicator's replica areas.
 class MemoryStore : public ObjectStoreBackend {
  public:
   void upsert(const Guid& guid, const PointerRecord& record) override;
@@ -159,9 +162,11 @@ class MemoryStore : public ObjectStoreBackend {
   std::size_t count_ = 0;
 };
 
-/// Builds the backend `params.store_backend` selects for the node `id`.
-/// PersistentStore requires params.store_dir; the node's files live at
-/// <store_dir>/<id-hex>.{wal,snap} and recover automatically when present.
+/// Builds the store `params.store_backend` selects for the node `id`: a
+/// MemoryStore for "replicated", a PersistentStore for
+/// "replicated+persist".  PersistentStore requires params.store_dir; the
+/// node's files live at <store_dir>/<id-hex>.{wal,snap} and recover
+/// automatically when present.
 [[nodiscard]] std::unique_ptr<ObjectStoreBackend> make_object_store(
     const TapestryParams& params, const NodeId& id);
 

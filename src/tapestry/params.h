@@ -18,8 +18,8 @@ enum class StoreBackend {
   kPersistent,  ///< WAL + compacting snapshot; survives node restarts
   kReplicated,  ///< memory store + quorum-replicated mirrors at the root's
                 ///< k-nearest neighbor set (replicated_store.{h,cc})
-  kReplicatedPersistent,  ///< the same replication over a persistent inner
-                          ///< store; needs `store_dir` like kPersistent
+  kReplicatedPersistent,  ///< the same replication over persistent node
+                          ///< stores; needs `store_dir` like kPersistent
 };
 
 /// How inter-node messages travel (see src/tapestry/transport.h and

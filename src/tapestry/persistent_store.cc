@@ -1,14 +1,12 @@
 #include "src/tapestry/persistent_store.h"
 
-#include <algorithm>
-#include <charconv>
 #include <cinttypes>
-#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <string_view>
 
 #include "src/common/assert.h"
+#include "src/tapestry/text_fields.h"
 
 namespace tap {
 
@@ -29,48 +27,6 @@ int format_upsert(char* buf, std::size_t n, const Guid& guid,
       static_cast<unsigned long long>(
           rec.last_hop.has_value() ? rec.last_hop->value() : 0),
       rec.level, rec.past_hole ? 1 : 0, rec.expires_at);
-}
-
-// Replay readers.  Fields are separated by single spaces, exactly as the
-// writers emit them; each reader pops one field off `rest` and fails
-// unless the whole field parses to a value a writer can produce.
-
-std::string_view next_field(std::string_view& rest) {
-  const std::string_view field = rest.substr(0, rest.find(' '));
-  rest.remove_prefix(std::min(rest.size(), field.size() + 1));
-  return field;
-}
-
-template <typename T>
-bool read_uint(std::string_view& rest, T& out, int base = 10) {
-  const std::string_view f = next_field(rest);
-  const auto [end, ec] = std::from_chars(f.data(), f.data() + f.size(), out,
-                                         base);
-  return ec == std::errc() && end == f.data() + f.size();
-}
-
-bool read_id(std::string_view& rest, IdSpec spec, std::uint64_t& out) {
-  return read_uint(rest, out, 16) &&
-         (spec.total_bits() == 64 || out >> spec.total_bits() == 0);
-}
-
-bool read_flag(std::string_view& rest, bool& out) {
-  const std::string_view f = next_field(rest);
-  out = f == "1";
-  return out || f == "0";
-}
-
-/// A deadline or sweep time: any double %.17g writes, inf included, but
-/// never NaN — a NaN deadline is neither live nor expirable.
-bool read_time(std::string_view& rest, double& out) {
-  const std::string_view f = next_field(rest);
-  const auto [end, ec] = std::from_chars(f.data(), f.data() + f.size(), out);
-  return ec == std::errc() && end == f.data() + f.size() && !std::isnan(out);
-}
-
-/// The text of a line up to its newline.
-std::string_view line_text(const char* line) {
-  return std::string_view(line, std::strcspn(line, "\n"));
 }
 
 /// `H <digit_bits> <num_digits> <generation>`.

@@ -41,24 +41,6 @@ std::vector<NodeId> ids_of(const std::vector<Candidate>& best) {
 
 }  // namespace
 
-ReplicatedStore::ReplicatedStore(std::unique_ptr<ObjectStoreBackend> inner,
-                                 const char* backend_name)
-    : inner_(std::move(inner)), name_(backend_name) {
-  TAP_CHECK(inner_ != nullptr, "ReplicatedStore needs an inner backend");
-}
-
-std::size_t ReplicatedStore::remove_expired(double now) {
-  const std::size_t primary = inner_->remove_expired(now);
-  replicas_.remove_expired(now);  // mirrors are soft state too (§6.5)
-  return primary;
-}
-
-StoreStats ReplicatedStore::stats() const {
-  StoreStats s = inner_->stats();
-  s.backend = name_;
-  return s;
-}
-
 QuorumReplicator::QuorumReplicator(NodeRegistry& registry,
                                    const TapestryParams& params)
     : reg_(registry), params_(params) {
@@ -69,12 +51,6 @@ QuorumReplicator::QuorumReplicator(NodeRegistry& registry,
             "replication quorums w and r cannot exceed k");
   TAP_CHECK(rp.w + rp.r > rp.k,
             "replication needs w + r > k so reads intersect writes");
-}
-
-ReplicatedStore* QuorumReplicator::replica_store_of(const NodeId& id) {
-  TapestryNode* node = reg_.find(id);
-  if (node == nullptr) return nullptr;
-  return dynamic_cast<ReplicatedStore*>(&node->store());
 }
 
 std::vector<NodeId> QuorumReplicator::nearest_live(
@@ -179,19 +155,11 @@ std::size_t QuorumReplicator::mirror_publish(const TapestryNode& root,
     TapestryNode* node = reg_.find(h);
     if (node == nullptr || !node->alive) continue;
     if (!reg_.reachable(root.id(), h)) continue;
-    ReplicatedStore* store = replica_store_of(h);
-    if (store == nullptr) continue;
     Message w = make_message(MessageKind::kReplicaWrite, root.id(), h, target);
-    w.server = rec.server;
-    w.last_hop = rec.last_hop;
-    w.level = rec.level;
-    w.flag = rec.past_hole;
-    w.expires_at = rec.expires_at;
+    w.set_record(rec);
     w = transport_->deliver(w);
     reg_.acct(trace, root, *node, 2);  // mirrored write + its ack
-    store->replicas().upsert(target, PointerRecord{w.server, w.last_hop,
-                                                   w.level, w.flag,
-                                                   w.expires_at});
+    replicas_at(h).upsert(target, w.record());
     Message ack =
         make_message(MessageKind::kReplicaWriteAck, h, root.id(), target);
     ack.flag = true;
@@ -212,14 +180,12 @@ void QuorumReplicator::mirror_remove(const TapestryNode& root,
     TapestryNode* node = reg_.find(h);
     if (node == nullptr || !node->alive) continue;
     if (!reg_.reachable(root.id(), h)) continue;
-    ReplicatedStore* store = replica_store_of(h);
-    if (store == nullptr) continue;
     Message m =
         make_message(MessageKind::kReplicaRemove, root.id(), h, target);
     m.server = server;
     m = transport_->deliver(m);
     reg_.acct(trace, root, *node, 2);
-    store->replicas().remove(target, m.server);
+    replicas_at(h).remove(target, m.server);
   }
 }
 
@@ -236,7 +202,7 @@ std::vector<PointerRecord> QuorumReplicator::quorum_read(
   // when the write quorum was met.
   struct Responder {
     TapestryNode* node;
-    ReplicatedStore* store;
+    MemoryStore* area;
     std::vector<PointerRecord> records;
   };
   std::vector<Responder> responders;
@@ -245,20 +211,19 @@ std::vector<PointerRecord> QuorumReplicator::quorum_read(
     TapestryNode* node = reg_.find(h);
     if (node == nullptr || !node->alive) continue;
     if (!reg_.reachable(root.id(), h)) continue;
-    ReplicatedStore* store = replica_store_of(h);
-    if (store == nullptr) continue;
+    MemoryStore& area = replicas_at(h);
     (void)transport_->deliver(
         make_message(MessageKind::kReplicaRead, root.id(), h, target));
     reg_.acct(trace, root, *node, 2);  // read request + reply
     Message reply =
         make_message(MessageKind::kReplicaReadReply, h, root.id(), target);
-    reply.records = store->replicas().find_all(target);
+    reply.records = area.find_all(target);
     reply = transport_->deliver(reply);
-    responders.push_back(Responder{node, store, std::move(reply.records)});
+    responders.push_back(Responder{node, &area, std::move(reply.records)});
   }
 
   // Merge: freshest live record per server wins — consuming the copies
-  // that travelled back through the wire, not the holder's store directly.
+  // that travelled back through the wire, not the holder's area directly.
   std::map<NodeId, PointerRecord> merged;
   for (const Responder& r : responders) {
     for (const PointerRecord& rec : r.records) {
@@ -275,20 +240,14 @@ std::vector<PointerRecord> QuorumReplicator::quorum_read(
   // or missing gets the fresh one pushed back.
   for (const Responder& r : responders) {
     for (const auto& [server, rec] : merged) {
-      const auto have = r.store->replicas().find(target, server);
+      const auto have = r.area->find(target, server);
       if (have.has_value() && have->expires_at >= rec.expires_at) continue;
       Message w = make_message(MessageKind::kReplicaWrite, root.id(),
                                r.node->id(), target);
-      w.server = rec.server;
-      w.last_hop = rec.last_hop;
-      w.level = rec.level;
-      w.flag = rec.past_hole;
-      w.expires_at = rec.expires_at;
+      w.set_record(rec);
       w = transport_->deliver(w);
       reg_.acct(trace, root, *r.node, 1);
-      r.store->replicas().upsert(target,
-                                 PointerRecord{w.server, w.last_hop, w.level,
-                                               w.flag, w.expires_at});
+      r.area->upsert(target, w.record());
       metrics::replica_read_repairs_total().inc();
       ++stats_.read_repairs;
     }
@@ -301,6 +260,7 @@ std::vector<PointerRecord> QuorumReplicator::quorum_read(
 }
 
 void QuorumReplicator::on_node_death(const NodeId& dead) {
+  areas_.erase(dead);
   for (auto& [target, holders] : holder_sets_) {
     const auto pos = std::find(holders.begin(), holders.end(), dead);
     if (pos == holders.end()) continue;
@@ -318,27 +278,28 @@ void QuorumReplicator::on_node_death(const NodeId& dead) {
 
     // Copy the merged surviving records onto the replacement so the set is
     // back to full strength before the next failure.
-    ReplicatedStore* dst = replica_store_of(best);
-    if (dst == nullptr) continue;
     std::map<NodeId, PointerRecord> merged;
     for (const NodeId& h : holders) {
       if (h == best) continue;
       TapestryNode* node = reg_.find(h);
       if (node == nullptr || !node->alive) continue;
-      ReplicatedStore* src = replica_store_of(h);
-      if (src == nullptr) continue;
-      for (const PointerRecord& rec : src->replicas().find_all(target)) {
+      for (const PointerRecord& rec : replicas_at(h).find_all(target)) {
         auto [mit, inserted] = merged.emplace(rec.server, rec);
         if (!inserted && rec.expires_at > mit->second.expires_at) {
           mit->second = rec;
         }
       }
     }
-    for (const auto& [server, rec] : merged)
-      dst->replicas().upsert(target, rec);
+    MemoryStore& dst = replicas_at(best);
+    for (const auto& [server, rec] : merged) dst.upsert(target, rec);
     metrics::replica_rereplications_total().inc();
     ++stats_.rereplications;
   }
+}
+
+void QuorumReplicator::remove_expired(double now) {
+  for (auto& [holder, area] : areas_)
+    if (reg_.is_live(holder)) area.remove_expired(now);
 }
 
 const std::vector<NodeId>* QuorumReplicator::holders(

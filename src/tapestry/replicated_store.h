@@ -1,6 +1,6 @@
-// ReplicatedStore + QuorumReplicator: quorum-replicated pointer records
-// over the root's k-nearest neighbor set (the DistHash direction in
-// PAPERS.md — robust replicated objects in a DHT).
+// QuorumReplicator: quorum-replicated pointer records over the root's
+// k-nearest neighbor set (the DistHash direction in PAPERS.md — robust
+// replicated objects in a DHT).
 //
 // In the paper a single root node owns every pointer record of an object:
 // a root crash costs availability for each of its objects until the §6.5
@@ -35,26 +35,19 @@
 // between a publish and a locate loses zero locates — no republish
 // needed.
 //
-// Split of responsibilities:
-//
-//   ReplicatedStore   per-node ObjectStoreBackend decorator.  The node's
-//                     own records live in an inner backend (MemoryStore,
-//                     or PersistentStore for `replicated+persist`) and
-//                     the whole standard interface delegates to it, so
-//                     the visible-state contract of object_store.h holds
-//                     bit-for-bit.  Records mirrored TO this node on
-//                     behalf of roots elsewhere live in a separate
-//                     MemoryStore replica area reachable only through
-//                     replicas() — invisible to size()/find()/snapshot(),
-//                     swept alongside the primary area on
-//                     remove_expired() so mirrors obey §6.5 soft state.
-//
-//   QuorumReplicator  overlay-level coordinator owned by ObjectDirectory
-//                     (constructed only when the replicated backend is
-//                     selected; absent otherwise, leaving the default
-//                     paths byte-identical).  Holds the holder sets and
-//                     implements mirror/quorum-read/re-replicate against
-//                     the registry, accounting every inter-node touch.
+// QuorumReplicator is the overlay-level coordinator, owned by
+// ObjectDirectory and constructed only when a replicated backend is
+// selected (absent otherwise, leaving the default paths byte-identical).
+// It owns all of the protocol's state: the holder sets, and one
+// MemoryStore replica area per holder for the records mirrored to it on
+// behalf of roots elsewhere.  A node's own store never sees its mirrors,
+// so size()/find()/snapshot() of any backend stay what object_store.h
+// says; the replicated backends differ from memory and persist only in
+// switching this coordinator on.  ObjectDirectory::expire_pointers sweeps
+// the live holders' areas beside their stores, so mirrors obey §6.5 soft
+// state.  Areas are volatile even under replicated+persist: after a full
+// restart the recovered primary stores serve every locate, and the next
+// republish round rebuilds the mirrors.
 //
 // All choices (holder selection, merge order, replacement hunt) are
 // deterministic functions of registry state, so ChurnDriver replay stays
@@ -63,9 +56,8 @@
 
 #include <cstddef>
 #include <map>
-#include <memory>
 #include <optional>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "src/tapestry/object_store.h"
@@ -77,57 +69,6 @@ class NodeRegistry;
 class TapestryNode;
 class Trace;
 struct TapestryParams;
-
-/// Per-node store decorator: primary records in `inner`, mirrored records
-/// in a private replica area.  Conformant to the ObjectStoreBackend
-/// visible-state contract because every standard method delegates to the
-/// inner backend untouched.
-class ReplicatedStore : public ObjectStoreBackend {
- public:
-  /// `backend_name` is what stats().backend reports ("replicated" or
-  /// "replicated+persist"); `inner` must be non-null.
-  ReplicatedStore(std::unique_ptr<ObjectStoreBackend> inner,
-                  const char* backend_name);
-
-  // --- standard interface: pure delegation to the inner backend ---
-  void upsert(const Guid& guid, const PointerRecord& record) override {
-    inner_->upsert(guid, record);
-  }
-  [[nodiscard]] std::optional<PointerRecord> find(
-      const Guid& guid, const NodeId& server) const override {
-    return inner_->find(guid, server);
-  }
-  void for_each_of(const Guid& guid, const Visitor& fn) const override {
-    inner_->for_each_of(guid, fn);
-  }
-  bool remove(const Guid& guid, const NodeId& server) override {
-    return inner_->remove(guid, server);
-  }
-  /// Sweeps both areas; the return value counts primary records only, so
-  /// backends agree with the reference under the conformance suite.
-  std::size_t remove_expired(double now) override;
-  [[nodiscard]] std::size_t size() const noexcept override {
-    return inner_->size();
-  }
-  void for_each(const Visitor& fn) const override { inner_->for_each(fn); }
-  [[nodiscard]] StoreStats stats() const override;
-  void flush() override { inner_->flush(); }
-
-  // --- replica area (QuorumReplicator and tests only) ---
-  [[nodiscard]] MemoryStore& replicas() noexcept { return replicas_; }
-  [[nodiscard]] const MemoryStore& replicas() const noexcept {
-    return replicas_;
-  }
-
- private:
-  std::unique_ptr<ObjectStoreBackend> inner_;
-  const char* name_;
-  // Mirrors held for roots elsewhere.  Volatile even under
-  // replicated+persist: after a full restart the recovered primary
-  // stores serve every locate, and the mirrors are rebuilt by the next
-  // republish round.
-  MemoryStore replicas_;
-};
 
 /// Overlay-level replication coordinator (one per ObjectDirectory).
 class QuorumReplicator {
@@ -176,7 +117,18 @@ class QuorumReplicator {
 
   /// `dead` just died or departed: for every holder set containing it,
   /// pick a replacement holder and merge the surviving copies onto it.
+  /// The dead node's own replica area is dropped (ids are never reused).
   void on_node_death(const NodeId& dead);
+
+  /// Drops every expired mirror from the live holders' areas: mirrors are
+  /// §6.5 soft state too (ObjectDirectory::expire_pointers calls this).
+  void remove_expired(double now);
+
+  /// The records mirrored to `holder` for roots elsewhere, created empty
+  /// on first contact.  Never part of the holder's own store.
+  [[nodiscard]] MemoryStore& replicas_at(const NodeId& holder) {
+    return areas_[holder];
+  }
 
   /// Holder set of `target`, if one was ever formed (tests/benches).
   [[nodiscard]] const std::vector<NodeId>* holders(const Guid& target) const;
@@ -207,9 +159,6 @@ class QuorumReplicator {
   [[nodiscard]] std::vector<NodeId> nearest_live(
       const TapestryNode& anchor, std::size_t k,
       const std::vector<NodeId>& taken) const;
-  /// The node's store as a ReplicatedStore, or nullptr when the node is
-  /// absent or runs a different backend.
-  ReplicatedStore* replica_store_of(const NodeId& id);
 
   NodeRegistry& reg_;
   const TapestryParams& params_;
@@ -217,6 +166,8 @@ class QuorumReplicator {
   // Ordered by guid so death-time scans visit sets in a deterministic
   // order regardless of insertion history.
   std::map<Guid, std::vector<NodeId>> holder_sets_;
+  // Replica area per holder (see replicas_at).
+  std::unordered_map<NodeId, MemoryStore> areas_;
   Stats stats_;
 };
 

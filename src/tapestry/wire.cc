@@ -24,15 +24,13 @@ Id make_id(IdSpec spec, std::uint64_t value) {
   return Id(spec, value);
 }
 
-void encode_record_fields(Datagram& dg, const NodeId& server,
-                          const std::optional<NodeId>& last_hop,
-                          unsigned level, bool flag, double expires_at) {
-  dg.add_u64(server.value());
-  dg.add_bool(last_hop.has_value());
-  if (last_hop.has_value()) dg.add_u64(last_hop->value());
-  dg.add_u32(static_cast<std::uint32_t>(level));
-  dg.add_bool(flag);
-  dg.add_f64(expires_at);
+void encode_record_fields(Datagram& dg, const PointerRecord& rec) {
+  dg.add_u64(rec.server.value());
+  dg.add_bool(rec.last_hop.has_value());
+  if (rec.last_hop.has_value()) dg.add_u64(rec.last_hop->value());
+  dg.add_u32(static_cast<std::uint32_t>(rec.level));
+  dg.add_bool(rec.past_hole);
+  dg.add_f64(rec.expires_at);
 }
 
 PointerRecord decode_record_fields(DatagramIterator& it, IdSpec spec) {
@@ -106,8 +104,7 @@ Datagram encode(const Message& m) {
     case MessageKind::kPublishDeposit:
     case MessageKind::kPointerOptimize:
     case MessageKind::kReplicaWrite:
-      encode_record_fields(dg, m.server, m.last_hop, m.level, m.flag,
-                           m.expires_at);
+      encode_record_fields(dg, m.record());
       break;
     case MessageKind::kUnpublish:
     case MessageKind::kLocateFound:
@@ -128,9 +125,7 @@ Datagram encode(const Message& m) {
       break;
     case MessageKind::kReplicaReadReply:
       dg.add_u32(static_cast<std::uint32_t>(m.records.size()));
-      for (const PointerRecord& rec : m.records)
-        encode_record_fields(dg, rec.server, rec.last_hop, rec.level,
-                             rec.past_hole, rec.expires_at);
+      for (const PointerRecord& rec : m.records) encode_record_fields(dg, rec);
       break;
   }
   return dg;
@@ -157,15 +152,9 @@ Message decode(const std::uint8_t* data, std::size_t size) {
       break;
     case MessageKind::kPublishDeposit:
     case MessageKind::kPointerOptimize:
-    case MessageKind::kReplicaWrite: {
-      const PointerRecord rec = decode_record_fields(it, spec);
-      m.server = rec.server;
-      m.last_hop = rec.last_hop;
-      m.level = rec.level;
-      m.flag = rec.past_hole;
-      m.expires_at = rec.expires_at;
+    case MessageKind::kReplicaWrite:
+      m.set_record(decode_record_fields(it, spec));
       break;
-    }
     case MessageKind::kUnpublish:
     case MessageKind::kLocateFound:
     case MessageKind::kDeleteBackward:

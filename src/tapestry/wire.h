@@ -81,6 +81,19 @@ struct Message {
   double expires_at = 0.0;           ///< soft-state deadline (§6.5)
   std::vector<PointerRecord> records{};  ///< kReplicaReadReply payload
 
+  /// The pointer record a deposit, reroute or replica write carries:
+  /// server, last_hop, level, expires_at, and past_hole in `flag`.
+  [[nodiscard]] PointerRecord record() const {
+    return PointerRecord{server, last_hop, level, flag, expires_at};
+  }
+  void set_record(const PointerRecord& rec) {
+    server = rec.server;
+    last_hop = rec.last_hop;
+    level = rec.level;
+    flag = rec.past_hole;
+    expires_at = rec.expires_at;
+  }
+
   [[nodiscard]] bool operator==(const Message& o) const;
 };
 

@@ -10,9 +10,11 @@
 // and proves the PersistentStore crash-recovery round trip: after flush()
 // the on-disk state rebuilds a bit-identical store, through both recover()
 // and a fresh construction, across WAL-only and compacted histories.
-// Replay must refuse every line no writer produces, and ShardedStore,
-// driven from five threads at once, must end where a serial MemoryStore
-// does.
+// Replay and the checkpoint manifest reader must refuse every line no
+// writer produces, and ShardedStore, driven from five threads at once,
+// must end where a serial MemoryStore does.  The quorum replication
+// tests keep mirrors in QuorumReplicator's replica areas, out of every
+// holder's own store.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -184,14 +186,9 @@ TEST(StoreConformance, RandomOpSequencesAgree) {
   ShardedStore shard;
   ScratchDir dir("conf_random");
   PersistentStore persist(dir.path, nid(0xABCD), kSpec);
-  ReplicatedStore repl(std::make_unique<MemoryStore>(), "replicated");
-  ScratchDir dir_rp("conf_random_rp");
-  ReplicatedStore repl_persist(
-      std::make_unique<PersistentStore>(dir_rp.path, nid(0xABCF), kSpec),
-      "replicated+persist");
 
   OpDriver d;
-  d.stores = {&mem, &shard, &persist, &repl, &repl_persist};
+  d.stores = {&mem, &shard, &persist};
   d.guid_pool = {1, 2, 0x1000, 0x1001, 0xFFFFFF, 0xABCDEF01, 0x7F7F7F7F};
   d.server_pool = {10, 11, 12, 0xBEEF, 0xF00D};
   d.expiry_pool = {0.5, 1.0, 2.0, 5.0, 5.0, 10.0,
@@ -204,20 +201,12 @@ TEST(StoreConformance, RandomOpSequencesAgree) {
                       "sharded, round " + std::to_string(round));
     expect_same_state(mem, persist, d.guid_pool, d.server_pool, probes,
                       "persist, round " + std::to_string(round));
-    expect_same_state(mem, repl, d.guid_pool, d.server_pool, probes,
-                      "replicated, round " + std::to_string(round));
-    expect_same_state(mem, repl_persist, d.guid_pool, d.server_pool, probes,
-                      "replicated+persist, round " + std::to_string(round));
   }
   // The stats hook reports per-backend identities.
   EXPECT_STREQ(mem.stats().backend, "memory");
   EXPECT_STREQ(shard.stats().backend, "sharded");
   EXPECT_STREQ(persist.stats().backend, "persist");
-  EXPECT_STREQ(repl.stats().backend, "replicated");
-  EXPECT_STREQ(repl_persist.stats().backend, "replicated+persist");
   EXPECT_GT(shard.stats().stripes, 1u);
-  // The replica area never leaks into the standard interface.
-  EXPECT_EQ(repl.replicas().size(), 0u);
 }
 
 TEST(StoreConformance, ExpiryDeadlineEdgeIsInclusive) {
@@ -225,13 +214,7 @@ TEST(StoreConformance, ExpiryDeadlineEdgeIsInclusive) {
   ShardedStore shard;
   ScratchDir dir("conf_edge");
   PersistentStore persist(dir.path, nid(0xABCE), kSpec);
-  ReplicatedStore repl(std::make_unique<MemoryStore>(), "replicated");
-  ScratchDir dir_rp("conf_edge_rp");
-  ReplicatedStore repl_persist(
-      std::make_unique<PersistentStore>(dir_rp.path, nid(0xABD0), kSpec),
-      "replicated+persist");
-  std::vector<ObjectStoreBackend*> stores = {&mem, &shard, &persist, &repl,
-                                             &repl_persist};
+  std::vector<ObjectStoreBackend*> stores = {&mem, &shard, &persist};
 
   for (ObjectStoreBackend* s : stores) {
     s->upsert(gid(1), PointerRecord{nid(1), std::nullopt, 0, false, 5.0});
@@ -603,14 +586,15 @@ TEST(StoreFactory, SelectsBackendFromParams) {
   EXPECT_STREQ(make_object_store(p, id)->stats().backend, "sharded");
   p.store_backend = StoreBackend::kPersistent;
   EXPECT_THROW((void)make_object_store(p, id), CheckError);  // no store_dir
+  // Replication is a protocol the directory runs, not a store: the
+  // replicated backends give each node a plain memory or persist store.
   p.store_backend = StoreBackend::kReplicated;
-  EXPECT_STREQ(make_object_store(p, id)->stats().backend, "replicated");
+  EXPECT_STREQ(make_object_store(p, id)->stats().backend, "memory");
   p.store_backend = StoreBackend::kReplicatedPersistent;
   EXPECT_THROW((void)make_object_store(p, id), CheckError);  // no store_dir
   ScratchDir dir("factory");
   p.store_dir = dir.path;
-  EXPECT_STREQ(make_object_store(p, id)->stats().backend,
-               "replicated+persist");
+  EXPECT_STREQ(make_object_store(p, id)->stats().backend, "persist");
   p.store_backend = StoreBackend::kPersistent;
   EXPECT_STREQ(make_object_store(p, id)->stats().backend, "persist");
 }
@@ -771,7 +755,85 @@ TEST(StoreBackendOverlay, PersistCheckpointDestroyRecover) {
 }
 
 // ------------------------------------------------------------------
-// Quorum replication (ReplicatedStore + QuorumReplicator)
+// Checkpoint manifest: every line must be one the writer produces
+// ------------------------------------------------------------------
+
+/// A memory overlay's checkpoint reads back as written: clock, live
+/// membership with locations, and the replica registry.
+TEST(CheckpointManifest, RoundTripsWhatCheckpointWrites) {
+  ScratchDir dir("manifest_roundtrip");
+  auto g = test::static_ring_network(24, 37, test::small_params());
+  Network& net = *g.net;
+  for (std::size_t i = 0; i < 6; ++i)
+    net.publish(g.ids[(5 * i) % g.ids.size()], test::make_guid(net, 90 + i));
+  net.events().run_until(12.25);
+  net.checkpoint_stores(dir.path);
+
+  const auto m = ObjectDirectory::read_manifest(dir.path);
+  EXPECT_EQ(m.time, 12.25);
+  ASSERT_EQ(m.nodes.size(), g.ids.size());
+  for (const auto& [idv, loc] : m.nodes)
+    EXPECT_EQ(net.node(NodeId(net.params().id, idv)).location(), loc);
+  std::vector<std::pair<Guid, NodeId>> read;
+  for (const auto& [gv, sv] : m.replicas)
+    read.emplace_back(Guid(net.params().id, gv), NodeId(net.params().id, sv));
+  auto published = net.published();
+  std::sort(read.begin(), read.end());
+  std::sort(published.begin(), published.end());
+  EXPECT_EQ(read, published);
+}
+
+/// `bad` is a line checkpoint() never writes: between valid lines of each
+/// kind it must fail read_manifest with a CheckError.
+void expect_manifest_rejects(const std::string& bad) {
+  SCOPED_TRACE(bad);
+  ScratchDir dir("manifest_bad");
+  std::filesystem::create_directories(dir.path);
+  const std::string good = "T 2.5\nN 1a 5\nO 1 2\n";
+  write_file(dir.path + "/manifest", good);
+  EXPECT_NO_THROW((void)ObjectDirectory::read_manifest(dir.path));
+  write_file(dir.path + "/manifest", good + bad + "\nO 3 4\n");
+  EXPECT_THROW((void)ObjectDirectory::read_manifest(dir.path), CheckError);
+}
+
+TEST(CheckpointManifest, ClockMustParseWhole) {
+  expect_manifest_rejects("T 3.5junk");
+}
+
+/// restore() hands the clock to run_until.
+TEST(CheckpointManifest, ClockMustBeFiniteAndNotNegative) {
+  expect_manifest_rejects("T nan");
+  expect_manifest_rejects("T inf");
+  expect_manifest_rejects("T -1");
+}
+
+TEST(CheckpointManifest, LocationMustParseWhole) {
+  expect_manifest_rejects("N 1a 5xyz");
+}
+
+TEST(CheckpointManifest, LocationMustNotBeNegative) {
+  expect_manifest_rejects("N 1a -5");
+}
+
+TEST(CheckpointManifest, LinesEndAfterTheirLastField) {
+  expect_manifest_rejects("O 1 2 extra");
+}
+
+/// A line longer than the reader's buffer fails instead of being read
+/// as two lines: here its first 127 bytes alone would be a valid line.
+TEST(CheckpointManifest, OverlongLineIsNotSplit) {
+  const std::string head = "O " + std::string(122, '0') + "1 2";
+  ASSERT_EQ(head.size(), 127u);
+  expect_manifest_rejects(head + "O 3 4");
+}
+
+TEST(CheckpointManifest, UnknownTagsFail) {
+  expect_manifest_rejects("N1a 5");
+  expect_manifest_rejects("");
+}
+
+// ------------------------------------------------------------------
+// Quorum replication (QuorumReplicator)
 // ------------------------------------------------------------------
 
 TapestryParams replicated_params() {
@@ -803,9 +865,7 @@ TEST(QuorumReplication, PublishMirrorsToWOfKHolders) {
   std::size_t acked = 0;
   for (const NodeId& h : *holders) {
     EXPECT_NE(h, root);  // the root never mirrors to itself
-    auto* store = dynamic_cast<ReplicatedStore*>(&net.node(h).store());
-    ASSERT_NE(store, nullptr);
-    const auto copy = store->replicas().find(salted, server);
+    const auto copy = repl->replicas_at(h).find(salted, server);
     if (copy.has_value()) {
       ++acked;
       EXPECT_EQ(copy->server, server);
@@ -815,10 +875,8 @@ TEST(QuorumReplication, PublishMirrorsToWOfKHolders) {
   EXPECT_GE(repl->stats().replica_writes, params.replication.w);
   // Unpublish withdraws every mirror again.
   net.unpublish(server, obj);
-  for (const NodeId& h : *holders) {
-    auto* store = dynamic_cast<ReplicatedStore*>(&net.node(h).store());
-    EXPECT_FALSE(store->replicas().find(salted, server).has_value());
-  }
+  for (const NodeId& h : *holders)
+    EXPECT_FALSE(repl->replicas_at(h).find(salted, server).has_value());
 }
 
 /// An R-of-N quorum read merges the freshest copy per server and pushes it
@@ -841,14 +899,12 @@ TEST(QuorumReplication, QuorumReadMergesFreshestAndReadRepairs) {
 
   // Stale-ify the first responder's copy; the second responder still has
   // the fresh one, and w + r > k guarantees the read sees it.
-  auto* first = dynamic_cast<ReplicatedStore*>(
-      &net.node((*holders)[0]).store());
-  ASSERT_NE(first, nullptr);
-  const auto fresh = first->replicas().find(salted, server);
+  MemoryStore& first = repl->replicas_at((*holders)[0]);
+  const auto fresh = first.find(salted, server);
   ASSERT_TRUE(fresh.has_value());
   PointerRecord stale = *fresh;
   stale.expires_at = fresh->expires_at - 50.0;
-  first->replicas().upsert(salted, stale);
+  first.upsert(salted, stale);
 
   const auto repairs_before = repl->stats().read_repairs;
   const auto merged =
@@ -859,8 +915,61 @@ TEST(QuorumReplication, QuorumReadMergesFreshestAndReadRepairs) {
   EXPECT_EQ(merged[0].expires_at, fresh->expires_at);  // freshest won
   EXPECT_GT(repl->stats().read_repairs, repairs_before);
   // Read-repair restored the stale responder's deadline.
-  EXPECT_EQ(first->replicas().find(salted, server)->expires_at,
-            fresh->expires_at);
+  EXPECT_EQ(first.find(salted, server)->expires_at, fresh->expires_at);
+}
+
+/// Mirrors are §6.5 soft state like the records they copy, and they live
+/// in the replicator, never in a holder's own store.  Each expiry sweep,
+/// serial or fanned out, empties every live holder's area once the
+/// publish deadline has passed; a quorum read then finds nothing.
+TEST(QuorumReplication, MirrorsExpireWithPrimaries) {
+  auto params = replicated_params();
+  params.pointer_ttl = 10.0;
+  auto twin_params = params;
+  twin_params.store_backend = StoreBackend::kMemory;
+  for (const std::size_t workers : {1, 4}) {
+    SCOPED_TRACE(workers);
+    auto g = test::static_ring_network(64, 29, params);
+    auto twin = test::static_ring_network(64, 29, twin_params);
+    Network& net = *g.net;
+    QuorumReplicator* repl = net.directory().replicator();
+    ASSERT_NE(repl, nullptr);
+    const Guid obj = test::make_guid(net, 41);
+    const NodeId server = g.ids[7];
+    net.publish(server, obj);
+    twin.net->publish(server, obj);
+    const Guid salted = salted_guid(obj, 0);
+    const NodeId root = net.surrogate_root(salted);
+    ASSERT_NE(repl->holders(salted), nullptr);
+    const std::vector<NodeId> holders = *repl->holders(salted);
+    ASSERT_EQ(holders.size(), params.replication.k);
+
+    // Before the deadline every holder mirrors the record, while each
+    // node's own store holds what the unreplicated twin's does: a holder
+    // off the publish path has nothing for the object there.
+    EXPECT_EQ(net.total_object_pointers(), twin.net->total_object_pointers());
+    std::size_t off_path = 0;
+    for (const NodeId& h : holders) {
+      EXPECT_TRUE(repl->replicas_at(h).find(salted, server).has_value());
+      const bool on_path =
+          twin.net->node(h).store().find(salted, server).has_value();
+      EXPECT_EQ(net.node(h).store().find(salted, server).has_value(),
+                on_path);
+      if (!on_path) ++off_path;
+    }
+    EXPECT_GT(off_path, 0u);
+
+    // Past the deadline the mirrors stay until a sweep removes them.
+    net.events().run_until(net.now() + params.pointer_ttl + 1.0);
+    for (const NodeId& h : holders)
+      EXPECT_EQ(repl->replicas_at(h).size(), 1u);
+    net.expire_pointers(workers);
+    EXPECT_EQ(net.total_object_pointers(), 0u);
+    for (const NodeId& id : g.ids)
+      EXPECT_TRUE(repl->replicas_at(id).empty()) << id.to_string();
+    EXPECT_TRUE(
+        repl->quorum_read(net.node(root), salted, net.now(), nullptr).empty());
+  }
 }
 
 /// Killing the current root of a published object between publish and
@@ -989,8 +1098,8 @@ TEST(QuorumReplication, PublishBatchMirrorsLikeSerialPublish) {
   batch.net->publish_batch(reqs, /*workers=*/4, &tb);
   EXPECT_EQ(ts.messages(), tb.messages());
 
-  const QuorumReplicator* ra = serial.net->directory().replicator();
-  const QuorumReplicator* rb = batch.net->directory().replicator();
+  QuorumReplicator* ra = serial.net->directory().replicator();
+  QuorumReplicator* rb = batch.net->directory().replicator();
   for (const auto& r : reqs) {
     const Guid salted = salted_guid(r.guid, 0);
     ASSERT_NE(ra->holders(salted), nullptr);
@@ -999,14 +1108,12 @@ TEST(QuorumReplication, PublishBatchMirrorsLikeSerialPublish) {
   }
   EXPECT_EQ(ra->stats().replica_writes, rb->stats().replica_writes);
   for (const NodeId& id : serial.ids) {
-    const auto& sa =
-        dynamic_cast<const ReplicatedStore&>(serial.net->node(id).store());
-    const auto& sb =
-        dynamic_cast<const ReplicatedStore&>(batch.net->node(id).store());
-    EXPECT_EQ(sa.replicas().size(), sb.replicas().size()) << id.to_string();
+    const MemoryStore& sa = ra->replicas_at(id);
+    const MemoryStore& sb = rb->replicas_at(id);
+    EXPECT_EQ(sa.size(), sb.size()) << id.to_string();
     for (const auto& r : reqs) {
-      const auto a = sa.replicas().find_all(salted_guid(r.guid, 0));
-      const auto b = sb.replicas().find_all(salted_guid(r.guid, 0));
+      const auto a = sa.find_all(salted_guid(r.guid, 0));
+      const auto b = sb.find_all(salted_guid(r.guid, 0));
       ASSERT_EQ(a.size(), b.size());
       for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_TRUE(record_eq(a[i], b[i]));
@@ -1232,9 +1339,7 @@ TEST(QuorumReplication, HolderDeathReReplicatesOntoReplacement) {
   // The replacement (the one id not in the old set) holds the record.
   for (const NodeId& h : *after) {
     if (std::find(before.begin(), before.end(), h) != before.end()) continue;
-    auto* store = dynamic_cast<ReplicatedStore*>(&net.node(h).store());
-    ASSERT_NE(store, nullptr);
-    EXPECT_TRUE(store->replicas().find(salted, server).has_value())
+    EXPECT_TRUE(repl->replicas_at(h).find(salted, server).has_value())
         << "replacement " << h.to_string() << " missing the mirrored record";
   }
 }
