@@ -15,11 +15,12 @@
 // so queries genuinely interleave with repairs (the regime §6.5 assumes).
 //
 // --json additionally gates the metrics registry's hot-path cost: the
-// interval-4 trial runs with recording enabled and disabled (interleaved,
-// min-of-3 each) and reports the wall-time ratio — the ≤5% overhead
-// budget of the observability work.  It also runs the targeted-rootfail
-// scenario (the tapestry_sim --scenario=rootfail preset) and gates its
-// overall and post-failure availability against the baseline.
+// interval-4 trial runs with recording disabled and enabled in
+// kOverheadPairs interleaved pairs and reports the ratio of the two
+// minimum wall times — the ≤5% overhead budget of the observability
+// work.  It also runs the targeted-rootfail scenario (the tapestry_sim
+// --scenario=rootfail preset) and gates its overall and post-failure
+// availability against the baseline.
 #include <chrono>
 #include <cstring>
 
@@ -120,6 +121,12 @@ Result run_rootfail(std::uint64_t seed) {
   return r;
 }
 
+// Off/on trial pairs behind metrics_overhead_ratio.  A trial takes tens of
+// milliseconds, so the minimum of three per side often caught one side in
+// a noisy slice of a shared 4-vCPU host and read past the 1.05 bound;
+// fifteen per side mostly reads within a few percent of 1.
+constexpr int kOverheadPairs = 15;
+
 // Wall time of one full interval-4 trial (growth + driver) with metric
 // recording toggled; the workload itself is identical either way — the
 // enabled() gate never changes control flow.
@@ -138,7 +145,7 @@ int run_json() {
 
   double best_on = 1e300;
   double best_off = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
+  for (int rep = 0; rep < kOverheadPairs; ++rep) {
     best_off = std::min(best_off, timed_trial(false));
     best_on = std::min(best_on, timed_trial(true));
   }

@@ -10,9 +10,11 @@
 //     lifetime counters after a fixed same-seed overlay workload (grow,
 //     publish, locate, multicast, fail + heartbeat sweep), proving every
 //     layer's traffic crosses the wire and the volume is reproducible;
-//   * loopback_heartbeat_probes / loopback_multicast_forwards — two of
-//     those messages' kinds (TransportStats::kind_count), so a change in
-//     sweep or multicast traffic names its layer.
+//   * loopback_heartbeats / loopback_heartbeat_probes /
+//     loopback_multicast_forwards — three of those messages' kinds
+//     (TransportStats::kind_count): the pushed "alive" heartbeats, the
+//     probes of silent members, and multicast edges, so a change in sweep
+//     or multicast traffic names its layer.
 //
 // Timed metrics (tolerant gates):
 //   * codec_mps — encode+decode round-trips per second over the corpus;
@@ -153,6 +155,7 @@ struct WorkloadResult {
   double seconds = 0.0;
   std::uint64_t messages = 0;
   std::uint64_t wire_bytes = 0;
+  std::uint64_t heartbeats = 0;
   std::uint64_t heartbeat_probes = 0;
   std::uint64_t multicast_forwards = 0;
 };
@@ -186,6 +189,7 @@ WorkloadResult run_workload(TransportKind kind) {
   r.seconds = dt;
   r.messages = stats.messages.load();
   r.wire_bytes = stats.bytes.load();
+  r.heartbeats = stats.kind_count(MessageKind::kHeartbeatAck);
   r.heartbeat_probes = stats.kind_count(MessageKind::kHeartbeatProbe);
   r.multicast_forwards = stats.kind_count(MessageKind::kMulticastForward);
   return r;
@@ -210,6 +214,7 @@ int run_json() {
               "\"wire_kinds\":%zu,\"wire_bytes_fixture\":%llu,"
               "\"codec_mps\":%.3f,\"loopback_messages\":%llu,"
               "\"loopback_wire_bytes\":%llu,"
+              "\"loopback_heartbeats\":%llu,"
               "\"loopback_heartbeat_probes\":%llu,"
               "\"loopback_multicast_forwards\":%llu,"
               "\"loopback_overhead_ratio\":%.4f}}\n",
@@ -217,6 +222,7 @@ int run_json() {
               static_cast<unsigned long long>(fixture_bytes), mps,
               static_cast<unsigned long long>(loop.messages),
               static_cast<unsigned long long>(loop.wire_bytes),
+              static_cast<unsigned long long>(loop.heartbeats),
               static_cast<unsigned long long>(loop.heartbeat_probes),
               static_cast<unsigned long long>(loop.multicast_forwards),
               ratio);
@@ -257,6 +263,7 @@ int main(int argc, char** argv) {
   table.add_row({"codec round-trips/s (M)", fmt(mps, 2)});
   table.add_row({"workload msgs (loopback)", fmt(loop.messages)});
   table.add_row({"workload wire bytes", fmt(loop.wire_bytes)});
+  table.add_row({"  heartbeats (alive)", fmt(loop.heartbeats)});
   table.add_row({"  heartbeat probes", fmt(loop.heartbeat_probes)});
   table.add_row({"  multicast forwards", fmt(loop.multicast_forwards)});
   table.add_row({"direct workload (s)", fmt(direct.seconds, 3)});

@@ -215,7 +215,7 @@ std::optional<NodeId> MaintenanceEngine::first_corpse(
     for (unsigned j = 0; j < radix; ++j) {
       for (const auto& e : n.table().at(level, j).entries()) {
         if (e.id == n.id()) continue;
-        // One probe per member a sweep: a member can also sit in our
+        // One heartbeat per member a sweep: a member can also sit in our
         // own-digit slot of each row above its own, and the scan after a
         // purge revisits the corpse's row.
         const auto pos =
@@ -223,14 +223,20 @@ std::optional<NodeId> MaintenanceEngine::first_corpse(
         if (pos != confirmed.end() && *pos == e.id.value()) continue;
         const TapestryNode* other = reg_.find(e.id);
         TAP_ASSERT(other != nullptr);
-        (void)transport_->deliver(make_message(MessageKind::kHeartbeatProbe,
-                                               n.id(), e.id, e.id));
-        reg_.acct(trace, n, *other, 1);  // heartbeat probe
-        if (!other->alive) return e.id;
-        Message ack =
+        if (!other->alive) {
+          // No heartbeat came: probe the member, which never answers.
+          (void)transport_->deliver(make_message(MessageKind::kHeartbeatProbe,
+                                                 n.id(), e.id, e.id));
+          reg_.acct(trace, n, *other, 1);  // unanswered probe
+          return e.id;
+        }
+        // A live member pushes its heartbeat along each backpointer, and
+        // backpointers mirror n's forward links: n hears from it once.
+        Message alive =
             make_message(MessageKind::kHeartbeatAck, e.id, n.id(), n.id());
-        ack.flag = true;  // alive
-        (void)transport_->deliver(ack);
+        alive.flag = true;
+        (void)transport_->deliver(alive);
+        reg_.acct(trace, *other, n, 1);  // pushed heartbeat
         confirmed.insert(pos, e.id.value());
       }
     }
@@ -268,11 +274,48 @@ void MaintenanceEngine::sweep(Trace* trace, const NodeLockTable* locks,
   const unsigned radix = params_.id.radix();
   index_live_nodes();
 
-  // Pass 1: heartbeat probes.  Each node pings its table members; a failed
-  // ping triggers the same lazy repair a failed routing step would, and
-  // the scan resumes at the corpse's row.  A purge only drops the corpse
-  // and links live replacements, so the rows above stay corpse-free and a
-  // node whose scan comes back clean holds no corpse.
+  // Pass 0: heartbeats pushed to corpses.  A live node pushes along every
+  // backpointer, and a corpse's tombstone table still lists the nodes it
+  // linked to.  Each keeps its backpointer to the corpse, and keeps
+  // pushing, until it purges the corpse from its own table, which it never
+  // does if it does not list it.  The pushes go out at the sweep's instant,
+  // before anyone notices the silence; nobody receives them, so only the
+  // transport carries them and the Trace keeps the paper's one heartbeat
+  // per live forward link.  Runs on this thread before any worker starts.
+  for (const auto& d : reg_.nodes()) {
+    if (d->alive) continue;
+    const RoutingTable& t = d->table();
+    for (unsigned l = 0; l < digits; ++l) {
+      for (unsigned j = 0; j < radix; ++j) {
+        for (const auto& e : t.at(l, j).entries()) {
+          if (e.id == d->id()) continue;
+          // A member sits in at most one slot of each row up to the row its
+          // id first differs in; it pushes once, at the deepest row listing
+          // it.
+          const unsigned top = d->id().common_prefix_len(e.id);
+          bool deeper = false;
+          for (unsigned k = l + 1; k <= top && !deeper; ++k)
+            deeper = t.at(k, e.id.digit(k)).contains(e.id);
+          if (deeper) continue;
+          const TapestryNode* x = reg_.find(e.id);
+          if (x == nullptr || !x->alive ||
+              !x->table().has_backpointer(l, d->id()))
+            continue;
+          Message alive =
+              make_message(MessageKind::kHeartbeatAck, e.id, d->id(), d->id());
+          alive.flag = true;
+          (void)transport_->deliver(alive);
+        }
+      }
+    }
+  }
+
+  // Pass 1: heartbeats.  Each node hears from its live table members and
+  // probes only a member that stayed silent; the unanswered probe triggers
+  // the same lazy repair a failed routing step would, and the scan resumes
+  // at the corpse's row.  A purge only drops the corpse and links live
+  // replacements, so the rows above stay corpse-free and a node whose scan
+  // comes back clean holds no corpse.
   for_each_live(locks, workers, trace, [&](TapestryNode& n, Trace* t) {
     thread_local std::vector<std::uint64_t> confirmed;
     confirmed.clear();
@@ -434,6 +477,7 @@ void MaintenanceEngine::fail_and_repair_bulk(const std::vector<NodeId>& victims,
 void MaintenanceEngine::heartbeat_sweep_bulk(std::size_t workers,
                                              Trace* trace) {
   WaveTimer timer;
+  metrics::heartbeat_sweeps_total().inc();
   finish_wave(workers, trace);
 }
 

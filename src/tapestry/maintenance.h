@@ -12,7 +12,7 @@
 // delegated to the ObjectDirectory so Property 4 survives table churn.
 //
 // Every §3-§4.4 insertion step, every §5 repair step — departure, purge,
-// replacement search, heartbeat probe and fill — and every table link is
+// replacement search, heartbeat and fill — and every table link is
 // one implementation taking a `const NodeLockTable* locks`: null runs it
 // serially on a quiescent mesh (join_via, leave, heartbeat_sweep, and
 // ParallelJoinCoordinator's event-driven joins), the registry's table runs
@@ -120,7 +120,7 @@ class MaintenanceEngine final : public RepairHandler {
                     ObjectDirectory& directory, const TapestryParams& params,
                     EventQueue& events, Rng& rng);
 
-  /// Wires the transport heartbeat probes and acks travel through
+  /// Wires the transport heartbeats and corpse probes travel through
   /// (Network binds the overlay's; standalone engines use the shared
   /// direct fallback).
   void bind_transport(Transport* transport) noexcept {
@@ -198,8 +198,11 @@ class MaintenanceEngine final : public RepairHandler {
   void leave(NodeId node, Trace* trace = nullptr);
   /// Involuntary fail-stop (§5.2): the node simply stops responding.
   void fail(NodeId node);
-  /// Soft-state heartbeat maintenance (§5.2, §6.5): probe table entries,
-  /// purge corpses, then hunt replacements for emptied slots to fixpoint.
+  /// Soft-state heartbeat maintenance (§5.2, §6.5): every live node
+  /// pushes a heartbeat to each backpointer holder, corpses included, and
+  /// probes and purges the table members it did not hear from (corpses);
+  /// then emptied slots hunt replacements to fixpoint.  Counts one
+  /// tapestry_heartbeat_sweeps_total.
   void heartbeat_sweep(Trace* trace = nullptr);
 
   // --- thread-parallel repair waves (§5.1, §5.2 on real threads) ---
@@ -259,7 +262,8 @@ class MaintenanceEngine final : public RepairHandler {
   /// heartbeat_sweep fanned out across `workers` real threads (one task
   /// per node), then the chain-repair pass of the epilogue.  Membership
   /// must be quiescent; guarded store racers (publish batches, expiry
-  /// sweeps, peeked queries) are fine.
+  /// sweeps, peeked queries) are fine.  Counts one sweep, as
+  /// heartbeat_sweep does; the epilogues of the other waves count none.
   void heartbeat_sweep_bulk(std::size_t workers = 0, Trace* trace = nullptr);
 
   /// Runs heartbeat_sweep as a recurring EventQueue event every `every`
@@ -383,14 +387,21 @@ class MaintenanceEngine final : public RepairHandler {
   /// Refills slot (level, digit) of `at` if it is empty (Property 1).
   void refill_slot(TapestryNode& at, unsigned level, unsigned digit,
                    Trace* trace, const NodeLockTable* locks);
-  /// Heartbeat-probes `n`'s table members from row `level` on and returns
-  /// the first corpse, leaving `level` at its row.  Ids in the sorted
-  /// `confirmed` were heard from earlier in the sweep and are skipped;
-  /// each member that acks joins them.
+  /// Scans `n`'s table members from row `level` on and returns the first
+  /// corpse, leaving `level` at its row.  Each live member's pushed
+  /// heartbeat reaches `n` as one kHeartbeatAck, booked member to node;
+  /// only a dead member is sent a kHeartbeatProbe, which goes unanswered.
+  /// The push needs no lookup of the member's backpointers: link, unlink
+  /// and the §4.4 pins keep a live node's backpointers the exact inverse
+  /// of the live forward links to it.  Its pushes to corpses go out in
+  /// the sweep's pass 0.
+  /// Ids in the sorted `confirmed` were heard from earlier in the sweep
+  /// and are skipped; each live member joins them.
   std::optional<NodeId> first_corpse(TapestryNode& n, unsigned& level,
                                      std::vector<std::uint64_t>& confirmed,
                                      Trace* trace, const NodeLockTable* locks);
-  /// Probe pass, then up to four fill rounds over every live node.
+  /// The pushes to corpses, the heartbeat pass, then up to four fill
+  /// rounds over every live node.
   void sweep(Trace* trace, const NodeLockTable* locks, std::size_t workers);
   /// Runs `body` on every live node; true if any call returned true.
   /// Serial: registry order, `trace` passed straight through.  Threaded:

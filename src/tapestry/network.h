@@ -237,9 +237,9 @@ class Network {
     return directory_.restore(dir);
   }
 
-  /// Soft-state heartbeat maintenance (§5.2, §6.5): every node probes its
-  /// table entries, purging corpses it discovers, then slots emptied by
-  /// failures hunt replacements until a fixpoint.
+  /// Soft-state heartbeat maintenance (§5.2, §6.5): every node hears from
+  /// its live table members, probes and purges the silent ones (corpses),
+  /// then slots emptied by failures hunt replacements until a fixpoint.
   void heartbeat_sweep(Trace* trace = nullptr) {
     maintenance_.heartbeat_sweep(trace);
   }

@@ -52,8 +52,8 @@ enum class MessageKind : std::uint8_t {
   kDeleteBackward,      ///< §4.2 DELETEPOINTERSBACKWARD chain delete
   kMulticastForward,    ///< §4.1 acknowledged-multicast downward edge
   kMulticastAck,        ///< §4.1 acknowledged-multicast ack edge
-  kHeartbeatProbe,      ///< §6.5 liveness probe
-  kHeartbeatAck,        ///< §6.5 liveness probe response
+  kHeartbeatProbe,      ///< §6.5 probe of a silent member; goes unanswered
+  kHeartbeatAck,        ///< §6.5 "alive" heartbeat pushed along a backpointer
   kReplicaWrite,        ///< quorum store: mirror a record to a holder
   kReplicaWriteAck,     ///< quorum store: holder write acknowledgement
   kReplicaRead,         ///< quorum store: read probe to a holder

@@ -212,7 +212,18 @@ TEST(Heartbeat, PurgesEveryCorpseReference) {
     g.net->fail(victim);
     dead.push_back(victim);
   }
+  // Only a corpse is probed: one unanswered probe per distinct
+  // (live node, corpse) link.  Live neighbors push their heartbeats.
+  std::size_t corpse_links = 0;
+  for (const NodeId& id : g.net->node_ids())
+    for (const NodeId& nbr : g.net->node(id).table().all_neighbors())
+      if (!g.net->registry().is_live(nbr)) ++corpse_links;
+  ASSERT_GT(corpse_links, 0u);
+  const TransportStats& stats = g.net->transport().stats();
+  const std::uint64_t probes = stats.kind_count(MessageKind::kHeartbeatProbe);
   g.net->heartbeat_sweep();
+  EXPECT_EQ(stats.kind_count(MessageKind::kHeartbeatProbe) - probes,
+            corpse_links);
   for (const NodeId& id : g.net->node_ids()) {
     const auto& table = g.net->node(id).table();
     for (unsigned l = 0; l < g.net->params().id.num_digits; ++l)
@@ -224,6 +235,47 @@ TEST(Heartbeat, PurgesEveryCorpseReference) {
   }
   g.net->check_property1();
   g.net->check_backpointer_symmetry();
+}
+
+TEST(Heartbeat, PushesReachEveryBackpointerHolder) {
+  // A live node pushes its heartbeat to each distinct backpointer holder,
+  // corpses included.  A corpse's tombstone table still lists the nodes
+  // it linked to, and a node that does not list the corpse in turn never
+  // purges it, so it keeps that backpointer and keeps pushing.  Those
+  // pushes reach nobody: the transport carries them, and the Trace, one
+  // heartbeat per live forward link, does not book them.
+  auto g = grow_ring_network(96, 151);
+  Rng rng(5);
+  for (int i = 0; i < 12; ++i) {
+    const auto ids = g.net->node_ids();
+    g.net->fail(ids[rng.next_u64(ids.size())]);
+  }
+  auto holders = [&](bool live) {
+    std::size_t n = 0;
+    for (const NodeId& id : g.net->node_ids())
+      for (const NodeId& h : g.net->node(id).table().all_backpointers())
+        if (g.net->registry().is_live(h) == live) ++n;
+    return n;
+  };
+  const std::size_t corpse_holders = holders(false);
+  g.net->heartbeat_sweep();  // purges every corpse from every live table
+  const std::size_t to_live = holders(true);
+  const std::size_t to_corpses = holders(false);
+  ASSERT_GT(to_corpses, 0u) << "no node kept a backpointer to a corpse";
+  EXPECT_LE(to_corpses, corpse_holders);
+
+  const TransportStats& stats = g.net->transport().stats();
+  const std::uint64_t pushes = stats.kind_count(MessageKind::kHeartbeatAck);
+  const std::uint64_t probes = stats.kind_count(MessageKind::kHeartbeatProbe);
+  const std::uint64_t delivered = stats.messages.load();
+  Trace t;
+  g.net->heartbeat_sweep(&t);
+  EXPECT_EQ(stats.kind_count(MessageKind::kHeartbeatAck) - pushes,
+            to_live + to_corpses);
+  EXPECT_EQ(stats.kind_count(MessageKind::kHeartbeatProbe), probes);
+  EXPECT_EQ(t.messages(), to_live);
+  EXPECT_EQ(stats.messages.load() - delivered, to_live + to_corpses);
+  EXPECT_EQ(holders(false), to_corpses);
 }
 
 TEST(Heartbeat, IdempotentOnHealthyNetwork) {
@@ -243,17 +295,20 @@ TEST(Heartbeat, CountsProbeTraffic) {
   const std::uint64_t acks = stats.kind_count(MessageKind::kHeartbeatAck);
   const std::uint64_t forwards =
       stats.kind_count(MessageKind::kMulticastForward);
+  const std::uint64_t delivered = stats.messages.load();
   Trace t;
   g.net->heartbeat_sweep(&t);
-  // On a healthy overlay a sweep is one probe and one ack per distinct
-  // neighbor of each node, however many slots the neighbor occupies, and
-  // no replacement search: Property 1 leaves no fillable hole.
+  // On a healthy overlay a sweep is one pushed heartbeat per distinct
+  // neighbor of each node, however many slots the neighbor occupies, no
+  // probe (nobody stays silent) and no replacement search: Property 1
+  // leaves no fillable hole.  The Trace and the transport count the same
+  // messages.
   std::size_t neighbors = 0;
   for (const NodeId& id : g.net->node_ids())
     neighbors += g.net->node(id).table().all_neighbors().size();
   EXPECT_EQ(t.messages(), neighbors);
-  EXPECT_EQ(stats.kind_count(MessageKind::kHeartbeatProbe) - probes,
-            neighbors);
+  EXPECT_EQ(stats.messages.load() - delivered, t.messages());
+  EXPECT_EQ(stats.kind_count(MessageKind::kHeartbeatProbe), probes);
   EXPECT_EQ(stats.kind_count(MessageKind::kHeartbeatAck) - acks, neighbors);
   EXPECT_EQ(stats.kind_count(MessageKind::kMulticastForward), forwards);
 }

@@ -297,6 +297,49 @@ TEST(ParallelJoin, MalformedBatchRejectedBeforeScheduling) {
       "location outside the metric space");
 }
 
+TEST(ParallelJoin, BackpointersStaySymmetricWhileSweepsRunMidBatch) {
+  // A heartbeat sweep books each live member's pushed "alive" message at
+  // the node listing it, without reading the member's backpointers.  That
+  // is exact only if backpointers mirror forward links at every instant a
+  // sweep can run, §4.4 pins included.  Sixty instants spread over each
+  // batch of 24 overlapping joins (all done by t ~ 2) check symmetry and
+  // then sweep.
+  std::size_t pinned = 0, inserting = 0;
+  for (const std::uint64_t seed : {131u, 132u, 133u}) {
+    auto g = grow_ring_network(128, seed);
+    for (int k = 1; k <= 60; ++k) {
+      g.net->events().schedule_at(0.035 * k, [&] {
+        for (const NodeId& id : g.net->node_ids()) {
+          const TapestryNode& n = g.net->node(id);
+          if (n.inserting) ++inserting;
+          for (unsigned l = 0; l < n.table().levels(); ++l)
+            for (unsigned j = 0; j < n.table().radix(); ++j)
+              pinned += n.table().at(l, j).pinned_members().size();
+        }
+        EXPECT_NO_THROW(g.net->check_backpointer_symmetry())
+            << "seed " << seed;
+        g.net->heartbeat_sweep();
+      });
+    }
+    ParallelJoinCoordinator coord(*g.net, 0.05);
+    std::vector<ParallelJoinCoordinator::Request> reqs;
+    for (std::size_t i = 0; i < 24; ++i)
+      reqs.push_back(req(128 + i, g.ids[5 * i % g.ids.size()], 0.002 * i));
+    coord.run(reqs);
+    EXPECT_EQ(g.net->size(), 128u + 24u);
+    g.net->check_property1();
+    g.net->check_backpointer_symmetry();
+    for (const NodeId& id : g.net->node_ids()) {
+      const auto& table = g.net->node(id).table();
+      for (unsigned l = 0; l < table.levels(); ++l)
+        for (unsigned j = 0; j < table.radix(); ++j)
+          EXPECT_TRUE(table.at(l, j).pinned_members().empty());
+    }
+  }
+  EXPECT_GT(pinned, 0u) << "instants must sample pinned entries";
+  EXPECT_GT(inserting, 0u) << "instants must sample inserting nodes";
+}
+
 TEST(ParallelJoin, TranscriptIsPinned) {
   // The event-driven §4.4 transcript, pinned: 16 overlapping joins on a
   // grown 64-node ring holding 24 objects, so the §4.2 reroutes around

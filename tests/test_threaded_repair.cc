@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/common/assert.h"
+#include "src/sim/metrics.h"
 #include "src/tapestry/fingerprint.h"
 #include "src/tapestry/network.h"
 #include "test_util.h"
@@ -341,7 +342,9 @@ TEST(ThreadedRepair, HeartbeatSweepBulkRepairsUnannouncedFailures) {
     }
     for (const NodeId& v : victims) g.net->fail(v);
 
+    const std::uint64_t sweeps = metrics::heartbeat_sweeps_total().value();
     g.net->heartbeat_sweep_bulk(workers);
+    EXPECT_EQ(metrics::heartbeat_sweeps_total().value() - sweeps, 1u);
 
     g.net->check_property1();
     g.net->check_backpointer_symmetry();
@@ -353,6 +356,37 @@ TEST(ThreadedRepair, HeartbeatSweepBulkRepairsUnannouncedFailures) {
           g.net->locate(survivors[ql.next_u64(survivors.size())], guid).found)
           << "object lost in the sweep (workers=" << workers << ")";
   }
+}
+
+TEST(ThreadedRepair, HealthySweepBulkAgreesWithSerial) {
+  // Heartbeats on a healthy overlay: every live member pushes one "alive"
+  // message per distinct link, nobody is probed, and nothing changes.
+  // The serial sweep and the threaded one share that code, so they must
+  // deliver the same heartbeats, book them alike on the Trace and leave
+  // identical tables.
+  auto serial = static_ring_network(96, 417, sharded_params());
+  auto threaded = static_ring_network(96, 417, sharded_params());
+  auto heartbeats = [](const Network& net) {
+    return net.transport().stats().kind_count(MessageKind::kHeartbeatAck);
+  };
+  const std::uint64_t serial_before = heartbeats(*serial.net);
+  const std::uint64_t threaded_before = heartbeats(*threaded.net);
+  Trace serial_trace, threaded_trace;
+  serial.net->heartbeat_sweep(&serial_trace);
+  threaded.net->heartbeat_sweep_bulk(/*workers=*/4, &threaded_trace);
+
+  const std::uint64_t pushed = heartbeats(*serial.net) - serial_before;
+  EXPECT_GT(pushed, 0u);
+  EXPECT_EQ(heartbeats(*threaded.net) - threaded_before, pushed);
+  EXPECT_EQ(serial_trace.messages(), pushed);
+  EXPECT_EQ(threaded_trace.messages(), pushed);
+  for (const Network* net : {serial.net.get(), threaded.net.get()}) {
+    EXPECT_EQ(net->transport().stats().kind_count(MessageKind::kHeartbeatProbe),
+              0u);
+    net->check_property1();
+    net->check_backpointer_symmetry();
+  }
+  EXPECT_EQ(fingerprint_tables(*serial.net), fingerprint_tables(*threaded.net));
 }
 
 }  // namespace
