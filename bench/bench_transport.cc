@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
 
   print_header("Transport seam — codec and loopback overhead",
                "docs/transport.md: lossless wire format for every RPC; "
-               "loopback (encode/enqueue/decode) vs direct delivery");
+               "loopback (encode/decode) vs direct delivery");
 
   const std::vector<Message> msgs = corpus();
   const std::uint64_t fixture_bytes = corpus_wire_bytes(msgs);

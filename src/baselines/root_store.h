@@ -53,7 +53,7 @@ class RootStoreOverlay final : public LocationScheme {
                       Trace* trace) override {
     SchemeLocate res;
     const Guid g = key_to_guid(key);
-    Trace local(false);
+    Trace local;
     Trace* t = trace != nullptr ? trace : &local;
     const std::size_t msgs0 = t->messages();
     const double lat0 = t->latency();

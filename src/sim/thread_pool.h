@@ -1,11 +1,14 @@
-// Parallel trial driver for the benchmark harness and heavyweight tests.
+// Fork-join parallel loops.  parallel_for starts its worker threads on
+// every call and joins them before returning; there is no standing pool.
 //
-// Experiments in this repository are embarrassingly parallel at the *trial*
-// level: each trial owns an independent simulator instance seeded from the
-// trial index, so trials share no mutable state and results are
-// deterministic regardless of thread count or scheduling.  This is the
-// standard HPC pattern for simulation sweeps — explicit decomposition, no
-// shared mutable state, deterministic reduction order.
+// The library runs its parallel phases on it: bulk registration, static
+// table builds, batched publishes, pointer-expiry and heartbeat sweeps,
+// and join, repair and leave waves.  Those callers bring their own
+// synchronisation (stripe locks, per-task Traces) and their own
+// determinism argument.  The benchmark harness and heavyweight tests use
+// run_trials, where each trial owns an independent simulator instance
+// seeded from the trial index, so results come back in trial order
+// whatever the thread count.
 #pragma once
 
 #include <cstddef>
@@ -19,10 +22,12 @@ namespace tap {
 /// Number of workers to use by default: hardware concurrency, at least 1.
 [[nodiscard]] std::size_t default_worker_count() noexcept;
 
-/// Runs fn(i) for i in [0, count) across `workers` threads using static
-/// block scheduling.  Blocks until all iterations complete.  The first
-/// exception thrown by any iteration is rethrown on the caller's thread
-/// (after all workers have joined).
+/// Runs fn(i) for i in [0, count) across `workers` threads (0 = hardware
+/// concurrency; 1 runs inline).  Workers claim the next index from a
+/// shared atomic counter, so which thread runs which i depends on timing.
+/// Blocks until all iterations complete.  The first exception thrown by
+/// any iteration is rethrown on the caller's thread (after all workers
+/// have joined).
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
                   std::size_t workers = 0);
 

@@ -17,55 +17,34 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 namespace tap {
 
 class Trace {
  public:
-  /// When true, the sequence of visited entities (e.g. NodeId bit patterns)
-  /// is recorded in path().  Off by default: most benchmarks only need the
-  /// aggregate counters.
-  explicit Trace(bool record_path = false) : record_path_(record_path) {}
-
   /// Records one message crossing the given network distance.
   void hop(double dist) noexcept {
     ++messages_;
     latency_ += dist;
   }
 
-  /// Records a visited entity (used for route paths in tests).
-  void visit(std::uint64_t id) {
-    if (record_path_) path_.push_back(id);
-  }
-
   /// Merges a sub-operation's costs into this trace (e.g. a nested RPC).
   void absorb(const Trace& sub) noexcept {
     messages_ += sub.messages_;
     latency_ += sub.latency_;
-    if (record_path_)
-      path_.insert(path_.end(), sub.path_.begin(), sub.path_.end());
   }
 
   [[nodiscard]] std::size_t messages() const noexcept { return messages_; }
   [[nodiscard]] double latency() const noexcept { return latency_; }
-  [[nodiscard]] bool recording_path() const noexcept { return record_path_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& path() const noexcept {
-    return path_;
-  }
 
   void reset() noexcept {
     messages_ = 0;
     latency_ = 0.0;
-    path_.clear();
   }
 
  private:
-  bool record_path_;
   std::size_t messages_ = 0;
   double latency_ = 0.0;
-  std::vector<std::uint64_t> path_;
 };
 
 }  // namespace tap

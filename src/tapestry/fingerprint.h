@@ -41,8 +41,7 @@ class Fnv1a {
     h.mix(n->id().value());
     const RoutingTable& t = n->table();
     for (unsigned l = 0; l < t.levels(); ++l) {
-      const std::uint64_t* row = t.row_occupancy(l);
-      for (unsigned w = 0; w < t.occupancy_words(); ++w) h.mix(row[w]);
+      h.mix(t.row_mask(l));
       for (unsigned j = 0; j < t.radix(); ++j)
         for (const auto& e : t.at(l, j).entries())
           h.mix(e.id.value() * 2 + (e.pinned ? 1 : 0));
@@ -74,10 +73,7 @@ class Fnv1a {
   for (const TapestryNode* n : live) {
     h.mix(n->id().value());
     const RoutingTable& t = n->table();
-    for (unsigned l = 0; l < t.levels(); ++l) {
-      const std::uint64_t* row = t.row_occupancy(l);
-      for (unsigned w = 0; w < t.occupancy_words(); ++w) h.mix(row[w]);
-    }
+    for (unsigned l = 0; l < t.levels(); ++l) h.mix(t.row_mask(l));
   }
   return h.value();
 }

@@ -20,7 +20,9 @@
 namespace tap {
 
 /// Shape of the identifier space: digits of `digit_bits` bits each
-/// (radix b = 2^digit_bits), `num_digits` of them.
+/// (radix b = 2^digit_bits), `num_digits` of them.  Radix is capped at 64
+/// (digit_bits <= 6) so each routing-table row's occupancy, and each row
+/// of a §4.4 watch list, is one 64-bit word.
 struct IdSpec {
   unsigned digit_bits = 4;
   unsigned num_digits = 10;
@@ -32,7 +34,7 @@ struct IdSpec {
     return digit_bits * num_digits;
   }
   [[nodiscard]] constexpr bool valid() const noexcept {
-    return digit_bits >= 1 && digit_bits <= 8 && num_digits >= 1 &&
+    return digit_bits >= 1 && digit_bits <= 6 && num_digits >= 1 &&
            total_bits() <= 64;
   }
   constexpr bool operator==(const IdSpec& o) const noexcept {

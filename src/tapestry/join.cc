@@ -59,10 +59,6 @@ namespace tap {
 
 namespace {
 
-void hop(Trace* trace, double dist) {
-  if (trace != nullptr) trace->hop(dist);
-}
-
 /// §4.2 around a table change of `n`.  Serially, the pointers whose next
 /// hop moved are re-routed at once.  Join waves touch no store (the §6.5
 /// republish backstops them; see join_bulk), so given a lock table the
@@ -237,7 +233,8 @@ std::vector<NodeId> MaintenanceEngine::join_bulk(
         s.trace = &traces[i];
         s.surrogate = acquire_surrogate(gateways[i], s.nn, s.trace, locks);
         begin_insertion(s, requests[i].loc, locks);
-        hop(s.trace, reg_.distance(s.nn, s.surrogate));  // to the surrogate
+        reg_.acct(s.trace, reg_.checked(s.nn),
+                  reg_.checked(s.surrogate));  // to the surrogate
         multicast_wave(s, s.surrogate, s.alpha, watch_list(s, locks), locks);
         finish_insertion(s, locks);
       },
@@ -252,8 +249,6 @@ std::unordered_set<std::uint64_t> check_join_batch(
   TAP_CHECK(!requests.empty(), "no join requests");
   TAP_CHECK(reg.live_count() > 0,
             "a join batch requires a non-empty network; bootstrap first");
-  TAP_CHECK(reg.params().id.radix() <= 64,
-            "§4.4 watch lists require radix <= 64");
   std::unordered_set<std::uint64_t> ids;
   for (const JoinRequest& req : requests) {
     TAP_CHECK(req.loc < reg.space().size(),
@@ -305,7 +300,7 @@ NodeId MaintenanceEngine::acquire_surrogate(NodeId gateway, const NodeId& nn,
     }
     if (!next.has_value()) return sur;
     TAP_CHECK(bounces < 64, "surrogate bounce chain too long");
-    hop(trace, reg_.distance(sur, *next));
+    reg_.acct(trace, reg_.checked(sur), reg_.checked(*next));
     sur = *next;
   }
 }
@@ -331,7 +326,7 @@ WatchList MaintenanceEngine::watch_list(const InsertionSession& s,
   WatchList watch(params_.id.num_digits);
   NodeLockTable::Guard g(locks, s.nn);
   for (unsigned l = 0; l < watch.size(); ++l)
-    watch[l] = ~nn.table().row_mask64(l) & full_row;
+    watch[l] = ~nn.table().row_mask(l) & full_row;
   return watch;
 }
 
@@ -398,7 +393,7 @@ void MaintenanceEngine::serve_watch_list(InsertionSession& s,
     }
   }
   for (const auto& [l, id] : fillers) {
-    hop(s.trace, reg_.distance(at.id(), nn.id()));  // the report
+    reg_.acct(s.trace, at, nn);  // the report
     if (TapestryNode* filler = reg_.find(id);
         filler != nullptr && filler->alive)
       link(reg_, nn, l, *filler, locks);
@@ -447,10 +442,12 @@ void MaintenanceEngine::multicast_wave(InsertionSession& s, const NodeId& at,
   // A duplicate acknowledges at once: the caller's return is the ack.
   const auto children = visit(s, at, prefix_len, watch, locks);
   if (!children.has_value()) return;
+  const TapestryNode& from = reg_.checked(at);
   for (const MulticastChild& c : *children) {
-    hop(s.trace, reg_.distance(at, c.id));  // forward
+    const TapestryNode& to = reg_.checked(c.id);
+    reg_.acct(s.trace, from, to);  // forward
     multicast_wave(s, c.id, c.prefix_len, watch, locks);
-    hop(s.trace, reg_.distance(c.id, at));  // ack
+    reg_.acct(s.trace, to, from);  // ack
   }
   // Subtree fully acknowledged: unlock the pinned pointer (Lemma 4).
   release_pin(s, at, locks);

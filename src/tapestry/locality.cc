@@ -50,6 +50,7 @@ NodeId LocalityManager::local_root(std::size_t stub, const Guid& guid) const {
 
 void LocalityManager::publish(NodeId server, const Guid& guid, Trace* trace) {
   net_.publish(server, guid, trace);
+  const NodeRegistry& reg = net_.registry();
   // Local branch: deposit a pointer at the stub's local root for every
   // salted name, so local queries resolve whichever root they pick.
   const std::size_t stub = stub_of(server);
@@ -59,7 +60,7 @@ void LocalityManager::publish(NodeId server, const Guid& guid, Trace* trace) {
     const Guid g = salted_guid(guid, salt);
     const NodeId root = local_root(stub, g);
     if (root == server) continue;  // the server already holds its own record
-    if (trace != nullptr) trace->hop(net_.distance(server, root));
+    reg.acct(trace, reg.checked(server), reg.checked(root));
     net_.node(root).store().upsert(
         g, PointerRecord{server, server,
                          /*level=*/net_.params().id.num_digits,
@@ -68,11 +69,12 @@ void LocalityManager::publish(NodeId server, const Guid& guid, Trace* trace) {
 }
 
 void LocalityManager::unpublish(NodeId server, const Guid& guid, Trace* trace) {
+  const NodeRegistry& reg = net_.registry();
   const std::size_t stub = stub_of(server);
   for (unsigned salt = 0; salt < net_.params().root_multiplicity; ++salt) {
     const Guid g = salted_guid(guid, salt);
     const NodeId root = local_root(stub, g);
-    if (trace != nullptr) trace->hop(net_.distance(server, root));
+    reg.acct(trace, reg.checked(server), reg.checked(root));
     net_.node(root).store().remove(g, server);
   }
   net_.unpublish(server, guid, trace);
@@ -84,7 +86,7 @@ LocateResult LocalityManager::locate(NodeId client, const Guid& guid,
   const std::size_t stub = stub_of(client);
   const Guid g0 = salted_guid(guid, 0);
   const NodeId root = local_root(stub, g0);
-  Trace local(false);
+  Trace local;
   Trace* t = trace != nullptr ? trace : &local;
   const std::size_t msgs0 = t->messages();
   const double lat0 = t->latency();
@@ -95,7 +97,8 @@ LocateResult LocalityManager::locate(NodeId client, const Guid& guid,
     return r;
   };
 
-  if (!(root == client)) t->hop(net_.distance(client, root));
+  const NodeRegistry& reg = net_.registry();
+  if (!(root == client)) reg.acct(t, reg.checked(client), reg.checked(root));
   auto records = net_.node(root).store().find_live(g0, net_.now());
   std::sort(records.begin(), records.end(),
             [&](const PointerRecord& a, const PointerRecord& b) {
@@ -110,7 +113,8 @@ LocateResult LocalityManager::locate(NodeId client, const Guid& guid,
     r.found = true;
     r.pointer_node = root;
     r.server = rec.server;
-    if (!(rec.server == root)) t->hop(net_.distance(root, rec.server));
+    if (!(rec.server == root))
+      reg.acct(t, reg.checked(root), reg.checked(rec.server));
     return finish(r);
   }
 

@@ -43,10 +43,9 @@ struct JoinRequest {
 /// Rejects a malformed join batch before any of it runs; join_bulk and
 /// ParallelJoinCoordinator::run share it.  The batch must be non-empty and
 /// the network not; locations must lie in the metric space, explicit ids
-/// must match the IdSpec and be unused and unique within the batch,
-/// explicit gateways live, and rows must fit one-word watch lists
-/// (radix <= 64).  Returns the explicit ids, which the ids drawn for the
-/// batch's other joins must avoid (MaintenanceEngine::fresh_join_id).
+/// must match the IdSpec and be unused and unique within the batch, and
+/// explicit gateways live.  Returns the explicit ids, which the ids drawn
+/// for the batch's other joins must avoid (MaintenanceEngine::fresh_join_id).
 [[nodiscard]] std::unordered_set<std::uint64_t> check_join_batch(
     const NodeRegistry& reg, const std::vector<JoinRequest>& requests);
 
@@ -120,9 +119,8 @@ class MaintenanceEngine final : public RepairHandler {
                     ObjectDirectory& directory, const TapestryParams& params,
                     EventQueue& events, Rng& rng);
 
-  /// Wires the transport heartbeats and corpse probes travel through
-  /// (Network binds the overlay's; standalone engines use the shared
-  /// direct fallback).
+  /// Wires the transport heartbeats and corpse probes travel through;
+  /// Network binds the overlay's at construction.
   void bind_transport(Transport* transport) noexcept {
     transport_ = transport;
   }
@@ -273,9 +271,6 @@ class MaintenanceEngine final : public RepairHandler {
   /// stop_heartbeats(): it must outlive the timer.
   void start_heartbeats(double every, Trace* trace = nullptr);
   void stop_heartbeats();
-  [[nodiscard]] bool heartbeats_running() const noexcept {
-    return heartbeat_event_.has_value();
-  }
 
   // --- failure repair (§5.2) ---
   /// Lazy repair of a corpse a routing walk tripped over (serial).
@@ -424,7 +419,7 @@ class MaintenanceEngine final : public RepairHandler {
   /// The epilogue: threaded sweep, then the quiescent chain repair.
   void finish_wave(std::size_t workers, Trace* trace);
 
-  Transport* transport_ = default_transport();
+  Transport* transport_ = nullptr;
   NodeRegistry& reg_;
   Router& router_;
   ObjectDirectory& dir_;

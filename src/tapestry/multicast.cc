@@ -85,10 +85,7 @@ MulticastStats Router::multicast(NodeId start, const Id& pattern,
         const double d = reg_.dist(cur, *child);
         stats.messages += 2;  // forward + acknowledgment
         stats.traffic += 2.0 * d;
-        if (trace != nullptr) {
-          trace->hop(d);
-          trace->hop(d);
-        }
+        reg_.acct(trace, cur, *child, 2);
         TapestryNode& c = reg_.live(child->id());
         // Forward travels the wire before the subtree runs; the ack
         // travels back once the subtree has completed (Figure 8).

@@ -386,9 +386,6 @@ class Network {
   [[nodiscard]] const EventQueue& events() const noexcept { return events_; }
   [[nodiscard]] double now() const noexcept { return events_.now(); }
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
-  [[nodiscard]] NodeId random_node_id(Rng& rng) const {
-    return registry_.random_node_id(rng);
-  }
   [[nodiscard]] NodeId fresh_node_id() {  ///< random, unused id
     return registry_.fresh_node_id();
   }

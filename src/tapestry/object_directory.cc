@@ -72,7 +72,7 @@ struct ObjectDirectory::PublishOp {
   PointerRecord arriving{};
   // Costs land in *trace: the caller's (sync) or `own` (event, absorbed
   // into `external` at completion).
-  Trace own{false};
+  Trace own;
   Trace* trace = nullptr;
   Trace* external = nullptr;
   PublishCallback done;
@@ -114,7 +114,7 @@ struct ObjectDirectory::LocateOp {
   RouteState leg_state{};
   // Costs land in *trace; the result's hops/latency are what accrued
   // there since msgs0/lat0.
-  Trace own{false};
+  Trace own;
   Trace* trace = nullptr;
   std::size_t msgs0 = 0;
   double lat0 = 0.0;

@@ -45,7 +45,7 @@ class ObjectDirectory {
   /// Wires the transport all pointer traffic (publish/locate/unpublish
   /// deposits, §4.2 reroutes, quorum replica RPCs) travels through and
   /// forwards it to the replicator when one exists.  Network binds the
-  /// overlay's; standalone directories use the shared direct fallback.
+  /// overlay's at construction.
   void bind_transport(Transport* transport) noexcept;
 
   // --- publication and location (§2.2) ---
@@ -330,7 +330,7 @@ class ObjectDirectory {
   std::function<void(const NodeId&)> node_death_hook_;
 
   // Wire layer for all cross-node pointer traffic (see bind_transport).
-  Transport* transport_ = default_transport();
+  Transport* transport_ = nullptr;
 };
 
 }  // namespace tap

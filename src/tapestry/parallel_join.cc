@@ -73,7 +73,8 @@ void ParallelJoinCoordinator::deliver_multicast(std::size_t session_idx,
   InsertionSession& s = sessions_[session_idx];
   const NodeId from = parent.has_value() ? *parent : s.nn;
   const double d = delay(from, to);
-  s.trace->hop(net_.distance(from, to));
+  const NodeRegistry& reg = net_.registry();
+  reg.acct(s.trace, reg.checked(from), reg.checked(to));
   net_.events().schedule_in(
       d, [this, session_idx, to, parent, prefix_len,
           watch = std::move(watch)]() mutable {
@@ -111,7 +112,8 @@ void ParallelJoinCoordinator::handle_multicast(std::size_t session_idx,
 void ParallelJoinCoordinator::deliver_ack(std::size_t session_idx, NodeId from,
                                           NodeId to) {
   const double d = delay(from, to);
-  sessions_[session_idx].trace->hop(net_.distance(from, to));
+  const NodeRegistry& reg = net_.registry();
+  reg.acct(sessions_[session_idx].trace, reg.checked(from), reg.checked(to));
   net_.events().schedule_in(
       d, [this, session_idx, to] { handle_ack(session_idx, to); });
 }

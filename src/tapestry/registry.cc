@@ -246,10 +246,6 @@ void NodeRegistry::clear_partition() {
   metrics::partition_transitions_total().inc();
 }
 
-NodeId NodeRegistry::random_node_id(Rng& rng) const {
-  return Id::random(params_.id, rng);
-}
-
 NodeId NodeRegistry::fresh_node_id() {
   for (int attempt = 0; attempt < 1024; ++attempt) {
     NodeId id = Id::random(params_.id, rng_);

@@ -157,13 +157,13 @@ class NodeRegistry {
   [[nodiscard]] double distance(const NodeId& a, const NodeId& b) const;
   [[nodiscard]] double dist(const TapestryNode& a,
                             const TapestryNode& b) const;
-  /// Books `msgs` messages of distance dist(a, b) against `trace` (no-op on
-  /// nullptr) — the single choke point for inter-node cost accounting.
+  /// Books `msgs` messages of distance dist(a, b) on `trace` (when not
+  /// null) and on tapestry_messages_total — the one booking point of the
+  /// Trace ledger, so the counter equals what the Traces hold.
   void acct(Trace* trace, const TapestryNode& a, const TapestryNode& b,
             std::size_t msgs = 1) const;
 
   // --- identifiers ---
-  [[nodiscard]] NodeId random_node_id(Rng& rng) const;
   [[nodiscard]] NodeId fresh_node_id();  ///< random, unused id
 
   // --- aggregate accounting (Table 1 "space") ---

@@ -87,10 +87,10 @@ std::optional<std::vector<NodeId>> QuorumReplicator::nearest_in_table(
   // exact only if its k-th candidate is strictly closer than this.
   std::optional<Candidate> bound;
   for (unsigned l = 0; l < table.levels(); ++l) {
-    const std::uint64_t* row = table.row_occupancy(l);
+    const std::uint64_t row = table.row_mask(l);
     const unsigned own = root.id().digit(l);
-    for (unsigned j = occ::next(row, table.radix(), 0); j != occ::kNone;
-         j = occ::next(row, table.radix(), j + 1)) {
+    for (unsigned j = occ::next(row, 0); j != occ::kNone;
+         j = occ::next(row, j + 1)) {
       // Own-digit members share another digit with the root, so they also
       // sit in a deeper row.
       if (j == own) continue;

@@ -162,7 +162,7 @@ class QuorumReplicator {
 
   NodeRegistry& reg_;
   const TapestryParams& params_;
-  Transport* transport_ = default_transport();
+  Transport* transport_ = nullptr;
   // Ordered by guid so death-time scans visit sets in a deterministic
   // order regardless of insertion history.
   std::map<Guid, std::vector<NodeId>> holder_sets_;

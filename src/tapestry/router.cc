@@ -57,8 +57,7 @@ std::optional<unsigned> Router::select_slot(const TapestryNode& at,
                                             const ExcludeSet* exclude,
                                             bool live_only,
                                             const NodeId** member) const {
-  const unsigned radix = params_.id.radix();
-  const std::uint64_t* row = at.table().row_occupancy(level);
+  const std::uint64_t row = at.table().row_mask(level);
   // Occupancy answers "slot non-empty" exactly; a filter, an active
   // partition or a wanted member forces a look at the members themselves
   // (and then only for occupied slots).
@@ -78,7 +77,7 @@ std::optional<unsigned> Router::select_slot(const TapestryNode& at,
   if (params_.routing == RoutingMode::kTapestryNative) {
     // First filled slot at or after `desired`, wrapping (§2.3).  Without
     // a filter this is a pure bit scan.
-    const unsigned first = occ::next_wrap(row, radix, desired);
+    const unsigned first = occ::next_wrap(row, desired);
     if (first == occ::kNone) return std::nullopt;
     unsigned j = first;
     do {
@@ -86,7 +85,7 @@ std::optional<unsigned> Router::select_slot(const TapestryNode& at,
         if (j != desired) past_hole = true;
         return chose(j, found);
       }
-      j = occ::next_wrap(row, radix, (j + 1) % radix);
+      j = occ::next_wrap(row, j + 1);
     } while (j != first);
     return std::nullopt;
   }
@@ -100,8 +99,8 @@ std::optional<unsigned> Router::select_slot(const TapestryNode& at,
     std::optional<unsigned> best;
     const NodeId* best_found = nullptr;
     unsigned best_score = 0;
-    for (unsigned j = occ::next(row, radix, 0); j != occ::kNone;
-         j = occ::next(row, radix, j + 1)) {
+    for (unsigned j = occ::next(row, 0); j != occ::kNone;
+         j = occ::next(row, j + 1)) {
       if (!filled(j)) continue;
       const unsigned score =
           leading_bit_match(j, desired, params_.id.digit_bits);
@@ -116,8 +115,8 @@ std::optional<unsigned> Router::select_slot(const TapestryNode& at,
     return chose(*best, best_found);
   }
   // After the first hole: numerically highest filled digit.
-  for (unsigned j = occ::prev(row, radix, radix - 1); j != occ::kNone;
-       j = (j == 0 ? occ::kNone : occ::prev(row, radix, j - 1)))
+  for (unsigned j = occ::prev(row, 63); j != occ::kNone;
+       j = (j == 0 ? occ::kNone : occ::prev(row, j - 1)))
     if (filled(j)) return chose(j, found);
   return std::nullopt;
 }

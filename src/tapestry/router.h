@@ -45,9 +45,8 @@ class Router {
   /// walk can encounter a corpse.
   void bind_repair(RepairHandler* repair) noexcept { repair_ = repair; }
 
-  /// Wires the transport every hop and multicast edge travels through
-  /// (Network binds the overlay's; standalone routers use the shared
-  /// direct fallback).
+  /// Wires the transport every hop and multicast edge travels through;
+  /// Network binds the overlay's at construction.
   void bind_transport(Transport* transport) noexcept {
     transport_ = transport;
   }
@@ -158,7 +157,7 @@ class Router {
   NodeRegistry& reg_;
   const TapestryParams& params_;
   RepairHandler* repair_ = nullptr;
-  Transport* transport_ = default_transport();
+  Transport* transport_ = nullptr;
 };
 
 }  // namespace tap

@@ -7,15 +7,14 @@ namespace tap {
 RoutingTable::RoutingTable(IdSpec spec, NodeId self, unsigned redundancy)
     : self_(self),
       levels_(spec.num_digits),
-      radix_(spec.radix()),
-      words_(occ::words_for(spec.radix())) {
+      radix_(spec.radix()) {
   TAP_CHECK(spec.valid(), "invalid IdSpec");
   TAP_CHECK(self.valid() && self.spec() == spec, "self id must match spec");
   TAP_CHECK(redundancy >= 1, "redundancy (R) must be at least 1");
   slots_.reserve(static_cast<std::size_t>(levels_) * radix_);
   for (std::size_t i = 0; i < static_cast<std::size_t>(levels_) * radix_; ++i)
     slots_.emplace_back(redundancy);
-  occupancy_.assign(static_cast<std::size_t>(levels_) * words_, 0);
+  occupancy_.assign(levels_, 0);
   backptrs_.resize(levels_);
   // The owner is a (β, own-digit) node at distance zero for every prefix β
   // of its own ID; seed those self-entries.
@@ -53,9 +52,9 @@ void RoutingTable::unpin(unsigned level, unsigned digit, const NodeId& id,
 }
 
 bool RoutingTable::row_has_other(unsigned level) const {
-  const std::uint64_t* occ = row_occupancy(level);
-  for (unsigned j = occ::next(occ, radix_, 0); j != occ::kNone;
-       j = occ::next(occ, radix_, j + 1)) {
+  const std::uint64_t row = row_mask(level);
+  for (unsigned j = occ::next(row, 0); j != occ::kNone;
+       j = occ::next(row, j + 1)) {
     for (const auto& e : at(level, j).entries())
       if (!(e.id == self_)) return true;
   }
@@ -64,9 +63,9 @@ bool RoutingTable::row_has_other(unsigned level) const {
 
 std::vector<NodeId> RoutingTable::row_members(unsigned level) const {
   std::vector<NodeId> out;
-  const std::uint64_t* occ = row_occupancy(level);
-  for (unsigned j = occ::next(occ, radix_, 0); j != occ::kNone;
-       j = occ::next(occ, radix_, j + 1))
+  const std::uint64_t row = row_mask(level);
+  for (unsigned j = occ::next(row, 0); j != occ::kNone;
+       j = occ::next(row, j + 1))
     for (const auto& e : at(level, j).entries()) out.push_back(e.id);
   // A node appears in at most one slot per row, so no dedupe needed.
   return out;

@@ -24,8 +24,8 @@
 // every NeighborSet.  To keep the masks trustworthy, *all* slot mutations
 // funnel through the RoutingTable wrappers below (consider / remove / pin /
 // unpin); the non-const per-slot accessor was removed so no caller can
-// desynchronise a mask.  Rows wider than 64 digits (digit_bits > 6) span
-// multiple mask words; the occ:: helpers hide the word walk.
+// desynchronise a mask.  IdSpec caps the radix at 64, so each row's mask
+// is one word.
 #pragma once
 
 #include <cstdint>
@@ -37,62 +37,35 @@
 
 namespace tap {
 
-/// Bit-scan helpers over a row occupancy mask of `radix` bits stored in
-/// ceil(radix/64) contiguous words, bit j of word j/64 = slot j occupied.
+/// Bit-scan helpers over a row occupancy mask: bit j set <=> slot j
+/// occupied.  Bits at and above the radix are always clear.
 namespace occ {
 
 inline constexpr unsigned kNone = ~0u;
 
-[[nodiscard]] inline constexpr unsigned words_for(unsigned radix) noexcept {
-  return (radix + 63u) / 64u;
-}
-
-[[nodiscard]] inline bool test(const std::uint64_t* w, unsigned j) noexcept {
-  return (w[j >> 6] >> (j & 63u)) & 1u;
+[[nodiscard]] inline bool test(std::uint64_t row, unsigned j) noexcept {
+  return (row >> j) & 1u;
 }
 
 /// First occupied slot >= `from` (no wrap), or kNone.
-[[nodiscard]] inline unsigned next(const std::uint64_t* w, unsigned radix,
-                                   unsigned from) noexcept {
-  if (from >= radix) return kNone;
-  const unsigned nwords = words_for(radix);
-  unsigned word = from >> 6;
-  std::uint64_t cur = w[word] & (~std::uint64_t{0} << (from & 63u));
-  for (;;) {
-    if (cur != 0) {
-      const unsigned j =
-          (word << 6) + static_cast<unsigned>(__builtin_ctzll(cur));
-      return j < radix ? j : kNone;
-    }
-    if (++word >= nwords) return kNone;
-    cur = w[word];
-  }
+[[nodiscard]] inline unsigned next(std::uint64_t row, unsigned from) noexcept {
+  if (from >= 64) return kNone;
+  const std::uint64_t cur = row & (~std::uint64_t{0} << from);
+  return cur == 0 ? kNone : static_cast<unsigned>(__builtin_ctzll(cur));
 }
 
-/// Last occupied slot <= `from`, or kNone.
-[[nodiscard]] inline unsigned prev(const std::uint64_t* w, unsigned radix,
-                                   unsigned from) noexcept {
-  if (from >= radix) from = radix - 1;
-  unsigned word = from >> 6;
-  std::uint64_t cur =
-      w[word] & (~std::uint64_t{0} >> (63u - (from & 63u)));
-  for (;;) {
-    if (cur != 0)
-      return (word << 6) + 63u -
-             static_cast<unsigned>(__builtin_clzll(cur));
-    if (word == 0) return kNone;
-    cur = w[--word];
-  }
+/// Last occupied slot <= `from` (from < 64), or kNone.
+[[nodiscard]] inline unsigned prev(std::uint64_t row, unsigned from) noexcept {
+  const std::uint64_t cur = row & (~std::uint64_t{0} >> (63u - from));
+  return cur == 0 ? kNone : 63u - static_cast<unsigned>(__builtin_clzll(cur));
 }
 
 /// First occupied slot at or after `start`, wrapping around the digit
 /// alphabet (the Tapestry Native hole rule); kNone iff the row is empty.
-[[nodiscard]] inline unsigned next_wrap(const std::uint64_t* w,
-                                        unsigned radix,
+[[nodiscard]] inline unsigned next_wrap(std::uint64_t row,
                                         unsigned start) noexcept {
-  const unsigned j = next(w, radix, start);
-  if (j != kNone) return j;
-  return next(w, radix, 0);
+  const unsigned j = next(row, start);
+  return j != kNone ? j : next(row, 0);
 }
 
 }  // namespace occ
@@ -112,24 +85,15 @@ class RoutingTable {
   }
 
   // --- occupancy masks ---
-  /// Words per row mask (1 for radix <= 64).
-  [[nodiscard]] unsigned occupancy_words() const noexcept { return words_; }
-  /// Pointer to the row's mask words; bit j set <=> slot (level, j)
-  /// non-empty.  Stable for the table's lifetime (moves rebind it).
-  [[nodiscard]] const std::uint64_t* row_occupancy(unsigned level) const {
+  /// The row's mask: bit j set <=> slot (level, j) non-empty.
+  [[nodiscard]] std::uint64_t row_mask(unsigned level) const {
     TAP_ASSERT(level < levels_);
-    return occupancy_.data() + static_cast<std::size_t>(level) * words_;
-  }
-  /// The row mask as a single word (requires radix <= 64; true for every
-  /// configuration with digit_bits <= 6, e.g. the default hex digits).
-  [[nodiscard]] std::uint64_t row_mask64(unsigned level) const {
-    TAP_ASSERT(words_ == 1);
-    return *row_occupancy(level);
+    return occupancy_[level];
   }
   /// O(1) emptiness test off the mask.
   [[nodiscard]] bool slot_empty(unsigned level, unsigned digit) const {
     TAP_ASSERT(level < levels_ && digit < radix_);
-    return !occ::test(row_occupancy(level), digit);
+    return !occ::test(occupancy_[level], digit);
   }
 
   // --- slot mutations (the only write path; masks kept in sync) ---
@@ -185,21 +149,18 @@ class RoutingTable {
   }
   /// Re-derives the mask bit of one slot from its contents.
   void sync_bit(unsigned level, unsigned digit) {
-    std::uint64_t& word =
-        occupancy_[static_cast<std::size_t>(level) * words_ + (digit >> 6)];
-    const std::uint64_t bit = std::uint64_t{1} << (digit & 63u);
+    const std::uint64_t bit = std::uint64_t{1} << digit;
     if (slots_[index(level, digit)].empty())
-      word &= ~bit;
+      occupancy_[level] &= ~bit;
     else
-      word |= bit;
+      occupancy_[level] |= bit;
   }
 
   NodeId self_;
   unsigned levels_;
   unsigned radix_;
-  unsigned words_;  // mask words per row
   std::vector<NeighborSet> slots_;
-  std::vector<std::uint64_t> occupancy_;       // levels_ * words_ mask words
+  std::vector<std::uint64_t> occupancy_;       // one mask word per level
   std::vector<std::vector<NodeId>> backptrs_;  // per level, sorted, unique
 };
 

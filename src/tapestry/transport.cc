@@ -1,9 +1,5 @@
 #include "src/tapestry/transport.h"
 
-#include <deque>
-#include <utility>
-#include <vector>
-
 #include "src/common/assert.h"
 #include "src/sim/metrics.h"
 
@@ -26,22 +22,11 @@ Message DirectTransport::deliver(const Message& m) {
 }
 
 Message LoopbackTransport::deliver(const Message& m) {
-  // One inbox per thread: a synchronous delivery completes on the calling
-  // thread (like today's direct calls), and concurrent batch/repair
-  // threads never contend on a shared queue.  The queue still exercises
-  // the enqueue/dequeue discipline a socket transport will need.
-  thread_local std::deque<std::vector<std::uint8_t>> inbox;
-  Datagram dg = encode(m);
+  // A synchronous delivery completes on the calling thread, so the
+  // receiver decodes the sender's frame directly.
+  const Datagram dg = encode(m);
   count(m, dg.size());
-  inbox.push_back(dg.release());
-  const std::vector<std::uint8_t> frame = std::move(inbox.front());
-  inbox.pop_front();
-  return decode(frame);
-}
-
-Transport* default_transport() {
-  static DirectTransport t;
-  return &t;
+  return decode(dg);
 }
 
 std::unique_ptr<Transport> make_transport(const TapestryParams& params) {

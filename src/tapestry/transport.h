@@ -16,10 +16,9 @@
 //   DirectTransport    returns the message untouched — zero
 //                      serialization, byte-identical to the
 //                      pre-transport build on same-seed runs;
-//   LoopbackTransport  encodes the message to Datagram bytes, enqueues
-//                      it on the receiving side's inbox, pops and
-//                      decodes it, and returns the decoded copy — the
-//                      full serialize/queue/parse path of a real wire
+//   LoopbackTransport  encodes the message to Datagram bytes, counts
+//                      them, decodes the frame and returns the decoded
+//                      copy — the serialize/parse path of a real wire
 //                      in one process.  Because the wire format is
 //                      lossless, results are identical to direct; the
 //                      existing conformance/churn/scenario matrix run
@@ -29,9 +28,9 @@
 // same interface without touching protocol code (ROADMAP).
 //
 // Thread-safety: deliver() is called concurrently from batch publish
-// walks and threaded repair waves.  Stats use relaxed atomics; the
-// loopback inbox is thread-local (each simulated delivery completes on
-// the calling thread, as today's synchronous calls do).
+// walks and threaded repair waves.  Stats use relaxed atomics, and each
+// delivery completes on the calling thread, so a loopback frame never
+// leaves the thread that encoded it.
 #pragma once
 
 #include <array>
@@ -83,19 +82,14 @@ class DirectTransport final : public Transport {
   [[nodiscard]] Message deliver(const Message& m) override;
 };
 
-/// A real wire boundary inside one process: encode → enqueue on the
-/// destination inbox → dequeue → bounds-checked decode → dispatch the
-/// decoded copy.  Lossless, so semantics match DirectTransport exactly.
+/// A real wire boundary inside one process: encode → bounds-checked
+/// decode → dispatch the decoded copy.  Lossless, so semantics match
+/// DirectTransport exactly.
 class LoopbackTransport final : public Transport {
  public:
   [[nodiscard]] const char* name() const override { return "loopback"; }
   [[nodiscard]] Message deliver(const Message& m) override;
 };
-
-/// Shared process-wide DirectTransport: the fallback every layer binds
-/// until a Network wires its own (mirrors the bind_repair pattern, so
-/// subsystems constructed standalone in tests keep working).
-[[nodiscard]] Transport* default_transport();
 
 /// Instantiates the transport selected by params.transport.
 /// TAP_CHECKs on an unknown enum value, listing the valid choices.

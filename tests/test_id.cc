@@ -14,11 +14,14 @@ namespace {
 TEST(IdSpec, ValidityRules) {
   EXPECT_TRUE((IdSpec{4, 10}.valid()));
   EXPECT_TRUE((IdSpec{1, 64}.valid()));
-  EXPECT_TRUE((IdSpec{8, 8}.valid()));
+  EXPECT_TRUE((IdSpec{6, 10}.valid()));    // radix 64: one-word rows
   EXPECT_FALSE((IdSpec{0, 10}.valid()));   // zero-width digits
   EXPECT_FALSE((IdSpec{4, 0}.valid()));    // no digits
-  EXPECT_FALSE((IdSpec{8, 9}.valid()));    // 72 bits > 64
+  EXPECT_FALSE((IdSpec{6, 11}.valid()));   // 66 bits > 64
+  EXPECT_FALSE((IdSpec{7, 8}.valid()));    // radix 128 > 64
+  EXPECT_FALSE((IdSpec{8, 8}.valid()));    // radix 256 > 64
   EXPECT_FALSE((IdSpec{9, 4}.valid()));    // digit wider than a byte
+  EXPECT_THROW(Id(IdSpec{7, 8}, 0), CheckError);
 }
 
 TEST(IdSpec, DerivedQuantities) {

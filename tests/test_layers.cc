@@ -1,7 +1,8 @@
 // Seam tests for the layered subsystems behind the Network facade:
 // Router's pure peek vs the mutating repair walk, NodeRegistry's
-// liveness/index bookkeeping across join, leave and fail, and the
-// synchronous vs event-driven directory engines run on twin overlays.
+// liveness/index bookkeeping across join, leave and fail, its message
+// counter against the Trace ledger, and the synchronous vs event-driven
+// directory engines run on twin overlays.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,9 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/sim/metrics.h"
+#include "src/tapestry/locality.h"
+#include "src/tapestry/parallel_join.h"
 #include "src/tapestry/replicated_store.h"
 #include "tests/test_util.h"
 
@@ -189,6 +193,74 @@ TEST(RegistrySeam, FreshNodeIdAvoidsTombstones) {
   for (const auto& n : reg.nodes()) taken.insert(n->id().value());
   for (int i = 0; i < 256; ++i)
     EXPECT_EQ(taken.count(reg.fresh_node_id().value()), 0u);
+}
+
+// NodeRegistry::acct is the Trace ledger's one booking point, so every
+// operation moves tapestry_messages_total by exactly what it books on its
+// Trace: joins (serial, wave, coordinator), the sweep's repair searches,
+// leave's multicast, table rebuilds, the directory and the locality
+// layer's local branch.
+TEST(RegistrySeam, MessageCounterEqualsTraceLedger) {
+  Rng rng(23);
+  TransitStubMetric space(128, rng);
+  Network net(space, small_params(), 0x1ed6e7);
+  std::vector<NodeId> ids{net.bootstrap(0)};
+  for (Location loc = 1; loc < 96; ++loc) ids.push_back(net.join(loc));
+  LocalityManager locality(net, space);
+  const metrics::Counter& counter = metrics::messages_total();
+  Location spare = 96;
+
+  auto expect_booked = [&](const char* op, auto&& run) {
+    Trace trace;
+    const std::uint64_t before = counter.value();
+    run(&trace);
+    EXPECT_GT(trace.messages(), 0u) << op;
+    EXPECT_EQ(counter.value() - before, trace.messages()) << op;
+  };
+  expect_booked("join_via", [&](Trace* t) {
+    (void)net.join_via(ids[1], spare++, std::nullopt, t);
+  });
+  expect_booked("join_bulk", [&](Trace* t) {
+    std::vector<JoinRequest> batch;
+    for (int i = 0; i < 4; ++i) batch.push_back(JoinRequest{spare++});
+    (void)net.join_bulk(batch, 2, t);
+  });
+  {
+    ParallelJoinCoordinator coord(net, 0.05);
+    std::vector<ParallelJoinCoordinator::Request> batch;
+    for (std::size_t i = 0; i < 6; ++i) {
+      ParallelJoinCoordinator::Request r;
+      r.loc = spare++;
+      r.gateway = ids[2 + i];
+      r.start_time = net.now() + 0.1 * static_cast<double>(i);
+      batch.push_back(r);
+    }
+    const std::uint64_t before = counter.value();
+    std::size_t booked = 0;
+    for (const auto& out : coord.run(batch)) booked += out.messages;
+    EXPECT_GT(booked, 0u);
+    EXPECT_EQ(counter.value() - before, booked) << "coordinator";
+  }
+  for (std::size_t i = 10; i < 13; ++i) net.fail(ids[i]);
+  expect_booked("heartbeat_sweep",
+                [&](Trace* t) { net.heartbeat_sweep(t); });
+  expect_booked("leave", [&](Trace* t) {
+    for (std::size_t i = 20; i < 26; ++i) net.leave(ids[i], t);
+  });
+  expect_booked("rebuild_neighbor_table",
+                [&](Trace* t) { net.rebuild_neighbor_table(ids[30], t); });
+  const Guid guid = make_guid(net, 0x1ed6);
+  expect_booked("publish", [&](Trace* t) { net.publish(ids[40], guid, t); });
+  expect_booked("locate",
+                [&](Trace* t) { (void)net.locate(ids[50], guid, t); });
+  const Guid local = make_guid(net, 0x10ca1);
+  const NodeId server = ids[60];
+  expect_booked("locality publish",
+                [&](Trace* t) { locality.publish(server, local, t); });
+  for (const NodeId& client : locality.stub_members(locality.stub_of(server)))
+    if (!(client == server))
+      expect_booked("locality locate",
+                    [&](Trace* t) { (void)locality.locate(client, local, t); });
 }
 
 // The facade and the subsystems must expose the same objects: mutating via

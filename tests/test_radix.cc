@@ -1,7 +1,7 @@
 // Identifier-space generality: the algorithms are parameterized by the
 // digit width b = 2^digit_bits and the digit count (paper §2: "digits are
 // drawn from an alphabet of radix b").  This suite sweeps radix/digit
-// configurations — from binary digits to byte digits — over grown
+// configurations — from binary digits to radix 64 — over grown
 // networks and checks the full invariant battery plus object location,
 // multicast coverage and deletion on each.  The b > c^2 precondition of
 // §3 holds comfortably for b >= 16 on the ring (c ~= 2), marginally for
@@ -117,8 +117,7 @@ INSTANTIATE_TEST_SUITE_P(
                       RadixConfig{2, 12, "quad12"},
                       RadixConfig{4, 8, "hex8"},
                       RadixConfig{4, 16, "hex16"},
-                      RadixConfig{6, 5, "b64x5"},
-                      RadixConfig{8, 4, "byte4"}),
+                      RadixConfig{6, 5, "b64x5"}),
     [](const auto& ti) { return ti.param.label; });
 
 }  // namespace

@@ -22,17 +22,17 @@ using test::make_guid;
 using test::small_params;
 
 /// Full-table invariant: every slot's mask bit equals its non-emptiness,
-/// and rows contain no stray bits beyond the radix.
+/// and bits radix..63 of every row stay clear.
 void expect_masks_mirror_slots(const RoutingTable& t) {
   for (unsigned l = 0; l < t.levels(); ++l) {
-    const std::uint64_t* row = t.row_occupancy(l);
+    const std::uint64_t row = t.row_mask(l);
     for (unsigned j = 0; j < t.radix(); ++j) {
       EXPECT_EQ(t.slot_empty(l, j), t.at(l, j).empty())
           << "level " << l << " digit " << j;
       EXPECT_EQ(occ::test(row, j), !t.at(l, j).empty())
           << "level " << l << " digit " << j;
     }
-    for (unsigned b = t.radix(); b < t.occupancy_words() * 64; ++b)
+    for (unsigned b = t.radix(); b < 64; ++b)
       EXPECT_FALSE(occ::test(row, b)) << "stray bit " << b;
   }
 }
@@ -102,29 +102,38 @@ TEST(OccupancyMask, ConsistentAfterFullChurn) {
     expect_masks_mirror_slots(n->table());  // tombstones included
 }
 
-TEST(OccupancyMask, MultiWordRowsByteRadix) {
-  const IdSpec spec{8, 4};  // radix 256: four 64-bit words per row
-  const NodeId self(spec, 0xAA112233u);  // digit 0 = 170
+TEST(OccupancyMask, OneWordRowsRadix64) {
+  const IdSpec spec{6, 4};  // radix 64: the widest row, one full word
+  const NodeId self(spec, 0xA81234u);  // digit 0 = 42
   RoutingTable t(spec, self, 2);
-  ASSERT_EQ(t.occupancy_words(), 4u);
   expect_masks_mirror_slots(t);
 
-  // Hit digits in every word, including the word boundaries.
-  for (const unsigned digit : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 200u, 255u}) {
+  // Both ends of the word and both halves around bit 32.
+  for (const unsigned digit : {0u, 1u, 31u, 32u, 62u, 63u}) {
     t.consider(0, digit, self.with_digit(0, digit), 1.0 + digit);
     EXPECT_FALSE(t.slot_empty(0, digit));
   }
   expect_masks_mirror_slots(t);
 
-  // occ:: helpers across word boundaries (self occupies digit 170).
-  const std::uint64_t* row = t.row_occupancy(0);
-  EXPECT_EQ(occ::next(row, 256, 64), 64u);
-  EXPECT_EQ(occ::next(row, 256, 66), 127u);
-  EXPECT_EQ(occ::prev(row, 256, 62), 1u);
-  EXPECT_EQ(occ::next_wrap(row, 256, 201), 255u);
-  EXPECT_EQ(occ::next_wrap(row, 256, 129), 170u);  // the self slot
-  for (const unsigned digit : {63u, 64u, 255u})
-    t.remove(0, digit, self.with_digit(0, digit));
+  std::uint64_t row = t.row_mask(0);
+  EXPECT_EQ(occ::next(row, 2), 31u);
+  EXPECT_EQ(occ::next(row, 43), 62u);
+  EXPECT_EQ(occ::next(row, 63), 63u);
+  EXPECT_EQ(occ::next(row, 64), occ::kNone);  // the PRR scan's j + 1
+  EXPECT_EQ(occ::prev(row, 63), 63u);
+  EXPECT_EQ(occ::prev(row, 41), 32u);
+  EXPECT_EQ(occ::prev(row, 0), 0u);
+  EXPECT_EQ(occ::next_wrap(row, 33), 42u);  // the self slot
+  EXPECT_EQ(occ::next_wrap(row, 63), 63u);
+
+  // With slot 63 gone the scan past 62 wraps to the lowest slot.
+  t.remove(0, 63, self.with_digit(0, 63));
+  expect_masks_mirror_slots(t);
+  row = t.row_mask(0);
+  EXPECT_EQ(occ::next(row, 63), occ::kNone);
+  EXPECT_EQ(occ::next_wrap(row, 63), 0u);
+  t.remove(0, 0, self.with_digit(0, 0));
+  EXPECT_EQ(occ::next_wrap(t.row_mask(0), 63), 1u);
   expect_masks_mirror_slots(t);
 }
 

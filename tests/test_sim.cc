@@ -106,16 +106,6 @@ TEST(Trace, AccumulatesMessagesAndLatency) {
   EXPECT_DOUBLE_EQ(t.latency(), 4.0);
 }
 
-TEST(Trace, PathRecordingIsOptIn) {
-  Trace off(false);
-  off.visit(7);
-  EXPECT_TRUE(off.path().empty());
-  Trace on(true);
-  on.visit(7);
-  on.visit(9);
-  EXPECT_EQ(on.path(), (std::vector<std::uint64_t>{7, 9}));
-}
-
 TEST(Trace, AbsorbMergesSubOperation) {
   Trace outer;
   Trace inner;

@@ -189,7 +189,9 @@ TEST(Wire, InvalidIdShapeIsRejected) {
       encode(rand_message(MessageKind::kRouteHop, rng)).release();
   bytes[1] = 0;  // digit_bits = 0: invalid IdSpec
   EXPECT_THROW((void)decode(bytes), WireError);
-  bytes[1] = 9;  // digit_bits > 8: invalid IdSpec
+  bytes[1] = 7;  // digit_bits > 6: radix 128 exceeds a one-word row
+  EXPECT_THROW((void)decode(bytes), WireError);
+  bytes[1] = 9;
   EXPECT_THROW((void)decode(bytes), WireError);
 }
 
