@@ -90,12 +90,10 @@ constexpr std::size_t kDrainDeposits = 400'000;
 constexpr std::size_t kDrainStores = 2;
 
 Guid guid_at(std::uint64_t i) {
-  const std::uint64_t mask = (std::uint64_t{1} << kSpec.total_bits()) - 1;
-  return Guid(kSpec, splitmix64(i ^ 0x5701) & mask);
+  return Guid(kSpec, splitmix64(i ^ 0x5701) & kSpec.mask());
 }
 NodeId server_at(std::uint64_t i) {
-  const std::uint64_t mask = (std::uint64_t{1} << kSpec.total_bits()) - 1;
-  return NodeId(kSpec, splitmix64(i ^ 0xbead) & mask);
+  return NodeId(kSpec, splitmix64(i ^ 0xbead) & kSpec.mask());
 }
 
 struct Op {

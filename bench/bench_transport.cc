@@ -34,13 +34,7 @@ namespace {
 
 constexpr IdSpec kSpec{4, 8};
 
-std::uint64_t id_mask() {
-  return kSpec.total_bits() == 64
-             ? ~std::uint64_t{0}
-             : (std::uint64_t{1} << kSpec.total_bits()) - 1;
-}
-
-NodeId rand_id(Rng& rng) { return NodeId(kSpec, rng() & id_mask()); }
+NodeId rand_id(Rng& rng) { return NodeId(kSpec, rng() & kSpec.mask()); }
 
 double rand_deadline(Rng& rng) {
   switch (rng.next_u64(4)) {
@@ -62,7 +56,7 @@ PointerRecord rand_record(Rng& rng) {
 
 Message rand_message(MessageKind kind, Rng& rng) {
   Message m = make_message(kind, rand_id(rng), rand_id(rng),
-                           Id(kSpec, rng() & id_mask()));
+                           Id(kSpec, rng() & kSpec.mask()));
   switch (kind) {
     case MessageKind::kRouteHop:
     case MessageKind::kLocateStep:

@@ -109,10 +109,7 @@ inline std::unique_ptr<Network> build_static(const MetricSpace& space,
 
 inline Guid bench_guid(const Network& net, std::uint64_t raw) {
   const IdSpec spec = net.params().id;
-  const std::uint64_t mask = spec.total_bits() == 64
-                                 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << spec.total_bits()) - 1;
-  return Guid(spec, splitmix64(raw ^ 0xbe9c4) & mask);
+  return Guid(spec, splitmix64(raw ^ 0xbe9c4) & spec.mask());
 }
 
 }  // namespace tap::bench

@@ -11,10 +11,7 @@ BlindPrefixOverlay::BlindPrefixOverlay(const MetricSpace& space, IdSpec spec,
 }
 
 Guid BlindPrefixOverlay::key_to_guid(std::uint64_t key) const {
-  const std::uint64_t mask = spec_.total_bits() == 64
-                                 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << spec_.total_bits()) - 1;
-  return Guid(spec_, splitmix64(key ^ 0xb11d) & mask);
+  return Guid(spec_, splitmix64(key ^ 0xb11d) & spec_.mask());
 }
 
 std::size_t BlindPrefixOverlay::add_node(Location loc, Trace* /*trace*/) {

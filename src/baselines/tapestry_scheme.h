@@ -57,10 +57,7 @@ class TapestryScheme final : public LocationScheme {
  private:
   [[nodiscard]] Guid key_to_guid(std::uint64_t key) const {
     const IdSpec spec = net_->params().id;
-    const std::uint64_t mask =
-        spec.total_bits() == 64 ? ~std::uint64_t{0}
-                                : (std::uint64_t{1} << spec.total_bits()) - 1;
-    return Guid(spec, splitmix64(key ^ 0x7a9e5) & mask);
+    return Guid(spec, splitmix64(key ^ 0x7a9e5) & spec.mask());
   }
 
   std::unique_ptr<Network> net_;

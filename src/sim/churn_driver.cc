@@ -19,10 +19,7 @@ namespace {
 Guid scenario_guid(const TapestryParams& params, std::uint64_t seed,
                    std::uint64_t index) {
   const IdSpec spec = params.id;
-  const std::uint64_t mask = spec.total_bits() == 64
-                                 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << spec.total_bits()) - 1;
-  return Guid(spec, splitmix64(splitmix64(seed) ^ index) & mask);
+  return Guid(spec, splitmix64(splitmix64(seed) ^ index) & spec.mask());
 }
 
 }  // namespace
@@ -71,6 +68,26 @@ std::size_t PopularityDist::draw(Rng& rng) const {
   const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
   const auto idx = static_cast<std::size_t>(it - cdf_.begin());
   return idx < n_ ? idx : n_ - 1;
+}
+
+// ---------------------------------------------------------------------
+// ChurnEpoch
+// ---------------------------------------------------------------------
+
+void ChurnEpoch::add(const ChurnEpoch& o) {
+  joins += o.joins;
+  leaves += o.leaves;
+  fails += o.fails;
+  queries += o.queries;
+  found += o.found;
+  queries_post_failure += o.queries_post_failure;
+  found_post_failure += o.found_post_failure;
+  queries_skipped += o.queries_skipped;
+  stretch_sum += o.stretch_sum;
+  stretch_n += o.stretch_n;
+  maintenance_msgs += o.maintenance_msgs;
+  churn_msgs += o.churn_msgs;
+  hops.add_all(o.hops.samples());
 }
 
 // ---------------------------------------------------------------------
@@ -134,26 +151,16 @@ void ChurnDriver::publish_initial_objects() {
 
 void ChurnDriver::schedule_churn() {
   // The burst multiplier scales only the event rate; the join/leave/fail
-  // mix in do_churn_event keeps drawing against the base rates.
+  // mix in do_churn_event keeps drawing against the base rates.  A burst
+  // transition calls this too: after() replaces the pending draw with one
+  // at the new rate, sound because the exponential is memoryless.
   const double rate =
       (sc_.join_rate + sc_.leave_rate + sc_.fail_rate) * churn_multiplier_;
   if (rate <= 0.0) return;
-  churn_event_ = net_.events().schedule_in(rng_.exponential(rate), [this] {
-    churn_event_.reset();
-    if (!running_) return;
+  procs_->churn.after(net_.events(), rng_.exponential(rate), [this] {
     do_churn_event();
     schedule_churn();
   });
-}
-
-void ChurnDriver::reschedule_churn() {
-  // Burst transitions redraw the next inter-event gap at the new rate;
-  // the exponential is memoryless, so dropping the pending draw is sound.
-  if (churn_event_.has_value()) {
-    net_.events().cancel(*churn_event_);
-    churn_event_.reset();
-  }
-  schedule_churn();
 }
 
 void ChurnDriver::do_churn_event() {
@@ -214,10 +221,9 @@ void ChurnDriver::do_churn_event() {
 }
 
 void ChurnDriver::schedule_faults() {
+  EventQueue& q = net_.events();
   if (sc_.partition_at > 0.0) {
-    partition_event_ = net_.events().schedule_in(sc_.partition_at, [this] {
-      partition_event_.reset();
-      if (!running_) return;
+    procs_->partition.after(q, sc_.partition_at, [this] {
       // Side B: odd ranks of the sorted live id list — a deterministic
       // half-split independent of registration order.
       std::vector<NodeId> ids = net_.node_ids();
@@ -229,9 +235,7 @@ void ChurnDriver::schedule_faults() {
     });
   }
   if (sc_.partition_heal > 0.0) {
-    heal_event_ = net_.events().schedule_in(sc_.partition_heal, [this] {
-      heal_event_.reset();
-      if (!running_) return;
+    procs_->heal.after(q, sc_.partition_heal, [this] {
       net_.heal_partition();
       log_event('H', "partition-heal");
     });
@@ -240,19 +244,10 @@ void ChurnDriver::schedule_faults() {
     // Fail fast on a mis-specified scenario instead of at the event.
     TAP_CHECK(dynamic_cast<const TransitStubMetric*>(&net_.space()) != nullptr,
               "rackfail requires a transit-stub metric space");
-    rackfail_event_ = net_.events().schedule_in(sc_.rackfail_at, [this] {
-      rackfail_event_.reset();
-      if (!running_) return;
-      do_rackfail();
-    });
+    procs_->rackfail.after(q, sc_.rackfail_at, [this] { do_rackfail(); });
   }
-  if (sc_.rootfail_at > 0.0) {
-    rootfail_event_ = net_.events().schedule_in(sc_.rootfail_at, [this] {
-      rootfail_event_.reset();
-      if (!running_) return;
-      do_rootfail();
-    });
-  }
+  if (sc_.rootfail_at > 0.0)
+    procs_->rootfail.after(q, sc_.rootfail_at, [this] { do_rootfail(); });
 }
 
 void ChurnDriver::do_rootfail() {
@@ -307,18 +302,14 @@ void ChurnDriver::do_rackfail() {
 
 void ChurnDriver::schedule_burst() {
   if (sc_.burst_every <= 0.0 || sc_.burst_len <= 0.0) return;
-  burst_event_ = net_.events().schedule_in(sc_.burst_every, [this] {
-    burst_event_.reset();
-    if (!running_) return;
+  procs_->burst.after(net_.events(), sc_.burst_every, [this] {
     churn_multiplier_ = sc_.burst_factor;
     log_event('U', "burst-start x" + std::to_string(sc_.burst_factor));
-    reschedule_churn();
-    burst_event_ = net_.events().schedule_in(sc_.burst_len, [this] {
-      burst_event_.reset();
-      if (!running_) return;
+    schedule_churn();
+    procs_->burst.after(net_.events(), sc_.burst_len, [this] {
       churn_multiplier_ = 1.0;
       log_event('U', "burst-end");
-      reschedule_churn();
+      schedule_churn();
       schedule_burst();  // next burst burst_every after this one ends
     });
   });
@@ -362,13 +353,11 @@ void ChurnDriver::write_metrics_snapshot(std::size_t index) {
 
 void ChurnDriver::schedule_queries() {
   if (sc_.query_rate <= 0.0) return;
-  query_event_ =
-      net_.events().schedule_in(rng_.exponential(sc_.query_rate), [this] {
-        query_event_.reset();
-        if (!running_) return;
-        issue_query();
-        schedule_queries();
-      });
+  procs_->queries.after(net_.events(), rng_.exponential(sc_.query_rate),
+                        [this] {
+                          issue_query();
+                          schedule_queries();
+                        });
 }
 
 void ChurnDriver::issue_query() {
@@ -412,20 +401,7 @@ void ChurnDriver::issue_query() {
   net_.locate_async(client, guid, handle);
 }
 
-void ChurnDriver::schedule_checkpoint() {
-  if (sc_.checkpoint_interval <= 0.0) return;
-  checkpoint_event_ =
-      net_.events().schedule_in(sc_.checkpoint_interval, [this] {
-        checkpoint_event_.reset();
-        if (!running_) return;
-        net_.checkpoint_stores(sc_.checkpoint_dir);
-        log_event('C', "checkpoint " + sc_.checkpoint_dir);
-        schedule_checkpoint();
-      });
-}
-
-void ChurnDriver::snapshot_epoch_boundary(std::size_t index) {
-  ChurnEpoch& e = epochs_[index];
+void ChurnDriver::close_bucket(ChurnEpoch& e, std::size_t index) {
   e.live_nodes = net_.size();
   e.maintenance_msgs = maint_trace_.messages() - maint_msgs_seen_;
   maint_msgs_seen_ = maint_trace_.messages();
@@ -450,15 +426,14 @@ ChurnReport ChurnDriver::run() {
                              t0 + static_cast<double>(i + 1) * sc_.epoch);
   }
 
+  procs_.emplace();
   publish_initial_objects();
   pop_ = sc_.popularity == ChurnScenario::Popularity::kZipf
              ? PopularityDist::zipf(objects_.size(), sc_.zipf_s)
              : PopularityDist::uniform(objects_.size());
   if (sc_.flash_at > 0.0 && !objects_.empty()) {
     // One object's popularity spikes mid-run (offset from the run start).
-    flash_event_ = net_.events().schedule_in(sc_.flash_at, [this] {
-      flash_event_.reset();
-      if (!running_) return;
+    procs_->flash.after(net_.events(), sc_.flash_at, [this] {
       const std::size_t idx = sc_.flash_index % objects_.size();
       pop_.boost(idx, sc_.flash_factor);
       log_event('B', "flash-crowd " + objects_[idx].to_string() + " x" +
@@ -473,34 +448,29 @@ ChurnReport ChurnDriver::run() {
                         &maint_trace_);
   if (sc_.heartbeat_interval > 0.0)
     net_.start_heartbeats(sc_.heartbeat_interval, &maint_trace_);
-  running_ = true;
   if (hotspot_ != nullptr) hotspot_->start();
   schedule_churn();
   schedule_queries();
-  schedule_checkpoint();
+  if (sc_.checkpoint_interval > 0.0) {
+    procs_->checkpoint.every(net_.events(), sc_.checkpoint_interval, [this] {
+      net_.checkpoint_stores(sc_.checkpoint_dir);
+      log_event('C', "checkpoint " + sc_.checkpoint_dir);
+    });
+  }
   schedule_faults();
   schedule_burst();
 
   for (std::size_t i = 0; i < epochs_.size(); ++i) {
     net_.events().run_until(epochs_[i].t1);
-    snapshot_epoch_boundary(i);
+    close_bucket(epochs_[i], i);
   }
 
   // Horizon reached: stop every recurring process, then drain the
   // operations still in flight.  Their completions land in the terminal
   // drain bucket, not in the last epoch.
-  running_ = false;
   draining_ = true;
   drain_.t0 = epochs_.back().t1;
-  if (churn_event_.has_value()) net_.events().cancel(*churn_event_);
-  if (query_event_.has_value()) net_.events().cancel(*query_event_);
-  if (checkpoint_event_.has_value()) net_.events().cancel(*checkpoint_event_);
-  if (flash_event_.has_value()) net_.events().cancel(*flash_event_);
-  if (partition_event_.has_value()) net_.events().cancel(*partition_event_);
-  if (heal_event_.has_value()) net_.events().cancel(*heal_event_);
-  if (rackfail_event_.has_value()) net_.events().cancel(*rackfail_event_);
-  if (rootfail_event_.has_value()) net_.events().cancel(*rootfail_event_);
-  if (burst_event_.has_value()) net_.events().cancel(*burst_event_);
+  procs_.reset();
   if (hotspot_ != nullptr) hotspot_->stop();
   net_.stop_soft_state();
   net_.stop_heartbeats();
@@ -513,42 +483,23 @@ ChurnReport ChurnDriver::run() {
     net_.checkpoint_stores(sc_.checkpoint_dir);
     log_event('C', "checkpoint-final " + sc_.checkpoint_dir);
   }
-  // Terminal snapshot for the drain bucket (epoch index past the last).
-  write_metrics_snapshot(epochs_.size());
+  // Traffic from drained operations lands in the terminal drain bucket —
+  // the last epoch keeps only what happened inside its own window.  Its
+  // metrics snapshot is line epochs_.size(), past the last epoch's.
+  drain_.t1 = net_.now();
+  close_bucket(drain_, epochs_.size());
   if (metrics_file_.is_open()) metrics_file_.close();
   return finalize();
 }
 
 ChurnReport ChurnDriver::finalize() {
-  // Traffic from drained operations lands in the terminal drain bucket —
-  // the last epoch keeps only what happened inside its own window.
-  drain_.t1 = net_.now();
-  drain_.maintenance_msgs += maint_trace_.messages() - maint_msgs_seen_;
-  maint_msgs_seen_ = maint_trace_.messages();
-  drain_.churn_msgs += churn_trace_.messages() - churn_msgs_seen_;
-  churn_msgs_seen_ = churn_trace_.messages();
-  drain_.live_nodes = net_.size();
-
   ChurnReport r;
   r.epochs = epochs_;
   r.drain = drain_;
-  auto accumulate = [&r](const ChurnEpoch& e) {
-    r.joins += e.joins;
-    r.leaves += e.leaves;
-    r.fails += e.fails;
-    r.queries += e.queries;
-    r.found += e.found;
-    r.queries_post_failure += e.queries_post_failure;
-    r.found_post_failure += e.found_post_failure;
-    r.queries_skipped += e.queries_skipped;
-    r.stretch_sum += e.stretch_sum;
-    r.stretch_n += e.stretch_n;
-    r.maintenance_msgs += e.maintenance_msgs;
-    r.churn_msgs += e.churn_msgs;
-    r.hops.add_all(e.hops.samples());
-  };
-  for (const ChurnEpoch& e : epochs_) accumulate(e);
-  accumulate(drain_);  // drained completions still count toward the totals
+  for (const ChurnEpoch& e : epochs_) r.add(e);
+  r.add(drain_);  // drained completions still count toward the totals
+  r.t1 = drain_.t1;
+  r.live_nodes = drain_.live_nodes;
   r.events_fired = net_.events().fired() - fired_at_start_;
   for (const auto& [node, n] : load_) r.load_max = std::max(r.load_max, n);
   r.load_nodes = load_.size();

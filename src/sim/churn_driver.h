@@ -169,49 +169,8 @@ struct ChurnEpoch {
   std::size_t live_nodes = 0;        ///< population at epoch end
   Summary hops;  ///< per-query hop counts of found queries (completion time)
 
-  [[nodiscard]] double availability() const {
-    return queries == 0 ? 1.0
-                        : static_cast<double>(found) /
-                              static_cast<double>(queries);
-  }
-  [[nodiscard]] double mean_stretch() const {
-    return stretch_n == 0 ? 0.0 : stretch_sum / static_cast<double>(stretch_n);
-  }
-};
-
-/// Aggregates over the whole run plus the per-epoch series.
-struct ChurnReport {
-  std::vector<ChurnEpoch> epochs;
-  /// Terminal bucket for the drain phase: once the horizon is reached and
-  /// the recurring processes are stopped, completions of still-in-flight
-  /// operations (and their traffic) land here instead of being silently
-  /// clamped into the last epoch — the last epoch's availability/traffic
-  /// figures describe only its own window.  `drain.t0` is the horizon,
-  /// `drain.t1` the time the queue actually drained; the aggregate totals
-  /// below include it.
-  ChurnEpoch drain;
-  std::size_t joins = 0, leaves = 0, fails = 0;
-  std::size_t queries = 0, found = 0;
-  std::size_t queries_post_failure = 0, found_post_failure = 0;
-  std::size_t queries_skipped = 0;
-  double stretch_sum = 0.0;
-  std::size_t stretch_n = 0;
-  std::size_t maintenance_msgs = 0;
-  std::size_t churn_msgs = 0;
-  std::uint64_t events_fired = 0;  ///< EventQueue events over the run
-  Summary hops;  ///< found-query hops across all epochs plus the drain
-  // Per-node query load: how many found queries each pointer holder
-  // resolved (max / number of distinct resolvers; `found` is the total, so
-  // mean load over resolvers is found / load_nodes).
-  std::size_t load_max = 0;
-  std::size_t load_nodes = 0;
-  // Locate-cache counters for the run (zeros when the cache is disabled).
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  std::size_t cache_fallbacks = 0;
-  // Demand-driven replication counters (zeros unless hotspot_replication).
-  std::size_t hotspot_promotions = 0;
-  std::size_t hotspot_demotions = 0;
+  /// Adds `o`'s counters, stretch sums and hop samples to this bucket.
+  void add(const ChurnEpoch& o);
 
   [[nodiscard]] double availability() const {
     return queries == 0 ? 1.0
@@ -227,6 +186,33 @@ struct ChurnReport {
   [[nodiscard]] double mean_stretch() const {
     return stretch_n == 0 ? 0.0 : stretch_sum / static_cast<double>(stretch_n);
   }
+};
+
+/// The run's totals are one more bucket: window [0, drain end], the final
+/// population, and the sum of every epoch and the drain.  Beside them sit
+/// the per-epoch series and the run-wide counters no bucket keeps.
+struct ChurnReport : ChurnEpoch {
+  std::vector<ChurnEpoch> epochs;
+  /// Terminal bucket for the drain phase: once the horizon is reached and
+  /// the recurring processes are stopped, completions of still-in-flight
+  /// operations (and their traffic) land here instead of being silently
+  /// clamped into the last epoch — the last epoch's availability/traffic
+  /// figures describe only its own window.  `drain.t0` is the horizon,
+  /// `drain.t1` the time the queue actually drained.
+  ChurnEpoch drain;
+  std::uint64_t events_fired = 0;  ///< EventQueue events over the run
+  // Per-node query load: how many found queries each pointer holder
+  // resolved (max / number of distinct resolvers; `found` is the total, so
+  // mean load over resolvers is found / load_nodes).
+  std::size_t load_max = 0;
+  std::size_t load_nodes = 0;
+  // Locate-cache counters for the run (zeros when the cache is disabled).
+  std::size_t cache_hits = 0;
+  std::size_t cache_misses = 0;
+  std::size_t cache_fallbacks = 0;
+  // Demand-driven replication counters (zeros unless hotspot_replication).
+  std::size_t hotspot_promotions = 0;
+  std::size_t hotspot_demotions = 0;
 };
 
 class ChurnDriver {
@@ -259,9 +245,7 @@ class ChurnDriver {
  private:
   void publish_initial_objects();
   void schedule_churn();
-  void reschedule_churn();
   void schedule_queries();
-  void schedule_checkpoint();
   void schedule_faults();
   void schedule_burst();
   void do_churn_event();
@@ -272,7 +256,9 @@ class ChurnDriver {
   void write_metrics_snapshot(std::size_t index);
   void log_event(char kind, const std::string& detail);
   ChurnEpoch& epoch_now();
-  void snapshot_epoch_boundary(std::size_t index);
+  /// Closes bucket `e` (metrics snapshot line `index`): population and
+  /// the traffic since the previous bucket closed.
+  void close_bucket(ChurnEpoch& e, std::size_t index);
   ChurnReport finalize();
 
   Network& net_;
@@ -294,23 +280,20 @@ class ChurnDriver {
 
   double last_failure_ = -std::numeric_limits<double>::infinity();
   std::uint64_t fired_at_start_ = 0;
-  bool running_ = false;
   bool ran_ = false;
   bool draining_ = false;   ///< horizon reached; stats go to drain_
   ChurnEpoch drain_;        ///< terminal bucket (see ChurnReport::drain)
-  std::optional<EventId> churn_event_;
-  std::optional<EventId> query_event_;
-  std::optional<EventId> checkpoint_event_;
-  std::optional<EventId> flash_event_;
-
-  // Fault-script state (see the ChurnScenario knobs).
   double churn_multiplier_ = 1.0;  ///< burst scaling of the churn rate
   std::ofstream metrics_file_;     ///< open iff sc_.metrics_out non-empty
-  std::optional<EventId> partition_event_;
-  std::optional<EventId> heal_event_;
-  std::optional<EventId> rackfail_event_;
-  std::optional<EventId> rootfail_event_;
-  std::optional<EventId> burst_event_;
+
+  /// The workload and fault-script processes, engaged from the start of
+  /// run() to the horizon: resetting them cancels whatever is pending, so
+  /// nothing of the script fires during the drain.
+  struct Processes {
+    Timer churn, queries, checkpoint, flash, partition, heal, rackfail,
+        rootfail, burst;
+  };
+  std::optional<Processes> procs_;
 };
 
 // ---------------------------------------------------------------------

@@ -62,4 +62,42 @@ void EventQueue::run_until(double t_end) {
   now_ = t_end;
 }
 
+void Timer::after(EventQueue& queue, double delay, EventQueue::Action action) {
+  TAP_CHECK(static_cast<bool>(action), "Timer: empty action");
+  stop();
+  queue_ = &queue;
+  action_ = std::move(action);
+  arm(delay);
+}
+
+void Timer::every(EventQueue& queue, double period, EventQueue::Action action) {
+  TAP_CHECK(period > 0.0, "Timer::every: period must be positive");
+  after(queue, period, std::move(action));
+  period_ = period;
+}
+
+void Timer::stop() {
+  if (pending_ != kIdle) queue_->cancel(pending_);
+  pending_ = kIdle;
+  period_ = 0.0;
+  action_ = nullptr;
+}
+
+void Timer::arm(double delay) {
+  pending_ = queue_->schedule_in(delay, [this] { fire(); });
+}
+
+void Timer::fire() {
+  pending_ = kIdle;
+  EventQueue::Action action = std::move(action_);
+  action_ = nullptr;
+  action();
+  // stop() inside the action zeroed period_, after() or every() armed a
+  // new event: either ends this series.
+  if (period_ > 0.0 && pending_ == kIdle) {
+    action_ = std::move(action);
+    arm(period_);
+  }
+}
+
 }  // namespace tap

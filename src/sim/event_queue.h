@@ -10,6 +10,11 @@
 //
 // Events at equal timestamps fire in scheduling order (a stable tiebreak on
 // a monotone sequence number), which keeps every simulation deterministic.
+//
+// A simulated-time process (republish, expiry, heartbeats, the hotspot
+// decay tick, ChurnDriver's workload and fault script) is a Timer: it
+// holds at most one pending event, re-arming replaces it, and stopping or
+// destroying the Timer cancels it, so an owner never keeps an EventId.
 #pragma once
 
 #include <cstdint>
@@ -87,6 +92,40 @@ class EventQueue {
   // with no map entry is a cancellation tombstone, skipped and popped
   // lazily; ids are never reused, so a tombstone cannot alias a live event.
   std::unordered_map<EventId, Action> actions_;
+};
+
+/// At most one pending event on a queue.  after() and every() re-arm it
+/// (cancelling what is pending); stop() or destruction cancels it, so a
+/// Timer must die before its queue.  A firing forgets its event, moves the
+/// action out and runs it; only then does an every() series re-arm, so
+/// events the action schedules keep lower ids than the next firing.  An
+/// action that stops or re-arms its own Timer ends the series; it must not
+/// destroy the Timer.  The queued closure captures only the Timer and fits
+/// std::function's inline buffer; the Timer keeps the action.
+class Timer {
+ public:
+  Timer() = default;
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+  ~Timer() { stop(); }
+
+  /// Fires `action` once, `delay` (>= 0) from now.
+  void after(EventQueue& queue, double delay, EventQueue::Action action);
+  /// Fires `action` every `period` (> 0), first at now + period.
+  void every(EventQueue& queue, double period, EventQueue::Action action);
+  /// Cancels the pending event, if any, and releases the action.
+  void stop();
+
+ private:
+  static constexpr EventId kIdle = ~EventId{0};
+
+  void arm(double delay);
+  void fire();
+
+  EventQueue* queue_ = nullptr;
+  EventId pending_ = kIdle;
+  double period_ = 0.0;  ///< 0 = one-shot
+  EventQueue::Action action_;
 };
 
 }  // namespace tap

@@ -152,23 +152,11 @@ double HotspotManager::decay_factor(double age) const {
 
 void HotspotManager::start() {
   stop();
-  if (hp_.check_interval > 0.0) schedule_tick();
+  if (hp_.check_interval > 0.0)
+    tick_timer_.every(events_, hp_.check_interval, [this] { tick(); });
 }
 
-void HotspotManager::stop() {
-  if (tick_event_.has_value()) {
-    events_.cancel(*tick_event_);
-    tick_event_.reset();
-  }
-}
-
-void HotspotManager::schedule_tick() {
-  tick_event_ = events_.schedule_in(hp_.check_interval, [this] {
-    tick_event_.reset();
-    tick();
-    schedule_tick();
-  });
-}
+void HotspotManager::stop() { tick_timer_.stop(); }
 
 void HotspotManager::record_query(const Guid& base, const NodeId& client,
                                   bool found) {

@@ -186,7 +186,6 @@ class HotspotManager {
   [[nodiscard]] double decay_factor(double age) const;
   void consider_promote(const Guid& base, ObjState& s);
   void demote_last(const Guid& base, ObjState& s);
-  void schedule_tick();
   /// Reclaims the coldest tracked state that owns no extra replicas; false
   /// when every tracked object still holds replicas (nothing evictable).
   bool evict_coldest();
@@ -206,7 +205,7 @@ class HotspotManager {
   std::size_t cold_evictions_ = 0;
   std::size_t track_drops_ = 0;
   std::size_t extra_pruned_ = 0;
-  std::optional<EventId> tick_event_;
+  Timer tick_timer_;
 };
 
 }  // namespace tap

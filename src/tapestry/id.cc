@@ -25,10 +25,7 @@ Guid salted_guid(const Guid& guid, unsigned salt) {
   TAP_CHECK(guid.valid(), "salted_guid on invalid Id");
   if (salt == 0) return guid;
   const IdSpec spec = guid.spec();
-  const std::uint64_t mask = spec.total_bits() == 64
-                                 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << spec.total_bits()) - 1;
-  return Guid(spec, hash_combine(guid.value(), salt) & mask);
+  return Guid(spec, hash_combine(guid.value(), salt) & spec.mask());
 }
 
 }  // namespace tap

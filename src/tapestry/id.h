@@ -33,6 +33,11 @@ struct IdSpec {
   [[nodiscard]] constexpr unsigned total_bits() const noexcept {
     return digit_bits * num_digits;
   }
+  /// The namespace bound: every valid id value fits under this mask.
+  [[nodiscard]] constexpr std::uint64_t mask() const noexcept {
+    return total_bits() >= 64 ? ~std::uint64_t{0}
+                              : (std::uint64_t{1} << total_bits()) - 1;
+  }
   [[nodiscard]] constexpr bool valid() const noexcept {
     return digit_bits >= 1 && digit_bits <= 6 && num_digits >= 1 &&
            total_bits() <= 64;
@@ -53,20 +58,14 @@ class Id {
 
   Id(IdSpec spec, std::uint64_t value) : bits_(value), spec_(spec) {
     TAP_CHECK(spec.valid(), "invalid IdSpec");
-    if (spec.total_bits() < 64) {
-      TAP_CHECK(value < (std::uint64_t{1} << spec.total_bits()),
-                "Id value exceeds namespace");
-    }
+    TAP_CHECK(value <= spec.mask(), "Id value exceeds namespace");
   }
 
   /// Uniformly random identifier — the paper assumes identifiers are
   /// uniformly distributed in the namespace.
   [[nodiscard]] static Id random(IdSpec spec, Rng& rng) {
     TAP_CHECK(spec.valid(), "invalid IdSpec");
-    const std::uint64_t mask = spec.total_bits() == 64
-                                   ? ~std::uint64_t{0}
-                                   : (std::uint64_t{1} << spec.total_bits()) - 1;
-    return Id(spec, rng() & mask);
+    return Id(spec, rng() & spec.mask());
   }
 
   [[nodiscard]] bool valid() const noexcept { return spec_.num_digits != 0; }

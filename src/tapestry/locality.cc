@@ -48,11 +48,17 @@ NodeId LocalityManager::local_root(std::size_t stub, const Guid& guid) const {
   return best;
 }
 
+Message LocalityManager::send(const Message& m, Trace* trace) {
+  const NodeRegistry& reg = net_.registry();
+  reg.acct(trace, reg.checked(m.src), reg.checked(m.dst));
+  return net_.transport().deliver(m);
+}
+
 void LocalityManager::publish(NodeId server, const Guid& guid, Trace* trace) {
   net_.publish(server, guid, trace);
-  const NodeRegistry& reg = net_.registry();
   // Local branch: deposit a pointer at the stub's local root for every
-  // salted name, so local queries resolve whichever root they pick.
+  // salted name, so local queries resolve whichever root they pick.  The
+  // root stores the record as delivered, as on the global path.
   const std::size_t stub = stub_of(server);
   const double expires =
       net_.now() + net_.params().pointer_ttl;
@@ -60,22 +66,22 @@ void LocalityManager::publish(NodeId server, const Guid& guid, Trace* trace) {
     const Guid g = salted_guid(guid, salt);
     const NodeId root = local_root(stub, g);
     if (root == server) continue;  // the server already holds its own record
-    reg.acct(trace, reg.checked(server), reg.checked(root));
-    net_.node(root).store().upsert(
-        g, PointerRecord{server, server,
-                         /*level=*/net_.params().id.num_digits,
-                         /*past_hole=*/true, expires});
+    Message m = make_message(MessageKind::kPublishDeposit, server, root, g);
+    m.set_record(PointerRecord{server, server,
+                               /*level=*/net_.params().id.num_digits,
+                               /*past_hole=*/true, expires});
+    net_.node(root).store().upsert(g, send(m, trace).record());
   }
 }
 
 void LocalityManager::unpublish(NodeId server, const Guid& guid, Trace* trace) {
-  const NodeRegistry& reg = net_.registry();
   const std::size_t stub = stub_of(server);
   for (unsigned salt = 0; salt < net_.params().root_multiplicity; ++salt) {
     const Guid g = salted_guid(guid, salt);
     const NodeId root = local_root(stub, g);
-    reg.acct(trace, reg.checked(server), reg.checked(root));
-    net_.node(root).store().remove(g, server);
+    Message m = make_message(MessageKind::kUnpublish, server, root, g);
+    m.set_record(PointerRecord{server});
+    net_.node(root).store().remove(g, send(m, trace).server);
   }
   net_.unpublish(server, guid, trace);
 }
@@ -97,8 +103,8 @@ LocateResult LocalityManager::locate(NodeId client, const Guid& guid,
     return r;
   };
 
-  const NodeRegistry& reg = net_.registry();
-  if (!(root == client)) reg.acct(t, reg.checked(client), reg.checked(root));
+  if (!(root == client))
+    (void)send(make_message(MessageKind::kLocateStep, client, root, g0), t);
   auto records = net_.node(root).store().find_live(g0, net_.now());
   std::sort(records.begin(), records.end(),
             [&](const PointerRecord& a, const PointerRecord& b) {
@@ -113,8 +119,12 @@ LocateResult LocalityManager::locate(NodeId client, const Guid& guid,
     r.found = true;
     r.pointer_node = root;
     r.server = rec.server;
-    if (!(rec.server == root))
-      reg.acct(t, reg.checked(root), reg.checked(rec.server));
+    if (!(rec.server == root)) {
+      Message found =
+          make_message(MessageKind::kLocateFound, root, rec.server, g0);
+      found.server = rec.server;
+      r.server = send(found, t).server;
+    }
     return finish(r);
   }
 

@@ -393,6 +393,18 @@ void check_victims(const NodeRegistry& reg, const std::vector<NodeId>& victims,
             "the " + wave + " wave would empty the network");
 }
 
+// A wave on more than one worker writes node stores from several threads
+// at once (in-wave reroutes), and only the sharded backend locks them.
+// Zero workers (hardware concurrency) counts as more than one on every
+// machine, so whether a call is refused never depends on the host.
+void check_wave_store(const TapestryParams& params, std::size_t workers,
+                      const std::string& wave) {
+  TAP_CHECK(workers == 1 || params.store_backend == StoreBackend::kSharded,
+            "a " + wave +
+                " wave on more than one worker needs the sharded store "
+                "backend");
+}
+
 }  // namespace
 
 void MaintenanceEngine::index_live_nodes() {
@@ -441,6 +453,7 @@ void MaintenanceEngine::finish_wave(std::size_t workers, Trace* trace) {
 
 void MaintenanceEngine::leave_bulk(const std::vector<NodeId>& victims,
                                    std::size_t workers, Trace* trace) {
+  check_wave_store(params_, workers, "leave");
   WaveTimer timer;
   check_victims(reg_, victims, "leave");
   // Withdraw every victim's replicas while the mesh still routes through
@@ -457,6 +470,7 @@ void MaintenanceEngine::leave_bulk(const std::vector<NodeId>& victims,
 void MaintenanceEngine::fail_and_repair_bulk(const std::vector<NodeId>& victims,
                                              std::size_t workers,
                                              Trace* trace) {
+  check_wave_store(params_, workers, "fail");
   WaveTimer timer;
   check_victims(reg_, victims, "fail");
   // Tombstones keep their tables and stores, as in fail().
@@ -476,31 +490,18 @@ void MaintenanceEngine::fail_and_repair_bulk(const std::vector<NodeId>& victims,
 
 void MaintenanceEngine::heartbeat_sweep_bulk(std::size_t workers,
                                              Trace* trace) {
+  check_wave_store(params_, workers, "heartbeat");
   WaveTimer timer;
   metrics::heartbeat_sweeps_total().inc();
   finish_wave(workers, trace);
 }
 
 void MaintenanceEngine::start_heartbeats(double every, Trace* trace) {
-  TAP_CHECK(every > 0.0, "heartbeat interval must be positive");
-  stop_heartbeats();
-  schedule_heartbeat_tick(every, trace);
+  heartbeat_timer_.every(events_, every,
+                         [this, trace] { heartbeat_sweep(trace); });
 }
 
-void MaintenanceEngine::stop_heartbeats() {
-  if (heartbeat_event_.has_value()) {
-    events_.cancel(*heartbeat_event_);
-    heartbeat_event_.reset();
-  }
-}
-
-void MaintenanceEngine::schedule_heartbeat_tick(double every, Trace* trace) {
-  heartbeat_event_ = events_.schedule_in(every, [this, every, trace] {
-    heartbeat_event_.reset();
-    heartbeat_sweep(trace);
-    schedule_heartbeat_tick(every, trace);
-  });
-}
+void MaintenanceEngine::stop_heartbeats() { heartbeat_timer_.stop(); }
 
 // ---------------------------------------------------------------------
 // Continual optimization (§6.4)

@@ -238,9 +238,10 @@ class MaintenanceEngine final : public RepairHandler {
   // convergence is asserted on invariants.
   //
   // Concurrency requirements: guarded reroutes write through the store
-  // backends, so waves racing other store users require
-  // StoreBackend::kSharded; a wave itself also relies on it when
-  // workers > 1 (per-holder snapshots race pointer deposits).
+  // backends, so a leave, fail or heartbeat wave on more than one worker
+  // (0 = hardware concurrency counts as more) needs StoreBackend::kSharded
+  // and TAP_CHECKs it before touching anything; waves racing other store
+  // users need it too.  join_bulk touches no store and is unchecked.
 
   /// Voluntary departure of every victim at once.  Serial preamble:
   /// withdraw the victims' replicas while the mesh still routes through
@@ -362,8 +363,6 @@ class MaintenanceEngine final : public RepairHandler {
                       unsigned prefix_len, WatchList watch,
                       const NodeLockTable* locks);
 
-  void schedule_heartbeat_tick(double every, Trace* trace);
-
   // Non-null `locks` below means "inside a wave": the wave's preamble has
   // built live_index_, which the replacement search falls back to.
 
@@ -426,7 +425,7 @@ class MaintenanceEngine final : public RepairHandler {
   const TapestryParams& params_;
   EventQueue& events_;
   Rng& rng_;
-  std::optional<EventId> heartbeat_event_;
+  Timer heartbeat_timer_;
   std::vector<std::uint64_t> live_index_;  ///< sorted live ids (sweep/wave)
 };
 

@@ -135,7 +135,11 @@ class Network {
   /// Thread-parallel voluntary departure: every victim's §5.1 protocol
   /// runs on real `sim/thread_pool` workers under the per-node stripe
   /// locks, §4.2 rerouting included inside the wave (see
-  /// MaintenanceEngine::leave_bulk for the determinism contract).
+  /// MaintenanceEngine::leave_bulk for the determinism contract).  This
+  /// wave, fail_and_repair_bulk and heartbeat_sweep_bulk write node
+  /// stores from every worker: on more than one (0 = hardware
+  /// concurrency counts as more) they refuse, with CheckError, any store
+  /// backend but kSharded.
   void leave_bulk(const std::vector<NodeId>& victims, std::size_t workers = 0,
                   Trace* trace = nullptr) {
     maintenance_.leave_bulk(victims, workers, trace);
@@ -410,10 +414,6 @@ class Network {
   /// All registered (guid, server) pairs, including dead servers.
   [[nodiscard]] std::vector<std::pair<Guid, NodeId>> published() const {
     return directory_.published();
-  }
-  /// Base guids whose replica registry lists `server` (dead or alive).
-  [[nodiscard]] std::vector<Guid> guids_served_by(const NodeId& server) const {
-    return directory_.guids_served_by(server);
   }
   /// Distance from client to the nearest live replica (stretch denominator).
   [[nodiscard]] double distance_to_nearest_replica(const NodeId& client,

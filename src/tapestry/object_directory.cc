@@ -854,41 +854,24 @@ void ObjectDirectory::expire_pointers(std::size_t workers) {
 void ObjectDirectory::start_soft_state(double republish_every,
                                        double expiry_every, Trace* trace) {
   stop_soft_state();
-  if (republish_every > 0.0) schedule_republish_tick(republish_every, trace);
-  if (expiry_every > 0.0) schedule_expiry_tick(expiry_every);
+  if (republish_every > 0.0) {
+    republish_timer_.every(events_, republish_every, [this, trace] {
+      // Each live replica refreshes event-driven, so the refresh walks
+      // interleave with everything else on the queue — unlike the atomic
+      // republish_all the synchronous experiments use.  Snapshot first:
+      // publish_async touches the registry we are iterating.
+      const auto pairs = published();
+      for (const auto& [guid, server] : pairs)
+        if (reg_.is_live(server)) publish_async(server, guid, trace);
+    });
+  }
+  if (expiry_every > 0.0)
+    expiry_timer_.every(events_, expiry_every, [this] { expire_pointers(); });
 }
 
 void ObjectDirectory::stop_soft_state() {
-  if (republish_event_.has_value()) {
-    events_.cancel(*republish_event_);
-    republish_event_.reset();
-  }
-  if (expiry_event_.has_value()) {
-    events_.cancel(*expiry_event_);
-    expiry_event_.reset();
-  }
-}
-
-void ObjectDirectory::schedule_republish_tick(double every, Trace* trace) {
-  republish_event_ = events_.schedule_in(every, [this, every, trace] {
-    republish_event_.reset();
-    // Each live replica refreshes event-driven, so the refresh walks
-    // interleave with everything else on the queue — unlike the atomic
-    // republish_all the synchronous experiments use.  Snapshot first:
-    // publish_async touches the registry we are iterating.
-    const auto pairs = published();
-    for (const auto& [guid, server] : pairs)
-      if (reg_.is_live(server)) publish_async(server, guid, trace);
-    schedule_republish_tick(every, trace);
-  });
-}
-
-void ObjectDirectory::schedule_expiry_tick(double every) {
-  expiry_event_ = events_.schedule_in(every, [this, every] {
-    expiry_event_.reset();
-    expire_pointers();
-    schedule_expiry_tick(every);
-  });
+  republish_timer_.stop();
+  expiry_timer_.stop();
 }
 
 // ---------------------------------------------------------------------

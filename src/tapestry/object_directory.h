@@ -275,8 +275,6 @@ class ObjectDirectory {
   void drive_locate(const std::shared_ptr<LocateOp>& op, double delay);
   /// Synchronous engine: every root path of one replica, inline.
   void publish_paths(NodeId server, const Guid& guid, Trace* trace);
-  void schedule_republish_tick(double every, Trace* trace);
-  void schedule_expiry_tick(double every);
 
   void unpublish_one(TapestryNode& server, const Guid& salted, Trace* trace);
   /// The one pointer-carrying hop (publish and batch deposits, unpublish,
@@ -323,8 +321,8 @@ class ObjectDirectory {
 
   // Event-driven state.
   std::size_t in_flight_ = 0;
-  std::optional<EventId> republish_event_;
-  std::optional<EventId> expiry_event_;
+  Timer republish_timer_;
+  Timer expiry_timer_;
 
   // Fired from invalidate_node_cache on node death/departure.
   std::function<void(const NodeId&)> node_death_hook_;

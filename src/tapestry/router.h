@@ -50,7 +50,6 @@ class Router {
   void bind_transport(Transport* transport) noexcept {
     transport_ = transport;
   }
-  [[nodiscard]] Transport& transport() const noexcept { return *transport_; }
 
   /// Scans row `level` of `at` for the slot serving `desired` under the
   /// configured routing mode (§2.3).  A slot counts as filled when some

@@ -35,8 +35,7 @@ bool read_uint(std::string_view& rest, T& out, int base = 10) {
 
 /// A hex id that fits the namespace of `spec`.
 inline bool read_id(std::string_view& rest, IdSpec spec, std::uint64_t& out) {
-  return read_uint(rest, out, 16) &&
-         (spec.total_bits() == 64 || out >> spec.total_bits() == 0);
+  return read_uint(rest, out, 16) && out <= spec.mask();
 }
 
 inline bool read_flag(std::string_view& rest, bool& out) {

@@ -18,8 +18,7 @@ std::uint64_t f64_bits(double v) {
 /// WireError (Id's own constructor reserves TAP_CHECK for caller bugs).
 Id make_id(IdSpec spec, std::uint64_t value) {
   if (!spec.valid()) throw WireError("datagram carries invalid IdSpec");
-  if (spec.total_bits() < 64 &&
-      value >= (std::uint64_t{1} << spec.total_bits()))
+  if (value > spec.mask())
     throw WireError("id value exceeds the namespace of its IdSpec");
   return Id(spec, value);
 }

@@ -3,7 +3,9 @@
 // scheduling order), cancellation edge cases (after fire, self-cancel,
 // cancel from an earlier event), and run_until clock-advancement
 // semantics.  test_sim.cc covers the basic API; these pin the properties
-// every deterministic simulation above the queue depends on.
+// every deterministic simulation above the queue depends on.  The Timer
+// tests pin the one-pending-event contract every simulated-time process
+// relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -292,6 +294,78 @@ TEST(EventQueueProperty, FiredCountsEveryExecutedAction) {
   q.cancel(c);
   q.run();
   EXPECT_EQ(q.fired() - before, 25u) << "cancelled events never count";
+}
+
+// ------------------------------------------------------------------- Timer
+
+TEST(Timer, AfterReplacesThePendingEvent) {
+  EventQueue q;
+  Timer t;
+  std::vector<int> fired;
+  t.after(q, 1.0, [&] { fired.push_back(1); });
+  t.after(q, 2.0, [&] { fired.push_back(2); });
+  EXPECT_EQ(q.pending(), 1u);
+  q.run();
+  EXPECT_EQ(fired, (std::vector<int>{2}));
+  EXPECT_EQ(q.now(), 2.0);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(Timer, StopAndDestructionCancel) {
+  EventQueue q;
+  bool fired = false;
+  Timer stopped;
+  stopped.every(q, 1.0, [&] { fired = true; });
+  {
+    Timer scoped;
+    scoped.after(q, 1.0, [&] { fired = true; });
+    EXPECT_EQ(q.pending(), 2u);
+  }
+  EXPECT_EQ(q.pending(), 1u) << "destruction cancels";
+  stopped.stop();
+  EXPECT_EQ(q.pending(), 0u) << "stop cancels";
+  stopped.stop();  // idle: a no-op
+  q.run();
+  EXPECT_FALSE(fired);
+}
+
+TEST(Timer, EveryFiresAtPeriodMultiplesAfterWhatItsActionScheduled) {
+  // Each firing schedules an event for the next firing's instant; having
+  // the lower id, it runs first, as when a tick did its work and then
+  // rescheduled itself.
+  EventQueue q;
+  Timer t;
+  std::vector<std::pair<char, double>> order;
+  t.every(q, 1.5, [&] {
+    order.emplace_back('T', q.now());
+    q.schedule_in(1.5, [&] { order.emplace_back('E', q.now()); });
+  });
+  q.run_until(4.5);
+  t.stop();
+  q.run();
+  const std::vector<std::pair<char, double>> expect = {
+      {'T', 1.5}, {'E', 3.0}, {'T', 3.0}, {'E', 4.5}, {'T', 4.5}, {'E', 6.0}};
+  EXPECT_EQ(order, expect);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(Timer, ActionThatStopsOrReArmsItsTimerEndsTheSeries) {
+  EventQueue q;
+  Timer stops;
+  int ticks = 0;
+  stops.every(q, 1.0, [&] {
+    if (++ticks == 2) stops.stop();
+  });
+  Timer rearms;
+  std::vector<double> fired;
+  rearms.every(q, 1.0, [&] {
+    fired.push_back(q.now());
+    rearms.after(q, 5.0, [&] { fired.push_back(q.now()); });
+  });
+  q.run();
+  EXPECT_EQ(ticks, 2);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 6.0}));
+  EXPECT_EQ(q.pending(), 0u);
 }
 
 }  // namespace

@@ -22,6 +22,13 @@ TEST(IdSpec, ValidityRules) {
   EXPECT_FALSE((IdSpec{8, 8}.valid()));    // radix 256 > 64
   EXPECT_FALSE((IdSpec{9, 4}.valid()));    // digit wider than a byte
   EXPECT_THROW(Id(IdSpec{7, 8}, 0), CheckError);
+  // The namespace bound every id value must fit under.
+  EXPECT_EQ((IdSpec{4, 8}.mask()), 0xffffffffull);
+  EXPECT_EQ((IdSpec{4, 16}.mask()), ~std::uint64_t{0});
+  EXPECT_EQ((IdSpec{6, 10}.mask()), (std::uint64_t{1} << 60) - 1);
+  EXPECT_EQ((IdSpec{1, 1}.mask()), 1u);
+  EXPECT_NO_THROW(Id(IdSpec{4, 8}, 0xffffffffull));
+  EXPECT_THROW(Id(IdSpec{4, 8}, 0x100000000ull), CheckError);
 }
 
 TEST(IdSpec, DerivedQuantities) {

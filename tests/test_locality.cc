@@ -19,13 +19,14 @@ struct StubWorld {
   std::vector<NodeId> ids;
 };
 
-StubWorld make_world(std::size_t n, std::uint64_t seed) {
+StubWorld make_world(std::size_t n, std::uint64_t seed,
+                     const TapestryParams& params = small_params()) {
   StubWorld w;
   Rng rng(seed);
   TransitStubParams tsp;
   tsp.transit_scale = 10.0;
   w.space = std::make_unique<TransitStubMetric>(n, rng, tsp);
-  w.net = std::make_unique<Network>(*w.space, small_params(), seed ^ 0xfeed);
+  w.net = std::make_unique<Network>(*w.space, params, seed ^ 0xfeed);
   w.ids.push_back(w.net->bootstrap(0));
   for (std::size_t i = 1; i < n; ++i) w.ids.push_back(w.net->join(i));
   w.locality = std::make_unique<LocalityManager>(*w.net, *w.space);
@@ -140,6 +141,81 @@ TEST(Locality, MultipleReplicasPreferLocal) {
   ASSERT_TRUE(rb.found);
   EXPECT_EQ(ra.server, a[0]);
   EXPECT_EQ(rb.server, b[0]);
+}
+
+TEST(Locality, LocalBranchHopsCrossTheTransport) {
+  // Every message the local branch books on the Trace also goes through
+  // Transport::deliver: the transport delivers exactly what the Trace
+  // books for a publish with its local deposit, a local-hit locate
+  // (client -> local root -> replica) and an unpublish with its local
+  // removal.  A local miss adds its one hop to both ledgers; the
+  // wide-area locate it falls back to keeps its own gap (the global
+  // path's kLocateFound is delivered but not booked).  The memory store
+  // is set here: the replicated backends' mirror traffic has gaps of its
+  // own.
+  for (const TransportKind kind :
+       {TransportKind::kDirect, TransportKind::kLoopback}) {
+    SCOPED_TRACE(transport_kind_name(kind));
+    TapestryParams p = small_params();
+    p.store_backend = StoreBackend::kMemory;
+    p.transport = kind;
+    auto w = make_world(96, 8, p);
+    const TransportStats& stats = w.net->transport().stats();
+    // Delivered minus booked messages of `body`.
+    auto ledger_gap = [&](const char* op, auto&& body) {
+      Trace t;
+      const std::uint64_t before = stats.messages.load();
+      body(&t);
+      EXPECT_GT(t.messages(), 0u) << op;
+      return static_cast<std::int64_t>(stats.messages.load() - before) -
+             static_cast<std::int64_t>(t.messages());
+    };
+
+    // A stub whose local root for the object is neither the server nor
+    // the client, so the deposit and both local-hit hops are real.
+    std::size_t stub = 0;
+    NodeId server{}, client{};
+    Guid guid{};
+    for (std::uint64_t raw = 900; !guid.valid(); ++raw) {
+      stub = raw % w.space->num_stubs();
+      const auto members = w.locality->stub_members(stub);
+      if (members.size() < 3) continue;
+      const Guid g = make_guid(*w.net, raw);
+      const NodeId root = w.locality->local_root(stub, g);
+      if (root == members[0]) continue;
+      server = members[0];
+      client = root == members[1] ? members[2] : members[1];
+      guid = g;
+    }
+    NodeId remote{};
+    for (const NodeId& id : w.net->node_ids())
+      if (w.locality->stub_of(id) != stub) remote = id;
+    ASSERT_TRUE(remote.valid());
+
+    const std::int64_t publish = ledger_gap("publish", [&](Trace* t) {
+      w.locality->publish(server, guid, t);
+    });
+    EXPECT_EQ(publish, 0);
+    const std::int64_t local_hit = ledger_gap("local hit", [&](Trace* t) {
+      const LocateResult r = w.locality->locate(client, guid, t);
+      EXPECT_TRUE(r.found);
+      EXPECT_EQ(r.server, server);
+      EXPECT_EQ(r.hops, 2u) << "client -> local root -> replica";
+    });
+    EXPECT_EQ(local_hit, 0);
+    const std::int64_t wide = ledger_gap("wide-area locate", [&](Trace* t) {
+      EXPECT_TRUE(w.net->locate(remote, guid, t).found);
+    });
+    const std::int64_t local_miss = ledger_gap("local miss", [&](Trace* t) {
+      EXPECT_TRUE(w.locality->locate(remote, guid, t).found);
+    });
+    EXPECT_EQ(local_miss, wide);
+    const std::int64_t unpublish = ledger_gap("unpublish", [&](Trace* t) {
+      w.locality->unpublish(server, guid, t);
+    });
+    EXPECT_EQ(unpublish, 0);
+    EXPECT_EQ(w.net->total_object_pointers(), 0u);
+  }
 }
 
 }  // namespace

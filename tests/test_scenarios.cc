@@ -5,6 +5,8 @@
 // across same-seed runs.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -15,6 +17,7 @@
 #include "src/metric/transit_stub.h"
 #include "src/sim/churn_driver.h"
 #include "src/sim/metrics.h"
+#include "src/tapestry/fingerprint.h"
 #include "test_util.h"
 
 namespace tap {
@@ -339,6 +342,95 @@ TEST(Scenarios, MetricsCountersMatchReport) {
   EXPECT_EQ(metrics::locate_total().value(), rep.queries);
   EXPECT_EQ(metrics::locate_found_total().value(), rep.found);
   EXPECT_EQ(metrics::locate_hops().count(), rep.queries);
+}
+
+// ------------------------------------------------------------- transcript
+
+std::uint64_t double_bits(double d) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &d, sizeof b);
+  return b;
+}
+
+void mix_bucket(detail::Fnv1a& h, const ChurnEpoch& e) {
+  for (const double d : {e.t0, e.t1, e.stretch_sum}) h.mix(double_bits(d));
+  for (const std::size_t v :
+       {e.joins, e.leaves, e.fails, e.queries, e.found,
+        e.queries_post_failure, e.found_post_failure, e.queries_skipped,
+        e.stretch_n, e.maintenance_msgs, e.churn_msgs, e.live_nodes})
+    h.mix(v);
+  for (const double s : e.hops.samples()) h.mix(double_bits(s));
+}
+
+TEST(Scenarios, ChurnTranscriptIsPinned) {
+  // Every simulated-time process at once, pinned across commits: churn
+  // with bursts, queries, republish, expiry, heartbeats, checkpoint
+  // epochs, the hotspot decay tick after a flash crowd, a partition and
+  // its heal, a rack kill and a root kill.  The replay tests compare two
+  // runs of one build; only constants see a change in the order the
+  // processes schedule their events.  A change that alters the churn
+  // transcript on purpose updates them and says so.  Memory store and
+  // direct transport are set here, not taken from TAP_STORE /
+  // TAP_TRANSPORT.
+  TapestryParams p;
+  p.id = IdSpec{4, 8};
+  p.redundancy = 3;
+  p.store_backend = StoreBackend::kMemory;
+  p.transport = TransportKind::kDirect;
+  p.pointer_ttl = 8.0;
+  p.locate_cache_size = 32;
+  auto g = grow_ts_network(64, 23, p);
+  ChurnScenario sc = quiet_scenario(23);
+  sc.horizon = 24.0;
+  sc.join_rate = 0.5;
+  sc.leave_rate = 0.4;
+  sc.fail_rate = 0.3;
+  sc.popularity = ChurnScenario::Popularity::kZipf;
+  sc.flash_at = 5.0;
+  sc.hotspot_replication = true;
+  sc.partition_at = 6.0;
+  sc.partition_heal = 9.0;
+  sc.rackfail_at = 13.0;
+  sc.rootfail_at = 15.0;
+  sc.burst_every = 3.0;
+  sc.burst_len = 1.5;
+  sc.burst_factor = 4.0;
+  const std::string dir = testing::TempDir() + "tap_churn_pin_" +
+                          std::to_string(::getpid());
+  sc.checkpoint_interval = 5.0;
+  sc.checkpoint_dir = dir;
+  ChurnDriver driver(*g.net, sc);
+  const ChurnReport rep = driver.run();
+  std::filesystem::remove_all(dir);
+
+  const std::vector<std::string>& log = driver.event_log();
+  for (const char kind : {'C', 'B', 'X', 'H', 'K', 'O', 'U', 'J', 'L', 'F'})
+    EXPECT_GT(count_kind(log, kind), 0u) << "no '" << kind << "' event";
+  EXPECT_GT(rep.hotspot_promotions, 0u);
+  EXPECT_GT(rep.cache_hits, 0u);
+
+  detail::Fnv1a h;
+  for (const std::string& line : log) {
+    // The checkpoint directory is per process; the rest of a line is not.
+    for (const char c : line.substr(0, line.find(dir)))
+      h.mix(static_cast<unsigned char>(c));
+  }
+  for (const ChurnEpoch& e : rep.epochs) mix_bucket(h, e);
+  mix_bucket(h, rep.drain);
+  h.mix(double_bits(rep.stretch_sum));
+  for (const std::size_t v :
+       {rep.joins, rep.leaves, rep.fails, rep.queries, rep.found,
+        rep.queries_post_failure, rep.found_post_failure,
+        rep.queries_skipped, rep.stretch_n, rep.maintenance_msgs,
+        rep.churn_msgs, rep.load_max, rep.load_nodes, rep.cache_hits,
+        rep.cache_misses, rep.cache_fallbacks, rep.hotspot_promotions,
+        rep.hotspot_demotions})
+    h.mix(v);
+  for (const double s : rep.hops.samples()) h.mix(double_bits(s));
+
+  EXPECT_EQ(log.size(), 852u);
+  EXPECT_EQ(rep.events_fired, 2520u);
+  EXPECT_EQ(h.value(), 7409999172407897027ull);
 }
 
 }  // namespace

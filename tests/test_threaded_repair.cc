@@ -323,6 +323,46 @@ TEST(ThreadedRepair, LeaveKeepsObjectsLocatableOnGrownCore) {
            "locatability";
 }
 
+TEST(ThreadedRepair, MultiWorkerWavesRefuseUnlockedStores) {
+  // Leave, fail and heartbeat waves write node stores from every worker,
+  // and the memory store has no locks: on more than one worker (0 =
+  // hardware concurrency counts as more on every machine) each wave is
+  // refused before it changes anything.  One worker runs it as usual.
+  TapestryParams p = small_params();
+  p.store_backend = StoreBackend::kMemory;
+  for (const char* wave : {"leave", "fail", "heartbeat"}) {
+    SCOPED_TRACE(wave);
+    auto g = static_ring_network(96, 418, p);
+    const auto ids = g.net->node_ids();
+    const auto victims = pick_victims(ids, 10, 8);
+    const auto servers = pick_survivor_servers(ids, victims, 16);
+    for (std::size_t i = 0; i < servers.size(); ++i)
+      g.net->publish(servers[i], make_guid(*g.net, 8900 + i));
+    const std::string kind = wave;
+    if (kind == "heartbeat")
+      for (const NodeId& v : victims) g.net->fail(v);
+    auto run = [&](std::size_t workers) {
+      if (kind == "leave") g.net->leave_bulk(victims, workers);
+      if (kind == "fail") g.net->fail_and_repair_bulk(victims, workers);
+      if (kind == "heartbeat") g.net->heartbeat_sweep_bulk(workers);
+    };
+
+    const std::uint64_t members = membership_fingerprint(*g.net);
+    const auto published = sorted_published(*g.net);
+    const std::uint64_t stores = fingerprint_stores(*g.net);
+    for (const std::size_t workers : {0u, 4u}) {
+      EXPECT_THROW(run(workers), CheckError) << "workers=" << workers;
+      EXPECT_EQ(membership_fingerprint(*g.net), members);
+      EXPECT_EQ(sorted_published(*g.net), published);
+      EXPECT_EQ(fingerprint_stores(*g.net), stores);
+    }
+    run(1);
+    EXPECT_EQ(g.net->size(), 96u - victims.size());
+    g.net->check_property1();
+    g.net->check_backpointer_symmetry();
+  }
+}
+
 TEST(ThreadedRepair, HeartbeatSweepBulkRepairsUnannouncedFailures) {
   // Plain fail() marks corpses without repair; the threaded sweep must
   // then restore Property 1 and symmetry at any worker count, matching

@@ -28,13 +28,7 @@ using test::static_ring_network;
 
 constexpr IdSpec kSpec{4, 8};  // the overlay default: radix 16, 8 digits
 
-std::uint64_t id_mask() {
-  return kSpec.total_bits() == 64
-             ? ~std::uint64_t{0}
-             : (std::uint64_t{1} << kSpec.total_bits()) - 1;
-}
-
-NodeId rand_id(Rng& rng) { return NodeId(kSpec, rng() & id_mask()); }
+NodeId rand_id(Rng& rng) { return NodeId(kSpec, rng() & kSpec.mask()); }
 
 double rand_deadline(Rng& rng) {
   // Exercise the values deadlines actually take: finite simulated times
@@ -61,7 +55,7 @@ PointerRecord rand_record(Rng& rng) {
 /// copy compares equal).
 Message rand_message(MessageKind kind, Rng& rng) {
   Message m = make_message(kind, rand_id(rng), rand_id(rng),
-                           Id(kSpec, rng() & id_mask()));
+                           Id(kSpec, rng() & kSpec.mask()));
   switch (kind) {
     case MessageKind::kRouteHop:
     case MessageKind::kLocateStep:

@@ -137,10 +137,7 @@ inline GrownNetwork static_ring_network(std::size_t n,
 
 inline Guid make_guid(const Network& net, std::uint64_t raw) {
   const IdSpec spec = net.params().id;
-  const std::uint64_t mask = spec.total_bits() == 64
-                                 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << spec.total_bits()) - 1;
-  return Guid(spec, splitmix64(raw) & mask);
+  return Guid(spec, splitmix64(raw) & spec.mask());
 }
 
 }  // namespace tap::test

@@ -64,7 +64,10 @@
 //                            simulated-time event coordinator        [0]
 //
 // Churn-scenario flags (--scenario=churn; event-driven §6.5 experiments,
-// deterministically reproducible from --seed):
+// deterministically reproducible from --seed).  A flag that sets a
+// ChurnScenario knob (src/sim/churn_driver.h), here and in the sections
+// below, writes that field directly, so its bracketed default is
+// ChurnScenario's:
 //   --churn-threads=N        run the wall-clock ThreadedChurnSoak instead
 //                            of the event-driven driver: N-thread
 //                            join/fail/leave repair waves racing guarded
@@ -173,29 +176,19 @@ struct Options {
   std::uint64_t seed = 1;
   bool csv = false;
 
-  // Churn-scenario mode.
   std::string scenario = "static";
-  double horizon = 40.0;
-  double epoch_len = 5.0;
-  double join_rate = 0.8;
-  double leave_rate = 0.6;
-  double fail_rate = 0.6;
-  double query_rate = 20.0;
-  double republish_interval = 4.0;
-  double expiry_interval = 1.0;
-  double heartbeat_interval = 4.0;
-  double ttl = 0.0;            // 0 => 2 * republish_interval
+  // Churn-family knobs: the flags and presets write `sc` directly, so its
+  // defaults are the flags' defaults.  run_churn_scenario fills in the
+  // knobs shared with other scenarios or derived from other flags.
+  ChurnScenario sc;
+  double ttl = 0.0;            // 0 => 2 * republish interval
   std::size_t min_nodes = 0;   // 0 => nodes/2
 
   // Demand-aware locate path (src/tapestry/hotspot.h).
   std::size_t cache = 0;       // locate-cache entries per node (0 = off)
   double cache_ttl = 0.0;      // 0 => defer to the pointer TTL
   std::string popularity;      // empty => uniform (zipf under hotspot)
-  double zipf_s = 1.0;
   bool hotspot = false;
-  double flash_at = 0.0;       // 0 = no flash crowd
-  double flash_factor = 1000.0;
-  std::size_t flash_index = 0;
 
   // Bigbuild-scenario mode.
   std::size_t threads = 0;       // 0 => hardware concurrency
@@ -205,18 +198,7 @@ struct Options {
   // Threaded-churn-soak mode (--scenario=churn only).
   std::size_t churn_threads = 0;  // 0 => event-driven ChurnDriver
 
-  // Fault-scenario script (churn-family scenarios).
-  double partition_at = 0.0;
-  double partition_heal = 0.0;
-  double rackfail_at = 0.0;
-  double rootfail_at = 0.0;
-  std::size_t rootfail_count = 3;
-  double burst_every = 0.0;
-  double burst_len = 0.0;
-  double burst_factor = 8.0;
-
-  // Metrics export.
-  std::string metrics_out;
+  // Metrics export (--metrics-out writes sc.metrics_out).
   int metrics_port = -1;  // -1 = off; 0 = ephemeral
 
   // Object-store backend.
@@ -225,7 +207,6 @@ struct Options {
 
   // Wire layer.
   std::string transport = "direct";
-  double checkpoint_interval = 0.0;
 };
 
 // Scenarios that run through ChurnDriver (hotspot and the fault presets
@@ -260,6 +241,7 @@ bool parse_flag(const char* arg, const char* name, std::string* out) {
 
 Options parse(int argc, char** argv) {
   Options o;
+  ChurnScenario& sc = o.sc;
   for (int i = 1; i < argc; ++i) {
     std::string v;
     auto num = [&](const char* name, auto* out) {
@@ -272,38 +254,38 @@ Options parse(int argc, char** argv) {
         num("--r", &o.redundancy) || num("--roots", &o.roots) ||
         num("--churn-rounds", &o.churn_rounds) ||
         num("--fail-prob", &o.fail_prob) || num("--seed", &o.seed) ||
-        num("--horizon", &o.horizon) || num("--epoch-len", &o.epoch_len) ||
-        num("--join-rate", &o.join_rate) ||
-        num("--leave-rate", &o.leave_rate) ||
-        num("--fail-rate", &o.fail_rate) ||
-        num("--query-rate", &o.query_rate) ||
-        num("--republish-interval", &o.republish_interval) ||
-        num("--expiry-interval", &o.expiry_interval) ||
-        num("--heartbeat-interval", &o.heartbeat_interval) ||
+        num("--horizon", &sc.horizon) || num("--epoch-len", &sc.epoch) ||
+        num("--join-rate", &sc.join_rate) ||
+        num("--leave-rate", &sc.leave_rate) ||
+        num("--fail-rate", &sc.fail_rate) ||
+        num("--query-rate", &sc.query_rate) ||
+        num("--republish-interval", &sc.republish_interval) ||
+        num("--expiry-interval", &sc.expiry_interval) ||
+        num("--heartbeat-interval", &sc.heartbeat_interval) ||
         num("--ttl", &o.ttl) || num("--min-nodes", &o.min_nodes) ||
         num("--cache", &o.cache) || num("--cache-ttl", &o.cache_ttl) ||
-        num("--zipf-s", &o.zipf_s) || num("--flash-at", &o.flash_at) ||
-        num("--flash-factor", &o.flash_factor) ||
-        num("--flash-index", &o.flash_index) || num("--threads", &o.threads) ||
-        num("--join-wave", &o.join_wave) ||
+        num("--zipf-s", &sc.zipf_s) || num("--flash-at", &sc.flash_at) ||
+        num("--flash-factor", &sc.flash_factor) ||
+        num("--flash-index", &sc.flash_index) ||
+        num("--threads", &o.threads) || num("--join-wave", &o.join_wave) ||
         num("--join-threads", &o.join_threads) ||
         num("--churn-threads", &o.churn_threads) ||
-        num("--partition-at", &o.partition_at) ||
-        num("--partition-heal", &o.partition_heal) ||
-        num("--rackfail-at", &o.rackfail_at) ||
-        num("--rootfail-at", &o.rootfail_at) ||
-        num("--rootfail-count", &o.rootfail_count) ||
-        num("--burst-every", &o.burst_every) ||
-        num("--burst-len", &o.burst_len) ||
-        num("--burst-factor", &o.burst_factor) ||
+        num("--partition-at", &sc.partition_at) ||
+        num("--partition-heal", &sc.partition_heal) ||
+        num("--rackfail-at", &sc.rackfail_at) ||
+        num("--rootfail-at", &sc.rootfail_at) ||
+        num("--rootfail-count", &sc.rootfail_count) ||
+        num("--burst-every", &sc.burst_every) ||
+        num("--burst-len", &sc.burst_len) ||
+        num("--burst-factor", &sc.burst_factor) ||
         num("--metrics-port", &o.metrics_port) ||
-        num("--checkpoint-interval", &o.checkpoint_interval))
+        num("--checkpoint-interval", &sc.checkpoint_interval))
       continue;
     if (parse_flag(argv[i], "--space", &v)) o.space = v;
     else if (parse_flag(argv[i], "--routing", &v)) o.routing = v;
     else if (parse_flag(argv[i], "--scenario", &v)) o.scenario = v;
     else if (parse_flag(argv[i], "--popularity", &v)) o.popularity = v;
-    else if (parse_flag(argv[i], "--metrics-out", &v)) o.metrics_out = v;
+    else if (parse_flag(argv[i], "--metrics-out", &v)) sc.metrics_out = v;
     else if (parse_flag(argv[i], "--store", &v)) o.store = v;
     else if (parse_flag(argv[i], "--store-dir", &v)) o.store_dir = v;
     else if (parse_flag(argv[i], "--transport", &v)) o.transport = v;
@@ -322,8 +304,8 @@ Options parse(int argc, char** argv) {
   if (o.queries == 0) o.queries = 4 * o.nodes;
   if (o.min_nodes == 0) o.min_nodes = o.nodes / 2;
   if (o.ttl == 0.0)
-    o.ttl = o.republish_interval > 0.0
-                ? 2.0 * o.republish_interval
+    o.ttl = sc.republish_interval > 0.0
+                ? 2.0 * sc.republish_interval
                 : std::numeric_limits<double>::infinity();
   if (o.scenario != "static" && o.scenario != "churn" &&
       o.scenario != "bigbuild" && o.scenario != "recover" &&
@@ -337,11 +319,11 @@ Options parse(int argc, char** argv) {
     // The cut is the scenario's only disturbance: churn rates default to
     // zero, and the window leaves at least one republish round after the
     // heal so cross-side pointers refresh before the gate.
-    if (o.partition_at == 0.0) o.partition_at = o.horizon / 4.0;
-    if (o.partition_heal == 0.0) o.partition_heal = o.horizon * 5.0 / 8.0;
-    o.join_rate = 0.0;
-    o.leave_rate = 0.0;
-    o.fail_rate = 0.0;
+    if (sc.partition_at == 0.0) sc.partition_at = sc.horizon / 4.0;
+    if (sc.partition_heal == 0.0) sc.partition_heal = sc.horizon * 5.0 / 8.0;
+    sc.join_rate = 0.0;
+    sc.leave_rate = 0.0;
+    sc.fail_rate = 0.0;
   }
   if (o.scenario == "rackfail") {
     if (o.space == "ring") o.space = "transit-stub";  // preset default
@@ -350,7 +332,7 @@ Options parse(int argc, char** argv) {
                    "--scenario=rackfail requires --space=transit-stub\n");
       std::exit(2);
     }
-    if (o.rackfail_at == 0.0) o.rackfail_at = o.horizon / 4.0;
+    if (sc.rackfail_at == 0.0) sc.rackfail_at = sc.horizon / 4.0;
   }
   if (o.scenario == "rootfail") {
     // Targeted root kill as the only disturbance: churn rates default to
@@ -358,15 +340,15 @@ Options parse(int argc, char** argv) {
     // the kill fires a quarter into the run — leaving the soft-state
     // backstop (or the replicated store's quorum path, with
     // --store=replicated) the rest of the horizon to show recovery.
-    if (o.rootfail_at == 0.0) o.rootfail_at = o.horizon / 4.0;
+    if (sc.rootfail_at == 0.0) sc.rootfail_at = sc.horizon / 4.0;
     if (o.popularity.empty()) o.popularity = "zipf";
-    o.join_rate = 0.0;
-    o.leave_rate = 0.0;
-    o.fail_rate = 0.0;
+    sc.join_rate = 0.0;
+    sc.leave_rate = 0.0;
+    sc.fail_rate = 0.0;
   }
   if (o.scenario == "burst") {
-    if (o.burst_every == 0.0) o.burst_every = o.horizon / 8.0;
-    if (o.burst_len == 0.0) o.burst_len = o.horizon / 16.0;
+    if (sc.burst_every == 0.0) sc.burst_every = sc.horizon / 8.0;
+    if (sc.burst_len == 0.0) sc.burst_len = sc.horizon / 16.0;
   }
   if (o.scenario == "hotspot") {
     // Flash-crowd preset: a churn run with skewed popularity, the locate
@@ -375,7 +357,7 @@ Options parse(int argc, char** argv) {
     if (o.popularity.empty()) o.popularity = "zipf";
     if (o.cache == 0) o.cache = 128;
     o.hotspot = true;
-    if (o.flash_at == 0.0) o.flash_at = o.horizon / 2.0;
+    if (sc.flash_at == 0.0) sc.flash_at = sc.horizon / 2.0;
   }
   if (o.popularity.empty()) o.popularity = "uniform";
   if (o.popularity != "uniform" && o.popularity != "zipf") {
@@ -403,7 +385,7 @@ Options parse(int argc, char** argv) {
                          "--store=replicated+persist\n");
     std::exit(2);
   }
-  if (o.checkpoint_interval > 0.0 && !durable_store) {
+  if (sc.checkpoint_interval > 0.0 && !durable_store) {
     std::fprintf(stderr, "--checkpoint-interval requires --store=persist or "
                          "--store=replicated+persist\n");
     std::exit(2);
@@ -475,10 +457,7 @@ void reset_store_dir(const std::string& dir) {
 
 Guid make_guid(const Network& net, std::uint64_t raw) {
   const IdSpec spec = net.params().id;
-  const std::uint64_t mask = spec.total_bits() == 64
-                                 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << spec.total_bits()) - 1;
-  return Guid(spec, splitmix64(raw ^ 0x51a) & mask);
+  return Guid(spec, splitmix64(raw ^ 0x51a) & spec.mask());
 }
 
 // Wall-clock threaded churn soak (--churn-threads=N): rounds of
@@ -528,45 +507,51 @@ int run_threaded_churn(const Options& o, Network& net) {
   return ok ? 0 : 1;
 }
 
+// One CSV row of the churn table: an epoch, the drain or the totals.
+// hops_p50/hops_p99 are over found queries bucketed by completion time —
+// the per-epoch view of what the locate cache buys.
+void print_csv_row(const std::string& label, const ChurnEpoch& e) {
+  auto hops_p = [&e](double p) {
+    return e.hops.empty() ? 0.0 : e.hops.percentile(p);
+  };
+  std::printf("%s,%.2f,%.2f,%zu,%zu,%zu,%zu,%zu,%zu,%.4f,%zu,%zu,%zu,%.3f,"
+              "%.1f,%.1f,%zu,%zu\n",
+              label.c_str(), e.t0, e.t1, e.live_nodes, e.joins, e.leaves,
+              e.fails, e.queries, e.found, e.availability(),
+              e.queries_post_failure, e.found_post_failure, e.queries_skipped,
+              e.mean_stretch(), hops_p(50), hops_p(99), e.maintenance_msgs,
+              e.churn_msgs);
+}
+
+// One line of the churn report's epoch table.
+void print_report_row(const std::string& label, const ChurnEpoch& e) {
+  char window[32];
+  std::snprintf(window, sizeof window, "%.1f-%.1f", e.t0, e.t1);
+  char postfail[32];
+  std::snprintf(postfail, sizeof postfail, "%zu/%zu", e.found_post_failure,
+                e.queries_post_failure);
+  std::printf("  %-5s %-13s %5zu %5zu %5zu %5zu %8zu %6.2f%% %9s %8.2f %10zu\n",
+              label.c_str(), window, e.live_nodes, e.joins, e.leaves, e.fails,
+              e.queries, e.availability() * 100.0, postfail, e.mean_stretch(),
+              e.maintenance_msgs);
+}
+
 int run_churn_scenario(const Options& o, Network& net) {
   if (o.churn_threads > 0) return run_threaded_churn(o, net);
-  ChurnScenario sc;
-  sc.horizon = o.horizon;
-  sc.epoch = o.epoch_len;
-  sc.join_rate = o.join_rate;
-  sc.leave_rate = o.leave_rate;
-  sc.fail_rate = o.fail_rate;
+  // The knobs no flag writes directly: shared with the other scenarios or
+  // derived from other flags.
+  ChurnScenario sc = o.sc;
   sc.min_nodes = o.min_nodes;
-  sc.query_rate = o.query_rate;
-  sc.post_failure_window = o.republish_interval > 0.0 ? o.republish_interval
-                                                      : o.epoch_len;
+  sc.post_failure_window =
+      sc.republish_interval > 0.0 ? sc.republish_interval : sc.epoch;
   sc.objects = o.objects;
   sc.replicas = o.replicas;
-  sc.republish_interval = o.republish_interval;
-  sc.expiry_interval = o.expiry_interval;
-  sc.heartbeat_interval = o.heartbeat_interval;
   sc.seed = o.seed;
   sc.popularity = o.popularity == "zipf"
                       ? ChurnScenario::Popularity::kZipf
                       : ChurnScenario::Popularity::kUniform;
-  sc.zipf_s = o.zipf_s;
-  sc.flash_at = o.flash_at;
-  sc.flash_factor = o.flash_factor;
-  sc.flash_index = o.flash_index;
   sc.hotspot_replication = o.hotspot;
-  if (o.checkpoint_interval > 0.0) {
-    sc.checkpoint_interval = o.checkpoint_interval;
-    sc.checkpoint_dir = o.store_dir;
-  }
-  sc.partition_at = o.partition_at;
-  sc.partition_heal = o.partition_heal;
-  sc.rackfail_at = o.rackfail_at;
-  sc.rootfail_at = o.rootfail_at;
-  sc.rootfail_count = o.rootfail_count;
-  sc.burst_every = o.burst_every;
-  sc.burst_len = o.burst_len;
-  sc.burst_factor = o.burst_factor;
-  sc.metrics_out = o.metrics_out;
+  if (sc.checkpoint_interval > 0.0) sc.checkpoint_dir = o.store_dir;
 
   ChurnDriver driver(net, sc);
   const ChurnReport rep = driver.run();
@@ -594,42 +579,14 @@ int run_churn_scenario(const Options& o, Network& net) {
   }
 
   if (o.csv) {
-    // hops_p50/hops_p99 are over found queries bucketed by completion
-    // time — the per-epoch view of what the locate cache buys.
-    auto hops_p = [](const Summary& s, double p) {
-      return s.empty() ? 0.0 : s.percentile(p);
-    };
     std::printf(
         "epoch,t0,t1,nodes,joins,leaves,fails,queries,found,availability,"
         "post_fail_queries,post_fail_found,skipped,stretch_mean,"
         "hops_p50,hops_p99,maint_msgs,churn_msgs\n");
-    for (std::size_t i = 0; i < rep.epochs.size(); ++i) {
-      const ChurnEpoch& e = rep.epochs[i];
-      std::printf("%zu,%.2f,%.2f,%zu,%zu,%zu,%zu,%zu,%zu,%.4f,%zu,%zu,%zu,"
-                  "%.3f,%.1f,%.1f,%zu,%zu\n",
-                  i, e.t0, e.t1, e.live_nodes, e.joins, e.leaves, e.fails,
-                  e.queries, e.found, e.availability(),
-                  e.queries_post_failure, e.found_post_failure,
-                  e.queries_skipped, e.mean_stretch(), hops_p(e.hops, 50),
-                  hops_p(e.hops, 99), e.maintenance_msgs, e.churn_msgs);
-    }
-    const ChurnEpoch& d = rep.drain;
-    std::printf("drain,%.2f,%.2f,%zu,%zu,%zu,%zu,%zu,%zu,%.4f,%zu,%zu,%zu,"
-                "%.3f,%.1f,%.1f,%zu,%zu\n",
-                d.t0, d.t1, d.live_nodes, d.joins, d.leaves, d.fails,
-                d.queries, d.found, d.availability(), d.queries_post_failure,
-                d.found_post_failure, d.queries_skipped, d.mean_stretch(),
-                hops_p(d.hops, 50), hops_p(d.hops, 99), d.maintenance_msgs,
-                d.churn_msgs);
-    // The totals include the drain bucket, so the window runs to the
-    // drain's end, not the horizon.
-    std::printf("total,0.00,%.2f,%zu,%zu,%zu,%zu,%zu,%zu,%.4f,%zu,%zu,%zu,"
-                "%.3f,%.1f,%.1f,%zu,%zu\n",
-                rep.drain.t1, net.size(), rep.joins, rep.leaves, rep.fails,
-                rep.queries, rep.found, rep.availability(),
-                rep.queries_post_failure, rep.found_post_failure,
-                rep.queries_skipped, rep.mean_stretch(), hops_p(rep.hops, 50),
-                hops_p(rep.hops, 99), rep.maintenance_msgs, rep.churn_msgs);
+    for (std::size_t i = 0; i < rep.epochs.size(); ++i)
+      print_csv_row(std::to_string(i), rep.epochs[i]);
+    print_csv_row("drain", rep.drain);
+    print_csv_row("total", rep);
     return gate_rc;
   }
 
@@ -638,41 +595,19 @@ int run_churn_scenario(const Options& o, Network& net) {
               static_cast<unsigned long long>(o.seed));
   std::printf("  rates: join %.2f / leave %.2f / fail %.2f per unit, "
               "queries %.1f/unit\n",
-              o.join_rate, o.leave_rate, o.fail_rate, o.query_rate);
+              sc.join_rate, sc.leave_rate, sc.fail_rate, sc.query_rate);
   std::printf("  soft state: republish %.1f, expiry %.1f, heartbeat %.1f, "
               "ttl %.1f\n",
-              o.republish_interval, o.expiry_interval, o.heartbeat_interval,
+              sc.republish_interval, sc.expiry_interval, sc.heartbeat_interval,
               o.ttl);
   std::printf("  %-5s %-13s %5s %5s %5s %5s %8s %7s %9s %8s %10s\n", "epoch",
               "window", "nodes", "join", "leave", "fail", "queries", "avail",
               "post-fail", "stretch", "maint msgs");
-  for (std::size_t i = 0; i < rep.epochs.size(); ++i) {
-    const ChurnEpoch& e = rep.epochs[i];
-    char window[32];
-    std::snprintf(window, sizeof window, "%.1f-%.1f", e.t0, e.t1);
-    char postfail[32];
-    std::snprintf(postfail, sizeof postfail, "%zu/%zu",
-                  e.found_post_failure, e.queries_post_failure);
-    std::printf("  %-5zu %-13s %5zu %5zu %5zu %5zu %8zu %6.2f%% %9s %8.2f "
-                "%10zu\n",
-                i, window, e.live_nodes, e.joins, e.leaves, e.fails,
-                e.queries, e.availability() * 100.0, postfail,
-                e.mean_stretch(), e.maintenance_msgs);
-  }
+  for (std::size_t i = 0; i < rep.epochs.size(); ++i)
+    print_report_row(std::to_string(i), rep.epochs[i]);
   if (rep.drain.queries > 0 || rep.drain.maintenance_msgs > 0 ||
-      rep.drain.churn_msgs > 0) {
-    const ChurnEpoch& d = rep.drain;
-    char window[32];
-    std::snprintf(window, sizeof window, "%.1f-%.1f", d.t0, d.t1);
-    char postfail[32];
-    std::snprintf(postfail, sizeof postfail, "%zu/%zu", d.found_post_failure,
-                  d.queries_post_failure);
-    std::printf("  %-5s %-13s %5zu %5zu %5zu %5zu %8zu %6.2f%% %9s %8.2f "
-                "%10zu\n",
-                "drain", window, d.live_nodes, d.joins, d.leaves, d.fails,
-                d.queries, d.availability() * 100.0, postfail,
-                d.mean_stretch(), d.maintenance_msgs);
-  }
+      rep.drain.churn_msgs > 0)
+    print_report_row("drain", rep.drain);
   std::printf("  totals: availability %.2f%% (%zu/%zu, %zu skipped), "
               "post-failure %.2f%%, stretch %.2f\n",
               rep.availability() * 100.0, rep.found, rep.queries,
@@ -705,7 +640,7 @@ int run_churn_scenario(const Options& o, Network& net) {
   }
   std::printf("  traffic: %zu maintenance msgs (%.0f/unit), %zu churn msgs; "
               "%llu events fired\n",
-              rep.maintenance_msgs, rep.maintenance_msgs / o.horizon,
+              rep.maintenance_msgs, rep.maintenance_msgs / sc.horizon,
               rep.churn_msgs,
               static_cast<unsigned long long>(rep.events_fired));
   return gate_rc;
