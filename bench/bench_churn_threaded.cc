@@ -21,6 +21,10 @@
 //   locate_found                    availability with no republish, exact
 //   repair_throughput               victims repaired per wall-clock second
 //                                   in the parallel leg; floor gate
+//   wave_heartbeats                 heartbeat pushes and probes delivered in
+//                                   the parallel leg; the soak runs no
+//                                   sweep, so all would come from the
+//                                   waves, which send none; exact 0
 #include <chrono>
 #include <cstring>
 
@@ -34,6 +38,7 @@ namespace {
 struct SoakResult {
   ThreadedChurnReport rep;
   double soak_ms = 0.0;
+  std::uint64_t heartbeats = 0;  ///< kHeartbeatAck + kHeartbeatProbe
 };
 
 SoakResult run_soak(const MetricSpace& space, const TapestryParams& params,
@@ -58,11 +63,18 @@ SoakResult run_soak(const MetricSpace& space, const TapestryParams& params,
 
   SoakResult r;
   ThreadedChurnSoak soak(net, sc);
+  const TransportStats& ts = net.transport().stats();
+  auto heartbeats = [&] {
+    return ts.kind_count(MessageKind::kHeartbeatAck) +
+           ts.kind_count(MessageKind::kHeartbeatProbe);
+  };
+  const std::uint64_t heartbeats0 = heartbeats();
   const auto t0 = std::chrono::steady_clock::now();
   r.rep = soak.run();
   r.soak_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
+  r.heartbeats = heartbeats() - heartbeats0;
   return r;
 }
 
@@ -126,12 +138,15 @@ int main(int argc, char** argv) {
         "\"property1_ok\":%d,\"symmetry_ok\":%d,\"no_pins_left\":%d,"
         "\"membership_match\":%d,\"occupancy_match\":%d,"
         "\"locate_found\":%.4f,\"repair_throughput\":%.1f,"
+        "\"wave_heartbeats\":%llu,"
         "\"soak_ms_serial\":%.1f,\"soak_ms_parallel\":%.1f,"
         "\"probes\":%zu,\"probe_transients\":%zu,"
         "\"threads\":%zu,\"hardware_threads\":%zu}}\n",
         property1_ok ? 1 : 0, symmetry_ok ? 1 : 0, no_pins ? 1 : 0,
         membership_match ? 1 : 0, occupancy_match ? 1 : 0, locate_found,
-        parallel.rep.repairs_per_sec(), serial.soak_ms, parallel.soak_ms,
+        parallel.rep.repairs_per_sec(),
+        static_cast<unsigned long long>(parallel.heartbeats), serial.soak_ms,
+        parallel.soak_ms,
         parallel.rep.probes, parallel.rep.probe_transients, threads,
         default_worker_count());
     return contract_ok ? 0 : 1;

@@ -202,7 +202,9 @@ std::optional<NodeId> MaintenanceEngine::find_replacement(
 
 void MaintenanceEngine::heartbeat_sweep(Trace* trace) {
   metrics::heartbeat_sweeps_total().inc();
-  sweep(trace, nullptr, 1);
+  index_live_nodes();
+  heartbeat_round(trace, nullptr, 1);
+  fill_rounds(trace, nullptr, 1);
 }
 
 std::optional<NodeId> MaintenanceEngine::first_corpse(
@@ -268,11 +270,11 @@ bool MaintenanceEngine::for_each_live(
   return any.load();
 }
 
-void MaintenanceEngine::sweep(Trace* trace, const NodeLockTable* locks,
-                              std::size_t workers) {
+void MaintenanceEngine::heartbeat_round(Trace* trace,
+                                        const NodeLockTable* locks,
+                                        std::size_t workers) {
   const unsigned digits = params_.id.num_digits;
   const unsigned radix = params_.id.radix();
-  index_live_nodes();
 
   // Pass 0: heartbeats pushed to corpses.  A live node pushes along every
   // backpointer, and a corpse's tombstone table still lists the nodes it
@@ -324,9 +326,15 @@ void MaintenanceEngine::sweep(Trace* trace, const NodeLockTable* locks,
       purge_dead_neighbor(n, *dead, t, locks);
     return false;
   });
+}
 
-  // Pass 2..k: purge-time replacement searches can miss while other tables
-  // are still dirty; retry emptied slots until nothing changes.  A search
+void MaintenanceEngine::fill_rounds(Trace* trace, const NodeLockTable* locks,
+                                    std::size_t workers) {
+  const unsigned digits = params_.id.num_digits;
+  const unsigned radix = params_.id.radix();
+  // Replacement searches run during a purge or a departure can miss while
+  // other tables are still dirty; retry emptied slots until nothing
+  // changes (the sweep's pass 2..k, a wave's whole epilogue).  A search
   // can only return a live id carrying the slot's prefix, so a slot no
   // indexed id fits (Property 1's empty slots, mostly) is skipped without
   // one.  The search mutates no table or store, so the pointer snapshot
@@ -431,6 +439,8 @@ MaintenanceEngine::live_in_slot(const NodeId& at, unsigned level,
 void MaintenanceEngine::run_wave(
     const std::vector<NodeId>& victims, std::size_t workers, Trace* trace,
     const std::function<void(const NodeId&, Trace*)>& repair) {
+  // The victims are already dead and the wave changes no other membership,
+  // so this index serves the repair and the epilogue's fill rounds alike.
   index_live_nodes();
   std::vector<Trace> traces(victims.size());
   parallel_for(
@@ -444,10 +454,10 @@ void MaintenanceEngine::run_wave(
 }
 
 void MaintenanceEngine::finish_wave(std::size_t workers, Trace* trace) {
-  // Quiesce Property 1 across the whole mesh, then close the one §4.2
-  // window threads open that serial execution cannot: records deposited on
-  // a holder after that holder's snapshot was taken.
-  sweep(trace, &reg_.node_locks(), workers);
+  // Refill what racing repairs left empty, then close the one §4.2 window
+  // threads open that serial execution cannot: records deposited on a
+  // holder after that holder's snapshot was taken.
+  fill_rounds(trace, &reg_.node_locks(), workers);
   dir_.repair_pointer_chains(trace);
 }
 
@@ -493,6 +503,8 @@ void MaintenanceEngine::heartbeat_sweep_bulk(std::size_t workers,
   check_wave_store(params_, workers, "heartbeat");
   WaveTimer timer;
   metrics::heartbeat_sweeps_total().inc();
+  index_live_nodes();
+  heartbeat_round(trace, &reg_.node_locks(), workers);
   finish_wave(workers, trace);
 }
 

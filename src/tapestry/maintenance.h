@@ -218,11 +218,20 @@ class MaintenanceEngine final : public RepairHandler {
   // snapshotted and re-pushed through the directory's pointer maintenance
   // given the stripe locks, never deferred to the §6.5 republish backstop.
   // Two racing reroutes can strand a record that lands on a holder after
-  // that holder's snapshot was taken (impossible serially).  Every wave
-  // therefore ends with one epilogue: a threaded heartbeat sweep restores
+  // that holder's snapshot was taken (impossible serially), and a racing
+  // replacement search can miss while another table is still dirty.  A
+  // leave or fail wave therefore ends with one epilogue: the sweep's fill
+  // rounds, threaded, refill the slots the repairs left empty and restore
   // Property 1, then the quiescent ObjectDirectory::repair_pointer_chains
-  // pass closes exactly that window, so objects are locatable the moment
-  // the wave returns.
+  // pass re-pushes the stranded records, so objects are locatable the
+  // moment the wave returns.  The epilogue sends no heartbeat.
+  //
+  // A leave or fail wave repairs only its victims, as the serial leave and
+  // lazy purge do: it notifies or purges exactly the nodes that link to a
+  // victim and never scans the mesh for other corpses.  A node that died
+  // by a plain fail() stays in its holders' tables until a heartbeat sweep
+  // (serial, timed or heartbeat_sweep_bulk) probes it, or a routing walk
+  // trips over it.
   //
   // Determinism contract (invariant-convergent, as for joins): victims are
   // validated and membership changes are applied serially before any
@@ -247,22 +256,26 @@ class MaintenanceEngine final : public RepairHandler {
   /// withdraw the victims' replicas while the mesh still routes through
   /// them, then mark every victim dead, so hint and holder lists never
   /// name a co-departing node.  Parallel phase: per-victim holder repair
-  /// with in-wave rerouting, then REMOVELINK.  Then the epilogue.
+  /// with in-wave rerouting, then REMOVELINK.  Then the epilogue (fill
+  /// rounds and chain repair; no heartbeat).
   void leave_bulk(const std::vector<NodeId>& victims, std::size_t workers = 0,
                   Trace* trace = nullptr);
   /// Fail-stop of every victim at once plus the repair a lazy system would
   /// perform over time: victims are marked dead serially, then every
   /// backpointer holder of each victim is purged in parallel (slot
   /// removal, complete replacement hunt, in-wave reroute), then the
-  /// epilogue.  Backpointer symmetry makes the holders exactly the nodes
-  /// lazy repair would eventually have discovered the corpse from.
+  /// epilogue (fill rounds and chain repair; no heartbeat).  Backpointer
+  /// symmetry makes the holders exactly the nodes lazy repair would
+  /// eventually have discovered the corpse from.  Corpses that are not
+  /// victims are left to the next heartbeat sweep.
   void fail_and_repair_bulk(const std::vector<NodeId>& victims,
                             std::size_t workers = 0, Trace* trace = nullptr);
   /// heartbeat_sweep fanned out across `workers` real threads (one task
-  /// per node), then the chain-repair pass of the epilogue.  Membership
-  /// must be quiescent; guarded store racers (publish batches, expiry
-  /// sweeps, peeked queries) are fine.  Counts one sweep, as
-  /// heartbeat_sweep does; the epilogues of the other waves count none.
+  /// per node): the heartbeat round, then the wave epilogue (fill rounds
+  /// and chain repair).  Membership must be quiescent; guarded store
+  /// racers (publish batches, expiry sweeps, peeked queries) are fine.
+  /// Counts one sweep, as heartbeat_sweep does.  It is the only wave that
+  /// heartbeats: leave and fail waves send no heartbeat and count no sweep.
   void heartbeat_sweep_bulk(std::size_t workers = 0, Trace* trace = nullptr);
 
   /// Runs heartbeat_sweep as a recurring EventQueue event every `every`
@@ -394,9 +407,16 @@ class MaintenanceEngine final : public RepairHandler {
   std::optional<NodeId> first_corpse(TapestryNode& n, unsigned& level,
                                      std::vector<std::uint64_t>& confirmed,
                                      Trace* trace, const NodeLockTable* locks);
-  /// The pushes to corpses, the heartbeat pass, then up to four fill
-  /// rounds over every live node.
-  void sweep(Trace* trace, const NodeLockTable* locks, std::size_t workers);
+  /// A sweep's heartbeat round: the pushes to corpses (pass 0), then every
+  /// live node hears from its live members and probes and purges the
+  /// silent ones (pass 1).  Reads live_index_ when given `locks`.
+  void heartbeat_round(Trace* trace, const NodeLockTable* locks,
+                       std::size_t workers);
+  /// Up to four rounds over every live node refilling empty slots a live
+  /// indexed id fits, until a round fills none: a sweep's pass 2..k and a
+  /// wave's epilogue.  Reads live_index_.
+  void fill_rounds(Trace* trace, const NodeLockTable* locks,
+                   std::size_t workers);
   /// Runs `body` on every live node; true if any call returned true.
   /// Serial: registry order, `trace` passed straight through.  Threaded:
   /// one task and one Trace per node, absorbed in node order.
@@ -415,7 +435,9 @@ class MaintenanceEngine final : public RepairHandler {
   void run_wave(const std::vector<NodeId>& victims, std::size_t workers,
                 Trace* trace,
                 const std::function<void(const NodeId&, Trace*)>& repair);
-  /// The epilogue: threaded sweep, then the quiescent chain repair.
+  /// The epilogue: threaded fill rounds, then the quiescent chain repair.
+  /// No heartbeat round: a wave's repairs already reached every node that
+  /// listed a victim, and other corpses wait for a sweep.
   void finish_wave(std::size_t workers, Trace* trace);
 
   Transport* transport_ = nullptr;

@@ -146,15 +146,19 @@ class Network {
   }
 
   /// Thread-parallel fail-stop plus eager §5.2 repair: victims stop at
-  /// once, holders purge in parallel, a threaded sweep restores Property 1
-  /// and objects stay locatable without a republish.
+  /// once, their holders purge them in parallel, threaded fill rounds
+  /// restore Property 1 and objects stay locatable without a republish.
+  /// Like leave_bulk it repairs only its victims and sends no heartbeat:
+  /// a node that died by a plain fail() waits for the next heartbeat
+  /// sweep.
   void fail_and_repair_bulk(const std::vector<NodeId>& victims,
                             std::size_t workers = 0, Trace* trace = nullptr) {
     maintenance_.fail_and_repair_bulk(victims, workers, trace);
   }
 
   /// heartbeat_sweep across `workers` real threads (membership must be
-  /// quiescent; guarded store racers are fine).
+  /// quiescent; guarded store racers are fine); the one wave that
+  /// heartbeats and purges corpses nobody announced.
   void heartbeat_sweep_bulk(std::size_t workers = 0, Trace* trace = nullptr) {
     maintenance_.heartbeat_sweep_bulk(workers, trace);
   }

@@ -184,7 +184,7 @@ void QuorumReplicator::mirror_remove(const TapestryNode& root,
         make_message(MessageKind::kReplicaRemove, root.id(), h, target);
     m.server = server;
     m = transport_->deliver(m);
-    reg_.acct(trace, root, *node, 2);
+    reg_.acct(trace, root, *node, 1);  // the removal; nobody acks it
     replicas_at(h).remove(target, m.server);
   }
 }

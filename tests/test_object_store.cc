@@ -29,6 +29,7 @@
 
 #include "src/common/rng.h"
 #include "src/metric/general.h"
+#include "src/sim/metrics.h"
 #include "src/tapestry/object_store.h"
 #include "src/tapestry/params.h"
 #include "src/tapestry/persistent_store.h"
@@ -877,6 +878,34 @@ TEST(QuorumReplication, PublishMirrorsToWOfKHolders) {
   net.unpublish(server, obj);
   for (const NodeId& h : *holders)
     EXPECT_FALSE(repl->replicas_at(h).find(salted, server).has_value());
+}
+
+/// An unpublish books on the Trace, and on tapestry_messages_total, exactly
+/// the messages the transport delivers: the withdrawal's hops plus one
+/// kReplicaRemove per holder, which nobody acknowledges.
+TEST(QuorumReplication, UnpublishBooksWhatItDelivers) {
+  const auto params = replicated_params();
+  auto g = test::static_ring_network(64, 12, params);
+  Network& net = *g.net;
+  ASSERT_EQ(params.replication.k, 3u);
+  const TransportStats& ts = net.transport().stats();
+  for (std::size_t i = 0; i < 8; ++i) {
+    const Guid obj = test::make_guid(net, 40 + i);
+    const NodeId server = g.ids[3 + 5 * i];
+    net.publish(server, obj);
+
+    const std::uint64_t removes0 = ts.kind_count(MessageKind::kReplicaRemove);
+    const std::uint64_t delivered0 = ts.messages.load();
+    const std::uint64_t counted0 = metrics::messages_total().value();
+    Trace trace;
+    net.unpublish(server, obj, &trace);
+    const std::uint64_t delivered = ts.messages.load() - delivered0;
+    EXPECT_GT(ts.kind_count(MessageKind::kReplicaRemove) - removes0, 0u)
+        << "the withdrawal must reach the root's holders";
+    EXPECT_EQ(trace.messages(), delivered) << "object " << i;
+    EXPECT_EQ(metrics::messages_total().value() - counted0, delivered)
+        << "object " << i;
+  }
 }
 
 /// An R-of-N quorum read merges the freshest copy per server and pushes it

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -81,6 +82,13 @@ std::uint64_t membership_fingerprint(const Network& net) {
   std::sort(sorted.begin(), sorted.end());
   for (const std::uint64_t v : sorted) fp.mix(v);
   return fp.value();
+}
+
+/// True if `n`'s table lists `x` in any slot x could occupy.
+bool lists(const TapestryNode& n, const NodeId& x) {
+  for (unsigned l = 0; l <= n.id().common_prefix_len(x); ++l)
+    if (n.table().at(l, x.digit(l)).contains(x)) return true;
+  return false;
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted_published(
@@ -427,6 +435,83 @@ TEST(ThreadedRepair, HealthySweepBulkAgreesWithSerial) {
     net->check_backpointer_symmetry();
   }
   EXPECT_EQ(fingerprint_tables(*serial.net), fingerprint_tables(*threaded.net));
+}
+
+TEST(ThreadedRepair, RepairWavesSendNoHeartbeats) {
+  // A leave or fail wave reaches exactly its victims' holders and ends
+  // with the fill rounds and the chain pass: no heartbeat push, no probe,
+  // no sweep counted, at any worker count.  Nor does it leave a sweep any
+  // work: a serial heartbeat_sweep right after it finds no corpse listed
+  // and changes no table.
+  for (const std::string wave : {"fail", "leave"}) {
+    for (const std::size_t workers : {1u, 4u}) {
+      SCOPED_TRACE(wave + " workers=" + std::to_string(workers));
+      auto g = static_ring_network(128, 419, sharded_params());
+      const auto victims = pick_victims(g.net->node_ids(), 20, 6);
+      const TransportStats& ts = g.net->transport().stats();
+      auto pushes = [&] { return ts.kind_count(MessageKind::kHeartbeatAck); };
+      auto probes = [&] {
+        return ts.kind_count(MessageKind::kHeartbeatProbe);
+      };
+      const std::uint64_t pushes0 = pushes();
+      const std::uint64_t probes0 = probes();
+      const std::uint64_t sweeps0 = metrics::heartbeat_sweeps_total().value();
+      if (wave == "fail")
+        g.net->fail_and_repair_bulk(victims, workers);
+      else
+        g.net->leave_bulk(victims, workers);
+      EXPECT_EQ(pushes() - pushes0, 0u);
+      EXPECT_EQ(probes() - probes0, 0u);
+      EXPECT_EQ(metrics::heartbeat_sweeps_total().value(), sweeps0);
+      g.net->check_property1();
+      g.net->check_backpointer_symmetry();
+
+      const std::uint64_t tables = fingerprint_tables(*g.net);
+      g.net->heartbeat_sweep();
+      EXPECT_EQ(probes() - probes0, 0u) << "the wave left a victim listed";
+      EXPECT_EQ(fingerprint_tables(*g.net), tables)
+          << "the wave left a slot for the sweep to fill";
+    }
+  }
+}
+
+TEST(ThreadedRepair, WaveLeavesUnannouncedCorpsesToTheSweep) {
+  // A wave repairs only its victims.  A node that died by a plain fail()
+  // stays in its live holders' tables through a fail wave of others; the
+  // next sweep probes it once from each live node listing it, purges it,
+  // and restores Property 1 and symmetry.
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    auto g = static_ring_network(128, 420, sharded_params());
+    const auto ids = g.net->node_ids();
+    const auto victims = pick_victims(ids, 20, 6);  // ids 1, 7, 13, ...
+    const NodeId x = ids[2];
+    g.net->fail(x);
+    g.net->fail_and_repair_bulk(victims, workers);
+
+    const NodeRegistry& reg = g.net->registry();
+    std::set<std::uint64_t> holders;
+    for (const NodeId& h : reg.checked(x).table().all_backpointers())
+      if (reg.is_live(h)) holders.insert(h.value());
+    std::set<std::uint64_t> listers;
+    for (const auto& n : reg.nodes())
+      if (n->alive && lists(*n, x)) listers.insert(n->id().value());
+    EXPECT_FALSE(listers.empty());
+    EXPECT_EQ(listers, holders) << "x's live holders must still list x";
+
+    const TransportStats& ts = g.net->transport().stats();
+    const std::uint64_t probes0 = ts.kind_count(MessageKind::kHeartbeatProbe);
+    g.net->heartbeat_sweep_bulk(workers);
+    EXPECT_EQ(ts.kind_count(MessageKind::kHeartbeatProbe) - probes0,
+              listers.size());
+    for (const auto& n : reg.nodes()) {
+      if (n->alive) {
+        EXPECT_FALSE(lists(*n, x));
+      }
+    }
+    g.net->check_property1();
+    g.net->check_backpointer_symmetry();
+  }
 }
 
 }  // namespace
