@@ -314,14 +314,18 @@ void BM_IdCommonPrefix(benchmark::State& state) {
 BENCHMARK(BM_IdCommonPrefix);
 
 void BM_NeighborSetConsider(benchmark::State& state) {
+  // Offers to one slot, (0, 0), of an R = 3 table whose owner sits in
+  // slot (0, 15): the packed array's consider path at a full slot.
   const IdSpec spec{4, 10};
   Rng rng(3);
-  NeighborSet set(3);
+  RoutingTable table(spec, Id::random(spec, rng).with_digit(0, 15), 3);
   std::vector<NodeId> ids;
-  for (int i = 0; i < 1024; ++i) ids.push_back(Id::random(spec, rng));
+  for (int i = 0; i < 1024; ++i)
+    ids.push_back(Id::random(spec, rng).with_digit(0, 0));
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(set.consider(ids[i % 1024], rng.next_double()));
+    benchmark::DoNotOptimize(
+        table.consider(0, 0, ids[i % 1024], rng.next_double()));
     ++i;
   }
 }

@@ -23,6 +23,9 @@
 //                                 extra, untimed serial table build, exact
 //                                 (the static builder's work, independent
 //                                 of the runner)
+//   table_bytes_per_node          mean RoutingTable::heap_bytes of the
+//                                 serial build's nodes, exact (the routing
+//                                 layer's memory per node)
 //   build_speedup                 wall-clock serial/parallel ratio; a
 //                                 floor gate — it depends on the runner's
 //                                 core count (1.0 on a single-core box)
@@ -65,6 +68,7 @@ struct BuildResult {
   std::uint64_t tables_fp = 0;
   std::uint64_t stores_fp = 0;
   std::size_t entries = 0;
+  double table_bytes = 0.0;
   std::unique_ptr<Network> net;  // the built overlay, for further probing
 };
 
@@ -81,6 +85,7 @@ BuildResult build_once(const MetricSpace& space, const TapestryParams& params,
   net.insert_static_bulk(locs, workers);
   net.rebuild_static_tables(workers);
   r.build_ms = wall_ms(t0);
+  r.table_bytes = table_bytes_per_node(net);
 
   Rng wl(seed ^ 0xb47c);
   const auto ids = net.node_ids();
@@ -168,13 +173,13 @@ int main(int argc, char** argv) {
         "{\"bench\":\"bench_parallel_build\",\"metrics\":{"
         "\"tables_match\":%d,\"stores_match\":%d,"
         "\"total_table_entries\":%zu,\"locate_found\":%.4f,"
-        "\"distance_evals\":%llu,"
+        "\"distance_evals\":%llu,\"table_bytes_per_node\":%.2f,"
         "\"build_speedup\":%.3f,\"publish_speedup\":%.3f,"
         "\"build_ms_serial\":%.1f,\"build_ms_parallel\":%.1f,"
         "\"threads\":%zu,\"hardware_threads\":%zu}}\n",
         tables_match ? 1 : 0, stores_match ? 1 : 0, serial.entries,
         locate_found, static_cast<unsigned long long>(distance_evals),
-        build_speedup, publish_speedup, serial.build_ms,
+        serial.table_bytes, build_speedup, publish_speedup, serial.build_ms,
         parallel.build_ms, threads, default_worker_count());
     return tables_match && stores_match ? 0 : 1;
   }
@@ -193,12 +198,13 @@ int main(int argc, char** argv) {
   table.print();
   std::printf(
       "\nbuild speedup %.2fx, publish speedup %.2fx at %zu workers "
-      "(%zu hardware threads); %zu table entries; locate success %.1f%%;\n"
+      "(%zu hardware threads); %zu table entries (%.0f table bytes per "
+      "node);\nlocate success %.1f%%; "
       "%llu distance evaluations per serial table build\n"
       "reading guide: speedup tracks min(workers, cores); the fingerprints\n"
       "must match for every thread count — the determinism contract.\n",
       build_speedup, publish_speedup, threads, default_worker_count(),
-      serial.entries, 100.0 * locate_found,
+      serial.entries, serial.table_bytes, 100.0 * locate_found,
       static_cast<unsigned long long>(distance_evals));
   return tables_match && stores_match ? 0 : 1;
 }

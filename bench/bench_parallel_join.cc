@@ -20,6 +20,12 @@
 //   surrogate_agreement / occupancy_match   convergence contract, exact
 //   race_locate_found                       availability after the racing
 //                                           publish + republish, exact
+//   table_bytes_per_node                    mean RoutingTable::heap_bytes
+//                                           after the serial (1-worker,
+//                                           deterministic) wave, exact:
+//                                           a table that doubles its
+//                                           arrays on the first link past
+//                                           the build shows here
 //   join_speedup                            wall-clock serial/parallel
 //                                           ratio; floor gate — tracks the
 //                                           runner's core count (~1.0 on a
@@ -50,6 +56,7 @@ struct WaveResult {
   std::uint64_t membership_fp = 0;
   std::uint64_t occupancy_fp = 0;
   std::size_t messages = 0;
+  double table_bytes = 0.0;
   std::unique_ptr<Network> net;
 };
 
@@ -76,6 +83,7 @@ WaveResult run_wave(const MetricSpace& space, const TapestryParams& params,
       net.join_bulk(wave_requests(core, wave), workers, &trace);
   r.wave_ms = wall_ms(t0);
   r.messages = trace.messages();
+  r.table_bytes = table_bytes_per_node(net);
 
   detail::Fnv1a members;
   std::vector<std::uint64_t> sorted;
@@ -207,12 +215,13 @@ int main(int argc, char** argv) {
         "\"property1_ok\":%d,\"no_pins_left\":%d,"
         "\"surrogate_agreement\":%d,\"membership_match\":%d,"
         "\"occupancy_match\":%d,\"race_locate_found\":%.4f,"
+        "\"table_bytes_per_node\":%.2f,"
         "\"join_speedup\":%.3f,\"wave_ms_serial\":%.1f,"
         "\"wave_ms_parallel\":%.1f,\"msgs_per_join_parallel\":%.1f,"
         "\"threads\":%zu,\"hardware_threads\":%zu}}\n",
         property1_ok ? 1 : 0, no_pins ? 1 : 0, surrogates ? 1 : 0,
         membership_match ? 1 : 0, occupancy_match ? 1 : 0, race_found,
-        speedup, serial.wave_ms, parallel.wave_ms,
+        serial.table_bytes, speedup, serial.wave_ms, parallel.wave_ms,
         wave == 0 ? 0.0 : double(parallel.messages) / double(wave), threads,
         default_worker_count());
     return contract_ok && race_found == 1.0 ? 0 : 1;
@@ -237,13 +246,15 @@ int main(int argc, char** argv) {
   std::printf(
       "\n%zu joins on a %zu-node core: speedup %.2fx at %zu workers (%zu "
       "hardware threads)\nmembership %s, occupancy pattern %s across worker "
-      "counts; racing sharded publish +\nrepublish locates %.1f%%\n"
+      "counts; racing sharded publish +\nrepublish locates %.1f%%; "
+      "%.0f table bytes per node after the serial wave\n"
       "reading guide: tables need not be bit-identical across worker counts "
       "—\nthe §4.4 contract is invariant convergence (membership, Property 1 "
       "occupancy,\nno pins, unique roots), which must hold at every thread "
       "count.\n",
       wave, core, speedup, threads, default_worker_count(),
       membership_match ? "identical" : "MISMATCH!",
-      occupancy_match ? "identical" : "MISMATCH!", 100.0 * race_found);
+      occupancy_match ? "identical" : "MISMATCH!", 100.0 * race_found,
+      serial.table_bytes);
   return contract_ok && race_found == 1.0 ? 0 : 1;
 }

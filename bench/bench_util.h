@@ -107,6 +107,20 @@ inline std::unique_ptr<Network> build_static(const MetricSpace& space,
   return net;
 }
 
+/// Mean RoutingTable::heap_bytes over the live nodes: what the routing
+/// layer costs per node (members, slot offsets, pins, occupancy masks and
+/// backpointers).  Deterministic for a deterministic build.
+inline double table_bytes_per_node(const Network& net) {
+  std::size_t bytes = 0;
+  std::size_t live = 0;
+  for (const auto& n : net.registry().nodes()) {
+    if (!n->alive) continue;
+    bytes += n->table().heap_bytes();
+    ++live;
+  }
+  return live == 0 ? 0.0 : double(bytes) / double(live);
+}
+
 inline Guid bench_guid(const Network& net, std::uint64_t raw) {
   const IdSpec spec = net.params().id;
   return Guid(spec, splitmix64(raw ^ 0xbe9c4) & spec.mask());

@@ -42,9 +42,11 @@ class Fnv1a {
     const RoutingTable& t = n->table();
     for (unsigned l = 0; l < t.levels(); ++l) {
       h.mix(t.row_mask(l));
-      for (unsigned j = 0; j < t.radix(); ++j)
-        for (const auto& e : t.at(l, j).entries())
-          h.mix(e.id.value() * 2 + (e.pinned ? 1 : 0));
+      for (unsigned j = 0; j < t.radix(); ++j) {
+        const NeighborSet slot = t.at(l, j);
+        for (const auto& e : slot.entries())
+          h.mix(e.id.value() * 2 + (slot.pinned(e.id) ? 1 : 0));
+      }
       for (const NodeId& b : t.backpointers(l)) h.mix(b.value());
     }
   }

@@ -122,7 +122,8 @@ std::vector<MulticastChild> multicast_children(const NodeRegistry& reg,
     bool row_has_other = false;
     for (unsigned j = 0; j < radix; ++j) {
       bool unpinned_taken = false;
-      for (const auto& e : at.table().at(l, j).entries()) {
+      const NeighborSet slot = at.table().at(l, j);
+      for (const auto& e : slot.entries()) {
         if (e.id == s.nn) continue;
         if (e.id == at_id) {
           unpinned_taken = true;  // the self-message collapses into here
@@ -131,7 +132,7 @@ std::vector<MulticastChild> multicast_children(const NodeRegistry& reg,
         const TapestryNode* m = reg.find(e.id);
         if (m == nullptr || !m->alive) continue;
         row_has_other = true;
-        if (e.pinned) {
+        if (slot.pinned(e.id)) {
           children.push_back({e.id, l + 1});
         } else if (!unpinned_taken) {
           unpinned_taken = true;

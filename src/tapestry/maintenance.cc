@@ -32,7 +32,7 @@ bool link(NodeRegistry& reg, TapestryNode& owner, unsigned level,
   TAP_ASSERT_MSG(owner.id().matches_prefix(nbr.id(), level),
                  "neighbor does not share the slot's prefix");
   const unsigned digit = nbr.id().digit(level);
-  NeighborSet::ConsiderResult res;
+  RoutingTable::ConsiderResult res;
   {
     NodeLockTable::Guard g(locks, owner.id(), nbr.id());
     res = owner.table().consider(level, digit, nbr.id(),
@@ -534,8 +534,9 @@ void MaintenanceEngine::optimize_primaries(NodeId id, Trace* trace) {
   for (unsigned l = 0; l < digits; ++l) {
     for (unsigned j = 0; j < params_.id.radix(); ++j) {
       // Re-measure every member and re-rank; consider() re-sorts in place.
-      auto members = n.table().at(l, j).entries();  // copy: we mutate below
-      for (const auto& e : members) {
+      const auto slot = n.table().at(l, j).entries();
+      const std::vector<NeighborEntry> members(slot.begin(), slot.end());
+      for (const auto& e : members) {  // a copy: the loop mutates the table
         if (e.id == n.id()) continue;
         const TapestryNode* other = reg_.find(e.id);
         if (other == nullptr || !other->alive) {

@@ -64,7 +64,7 @@ MulticastStats Router::multicast(NodeId start, const Id& pattern,
     double completion = 0.0;
     for (unsigned j = 0; j < radix; ++j) {
       // One recipient per extension digit: the closest live member.
-      const NeighborSet& set = cur.table().at(l, j);
+      const NeighborSet set = cur.table().at(l, j);
       const TapestryNode* child = nullptr;
       for (const auto& e : set.entries()) {
         if (excluded(e.id)) continue;

@@ -1,51 +1,78 @@
-// NeighborSet: one (β, j) entry of a Tapestry routing table (paper §2.1).
+// NeighborSet: a read-only view of one (β, j) entry of a Tapestry routing
+// table (paper §2.1).
 //
-// Holds up to R = `capacity` neighbors whose node-IDs share the prefix β·j,
-// ordered by network distance; the closest is the *primary* neighbor, the
-// rest are *secondary* (backup) neighbors.  Of all candidate nodes, the set
-// keeps the closest — Property 2 (locality).  If the set holds fewer than R
-// members it must hold *all* (β, j) nodes — Property 1 (consistency); that
-// global property is maintained by the Network algorithms, not by this
-// container.
+// The set holds up to R = `capacity` neighbors whose node-IDs share the
+// prefix β·j, ordered by network distance; the closest is the *primary*
+// neighbor, the rest are *secondary* (backup) neighbors.  Of all candidate
+// nodes, the set keeps the closest — Property 2 (locality).  If the set
+// holds fewer than R members it must hold *all* (β, j) nodes — Property 1
+// (consistency); that global property is maintained by the Network
+// algorithms, not by the table.
 //
 // Pinned members (paper §4.4) are concurrently-inserting nodes whose
 // multicasts have not yet been acknowledged.  A pinned member is never
 // evicted and does not count against capacity: "X must keep at least one
 // unpinned pointer and all pinned pointers."
+//
+// Layout: a set owns no storage.  RoutingTable keeps every slot's members
+// in one packed array, and RoutingTable::at(level, digit) hands out this
+// view of one slot's run of it: a pointer range over the members, sorted
+// by (distance, id), plus the table's short list of (slot, id) pins.  A
+// view, and every pointer taken from it, is invalidated by any mutation of
+// its table — of any slot, not only its own — because an insert or erase
+// shifts, and may reallocate, the whole array.  The consider / remove /
+// pin / unpin rules live in RoutingTable, the only writer.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "src/common/assert.h"
 #include "src/tapestry/id.h"
 
 namespace tap {
 
+class RoutingTable;
+
+/// One member of a slot: 24 bytes, the id and its measured distance.
 struct NeighborEntry {
   NodeId id{};
   double dist = 0.0;
-  bool pinned = false;
+};
+
+/// A §4.4 pin: member `id` of table slot `slot` (level * radix + digit).
+struct SlotPin {
+  std::uint32_t slot = 0;
+  NodeId id{};
 };
 
 class NeighborSet {
  public:
-  explicit NeighborSet(unsigned capacity = 0) : capacity_(capacity) {}
+  /// Contiguous, read-only range over a slot's members, primary first.
+  class Entries {
+   public:
+    Entries(const NeighborEntry* b, const NeighborEntry* e) noexcept
+        : b_(b), e_(e) {}
+    [[nodiscard]] const NeighborEntry* begin() const noexcept { return b_; }
+    [[nodiscard]] const NeighborEntry* end() const noexcept { return e_; }
+    [[nodiscard]] std::size_t size() const noexcept {
+      return static_cast<std::size_t>(e_ - b_);
+    }
+    [[nodiscard]] bool empty() const noexcept { return b_ == e_; }
+    [[nodiscard]] const NeighborEntry& operator[](std::size_t i) const {
+      return b_[i];
+    }
+    [[nodiscard]] const NeighborEntry& front() const { return *b_; }
+    [[nodiscard]] const NeighborEntry& back() const { return e_[-1]; }
 
-  struct ConsiderResult {
-    bool inserted = false;             ///< candidate is now a member
-    std::optional<NodeId> evicted{};   ///< member displaced to make room
+   private:
+    const NeighborEntry* b_;
+    const NeighborEntry* e_;
   };
 
-  /// Offers a candidate.  Inserts it when the set has room or the candidate
-  /// is closer than the farthest unpinned member (which is then evicted).
-  /// Updating an existing member's distance is allowed (relocation, §6.4).
-  ConsiderResult consider(NodeId id, double dist);
-
-  /// Removes a member.  Returns true when it was present.
-  bool remove(const NodeId& id);
-
-  [[nodiscard]] bool contains(const NodeId& id) const;
+  /// Members ordered by (distance, id) (primary first).
+  [[nodiscard]] Entries entries() const noexcept { return entries_; }
 
   /// Closest member (the primary neighbor), if any.
   [[nodiscard]] std::optional<NodeId> primary() const {
@@ -53,32 +80,49 @@ class NeighborSet {
     return entries_.front().id;
   }
 
-  /// Members ordered by distance (primary first).
-  [[nodiscard]] const std::vector<NeighborEntry>& entries() const noexcept {
-    return entries_;
-  }
-
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
   [[nodiscard]] unsigned capacity() const noexcept { return capacity_; }
 
-  /// Marks a member pinned, inserting it first if absent (never evicts
-  /// anyone to do so — pinned members live outside the capacity budget).
-  void pin(NodeId id, double dist);
+  [[nodiscard]] bool contains(const NodeId& id) const {
+    for (const auto& e : entries_)
+      if (e.id == id) return true;
+    return false;
+  }
 
-  /// Clears the pinned mark.  If the set is now over capacity the farthest
-  /// unpinned members are evicted; evicted ids are appended to `evicted`.
-  void unpin(const NodeId& id, std::vector<NodeId>& evicted);
+  /// True when member `id` of this slot is pinned.
+  [[nodiscard]] bool pinned(const NodeId& id) const {
+    for (const SlotPin& p : *pins_)
+      if (p.slot == slot_ && p.id == id) return true;
+    return false;
+  }
 
-  [[nodiscard]] std::vector<NodeId> pinned_members() const;
-  [[nodiscard]] std::size_t unpinned_count() const;
+  /// Pinned members, in distance order.
+  [[nodiscard]] std::vector<NodeId> pinned_members() const {
+    std::vector<NodeId> out;
+    if (pins_->empty()) return out;
+    for (const auto& e : entries_)
+      if (pinned(e.id)) out.push_back(e.id);
+    return out;
+  }
+
+  [[nodiscard]] std::size_t unpinned_count() const {
+    std::size_t n = entries_.size();
+    for (const SlotPin& p : *pins_)
+      if (p.slot == slot_) --n;
+    return n;
+  }
 
  private:
-  void insert_sorted(NeighborEntry e);
-  void enforce_capacity(std::vector<NodeId>& evicted);
+  friend class RoutingTable;  // the only maker of views
+  NeighborSet(Entries entries, unsigned capacity, std::uint32_t slot,
+              const std::vector<SlotPin>& pins) noexcept
+      : entries_(entries), capacity_(capacity), slot_(slot), pins_(&pins) {}
 
+  Entries entries_;
   unsigned capacity_;
-  std::vector<NeighborEntry> entries_;  // sorted by (dist, id)
+  std::uint32_t slot_;
+  const std::vector<SlotPin>* pins_;
 };
 
 }  // namespace tap

@@ -186,7 +186,8 @@ double ObjectDirectory::publish_step(PublishOp& op) {
   if (params_.prr_secondary_search && op.state.level >= 1) {
     const unsigned slot_level = op.state.level - 1;
     const unsigned digit = next->digit(slot_level);
-    const auto members = cur->table().at(slot_level, digit).entries();
+    const auto slot = cur->table().at(slot_level, digit).entries();
+    const std::vector<NeighborEntry> members(slot.begin(), slot.end());
     for (const auto& member : members) {
       if (member.id == *next || member.id == cur->id()) continue;
       TapestryNode* m = reg_.find(member.id);
@@ -387,7 +388,8 @@ void ObjectDirectory::unpublish_one(TapestryNode& server, const Guid& salted,
       // Withdraw the secondary-deposited copies symmetrically.
       const unsigned slot_level = state.level - 1;
       const unsigned digit = next->digit(slot_level);
-      const auto members = cur->table().at(slot_level, digit).entries();
+      const auto slot = cur->table().at(slot_level, digit).entries();
+      const std::vector<NeighborEntry> members(slot.begin(), slot.end());
       for (const auto& member : members) {
         if (member.id == *next || member.id == cur->id()) continue;
         if (TapestryNode* m = reg_.find(member.id); m != nullptr) {
@@ -617,7 +619,8 @@ double ObjectDirectory::locate_step(LocateOp& op) {
                                           : level_before;
           const unsigned digit = next->digit(slot_level);
           // Copy: probing may prune dead members.
-          const auto members = cur.table().at(slot_level, digit).entries();
+          const auto slot = cur.table().at(slot_level, digit).entries();
+          const std::vector<NeighborEntry> members(slot.begin(), slot.end());
           for (const auto& member : members) {
             if (member.id == *next || member.id == cur.id()) continue;
             TapestryNode* m = reg_.find(member.id);

@@ -94,13 +94,13 @@ std::optional<std::vector<NodeId>> QuorumReplicator::nearest_in_table(
       // Own-digit members share another digit with the root, so they also
       // sit in a deeper row.
       if (j == own) continue;
-      const NeighborSet& slot = table.at(l, j);
+      const NeighborSet slot = table.at(l, j);
       const bool full = slot.size() >= slot.capacity();
       bool corpse = false;
       Candidate farthest{-1.0, NodeId{}};
       for (const NeighborEntry& e : slot.entries()) {
         // A pin sits outside the capacity, so the slot bounds nothing.
-        if (e.pinned) return std::nullopt;
+        if (slot.pinned(e.id)) return std::nullopt;
         const TapestryNode* n = reg_.find(e.id);
         TAP_ASSERT(n != nullptr);
         corpse = corpse || !n->alive;

@@ -57,7 +57,8 @@ class Router {
   /// and, with `live_only`, is alive.  Returns the chosen digit, or nullopt
   /// if no slot of the row is filled; `member` (if given) receives the
   /// slot's first such member — its usable primary, a pointer into the
-  /// slot that a table mutation invalidates.  Driven by the row's
+  /// table's packed member array that any mutation of that table (of any
+  /// slot, not only this one) invalidates.  Driven by the row's
   /// occupancy bitmask: empty slots are skipped with O(1) bit scans, and
   /// each occupied slot considered has its members read once, only when a
   /// filter or `member` asks for them.

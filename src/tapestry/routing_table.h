@@ -11,6 +11,26 @@
 // surrogate-routing stop rule ("current node is the only node left at and
 // above this level") then falls out of plain next-filled-slot traversal.
 //
+// Layout: one packed member array per table.  `members_` holds every
+// slot's members back to back in (level, digit) order, each slot's run
+// sorted by (distance, id); slot s = level * radix + digit owns
+// members_[start_[s], start_[s + 1]), with levels * radix + 1 uint16_t
+// offsets.  Most of a table's levels * radix slots are empty (rows past
+// log_radix n hold only the owner), so an empty slot costs two bytes, not
+// a container header.  Inserting or erasing a member shifts the array's
+// tail and bumps the later offsets; replacing a member of a full slot, or
+// re-ranking one whose distance changed, re-sorts that slot's run in
+// place.  Pins (§4.4) are not part of a member: the table keeps a short
+// list of (slot, id) pairs, empty outside insertions.  at(level, digit)
+// returns a NeighborSet view of one run, so any table mutation
+// invalidates every view and member pointer taken from that table.
+//
+// Growth: the member array and each level's backpointer vector grow by a
+// fixed step of kGrowStep elements, not by doubling — a table one link
+// past a build would otherwise double ~130 entries.  The static builder
+// reserves each table's exact member count up front, and sizes each
+// backpointer level as fixed-step growth would have.
+//
 // For each forward link A -> B, node B keeps a backpointer (level, A);
 // the Network layer keeps the two sides coherent.  Each level's
 // backpointers live in one sorted, duplicate-free vector: 16 bytes per
@@ -21,14 +41,15 @@
 // Occupancy bitmasks: each row carries a bitmask with bit j set iff slot
 // (l, j) is non-empty, so the routing hot path (Router::select_slot /
 // route_step) skips empty slots with O(1) bit scans instead of probing
-// every NeighborSet.  To keep the masks trustworthy, *all* slot mutations
-// funnel through the RoutingTable wrappers below (consider / remove / pin /
-// unpin); the non-const per-slot accessor was removed so no caller can
-// desynchronise a mask.  IdSpec caps the radix at 64, so each row's mask
+// every slot.  To keep the masks and offsets trustworthy, *all* slot
+// mutations funnel through the RoutingTable methods below (consider /
+// remove / pin / unpin).  IdSpec caps the radix at 64, so each row's mask
 // is one word.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/common/assert.h"
@@ -72,16 +93,20 @@ inline constexpr unsigned kNone = ~0u;
 
 class RoutingTable {
  public:
+  /// Elements the member array and a backpointer vector grow by when full.
+  static constexpr std::size_t kGrowStep = 4;
+
   RoutingTable(IdSpec spec, NodeId self, unsigned redundancy);
 
   [[nodiscard]] unsigned levels() const noexcept { return levels_; }
   [[nodiscard]] unsigned radix() const noexcept { return radix_; }
   [[nodiscard]] const NodeId& self() const noexcept { return self_; }
 
-  /// Read-only slot access.  Slot *mutations* go through the wrappers
-  /// below so the occupancy masks stay in sync.
-  [[nodiscard]] const NeighborSet& at(unsigned level, unsigned digit) const {
-    return slots_[index(level, digit)];
+  /// Read-only view of slot (level, digit), valid until the next mutation
+  /// of this table.  Slot *mutations* go through the methods below so the
+  /// offsets and occupancy masks stay in sync.
+  [[nodiscard]] NeighborSet at(unsigned level, unsigned digit) const {
+    return slot(index(level, digit));
   }
 
   // --- occupancy masks ---
@@ -97,14 +122,26 @@ class RoutingTable {
   }
 
   // --- slot mutations (the only write path; masks kept in sync) ---
-  /// Offers a candidate to slot (level, digit); see NeighborSet::consider.
-  NeighborSet::ConsiderResult consider(unsigned level, unsigned digit,
-                                       NodeId id, double dist);
-  /// Removes a member from slot (level, digit); true when it was present.
+  struct ConsiderResult {
+    bool inserted = false;            ///< candidate is now a member
+    std::optional<NodeId> evicted{};  ///< member displaced to make room
+  };
+  /// Offers a candidate to slot (level, digit).  Inserts it when the slot
+  /// holds fewer than R unpinned members, or when it is closer under
+  /// (distance, id) than the farthest unpinned member, which is then
+  /// evicted (ties keep the incumbent).  Re-offering a member updates its
+  /// distance and re-ranks it (relocation, §6.4).
+  ConsiderResult consider(unsigned level, unsigned digit, NodeId id,
+                          double dist);
+  /// Removes a member (and its pin) from slot (level, digit); true when
+  /// it was present.
   bool remove(unsigned level, unsigned digit, const NodeId& id);
-  /// Pins a member into slot (level, digit) (§4.4 simultaneous insertion).
+  /// Pins a member into slot (level, digit) (§4.4 simultaneous insertion),
+  /// inserting it first if absent; a pin never evicts anyone and sits
+  /// outside the capacity budget.
   void pin(unsigned level, unsigned digit, NodeId id, double dist);
-  /// Clears a pin; over-capacity evictions are appended to `evicted`.
+  /// Clears a pin.  If the slot is now over capacity its farthest unpinned
+  /// members are evicted and appended to `evicted`.
   void unpin(unsigned level, unsigned digit, const NodeId& id,
              std::vector<NodeId>& evicted);
 
@@ -130,6 +167,21 @@ class RoutingTable {
   /// reported in Table 1 comparisons.
   [[nodiscard]] std::size_t total_entries() const;
 
+  /// Members held across all slots, owner-self entries included, and the
+  /// member array's capacity.
+  [[nodiscard]] std::size_t member_count() const noexcept {
+    return members_.size();
+  }
+  [[nodiscard]] std::size_t member_capacity() const noexcept {
+    return members_.capacity();
+  }
+  /// Reserves room for exactly `n` members (the static builder's count).
+  void reserve_members(std::size_t n) { members_.reserve(n); }
+
+  /// Heap bytes this table holds: each of its containers' capacity times
+  /// its element size.
+  [[nodiscard]] std::size_t heap_bytes() const noexcept;
+
   // --- backpointers ---
   /// Idempotent: adding a present holder is a no-op.
   void add_backpointer(unsigned level, NodeId who);
@@ -141,16 +193,44 @@ class RoutingTable {
   [[nodiscard]] const std::vector<NodeId>& backpointers(unsigned level) const;
   /// Unique nodes holding any backpointer to the owner, ascending by id.
   [[nodiscard]] std::vector<NodeId> all_backpointers() const;
+  /// The static builder's bulk path: append_backpointer adds a holder with
+  /// no order or duplicate check, and settle_backpointers then sorts and
+  /// dedupes every level and sizes it to the next multiple of kGrowStep,
+  /// as fixed-step growth would have.  In between, the backpointers are
+  /// not sorted.
+  void append_backpointer(unsigned level, NodeId who) {
+    TAP_ASSERT(level < levels_);
+    backptrs_[level].push_back(who);
+  }
+  void settle_backpointers();
 
  private:
   [[nodiscard]] std::size_t index(unsigned level, unsigned digit) const {
     TAP_ASSERT(level < levels_ && digit < radix_);
     return static_cast<std::size_t>(level) * radix_ + digit;
   }
+  [[nodiscard]] NeighborSet slot(std::size_t s) const {
+    const NeighborEntry* base = members_.data();
+    return NeighborSet({base + start_[s], base + start_[s + 1]}, capacity_,
+                       static_cast<std::uint32_t>(s), pins_);
+  }
+  /// Position of `id` in slot `s`'s run, or members_.size() when absent.
+  [[nodiscard]] std::size_t find(std::size_t s, const NodeId& id) const;
+  /// Clears pin (s, id) if set.
+  void drop_pin(std::size_t s, const NodeId& id);
+  /// Inserts `e` into slot `s` in (distance, id) order.
+  void insert_sorted(std::size_t s, const NeighborEntry& e);
+  /// Erases members_[pos], which lies in slot `s`.
+  void erase_at(std::size_t s, std::size_t pos);
+  /// Restores (distance, id) order in slot `s` after members_[pos] changed.
+  void resort(std::size_t s, std::size_t pos);
+  /// Position of slot `s`'s farthest unpinned member (the slot has one).
+  [[nodiscard]] std::size_t farthest_unpinned(std::size_t s) const;
   /// Re-derives the mask bit of one slot from its contents.
   void sync_bit(unsigned level, unsigned digit) {
+    const std::size_t s = index(level, digit);
     const std::uint64_t bit = std::uint64_t{1} << digit;
-    if (slots_[index(level, digit)].empty())
+    if (start_[s] == start_[s + 1])
       occupancy_[level] &= ~bit;
     else
       occupancy_[level] |= bit;
@@ -159,7 +239,10 @@ class RoutingTable {
   NodeId self_;
   unsigned levels_;
   unsigned radix_;
-  std::vector<NeighborSet> slots_;
+  unsigned capacity_;                          // R, per slot, pins aside
+  std::vector<NeighborEntry> members_;         // every slot, (level, digit)
+  std::vector<std::uint16_t> start_;           // levels * radix + 1 offsets
+  std::vector<SlotPin> pins_;                  // §4.4 pins; empty otherwise
   std::vector<std::uint64_t> occupancy_;       // one mask word per level
   std::vector<std::vector<NodeId>> backptrs_;  // per level, sorted, unique
 };

@@ -7,18 +7,18 @@
 //
 // The build parallelises in three phases, each deterministic for every
 // worker count:
-//   1. fresh tables     — per node, independent (table construction alone
-//                         is levels * radix neighbor sets, a real cost at
-//                         100k nodes), plus each node's distance to one
-//                         pivot (the first live node);
+//   1. fresh tables     — per node, independent (four allocations each,
+//                         a real cost at 100k nodes), plus each node's
+//                         distance to one pivot (the first live node);
 //   2. forward tables   — per node, reading only the shared read-only
 //                         candidate buckets; each slot keeps the R closest
 //                         under the total order (distance, id), so the
 //                         outcome does not depend on scan order;
-//   3. backpointers     — the inverse of the forward links, inserted into
-//                         per-level sorted vectors under striped per-target
-//                         locks; sorted order canonicalises whatever insert
-//                         order the scheduler produced.
+//   3. backpointers     — the inverse of the forward links, appended to
+//                         per-level vectors under striped per-target locks,
+//                         then sorted and sized per node; sorted order
+//                         canonicalises whatever append order the scheduler
+//                         produced.
 // Phases 2+3 replace the serial link() walk (which interleaves forward
 // inserts with backpointer bookkeeping on *other* nodes and therefore
 // cannot fan out); the final tables are identical because link() ends at
@@ -68,7 +68,6 @@ void fill_slot(const NodeRegistry& reg, TapestryNode& owner, double dx,
                const std::vector<Ranked>& bucket, double slack) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   RoutingTable& table = owner.table();
-  const NeighborSet& slot = table.at(level, digit);
   std::size_t hi = static_cast<std::size_t>(
       std::lower_bound(bucket.begin(), bucket.end(), dx,
                        [](const Ranked& r, double d) {
@@ -79,6 +78,8 @@ void fill_slot(const NodeRegistry& reg, TapestryNode& owner, double dx,
   while (lo > 0 || hi < bucket.size()) {
     const double down = lo > 0 ? dx - bucket[lo - 1].pivot_dist : kInf;
     const double up = hi < bucket.size() ? bucket[hi].pivot_dist - dx : kInf;
+    // A consider() shifts the table's member array: re-read the slot.
+    const NeighborSet slot = table.at(level, digit);
     const double rth = slot.size() < slot.capacity()
                            ? kInf
                            : slot.entries().back().dist;
@@ -138,27 +139,44 @@ void MaintenanceEngine::rebuild_static_tables(std::size_t workers) {
 
   // Phase 2: each slot walks its bucket outward from the owner's pivot
   // distance until the gap rules out every remaining candidate (header);
-  // NeighborSet retains the R closest, which is Property 2 by
-  // construction, and no slot with candidates stays empty, which is
-  // Property 1.  Each task writes only its own node's table.
+  // the slot retains the R closest, which is Property 2 by construction,
+  // and no slot with candidates stays empty, which is Property 1.  A slot
+  // therefore ends with min(R, |bucket|) members, so each table reserves
+  // its exact member count first.  Each task writes only its own node's
+  // table.
+  struct SlotBucket {
+    unsigned level;
+    unsigned digit;
+    const std::vector<Ranked>* bucket;
+  };
   parallel_for(
       live.size(),
       [&](std::size_t i) {
         TapestryNode* n = live[i];
+        thread_local std::vector<SlotBucket> filled;
+        filled.clear();
+        std::size_t members = 0;
         for (unsigned l = 0; l < digits; ++l) {
           const std::uint64_t base = n->id().prefix_value(l) << bits;
           for (unsigned j = 0; j < params_.id.radix(); ++j) {
             auto it = buckets.find(key(l + 1, base | j));
-            if (it != buckets.end())
-              fill_slot(reg_, *n, pivot_dist[i], l, j, it->second, slack);
+            if (it == buckets.end()) continue;
+            filled.push_back(SlotBucket{l, j, &it->second});
+            members += std::min<std::size_t>(params_.redundancy,
+                                             it->second.size());
           }
         }
+        n->table().reserve_members(members);
+        for (const SlotBucket& f : filled)
+          fill_slot(reg_, *n, pivot_dist[i], f.level, f.digit, *f.bucket,
+                    slack);
       },
       workers);
 
-  // Phase 3: derive backpointers from the settled forward links.  Inserts
-  // touch *other* nodes' tables, so they stripe-lock on the target; the
-  // per-level sorted vector makes the result order-independent.
+  // Phase 3: derive backpointers from the settled forward links.  Appends
+  // touch *other* nodes' tables, so they stripe-lock on the target; each
+  // table then sorts and sizes its own levels, which makes the result,
+  // capacities included, independent of the append order.
   constexpr std::size_t kStripes = 256;
   std::vector<std::mutex> stripes(kStripes);
   parallel_for(
@@ -172,10 +190,14 @@ void MaintenanceEngine::rebuild_static_tables(std::size_t workers) {
             TAP_ASSERT(target != nullptr);
             std::lock_guard<std::mutex> lock(
                 stripes[splitmix64(member.value()) % kStripes]);
-            target->table().add_backpointer(l, owner->id());
+            target->table().append_backpointer(l, owner->id());
           }
         }
       },
+      workers);
+  parallel_for(
+      live.size(),
+      [&](std::size_t i) { live[i]->table().settle_backpointers(); },
       workers);
 }
 

@@ -1266,7 +1266,7 @@ TEST(QuorumReplication, TableHoldersEqualScanAroundCorpses) {
   };
   const NodeId nearest = by_distance_from(net, root.id(), {}).front();
   const unsigned level = root.id().common_prefix_len(nearest);
-  const NeighborSet& slot = table.at(level, nearest.digit(level));
+  const NeighborSet slot = table.at(level, nearest.digit(level));
   ASSERT_EQ(slot.size(), slot.capacity());
   double reach = 0.0;
   for (const NeighborEntry& e : slot.entries())
@@ -1281,7 +1281,7 @@ TEST(QuorumReplication, TableHoldersEqualScanAroundCorpses) {
     bool found = false;
     for (unsigned l = 0; l < t.levels() && !found; ++l)
       for (unsigned j = 0; j < t.radix() && !found; ++j) {
-        const NeighborSet& s = t.at(l, j);
+        const NeighborSet s = t.at(l, j);
         if (j == id.digit(l) || s.size() < s.capacity()) continue;
         for (const NeighborEntry& e : s.entries())
           if (!net.registry().is_live(e.id)) found = true;

@@ -1,11 +1,15 @@
-// Data-structure semantics: NeighborSet capacity/eviction/pinning,
-// RoutingTable self-entries and backpointers, ObjectStore records and
-// soft-state expiry.
+// Data-structure semantics: a routing-table slot's capacity/eviction/
+// pinning rules (checked against the per-slot reference container),
+// RoutingTable self-entries, packed growth and backpointers, ObjectStore
+// records and soft-state expiry.
 #include <gtest/gtest.h>
 
-#include "src/tapestry/neighbor_set.h"
+#include <limits>
+
+#include "neighbor_set_reference.h"
 #include "src/tapestry/object_store.h"
 #include "src/tapestry/routing_table.h"
+#include "test_util.h"
 
 namespace tap {
 namespace {
@@ -16,32 +20,50 @@ NodeId nid(std::uint64_t v) { return NodeId(kSpec, v); }
 
 // ------------------------------------------------------------ NeighborSet
 
+/// Slot (0, 0) of a table owned by 0xF000: the owner's self-entries sit in
+/// other slots, and every id below 0x1000 carries the slot's digit.
+struct Slot {
+  explicit Slot(unsigned capacity) : table(kSpec, nid(0xF000), capacity) {}
+
+  RoutingTable::ConsiderResult consider(NodeId id, double dist) {
+    return table.consider(0, 0, id, dist);
+  }
+  bool remove(const NodeId& id) { return table.remove(0, 0, id); }
+  void pin(NodeId id, double dist) { table.pin(0, 0, id, dist); }
+  void unpin(const NodeId& id, std::vector<NodeId>& evicted) {
+    table.unpin(0, 0, id, evicted);
+  }
+  [[nodiscard]] NeighborSet view() const { return table.at(0, 0); }
+
+  RoutingTable table;
+};
+
 TEST(NeighborSet, KeepsClosestUpToCapacity) {
-  NeighborSet set(2);
+  Slot set(2);
   EXPECT_TRUE(set.consider(nid(1), 5.0).inserted);
   EXPECT_TRUE(set.consider(nid(2), 3.0).inserted);
-  EXPECT_EQ(*set.primary(), nid(2));
+  EXPECT_EQ(*set.view().primary(), nid(2));
 
   // Farther candidate bounces off a full set.
   const auto r = set.consider(nid(3), 9.0);
   EXPECT_FALSE(r.inserted);
   EXPECT_FALSE(r.evicted.has_value());
-  EXPECT_EQ(set.size(), 2u);
+  EXPECT_EQ(set.view().size(), 2u);
 
   // Closer candidate evicts the farthest member.
   const auto r2 = set.consider(nid(4), 1.0);
   EXPECT_TRUE(r2.inserted);
   ASSERT_TRUE(r2.evicted.has_value());
   EXPECT_EQ(*r2.evicted, nid(1));
-  EXPECT_EQ(*set.primary(), nid(4));
+  EXPECT_EQ(*set.view().primary(), nid(4));
 }
 
 TEST(NeighborSet, EntriesSortedByDistanceThenId) {
-  NeighborSet set(4);
+  Slot set(4);
   set.consider(nid(5), 2.0);
   set.consider(nid(3), 2.0);
   set.consider(nid(9), 1.0);
-  const auto& e = set.entries();
+  const auto e = set.view().entries();
   ASSERT_EQ(e.size(), 3u);
   EXPECT_EQ(e[0].id, nid(9));
   EXPECT_EQ(e[1].id, nid(3));  // distance tie broken by id
@@ -49,58 +71,58 @@ TEST(NeighborSet, EntriesSortedByDistanceThenId) {
 }
 
 TEST(NeighborSet, ReconsiderUpdatesDistance) {
-  NeighborSet set(3);
+  Slot set(3);
   set.consider(nid(1), 5.0);
   set.consider(nid(2), 1.0);
-  EXPECT_EQ(*set.primary(), nid(2));
+  EXPECT_EQ(*set.view().primary(), nid(2));
   // Node 1 moved closer (relocation): same member, new rank.
   EXPECT_TRUE(set.consider(nid(1), 0.5).inserted);
-  EXPECT_EQ(*set.primary(), nid(1));
-  EXPECT_EQ(set.size(), 2u);
+  EXPECT_EQ(*set.view().primary(), nid(1));
+  EXPECT_EQ(set.view().size(), 2u);
 }
 
 TEST(NeighborSet, RemoveAndContains) {
-  NeighborSet set(2);
+  Slot set(2);
   set.consider(nid(1), 1.0);
-  EXPECT_TRUE(set.contains(nid(1)));
+  EXPECT_TRUE(set.view().contains(nid(1)));
   EXPECT_TRUE(set.remove(nid(1)));
   EXPECT_FALSE(set.remove(nid(1)));
-  EXPECT_FALSE(set.contains(nid(1)));
-  EXPECT_TRUE(set.empty());
+  EXPECT_FALSE(set.view().contains(nid(1)));
+  EXPECT_TRUE(set.view().empty());
 }
 
 TEST(NeighborSet, TieBreaksDeterministicallyById) {
   // Equal distances order by id, so the set contents converge to the same
   // answer regardless of insertion order (static-vs-grown equivalence).
-  NeighborSet set(1);
+  Slot set(1);
   set.consider(nid(1), 2.0);
   const auto r = set.consider(nid(0), 2.0);  // same distance, smaller id
   EXPECT_TRUE(r.inserted);
   EXPECT_EQ(*r.evicted, nid(1));
-  EXPECT_EQ(*set.primary(), nid(0));
+  EXPECT_EQ(*set.view().primary(), nid(0));
   // The mirror case: a larger id at the same distance bounces off.
   const auto r2 = set.consider(nid(2), 2.0);
   EXPECT_FALSE(r2.inserted);
-  EXPECT_EQ(*set.primary(), nid(0));
+  EXPECT_EQ(*set.view().primary(), nid(0));
 }
 
 TEST(NeighborSet, PinnedMembersExceedCapacity) {
-  NeighborSet set(1);
+  Slot set(1);
   set.consider(nid(1), 1.0);
   set.pin(nid(2), 9.0);  // pinned insert ignores capacity
-  EXPECT_EQ(set.size(), 2u);
-  EXPECT_EQ(set.pinned_members(), (std::vector<NodeId>{nid(2)}));
-  EXPECT_EQ(set.unpinned_count(), 1u);
+  EXPECT_EQ(set.view().size(), 2u);
+  EXPECT_EQ(set.view().pinned_members(), (std::vector<NodeId>{nid(2)}));
+  EXPECT_EQ(set.view().unpinned_count(), 1u);
 
   // A closer unpinned candidate evicts the unpinned member, never the pin.
   const auto r = set.consider(nid(3), 0.5);
   EXPECT_TRUE(r.inserted);
   EXPECT_EQ(*r.evicted, nid(1));
-  EXPECT_TRUE(set.contains(nid(2)));
+  EXPECT_TRUE(set.view().contains(nid(2)));
 }
 
 TEST(NeighborSet, UnpinRestoresCapacityPressure) {
-  NeighborSet set(1);
+  Slot set(1);
   set.consider(nid(1), 1.0);
   set.pin(nid(2), 9.0);
   std::vector<NodeId> evicted;
@@ -108,39 +130,132 @@ TEST(NeighborSet, UnpinRestoresCapacityPressure) {
   // Now over capacity: the farthest unpinned member (2) must go.
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0], nid(2));
-  EXPECT_EQ(set.size(), 1u);
-  EXPECT_TRUE(set.contains(nid(1)));
+  EXPECT_EQ(set.view().size(), 1u);
+  EXPECT_TRUE(set.view().contains(nid(1)));
 }
 
 TEST(NeighborSet, PinExistingMember) {
-  NeighborSet set(2);
+  Slot set(2);
   set.consider(nid(1), 1.0);
   set.pin(nid(1), 1.0);
-  EXPECT_EQ(set.pinned_members(), (std::vector<NodeId>{nid(1)}));
-  EXPECT_EQ(set.size(), 1u);  // no duplicate
-}
-
-TEST(NeighborSet, FullSlotHoldsExactlyCapacity) {
-  // Closer candidates keep arriving and evicting: the entry vector grows
-  // one at a time to R and never past it.
-  NeighborSet set(3);
-  for (std::uint64_t i = 0; i < 10; ++i)
-    set.consider(nid(i), 10.0 - static_cast<double>(i));
-  EXPECT_EQ(set.size(), 3u);
-  EXPECT_EQ(set.entries().capacity(), 3u);
-  EXPECT_EQ(*set.primary(), nid(9));
-
-  // Pinned members live outside the budget and still push past R.
-  set.pin(nid(20), 50.0);
-  set.pin(nid(21), 60.0);
-  EXPECT_EQ(set.size(), 5u);
-  EXPECT_GT(set.entries().capacity(), 3u);
-  EXPECT_EQ(set.unpinned_count(), 3u);
+  EXPECT_EQ(set.view().pinned_members(), (std::vector<NodeId>{nid(1)}));
+  EXPECT_EQ(set.view().size(), 1u);  // no duplicate
 }
 
 TEST(NeighborSet, ZeroCapacityRejected) {
-  NeighborSet set(0);
-  EXPECT_THROW(set.consider(nid(1), 1.0), CheckError);
+  EXPECT_THROW(RoutingTable(kSpec, nid(0xF000), 0), CheckError);
+}
+
+// ------------------------------------- packed table vs per-slot reference
+
+/// Drives `ops` random consider / remove / pin / unpin calls into one
+/// table and, call for call, into one reference::NeighborSet per slot.
+/// After every call it compares the call's result, each slot's (id,
+/// distance, pinned) sequence and every row mask.
+void expect_table_matches_reference(IdSpec spec, unsigned r,
+                                    std::uint64_t seed, int ops) {
+  SCOPED_TRACE(::testing::Message() << "radix " << spec.radix() << " R "
+                                    << r << " seed " << seed);
+  Rng rng(seed);
+  const unsigned levels = spec.num_digits;
+  const unsigned radix = spec.radix();
+  const NodeId self(spec, rng() & spec.mask());
+  RoutingTable table(spec, self, r);
+  std::vector<reference::NeighborSet> ref(levels * radix,
+                                          reference::NeighborSet(r));
+  for (unsigned l = 0; l < levels; ++l)
+    ref[l * radix + self.digit(l)].consider(self, 0.0);
+
+  // A small pool of ids per slot, each carrying the slot's prefix, so
+  // removals and unpins mostly hit members and pins can push a slot past
+  // R.
+  constexpr std::uint64_t kPool = 6;
+  auto candidate = [&](unsigned l, unsigned j, std::uint64_t k) {
+    NodeId id(spec, splitmix64(seed ^ ((l * radix + j) * kPool + k)) &
+                        spec.mask());
+    for (unsigned i = 0; i < l; ++i) id = id.with_digit(i, self.digit(i));
+    return id.with_digit(l, j);
+  };
+
+  // Plain comparisons, one assertion per slot: the check runs on every
+  // slot after every op.
+  auto same = [](const NeighborSet& got, const reference::NeighborSet& want) {
+    if (got.size() != want.size() ||
+        got.unpinned_count() != want.unpinned_count())
+      return false;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const reference::NeighborEntry& w = want.entries()[i];
+      if (!(got.entries()[i].id == w.id) || got.entries()[i].dist != w.dist ||
+          got.pinned(w.id) != w.pinned)
+        return false;
+    }
+    return true;
+  };
+  auto expect_all_slots_match = [&](int op) {
+    for (unsigned l = 0; l < levels; ++l) {
+      std::uint64_t mask = 0;
+      for (unsigned j = 0; j < radix; ++j) {
+        const reference::NeighborSet& want = ref[l * radix + j];
+        ASSERT_TRUE(same(table.at(l, j), want))
+            << "slot (" << l << ", " << j << ") after op " << op;
+        if (!want.empty()) mask |= std::uint64_t{1} << j;
+      }
+      ASSERT_EQ(table.row_mask(l), mask) << "row " << l << " after op " << op;
+    }
+  };
+
+  // Pins as a §4.4 insertion leaves them: a few at a time across the
+  // table, each released soon after.  `held` lists the pins set so far
+  // (a removal may have dropped one already; unpinning it is then a
+  // no-op on both sides).
+  constexpr std::size_t kMaxPins = 6;
+  std::vector<std::pair<unsigned, NodeId>> held;  // (slot, id)
+  for (int op = 0; op < ops; ++op) {
+    auto l = static_cast<unsigned>(rng.next_u64(levels));
+    auto j = static_cast<unsigned>(rng.next_u64(radix));
+    NodeId id = candidate(l, j, rng.next_u64(kPool));
+    // Few distinct distances, so (distance, id) ties are common.
+    const auto dist = static_cast<double>(rng.next_u64(5));
+    std::uint64_t kind = rng.next_u64(20);
+    if (kind >= 13 && kind < 16 && held.size() >= kMaxPins) kind = 0;
+    if (kind >= 16 && !held.empty() && rng.next_u64(4) != 0) {
+      const std::size_t k = rng.next_u64(held.size());
+      l = held[k].first / radix;
+      j = held[k].first % radix;
+      id = held[k].second;
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+    reference::NeighborSet& want = ref[l * radix + j];
+    if (kind < 10) {
+      const auto got = table.consider(l, j, id, dist);
+      const auto exp = want.consider(id, dist);
+      ASSERT_EQ(got.inserted, exp.inserted);
+      ASSERT_EQ(got.evicted, exp.evicted);
+    } else if (kind < 13) {
+      ASSERT_EQ(table.remove(l, j, id), want.remove(id));
+    } else if (kind < 16) {
+      table.pin(l, j, id, dist);
+      want.pin(id, dist);
+      held.emplace_back(l * radix + j, id);
+    } else {
+      std::vector<NodeId> got, exp;
+      table.unpin(l, j, id, got);
+      want.unpin(id, exp);
+      ASSERT_EQ(got, exp);
+    }
+    expect_all_slots_match(op);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(NeighborSet, PackedTableMatchesPerSlotReference) {
+  const IdSpec specs[] = {IdSpec{1, 12}, IdSpec{4, 4}, IdSpec{6, 3}};
+  for (const IdSpec& spec : specs)
+    for (unsigned r = 1; r <= 3; ++r)
+      for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        expect_table_matches_reference(spec, r, seed * 7919 + r, 10'000);
+        if (HasFatalFailure()) return;
+      }
 }
 
 // ----------------------------------------------------------- RoutingTable
@@ -176,6 +291,49 @@ TEST(RoutingTable, RowMembersAndAllNeighbors) {
   const auto all = table.all_neighbors();
   EXPECT_EQ(all.size(), 2u);  // self excluded
   EXPECT_EQ(table.total_entries(), 2u);
+}
+
+TEST(RoutingTable, StaticBuildReservesExactMemberCount) {
+  // The builder reserves min(R, |bucket|) members per slot up front, so a
+  // built table's member array has no slack.
+  auto g = test::static_ring_network(96, 17);
+  for (const NodeId& id : g.ids) {
+    const RoutingTable& t = g.net->node(id).table();
+    EXPECT_EQ(t.member_capacity(), t.member_count()) << id.to_string();
+  }
+}
+
+TEST(RoutingTable, MemberArrayGrowsByFixedStep) {
+  // A fresh table holds one self-entry per level, exactly; the first link
+  // past that grows the array by kGrowStep, not by doubling.
+  RoutingTable table(kSpec, nid(0xF000), 3);
+  EXPECT_EQ(table.member_count(), 4u);
+  EXPECT_EQ(table.member_capacity(), 4u);
+  table.consider(0, 0, nid(1), 1.0);
+  EXPECT_EQ(table.member_capacity(), 4u + RoutingTable::kGrowStep);
+  // kGrowStep more members, one per slot (0, i), fill the step and
+  // trigger the next one.
+  for (unsigned i = 1; i <= RoutingTable::kGrowStep; ++i)
+    table.consider(0, i, nid(std::uint64_t{i} << 12), 1.0);
+  EXPECT_EQ(table.member_capacity(), 4u + 2 * RoutingTable::kGrowStep);
+}
+
+TEST(RoutingTable, MemberCountPastOffsetRangeFailsCheck) {
+  // Slot offsets are 16-bit: the 65536th member must be refused, not wrap.
+  const IdSpec spec{6, 10};
+  RoutingTable table(spec, NodeId(spec, 0), 100'000);
+  const std::size_t limit = std::numeric_limits<std::uint16_t>::max();
+  table.reserve_members(limit + 1);  // no fixed-step regrowth on the way
+  std::uint64_t next = 1;
+  // Fill slots in order, so each insert lands near the end of the array.
+  for (unsigned l = 0; l < spec.num_digits; ++l)
+    for (unsigned j = 1; j < spec.radix(); ++j)
+      for (int k = 0; k < 110 && table.member_count() < limit; ++k)
+        table.consider(l, j, NodeId(spec, next++), static_cast<double>(k));
+  ASSERT_EQ(table.member_count(), limit);
+  EXPECT_THROW(table.consider(spec.num_digits - 1, 1, NodeId(spec, next), 0.0),
+               CheckError);
+  EXPECT_EQ(table.member_count(), limit);
 }
 
 TEST(RoutingTable, BackpointerBookkeeping) {

@@ -131,7 +131,9 @@
 //   --metrics-out=FILE       reset the metrics registry and append one
 //                            deterministic JSONL snapshot per epoch plus
 //                            a terminal drain snapshot (churn-family
-//                            scenarios only)
+//                            scenarios only; the wall-clock
+//                            --churn-threads soak has no epochs and
+//                            rejects it)
 //   --metrics-port=N         serve Prometheus text exposition on
 //                            127.0.0.1:N for the life of the process
 //                            (N=0 picks an ephemeral port, printed)
@@ -406,6 +408,11 @@ Options parse(int argc, char** argv) {
     }
     if (o.cache != 0) {
       std::fprintf(stderr, "--churn-threads requires --cache=0\n");
+      std::exit(2);
+    }
+    if (!sc.metrics_out.empty()) {
+      std::fprintf(stderr,
+                   "--metrics-out is not supported with --churn-threads\n");
       std::exit(2);
     }
   }
