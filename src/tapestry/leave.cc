@@ -59,6 +59,8 @@ void MaintenanceEngine::depart(TapestryNode& a, Trace* trace,
       for (const NodeId& h : hints)
         if (!(h == holder) && reg_.is_live(h))
           link(reg_, b, l, reg_.live(h), locks);
+      // An own-digit slot drained to ourselves carries no hint; the
+      // holder's search then finds any live node that fits.
       refill_slot(b, l, digit, trace, locks);
       // Re-route local pointers that used to travel through the leaver —
       // including those the leaver *rooted*, which now flow onward to

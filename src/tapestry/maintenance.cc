@@ -6,7 +6,6 @@
 #include "src/tapestry/maintenance.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <string>
 
@@ -168,30 +167,15 @@ std::optional<NodeId> MaintenanceEngine::find_replacement(
   }
   if (best.has_value()) return best;
 
-  if (locks == nullptr) {
-    // Fallback: acknowledged multicast over our length-`level` prefix,
-    // collecting any node carrying `digit` at that position.  Expensive
-    // but rare — it only runs when the local search came up empty.
-    router_.multicast(
-        at.id(), at.id(), level,
-        [&](NodeId y) {
-          if (reg_.checked(y).id().digit(level) == digit) offer(y);
-        },
-        trace, {});
-    return best;
-  }
-
-  // Inside a wave the multicast (an unguarded recursive walk) is unusable.
-  // The sorted live-id index enumerates exactly the candidate set the
-  // multicast would have visited — and the (distance, id) minimum is the
-  // same winner regardless of enumeration order.
-  for (auto [it, end] = live_in_slot(at.id(), level, digit); it != end; ++it) {
+  // Then every live node that fits the slot: the registry's sorted live ids
+  // hold them in one contiguous range, each probed once.  The search is
+  // complete, so a miss establishes that no live node fits (Property 1).
+  for (auto [it, end] = reg_.live_in_slot(at.id(), level, digit); it != end;
+       ++it) {
     const NodeId cand(params_.id, *it);
     if (cand == at.id()) continue;
-    if (TapestryNode* c = reg_.find(cand); c != nullptr && c->alive) {
-      reg_.acct(trace, at, *c, 1);  // the multicast-equivalent probe
-      offer(cand);
-    }
+    reg_.acct(trace, at, reg_.live(cand), 1);  // the probe
+    offer(cand);
   }
   return best;
 }
@@ -202,9 +186,8 @@ std::optional<NodeId> MaintenanceEngine::find_replacement(
 
 void MaintenanceEngine::heartbeat_sweep(Trace* trace) {
   metrics::heartbeat_sweeps_total().inc();
-  index_live_nodes();
   heartbeat_round(trace, nullptr, 1);
-  fill_rounds(trace, nullptr, 1);
+  fill_pass(trace, nullptr, 1);
 }
 
 std::optional<NodeId> MaintenanceEngine::first_corpse(
@@ -246,28 +229,24 @@ std::optional<NodeId> MaintenanceEngine::first_corpse(
   return std::nullopt;
 }
 
-bool MaintenanceEngine::for_each_live(
+void MaintenanceEngine::for_each_live(
     const NodeLockTable* locks, std::size_t workers, Trace* trace,
-    const std::function<bool(TapestryNode&, Trace*)>& body) {
+    const std::function<void(TapestryNode&, Trace*)>& body) {
   if (locks == nullptr) {
-    bool any = false;
     for (const auto& n : reg_.nodes())
-      if (n->alive && body(*n, trace)) any = true;
-    return any;
+      if (n->alive) body(*n, trace);
+    return;
   }
   const std::vector<TapestryNode*> nodes = reg_.nodes_snapshot();
   std::vector<Trace> traces(nodes.size());
-  std::atomic<bool> any{false};
   parallel_for(
       nodes.size(),
       [&](std::size_t i) {
-        if (nodes[i]->alive && body(*nodes[i], &traces[i]))
-          any.store(true, std::memory_order_relaxed);
+        if (nodes[i]->alive) body(*nodes[i], &traces[i]);
       },
       workers);
   if (trace != nullptr)
     for (const Trace& t : traces) trace->absorb(t);
-  return any.load();
 }
 
 void MaintenanceEngine::heartbeat_round(Trace* trace,
@@ -324,47 +303,37 @@ void MaintenanceEngine::heartbeat_round(Trace* trace,
     unsigned level = 0;
     while (const auto dead = first_corpse(n, level, confirmed, t, locks))
       purge_dead_neighbor(n, *dead, t, locks);
-    return false;
   });
 }
 
-void MaintenanceEngine::fill_rounds(Trace* trace, const NodeLockTable* locks,
-                                    std::size_t workers) {
+void MaintenanceEngine::fill_pass(Trace* trace, const NodeLockTable* locks,
+                                  std::size_t workers) {
   const unsigned digits = params_.id.num_digits;
   const unsigned radix = params_.id.radix();
-  // Replacement searches run during a purge or a departure can miss while
-  // other tables are still dirty; retry emptied slots until nothing
-  // changes (the sweep's pass 2..k, a wave's whole epilogue).  A search
-  // can only return a live id carrying the slot's prefix, so a slot no
-  // indexed id fits (Property 1's empty slots, mostly) is skipped without
-  // one.  The search mutates no table or store, so the pointer snapshot
-  // waits until a replacement turns up.
-  for (int round = 0; round < 4; ++round) {
-    const bool changed =
-        for_each_live(locks, workers, trace, [&](TapestryNode& n, Trace* t) {
-          bool filled = false;
-          for (unsigned l = 0; l < digits; ++l) {
-            for (unsigned j = 0; j < radix; ++j) {
-              if (!slot_empty(n, l, j, locks)) continue;
-              const auto [first, last] = live_in_slot(n.id(), l, j);
-              if (first == last) continue;
-              const auto rep = find_replacement(n, l, j, t, locks);
-              if (!rep.has_value()) continue;
-              const auto before = dir_.snapshot_pointer_hops(n, locks);
-              link(reg_, n, l, reg_.live(*rep), locks);
-              dir_.reroute_changed_pointers(n, before, t, locks);
-              filled = true;
-            }
-            // Every deeper class lies inside n's own-digit class; once n
-            // is its only indexed member, no hole below is fillable.
-            const auto [mine, mine_end] =
-                live_in_slot(n.id(), l, n.id().digit(l));
-            if (mine_end - mine == 1) break;
-          }
-          return filled;
-        });
-    if (!changed) break;
-  }
+  // Refills every empty slot some live id fits: holes no repair reached,
+  // such as a join's at R = 1.  The search is complete and a fill only
+  // adds a link, so one pass leaves no fillable hole.  A slot no live id fits
+  // (Property 1's empty slots, mostly) is skipped without a search, and
+  // the pointer snapshot waits until a replacement turns up.
+  for_each_live(locks, workers, trace, [&](TapestryNode& n, Trace* t) {
+    for (unsigned l = 0; l < digits; ++l) {
+      for (unsigned j = 0; j < radix; ++j) {
+        if (!slot_empty(n, l, j, locks)) continue;
+        const auto [first, last] = reg_.live_in_slot(n.id(), l, j);
+        if (first == last) continue;
+        const auto rep = find_replacement(n, l, j, t, locks);
+        if (!rep.has_value()) continue;
+        const auto before = dir_.snapshot_pointer_hops(n, locks);
+        link(reg_, n, l, reg_.live(*rep), locks);
+        dir_.reroute_changed_pointers(n, before, t, locks);
+      }
+      // Every deeper class lies inside n's own-digit class; once n is its
+      // only live member, no hole below is fillable.
+      const auto [mine, mine_end] =
+          reg_.live_in_slot(n.id(), l, n.id().digit(l));
+      if (mine_end - mine == 1) break;
+    }
+  });
 }
 
 // ---------------------------------------------------------------------
@@ -415,33 +384,9 @@ void check_wave_store(const TapestryParams& params, std::size_t workers,
 
 }  // namespace
 
-void MaintenanceEngine::index_live_nodes() {
-  live_index_.clear();
-  for (const NodeId& id : reg_.live_ids()) live_index_.push_back(id.value());
-  std::sort(live_index_.begin(), live_index_.end());
-}
-
-std::pair<const std::uint64_t*, const std::uint64_t*>
-MaintenanceEngine::live_in_slot(const NodeId& at, unsigned level,
-                                unsigned digit) const {
-  const unsigned shift =
-      (params_.id.num_digits - level - 1) * params_.id.digit_bits;
-  const std::uint64_t lo =
-      ((at.prefix_value(level) << params_.id.digit_bits) | digit) << shift;
-  const std::uint64_t span = std::uint64_t{1} << shift;
-  const std::uint64_t* end = live_index_.data() + live_index_.size();
-  const std::uint64_t* first = std::lower_bound(live_index_.data(), end, lo);
-  return {first, std::partition_point(first, end, [&](std::uint64_t v) {
-            return v - lo < span;
-          })};
-}
-
 void MaintenanceEngine::run_wave(
     const std::vector<NodeId>& victims, std::size_t workers, Trace* trace,
     const std::function<void(const NodeId&, Trace*)>& repair) {
-  // The victims are already dead and the wave changes no other membership,
-  // so this index serves the repair and the epilogue's fill rounds alike.
-  index_live_nodes();
   std::vector<Trace> traces(victims.size());
   parallel_for(
       victims.size(), [&](std::size_t i) { repair(victims[i], &traces[i]); },
@@ -454,10 +399,10 @@ void MaintenanceEngine::run_wave(
 }
 
 void MaintenanceEngine::finish_wave(std::size_t workers, Trace* trace) {
-  // Refill what racing repairs left empty, then close the one §4.2 window
-  // threads open that serial execution cannot: records deposited on a
-  // holder after that holder's snapshot was taken.
-  fill_rounds(trace, &reg_.node_locks(), workers);
+  // Refill every empty slot a live node fits, then close the one §4.2
+  // window threads open that serial execution cannot: records deposited
+  // on a holder after that holder's snapshot was taken.
+  fill_pass(trace, &reg_.node_locks(), workers);
   dir_.repair_pointer_chains(trace);
 }
 
@@ -503,7 +448,6 @@ void MaintenanceEngine::heartbeat_sweep_bulk(std::size_t workers,
   check_wave_store(params_, workers, "heartbeat");
   WaveTimer timer;
   metrics::heartbeat_sweeps_total().inc();
-  index_live_nodes();
   heartbeat_round(trace, &reg_.node_locks(), workers);
   finish_wave(workers, trace);
 }

@@ -24,7 +24,6 @@
 #include <functional>
 #include <optional>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "src/tapestry/object_directory.h"
@@ -199,8 +198,8 @@ class MaintenanceEngine final : public RepairHandler {
   /// Soft-state heartbeat maintenance (§5.2, §6.5): every live node
   /// pushes a heartbeat to each backpointer holder, corpses included, and
   /// probes and purges the table members it did not hear from (corpses);
-  /// then emptied slots hunt replacements to fixpoint.  Counts one
-  /// tapestry_heartbeat_sweeps_total.
+  /// then one fill pass refills every empty slot a live node fits.  Counts
+  /// one tapestry_heartbeat_sweeps_total.
   void heartbeat_sweep(Trace* trace = nullptr);
 
   // --- thread-parallel repair waves (§5.1, §5.2 on real threads) ---
@@ -218,13 +217,12 @@ class MaintenanceEngine final : public RepairHandler {
   // snapshotted and re-pushed through the directory's pointer maintenance
   // given the stripe locks, never deferred to the §6.5 republish backstop.
   // Two racing reroutes can strand a record that lands on a holder after
-  // that holder's snapshot was taken (impossible serially), and a racing
-  // replacement search can miss while another table is still dirty.  A
-  // leave or fail wave therefore ends with one epilogue: the sweep's fill
-  // rounds, threaded, refill the slots the repairs left empty and restore
-  // Property 1, then the quiescent ObjectDirectory::repair_pointer_chains
-  // pass re-pushes the stranded records, so objects are locatable the
-  // moment the wave returns.  The epilogue sends no heartbeat.
+  // that holder's snapshot was taken (impossible serially).  A leave or
+  // fail wave therefore ends with one epilogue: the sweep's fill pass,
+  // threaded, refills every empty slot a live node fits, then the
+  // quiescent ObjectDirectory::repair_pointer_chains pass re-pushes the
+  // stranded records, so objects are locatable the moment the wave
+  // returns.  The epilogue sends no heartbeat.
   //
   // A leave or fail wave repairs only its victims, as the serial leave and
   // lazy purge do: it notifies or purges exactly the nodes that link to a
@@ -236,15 +234,13 @@ class MaintenanceEngine final : public RepairHandler {
   // Determinism contract (invariant-convergent, as for joins): victims are
   // validated and membership changes are applied serially before any
   // thread starts, so same seed + any worker count produces identical
-  // membership.  The replacement search is *complete*: local peers first,
-  // then a prefix-range probe of a sorted live-id index built at the
-  // wave's start, standing in for the serial path's acknowledged multicast
-  // (same candidate set, same (distance, id) winner).  At quiescence a
-  // slot is therefore occupied iff a live candidate exists, which makes
-  // the Property 1 occupancy fingerprint (fingerprint_occupancy) a
-  // function of membership alone.  Message orderings — and which of
-  // several equally good neighbors a slot holds — may differ run to run;
-  // convergence is asserted on invariants.
+  // membership.  The replacement search is the serial calls' own, and it
+  // is *complete* (find_replacement): at quiescence a slot is therefore
+  // occupied iff a live candidate exists, which makes the Property 1
+  // occupancy fingerprint (fingerprint_occupancy) a function of membership
+  // alone.  Message orderings — and which of several equally good
+  // neighbors a slot holds — may differ run to run; convergence is
+  // asserted on invariants.
   //
   // Concurrency requirements: guarded reroutes write through the store
   // backends, so a leave, fail or heartbeat wave on more than one worker
@@ -257,21 +253,21 @@ class MaintenanceEngine final : public RepairHandler {
   /// them, then mark every victim dead, so hint and holder lists never
   /// name a co-departing node.  Parallel phase: per-victim holder repair
   /// with in-wave rerouting, then REMOVELINK.  Then the epilogue (fill
-  /// rounds and chain repair; no heartbeat).
+  /// pass and chain repair; no heartbeat).
   void leave_bulk(const std::vector<NodeId>& victims, std::size_t workers = 0,
                   Trace* trace = nullptr);
   /// Fail-stop of every victim at once plus the repair a lazy system would
   /// perform over time: victims are marked dead serially, then every
   /// backpointer holder of each victim is purged in parallel (slot
   /// removal, complete replacement hunt, in-wave reroute), then the
-  /// epilogue (fill rounds and chain repair; no heartbeat).  Backpointer
+  /// epilogue (fill pass and chain repair; no heartbeat).  Backpointer
   /// symmetry makes the holders exactly the nodes lazy repair would
   /// eventually have discovered the corpse from.  Corpses that are not
   /// victims are left to the next heartbeat sweep.
   void fail_and_repair_bulk(const std::vector<NodeId>& victims,
                             std::size_t workers = 0, Trace* trace = nullptr);
   /// heartbeat_sweep fanned out across `workers` real threads (one task
-  /// per node): the heartbeat round, then the wave epilogue (fill rounds
+  /// per node): the heartbeat round, then the wave epilogue (fill pass
   /// and chain repair).  Membership must be quiescent; guarded store
   /// racers (publish batches, expiry sweeps, peeked queries) are fine.
   /// Counts one sweep, as heartbeat_sweep does.  It is the only wave that
@@ -376,16 +372,20 @@ class MaintenanceEngine final : public RepairHandler {
                       unsigned prefix_len, WatchList watch,
                       const NodeLockTable* locks);
 
-  // Non-null `locks` below means "inside a wave": the wave's preamble has
-  // built live_index_, which the replacement search falls back to.
+  // Non-null `locks` below means "inside a wave", whose membership is
+  // fixed before its threads start, so the registry's live-id index stays
+  // readable (NodeRegistry::live_in_slot).
 
   /// Drops `dead` from every slot of `at` it could occupy, refills each
   /// slot that empties, and re-routes the pointers whose next hop moved.
   void purge_dead_neighbor(TapestryNode& at, NodeId dead, Trace* trace,
                            const NodeLockTable* locks);
-  /// Closest live node for slot (level, digit) of `at`: asks the
-  /// level-`level` contacts first, then falls back to the acknowledged
-  /// multicast (serial) or the live-id index (inside a wave).
+  /// A live node for slot (level, digit) of `at`, the closest by (distance,
+  /// id) of those found, or nullopt if no live node fits.  Asks the
+  /// level-`level` contacts (row members and backpointer holders, two
+  /// messages each) for their entries in the slot first; if none has one,
+  /// probes every live id in the slot's prefix range (one message each,
+  /// NodeRegistry::live_in_slot).  Serial and wave callers alike.
   std::optional<NodeId> find_replacement(TapestryNode& at, unsigned level,
                                          unsigned digit, Trace* trace,
                                          const NodeLockTable* locks);
@@ -409,33 +409,25 @@ class MaintenanceEngine final : public RepairHandler {
                                      Trace* trace, const NodeLockTable* locks);
   /// A sweep's heartbeat round: the pushes to corpses (pass 0), then every
   /// live node hears from its live members and probes and purges the
-  /// silent ones (pass 1).  Reads live_index_ when given `locks`.
+  /// silent ones (pass 1).
   void heartbeat_round(Trace* trace, const NodeLockTable* locks,
                        std::size_t workers);
-  /// Up to four rounds over every live node refilling empty slots a live
-  /// indexed id fits, until a round fills none: a sweep's pass 2..k and a
-  /// wave's epilogue.  Reads live_index_.
-  void fill_rounds(Trace* trace, const NodeLockTable* locks,
-                   std::size_t workers);
-  /// Runs `body` on every live node; true if any call returned true.
-  /// Serial: registry order, `trace` passed straight through.  Threaded:
-  /// one task and one Trace per node, absorbed in node order.
-  bool for_each_live(const NodeLockTable* locks, std::size_t workers,
+  /// One pass over every live node refilling each empty slot a live id
+  /// fits: a sweep's pass 2 and a wave's epilogue.  The search is complete
+  /// and a fill only adds a link, so the pass leaves no fillable hole.
+  void fill_pass(Trace* trace, const NodeLockTable* locks,
+                 std::size_t workers);
+  /// Runs `body` on every live node.  Serial: registry order, `trace`
+  /// passed straight through.  Threaded: one task and one Trace per node,
+  /// absorbed in node order.
+  void for_each_live(const NodeLockTable* locks, std::size_t workers,
                      Trace* trace,
-                     const std::function<bool(TapestryNode&, Trace*)>& body);
-  /// Rebuilds the sorted live-id index the sweep's fill filter and the
-  /// wave fallback probe; the live set is fixed for the duration of a
-  /// sweep or a wave.
-  void index_live_nodes();
-  /// The indexed live ids that fit slot (level, digit) of `at`: its
-  /// length-`level` prefix, then `digit` — one contiguous value range.
-  [[nodiscard]] std::pair<const std::uint64_t*, const std::uint64_t*>
-  live_in_slot(const NodeId& at, unsigned level, unsigned digit) const;
+                     const std::function<void(TapestryNode&, Trace*)>& body);
   /// The threaded half of a wave: `repair` per victim, then the epilogue.
   void run_wave(const std::vector<NodeId>& victims, std::size_t workers,
                 Trace* trace,
                 const std::function<void(const NodeId&, Trace*)>& repair);
-  /// The epilogue: threaded fill rounds, then the quiescent chain repair.
+  /// The epilogue: a threaded fill pass, then the quiescent chain repair.
   /// No heartbeat round: a wave's repairs already reached every node that
   /// listed a victim, and other corpses wait for a sweep.
   void finish_wave(std::size_t workers, Trace* trace);
@@ -448,7 +440,6 @@ class MaintenanceEngine final : public RepairHandler {
   EventQueue& events_;
   Rng& rng_;
   Timer heartbeat_timer_;
-  std::vector<std::uint64_t> live_index_;  ///< sorted live ids (sweep/wave)
 };
 
 }  // namespace tap

@@ -12,9 +12,15 @@
 // completion time — the longest forward+ack chain — is accumulated
 // separately since fan-out proceeds in parallel in a real network.
 //
-// The variant with pinned pointers and watch lists used by *simultaneous*
-// insertion (§4.4, Figure 11) lives in join.cc (MaintenanceEngine::visit),
-// driven by join_bulk waves and ParallelJoinCoordinator.
+// Callers: step 3 of a serial join (join_via collects the new node's first
+// list) and MaintenanceEngine::rebuild_neighbor_table.  Repair never
+// multicasts: a multicast from a node whose (level, digit) slot is empty
+// enters that digit's subtree only through the same empty slot, so it
+// cannot find a replacement; find_replacement probes the registry's
+// live-id index instead.  The variant with pinned pointers and watch lists
+// used by *simultaneous* insertion (§4.4, Figure 11) lives in join.cc
+// (MaintenanceEngine::visit), driven by join_bulk waves and
+// ParallelJoinCoordinator.
 #include "src/tapestry/router.h"
 
 #include <algorithm>

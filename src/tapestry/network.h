@@ -146,8 +146,8 @@ class Network {
   }
 
   /// Thread-parallel fail-stop plus eager §5.2 repair: victims stop at
-  /// once, their holders purge them in parallel, threaded fill rounds
-  /// restore Property 1 and objects stay locatable without a republish.
+  /// once, their holders purge them in parallel, a threaded fill pass
+  /// restores Property 1 and objects stay locatable without a republish.
   /// Like leave_bulk it repairs only its victims and sends no heartbeat:
   /// a node that died by a plain fail() waits for the next heartbeat
   /// sweep.
@@ -226,8 +226,9 @@ class Network {
   }
 
   /// Drops expired pointers everywhere (driven by the event clock).
-  /// `workers` > 1 fans the per-node sweeps out through sim/thread_pool
-  /// (requires quiescence, like every whole-network pass).
+  /// The per-node sweeps run on `workers` threads through sim/thread_pool
+  /// (0 = hardware concurrency; requires quiescence, like every
+  /// whole-network pass).
   void expire_pointers(std::size_t workers = 1) {
     directory_.expire_pointers(workers);
   }
@@ -247,7 +248,7 @@ class Network {
 
   /// Soft-state heartbeat maintenance (§5.2, §6.5): every node hears from
   /// its live table members, probes and purges the silent ones (corpses),
-  /// then slots emptied by failures hunt replacements until a fixpoint.
+  /// then one fill pass refills every empty slot a live node fits.
   void heartbeat_sweep(Trace* trace = nullptr) {
     maintenance_.heartbeat_sweep(trace);
   }

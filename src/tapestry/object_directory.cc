@@ -528,14 +528,11 @@ void ObjectDirectory::finish_locate(LocateOp& op) {
 double ObjectDirectory::resolve_locate(LocateOp& op, TapestryNode& holder,
                                        const PointerRecord& rec,
                                        const Guid& via) {
-  // The pointer hit travels as a message naming the replica; the final
-  // leg routes toward the server the delivered copy names.
+  // The holder forwards the query toward the replica its record names: the
+  // replica leg's route hops carry the server id, so no separate message
+  // announces the hit.
   op.res.pointer_node = holder.id();
-  Message found =
-      make_message(MessageKind::kLocateFound, holder.id(), rec.server, via);
-  found.server = rec.server;
-  found = transport_->deliver(found);
-  op.res.server = found.server;
+  op.res.server = rec.server;
   // Every node the walk passed through learns a hint pointing at the
   // holder (paths toward a root converge, so hot objects get cached
   // exactly where future queries will pass); the holder has the record.
@@ -548,12 +545,12 @@ double ObjectDirectory::resolve_locate(LocateOp& op, TapestryNode& holder,
                                          rec.expires_at},
                       now);
   }
-  if (found.server == holder.id()) {  // the pointer holder is the replica
+  if (rec.server == holder.id()) {  // the pointer holder is the replica
     op.res.found = true;
     finish_locate(op);
     return 0.0;
   }
-  op.replica = found.server;
+  op.replica = rec.server;
   op.leg_state = RouteState{};
   op.cur = holder.id();
   op.phase = LocateOp::Phase::kReplicaLeg;
@@ -839,13 +836,9 @@ void ObjectDirectory::expire_pointers(std::size_t workers) {
   // with a striped backend not even concurrent guarded deposits).
   const std::vector<TapestryNode*> nodes = reg_.nodes_snapshot();
   if (replicator_) replicator_->remove_expired(now);  // the mirrors
-  if (workers <= 1) {
-    for (TapestryNode* n : nodes)
-      if (n->alive) n->store().remove_expired(now);
-    return;
-  }
   // Per-node sweeps are independent (one store each), so the fan-out is
-  // safe with every backend and the result identical to the serial loop.
+  // safe with every backend and the result identical for every worker
+  // count; one worker runs them inline in node order.
   parallel_for(
       nodes.size(),
       [&](std::size_t i) {

@@ -120,10 +120,11 @@ class ObjectDirectory {
   void republish_all(Trace* trace = nullptr);
   void republish_server(NodeId server, Trace* trace = nullptr);
   /// Sweeps expired pointers from every live node's store, and expired
-  /// mirrors from the live holders' replica areas.  `workers` > 1 fans the
-  /// per-node sweeps out through sim/thread_pool — safe with any backend
-  /// (stores are per node) and deterministic (each sweep is independent);
-  /// requires quiescence, like every whole-network pass.
+  /// mirrors from the live holders' replica areas.  The per-node sweeps
+  /// run on `workers` threads through sim/thread_pool (0 = hardware
+  /// concurrency, 1 = inline) — safe with any backend (stores are per
+  /// node) and deterministic (each sweep is independent); requires
+  /// quiescence, like every whole-network pass.
   void expire_pointers(std::size_t workers = 1);
 
   // --- checkpoint / restore (persistent backend) ---

@@ -138,6 +138,9 @@ TapestryNode& NodeRegistry::register_node(NodeId id, Location loc,
     std::lock_guard<std::mutex> lock(nodes_mu_);
     nodes_.push_back(std::move(owned));
     live_ids_.push_back(id);
+    live_sorted_.insert(std::lower_bound(live_sorted_.begin(),
+                                         live_sorted_.end(), id.value()),
+                        id.value());
   }
   shard_insert(shards_[shard_of(id)], id.value(), node);
   live_count_.fetch_add(1, std::memory_order_relaxed);
@@ -184,7 +187,11 @@ void NodeRegistry::register_bulk(
           built[i] = nodes_[base + i].get();
         },
         workers);
-    for (const auto& entry : batch) live_ids_.push_back(entry.first);
+    for (const auto& entry : batch) {
+      live_ids_.push_back(entry.first);
+      live_sorted_.push_back(entry.first.value());
+    }
+    std::sort(live_sorted_.begin(), live_sorted_.end());
   }
 
   // Index inserts grouped per shard — one writer per shard, no contention.
@@ -207,11 +214,28 @@ void NodeRegistry::mark_dead(TapestryNode& node) {
   live_count_.fetch_sub(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(nodes_mu_);
   live_ids_.erase(std::find(live_ids_.begin(), live_ids_.end(), node.id()));
+  live_sorted_.erase(std::lower_bound(live_sorted_.begin(), live_sorted_.end(),
+                                      node.id().value()));
 }
 
 std::vector<NodeId> NodeRegistry::node_ids() const {
   std::lock_guard<std::mutex> lock(nodes_mu_);
   return live_ids_;
+}
+
+std::pair<const std::uint64_t*, const std::uint64_t*>
+NodeRegistry::live_in_slot(const NodeId& at, unsigned level,
+                           unsigned digit) const {
+  const unsigned shift =
+      (params_.id.num_digits - level - 1) * params_.id.digit_bits;
+  const std::uint64_t lo =
+      ((at.prefix_value(level) << params_.id.digit_bits) | digit) << shift;
+  const std::uint64_t span = std::uint64_t{1} << shift;
+  const std::uint64_t* end = live_sorted_.data() + live_sorted_.size();
+  const std::uint64_t* first = std::lower_bound(live_sorted_.data(), end, lo);
+  return {first, std::partition_point(first, end, [&](std::uint64_t v) {
+            return v - lo < span;
+          })};
 }
 
 // ---------------------------------------------------------------------

@@ -22,10 +22,12 @@
 // design — which is what makes the scheme this simple.
 //
 // The insertion-order nodes() vector is append-only under its own mutex,
-// which also guards the registration-order live-id list; iterating either
-// concurrently with registration is the one operation that still requires
-// quiescence (every current caller is a whole-network oracle/invariant
-// pass, or a serial draw, that owns the simulator at that point).
+// which also guards the two live-id lists (registration order, and sorted
+// by value for the repair's prefix-range search); iterating any of them
+// concurrently with registration or a death is the one operation that
+// still requires quiescence (every current caller is a whole-network
+// oracle/invariant pass, a serial draw or repair, or a wave whose
+// membership is fixed before its threads start).
 #pragma once
 
 #include <array>
@@ -99,6 +101,12 @@ class NodeRegistry {
   [[nodiscard]] const std::vector<NodeId>& live_ids() const noexcept {
     return live_ids_;
   }
+  /// The live ids that fit slot (level, digit) of a node with id `at` —
+  /// `at`'s length-`level` prefix, then `digit` — as one contiguous range
+  /// of ascending id values.  Kept current by registration and mark_dead,
+  /// under the same quiescence contract as live_ids().
+  [[nodiscard]] std::pair<const std::uint64_t*, const std::uint64_t*>
+  live_in_slot(const NodeId& at, unsigned level, unsigned digit) const;
 
   /// Every node ever registered, tombstones included, in insertion order.
   /// The container is registry-owned; callers may mutate the *nodes* (the
@@ -211,9 +219,11 @@ class NodeRegistry {
   unsigned shard_shift_;  // id.value() >> shard_shift_ = shard index bits
   std::array<Shard, kShardCount> shards_;
 
-  mutable std::mutex nodes_mu_;  // guards nodes_ appends and live_ids_
+  // Guards nodes_ appends, live_ids_ and live_sorted_.
+  mutable std::mutex nodes_mu_;
   std::vector<std::unique_ptr<TapestryNode>> nodes_;
   std::vector<NodeId> live_ids_;
+  std::vector<std::uint64_t> live_sorted_;  // live id values, ascending
   std::atomic<std::size_t> live_count_{0};
   NodeLockTable node_locks_;
 

@@ -139,9 +139,9 @@ TEST(BackupLinks, RedundancyOneStillRoutesViaReplacementSearch) {
     auto ids = g.net->node_ids();
     g.net->fail(ids[rng.next_u64(ids.size())]);
   }
-  // With no backups, transient root divergence is possible while repairs
-  // are in flight (the §5.2 caveat: replacement multicasts assume complete
-  // tables); the periodic heartbeat restores consistency.
+  // With no backups, roots can diverge until a heartbeat sweep purges
+  // every corpse and refills every slot a live node fits, which restores
+  // consistency.
   g.net->heartbeat_sweep();
   for (int obj = 0; obj < 20; ++obj) {
     const Guid guid = make_guid(*g.net, 700 + obj);

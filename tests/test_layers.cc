@@ -198,8 +198,8 @@ TEST(RegistrySeam, FreshNodeIdAvoidsTombstones) {
 // NodeRegistry::acct is the Trace ledger's one booking point, so every
 // operation moves tapestry_messages_total by exactly what it books on its
 // Trace: joins (serial, wave, coordinator), the sweep's repair searches,
-// leave's multicast, table rebuilds, the directory and the locality
-// layer's local branch.
+// leave's replacement searches, table rebuilds (a multicast), the
+// directory and the locality layer's local branch.
 TEST(RegistrySeam, MessageCounterEqualsTraceLedger) {
   Rng rng(23);
   TransitStubMetric space(128, rng);

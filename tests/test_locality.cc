@@ -148,11 +148,10 @@ TEST(Locality, LocalBranchHopsCrossTheTransport) {
   // Transport::deliver: the transport delivers exactly what the Trace
   // books for a publish with its local deposit, a local-hit locate
   // (client -> local root -> replica) and an unpublish with its local
-  // removal.  A local miss adds its one hop to both ledgers; the
-  // wide-area locate it falls back to keeps its own gap (the global
-  // path's kLocateFound is delivered but not booked).  The memory store
-  // is set here: the replicated backends' mirror traffic has gaps of its
-  // own.
+  // removal.  A local miss adds its one hop to both ledgers, and the
+  // wide-area locate it falls back to delivers what it books too.  The
+  // memory store is set here: the replicated backends' mirror traffic has
+  // gaps of its own.
   for (const TransportKind kind :
        {TransportKind::kDirect, TransportKind::kLoopback}) {
     SCOPED_TRACE(transport_kind_name(kind));
@@ -206,6 +205,7 @@ TEST(Locality, LocalBranchHopsCrossTheTransport) {
     const std::int64_t wide = ledger_gap("wide-area locate", [&](Trace* t) {
       EXPECT_TRUE(w.net->locate(remote, guid, t).found);
     });
+    EXPECT_EQ(wide, 0);
     const std::int64_t local_miss = ledger_gap("local miss", [&](Trace* t) {
       EXPECT_TRUE(w.locality->locate(remote, guid, t).found);
     });

@@ -430,7 +430,7 @@ TEST(Scenarios, ChurnTranscriptIsPinned) {
 
   EXPECT_EQ(log.size(), 852u);
   EXPECT_EQ(rep.events_fired, 2520u);
-  EXPECT_EQ(h.value(), 7409999172407897027ull);
+  EXPECT_EQ(h.value(), 13328517939914801895ull);
 }
 
 }  // namespace

@@ -171,13 +171,29 @@ TEST(ThreadedRepair, FailWaveConvergesAndReroutesInsideTheWave) {
   }
 }
 
-TEST(ThreadedRepair, ThreadedLeaveAgreesWithSerial) {
-  // Same seed, same victims, same workload: the serial §5.1 loop and the
-  // threaded wave must agree on the surviving membership, on the replica
-  // registry (published() set) and on the occupancy pattern, and every
-  // object must remain locatable on both meshes without a republish.
-  auto serial = static_ring_network(96, 412, sharded_params());
-  auto threaded = static_ring_network(96, 412, sharded_params());
+/// One overlay setting of the serial-vs-wave twins below.
+struct TwinCase {
+  IdSpec id;
+  unsigned redundancy;
+  std::uint64_t seed;
+};
+
+std::string twin_name(const TwinCase& c) {
+  return "radix " + std::to_string(c.id.radix()) + " digits " +
+         std::to_string(c.id.num_digits) + " R=" +
+         std::to_string(c.redundancy) + " seed " + std::to_string(c.seed);
+}
+
+TapestryParams twin_params(const TwinCase& c) {
+  TapestryParams p = sharded_params();
+  p.id = c.id;
+  p.redundancy = c.redundancy;
+  return p;
+}
+
+void expect_leave_wave_agrees(const TwinCase& c) {
+  auto serial = static_ring_network(96, c.seed, twin_params(c));
+  auto threaded = static_ring_network(96, c.seed, twin_params(c));
   const auto ids = serial.net->node_ids();
   const auto victims = pick_victims(ids, 16, 5);
   const auto servers = pick_survivor_servers(ids, victims, 10);
@@ -189,7 +205,11 @@ TEST(ThreadedRepair, ThreadedLeaveAgreesWithSerial) {
     threaded.net->publish(servers[i], guid);
   }
 
-  for (const NodeId& v : victims) serial.net->leave(v);
+  for (const NodeId& v : victims) {
+    serial.net->leave(v);
+    ASSERT_NO_THROW(serial.net->check_property1())
+        << "serial leave of " << v.to_string();
+  }
   threaded.net->leave_bulk(victims, /*workers=*/4);
 
   EXPECT_EQ(membership_fingerprint(*serial.net),
@@ -197,9 +217,11 @@ TEST(ThreadedRepair, ThreadedLeaveAgreesWithSerial) {
   EXPECT_EQ(sorted_published(*serial.net), sorted_published(*threaded.net));
   EXPECT_EQ(fingerprint_occupancy(*serial.net),
             fingerprint_occupancy(*threaded.net));
-  threaded.net->check_property1();
-  threaded.net->check_backpointer_symmetry();
-  expect_no_pins(*threaded.net);
+  for (const Network* net : {serial.net.get(), threaded.net.get()}) {
+    net->check_property1();
+    net->check_backpointer_symmetry();
+    expect_no_pins(*net);
+  }
 
   const auto survivors = threaded.net->node_ids();
   for (const Guid& guid : guids) {
@@ -208,15 +230,9 @@ TEST(ThreadedRepair, ThreadedLeaveAgreesWithSerial) {
   }
 }
 
-TEST(ThreadedRepair, ThreadedFailAgreesWithSerial) {
-  // The §5.2 twin: serial fail() of every victim followed by one serial
-  // heartbeat_sweep, against fail_and_repair_bulk on 4 threads.  Both
-  // must reach the same membership, replica registry and occupancy
-  // pattern with Property 1 and symmetric backpointers; the wave must
-  // also leave every object locatable without a republish (the serial
-  // side may not: a dead root waits for the §6.5 republish).
-  auto serial = static_ring_network(96, 416, sharded_params());
-  auto threaded = static_ring_network(96, 416, sharded_params());
+void expect_fail_wave_agrees(const TwinCase& c) {
+  auto serial = static_ring_network(96, c.seed, twin_params(c));
+  auto threaded = static_ring_network(96, c.seed, twin_params(c));
   const auto ids = serial.net->node_ids();
   const auto victims = pick_victims(ids, 16, 5);
   const auto servers = pick_survivor_servers(ids, victims, 10);
@@ -250,6 +266,39 @@ TEST(ThreadedRepair, ThreadedFailAgreesWithSerial) {
                     ->locate(survivors[ql.next_u64(survivors.size())], guid)
                     .found)
         << "the fail wave must keep every object locatable";
+}
+
+TEST(ThreadedRepair, ThreadedLeaveAgreesWithSerial) {
+  // Same seed, same victims, same workload: the serial §5.1 loop and the
+  // threaded wave must agree on the surviving membership, on the replica
+  // registry (published() set) and on the occupancy pattern, both must
+  // keep Property 1 (the serial side after every leave), and every object
+  // must remain locatable on both meshes without a republish.  Radix 16
+  // with 8 digits at R = 3 is the default setting; radix 2 and 3-digit
+  // radix 16 with R = 2 are where a serial replacement search that misses
+  // live candidates leaves holes the wave fills.
+  for (const TwinCase& c : {TwinCase{IdSpec{4, 8}, 3, 412},
+                            TwinCase{IdSpec{1, 12}, 2, 1},
+                            TwinCase{IdSpec{4, 3}, 2, 90}}) {
+    SCOPED_TRACE(twin_name(c));
+    expect_leave_wave_agrees(c);
+  }
+}
+
+TEST(ThreadedRepair, ThreadedFailAgreesWithSerial) {
+  // The §5.2 twin: serial fail() of every victim followed by one serial
+  // heartbeat_sweep, against fail_and_repair_bulk on 4 threads.  Both
+  // must reach the same membership, replica registry and occupancy
+  // pattern with Property 1 and symmetric backpointers; the wave must
+  // also leave every object locatable without a republish (the serial
+  // side may not: a dead root waits for the §6.5 republish).  Same
+  // settings as the leave twin.
+  for (const TwinCase& c : {TwinCase{IdSpec{4, 8}, 3, 416},
+                            TwinCase{IdSpec{1, 12}, 2, 1},
+                            TwinCase{IdSpec{4, 3}, 2, 90}}) {
+    SCOPED_TRACE(twin_name(c));
+    expect_fail_wave_agrees(c);
+  }
 }
 
 TEST(ThreadedRepair, GuardedPeekProberRacesFailWave) {
@@ -439,7 +488,7 @@ TEST(ThreadedRepair, HealthySweepBulkAgreesWithSerial) {
 
 TEST(ThreadedRepair, RepairWavesSendNoHeartbeats) {
   // A leave or fail wave reaches exactly its victims' holders and ends
-  // with the fill rounds and the chain pass: no heartbeat push, no probe,
+  // with the fill pass and the chain pass: no heartbeat push, no probe,
   // no sweep counted, at any worker count.  Nor does it leave a sweep any
   // work: a serial heartbeat_sweep right after it finds no corpse listed
   // and changes no table.

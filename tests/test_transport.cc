@@ -346,13 +346,15 @@ TEST(Transport, OverlayLifecycleExercisesTheCoreKinds) {
   net.fail(g.ids[2]);
   net.heartbeat_sweep();
 
+  // A global locate announces no hit (its replica leg's route hops name
+  // the server); only LocalityManager's local branch sends kLocateFound,
+  // and Locality.* and Wire.* cover it.
   const TransportStats& s = net.transport().stats();
   for (const MessageKind kind :
        {MessageKind::kRouteHop, MessageKind::kPublishDeposit,
         MessageKind::kUnpublish, MessageKind::kLocateStep,
-        MessageKind::kLocateFound, MessageKind::kMulticastForward,
-        MessageKind::kMulticastAck, MessageKind::kHeartbeatProbe,
-        MessageKind::kHeartbeatAck}) {
+        MessageKind::kMulticastForward, MessageKind::kMulticastAck,
+        MessageKind::kHeartbeatProbe, MessageKind::kHeartbeatAck}) {
     EXPECT_GT(s.kind_count(kind), 0u) << message_kind_name(kind);
   }
   EXPECT_GT(s.bytes.load(), 0u);
