@@ -101,11 +101,10 @@ std::vector<NodeId> trim_closest(const NodeRegistry& reg,
 }
 
 /// The §4.4 forwarding targets at `at` (the caller holds at's stripe):
-/// walking `at`'s prefix chain from `prefix_len`, per slot one unpinned
-/// member plus all pinned members (Lemma 4), stopping at the first row
-/// where `at` is alone; plus the members already filling the session's
-/// (alpha, hole_digit) slot so conflicting same-hole inserters learn of
-/// each other (MULTICASTTOFILLEDHOLE, Lemma 5).
+/// walking `at`'s prefix chain from `prefix_len` to the last row, per slot
+/// one unpinned member plus all pinned members (Lemma 4); plus the members
+/// already filling the session's (alpha, hole_digit) slot so conflicting
+/// same-hole inserters learn of each other (MULTICASTTOFILLEDHOLE, Lemma 5).
 std::vector<MulticastChild> multicast_children(const NodeRegistry& reg,
                                                const TapestryNode& at,
                                                const InsertionSession& s,
@@ -116,10 +115,11 @@ std::vector<MulticastChild> multicast_children(const NodeRegistry& reg,
   std::vector<MulticastChild> children;
 
   // Self-messages are free and immediate, so the levels where we are the
-  // chosen recipient collapse into the caller's single visit.  The
-  // inserter itself is never forwarded to.
+  // chosen recipient collapse into the caller's single visit.  No row
+  // tells us we are alone (our own-digit slot may list only us while
+  // deeper nodes exist), so every row is walked.  The inserter itself is
+  // never forwarded to.
   for (unsigned l = prefix_len; l < digits; ++l) {
-    bool row_has_other = false;
     for (unsigned j = 0; j < radix; ++j) {
       bool unpinned_taken = false;
       const NeighborSet slot = at.table().at(l, j);
@@ -131,7 +131,6 @@ std::vector<MulticastChild> multicast_children(const NodeRegistry& reg,
         }
         const TapestryNode* m = reg.find(e.id);
         if (m == nullptr || !m->alive) continue;
-        row_has_other = true;
         if (slot.pinned(e.id)) {
           children.push_back({e.id, l + 1});
         } else if (!unpinned_taken) {
@@ -140,7 +139,6 @@ std::vector<MulticastChild> multicast_children(const NodeRegistry& reg,
         }
       }
     }
-    if (!row_has_other) break;  // alone from this level on: we are a leaf
   }
 
   // MULTICASTTOFILLEDHOLE (Figure 11 line 9).
@@ -354,6 +352,11 @@ std::optional<std::vector<MulticastChild>> MaintenanceEngine::visit(
     }
     add_to_table_if_closer(reg_, at, nn, locks);
   });
+  // On threads, another inserter may serve here between our service and
+  // our pin, and pin after both: each would miss the other.  Serving again
+  // after the pin means whichever of two inserters serves last reports the
+  // other (Lemma 6).  Serially nothing runs in between.
+  if (locks != nullptr) serve_watch_list(s, at, nn, watch, locks);
 
   std::vector<MulticastChild> children;
   {

@@ -310,11 +310,12 @@ void MaintenanceEngine::fill_pass(Trace* trace, const NodeLockTable* locks,
                                   std::size_t workers) {
   const unsigned digits = params_.id.num_digits;
   const unsigned radix = params_.id.radix();
-  // Refills every empty slot some live id fits: holes no repair reached,
-  // such as a join's at R = 1.  The search is complete and a fill only
-  // adds a link, so one pass leaves no fillable hole.  A slot no live id fits
-  // (Property 1's empty slots, mostly) is skipped without a search, and
-  // the pointer snapshot waits until a replacement turns up.
+  // Refills every empty slot some live id fits: holes no repair opened,
+  // such as one left by a join made during a partition.  The search is
+  // complete and a fill only adds a link, so one pass leaves no fillable
+  // hole.  A slot no live id fits (Property 1's empty slots, mostly) is
+  // skipped without a search, and the pointer snapshot waits until a
+  // replacement turns up.
   for_each_live(locks, workers, trace, [&](TapestryNode& n, Trace* t) {
     for (unsigned l = 0; l < digits; ++l) {
       for (unsigned j = 0; j < radix; ++j) {
@@ -395,14 +396,8 @@ void MaintenanceEngine::run_wave(
   // scheduling-dependent repair overlap; invariants never depend on them).
   if (trace != nullptr)
     for (const Trace& t : traces) trace->absorb(t);
-  finish_wave(workers, trace);
-}
-
-void MaintenanceEngine::finish_wave(std::size_t workers, Trace* trace) {
-  // Refill every empty slot a live node fits, then close the one §4.2
-  // window threads open that serial execution cannot: records deposited
-  // on a holder after that holder's snapshot was taken.
-  fill_pass(trace, &reg_.node_locks(), workers);
+  // Close the one §4.2 window threads open that serial execution cannot:
+  // records deposited on a holder after that holder's snapshot was taken.
   dir_.repair_pointer_chains(trace);
 }
 
@@ -449,7 +444,8 @@ void MaintenanceEngine::heartbeat_sweep_bulk(std::size_t workers,
   WaveTimer timer;
   metrics::heartbeat_sweeps_total().inc();
   heartbeat_round(trace, &reg_.node_locks(), workers);
-  finish_wave(workers, trace);
+  fill_pass(trace, &reg_.node_locks(), workers);
+  dir_.repair_pointer_chains(trace);
 }
 
 void MaintenanceEngine::start_heartbeats(double every, Trace* trace) {
@@ -473,6 +469,11 @@ void MaintenanceEngine::relocate(NodeId id, Location loc) {
 
 void MaintenanceEngine::optimize_primaries(NodeId id, Trace* trace) {
   TapestryNode& n = reg_.live(id);
+  // A member that cannot be measured is a corpse: the §5.2 purge drops it
+  // from every slot, refills the slots it empties and drops n's
+  // backpointer to it, so the re-ranking below meets live members only.
+  for (const NodeId& m : n.table().all_neighbors())
+    if (!reg_.is_live(m)) purge_dead_neighbor(n, m, trace);
   const auto before = dir_.snapshot_pointer_hops(n);
   const unsigned digits = params_.id.num_digits;
   for (unsigned l = 0; l < digits; ++l) {
@@ -482,13 +483,9 @@ void MaintenanceEngine::optimize_primaries(NodeId id, Trace* trace) {
       const std::vector<NeighborEntry> members(slot.begin(), slot.end());
       for (const auto& e : members) {  // a copy: the loop mutates the table
         if (e.id == n.id()) continue;
-        const TapestryNode* other = reg_.find(e.id);
-        if (other == nullptr || !other->alive) {
-          unlink(reg_, n, l, e.id);
-          continue;
-        }
-        reg_.acct(trace, n, *other, 2);  // distance probe
-        n.table().consider(l, j, e.id, reg_.dist(n, *other));
+        const TapestryNode& other = reg_.live(e.id);
+        reg_.acct(trace, n, other, 2);  // distance probe
+        n.table().consider(l, j, e.id, reg_.dist(n, other));
       }
     }
   }

@@ -218,29 +218,29 @@ class MaintenanceEngine final : public RepairHandler {
   // given the stripe locks, never deferred to the §6.5 republish backstop.
   // Two racing reroutes can strand a record that lands on a holder after
   // that holder's snapshot was taken (impossible serially).  A leave or
-  // fail wave therefore ends with one epilogue: the sweep's fill pass,
-  // threaded, refills every empty slot a live node fits, then the
-  // quiescent ObjectDirectory::repair_pointer_chains pass re-pushes the
+  // fail wave therefore ends with one epilogue, the quiescent
+  // ObjectDirectory::repair_pointer_chains pass, which re-pushes the
   // stranded records, so objects are locatable the moment the wave
-  // returns.  The epilogue sends no heartbeat.
+  // returns.  The epilogue sends no heartbeat and fills no slot.
   //
-  // A leave or fail wave repairs only its victims, as the serial leave and
-  // lazy purge do: it notifies or purges exactly the nodes that link to a
-  // victim and never scans the mesh for other corpses.  A node that died
-  // by a plain fail() stays in its holders' tables until a heartbeat sweep
-  // (serial, timed or heartbeat_sweep_bulk) probes it, or a routing walk
-  // trips over it.
+  // A leave or fail wave repairs only what it breaks, as the serial leave
+  // and lazy purge do: it notifies or purges exactly the nodes that link
+  // to a victim, and never scans the mesh for other corpses or holes.  A
+  // node that died by a plain fail() stays in its holders' tables, and a
+  // hole no repair opened stays empty, until a heartbeat sweep (serial,
+  // timed or heartbeat_sweep_bulk) probes the one and fills the other; a
+  // routing walk that trips over a corpse purges it too.
   //
   // Determinism contract (invariant-convergent, as for joins): victims are
   // validated and membership changes are applied serially before any
   // thread starts, so same seed + any worker count produces identical
   // membership.  The replacement search is the serial calls' own, and it
-  // is *complete* (find_replacement): at quiescence a slot is therefore
-  // occupied iff a live candidate exists, which makes the Property 1
-  // occupancy fingerprint (fingerprint_occupancy) a function of membership
-  // alone.  Message orderings — and which of several equally good
-  // neighbors a slot holds — may differ run to run; convergence is
-  // asserted on invariants.
+  // is *complete* (find_replacement): if the mesh held Property 1 before
+  // the wave, then at quiescence a slot is occupied iff a live candidate
+  // exists, which makes the Property 1 occupancy fingerprint
+  // (fingerprint_occupancy) a function of membership alone.  Message
+  // orderings — and which of several equally good neighbors a slot
+  // holds — may differ run to run; convergence is asserted on invariants.
   //
   // Concurrency requirements: guarded reroutes write through the store
   // backends, so a leave, fail or heartbeat wave on more than one worker
@@ -252,23 +252,23 @@ class MaintenanceEngine final : public RepairHandler {
   /// withdraw the victims' replicas while the mesh still routes through
   /// them, then mark every victim dead, so hint and holder lists never
   /// name a co-departing node.  Parallel phase: per-victim holder repair
-  /// with in-wave rerouting, then REMOVELINK.  Then the epilogue (fill
-  /// pass and chain repair; no heartbeat).
+  /// with in-wave rerouting, then REMOVELINK.  Then the epilogue (chain
+  /// repair only: no heartbeat, no fill pass).
   void leave_bulk(const std::vector<NodeId>& victims, std::size_t workers = 0,
                   Trace* trace = nullptr);
   /// Fail-stop of every victim at once plus the repair a lazy system would
   /// perform over time: victims are marked dead serially, then every
   /// backpointer holder of each victim is purged in parallel (slot
   /// removal, complete replacement hunt, in-wave reroute), then the
-  /// epilogue (fill pass and chain repair; no heartbeat).  Backpointer
+  /// epilogue (chain repair only: no heartbeat, no fill pass).  Backpointer
   /// symmetry makes the holders exactly the nodes lazy repair would
   /// eventually have discovered the corpse from.  Corpses that are not
   /// victims are left to the next heartbeat sweep.
   void fail_and_repair_bulk(const std::vector<NodeId>& victims,
                             std::size_t workers = 0, Trace* trace = nullptr);
   /// heartbeat_sweep fanned out across `workers` real threads (one task
-  /// per node): the heartbeat round, then the wave epilogue (fill pass
-  /// and chain repair).  Membership must be quiescent; guarded store
+  /// per node): the heartbeat round, then the fill pass, then the chain
+  /// repair.  Membership must be quiescent; guarded store
   /// racers (publish batches, expiry sweeps, peeked queries) are fine.
   /// Counts one sweep, as heartbeat_sweep does.  It is the only wave that
   /// heartbeats: leave and fail waves send no heartbeat and count no sweep.
@@ -413,8 +413,9 @@ class MaintenanceEngine final : public RepairHandler {
   void heartbeat_round(Trace* trace, const NodeLockTable* locks,
                        std::size_t workers);
   /// One pass over every live node refilling each empty slot a live id
-  /// fits: a sweep's pass 2 and a wave's epilogue.  The search is complete
-  /// and a fill only adds a link, so the pass leaves no fillable hole.
+  /// fits: the sweeps' recovery for holes no repair opened.  The search is
+  /// complete and a fill only adds a link, so the pass leaves no fillable
+  /// hole.
   void fill_pass(Trace* trace, const NodeLockTable* locks,
                  std::size_t workers);
   /// Runs `body` on every live node.  Serial: registry order, `trace`
@@ -423,14 +424,13 @@ class MaintenanceEngine final : public RepairHandler {
   void for_each_live(const NodeLockTable* locks, std::size_t workers,
                      Trace* trace,
                      const std::function<void(TapestryNode&, Trace*)>& body);
-  /// The threaded half of a wave: `repair` per victim, then the epilogue.
+  /// The threaded half of a wave: `repair` per victim, then the epilogue,
+  /// the quiescent chain repair.  No heartbeat round and no fill pass: a
+  /// wave's repairs already reached every node that listed a victim, and
+  /// other corpses and holes wait for a sweep.
   void run_wave(const std::vector<NodeId>& victims, std::size_t workers,
                 Trace* trace,
                 const std::function<void(const NodeId&, Trace*)>& repair);
-  /// The epilogue: a threaded fill pass, then the quiescent chain repair.
-  /// No heartbeat round: a wave's repairs already reached every node that
-  /// listed a victim, and other corpses wait for a sweep.
-  void finish_wave(std::size_t workers, Trace* trace);
 
   Transport* transport_ = nullptr;
   NodeRegistry& reg_;

@@ -1,25 +1,29 @@
 // Acknowledged multicast (paper §4.1, Figure 8): contacts every node whose
 // ID carries a given prefix, exactly once, by recursively extending the
 // prefix one digit at a time along routing-table entries.  Property 1
-// guarantees coverage (Theorem 5): if an (α, j) node exists anywhere, every
-// α-node's table has one.
+// guarantees coverage (Theorem 5) at every redundancy R: if an (α, j) node
+// exists anywhere, every α-node's table has one.
 //
 // Messages a node sends to itself (its own-digit extension) cross no
 // network link and cost nothing; collapsing them turns the message graph
 // into a spanning tree of the prefix set, so a multicast reaching k nodes
-// costs 2(k-1) messages (forward + acknowledgment per edge).  The
-// synchronous recursion here computes acknowledgments implicitly; the
-// completion time — the longest forward+ack chain — is accumulated
-// separately since fan-out proceeds in parallel in a real network.
+// costs 2(k-1) messages (forward + acknowledgment per edge).  Each node
+// follows its self-messages down to the last row and is visited there.
+// No row tells a node it is alone: its own-digit slot may list only
+// itself (always at R = 1, and at any R once the slot drains) while nodes
+// sharing one more digit exist.  The synchronous recursion here computes
+// acknowledgments implicitly; the completion time — the longest
+// forward+ack chain — is accumulated separately since fan-out proceeds in
+// parallel in a real network.
 //
 // Callers: step 3 of a serial join (join_via collects the new node's first
-// list) and MaintenanceEngine::rebuild_neighbor_table.  Repair never
-// multicasts: a multicast from a node whose (level, digit) slot is empty
-// enters that digit's subtree only through the same empty slot, so it
-// cannot find a replacement; find_replacement probes the registry's
-// live-id index instead.  The variant with pinned pointers and watch lists
-// used by *simultaneous* insertion (§4.4, Figure 11) lives in join.cc
-// (MaintenanceEngine::visit), driven by join_bulk waves and
+// list), MaintenanceEngine::rebuild_neighbor_table and Network::multicast.
+// Repair never multicasts: a multicast from a node whose (level, digit)
+// slot is empty enters that digit's subtree only through the same empty
+// slot, so it cannot find a replacement; find_replacement probes the
+// registry's live-id index instead.  The variant with pinned pointers and
+// watch lists used by *simultaneous* insertion (§4.4, Figure 11) lives in
+// join.cc (MaintenanceEngine::visit), driven by join_bulk waves and
 // ParallelJoinCoordinator.
 #include "src/tapestry/router.h"
 
@@ -49,26 +53,14 @@ MulticastStats Router::multicast(NodeId start, const Id& pattern,
   // node `cur`; returns the completion time of the subtree (forward + ack).
   std::function<double(TapestryNode&, unsigned)> mc =
       [&](TapestryNode& cur, unsigned l) -> double {
-    const unsigned digits = params_.id.num_digits;
-    const unsigned radix = params_.id.radix();
-
-    // NOTONLYNODEWITHPREFIX: does cur know any other node sharing its
-    // length-l prefix?  (All row-l members share it.)
-    bool only = true;
-    if (l < digits) {
-      for (unsigned j = 0; j < radix && only; ++j)
-        for (const auto& e : cur.table().at(l, j).entries())
-          if (!(e.id == cur.id()) && reg_.is_live(e.id) && !excluded(e.id))
-            only = false;
-    }
-    if (l >= digits || only) {
+    if (l == params_.id.num_digits) {
       visit(cur.id());
       ++stats.reached;
       return 0.0;
     }
 
     double completion = 0.0;
-    for (unsigned j = 0; j < radix; ++j) {
+    for (unsigned j = 0; j < params_.id.radix(); ++j) {
       // One recipient per extension digit: the closest live member.
       const NeighborSet set = cur.table().at(l, j);
       const TapestryNode* child = nullptr;

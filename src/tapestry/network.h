@@ -146,19 +146,20 @@ class Network {
   }
 
   /// Thread-parallel fail-stop plus eager §5.2 repair: victims stop at
-  /// once, their holders purge them in parallel, a threaded fill pass
-  /// restores Property 1 and objects stay locatable without a republish.
-  /// Like leave_bulk it repairs only its victims and sends no heartbeat:
-  /// a node that died by a plain fail() waits for the next heartbeat
-  /// sweep.
+  /// once, their holders purge them in parallel (each refill a complete
+  /// search, so a mesh that held Property 1 keeps it), and objects stay
+  /// locatable without a republish.  Like leave_bulk it repairs only what
+  /// it breaks and sends no heartbeat: a node that died by a plain fail(),
+  /// and a hole no repair opened, wait for the next heartbeat sweep.
   void fail_and_repair_bulk(const std::vector<NodeId>& victims,
                             std::size_t workers = 0, Trace* trace = nullptr) {
     maintenance_.fail_and_repair_bulk(victims, workers, trace);
   }
 
   /// heartbeat_sweep across `workers` real threads (membership must be
-  /// quiescent; guarded store racers are fine); the one wave that
-  /// heartbeats and purges corpses nobody announced.
+  /// quiescent; guarded store racers are fine), then the chain repair; the
+  /// one wave that heartbeats, purges corpses nobody announced and fills
+  /// holes no repair opened.
   void heartbeat_sweep_bulk(std::size_t workers = 0, Trace* trace = nullptr) {
     maintenance_.heartbeat_sweep_bulk(workers, trace);
   }

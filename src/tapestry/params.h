@@ -26,7 +26,7 @@ enum class StoreBackend {
 /// docs/transport.md for the wire format and the selection contract).
 enum class TransportKind {
   kDirect,    ///< plain function calls; byte-identical to the pre-seam build
-  kLoopback,  ///< every message encoded to Datagram bytes, queued, decoded
+  kLoopback,  ///< every message encoded to Datagram bytes, then decoded
 };
 
 /// Which localized surrogate-routing variant to use (paper §2.3).

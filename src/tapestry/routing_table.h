@@ -151,9 +151,10 @@ class RoutingTable {
     return at(level, digit).primary();
   }
 
-  /// True when some slot in the row holds a node other than the owner —
-  /// i.e. the owner is *not* the only node with its length-`level` prefix
-  /// (the multicast NOTONLYNODEWITHPREFIX test, Figure 8).
+  /// True when some slot in the row holds a node other than the owner.
+  /// A row without one does not make the owner the only node with its
+  /// length-`level` prefix: its own-digit slot may list only itself while
+  /// nodes sharing more digits exist, which a deeper row then shows.
   [[nodiscard]] bool row_has_other(unsigned level) const;
 
   /// Unique members across all slots of a row, owner included.  These are

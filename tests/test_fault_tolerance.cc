@@ -139,9 +139,11 @@ TEST(BackupLinks, RedundancyOneStillRoutesViaReplacementSearch) {
     auto ids = g.net->node_ids();
     g.net->fail(ids[rng.next_u64(ids.size())]);
   }
-  // With no backups, roots can diverge until a heartbeat sweep purges
-  // every corpse and refills every slot a live node fits, which restores
-  // consistency.
+  // The grown tables hold Property 1 (joins leave no hole at R = 1).  With
+  // no backups, a corpse is the only member of each slot it fills, so
+  // roots can diverge until a heartbeat sweep purges every corpse; each
+  // purge refills the slots it empties through the complete replacement
+  // search, which restores consistency.
   g.net->heartbeat_sweep();
   for (int obj = 0; obj < 20; ++obj) {
     const Guid guid = make_guid(*g.net, 700 + obj);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "src/common/stats.h"
 #include "src/metric/analysis.h"
@@ -19,16 +21,26 @@ using test::make_guid;
 using test::small_params;
 using test::static_ring_network;
 
-class JoinModeTest : public ::testing::TestWithParam<RoutingMode> {};
+/// Routing mode and redundancy R: R = 1 leaves each own-digit slot listing
+/// only its owner, which the default R = 3 hides.
+class JoinModeTest
+    : public ::testing::TestWithParam<std::tuple<RoutingMode, unsigned>> {
+ protected:
+  static TapestryParams params() {
+    TapestryParams p = small_params(std::get<0>(GetParam()));
+    p.redundancy = std::get<1>(GetParam());
+    return p;
+  }
+};
 
 TEST_P(JoinModeTest, GrownNetworkSatisfiesProperty1) {
-  auto g = grow_ring_network(160, 40, small_params(GetParam()));
+  auto g = grow_ring_network(160, 40, params());
   g.net->check_property1();
   g.net->check_backpointer_symmetry();
 }
 
 TEST_P(JoinModeTest, GrownNetworkRootsAreUnique) {
-  auto g = grow_ring_network(96, 41, small_params(GetParam()));
+  auto g = grow_ring_network(96, 41, params());
   for (int obj = 0; obj < 20; ++obj) {
     const Guid guid = make_guid(*g.net, 3000 + obj);
     std::set<std::uint64_t> roots;
@@ -38,14 +50,17 @@ TEST_P(JoinModeTest, GrownNetworkRootsAreUnique) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(BothModes, JoinModeTest,
-                         ::testing::Values(RoutingMode::kTapestryNative,
-                                           RoutingMode::kPrrLike),
-                         [](const auto& ti) {
-                           return ti.param == RoutingMode::kTapestryNative
-                                      ? "native"
-                                      : "prrlike";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    BothModes, JoinModeTest,
+    ::testing::Combine(::testing::Values(RoutingMode::kTapestryNative,
+                                         RoutingMode::kPrrLike),
+                       ::testing::Values(1u, 3u)),
+    [](const auto& ti) {
+      return std::string(std::get<0>(ti.param) == RoutingMode::kTapestryNative
+                             ? "native"
+                             : "prrlike") +
+             "_r" + std::to_string(std::get<1>(ti.param));
+    });
 
 TEST(Join, TablesConvergeToStaticGroundTruth) {
   // §4: "the results of the insertion should be the same as if we had been

@@ -3,6 +3,7 @@
 // a failed node come back after soft-state republish.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -299,21 +300,41 @@ TEST(SerialRepair, LeavesKeepProperty1AtEveryRadixAndRedundancy) {
 }
 
 TEST(SerialRepair, SweepFillsTheHolesJoinsLeave) {
-  // Joins at R = 1 can leave a slot empty although a live node fits it.
-  // One serial heartbeat sweep must refill every such slot: its fill pass
-  // searches every empty slot some live id fits, and the search is
-  // complete.  If joins ever stop leaving holes in these growths, this
-  // case needs holes made another way.
-  std::size_t broken = 0;
+  // Joins at R = 1 leave no hole: the §4.1 multicast reaches every node
+  // that shares the new node's prefix, those behind an own-digit slot that
+  // lists only its owner included.
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     auto g = grow_ring_network(64, seed, serial_params(IdSpec{4, 3}, 1));
+    EXPECT_TRUE(property1_holds(*g.net)) << "growth seed " << seed;
+  }
+
+  // A join made during a partition does leave holes: its walks never
+  // cross the cut, so it and the far side's nodes that share two digits
+  // with it miss each other.  No repair opened those holes; one serial
+  // heartbeat sweep must fill every one, its fill pass searching every
+  // empty slot some live id fits.
+  std::size_t broken = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    auto g = static_ring_network(64, seed, serial_params(IdSpec{4, 3}, 3));
+    std::vector<NodeId> sorted = g.ids;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<NodeId> side_b;
+    for (std::size_t i = 1; i < sorted.size(); i += 2)
+      side_b.push_back(sorted[i]);
+    const NodeId b = side_b[seed % side_b.size()];
+    NodeId id = b;
+    for (unsigned d = 1; g.net->registry().find(id) != nullptr; ++d)
+      id = b.with_digit(2, (b.digit(2) + d) % 16);
+    g.net->set_partition(side_b);
+    g.net->join_via(sorted[0], 64, id);
+    g.net->heal_partition();
     if (property1_holds(*g.net)) continue;
     ++broken;
     g.net->heartbeat_sweep();
-    EXPECT_TRUE(property1_holds(*g.net)) << "seed " << seed;
+    EXPECT_TRUE(property1_holds(*g.net)) << "partition seed " << seed;
     g.net->check_backpointer_symmetry();
   }
-  EXPECT_GT(broken, 0u) << "no growth left a hole for the sweep to fill";
+  EXPECT_GT(broken, 0u) << "no partitioned join left a hole to fill";
 }
 
 TEST(SerialRepair, RepairSendsNoMulticast) {

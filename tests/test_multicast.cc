@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 
 #include "src/common/stats.h"
 #include "test_util.h"
@@ -37,6 +38,33 @@ TEST(Multicast, ReachesExactlyThePrefixSet) {
     std::multiset<std::uint64_t> want;
     for (const NodeId& id : expected) want.insert(id.value());
     EXPECT_EQ(visited, want) << "digit " << digit;
+  }
+}
+
+TEST(Multicast, ReachesEveryPrefixMemberAtRedundancyOne) {
+  // At R = 1 each own-digit slot lists only its owner, however many nodes
+  // share the next digit; Property 1 holds on the static tables, so the
+  // multicast must still reach them.  From every node at every prefix
+  // length, at radix 2 and 4: exactly the live nodes with the prefix,
+  // each once.
+  for (const IdSpec id : {IdSpec{1, 12}, IdSpec{2, 6}}) {
+    SCOPED_TRACE("radix " + std::to_string(id.radix()));
+    TapestryParams p = small_params();
+    p.id = id;
+    p.redundancy = 1;
+    auto g = static_ring_network(96, 71, p);
+    for (const NodeId& start : g.ids) {
+      for (unsigned len = 0; len <= id.num_digits; ++len) {
+        std::multiset<std::uint64_t> visited;
+        g.net->multicast(start, start, len,
+                         [&](NodeId y) { visited.insert(y.value()); });
+        std::multiset<std::uint64_t> want;
+        for (const NodeId& y : prefix_set(*g.net, start, len))
+          want.insert(y.value());
+        ASSERT_EQ(visited, want)
+            << "from " << start.to_string() << " at prefix length " << len;
+      }
+    }
   }
 }
 

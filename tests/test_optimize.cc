@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "src/common/stats.h"
 #include "test_util.h"
@@ -121,6 +122,31 @@ TEST(Relocation, PrimarySwapReranksExistingMembers) {
         }
       }
     }
+  }
+}
+
+TEST(Relocation, OptimizePurgesTheCorpsesItMeets) {
+  // A member that cannot be re-measured is a corpse.  Re-ranking must
+  // purge it as lazy repair does, refilling the slot it empties: at R = 1
+  // that slot holds no one else, so dropping the corpse alone opens a
+  // hole some live node fits.
+  for (const std::uint64_t seed : {108u, 109u, 110u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TapestryParams p = small_params();
+    p.id = IdSpec{4, 3};
+    p.redundancy = 1;
+    auto g = test::static_ring_network(96, seed, p);
+    Rng rng(seed);
+    for (int i = 0; i < 8; ++i) {
+      const auto ids = g.net->node_ids();
+      g.net->fail(ids[rng.next_u64(ids.size())]);
+    }
+    for (const NodeId& id : g.net->node_ids()) g.net->optimize_primaries(id);
+    for (const NodeId& id : g.net->node_ids())
+      for (const NodeId& m : g.net->node(id).table().all_neighbors())
+        EXPECT_TRUE(g.net->contains(m)) << "a table still lists a corpse";
+    EXPECT_NO_THROW(g.net->check_property1());
+    g.net->check_backpointer_symmetry();
   }
 }
 

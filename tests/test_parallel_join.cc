@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "src/tapestry/fingerprint.h"
 #include "src/tapestry/parallel_join.h"
@@ -338,6 +339,30 @@ TEST(ParallelJoin, BackpointersStaySymmetricWhileSweepsRunMidBatch) {
   }
   EXPECT_GT(pinned, 0u) << "instants must sample pinned entries";
   EXPECT_GT(inserting, 0u) << "instants must sample inserting nodes";
+}
+
+TEST(ParallelJoin, CoordinatorKeepsProperty1AtRedundancyOne) {
+  // Overlapping §4.4 joins in simulated time at R = 1, where each
+  // own-digit slot lists only its owner: static 32-node rings plus 48
+  // joins, jittered so the multicasts interleave, at radix 4 and 3-digit
+  // radix 16.
+  for (const IdSpec id : {IdSpec{2, 6}, IdSpec{4, 3}}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("radix " + std::to_string(id.radix()) + " seed " +
+                   std::to_string(seed));
+      TapestryParams p = small_params();
+      p.id = id;
+      p.redundancy = 1;
+      auto g = test::static_ring_network(32, seed, p);
+      std::vector<ParallelJoinCoordinator::Request> reqs;
+      for (std::size_t i = 0; i < 48; ++i)
+        reqs.push_back(req(32 + i, g.ids[i % 32], 0.001 * double(i)));
+      ParallelJoinCoordinator coord(*g.net, 0.5);
+      coord.run(reqs);
+      EXPECT_NO_THROW(g.net->check_property1());
+      g.net->check_backpointer_symmetry();
+    }
+  }
 }
 
 TEST(ParallelJoin, TranscriptIsPinned) {

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -299,6 +300,34 @@ TEST(ThreadedJoin, WaveAgreesWithSerialAndCoordinator) {
       net->check_property1();
       net->check_backpointer_symmetry();
       expect_no_pins(*net);
+    }
+  }
+}
+
+TEST(ThreadedJoin, WavesKeepProperty1AtRedundancyOne) {
+  // §4.4 waves at R = 1, where each own-digit slot lists only its owner:
+  // the wave's multicast must still reach every node sharing the new
+  // node's prefix.  Static 32-node rings plus 48 joins, at radix 4 and
+  // 3-digit radix 16.  A one-worker wave is deterministic and must keep
+  // Property 1.  On four workers a multicast can still enter a subtree
+  // only through a node whose own insertion has not yet built its table
+  // (ROADMAP item 1), so there one heartbeat sweep must make it whole.
+  for (const IdSpec id : {IdSpec{2, 6}, IdSpec{4, 3}}) {
+    for (const std::size_t workers : {1u, 4u}) {
+      for (const std::uint64_t seed : {1u, 2u}) {
+        SCOPED_TRACE("radix " + std::to_string(id.radix()) + " workers " +
+                     std::to_string(workers) + " seed " +
+                     std::to_string(seed));
+        TapestryParams p = small_params();
+        p.id = id;
+        p.redundancy = 1;
+        auto g = static_ring_network(32, seed, p);
+        g.net->join_bulk(wave_requests(32, 48), workers);
+        g.net->check_backpointer_symmetry();
+        expect_no_pins(*g.net);
+        if (workers > 1) g.net->heartbeat_sweep();
+        EXPECT_NO_THROW(g.net->check_property1());
+      }
     }
   }
 }

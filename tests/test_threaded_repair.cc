@@ -488,7 +488,7 @@ TEST(ThreadedRepair, HealthySweepBulkAgreesWithSerial) {
 
 TEST(ThreadedRepair, RepairWavesSendNoHeartbeats) {
   // A leave or fail wave reaches exactly its victims' holders and ends
-  // with the fill pass and the chain pass: no heartbeat push, no probe,
+  // with the chain pass: no heartbeat push, no probe,
   // no sweep counted, at any worker count.  Nor does it leave a sweep any
   // work: a serial heartbeat_sweep right after it finds no corpse listed
   // and changes no table.
@@ -558,6 +558,50 @@ TEST(ThreadedRepair, WaveLeavesUnannouncedCorpsesToTheSweep) {
         EXPECT_FALSE(lists(*n, x));
       }
     }
+    g.net->check_property1();
+    g.net->check_backpointer_symmetry();
+  }
+}
+
+TEST(ThreadedRepair, WaveLeavesHolesItDidNotOpenToTheSweep) {
+  // A wave repairs only what it breaks.  A hole it did not open, here a
+  // slot whose only member was unlinked by hand, stays open through a
+  // fail wave of other nodes; the next heartbeat_sweep_bulk fills it.
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    auto g = static_ring_network(128, 419, sharded_params());
+    const auto ids = g.net->node_ids();
+    // The first slot, other than its owner's own digit, with one member.
+    NodeId owner{};
+    NodeId member{};
+    unsigned level = 0;
+    unsigned digit = 0;
+    for (const NodeId& id : ids) {
+      const RoutingTable& t = g.net->node(id).table();
+      for (unsigned l = 0; l < t.levels() && !owner.valid(); ++l) {
+        for (unsigned j = 0; j < t.radix() && !owner.valid(); ++j) {
+          if (j == id.digit(l) || t.at(l, j).size() != 1) continue;
+          owner = id;
+          member = t.at(l, j).entries()[0].id;
+          level = l;
+          digit = j;
+        }
+      }
+      if (owner.valid()) break;
+    }
+    ASSERT_TRUE(owner.valid());
+    tap::unlink(g.net->registry(), g.net->node(owner), level, member);
+    ASSERT_TRUE(g.net->node(owner).table().slot_empty(level, digit));
+
+    std::vector<NodeId> victims;
+    for (std::size_t i = 1; victims.size() < 16; i += 6)
+      if (!(ids[i] == owner) && !(ids[i] == member)) victims.push_back(ids[i]);
+    g.net->fail_and_repair_bulk(victims, workers);
+    EXPECT_TRUE(g.net->node(owner).table().slot_empty(level, digit))
+        << "the wave filled a hole it did not open";
+
+    g.net->heartbeat_sweep_bulk(workers);
+    EXPECT_TRUE(g.net->node(owner).table().at(level, digit).contains(member));
     g.net->check_property1();
     g.net->check_backpointer_symmetry();
   }
