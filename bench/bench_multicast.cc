@@ -42,16 +42,15 @@ int main() {
 
   std::map<unsigned, Summary> ratio_by_len;
   for (const Probe& p : probes) {
+    Trace t;
     const MulticastStats stats =
-        net->multicast(p.start, p.start, p.len, [](NodeId) {});
+        net->multicast(p.start, p.start, p.len, [](NodeId) {}, &t);
     table.add_row({fmt(std::size_t{p.len}), fmt(stats.reached),
-                   fmt(stats.messages), fmt(2 * (stats.reached - 1)),
-                   fmt(stats.traffic / diameter, 2),
+                   fmt(t.messages()), fmt(2 * (stats.reached - 1)),
+                   fmt(t.latency() / diameter, 2),
                    fmt(stats.completion / diameter, 2),
-                   fmt(stats.traffic / (diameter * double(stats.reached)),
-                       3)});
-    ratio_by_len[p.len].add(stats.traffic /
-                            (diameter * double(stats.reached)));
+                   fmt(t.latency() / (diameter * double(stats.reached)), 3)});
+    ratio_by_len[p.len].add(t.latency() / (diameter * double(stats.reached)));
   }
   table.print();
 

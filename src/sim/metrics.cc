@@ -260,7 +260,7 @@ std::string prometheus_text() { return registry().prometheus_text(); }
 Counter& messages_total() {
   static Counter& c = registry().counter(
       "tapestry_messages_total",
-      "Inter-node messages booked through NodeRegistry::acct");
+      "Inter-node messages booked by Transport::send and NodeRegistry::acct");
   return c;
 }
 

@@ -194,7 +194,7 @@ void reset_all();
 // metrics.cc — the single file check_metrics_doc.py scans).  First call
 // registers; later calls return the same object.
 
-Counter& messages_total();            ///< inter-node messages (registry acct)
+Counter& messages_total();            ///< inter-node messages (send + acct)
 Counter& locate_total();              ///< locate operations completed
 Counter& locate_found_total();        ///< locates that found a replica
 Counter& publish_total();             ///< publish operations started

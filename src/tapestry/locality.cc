@@ -48,12 +48,6 @@ NodeId LocalityManager::local_root(std::size_t stub, const Guid& guid) const {
   return best;
 }
 
-Message LocalityManager::send(const Message& m, Trace* trace) {
-  const NodeRegistry& reg = net_.registry();
-  reg.acct(trace, reg.checked(m.src), reg.checked(m.dst));
-  return net_.transport().deliver(m);
-}
-
 void LocalityManager::publish(NodeId server, const Guid& guid, Trace* trace) {
   net_.publish(server, guid, trace);
   // Local branch: deposit a pointer at the stub's local root for every
@@ -70,7 +64,10 @@ void LocalityManager::publish(NodeId server, const Guid& guid, Trace* trace) {
     m.set_record(PointerRecord{server, server,
                                /*level=*/net_.params().id.num_digits,
                                /*past_hole=*/true, expires});
-    net_.node(root).store().upsert(g, send(m, trace).record());
+    const double d =
+        net_.registry().hop_dist(trace, net_.node(server), net_.node(root));
+    m = net_.transport().send(m, d, trace);
+    net_.node(root).store().upsert(g, m.record());
   }
 }
 
@@ -81,7 +78,10 @@ void LocalityManager::unpublish(NodeId server, const Guid& guid, Trace* trace) {
     const NodeId root = local_root(stub, g);
     Message m = make_message(MessageKind::kUnpublish, server, root, g);
     m.set_record(PointerRecord{server});
-    net_.node(root).store().remove(g, send(m, trace).server);
+    const double d =
+        net_.registry().hop_dist(trace, net_.node(server), net_.node(root));
+    m = net_.transport().send(m, d, trace);
+    net_.node(root).store().remove(g, m.server);
   }
   net_.unpublish(server, guid, trace);
 }
@@ -104,7 +104,9 @@ LocateResult LocalityManager::locate(NodeId client, const Guid& guid,
   };
 
   if (!(root == client))
-    (void)send(make_message(MessageKind::kLocateStep, client, root, g0), t);
+    net_.transport().send(
+        make_message(MessageKind::kLocateStep, client, root, g0),
+        net_.distance(client, root), t);
   auto records = net_.node(root).store().find_live(g0, net_.now());
   std::sort(records.begin(), records.end(),
             [&](const PointerRecord& a, const PointerRecord& b) {
@@ -123,7 +125,8 @@ LocateResult LocalityManager::locate(NodeId client, const Guid& guid,
       Message found =
           make_message(MessageKind::kLocateFound, root, rec.server, g0);
       found.server = rec.server;
-      r.server = send(found, t).server;
+      found = net_.transport().send(found, net_.distance(root, rec.server), t);
+      r.server = found.server;
     }
     return finish(r);
   }

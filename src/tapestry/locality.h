@@ -50,10 +50,6 @@ class LocalityManager {
   [[nodiscard]] std::size_t stub_of(const NodeId& node) const;
 
  private:
-  /// One local-branch hop: booked on `trace` and delivered on the
-  /// overlay's transport, with the kind the global path uses for it.
-  Message send(const Message& m, Trace* trace);
-
   Network& net_;
   const TransitStubMetric& ts_;
 };

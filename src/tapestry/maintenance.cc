@@ -210,9 +210,9 @@ std::optional<NodeId> MaintenanceEngine::first_corpse(
         TAP_ASSERT(other != nullptr);
         if (!other->alive) {
           // No heartbeat came: probe the member, which never answers.
-          (void)transport_->deliver(make_message(MessageKind::kHeartbeatProbe,
-                                                 n.id(), e.id, e.id));
-          reg_.acct(trace, n, *other, 1);  // unanswered probe
+          transport_->send(make_message(MessageKind::kHeartbeatProbe, n.id(),
+                                        e.id, e.id),
+                           reg_.hop_dist(trace, n, *other), trace);
           return e.id;
         }
         // A live member pushes its heartbeat along each backpointer, and
@@ -220,8 +220,7 @@ std::optional<NodeId> MaintenanceEngine::first_corpse(
         Message alive =
             make_message(MessageKind::kHeartbeatAck, e.id, n.id(), n.id());
         alive.flag = true;
-        (void)transport_->deliver(alive);
-        reg_.acct(trace, *other, n, 1);  // pushed heartbeat
+        transport_->send(alive, reg_.hop_dist(trace, *other, n), trace);
         confirmed.insert(pos, e.id.value());
       }
     }
@@ -257,12 +256,10 @@ void MaintenanceEngine::heartbeat_round(Trace* trace,
 
   // Pass 0: heartbeats pushed to corpses.  A live node pushes along every
   // backpointer, and a corpse's tombstone table still lists the nodes it
-  // linked to.  Each keeps its backpointer to the corpse, and keeps
-  // pushing, until it purges the corpse from its own table, which it never
-  // does if it does not list it.  The pushes go out at the sweep's instant,
-  // before anyone notices the silence; nobody receives them, so only the
-  // transport carries them and the Trace keeps the paper's one heartbeat
-  // per live forward link.  Runs on this thread before any worker starts.
+  // linked to, which hold backpointers to it.  The push goes out at the
+  // sweep's instant, before anyone notices the silence.  Nobody receives
+  // it, so the pusher drops every backpointer to the corpse and pushes to
+  // it only this once.  Runs on this thread before any worker starts.
   for (const auto& d : reg_.nodes()) {
     if (d->alive) continue;
     const RoutingTable& t = d->table();
@@ -270,22 +267,16 @@ void MaintenanceEngine::heartbeat_round(Trace* trace,
       for (unsigned j = 0; j < radix; ++j) {
         for (const auto& e : t.at(l, j).entries()) {
           if (e.id == d->id()) continue;
-          // A member sits in at most one slot of each row up to the row its
-          // id first differs in; it pushes once, at the deepest row listing
-          // it.
-          const unsigned top = d->id().common_prefix_len(e.id);
-          bool deeper = false;
-          for (unsigned k = l + 1; k <= top && !deeper; ++k)
-            deeper = t.at(k, e.id.digit(k)).contains(e.id);
-          if (deeper) continue;
-          const TapestryNode* x = reg_.find(e.id);
-          if (x == nullptr || !x->alive ||
-              !x->table().has_backpointer(l, d->id()))
-            continue;
+          TapestryNode& x = reg_.checked(e.id);
+          if (!x.alive || !x.table().has_backpointer(l, d->id())) continue;
           Message alive =
               make_message(MessageKind::kHeartbeatAck, e.id, d->id(), d->id());
           alive.flag = true;
-          (void)transport_->deliver(alive);
+          transport_->send(alive, reg_.hop_dist(trace, x, *d), trace);
+          // Backpointers to d sit at rows up to where the ids first differ.
+          const unsigned top = d->id().common_prefix_len(e.id);
+          for (unsigned k = l; k <= top; ++k)
+            x.table().remove_backpointer(k, d->id());
         }
       }
     }

@@ -196,9 +196,11 @@ class MaintenanceEngine final : public RepairHandler {
   /// Involuntary fail-stop (§5.2): the node simply stops responding.
   void fail(NodeId node);
   /// Soft-state heartbeat maintenance (§5.2, §6.5): every live node
-  /// pushes a heartbeat to each backpointer holder, corpses included, and
-  /// probes and purges the table members it did not hear from (corpses);
-  /// then one fill pass refills every empty slot a live node fits.  Counts
+  /// pushes a heartbeat to each backpointer holder, and probes and purges
+  /// the table members it did not hear from (corpses); then one fill pass
+  /// refills every empty slot a live node fits.  A push to a corpse goes
+  /// unheard, and the pusher drops its backpointers to it, so it pushes
+  /// to each corpse once.  Every message is booked as it is sent.  Counts
   /// one tapestry_heartbeat_sweeps_total.
   void heartbeat_sweep(Trace* trace = nullptr);
 
@@ -407,7 +409,8 @@ class MaintenanceEngine final : public RepairHandler {
   std::optional<NodeId> first_corpse(TapestryNode& n, unsigned& level,
                                      std::vector<std::uint64_t>& confirmed,
                                      Trace* trace, const NodeLockTable* locks);
-  /// A sweep's heartbeat round: the pushes to corpses (pass 0), then every
+  /// A sweep's heartbeat round: the pushes to corpses, after which each
+  /// pusher drops its backpointers to the corpse (pass 0), then every
   /// live node hears from its live members and probes and purges the
   /// silent ones (pass 1).
   void heartbeat_round(Trace* trace, const NodeLockTable* locks,

@@ -63,7 +63,7 @@ MulticastStats Router::multicast(NodeId start, const Id& pattern,
     for (unsigned j = 0; j < params_.id.radix(); ++j) {
       // One recipient per extension digit: the closest live member.
       const NeighborSet set = cur.table().at(l, j);
-      const TapestryNode* child = nullptr;
+      TapestryNode* child = nullptr;
       for (const auto& e : set.entries()) {
         if (excluded(e.id)) continue;
         if (e.id == cur.id()) {
@@ -81,21 +81,17 @@ MulticastStats Router::multicast(NodeId start, const Id& pattern,
         completion = std::max(completion, mc(cur, l + 1));
       } else {
         const double d = reg_.dist(cur, *child);
-        stats.messages += 2;  // forward + acknowledgment
-        stats.traffic += 2.0 * d;
-        reg_.acct(trace, cur, *child, 2);
-        TapestryNode& c = reg_.live(child->id());
         // Forward travels the wire before the subtree runs; the ack
         // travels back once the subtree has completed (Figure 8).
         Message fwd = make_message(MessageKind::kMulticastForward, cur.id(),
-                                   c.id(), pattern);
+                                   child->id(), pattern);
         fwd.level = l + 1;
-        fwd = transport_->deliver(fwd);
-        completion = std::max(completion, d + mc(c, fwd.level) + d);
-        Message ack = make_message(MessageKind::kMulticastAck, c.id(),
+        fwd = transport_->send(fwd, d, trace);
+        completion = std::max(completion, d + mc(*child, fwd.level) + d);
+        Message ack = make_message(MessageKind::kMulticastAck, child->id(),
                                    cur.id(), pattern);
         ack.level = l + 1;
-        (void)transport_->deliver(ack);
+        transport_->send(ack, d, trace);
       }
     }
     return completion;

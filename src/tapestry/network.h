@@ -249,7 +249,9 @@ class Network {
 
   /// Soft-state heartbeat maintenance (§5.2, §6.5): every node hears from
   /// its live table members, probes and purges the silent ones (corpses),
-  /// then one fill pass refills every empty slot a live node fits.
+  /// then one fill pass refills every empty slot a live node fits.  Each
+  /// live node pushes to a corpse that listed it once, then drops its
+  /// backpointers to it.
   void heartbeat_sweep(Trace* trace = nullptr) {
     maintenance_.heartbeat_sweep(trace);
   }

@@ -279,8 +279,9 @@ class ObjectDirectory {
 
   void unpublish_one(TapestryNode& server, const Guid& salted, Trace* trace);
   /// The one pointer-carrying hop (publish and batch deposits, unpublish,
-  /// §4.2 reroute): builds the message from `rec`, delivers it, books it,
-  /// and returns the record as the receiver observed it.
+  /// §2.4 secondary deposits and withdrawals, §4.2 reroute): builds the
+  /// message from `rec`, sends it, and returns the record as the receiver
+  /// observed it.
   PointerRecord carry_pointer(MessageKind kind, const TapestryNode& from,
                               const TapestryNode& to, const Guid& target,
                               const PointerRecord& rec, Trace* trace) const;
@@ -294,14 +295,14 @@ class ObjectDirectory {
       TapestryNode& holder, const Guid& target,
       const TapestryNode& relative_to);
 
-  /// Fire-and-forget wire delivery for messages whose payload carries no
-  /// fields the receiver continues from (probes, bounces, cache jumps),
-  /// booked as `msgs` messages of distance dist(src, dst) — the kinds with
-  /// onward-flowing payloads go through carry_pointer / Router::forward.
+  /// Fire-and-forget send for messages whose payload carries no fields
+  /// the receiver continues from (probes, replies, bounces, cache jumps) —
+  /// the kinds with onward-flowing payloads go through carry_pointer /
+  /// Router::forward.
   void wire(MessageKind kind, const TapestryNode& src, const TapestryNode& dst,
-            const Id& target, Trace* trace, std::size_t msgs = 1) {
-    (void)transport_->deliver(make_message(kind, src.id(), dst.id(), target));
-    reg_.acct(trace, src, dst, msgs);
+            const Id& target, Trace* trace) {
+    transport_->send(make_message(kind, src.id(), dst.id(), target),
+                     reg_.hop_dist(trace, src, dst), trace);
   }
 
   NodeRegistry& reg_;

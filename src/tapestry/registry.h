@@ -166,10 +166,26 @@ class NodeRegistry {
   [[nodiscard]] double dist(const TapestryNode& a,
                             const TapestryNode& b) const;
   /// Books `msgs` messages of distance dist(a, b) on `trace` (when not
-  /// null) and on tapestry_messages_total — the one booking point of the
-  /// Trace ledger, so the counter equals what the Traces hold.
+  /// null) and on tapestry_messages_total, exactly as Transport::send
+  /// books a message it delivers, so the counter equals what the Traces
+  /// hold.  Only traffic no transport carries is booked here:
+  ///   - the §3 descent: the surrogate's table request and bulk reply,
+  ///     GETFORWARDANDBACKPOINTERS and the distance probes (join.cc);
+  ///   - the §4.4 insertion: the surrogate bounce, the hop to the
+  ///     surrogate, each watch-list report and each multicast forward and
+  ///     ack of a wave (join.cc) or of ParallelJoinCoordinator;
+  ///   - find_replacement's peer queries and index probes;
+  ///   - leave's LEAVINGNETWORK notifications and REMOVELINK;
+  ///   - the §6.4 distance probes and row exchanges.
   void acct(Trace* trace, const TapestryNode& a, const TapestryNode& b,
             std::size_t msgs = 1) const;
+  /// Transport::send's distance argument for a message from `a` to `b`:
+  /// dist(a, b) when `trace` books it, else 0 with no metric evaluation,
+  /// as acct skips it.
+  [[nodiscard]] double hop_dist(const Trace* trace, const TapestryNode& a,
+                                const TapestryNode& b) const {
+    return trace != nullptr ? dist(a, b) : 0.0;
+  }
 
   // --- identifiers ---
   [[nodiscard]] NodeId fresh_node_id();  ///< random, unused id

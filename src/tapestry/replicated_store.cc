@@ -155,15 +155,15 @@ std::size_t QuorumReplicator::mirror_publish(const TapestryNode& root,
     TapestryNode* node = reg_.find(h);
     if (node == nullptr || !node->alive) continue;
     if (!reg_.reachable(root.id(), h)) continue;
+    const double d = reg_.hop_dist(trace, root, *node);
     Message w = make_message(MessageKind::kReplicaWrite, root.id(), h, target);
     w.set_record(rec);
-    w = transport_->deliver(w);
-    reg_.acct(trace, root, *node, 2);  // mirrored write + its ack
+    w = transport_->send(w, d, trace);
     replicas_at(h).upsert(target, w.record());
     Message ack =
         make_message(MessageKind::kReplicaWriteAck, h, root.id(), target);
     ack.flag = true;
-    (void)transport_->deliver(ack);
+    transport_->send(ack, d, trace);
     metrics::replica_writes_total().inc();
     ++stats_.replica_writes;
     ++acks;
@@ -182,9 +182,8 @@ void QuorumReplicator::mirror_remove(const TapestryNode& root,
     if (!reg_.reachable(root.id(), h)) continue;
     Message m =
         make_message(MessageKind::kReplicaRemove, root.id(), h, target);
-    m.server = server;
-    m = transport_->deliver(m);
-    reg_.acct(trace, root, *node, 1);  // the removal; nobody acks it
+    m.server = server;  // nobody acks the removal
+    m = transport_->send(m, reg_.hop_dist(trace, root, *node), trace);
     replicas_at(h).remove(target, m.server);
   }
 }
@@ -212,13 +211,14 @@ std::vector<PointerRecord> QuorumReplicator::quorum_read(
     if (node == nullptr || !node->alive) continue;
     if (!reg_.reachable(root.id(), h)) continue;
     MemoryStore& area = replicas_at(h);
-    (void)transport_->deliver(
-        make_message(MessageKind::kReplicaRead, root.id(), h, target));
-    reg_.acct(trace, root, *node, 2);  // read request + reply
+    const double d = reg_.hop_dist(trace, root, *node);
+    transport_->send(
+        make_message(MessageKind::kReplicaRead, root.id(), h, target), d,
+        trace);
     Message reply =
         make_message(MessageKind::kReplicaReadReply, h, root.id(), target);
     reply.records = area.find_all(target);
-    reply = transport_->deliver(reply);
+    reply = transport_->send(reply, d, trace);
     responders.push_back(Responder{node, &area, std::move(reply.records)});
   }
 
@@ -245,8 +245,7 @@ std::vector<PointerRecord> QuorumReplicator::quorum_read(
       Message w = make_message(MessageKind::kReplicaWrite, root.id(),
                                r.node->id(), target);
       w.set_record(rec);
-      w = transport_->deliver(w);
-      reg_.acct(trace, root, *r.node, 1);
+      w = transport_->send(w, reg_.hop_dist(trace, root, *r.node), trace);
       r.area->upsert(target, w.record());
       metrics::replica_read_repairs_total().inc();
       ++stats_.read_repairs;

@@ -28,12 +28,11 @@ struct LocateResult {
   double latency = 0.0;   ///< total distance traveled by the query
 };
 
-/// Cost profile of one acknowledged multicast (§4.1).
+/// Outcome of one acknowledged multicast (§4.1).  Its messages and their
+/// summed distance are booked on the caller's Trace.
 struct MulticastStats {
   std::size_t reached = 0;
-  std::size_t messages = 0;  ///< forwards + acknowledgments
-  double traffic = 0.0;      ///< summed distance over all messages
-  double completion = 0.0;   ///< longest forward+ack chain (completion time)
+  double completion = 0.0;  ///< longest forward+ack chain (completion time)
 };
 
 /// Mutable routing cursor: the digit position being resolved and, for the

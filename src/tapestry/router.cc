@@ -140,9 +140,9 @@ std::optional<NodeId> Router::live_primary_repair(TapestryNode& at,
     if (p->alive) return id;
     // Dead primary: the probe that discovered it cost one (unanswered)
     // message; then repair.
-    (void)transport_->deliver(
-        make_message(MessageKind::kHeartbeatProbe, at.id(), id, id));
-    reg_.acct(trace, at, *p, 1);
+    transport_->send(
+        make_message(MessageKind::kHeartbeatProbe, at.id(), id, id),
+        reg_.hop_dist(trace, at, *p), trace);
     TAP_ASSERT_MSG(repair_ != nullptr, "router has no repair handler bound");
     repair_->purge_dead_neighbor(at, id, trace);
   }
@@ -203,10 +203,9 @@ void Router::forward(MessageKind kind, const TapestryNode& from,
   Message hop = make_message(kind, from.id(), to.id(), target);
   hop.level = state.level;
   hop.flag = state.past_hole;
-  hop = transport_->deliver(hop);
+  hop = transport_->send(hop, reg_.hop_dist(trace, from, to), trace);
   state.level = hop.level;
   state.past_hole = hop.flag;
-  reg_.acct(trace, from, to);
 }
 
 template <typename NextHop>

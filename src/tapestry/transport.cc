@@ -5,6 +5,12 @@
 
 namespace tap {
 
+Message Transport::send(const Message& m, double distance, Trace* trace) {
+  metrics::messages_total().inc();
+  if (trace != nullptr) trace->hop(distance);
+  return deliver(m);
+}
+
 void Transport::count(const Message& m, std::uint64_t wire_bytes) {
   stats_.messages.fetch_add(1, std::memory_order_relaxed);
   stats_.per_kind[static_cast<std::size_t>(m.kind)].fetch_add(

@@ -1,14 +1,17 @@
 // The pluggable transport seam: every inter-node RPC in the overlay is
-// funneled through Transport::deliver as a typed wire Message.
+// funneled through Transport::send as a typed wire Message.
 //
 // The overlay's layers (Router hop delivery, ObjectDirectory pointer
 // traffic, MaintenanceEngine multicast/heartbeats, QuorumReplicator
-// replica RPCs) never hand each other raw references across a node
-// boundary any more: the sender packs the cross-node payload into a
-// Message, passes it through the overlay's Transport, and continues
-// from the *returned* message's fields.  Cost accounting
-// (NodeRegistry::acct) is unchanged — the transport decides only how
-// the payload travels, not what it costs in the paper's model.
+// replica RPCs, LocalityManager) never hand each other raw references
+// across a node boundary any more: the sender packs the cross-node
+// payload into a Message, passes it through the overlay's Transport, and
+// continues from the *returned* message's fields.  send() books the
+// message in the paper's cost model (§3: one message of its network
+// distance on the operation's Trace and on tapestry_messages_total) and
+// then delivers it, so every delivered message is booked exactly once.
+// The subclasses decide only how the payload travels, not what it costs.
+// NodeRegistry::acct books the traffic no transport carries.
 //
 // Two implementations, selected by TapestryParams::transport /
 // `--transport=` (docs/transport.md):
@@ -27,7 +30,7 @@
 // A socket transport for multi-process overlays slots in behind the
 // same interface without touching protocol code (ROADMAP).
 //
-// Thread-safety: deliver() is called concurrently from batch publish
+// Thread-safety: send() is called concurrently from batch publish
 // walks and threaded repair waves.  Stats use relaxed atomics, and each
 // delivery completes on the calling thread, so a loopback frame never
 // leaves the thread that encoded it.
@@ -38,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "src/sim/trace.h"
 #include "src/tapestry/params.h"
 #include "src/tapestry/wire.h"
 
@@ -64,6 +68,10 @@ class Transport {
  public:
   virtual ~Transport() = default;
   [[nodiscard]] virtual const char* name() const = 0;
+  /// The one entry point of protocol code: books `m` as one message of
+  /// `distance` on `trace` (when not null) and on tapestry_messages_total,
+  /// then delivers it and returns the receiver's copy.
+  Message send(const Message& m, double distance, Trace* trace);
   [[nodiscard]] virtual Message deliver(const Message& m) = 0;
   [[nodiscard]] const TransportStats& stats() const { return stats_; }
 

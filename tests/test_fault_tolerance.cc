@@ -3,10 +3,13 @@
 // sweep, and the store-at-root ablation's contract.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <utility>
 
 #include "src/baselines/root_store.h"
 #include "src/common/stats.h"
+#include "src/sim/metrics.h"
 #include "test_util.h"
 
 namespace tap {
@@ -239,45 +242,83 @@ TEST(Heartbeat, PurgesEveryCorpseReference) {
   g.net->check_backpointer_symmetry();
 }
 
+// Records every heartbeat push that lands on a corpse, then delivers
+// through the network's own transport.
+class CorpsePushRecorder final : public Transport {
+ public:
+  explicit CorpsePushRecorder(Network& net)
+      : net_(net), inner_(net.transport()) {
+    net_.maintenance().bind_transport(this);
+  }
+  ~CorpsePushRecorder() override {
+    net_.maintenance().bind_transport(&inner_);
+  }
+  [[nodiscard]] const char* name() const override { return "recorder"; }
+  [[nodiscard]] Message deliver(const Message& m) override {
+    if (m.kind == MessageKind::kHeartbeatAck &&
+        !net_.registry().is_live(m.dst))
+      ++pushes[{m.src.value(), m.dst.value()}];
+    return inner_.deliver(m);
+  }
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::size_t> pushes;
+
+ private:
+  Network& net_;
+  Transport& inner_;
+};
+
 TEST(Heartbeat, PushesReachEveryBackpointerHolder) {
   // A live node pushes its heartbeat to each distinct backpointer holder,
-  // corpses included.  A corpse's tombstone table still lists the nodes
-  // it linked to, and a node that does not list the corpse in turn never
-  // purges it, so it keeps that backpointer and keeps pushing.  Those
-  // pushes reach nobody: the transport carries them, and the Trace, one
-  // heartbeat per live forward link, does not book them.
+  // corpses included: a corpse's tombstone table still lists the nodes it
+  // linked to.  Nobody receives a push to a corpse, so the pusher drops
+  // its backpointers to it.  The first sweep after the fail-stops pushes
+  // once to each (live node, corpse) pair; the second pushes to no corpse
+  // and delivers exactly what it books.
   auto g = grow_ring_network(96, 151);
   Rng rng(5);
   for (int i = 0; i < 12; ++i) {
     const auto ids = g.net->node_ids();
     g.net->fail(ids[rng.next_u64(ids.size())]);
   }
-  auto holders = [&](bool live) {
-    std::size_t n = 0;
+  auto corpse_holders = [&] {
+    std::set<std::pair<std::uint64_t, std::uint64_t>> pairs;
     for (const NodeId& id : g.net->node_ids())
       for (const NodeId& h : g.net->node(id).table().all_backpointers())
-        if (g.net->registry().is_live(h) == live) ++n;
-    return n;
+        if (!g.net->registry().is_live(h))
+          pairs.emplace(id.value(), h.value());
+    return pairs;
   };
-  const std::size_t corpse_holders = holders(false);
-  g.net->heartbeat_sweep();  // purges every corpse from every live table
-  const std::size_t to_live = holders(true);
-  const std::size_t to_corpses = holders(false);
-  ASSERT_GT(to_corpses, 0u) << "no node kept a backpointer to a corpse";
-  EXPECT_LE(to_corpses, corpse_holders);
+  const auto pairs = corpse_holders();
+  ASSERT_FALSE(pairs.empty()) << "no backpointer to a corpse";
 
+  CorpsePushRecorder recorder(*g.net);
+  g.net->heartbeat_sweep();
+  ASSERT_EQ(recorder.pushes.size(), pairs.size());
+  for (const auto& [pair, count] : recorder.pushes) {
+    EXPECT_EQ(pairs.count(pair), 1u);
+    EXPECT_EQ(count, 1u);
+  }
+  EXPECT_TRUE(corpse_holders().empty());
+
+  // Every holder left is live, and each live node pushes once to each.
+  std::size_t to_live = 0;
+  for (const NodeId& id : g.net->node_ids())
+    to_live += g.net->node(id).table().all_backpointers().size();
+  ASSERT_GT(to_live, 0u);
   const TransportStats& stats = g.net->transport().stats();
   const std::uint64_t pushes = stats.kind_count(MessageKind::kHeartbeatAck);
   const std::uint64_t probes = stats.kind_count(MessageKind::kHeartbeatProbe);
   const std::uint64_t delivered = stats.messages.load();
+  const std::uint64_t booked = metrics::messages_total().value();
+  recorder.pushes.clear();
   Trace t;
   g.net->heartbeat_sweep(&t);
-  EXPECT_EQ(stats.kind_count(MessageKind::kHeartbeatAck) - pushes,
-            to_live + to_corpses);
+  EXPECT_TRUE(recorder.pushes.empty()) << "a corpse heard a second push";
+  EXPECT_EQ(stats.kind_count(MessageKind::kHeartbeatAck) - pushes, to_live);
   EXPECT_EQ(stats.kind_count(MessageKind::kHeartbeatProbe), probes);
   EXPECT_EQ(t.messages(), to_live);
-  EXPECT_EQ(stats.messages.load() - delivered, to_live + to_corpses);
-  EXPECT_EQ(holders(false), to_corpses);
+  EXPECT_EQ(stats.messages.load() - delivered, t.messages());
+  EXPECT_EQ(metrics::messages_total().value() - booked, t.messages());
 }
 
 TEST(Heartbeat, IdempotentOnHealthyNetwork) {

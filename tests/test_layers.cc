@@ -195,11 +195,40 @@ TEST(RegistrySeam, FreshNodeIdAvoidsTombstones) {
     EXPECT_EQ(taken.count(reg.fresh_node_id().value()), 0u);
 }
 
-// NodeRegistry::acct is the Trace ledger's one booking point, so every
-// operation moves tapestry_messages_total by exactly what it books on its
-// Trace: joins (serial, wave, coordinator), the sweep's repair searches,
-// leave's replacement searches, table rebuilds (a multicast), the
-// directory and the locality layer's local branch.
+// What an operation may deliver against what it books: kAll when every
+// message it books crosses the transport, kNoMoreThanBooked when it also
+// books traffic no transport carries (joins, leaves, purging sweeps).
+enum class Delivered { kAll, kNoMoreThanBooked };
+
+// Runs `run` on a fresh Trace and checks the three message ledgers around
+// it: tapestry_messages_total moves by what the Trace holds, and the
+// transport delivers what `delivered` allows.
+template <typename Run>
+void expect_ledgers(const Network& net, const std::string& op,
+                    Delivered delivered, Run&& run) {
+  const metrics::Counter& counter = metrics::messages_total();
+  const TransportStats& ts = net.transport().stats();
+  Trace trace;
+  const std::uint64_t booked0 = counter.value();
+  const std::uint64_t sent0 = ts.messages.load();
+  run(&trace);
+  const std::uint64_t sent = ts.messages.load() - sent0;
+  EXPECT_GT(trace.messages(), 0u) << op;
+  EXPECT_EQ(counter.value() - booked0, trace.messages()) << op;
+  if (delivered == Delivered::kAll)
+    EXPECT_EQ(sent, trace.messages()) << op;
+  else
+    EXPECT_LE(sent, trace.messages()) << op;
+}
+
+// Transport::send and NodeRegistry::acct are the Trace ledger's two
+// booking points, and each books tapestry_messages_total with the Trace,
+// so every operation moves the counter by exactly what its Trace holds.
+// send also delivers what it books: an operation made only of protocol
+// messages (routing, the directory, the replicator, the §4.1 multicast, a
+// sweep over a corpse-free mesh, the locality layer) delivers exactly its
+// Trace.  Joins, leaves and a sweep that purges also book what no
+// transport carries (registry.h lists it), so they deliver no more.
 TEST(RegistrySeam, MessageCounterEqualsTraceLedger) {
   Rng rng(23);
   TransitStubMetric space(128, rng);
@@ -207,20 +236,14 @@ TEST(RegistrySeam, MessageCounterEqualsTraceLedger) {
   std::vector<NodeId> ids{net.bootstrap(0)};
   for (Location loc = 1; loc < 96; ++loc) ids.push_back(net.join(loc));
   LocalityManager locality(net, space);
-  const metrics::Counter& counter = metrics::messages_total();
   Location spare = 96;
+  const auto all = Delivered::kAll;
+  const auto some = Delivered::kNoMoreThanBooked;
 
-  auto expect_booked = [&](const char* op, auto&& run) {
-    Trace trace;
-    const std::uint64_t before = counter.value();
-    run(&trace);
-    EXPECT_GT(trace.messages(), 0u) << op;
-    EXPECT_EQ(counter.value() - before, trace.messages()) << op;
-  };
-  expect_booked("join_via", [&](Trace* t) {
+  expect_ledgers(net, "join_via", some, [&](Trace* t) {
     (void)net.join_via(ids[1], spare++, std::nullopt, t);
   });
-  expect_booked("join_bulk", [&](Trace* t) {
+  expect_ledgers(net, "join_bulk", some, [&](Trace* t) {
     std::vector<JoinRequest> batch;
     for (int i = 0; i < 4; ++i) batch.push_back(JoinRequest{spare++});
     (void)net.join_bulk(batch, 2, t);
@@ -235,32 +258,132 @@ TEST(RegistrySeam, MessageCounterEqualsTraceLedger) {
       r.start_time = net.now() + 0.1 * static_cast<double>(i);
       batch.push_back(r);
     }
+    const metrics::Counter& counter = metrics::messages_total();
     const std::uint64_t before = counter.value();
+    const std::uint64_t sent0 = net.transport().stats().messages.load();
     std::size_t booked = 0;
     for (const auto& out : coord.run(batch)) booked += out.messages;
     EXPECT_GT(booked, 0u);
     EXPECT_EQ(counter.value() - before, booked) << "coordinator";
+    EXPECT_LE(net.transport().stats().messages.load() - sent0, booked)
+        << "coordinator";
   }
   for (std::size_t i = 10; i < 13; ++i) net.fail(ids[i]);
-  expect_booked("heartbeat_sweep",
-                [&](Trace* t) { net.heartbeat_sweep(t); });
-  expect_booked("leave", [&](Trace* t) {
+  expect_ledgers(net, "heartbeat_sweep after fails", some,
+                 [&](Trace* t) { net.heartbeat_sweep(t); });
+  // The first sweep pushed once to each corpse and purged it: the next
+  // is heartbeats only.
+  expect_ledgers(net, "second heartbeat_sweep", all,
+                 [&](Trace* t) { net.heartbeat_sweep(t); });
+  expect_ledgers(net, "leave", some, [&](Trace* t) {
     for (std::size_t i = 20; i < 26; ++i) net.leave(ids[i], t);
   });
-  expect_booked("rebuild_neighbor_table",
-                [&](Trace* t) { net.rebuild_neighbor_table(ids[30], t); });
+  expect_ledgers(net, "rebuild_neighbor_table", some,
+                 [&](Trace* t) { net.rebuild_neighbor_table(ids[30], t); });
+  expect_ledgers(net, "multicast", all, [&](Trace* t) {
+    (void)net.multicast(ids[0], ids[0], 0, [](NodeId) {}, t);
+  });
   const Guid guid = make_guid(net, 0x1ed6);
-  expect_booked("publish", [&](Trace* t) { net.publish(ids[40], guid, t); });
-  expect_booked("locate",
-                [&](Trace* t) { (void)net.locate(ids[50], guid, t); });
+  expect_ledgers(net, "publish", all,
+                 [&](Trace* t) { net.publish(ids[40], guid, t); });
+  expect_ledgers(net, "locate", all,
+                 [&](Trace* t) { (void)net.locate(ids[50], guid, t); });
+  expect_ledgers(net, "unpublish", all,
+                 [&](Trace* t) { net.unpublish(ids[40], guid, t); });
   const Guid local = make_guid(net, 0x10ca1);
   const NodeId server = ids[60];
-  expect_booked("locality publish",
-                [&](Trace* t) { locality.publish(server, local, t); });
+  expect_ledgers(net, "locality publish", all,
+                 [&](Trace* t) { locality.publish(server, local, t); });
   for (const NodeId& client : locality.stub_members(locality.stub_of(server)))
     if (!(client == server))
-      expect_booked("locality locate",
-                    [&](Trace* t) { (void)locality.locate(client, local, t); });
+      expect_ledgers(net, "locality locate", all, [&](Trace* t) {
+        (void)locality.locate(client, local, t);
+      });
+
+  // Locate cache: a hit whose verification holds, then one whose holder
+  // lost the record and bounces the query back onto its walk.
+  {
+    TapestryParams p = small_params();
+    p.locate_cache_size = 64;
+    auto g = static_ring_network(128, 24, p);
+    Network& cached = *g.net;
+    const LocateCache& cache = cached.directory().locate_cache();
+    const Guid obj = make_guid(cached, 0xcac4e);
+    const NodeId from = g.ids[3];
+    cached.publish(from, obj);
+    std::size_t bounced = 0;
+    for (const NodeId& client : g.ids) {
+      const LocateResult warm = cached.locate(client, obj);
+      ASSERT_TRUE(warm.found);
+      if (warm.pointer_node == client) continue;
+      const std::uint64_t hits = cache.stats().hits;
+      expect_ledgers(cached, "cached locate", all,
+                     [&](Trace* t) { (void)cached.locate(client, obj, t); });
+      ASSERT_GT(cache.stats().hits, hits) << "no cache hit";
+      cached.node(warm.pointer_node).store().remove(obj, from);
+      const std::uint64_t fallbacks = cache.stats().fallbacks;
+      expect_ledgers(cached, "bounced locate", all,
+                     [&](Trace* t) { (void)cached.locate(client, obj, t); });
+      EXPECT_GT(cache.stats().fallbacks, fallbacks) << "no bounce";
+      ++bounced;
+      break;
+    }
+    EXPECT_EQ(bounced, 1u);
+  }
+
+  // Quorum replication: a publish mirrors to the root's holders.  With the
+  // root failed and swept, and the copy the sweep rerouted to its
+  // successor dropped, a locate from the successor reads a quorum.  An
+  // unpublish withdraws the mirrors.
+  {
+    TapestryParams p = small_params();
+    p.store_backend = StoreBackend::kReplicated;
+    p.store_dir.clear();
+    auto g = static_ring_network(96, 25, p);
+    Network& repl = *g.net;
+    const Guid obj = make_guid(repl, 0x9e9);
+    const NodeId from = *std::find_if(
+        g.ids.begin(), g.ids.end(),
+        [&](const NodeId& id) { return id.digit(0) != obj.digit(0); });
+    expect_ledgers(repl, "replicated publish", all,
+                   [&](Trace* t) { repl.publish(from, obj, t); });
+    repl.fail(repl.surrogate_root(obj));
+    repl.heartbeat_sweep();
+    const NodeId fresh = repl.surrogate_root(obj);
+    ASSERT_NE(fresh, from);
+    repl.node(fresh).store().remove(obj, from);
+    const auto& stats = repl.directory().replicator()->stats();
+    const std::size_t reads = stats.quorum_reads;
+    expect_ledgers(repl, "quorum-read locate", all, [&](Trace* t) {
+      EXPECT_TRUE(repl.locate(fresh, obj, t).found);
+    });
+    EXPECT_GT(stats.quorum_reads, reads) << "no quorum read";
+    expect_ledgers(repl, "replicated unpublish", all,
+                   [&](Trace* t) { repl.unpublish(from, obj, t); });
+  }
+}
+
+// §2.4 PRR secondary traffic is protocol traffic like the rest: the
+// locate's probe of each secondary is a request and a reply, and the
+// publish's deposits and the unpublish's withdrawals on the secondaries
+// are pointer-carrying messages, each booked once as it is delivered.
+TEST(RegistrySeam, PrrSecondaryTrafficDeliversWhatItBooks) {
+  TapestryParams p = small_params();
+  p.prr_secondary_search = true;
+  auto g = static_ring_network(128, 26, p);
+  Network& net = *g.net;
+  const Delivered all = Delivered::kAll;
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    const Guid obj = make_guid(net, 0x9229 + k);
+    const NodeId from = g.ids[5 + 7 * k];
+    const NodeId client = g.ids[90 - 9 * k];
+    expect_ledgers(net, "prr publish", all,
+                   [&](Trace* t) { net.publish(from, obj, t); });
+    expect_ledgers(net, "prr locate", all,
+                   [&](Trace* t) { (void)net.locate(client, obj, t); });
+    expect_ledgers(net, "prr unpublish", all,
+                   [&](Trace* t) { net.unpublish(from, obj, t); });
+  }
 }
 
 // The facade and the subsystems must expose the same objects: mutating via

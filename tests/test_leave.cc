@@ -251,8 +251,8 @@ TEST(SerialRepair, TranscriptIsPinned) {
   g.net->check_property1();
   g.net->check_backpointer_symmetry();
   EXPECT_EQ(g.net->size(), 80u);
-  EXPECT_EQ(fingerprint_tables(*g.net), 13338653297885677374ull);
-  EXPECT_EQ(trace.messages(), 5119u);
+  EXPECT_EQ(fingerprint_tables(*g.net), 9780718294167188899ull);
+  EXPECT_EQ(trace.messages(), 5474u);
 }
 
 TEST(SerialRepair, Radix2LeavesKeepProperty1) {

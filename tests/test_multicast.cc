@@ -78,21 +78,27 @@ TEST(Multicast, EachNodeVisitedExactlyOnce) {
 
 TEST(Multicast, MessageCountIsSpanningTree) {
   // Collapsing self-messages, k nodes are covered by k-1 tree edges, each
-  // carrying a forward and an acknowledgment: exactly 2(k-1) messages.
+  // carrying a forward and an acknowledgment: exactly 2(k-1) messages,
+  // each booked once on the Trace as the transport delivers it.
   auto g = static_ring_network(128, 62);
+  const std::uint64_t delivered = g.net->transport().stats().messages.load();
+  Trace t;
   MulticastStats stats =
-      g.net->multicast(g.ids[0], g.ids[0], 0, [](NodeId) {});
+      g.net->multicast(g.ids[0], g.ids[0], 0, [](NodeId) {}, &t);
   EXPECT_EQ(stats.reached, 128u);
-  EXPECT_EQ(stats.messages, 2u * (128u - 1u));
+  EXPECT_EQ(t.messages(), 2u * (128u - 1u));
+  EXPECT_EQ(g.net->transport().stats().messages.load() - delivered,
+            t.messages());
 }
 
 TEST(Multicast, SingletonPrefixVisitsOnlyStart) {
   auto g = static_ring_network(64, 63);
   // The full id of a node is a prefix only it carries.
+  Trace t;
   MulticastStats stats = g.net->multicast(
-      g.ids[5], g.ids[5], g.net->params().id.num_digits, [](NodeId) {});
+      g.ids[5], g.ids[5], g.net->params().id.num_digits, [](NodeId) {}, &t);
   EXPECT_EQ(stats.reached, 1u);
-  EXPECT_EQ(stats.messages, 0u);
+  EXPECT_EQ(t.messages(), 0u);
   EXPECT_DOUBLE_EQ(stats.completion, 0.0);
 }
 
@@ -112,9 +118,10 @@ TEST(Multicast, CompletionIsBelowTotalTraffic) {
   // Fan-out runs in parallel: the longest chain is shorter than the summed
   // traffic whenever the tree branches.
   auto g = static_ring_network(256, 65);
+  Trace t;
   MulticastStats stats =
-      g.net->multicast(g.ids[0], g.ids[0], 0, [](NodeId) {});
-  EXPECT_LT(stats.completion, stats.traffic);
+      g.net->multicast(g.ids[0], g.ids[0], 0, [](NodeId) {}, &t);
+  EXPECT_LT(stats.completion, t.latency());
   EXPECT_GT(stats.completion, 0.0);
 }
 
@@ -136,15 +143,6 @@ TEST(Multicast, WorksOnGrownNetworks) {
       g.ids[0], g.ids[0], 0, [&](NodeId y) { visited.insert(y.value()); });
   EXPECT_EQ(stats.reached, 96u);
   EXPECT_EQ(visited.size(), 96u);
-}
-
-TEST(Multicast, TraceAccountsTraffic) {
-  auto g = static_ring_network(64, 68);
-  Trace t;
-  MulticastStats stats =
-      g.net->multicast(g.ids[0], g.ids[0], 0, [](NodeId) {}, &t);
-  EXPECT_EQ(t.messages(), stats.messages);
-  EXPECT_DOUBLE_EQ(t.latency(), stats.traffic);
 }
 
 TEST(Multicast, SkipsDeadBranchMembersBestEffort) {
