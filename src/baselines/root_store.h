@@ -53,11 +53,11 @@ class RootStoreOverlay final : public LocationScheme {
                       Trace* trace) override {
     SchemeLocate res;
     const Guid g = key_to_guid(key);
-    Trace local;
-    Trace* t = trace != nullptr ? trace : &local;
-    const std::size_t msgs0 = t->messages();
-    const double lat0 = t->latency();
-    const RouteResult rr = net_->route_to_root(handles_.at(client), g, t);
+    // The walk's own hops (RouteResult leaves lazy repair out), then the
+    // fetch hop.
+    const RouteResult rr = net_->route_to_root(handles_.at(client), g, trace);
+    res.hops = rr.hops;
+    res.latency = rr.latency;
     const auto dir = directory_.find(rr.root.value());
     if (dir != directory_.end()) {
       const auto obj = dir->second.find(key);
@@ -68,13 +68,14 @@ class RootStoreOverlay final : public LocationScheme {
           if (net_->distance(handles_[client], handles_[s]) <
               net_->distance(handles_[client], handles_[best]))
             best = s;
-        t->hop(net_->distance(rr.root, handles_[best]));
+        const double fetch = net_->distance(rr.root, handles_[best]);
+        if (trace != nullptr) trace->hop(fetch);
+        ++res.hops;
+        res.latency += fetch;
         res.found = true;
         res.server = best;
       }
     }
-    res.hops = t->messages() - msgs0;
-    res.latency = t->latency() - lat0;
     return res;
   }
 

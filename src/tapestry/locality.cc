@@ -76,6 +76,7 @@ void LocalityManager::unpublish(NodeId server, const Guid& guid, Trace* trace) {
   for (unsigned salt = 0; salt < net_.params().root_multiplicity; ++salt) {
     const Guid g = salted_guid(guid, salt);
     const NodeId root = local_root(stub, g);
+    if (root == server) continue;  // net_.unpublish removes its own record
     Message m = make_message(MessageKind::kUnpublish, server, root, g);
     m.set_record(PointerRecord{server});
     const double d =
@@ -92,21 +93,20 @@ LocateResult LocalityManager::locate(NodeId client, const Guid& guid,
   const std::size_t stub = stub_of(client);
   const Guid g0 = salted_guid(guid, 0);
   const NodeId root = local_root(stub, g0);
-  Trace local;
-  Trace* t = trace != nullptr ? trace : &local;
-  const std::size_t msgs0 = t->messages();
-  const double lat0 = t->latency();
-
+  // The result counts the query's own messages: the local probe and
+  // hand-off, booked on `sent`, plus a wide-area locate's own hops.
+  Trace sent;
   auto finish = [&](LocateResult r) {
-    r.hops = t->messages() - msgs0;
-    r.latency = t->latency() - lat0;
+    r.hops += sent.messages();
+    r.latency += sent.latency();
+    if (trace != nullptr) trace->absorb(sent);
     return r;
   };
 
   if (!(root == client))
     net_.transport().send(
         make_message(MessageKind::kLocateStep, client, root, g0),
-        net_.distance(client, root), t);
+        net_.distance(client, root), &sent);
   auto records = net_.node(root).store().find_live(g0, net_.now());
   std::sort(records.begin(), records.end(),
             [&](const PointerRecord& a, const PointerRecord& b) {
@@ -125,15 +125,15 @@ LocateResult LocalityManager::locate(NodeId client, const Guid& guid,
       Message found =
           make_message(MessageKind::kLocateFound, root, rec.server, g0);
       found.server = rec.server;
-      found = net_.transport().send(found, net_.distance(root, rec.server), t);
+      found =
+          net_.transport().send(found, net_.distance(root, rec.server), &sent);
       r.server = found.server;
     }
     return finish(r);
   }
 
   // Local miss: resume wide-area location from the client.
-  LocateResult wide = net_.locate(client, guid, t);
-  return finish(wide);
+  return finish(net_.locate(client, guid, trace));
 }
 
 }  // namespace tap

@@ -112,12 +112,15 @@ struct ObjectDirectory::LocateOp {
   // replica-leg (§2.2, Figure 3): exact-id route toward the replica.
   NodeId replica{};
   RouteState leg_state{};
-  // Costs land in *trace; the result's hops/latency are what accrued
-  // there since msgs0/lat0.
+  // `sent` books the messages the query itself sends (walk hops, cache
+  // jumps and bounce-backs, §2.4 probes and replies, surrogate bounces,
+  // the quorum read with its read-repair, the replica leg): the result's
+  // hops and latency, absorbed into *trace at completion.  The lazy
+  // repair a routing step triggers books on *trace directly, outside the
+  // hops, as RouteResult counts only a walk's forwards.
+  Trace sent;
   Trace own;
   Trace* trace = nullptr;
-  std::size_t msgs0 = 0;
-  double lat0 = 0.0;
   Trace* external = nullptr;  // event engine: absorbs `own` at completion
   LocateCallback done;
   LocateResult res{};
@@ -137,6 +140,16 @@ PointerRecord ObjectDirectory::carry_pointer(MessageKind kind,
   Message m = make_message(kind, from.id(), to.id(), target);
   m.set_record(rec);
   return transport_->send(m, reg_.hop_dist(trace, from, to), trace).record();
+}
+
+TapestryNode* ObjectDirectory::live_secondary(const TapestryNode& at,
+                                              const NodeId& member,
+                                              const NodeId& primary) const {
+  if (member == primary || member == at.id()) return nullptr;
+  TapestryNode* m = reg_.find(member);
+  if (m == nullptr || !m->alive || !reg_.reachable(at.id(), member))
+    return nullptr;
+  return m;
 }
 
 void ObjectDirectory::register_replica(const Guid& guid, const NodeId& server) {
@@ -184,15 +197,11 @@ double ObjectDirectory::publish_step(PublishOp& op) {
   if (params_.prr_secondary_search && op.state.level >= 1) {
     const unsigned slot_level = op.state.level - 1;
     const unsigned digit = next->digit(slot_level);
-    for (const auto& member : cur->table().at(slot_level, digit).entries()) {
-      if (member.id == *next || member.id == cur->id()) continue;
-      TapestryNode* m = reg_.find(member.id);
-      if (m == nullptr || !m->alive) continue;
-      if (!reg_.reachable(cur->id(), member.id)) continue;
-      m->store().upsert(op.target,
-                        carry_pointer(MessageKind::kPublishDeposit, *cur, *m,
-                                      op.target, sent, op.trace));
-    }
+    for (const auto& member : cur->table().at(slot_level, digit).entries())
+      if (TapestryNode* m = live_secondary(*cur, member.id, *next))
+        m->store().upsert(op.target,
+                          carry_pointer(MessageKind::kPublishDeposit, *cur, *m,
+                                        op.target, sent, op.trace));
   }
   TapestryNode& nxt = reg_.live(*next);
   op.arriving = carry_pointer(MessageKind::kPublishDeposit, *cur, nxt,
@@ -385,14 +394,12 @@ void ObjectDirectory::unpublish_one(TapestryNode& server, const Guid& salted,
       // Withdraw the secondary-deposited copies symmetrically.
       const unsigned slot_level = state.level - 1;
       const unsigned digit = next->digit(slot_level);
-      for (const auto& member : cur->table().at(slot_level, digit).entries()) {
-        if (member.id == *next || member.id == cur->id()) continue;
-        if (TapestryNode* m = reg_.find(member.id); m != nullptr)
+      for (const auto& member : cur->table().at(slot_level, digit).entries())
+        if (TapestryNode* m = live_secondary(*cur, member.id, *next))
           m->store().remove(salted,
                             carry_pointer(MessageKind::kUnpublish, *cur, *m,
                                           salted, PointerRecord{victim}, trace)
                                 .server);
-      }
     }
     TapestryNode& nxt = reg_.live(*next);
     victim = carry_pointer(MessageKind::kUnpublish, *cur, nxt, salted,
@@ -507,14 +514,13 @@ double ObjectDirectory::start_locate(LocateOp& op, NodeId client,
   // root names, accumulating cost; the first hit wins.
   op.attempts = params_.retry_all_roots ? params_.root_multiplicity : 1;
   op.trace = sink != nullptr ? sink : &op.own;
-  op.msgs0 = op.trace->messages();
-  op.lat0 = op.trace->latency();
   return next_locate_attempt(op);
 }
 
 void ObjectDirectory::finish_locate(LocateOp& op) {
-  op.res.hops = op.trace->messages() - op.msgs0;
-  op.res.latency = op.trace->latency() - op.lat0;
+  op.res.hops = op.sent.messages();
+  op.res.latency = op.sent.latency();
+  op.trace->absorb(op.sent);
   metrics::locate_total().inc();
   if (op.res.found) metrics::locate_found_total().inc();
   metrics::locate_hops().observe(static_cast<double>(op.res.hops));
@@ -554,7 +560,7 @@ double ObjectDirectory::resolve_locate(LocateOp& op, TapestryNode& holder,
 }
 
 double ObjectDirectory::locate_step(LocateOp& op) {
-  Trace* t = op.trace;
+  Trace* t = &op.sent;  // route_step's lazy repair books on op.trace
   switch (op.phase) {
     case LocateOp::Phase::kWalk: {
       TapestryNode* curp = reg_.find(op.cur);
@@ -597,9 +603,8 @@ double ObjectDirectory::locate_step(LocateOp& op) {
         return next_locate_attempt(op);
       op.path.push_back(cur.id());
 
-      const unsigned level_before = op.state.level;
       auto next = router_.route_step(
-          cur, op.target, op.state, t,
+          cur, op.target, op.state, op.trace,
           op.excluded.empty() ? nullptr : &op.excluded);
       if (next.has_value()) {
         // §2.4 PRR variant: before taking the hop, probe the *secondary*
@@ -607,16 +612,12 @@ double ObjectDirectory::locate_step(LocateOp& op) {
         // primary is about to be visited anyway).
         if (params_.prr_secondary_search) {
           TAP_ASSERT(op.state.level >= 1);
-          const unsigned slot_level = op.state.level - 1 >= level_before
-                                          ? op.state.level - 1
-                                          : level_before;
+          const unsigned slot_level = op.state.level - 1;
           const unsigned digit = next->digit(slot_level);
           for (const auto& member :
                cur.table().at(slot_level, digit).entries()) {
-            if (member.id == *next || member.id == cur.id()) continue;
-            TapestryNode* m = reg_.find(member.id);
-            if (m == nullptr || !m->alive) continue;
-            if (!reg_.reachable(cur.id(), member.id)) continue;
+            TapestryNode* m = live_secondary(cur, member.id, *next);
+            if (m == nullptr) continue;
             wire(MessageKind::kLocateStep, cur, *m, op.target, t);  // probe
             wire(MessageKind::kLocateStep, *m, cur, op.target, t);  // reply
             if (auto rec = pick_live_replica(*m, op.target, cur);
@@ -717,7 +718,7 @@ double ObjectDirectory::locate_step(LocateOp& op) {
       // leave the side-local digit path without the entries needed to land
       // on it exactly.  Either way the query dead-ends: a lost attempt,
       // retried on the remaining roots like any other casualty.
-      auto next = router_.route_step(cur, op.replica, op.leg_state, t);
+      auto next = router_.route_step(cur, op.replica, op.leg_state, op.trace);
       if (!next.has_value()) return next_locate_attempt(op);
       TapestryNode& nxt = reg_.live(*next);
       router_.forward(MessageKind::kRouteHop, cur, nxt, op.replica,
@@ -1000,28 +1001,19 @@ void ObjectDirectory::delete_backward(const NodeId& notifier,
     cur = *rec->last_hop;
   }
   if (!confirmed) return;
-  const TapestryNode* prev = nullptr;
+  // Every link of the backward chain is a wire message; the converge node
+  // originates the first.
+  const TapestryNode* prev = &reg_.checked(notifier);
   NodeId victim = server;
-  NodeId sender = notifier;
   for (const NodeId& id : chain) {
     TapestryNode* w = reg_.find(id);
     TAP_ASSERT(w != nullptr);
-    // Every link of the backward chain is a wire message; the converge
-    // node originates the first.  That link is delivered but not booked
-    // only to keep the benchmark's exact counters: a lazy repair reroutes
-    // on the Trace of the locate that tripped over the corpse, a locate's
-    // hops are every message on its Trace, so booking the link would raise
-    // replicated_mix's exact hops_mean and stretch_mean, and
-    // benchmark/compare.py fails any exact counter that gets worse.
-    Message m = make_message(MessageKind::kDeleteBackward, sender, id, guid);
+    Message m =
+        make_message(MessageKind::kDeleteBackward, prev->id(), id, guid);
     m.server = victim;
-    m = prev != nullptr
-            ? transport_->send(m, reg_.hop_dist(trace, *prev, *w), trace)
-            : transport_->deliver(m);  // unbooked (see above)
-    victim = m.server;
+    victim = transport_->send(m, reg_.hop_dist(trace, *prev, *w), trace).server;
     w->store().remove(guid, victim);
     prev = w;
-    sender = id;
   }
 }
 

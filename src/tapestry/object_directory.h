@@ -285,6 +285,12 @@ class ObjectDirectory {
   PointerRecord carry_pointer(MessageKind kind, const TapestryNode& from,
                               const TapestryNode& to, const Guid& target,
                               const PointerRecord& rec, Trace* trace) const;
+  /// §2.4 PRR: the node a publish deposits on, an unpublish withdraws from
+  /// and a locate probes for `member` of the slot `at` routes through
+  /// toward `primary`; null for the primary, `at` itself, a corpse and a
+  /// node across an active partition.
+  TapestryNode* live_secondary(const TapestryNode& at, const NodeId& member,
+                               const NodeId& primary) const;
   /// Ground-truth replica registry insert (no duplicates).
   void register_replica(const Guid& guid, const NodeId& server);
   /// Event-engine flight time of one message from `a` to `b`.

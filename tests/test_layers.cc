@@ -363,10 +363,40 @@ TEST(RegistrySeam, MessageCounterEqualsTraceLedger) {
   }
 }
 
+// Counts the withdrawals (kUnpublish) the directory delivers to a corpse
+// or across an active partition, then delivers through the network's own
+// transport.
+class WithdrawalRecorder final : public Transport {
+ public:
+  explicit WithdrawalRecorder(Network& net)
+      : net_(net), inner_(net.transport()) {
+    net_.directory().bind_transport(this);
+  }
+  ~WithdrawalRecorder() override { net_.directory().bind_transport(&inner_); }
+  [[nodiscard]] const char* name() const override { return "recorder"; }
+  [[nodiscard]] Message deliver(const Message& m) override {
+    if (m.kind == MessageKind::kUnpublish) {
+      ++withdrawals;
+      if (!net_.registry().is_live(m.dst)) ++to_corpses;
+      if (!net_.registry().reachable(m.src, m.dst)) ++across_cut;
+    }
+    return inner_.deliver(m);
+  }
+  std::size_t withdrawals = 0;
+  std::size_t to_corpses = 0;
+  std::size_t across_cut = 0;
+
+ private:
+  Network& net_;
+  Transport& inner_;
+};
+
 // §2.4 PRR secondary traffic is protocol traffic like the rest: the
 // locate's probe of each secondary is a request and a reply, and the
 // publish's deposits and the unpublish's withdrawals on the secondaries
 // are pointer-carrying messages, each booked once as it is delivered.
+// The withdrawals skip what the deposits and probes skip: a corpse and a
+// node across an active partition.
 TEST(RegistrySeam, PrrSecondaryTrafficDeliversWhatItBooks) {
   TapestryParams p = small_params();
   p.prr_secondary_search = true;
@@ -384,6 +414,74 @@ TEST(RegistrySeam, PrrSecondaryTrafficDeliversWhatItBooks) {
     expect_ledgers(net, "prr unpublish", all,
                    [&](Trace* t) { net.unpublish(from, obj, t); });
   }
+
+  // 48 objects from the first 48 nodes, then 24 fail-stops among the
+  // rest.  Half the objects are withdrawn with the corpses unswept, the
+  // other half across a cut of the odd ranks of the sorted ids.
+  std::vector<Guid> objs;
+  for (std::uint64_t k = 0; k < 48; ++k) {
+    objs.push_back(make_guid(net, 0x5ec0 + k));
+    net.publish(g.ids[k], objs.back());
+  }
+  for (std::size_t i = 56; i < 128; i += 3) net.fail(g.ids[i]);
+  auto sorted = g.ids;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<NodeId> side_b;
+  for (std::size_t i = 1; i < sorted.size(); i += 2)
+    side_b.push_back(sorted[i]);
+  WithdrawalRecorder rec(net);
+  for (std::size_t k = 0; k < objs.size(); ++k) {
+    if (k == objs.size() / 2) net.set_partition(side_b);
+    expect_ledgers(net, "prr unpublish after fails",
+                   Delivered::kNoMoreThanBooked,
+                   [&](Trace* t) { net.unpublish(g.ids[k], objs[k], t); });
+  }
+  net.heal_partition();
+  EXPECT_GT(rec.withdrawals, 0u);
+  EXPECT_EQ(rec.to_corpses, 0u) << "withdrawals delivered to corpses";
+  EXPECT_EQ(rec.across_cut, 0u) << "withdrawals delivered across the cut";
+}
+
+// §4.2's backward delete is a chain of wire messages, the converge node
+// sending the first: every link is delivered and booked once, and the
+// chain's records go while the changed node's and the converge node's
+// stay.
+TEST(RegistrySeam, BackwardDeleteBooksEveryLink) {
+  auto g = static_ring_network(256, 28);
+  Network& net = *g.net;
+  // A publish path server -> p1 -> ... -> root of at least five nodes:
+  // with p1 as the changed node and the root as the converge node, the
+  // chain runs from the node before the root back to p2.
+  Guid guid{};
+  NodeId server{};
+  std::vector<NodeId> path;
+  for (std::uint64_t raw = 0; path.size() < 5; ++raw) {
+    ASSERT_LT(raw, 4096u) << "no publish path of five nodes";
+    guid = make_guid(net, 0xde1e7e + raw);
+    server = g.ids[raw % g.ids.size()];
+    path = net.router().route_to_root_peek(server, guid).path;
+  }
+  net.publish(server, guid);
+  const std::size_t links = path.size() - 3;
+  double chain_dist = 0.0;
+  for (std::size_t i = path.size() - 1; i > 2; --i)
+    chain_dist += net.distance(path[i], path[i - 1]);
+
+  const TransportStats& ts = net.transport().stats();
+  const std::uint64_t sent0 = ts.kind_count(MessageKind::kDeleteBackward);
+  const std::uint64_t booked0 = metrics::messages_total().value();
+  Trace trace;
+  net.directory().delete_backward(path.back(), path[path.size() - 2], guid,
+                                  server, path[1], &trace);
+  EXPECT_EQ(ts.kind_count(MessageKind::kDeleteBackward) - sent0, links);
+  EXPECT_EQ(trace.messages(), links);
+  EXPECT_EQ(metrics::messages_total().value() - booked0, links);
+  EXPECT_DOUBLE_EQ(trace.latency(), chain_dist);
+  for (std::size_t i = 2; i + 1 < path.size(); ++i)
+    EXPECT_FALSE(net.node(path[i]).store().find(guid, server).has_value())
+        << "chain node " << i;
+  EXPECT_TRUE(net.node(path[1]).store().find(guid, server).has_value());
+  EXPECT_TRUE(net.node(path.back()).store().find(guid, server).has_value());
 }
 
 // The facade and the subsystems must expose the same objects: mutating via
@@ -574,6 +672,66 @@ TEST(EngineTwin, SyncAndEventEnginesAgreeAcrossTheMatrix) {
       EXPECT_EQ(sq.read_repairs, eq.read_repairs) << what;
     }
   }
+}
+
+// A locate whose first hop has just fail-stopped pays a lazy repair: the
+// probe to the corpse, the replacement search and the §4.2 reroutes it
+// sets off.  That traffic stays on the locate's Trace, and so on
+// tapestry_messages_total, but out of its hops, which count only the
+// query's own messages (here its walk and replica-leg forwards).  Both
+// engines report the same hops.  The memory store is set here: a quorum
+// read would add the replica kinds to the query's own messages.
+TEST(EngineTwin, LocateHopsCountOnlyItsOwnMessages) {
+  TapestryParams p = small_params();
+  p.store_backend = StoreBackend::kMemory;
+  auto sync = static_ring_network(128, 407, p);
+  p = small_params();
+  p.store_backend = StoreBackend::kMemory;
+  auto event = static_ring_network(128, 407, p);
+  const std::vector<Guid> guids =
+      publish_twins(*sync.net, *event.net, sync.ids, 64, "corpse twins");
+  std::unordered_set<std::uint64_t> servers;
+  for (const auto& [g, s] : sync.net->directory().published())
+    servers.insert(s.value());
+
+  Rng rng(79);
+  std::size_t repaired = 0;
+  for (int q = 0; q < 64 && repaired < 24; ++q) {
+    const std::vector<NodeId> clients = sync.net->node_ids();
+    const NodeId client = clients[rng.next_u64(clients.size())];
+    const Guid guid = guids[rng.next_u64(guids.size())];
+    // The client holds no pointer, so it routes, and its first hop is
+    // neither the root nor a server.
+    if (!sync.net->node(client).store().find_all(guid).empty()) continue;
+    const auto walk = sync.net->router().route_to_root_peek(client, guid).path;
+    if (walk.size() < 3 || servers.count(walk[1].value()) != 0) continue;
+    sync.net->fail(walk[1]);
+    event.net->fail(walk[1]);
+    ++repaired;
+
+    const std::string at = "query " + std::to_string(q);
+    const KindCounts s0 = transport_counts(*sync.net);
+    const KindCounts e0 = transport_counts(*event.net);
+    const std::uint64_t booked0 = metrics::messages_total().value();
+    Trace trace;
+    const LocateResult s = sync.net->locate(client, guid, &trace);
+    EXPECT_TRUE(s.found) << at;
+    EXPECT_EQ(metrics::messages_total().value() - booked0, trace.messages())
+        << at;
+    const KindCounts sd = delta(transport_counts(*sync.net), s0);
+    const auto kind = [&](MessageKind k) {
+      return sd[static_cast<std::size_t>(k)];
+    };
+    EXPECT_EQ(s.hops,
+              kind(MessageKind::kLocateStep) + kind(MessageKind::kRouteHop))
+        << at;
+    EXPECT_GT(trace.messages(), s.hops) << at << ": no repair on the Trace";
+    const LocateResult e = drain_locate_async(*event.net, client, guid);
+    expect_same_result(s, e, at);
+    EXPECT_EQ(sd, delta(transport_counts(*event.net), e0)) << at;
+  }
+  EXPECT_EQ(repaired, 24u);
+  expect_same_stores(*sync.net, *event.net, "after repairing locates");
 }
 
 // Figure 10: a query reaching a root that is still inserting (and lacks

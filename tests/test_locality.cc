@@ -122,6 +122,39 @@ TEST(Locality, UnpublishRemovesLocalBranch) {
   EXPECT_EQ(w.net->total_object_pointers(), 0u);
 }
 
+// A server that is its own stub's local root for a name holds that
+// branch's record itself, and the global unpublish removes it: the local
+// branch books and delivers nothing for that name, as publish sends
+// nothing there.
+TEST(Locality, OwnRootServerUnpublishSendsNoLocalBranchMessage) {
+  auto w = make_world(192, 3);
+  NodeId server{};
+  Guid guid{};
+  for (std::uint64_t raw = 1200; !guid.valid(); ++raw) {
+    const Guid g = make_guid(*w.net, raw);
+    const NodeId id = w.ids[raw % w.ids.size()];
+    if (!(w.locality->local_root(w.locality->stub_of(id), g) == id)) continue;
+    server = id;
+    guid = g;
+  }
+  const TransportStats& stats = w.net->transport().stats();
+  // (booked, delivered) messages of `body`.
+  auto cost = [&](auto&& body) {
+    Trace t;
+    const std::uint64_t before = stats.messages.load();
+    body(&t);
+    return std::make_pair(std::uint64_t{t.messages()},
+                          stats.messages.load() - before);
+  };
+  w.locality->publish(server, guid);
+  const auto local =
+      cost([&](Trace* t) { w.locality->unpublish(server, guid, t); });
+  EXPECT_EQ(w.net->total_object_pointers(), 0u);
+  w.locality->publish(server, guid);
+  const auto global = cost([&](Trace* t) { w.net->unpublish(server, guid, t); });
+  EXPECT_EQ(local, global);
+}
+
 TEST(Locality, MultipleReplicasPreferLocal) {
   auto w = make_world(192, 7);
   // Same GUID replicated in two stubs; clients in each stub must resolve

@@ -430,7 +430,7 @@ TEST(Scenarios, ChurnTranscriptIsPinned) {
 
   EXPECT_EQ(log.size(), 852u);
   EXPECT_EQ(rep.events_fired, 2520u);
-  EXPECT_EQ(h.value(), 3611010396892684267ull);
+  EXPECT_EQ(h.value(), 13586208473321037054ull);
 }
 
 }  // namespace
