@@ -27,6 +27,9 @@
 //   * replica_holder_distance_evals: metric distance evaluations the kill
 //     fixture's replicated publishes make beyond the same publishes on
 //     the memory backend — the holder-selection work, exact.
+//   * replica_sets_after_unpublish: the kill fixture's guids that keep a
+//     holder set once their live servers unpublished them; a set goes
+//     with its last mirrored record, so exactly 0.
 //
 // Absolute throughput figures are reported as informational metrics.
 #include <algorithm>
@@ -187,6 +190,7 @@ struct KillRun {
   std::size_t queries = 0;
   std::size_t kills = 0;
   std::uint64_t publish_distance_evals = 0;  ///< metric calls of the publishes
+  std::size_t sets_after_unpublish = 0;  ///< guids keeping a holder set
 };
 
 /// Builds a static 128-node overlay on `backend`, publishes 24 objects,
@@ -194,8 +198,10 @@ struct KillRun {
 /// the object themselves), additionally kills the first replica holder of
 /// every odd object when the backend has one, then locates everything
 /// from remote clients.  No republish or expiry timers run, so the only
-/// recovery path is the quorum read.  Deterministic: same seeds, same
-/// kill schedule for every backend.
+/// recovery path is the quorum read.  Then every live server unpublishes
+/// its objects, and the unpublished guids that still have a holder set
+/// are counted.
+/// Deterministic: same seeds, same kill schedule for every backend.
 KillRun kill_availability_run(StoreBackend backend) {
   constexpr std::size_t kNodes = 128, kObjects = 24;
   TapestryParams p;
@@ -258,6 +264,17 @@ KillRun kill_availability_run(StoreBackend backend) {
       out.queries == 0
           ? 1.0
           : static_cast<double>(found) / static_cast<double>(out.queries);
+
+  // Withdraw every object a live server still serves.  A collateral
+  // server death leaves its object's mirrors to soft-state expiry, which
+  // this fixture never runs, so those guids are not counted.
+  for (const Guid& g : guids) {
+    const auto servers = net.servers_of(g);  // live servers only
+    if (servers.empty()) continue;
+    for (const NodeId& server : servers) net.unpublish(server, g);
+    if (repl != nullptr && repl->holders(salted_guid(g, 0)) != nullptr)
+      ++out.sets_after_unpublish;
+  }
   return out;
 }
 
@@ -426,7 +443,8 @@ int run(bool json, std::size_t threads) {
         "\"replicated_kill_availability\":%.4f,"
         "\"memory_kill_availability\":%.4f,"
         "\"kill_count\":%zu,"
-        "\"replica_holder_distance_evals\":%llu}}\n",
+        "\"replica_holder_distance_evals\":%llu,"
+        "\"replica_sets_after_unpublish\":%zu}}\n",
         agreement ? 1 : 0, drain_match ? 1 : 0, roundtrip ? 1 : 0,
         upsert_ratio, read_ratio, drain_speedup, legacy_upsert_ms,
         mem_upsert_ms, shard_upsert_ms, persist_upsert_ms, legacy_read_ms,
@@ -435,7 +453,8 @@ int run(bool json, std::size_t threads) {
         static_cast<double>(persist_stats.wal_bytes) / (1024.0 * 1024.0),
         persist_stats.compactions, recover_ms, kill_repl.availability,
         kill_mem.availability, kill_repl.kills,
-        static_cast<unsigned long long>(holder_evals));
+        static_cast<unsigned long long>(holder_evals),
+        kill_repl.sets_after_unpublish);
     return agreement && drain_match && roundtrip && kill_ok ? 0 : 1;
   }
 
@@ -479,6 +498,8 @@ int run(bool json, std::size_t threads) {
   std::printf("holder selection: %llu distance evaluations beyond the "
               "same publishes on memory stores\n",
               static_cast<unsigned long long>(holder_evals));
+  std::printf("holder sets left after unpublishing every object: %zu\n",
+              kill_repl.sets_after_unpublish);
   return agreement && drain_match && roundtrip && kill_ok ? 0 : 1;
 }
 

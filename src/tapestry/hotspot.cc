@@ -28,13 +28,17 @@ std::optional<LocateCache::Entry> LocateCache::lookup(const NodeId& at,
     ++stats_.misses;
     return std::nullopt;
   }
-  // The cache is deliberately one instant stricter than the store, which
-  // still treats now == expires_at as live: a hint dies at its deadline,
-  // so it can never name a pointer the holder's store no longer returns.
-  if (it->second->second.expires <= now) {
+  // A hint naming a dead holder or replica leads nowhere; it dies here,
+  // where it is read, not at the death.  The cache is also one instant
+  // stricter than the store, which still treats now == expires_at as live:
+  // a hint dies at its deadline, so it can never name a pointer the
+  // holder's store no longer returns.
+  const Entry& e = it->second->second;
+  const bool stale = is_live_ && !(is_live_(e.holder) && is_live_(e.server));
+  if (stale || e.expires <= now) {
+    ++(stale ? stats_.invalidated : stats_.expired);
     pn.lru.erase(it->second);
     pn.index.erase(it);
-    ++stats_.expired;
     ++stats_.misses;
     return std::nullopt;
   }
@@ -84,21 +88,10 @@ void LocateCache::invalidate_object(const Guid& base) {
   }
 }
 
-void LocateCache::invalidate_node(const NodeId& dead) {
+void LocateCache::drop_node(const NodeId& dead) {
   if (auto nit = nodes_.find(dead.value()); nit != nodes_.end()) {
     stats_.invalidated += nit->second.lru.size();
     nodes_.erase(nit);
-  }
-  for (auto& [node, pn] : nodes_) {
-    for (auto it = pn.lru.begin(); it != pn.lru.end();) {
-      if (it->second.holder == dead || it->second.server == dead) {
-        pn.index.erase(it->first);
-        it = pn.lru.erase(it);
-        ++stats_.invalidated;
-      } else {
-        ++it;
-      }
-    }
   }
 }
 
@@ -134,7 +127,7 @@ HotspotManager::HotspotManager(NodeRegistry& registry,
   TAP_CHECK(hp_.half_life > 0.0, "hotspot half_life must be positive");
   TAP_CHECK(hp_.demote_threshold < hp_.promote_threshold,
             "hotspot demote_threshold must sit below promote_threshold");
-  // Node death reaches the directory (invalidate_node_cache) before any
+  // Node death reaches the directory (on_node_death) before any
   // other replication bookkeeping runs; piggyback on it so dead hosts are
   // dropped from `extra` the moment they die, not at the next promotion.
   dir_.set_node_death_hook(

@@ -13,7 +13,9 @@
 //     holder that no longer has a live record — unpublish, pointer expiry,
 //     §4.2 reroute moved it, replica crashed — fails the verification and
 //     the query resumes the ordinary surrogate walk, so a cached locate
-//     agrees with the uncached one on found/not-found by construction.
+//     agrees with the uncached one on found/not-found by construction.  A
+//     hint naming a dead holder or replica is dropped when it is read, so
+//     a death costs only the corpse's own LRU.
 //
 //   * HotspotManager — exponentially decayed per-object query-rate
 //     estimates, fed by the traffic drivers from locate completions.
@@ -27,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <optional>
 #include <unordered_map>
@@ -69,19 +72,27 @@ class LocateCache {
     std::size_t expired = 0;     ///< entries dropped at lookup for age
     std::size_t fallbacks = 0;   ///< hits whose holder verification failed
     std::size_t insertions = 0;  ///< upserts (refreshes included)
-    std::size_t invalidated = 0; ///< entries dropped by invalidate_*
+    /// Entries dropped by invalidate_object and drop_node, and hints
+    /// lookup dropped for naming a dead holder or server.
+    std::size_t invalidated = 0;
   };
+
+  /// Whether a node is alive; ObjectDirectory binds the registry's.
+  using Liveness = std::function<bool(const NodeId&)>;
 
   /// `capacity` == 0 disables the cache entirely (every call is a no-op and
   /// lookups never hit); `ttl` additionally caps every entry's lifetime
-  /// below the record deadline it was learned from.
-  LocateCache(std::size_t capacity, double ttl)
-      : capacity_(capacity), ttl_(ttl) {}
+  /// below the record deadline it was learned from.  Without `is_live`
+  /// every node counts as alive.
+  LocateCache(std::size_t capacity, double ttl, Liveness is_live = nullptr)
+      : capacity_(capacity), ttl_(ttl), is_live_(std::move(is_live)) {}
 
   [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
 
   /// Returns node `at`'s freshest entry for `base`, refreshing its LRU
-  /// position; expired entries are dropped on the spot.
+  /// position.  An entry whose holder or server is dead, or whose
+  /// deadline has passed, is dropped on the spot and the lookup counts as
+  /// a miss.
   std::optional<Entry> lookup(const NodeId& at, const Guid& base, double now);
 
   /// Upserts an entry into node `at`'s LRU, evicting the stalest entry
@@ -94,9 +105,10 @@ class LocateCache {
   /// Drops every node's entry for `base` (unpublish).
   void invalidate_object(const Guid& base);
 
-  /// Drops the departed node's own cache and every entry anywhere that
-  /// names it as pointer holder or replica (§5 node death/departure).
-  void invalidate_node(const NodeId& dead);
+  /// Drops the dead or departed node's own LRU (§5).  Hints elsewhere
+  /// that name it as pointer holder or replica stay until lookup reads
+  /// them, or the LRU evicts them.
+  void drop_node(const NodeId& dead);
 
   /// Records a hit whose holder verification failed (the caller fell back
   /// to the surrogate walk).
@@ -120,6 +132,7 @@ class LocateCache {
 
   std::size_t capacity_;
   double ttl_;
+  Liveness is_live_;
   std::unordered_map<std::uint64_t, PerNode> nodes_;
   Stats stats_{};
 };

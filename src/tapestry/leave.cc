@@ -24,7 +24,8 @@ void MaintenanceEngine::leave(NodeId id, Trace* trace) {
   // From here on the node is gone for routing purposes: repairs and
   // replacement searches must not hand it back out.  (The unpublishes
   // above already dropped every cached hint naming this node as replica;
-  // fail() sweeps its own LRU and any hint naming it as pointer holder.)
+  // fail() drops its own LRU, and a hint naming it as pointer holder dies
+  // when read.)
   fail(id);
   depart(a, trace, nullptr);
 }

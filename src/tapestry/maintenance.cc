@@ -88,6 +88,19 @@ bool slot_empty(const TapestryNode& n, unsigned level, unsigned digit,
   return n.table().slot_empty(level, digit);
 }
 
+/// The first dead member of `n`'s row `level`, in slot order.
+std::optional<NodeId> dead_member(const NodeRegistry& reg,
+                                  const TapestryNode& n, unsigned level,
+                                  const NodeLockTable* locks) {
+  NodeLockTable::Guard g(locks, n.id());
+  const std::uint64_t row = n.table().row_mask(level);
+  for (unsigned j = occ::next(row, 0); j != occ::kNone;
+       j = occ::next(row, j + 1))
+    for (const auto& e : n.table().at(level, j).entries())
+      if (!reg.is_live(e.id)) return e.id;
+  return std::nullopt;
+}
+
 }  // namespace
 
 void MaintenanceEngine::fail(NodeId id) {
@@ -95,10 +108,10 @@ void MaintenanceEngine::fail(NodeId id) {
   // The tombstone keeps its table, store and backpointers: last-hop chains
   // crossing the corpse stay traversable for DELETEPOINTERSBACKWARD, and
   // lazy repair discovers the corpse exactly where a live system would —
-  // by failing to talk to it.  Locate-cache hints involving the corpse are
-  // dropped eagerly; queries already jumping toward it fail holder
+  // by failing to talk to it.  Locate-cache hints naming the corpse die
+  // when next read; queries already jumping toward it fail holder
   // verification and fall back to the walk on their own.
-  dir_.invalidate_node_cache(id);
+  dir_.on_node_death(id);
 }
 
 void MaintenanceEngine::purge_dead_neighbor(TapestryNode& at, NodeId dead,
@@ -190,44 +203,6 @@ void MaintenanceEngine::heartbeat_sweep(Trace* trace) {
   fill_pass(trace, nullptr, 1);
 }
 
-std::optional<NodeId> MaintenanceEngine::first_corpse(
-    TapestryNode& n, unsigned& level, std::vector<std::uint64_t>& confirmed,
-    Trace* trace, const NodeLockTable* locks) {
-  NodeLockTable::Guard g(locks, n.id());
-  const unsigned digits = params_.id.num_digits;
-  const unsigned radix = params_.id.radix();
-  for (; level < digits; ++level) {
-    for (unsigned j = 0; j < radix; ++j) {
-      for (const auto& e : n.table().at(level, j).entries()) {
-        if (e.id == n.id()) continue;
-        // One heartbeat per member a sweep: a member can also sit in our
-        // own-digit slot of each row above its own, and the scan after a
-        // purge revisits the corpse's row.
-        const auto pos =
-            std::lower_bound(confirmed.begin(), confirmed.end(), e.id.value());
-        if (pos != confirmed.end() && *pos == e.id.value()) continue;
-        const TapestryNode* other = reg_.find(e.id);
-        TAP_ASSERT(other != nullptr);
-        if (!other->alive) {
-          // No heartbeat came: probe the member, which never answers.
-          transport_->send(make_message(MessageKind::kHeartbeatProbe, n.id(),
-                                        e.id, e.id),
-                           reg_.hop_dist(trace, n, *other), trace);
-          return e.id;
-        }
-        // A live member pushes its heartbeat along each backpointer, and
-        // backpointers mirror n's forward links: n hears from it once.
-        Message alive =
-            make_message(MessageKind::kHeartbeatAck, e.id, n.id(), n.id());
-        alive.flag = true;
-        transport_->send(alive, reg_.hop_dist(trace, *other, n), trace);
-        confirmed.insert(pos, e.id.value());
-      }
-    }
-  }
-  return std::nullopt;
-}
-
 void MaintenanceEngine::for_each_live(
     const NodeLockTable* locks, std::size_t workers, Trace* trace,
     const std::function<void(TapestryNode&, Trace*)>& body) {
@@ -252,48 +227,47 @@ void MaintenanceEngine::heartbeat_round(Trace* trace,
                                         const NodeLockTable* locks,
                                         std::size_t workers) {
   const unsigned digits = params_.id.num_digits;
-  const unsigned radix = params_.id.radix();
 
-  // Pass 0: heartbeats pushed to corpses.  A live node pushes along every
-  // backpointer, and a corpse's tombstone table still lists the nodes it
-  // linked to, which hold backpointers to it.  The push goes out at the
-  // sweep's instant, before anyone notices the silence.  Nobody receives
-  // it, so the pusher drops every backpointer to the corpse and pushes to
-  // it only this once.  Runs on this thread before any worker starts.
-  for (const auto& d : reg_.nodes()) {
-    if (d->alive) continue;
-    const RoutingTable& t = d->table();
-    for (unsigned l = 0; l < digits; ++l) {
-      for (unsigned j = 0; j < radix; ++j) {
-        for (const auto& e : t.at(l, j).entries()) {
-          if (e.id == d->id()) continue;
-          TapestryNode& x = reg_.checked(e.id);
-          if (!x.alive || !x.table().has_backpointer(l, d->id())) continue;
-          Message alive =
-              make_message(MessageKind::kHeartbeatAck, e.id, d->id(), d->id());
-          alive.flag = true;
-          transport_->send(alive, reg_.hop_dist(trace, x, *d), trace);
-          // Backpointers to d sit at rows up to where the ids first differ.
-          const unsigned top = d->id().common_prefix_len(e.id);
-          for (unsigned k = l; k <= top; ++k)
-            x.table().remove_backpointer(k, d->id());
-        }
+  // Pushes, all at the sweep's instant: each live node sends one "alive"
+  // heartbeat to every distinct backpointer holder.  A holder that is a
+  // corpse never hears it, so the pusher drops its backpointers to it and
+  // pushes to it only this once.  A node touches only its own table.
+  for_each_live(locks, workers, trace, [&](TapestryNode& x, Trace* t) {
+    thread_local std::vector<NodeId> holders;
+    holders.clear();
+    {
+      NodeLockTable::Guard g(locks, x.id());
+      for (unsigned l = 0; l < digits; ++l) {
+        const auto& row = x.table().backpointers(l);
+        holders.insert(holders.end(), row.begin(), row.end());
       }
     }
-  }
+    std::sort(holders.begin(), holders.end());
+    holders.erase(std::unique(holders.begin(), holders.end()), holders.end());
+    for (const NodeId& h : holders) {
+      TapestryNode& to = reg_.checked(h);
+      Message alive = make_message(MessageKind::kHeartbeatAck, x.id(), h, h);
+      alive.flag = true;
+      transport_->send(alive, reg_.hop_dist(t, x, to), t);
+      if (to.alive) continue;
+      NodeLockTable::Guard g(locks, x.id());
+      for (unsigned l = 0; l < digits; ++l) x.table().remove_backpointer(l, h);
+    }
+  });
 
-  // Pass 1: heartbeats.  Each node hears from its live table members and
-  // probes only a member that stayed silent; the unanswered probe triggers
-  // the same lazy repair a failed routing step would, and the scan resumes
-  // at the corpse's row.  A purge only drops the corpse and links live
-  // replacements, so the rows above stay corpse-free and a node whose scan
-  // comes back clean holds no corpse.
+  // Probes: a member no push came from is dead.  Each live node probes it
+  // (no answer) and runs the same purge a failed routing step would, in
+  // table order.  The row is re-read before each probe: a purge's §4.2
+  // reroute may already have purged the next corpse.
   for_each_live(locks, workers, trace, [&](TapestryNode& n, Trace* t) {
-    thread_local std::vector<std::uint64_t> confirmed;
-    confirmed.clear();
-    unsigned level = 0;
-    while (const auto dead = first_corpse(n, level, confirmed, t, locks))
-      purge_dead_neighbor(n, *dead, t, locks);
+    for (unsigned l = 0; l < digits; ++l) {
+      while (const auto dead = dead_member(reg_, n, l, locks)) {
+        transport_->send(
+            make_message(MessageKind::kHeartbeatProbe, n.id(), *dead, *dead),
+            reg_.hop_dist(t, n, reg_.checked(*dead)), t);
+        purge_dead_neighbor(n, *dead, t, locks);
+      }
+    }
   });
 }
 

@@ -195,13 +195,16 @@ class MaintenanceEngine final : public RepairHandler {
   void leave(NodeId node, Trace* trace = nullptr);
   /// Involuntary fail-stop (§5.2): the node simply stops responding.
   void fail(NodeId node);
-  /// Soft-state heartbeat maintenance (§5.2, §6.5): every live node
-  /// pushes a heartbeat to each backpointer holder, and probes and purges
-  /// the table members it did not hear from (corpses); then one fill pass
-  /// refills every empty slot a live node fits.  A push to a corpse goes
-  /// unheard, and the pusher drops its backpointers to it, so it pushes
-  /// to each corpse once.  Every message is booked as it is sent.  Counts
-  /// one tapestry_heartbeat_sweeps_total.
+  /// Soft-state heartbeat maintenance (§5.2, §6.5): every live node first
+  /// pushes a heartbeat to each distinct backpointer holder, then probes
+  /// and purges the table members it did not hear from (corpses); then
+  /// one fill pass refills every empty slot a live node fits.  A push to
+  /// a corpse goes unheard, and the pusher drops its backpointers to it,
+  /// so it pushes to each corpse once.  A sweep delivers one push per
+  /// (node, holder) pair and one probe per (live node, dead member) pair
+  /// present when it starts; a link the sweep makes itself is heard from
+  /// at the next.  Every message is booked as it is sent.  Counts one
+  /// tapestry_heartbeat_sweeps_total.
   void heartbeat_sweep(Trace* trace = nullptr);
 
   // --- thread-parallel repair waves (§5.1, §5.2 on real threads) ---
@@ -396,23 +399,14 @@ class MaintenanceEngine final : public RepairHandler {
   /// Refills slot (level, digit) of `at` if it is empty (Property 1).
   void refill_slot(TapestryNode& at, unsigned level, unsigned digit,
                    Trace* trace, const NodeLockTable* locks);
-  /// Scans `n`'s table members from row `level` on and returns the first
-  /// corpse, leaving `level` at its row.  Each live member's pushed
-  /// heartbeat reaches `n` as one kHeartbeatAck, booked member to node;
-  /// only a dead member is sent a kHeartbeatProbe, which goes unanswered.
-  /// The push needs no lookup of the member's backpointers: link, unlink
-  /// and the §4.4 pins keep a live node's backpointers the exact inverse
-  /// of the live forward links to it.  Its pushes to corpses go out in
-  /// the sweep's pass 0.
-  /// Ids in the sorted `confirmed` were heard from earlier in the sweep
-  /// and are skipped; each live member joins them.
-  std::optional<NodeId> first_corpse(TapestryNode& n, unsigned& level,
-                                     std::vector<std::uint64_t>& confirmed,
-                                     Trace* trace, const NodeLockTable* locks);
-  /// A sweep's heartbeat round: the pushes to corpses, after which each
-  /// pusher drops its backpointers to the corpse (pass 0), then every
-  /// live node hears from its live members and probes and purges the
-  /// silent ones (pass 1).
+  /// A sweep's heartbeat round, in two passes over the live nodes.  First
+  /// each pushes one kHeartbeatAck to every distinct backpointer holder
+  /// and drops its backpointers to a dead one: link, unlink and the §4.4
+  /// pins keep a live node's backpointers the exact inverse of the
+  /// forward links to it, so every live link hears its member once.
+  /// Then each probes every dead member it still lists (one unanswered
+  /// kHeartbeatProbe) and purges it, in table order, re-reading the row
+  /// before each probe.  Neither pass reads a corpse's table.
   void heartbeat_round(Trace* trace, const NodeLockTable* locks,
                        std::size_t workers);
   /// One pass over every live node refilling each empty slot a live id

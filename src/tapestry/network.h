@@ -247,11 +247,12 @@ class Network {
     return directory_.restore(dir);
   }
 
-  /// Soft-state heartbeat maintenance (§5.2, §6.5): every node hears from
-  /// its live table members, probes and purges the silent ones (corpses),
-  /// then one fill pass refills every empty slot a live node fits.  Each
-  /// live node pushes to a corpse that listed it once, then drops its
-  /// backpointers to it.
+  /// Soft-state heartbeat maintenance (§5.2, §6.5): every live node first
+  /// pushes one heartbeat to each distinct backpointer holder, then probes
+  /// and purges the table members it did not hear from (corpses); then
+  /// one fill pass refills every empty slot a live node fits.  A push to
+  /// a corpse goes unheard and the pusher drops its backpointers to it,
+  /// so it pushes to each corpse once.  No sweep reads a corpse's table.
   void heartbeat_sweep(Trace* trace = nullptr) {
     maintenance_.heartbeat_sweep(trace);
   }

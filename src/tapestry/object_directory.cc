@@ -26,7 +26,9 @@ ObjectDirectory::ObjectDirectory(NodeRegistry& registry, Router& router,
                                  const TapestryParams& params,
                                  EventQueue& events, Rng& rng)
     : reg_(registry), router_(router), params_(params), events_(events),
-      rng_(rng), cache_(params.locate_cache_size, params.locate_cache_ttl) {
+      rng_(rng),
+      cache_(params.locate_cache_size, params.locate_cache_ttl,
+             [&registry](const NodeId& id) { return registry.is_live(id); }) {
   if (params.store_backend == StoreBackend::kReplicated ||
       params.store_backend == StoreBackend::kReplicatedPersistent) {
     replicator_ = std::make_unique<QuorumReplicator>(registry, params);
@@ -40,8 +42,8 @@ void ObjectDirectory::bind_transport(Transport* transport) noexcept {
   if (replicator_) replicator_->bind_transport(transport);
 }
 
-void ObjectDirectory::invalidate_node_cache(const NodeId& id) {
-  cache_.invalidate_node(id);
+void ObjectDirectory::on_node_death(const NodeId& id) {
+  cache_.drop_node(id);
   if (replicator_) replicator_->on_node_death(id);
   if (node_death_hook_) node_death_hook_(id);
 }
@@ -584,15 +586,15 @@ double ObjectDirectory::locate_step(LocateOp& op) {
       if (cache_.enabled()) {
         if (auto ce = cache_.lookup(cur.id(), op.base, events_.now());
             ce.has_value()) {
-          TapestryNode* h = reg_.find(ce->holder);
-          if (h != nullptr && h->alive && !(h->id() == cur.id()) &&
-              reg_.reachable(cur.id(), h->id())) {
-            wire(MessageKind::kLocateStep, cur, *h, op.target, t);
+          // lookup hands back live holders only.
+          TapestryNode& h = reg_.live(ce->holder);
+          if (!(h.id() == cur.id()) && reg_.reachable(cur.id(), h.id())) {
+            wire(MessageKind::kLocateStep, cur, h, op.target, t);
             op.cache_target = ce->target;
             op.cache_holder = ce->holder;
             op.cache_from = cur.id();
             op.phase = LocateOp::Phase::kCacheVerify;
-            return hop_delay(cur, *h);
+            return hop_delay(cur, h);
           }
           cache_.erase(cur.id(), op.base);
         }

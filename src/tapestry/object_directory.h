@@ -232,14 +232,14 @@ class ObjectDirectory {
   [[nodiscard]] const LocateCache& locate_cache() const noexcept {
     return cache_;
   }
-  /// Drops every cache entry involving a dead/departed node — its own LRU
-  /// and any hint naming it as holder or replica.  MaintenanceEngine calls
-  /// this from fail()/leave(); queries already in flight toward the corpse
-  /// fail holder verification and fall back to the walk regardless.  Also
-  /// the death seam of the replication layer: the QuorumReplicator (when
-  /// the replicated backend is active) re-replicates every holder set the
-  /// dead node belonged to before the external hook fires.
-  void invalidate_node_cache(const NodeId& id);
+  /// The death seam: MaintenanceEngine calls it from fail() (so from
+  /// leave() too).  Drops the dead node's own locate-cache LRU; a hint
+  /// elsewhere naming it dies when read, and queries already in flight
+  /// toward the corpse fail holder verification and fall back to the
+  /// walk.  The QuorumReplicator (when the replicated backend is active)
+  /// re-replicates every holder set the dead node belonged to before the
+  /// external hook fires.
+  void on_node_death(const NodeId& id);
 
   /// Quorum replication coordinator; nullptr unless params.store_backend
   /// is kReplicated / kReplicatedPersistent (tests and benches introspect
@@ -248,7 +248,7 @@ class ObjectDirectory {
     return replicator_.get();
   }
 
-  /// Registers a callback fired from invalidate_node_cache — i.e. on every
+  /// Registers a callback fired from on_node_death — i.e. on every
   /// §5 death/departure the maintenance layer reports.  HotspotManager uses
   /// it to drop dead hosts from its replica bookkeeping the moment they
   /// die.  Pass nullptr to unregister; at most one hook at a time.
@@ -332,7 +332,7 @@ class ObjectDirectory {
   Timer republish_timer_;
   Timer expiry_timer_;
 
-  // Fired from invalidate_node_cache on node death/departure.
+  // Fired from on_node_death on node death/departure.
   std::function<void(const NodeId&)> node_death_hook_;
 
   // Wire layer for all cross-node pointer traffic (see bind_transport).

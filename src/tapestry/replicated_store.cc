@@ -186,6 +186,7 @@ void QuorumReplicator::mirror_remove(const TapestryNode& root,
     m = transport_->send(m, reg_.hop_dist(trace, root, *node), trace);
     replicas_at(h).remove(target, m.server);
   }
+  if (!held(target, it->second)) holder_sets_.erase(it);
 }
 
 std::vector<PointerRecord> QuorumReplicator::quorum_read(
@@ -299,6 +300,18 @@ void QuorumReplicator::on_node_death(const NodeId& dead) {
 void QuorumReplicator::remove_expired(double now) {
   for (auto& [holder, area] : areas_)
     if (reg_.is_live(holder)) area.remove_expired(now);
+  for (auto it = holder_sets_.begin(); it != holder_sets_.end();)
+    it = held(it->first, it->second) ? std::next(it) : holder_sets_.erase(it);
+}
+
+bool QuorumReplicator::held(const Guid& target,
+                            const std::vector<NodeId>& holders) const {
+  bool any = false;
+  for (const NodeId& h : holders)
+    if (const auto a = areas_.find(h); a != areas_.end())
+      a->second.for_each_of(
+          target, [&](const Guid&, const PointerRecord&) { any = true; });
+  return any;
 }
 
 const std::vector<NodeId>* QuorumReplicator::holders(

@@ -102,7 +102,8 @@ class QuorumReplicator {
   std::size_t mirror_publish(const TapestryNode& root, const Guid& target,
                              const PointerRecord& rec, Trace* trace);
 
-  /// An unpublish reached `root`: withdraw server's mirrored record.
+  /// An unpublish reached `root`: withdraw server's mirrored record.  The
+  /// guid's holder set goes with its last mirrored record.
   void mirror_remove(const TapestryNode& root, const Guid& target,
                      const NodeId& server, Trace* trace);
 
@@ -122,6 +123,7 @@ class QuorumReplicator {
 
   /// Drops every expired mirror from the live holders' areas: mirrors are
   /// §6.5 soft state too (ObjectDirectory::expire_pointers calls this).
+  /// Then drops every holder set none of whose holders mirrors a record.
   void remove_expired(double now);
 
   /// The records mirrored to `holder` for roots elsewhere, created empty
@@ -130,7 +132,9 @@ class QuorumReplicator {
     return areas_[holder];
   }
 
-  /// Holder set of `target`, if one was ever formed (tests/benches).
+  /// Holder set of `target` while some holder mirrors a record of it
+  /// (tests/benches).  A set forms at the first mirror and goes once an
+  /// unpublish or an expiry sweep leaves no holder a record.
   [[nodiscard]] const std::vector<NodeId>* holders(const Guid& target) const;
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -142,6 +146,9 @@ class QuorumReplicator {
   /// nearest_live scan when the walk cannot prove its answer.
   std::vector<NodeId>& holder_set(const TapestryNode& root,
                                   const Guid& target);
+  /// Whether some holder's area holds a record of `target`.
+  [[nodiscard]] bool held(const Guid& target,
+                          const std::vector<NodeId>& holders) const;
   /// The k live nodes nearest to `root` under (distance, id), read off
   /// the root's own routing table: every slot except the root's own-digit
   /// one per row, plus the backpointer holders that differ from the root

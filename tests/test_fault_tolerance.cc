@@ -5,6 +5,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "src/baselines/root_store.h"
@@ -269,8 +270,8 @@ class CorpsePushRecorder final : public Transport {
 
 TEST(Heartbeat, PushesReachEveryBackpointerHolder) {
   // A live node pushes its heartbeat to each distinct backpointer holder,
-  // corpses included: a corpse's tombstone table still lists the nodes it
-  // linked to.  Nobody receives a push to a corpse, so the pusher drops
+  // corpses included: a corpse that linked to it is still among its
+  // holders.  Nobody receives a push to a corpse, so the pusher drops
   // its backpointers to it.  The first sweep after the fail-stops pushes
   // once to each (live node, corpse) pair; the second pushes to no corpse
   // and delivers exactly what it books.
@@ -319,6 +320,33 @@ TEST(Heartbeat, PushesReachEveryBackpointerHolder) {
   EXPECT_EQ(t.messages(), to_live);
   EXPECT_EQ(stats.messages.load() - delivered, t.messages());
   EXPECT_EQ(metrics::messages_total().value() - booked, t.messages());
+}
+
+TEST(Heartbeat, SweepServesEachPairPresentAtItsStart) {
+  // After fail-stops, one serial sweep delivers one push per distinct
+  // (node, backpointer holder) pair and one probe per distinct (live
+  // node, dead member) pair present when it starts.  A replacement a purge
+  // links mid-sweep is heard from at the next sweep, and a corpse a
+  // reroute's lazy repair already purged is not probed again.
+  for (const bool grown : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE((grown ? "grown seed " : "static seed ") +
+                   std::to_string(seed));
+      auto g = test::fail_stopped_ring(grown, seed, small_params());
+      const test::SweepPairs want = test::sweep_pairs(*g.net);
+      ASSERT_GT(want.probes, 0u);
+      const TransportStats& ts = g.net->transport().stats();
+      const std::uint64_t pushes = ts.kind_count(MessageKind::kHeartbeatAck);
+      const std::uint64_t probes = ts.kind_count(MessageKind::kHeartbeatProbe);
+      g.net->heartbeat_sweep();
+      EXPECT_EQ(ts.kind_count(MessageKind::kHeartbeatAck) - pushes,
+                want.pushes);
+      EXPECT_EQ(ts.kind_count(MessageKind::kHeartbeatProbe) - probes,
+                want.probes);
+      g.net->check_property1();
+      g.net->check_backpointer_symmetry();
+    }
+  }
 }
 
 TEST(Heartbeat, IdempotentOnHealthyNetwork) {

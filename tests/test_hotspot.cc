@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "src/tapestry/hotspot.h"
@@ -81,7 +82,9 @@ TEST(LocateCache, TtlClampAndExpiry) {
 
 TEST(LocateCache, InvalidateByObjectAndByNode) {
   const IdSpec spec{4, 8};
-  LocateCache cache(8, std::numeric_limits<double>::infinity());
+  std::set<std::uint64_t> dead;
+  auto is_live = [&](const NodeId& id) { return dead.count(id.value()) == 0; };
+  LocateCache cache(8, std::numeric_limits<double>::infinity(), is_live);
   const NodeId a(spec, 0x11), b(spec, 0x12);
   const NodeId holder(spec, 0x22), server(spec, 0x33);
   const Guid g1(spec, 1), g2(spec, 2);
@@ -92,15 +95,32 @@ TEST(LocateCache, InvalidateByObjectAndByNode) {
   EXPECT_FALSE(cache.lookup(a, g1, 0.0).has_value());
   EXPECT_FALSE(cache.lookup(b, g1, 0.0).has_value());
   EXPECT_TRUE(cache.lookup(b, g2, 0.0).has_value());
-  // Node death sweeps entries naming the corpse as holder or server, and
-  // the corpse's own LRU.
+  // A death drops the corpse's own LRU and nothing else: a hint naming
+  // the corpse as holder or server stays until a lookup reads it, which
+  // drops it and counts a miss.
   cache.insert(a, g1, {g1, holder, server, 100.0}, 0.0);
-  cache.insert(holder, g2, {g2, server, server, 100.0}, 0.0);
-  cache.invalidate_node(holder);
+  const NodeId c(spec, 0x44);
+  cache.insert(c, g2, {g2, server, server, 100.0}, 0.0);
+  ASSERT_EQ(cache.entries(), 3u);
+  dead.insert(c.value());
+  cache.drop_node(c);
+  EXPECT_EQ(cache.entries_at(c), 0u);
+  EXPECT_EQ(cache.entries(), 2u);
+
+  dead.insert(holder.value());
+  cache.drop_node(holder);
+  EXPECT_EQ(cache.entries(), 2u) << "a's hint naming the holder must stay";
+  std::size_t misses = cache.stats().misses;
   EXPECT_FALSE(cache.lookup(a, g1, 0.0).has_value());
-  EXPECT_EQ(cache.entries_at(holder), 0u);
-  cache.invalidate_node(server);
+  EXPECT_EQ(cache.stats().misses, misses + 1);
+  EXPECT_EQ(cache.entries_at(a), 0u) << "the read must drop the hint";
+
+  dead.insert(server.value());
+  cache.drop_node(server);
+  EXPECT_EQ(cache.entries(), 1u) << "b's hint naming the server must stay";
+  misses = cache.stats().misses;
   EXPECT_FALSE(cache.lookup(b, g2, 0.0).has_value());
+  EXPECT_EQ(cache.stats().misses, misses + 1);
   EXPECT_EQ(cache.entries(), 0u);
 }
 
@@ -153,8 +173,8 @@ TEST(HotspotCache, ReplicaCrashFallsBackToSurvivingReplica) {
   const LocateResult cold = g.net->locate(client, guid);
   ASSERT_TRUE(cold.found);
 
-  // Crash whichever replica the cached hint names; the hint is dropped by
-  // the node-death sweep, and the re-issued query must still find the
+  // Crash whichever replica the cached hint names; the hint is dropped
+  // when the next query reads it, and that query must still find the
   // survivor (fall back to the walk, not fail).
   const NodeId victim = cold.server;
   const NodeId survivor = victim == s1 ? s2 : s1;
@@ -162,6 +182,63 @@ TEST(HotspotCache, ReplicaCrashFallsBackToSurvivingReplica) {
   const LocateResult after = g.net->locate(client, guid);
   ASSERT_TRUE(after.found) << "a cached dead replica must fall back, not fail";
   EXPECT_EQ(after.server, survivor);
+}
+
+// Records every kLocateStep the directory and the router deliver to a
+// dead node, then delivers through the network's own transport.
+class CorpseStepRecorder final : public Transport {
+ public:
+  explicit CorpseStepRecorder(Network& net)
+      : net_(net), inner_(net.transport()) {
+    net_.directory().bind_transport(this);
+    net_.router().bind_transport(this);
+  }
+  ~CorpseStepRecorder() override {
+    net_.directory().bind_transport(&inner_);
+    net_.router().bind_transport(&inner_);
+  }
+  [[nodiscard]] const char* name() const override { return "recorder"; }
+  [[nodiscard]] Message deliver(const Message& m) override {
+    if (m.kind == MessageKind::kLocateStep && !net_.registry().is_live(m.dst))
+      ++to_corpses;
+    return inner_.deliver(m);
+  }
+  std::size_t to_corpses = 0;
+
+ private:
+  Network& net_;
+  Transport& inner_;
+};
+
+TEST(HotspotCache, HintNamingACorpseDiesWhenRead) {
+  // A fail-stop leaves the hints naming the corpse where they are.  The
+  // next query from a node holding one reads it, drops it as a miss and
+  // walks on; it sends nothing to the corpse.
+  auto g = test::static_ring_network(64, 15, cached_params());
+  const Guid guid = make_guid(*g.net, 504);
+  const NodeId server = g.ids[3];
+  g.net->publish(server, guid);
+  const NodeId client = pick_client(g, guid, server);
+  const LocateResult warm = g.net->locate(client, guid);
+  ASSERT_TRUE(warm.found);
+  const NodeId holder = warm.pointer_node;
+  ASSERT_FALSE(holder == server);
+  ASSERT_FALSE(holder == client);
+  LocateCache& cache = g.net->directory().locate_cache();
+  ASSERT_EQ(cache.entries_at(client), 1u);
+  ASSERT_EQ(cache.entries_at(holder), 0u);
+
+  const std::size_t entries = cache.entries();
+  g.net->fail(holder);
+  EXPECT_EQ(cache.entries(), entries) << "a death must visit no other LRU";
+
+  const LocateCache::Stats before = cache.stats();
+  CorpseStepRecorder recorder(*g.net);
+  g.net->locate(client, guid);
+  EXPECT_EQ(recorder.to_corpses, 0u) << "a query jumped toward the corpse";
+  EXPECT_EQ(cache.stats().hits, before.hits);
+  EXPECT_GT(cache.stats().misses, before.misses);
+  EXPECT_EQ(cache.stats().fallbacks, before.fallbacks);
 }
 
 TEST(HotspotCache, SingleReplicaCrashAgreesWithUncachedTwin) {

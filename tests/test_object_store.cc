@@ -859,12 +859,12 @@ TEST(QuorumReplication, PublishMirrorsToWOfKHolders) {
   net.publish(server, obj);
 
   const Guid salted = salted_guid(obj, 0);
-  const auto* holders = repl->holders(salted);
-  ASSERT_NE(holders, nullptr);
-  ASSERT_EQ(holders->size(), params.replication.k);
+  ASSERT_NE(repl->holders(salted), nullptr);
+  const std::vector<NodeId> holders = *repl->holders(salted);
+  ASSERT_EQ(holders.size(), params.replication.k);
   const NodeId root = net.surrogate_root(salted);
   std::size_t acked = 0;
-  for (const NodeId& h : *holders) {
+  for (const NodeId& h : holders) {
     EXPECT_NE(h, root);  // the root never mirrors to itself
     const auto copy = repl->replicas_at(h).find(salted, server);
     if (copy.has_value()) {
@@ -876,7 +876,7 @@ TEST(QuorumReplication, PublishMirrorsToWOfKHolders) {
   EXPECT_GE(repl->stats().replica_writes, params.replication.w);
   // Unpublish withdraws every mirror again.
   net.unpublish(server, obj);
-  for (const NodeId& h : *holders)
+  for (const NodeId& h : holders)
     EXPECT_FALSE(repl->replicas_at(h).find(salted, server).has_value());
 }
 
@@ -998,6 +998,41 @@ TEST(QuorumReplication, MirrorsExpireWithPrimaries) {
       EXPECT_TRUE(repl->replicas_at(id).empty()) << id.to_string();
     EXPECT_TRUE(
         repl->quorum_read(net.node(root), salted, net.now(), nullptr).empty());
+  }
+}
+
+/// A holder set lives while some holder mirrors a record of its guid: an
+/// unpublish, or an expiry sweep, that leaves no holder a record drops
+/// it, and a locate of the withdrawn guid then sends no quorum read.
+TEST(QuorumReplication, HolderSetGoesWithItsLastRecord) {
+  auto params = replicated_params();
+  params.pointer_ttl = 10.0;
+  ASSERT_EQ(params.replication.k, 3u);
+  auto g = test::static_ring_network(64, 31, params);
+  Network& net = *g.net;
+  QuorumReplicator* repl = net.directory().replicator();
+  ASSERT_NE(repl, nullptr);
+  const Guid withdrawn = test::make_guid(net, 61);
+  const Guid expired = test::make_guid(net, 62);
+  const NodeId client = g.ids[1];
+  net.publish(g.ids[5], withdrawn);
+  net.publish(g.ids[9], expired);
+  ASSERT_NE(repl->holders(salted_guid(withdrawn, 0)), nullptr);
+  ASSERT_NE(repl->holders(salted_guid(expired, 0)), nullptr);
+
+  net.unpublish(g.ids[5], withdrawn);
+  EXPECT_EQ(repl->holders(salted_guid(withdrawn, 0)), nullptr);
+  EXPECT_NE(repl->holders(salted_guid(expired, 0)), nullptr);
+  net.events().run_until(net.now() + params.pointer_ttl + 1.0);
+  net.expire_pointers();
+  EXPECT_EQ(repl->holders(salted_guid(expired, 0)), nullptr);
+
+  const TransportStats& ts = net.transport().stats();
+  for (const Guid& obj : {withdrawn, expired}) {
+    const std::uint64_t reads = ts.kind_count(MessageKind::kReplicaRead);
+    EXPECT_FALSE(net.locate(client, obj).found);
+    EXPECT_EQ(ts.kind_count(MessageKind::kReplicaRead), reads)
+        << "a locate of a withdrawn guid sent a quorum read";
   }
 }
 

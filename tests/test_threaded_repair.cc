@@ -501,6 +501,31 @@ TEST(ThreadedRepair, HealthySweepBulkAgreesWithSerial) {
   EXPECT_EQ(fingerprint_tables(*serial.net), fingerprint_tables(*threaded.net));
 }
 
+TEST(ThreadedRepair, SweepBulkServesEachPairPresentAtItsStart) {
+  // The serial sweep's count, on four workers: after fail-stops, one push
+  // per distinct (node, backpointer holder) pair and one probe per
+  // distinct (live node, dead member) pair present when the sweep starts.
+  for (const bool grown : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE((grown ? "grown seed " : "static seed ") +
+                   std::to_string(seed));
+      auto g = test::fail_stopped_ring(grown, seed, sharded_params());
+      const test::SweepPairs want = test::sweep_pairs(*g.net);
+      ASSERT_GT(want.probes, 0u);
+      const TransportStats& ts = g.net->transport().stats();
+      const std::uint64_t pushes = ts.kind_count(MessageKind::kHeartbeatAck);
+      const std::uint64_t probes = ts.kind_count(MessageKind::kHeartbeatProbe);
+      g.net->heartbeat_sweep_bulk(/*workers=*/4);
+      EXPECT_EQ(ts.kind_count(MessageKind::kHeartbeatAck) - pushes,
+                want.pushes);
+      EXPECT_EQ(ts.kind_count(MessageKind::kHeartbeatProbe) - probes,
+                want.probes);
+      g.net->check_property1();
+      g.net->check_backpointer_symmetry();
+    }
+  }
+}
+
 TEST(ThreadedRepair, RepairWavesSendNoHeartbeats) {
   // A leave or fail wave reaches exactly its victims' holders and ends
   // with the chain pass: no heartbeat push, no probe,

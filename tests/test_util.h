@@ -140,4 +140,45 @@ inline Guid make_guid(const Network& net, std::uint64_t raw) {
   return Guid(spec, splitmix64(raw) & spec.mask());
 }
 
+/// A 96-node grown (`grown`) or 128-node static ring with 48 objects
+/// published on nodes that survive 16 fail-stops, left unswept: the
+/// objects' pointers make a sweep's purges reroute, and a serial sweep's
+/// reroutes run lazy repair on other nodes mid-sweep.
+inline GrownNetwork fail_stopped_ring(bool grown, std::uint64_t seed,
+                                      TapestryParams params) {
+  GrownNetwork g = grown ? grow_ring_network(96, seed, params)
+                         : static_ring_network(128, seed, params);
+  std::vector<NodeId> pool = g.ids;
+  Rng rng(seed ^ 0x5eed);
+  std::vector<NodeId> victims;
+  for (int i = 0; i < 16; ++i) {
+    const std::size_t k = rng.next_u64(pool.size());
+    victims.push_back(pool[k]);
+    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(k));
+  }
+  for (std::uint64_t i = 0; i < 48; ++i)
+    g.net->publish(pool[rng.next_u64(pool.size())], make_guid(*g.net, 900 + i));
+  for (const NodeId& v : victims) g.net->fail(v);
+  return g;
+}
+
+/// What one heartbeat sweep owes the mesh as it stands: one push per
+/// distinct (live node, backpointer holder) pair, and one probe per
+/// distinct (live node, dead member) pair.
+struct SweepPairs {
+  std::size_t pushes = 0;
+  std::size_t probes = 0;
+};
+
+inline SweepPairs sweep_pairs(const Network& net) {
+  SweepPairs p;
+  for (const auto& n : net.registry().nodes()) {
+    if (!n->alive) continue;
+    p.pushes += n->table().all_backpointers().size();
+    for (const NodeId& m : n->table().all_neighbors())
+      if (!net.registry().is_live(m)) ++p.probes;
+  }
+  return p;
+}
+
 }  // namespace tap::test
