@@ -168,15 +168,6 @@ void ChurnDriver::do_churn_event() {
   const double dice = rng_.next_double() * total;
   const std::vector<NodeId>& ids = net_.live_ids();  // read before churning
 
-  auto is_replica_server = [&](const NodeId& id) {
-    for (const Guid& g : objects_) {
-      const auto servers = net_.servers_of(g);
-      if (std::find(servers.begin(), servers.end(), id) != servers.end())
-        return true;
-    }
-    return false;
-  };
-
   if (dice < sc_.join_rate) {
     if (free_locs_.empty()) {
       log_event('j', "no-free-location");
@@ -194,7 +185,7 @@ void ChurnDriver::do_churn_event() {
       return;
     }
     const NodeId victim = ids[rng_.next_u64(ids.size())];
-    if (is_replica_server(victim)) {
+    if (!net_.directory().guids_served_by(victim).empty()) {
       // Voluntary departure of a storage server would take its replicas
       // with it (§5.1 withdraws them); keep the object population stable
       // and let only crashes destroy replicas.

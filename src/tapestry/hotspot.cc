@@ -51,7 +51,6 @@ std::optional<LocateCache::Entry> LocateCache::lookup(const NodeId& at,
 void LocateCache::insert(const NodeId& at, const Guid& base, Entry entry,
                          double now) {
   if (!enabled()) return;
-  entry.expires = std::min(entry.expires, now + ttl_);
   if (entry.expires <= now) return;  // born dead; nothing worth remembering
   PerNode& pn = nodes_[at.value()];
   ++stats_.insertions;

@@ -81,11 +81,9 @@ class LocateCache {
   using Liveness = std::function<bool(const NodeId&)>;
 
   /// `capacity` == 0 disables the cache entirely (every call is a no-op and
-  /// lookups never hit); `ttl` additionally caps every entry's lifetime
-  /// below the record deadline it was learned from.  Without `is_live`
-  /// every node counts as alive.
-  LocateCache(std::size_t capacity, double ttl, Liveness is_live = nullptr)
-      : capacity_(capacity), ttl_(ttl), is_live_(std::move(is_live)) {}
+  /// lookups never hit).  Without `is_live` every node counts as alive.
+  explicit LocateCache(std::size_t capacity, Liveness is_live = nullptr)
+      : capacity_(capacity), is_live_(std::move(is_live)) {}
 
   [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
 
@@ -96,7 +94,7 @@ class LocateCache {
   std::optional<Entry> lookup(const NodeId& at, const Guid& base, double now);
 
   /// Upserts an entry into node `at`'s LRU, evicting the stalest entry
-  /// past capacity.  The entry's expiry is clamped to now + ttl.
+  /// past capacity.  An entry already at or past its deadline is dropped.
   void insert(const NodeId& at, const Guid& base, Entry entry, double now);
 
   /// Drops node `at`'s entry for `base` (failed verification).
@@ -131,7 +129,6 @@ class LocateCache {
   };
 
   std::size_t capacity_;
-  double ttl_;
   Liveness is_live_;
   std::unordered_map<std::uint64_t, PerNode> nodes_;
   Stats stats_{};

@@ -1,11 +1,12 @@
 // Node insertion (paper §4, Figure 7) built on the incremental
-// nearest-neighbor algorithm (paper §3, Figure 4), and the simultaneous
-// insertion machinery of §4.4 (Figure 11).  Every step is one
+// nearest-neighbor algorithm (paper §3, Figure 4), with step 3 run as the
+// simultaneous-insertion multicast of §4.4 (Figure 11).  Every step is one
 // implementation taking a `const NodeLockTable* locks` (null = serial),
-// driven three ways: join_via runs Figure 7 serially, join_bulk runs a
-// wave of joins on real threads under the stripe locks (maintenance.h has
-// its contract), and ParallelJoinCoordinator (parallel_join.h) interleaves
-// the §4.4 steps as events in simulated time.
+// driven three ways: join_via runs one insertion serially and join_bulk
+// runs a wave of them on real threads under the stripe locks, both through
+// the one body `insert` (maintenance.h has the wave's contract), and
+// ParallelJoinCoordinator (parallel_join.h) interleaves the same steps as
+// events in simulated time.
 //
 // INSERT:
 //   1. acquire the primary surrogate by routing toward the new node-ID;
@@ -30,9 +31,9 @@
 // Property 1 deterministically — the k-list only bounds who is *measured*
 // for the recursion, mirroring the role k plays in the paper's analysis.
 //
-// Simultaneous insertion (§4.4) replaces step 3's plain multicast so that
-// nodes inserting at overlapping times discover each other and Property 1
-// holds when the dust settles (Theorem 6):
+// Step 3 is Figure 7's multicast with the §4.4 additions, for every driver,
+// so that nodes inserting at overlapping times discover each other and
+// Property 1 holds when the dust settles (Theorem 6):
 //   * pinned pointers — a multicast recipient inserts the inserting node
 //     into the slot it fills as a *pinned* table entry; pinned entries are
 //     never evicted, and multicast forwarding for that slot goes to one
@@ -45,7 +46,9 @@
 //   * watch lists — the multicast carries the set of table slots the
 //     inserter knows no node for; any recipient able to fill a watched
 //     slot reports the filler directly to the inserter and marks the slot
-//     found before forwarding (Lemma 6);
+//     found before forwarding (Lemma 6).  This also fills the rows past α
+//     of a node whose surrogate was reached during a partition: nodes
+//     across the cut may share more digits with it than the surrogate;
 //   * core-start rule — multicasts start at a core node: if the surrogate
 //     reached by routing is itself still inserting, the request bounces to
 //     that node's own surrogate (cf. Figure 10).
@@ -174,34 +177,10 @@ NodeId MaintenanceEngine::join(Location loc, std::optional<NodeId> id,
 NodeId MaintenanceEngine::join_via(NodeId gateway, Location loc,
                                    std::optional<NodeId> id, Trace* trace) {
   TAP_CHECK(reg_.is_live(gateway), "gateway must be a live node");
-  InsertionSession s;
-  s.nn = id.has_value() ? *id : reg_.fresh_node_id();
-  TAP_CHECK(reg_.find(s.nn) == nullptr, "node id already in use");
-  s.trace = trace;
-
-  // 1. ACQUIREPRIMARYSURROGATE: the root reached from the gateway is the
-  //    node whose ID shares the longest existing prefix with ours.
-  s.surrogate = acquire_surrogate(gateway, s.nn, trace, nullptr);
-  // 2. Register as inserting; GETPRELIMNEIGHBORTABLE: one bulk RPC for the
-  //    surrogate's table.
-  begin_insertion(s, loc, nullptr);
-
-  // 3. ACKNOWLEDGEDMULTICAST(α, LINKANDXFERROOT): reach every α-node.  The
-  //    new node is excluded from forwarding — it may already appear in
-  //    tables updated earlier in the walk.
-  TapestryNode& nn = reg_.live(s.nn);
-  router_.multicast(
-      s.surrogate, s.nn, s.alpha,
-      [&](NodeId y) {
-        s.alpha_list.push_back(y);
-        link_and_xfer_root(reg_.live(y), nn, trace, nullptr);
-      },
-      trace, {s.nn});
-
-  // 4. Build the neighbor table level by level, reusing the multicast
-  //    result as the first (level-α) list.
-  finish_insertion(s, nullptr);
-  return s.nn;
+  const NodeId nn = id.has_value() ? *id : reg_.fresh_node_id();
+  TAP_CHECK(reg_.find(nn) == nullptr, "node id already in use");
+  insert(nn, gateway, loc, trace, nullptr);
+  return nn;
 }
 
 std::vector<NodeId> MaintenanceEngine::join_bulk(
@@ -227,20 +206,32 @@ std::vector<NodeId> MaintenanceEngine::join_bulk(
   parallel_for(
       requests.size(),
       [&](std::size_t i) {
-        InsertionSession s;
-        s.nn = ids[i];
-        s.trace = &traces[i];
-        s.surrogate = acquire_surrogate(gateways[i], s.nn, s.trace, locks);
-        begin_insertion(s, requests[i].loc, locks);
-        reg_.acct(s.trace, reg_.checked(s.nn),
-                  reg_.checked(s.surrogate));  // to the surrogate
-        multicast_wave(s, s.surrogate, s.alpha, watch_list(s, locks), locks);
-        finish_insertion(s, locks);
+        insert(ids[i], gateways[i], requests[i].loc, &traces[i], locks);
       },
       workers);
   if (trace != nullptr)
     for (const Trace& t : traces) trace->absorb(t);
   return ids;
+}
+
+void MaintenanceEngine::insert(const NodeId& nn, NodeId gateway, Location loc,
+                               Trace* trace, const NodeLockTable* locks) {
+  InsertionSession s;
+  s.nn = nn;
+  s.trace = trace;
+  // 1. ACQUIREPRIMARYSURROGATE: the root reached from the gateway is the
+  //    node whose ID shares the longest existing prefix with ours, bounced
+  //    on to a core node if it is itself inserting.
+  s.surrogate = acquire_surrogate(gateway, nn, trace, locks);
+  // 2. Register as inserting; GETPRELIMNEIGHBORTABLE: one bulk RPC for the
+  //    surrogate's table.
+  begin_insertion(s, loc, locks);
+  // 3. The §4.4 acknowledged multicast of LINKANDXFERROOT from the
+  //    surrogate, asked for in one message, reaches every α-node.
+  reg_.acct(trace, reg_.checked(nn), reg_.checked(s.surrogate));
+  multicast_wave(s, s.surrogate, s.alpha, watch_list(s, locks), locks);
+  // 4. Build the neighbor table level by level from the α-list.
+  finish_insertion(s, locks);
 }
 
 std::unordered_set<std::uint64_t> check_join_batch(

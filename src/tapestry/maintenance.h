@@ -59,9 +59,9 @@ struct MulticastChild {
   unsigned prefix_len = 0;
 };
 
-/// Per-join state of one insertion in flight (§4.4), shared by the three
-/// callers of the insertion steps: join_via, join_bulk and
-/// ParallelJoinCoordinator.
+/// Per-join state of one insertion in flight (§4.4), shared by the two
+/// drivers of the insertion steps: MaintenanceEngine::insert (join_via and
+/// join_bulk) and ParallelJoinCoordinator.
 struct InsertionSession {
   NodeId nn{};              ///< the inserting node
   NodeId surrogate{};       ///< core node the multicast starts from
@@ -127,10 +127,12 @@ class MaintenanceEngine final : public RepairHandler {
   // --- membership (§3-§5) ---
   /// Creates the first node of the overlay.  `id` defaults to random.
   NodeId bootstrap(Location loc, std::optional<NodeId> id = std::nullopt);
-  /// Full dynamic insertion (Figure 7) via a uniformly random live gateway.
+  /// Full dynamic insertion (Figure 7, its multicast the §4.4 one) via a
+  /// uniformly random live gateway.
   NodeId join(Location loc, std::optional<NodeId> id = std::nullopt,
               Trace* trace = nullptr);
-  /// Full dynamic insertion via a specific gateway node.
+  /// Full dynamic insertion via a specific gateway node: one serial run
+  /// of `insert`.
   NodeId join_via(NodeId gateway, Location loc,
                   std::optional<NodeId> id = std::nullopt,
                   Trace* trace = nullptr);
@@ -139,7 +141,7 @@ class MaintenanceEngine final : public RepairHandler {
   /// concurrency; `trace`, if given, absorbs each join's messages in
   /// request order.
   ///
-  /// The wave runs the insertion steps below given the registry's
+  /// The wave runs join_via's body, `insert`, given the registry's
   /// NodeLockTable, fanned out over real threads.  Each worker thread
   /// drives one join's complete state machine — surrogate acquisition,
   /// preliminary table copy, acknowledged multicast with pinned pointers /
@@ -316,10 +318,9 @@ class MaintenanceEngine final : public RepairHandler {
   void rebuild_static_tables(std::size_t workers = 1);
 
   // --- insertion steps (§3-§4.4; join.cc) ---
-  // One implementation each, driven by join_via (serial, Figure 7's plain
-  // multicast), join_bulk (a wave on real threads, given the registry's
-  // lock table) and ParallelJoinCoordinator (events in simulated time,
-  // null locks).
+  // One implementation each, driven by `insert` (join_via serially,
+  // join_bulk on real threads given the registry's lock table) and by
+  // ParallelJoinCoordinator (events in simulated time, null locks).
 
   /// A fresh random id outside `taken`, which it joins.
   [[nodiscard]] NodeId fresh_join_id(std::unordered_set<std::uint64_t>& taken);
@@ -371,11 +372,17 @@ class MaintenanceEngine final : public RepairHandler {
   void serve_watch_list(InsertionSession& s, TapestryNode& at,
                         TapestryNode& nn, WatchList& watch,
                         const NodeLockTable* locks);
-  /// The wave's §4.4 multicast from `at`: depth-first over visit and
-  /// release_pin, each subtree's return being its acknowledgement.
+  /// The synchronous §4.4 multicast from `at`: depth-first over visit
+  /// and release_pin, each subtree's return being its acknowledgement.
+  /// Forwards and acks are booked, not delivered.
   void multicast_wave(InsertionSession& s, const NodeId& at,
                       unsigned prefix_len, WatchList watch,
                       const NodeLockTable* locks);
+  /// One whole insertion of `nn` at `loc` through `gateway`: surrogate,
+  /// preliminary table, the booked surrogate request, multicast_wave and
+  /// finish_insertion.  join_via runs it serially, join_bulk per worker.
+  void insert(const NodeId& nn, NodeId gateway, Location loc, Trace* trace,
+              const NodeLockTable* locks);
 
   // Non-null `locks` below means "inside a wave", whose membership is
   // fixed before its threads start, so the registry's live-id index stays

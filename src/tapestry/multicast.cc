@@ -16,15 +16,14 @@
 // forward+ack chain — is accumulated separately since fan-out proceeds in
 // parallel in a real network.
 //
-// Callers: step 3 of a serial join (join_via collects the new node's first
-// list), MaintenanceEngine::rebuild_neighbor_table and Network::multicast.
-// Repair never multicasts: a multicast from a node whose (level, digit)
-// slot is empty enters that digit's subtree only through the same empty
-// slot, so it cannot find a replacement; find_replacement probes the
-// registry's live-id index instead.  The variant with pinned pointers and
-// watch lists used by *simultaneous* insertion (§4.4, Figure 11) lives in
-// join.cc (MaintenanceEngine::visit), driven by join_bulk waves and
-// ParallelJoinCoordinator.
+// Callers: MaintenanceEngine::rebuild_neighbor_table and
+// Network::multicast.  Joins run the variant with pinned pointers and
+// watch lists of §4.4 (Figure 11) instead, in join.cc
+// (MaintenanceEngine::visit), driven by join_via, join_bulk and
+// ParallelJoinCoordinator.  Repair never multicasts: a multicast from a
+// node whose (level, digit) slot is empty enters that digit's subtree
+// only through the same empty slot, so it cannot find a replacement;
+// find_replacement probes the registry's live-id index instead.
 #include "src/tapestry/router.h"
 
 #include <algorithm>

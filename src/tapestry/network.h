@@ -20,7 +20,8 @@
 //   route_to_root / route_step   §2.3 surrogate routing (both variants)
 //   publish / locate / unpublish §2.2 object publication and location
 //   multicast                    §4.1 acknowledged multicast (Figure 8)
-//   join / join_via              §4   node insertion (Figure 7) using the
+//   join / join_via / join_bulk  §4   node insertion (Figure 7) with the
+//                                §4.4 multicast (Figure 11) and the
 //                                §3   nearest-neighbor algorithm (Figure 4)
 //   leave                        §5.1 voluntary delete (Figure 12)
 //   fail + lazy repair           §5.2 involuntary delete
@@ -98,13 +99,15 @@ class Network {
     return maintenance_.bootstrap(loc, id);
   }
 
-  /// Full dynamic insertion (Figure 7) via a uniformly random live gateway.
+  /// Full dynamic insertion (Figure 7, step 3 being the §4.4 multicast of
+  /// Figure 11) via a uniformly random live gateway.
   NodeId join(Location loc, std::optional<NodeId> id = std::nullopt,
               Trace* trace = nullptr) {
     return maintenance_.join(loc, id, trace);
   }
 
-  /// Full dynamic insertion via a specific gateway node.
+  /// Full dynamic insertion via a specific gateway node: the same
+  /// insertion body a join_bulk worker runs, serially.
   NodeId join_via(NodeId gateway, Location loc,
                   std::optional<NodeId> id = std::nullopt,
                   Trace* trace = nullptr) {
@@ -219,11 +222,6 @@ class Network {
   /// registered, refreshing pointer expiry deadlines.
   void republish_all(Trace* trace = nullptr) {
     directory_.republish_all(trace);
-  }
-
-  /// Republishes the objects stored at one server (its periodic timer).
-  void republish_server(NodeId server, Trace* trace = nullptr) {
-    directory_.republish_server(server, trace);
   }
 
   /// Drops expired pointers everywhere (driven by the event clock).

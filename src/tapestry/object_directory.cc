@@ -27,7 +27,7 @@ ObjectDirectory::ObjectDirectory(NodeRegistry& registry, Router& router,
                                  EventQueue& events, Rng& rng)
     : reg_(registry), router_(router), params_(params), events_(events),
       rng_(rng),
-      cache_(params.locate_cache_size, params.locate_cache_ttl,
+      cache_(params.locate_cache_size,
              [&registry](const NodeId& id) { return registry.is_live(id); }) {
   if (params.store_backend == StoreBackend::kReplicated ||
       params.store_backend == StoreBackend::kReplicatedPersistent) {
@@ -809,14 +809,6 @@ void ObjectDirectory::drive_locate(const std::shared_ptr<LocateOp>& op,
 // ---------------------------------------------------------------------
 // Soft state (§6.5)
 // ---------------------------------------------------------------------
-
-void ObjectDirectory::republish_server(NodeId server, Trace* trace) {
-  if (!reg_.is_live(server)) return;
-  for (const auto& [guid, servers] : replicas_) {
-    if (std::find(servers.begin(), servers.end(), server) != servers.end())
-      publish_paths(server, guid, trace);
-  }
-}
 
 void ObjectDirectory::republish_all(Trace* trace) {
   for (const auto& [guid, servers] : replicas_)

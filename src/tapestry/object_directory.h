@@ -118,7 +118,6 @@ class ObjectDirectory {
 
   // --- soft state (§6.5) ---
   void republish_all(Trace* trace = nullptr);
-  void republish_server(NodeId server, Trace* trace = nullptr);
   /// Sweeps expired pointers from every live node's store, and expired
   /// mirrors from the live holders' replica areas.  The per-node sweeps
   /// run on `workers` threads through sim/thread_pool (0 = hardware

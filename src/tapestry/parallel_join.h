@@ -1,6 +1,7 @@
 // Simultaneous insertion (paper §4.4) in simulated time: the event-driven
-// runner of the insertion steps MaintenanceEngine shares with join_via
-// and join_bulk (acquire_surrogate, begin_insertion, visit, release_pin,
+// runner of the insertion steps whose synchronous runner,
+// MaintenanceEngine::insert, serves join_via and join_bulk
+// (acquire_surrogate, begin_insertion, visit, release_pin,
 // finish_insertion; join.cc describes the §4.4 mechanics — pinned
 // pointers, filled-hole forwarding, watch lists, the core-start rule).
 //

@@ -120,11 +120,6 @@ struct TapestryParams {
   /// the locate path is then byte-identical to the uncached build.
   std::size_t locate_cache_size = 0;
 
-  /// Additional age cap on locate-cache entries.  An entry never outlives
-  /// the pointer record it was learned from; a finite value here tightens
-  /// that further.  Infinity (default) defers entirely to pointer_ttl.
-  double locate_cache_ttl = std::numeric_limits<double>::infinity();
-
   /// §2.4: "PRR searches on the primary and secondary neighbors before
   /// taking an additional hop towards the object root."  When set, a
   /// query that misses locally probes the secondary members of the slot

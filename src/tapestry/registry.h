@@ -171,9 +171,9 @@ class NodeRegistry {
   /// hold.  Only traffic no transport carries is booked here:
   ///   - the §3 descent: the surrogate's table request and bulk reply,
   ///     GETFORWARDANDBACKPOINTERS and the distance probes (join.cc);
-  ///   - the §4.4 insertion: the surrogate bounce, the hop to the
+  ///   - the §4.4 insertion: the surrogate bounce, the request to the
   ///     surrogate, each watch-list report and each multicast forward and
-  ///     ack of a wave (join.cc) or of ParallelJoinCoordinator;
+  ///     ack of every join (join.cc) and of ParallelJoinCoordinator;
   ///   - find_replacement's peer queries and index probes;
   ///   - leave's LEAVINGNETWORK notifications and REMOVELINK;
   ///   - the §6.4 distance probes and row exchanges.

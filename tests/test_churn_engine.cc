@@ -193,7 +193,7 @@ TEST(ChurnEngine, LocateObservesRepublishLandingMidFlight) {
                                [&](const LocateResult& r) { result = r; });
   const double t_republish = t_start + 1e-6;
   event_twin.net->events().schedule_at(
-      t_republish, [&] { event_twin.net->republish_server(server); });
+      t_republish, [&] { event_twin.net->publish(server, guid); });
   event_twin.net->events().run();
 
   ASSERT_TRUE(result.has_value());

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -38,7 +37,7 @@ NodeId pick_client(const test::GrownNetwork& g, const Guid& guid,
 
 TEST(LocateCache, LruBoundAndEviction) {
   const IdSpec spec{4, 8};
-  LocateCache cache(3, std::numeric_limits<double>::infinity());
+  LocateCache cache(3);
   const NodeId at(spec, 0x11);
   auto guid = [&](std::uint64_t v) { return Guid(spec, v); };
   auto entry = [&](std::uint64_t v) {
@@ -59,19 +58,11 @@ TEST(LocateCache, LruBoundAndEviction) {
   EXPECT_TRUE(cache.lookup(at, guid(6), 0.0).has_value());
 }
 
-TEST(LocateCache, TtlClampAndExpiry) {
+TEST(LocateCache, PastDeadlineRecordIsNeverCached) {
   const IdSpec spec{4, 8};
-  LocateCache cache(8, /*ttl=*/2.0);
+  LocateCache cache(8);
   const NodeId at(spec, 0x11);
   const Guid g(spec, 7);
-  // Record deadline far out; the cache's own ttl must clamp it.
-  cache.insert(at, g,
-               LocateCache::Entry{g, NodeId(spec, 0x22), NodeId(spec, 0x33),
-                                  100.0},
-               /*now=*/1.0);
-  EXPECT_TRUE(cache.lookup(at, g, 2.9).has_value());
-  EXPECT_FALSE(cache.lookup(at, g, 3.1).has_value()) << "now + ttl passed";
-  EXPECT_EQ(cache.stats().expired, 1u);
   // A record already past its deadline is never cached.
   cache.insert(at, g,
                LocateCache::Entry{g, NodeId(spec, 0x22), NodeId(spec, 0x33),
@@ -84,7 +75,7 @@ TEST(LocateCache, InvalidateByObjectAndByNode) {
   const IdSpec spec{4, 8};
   std::set<std::uint64_t> dead;
   auto is_live = [&](const NodeId& id) { return dead.count(id.value()) == 0; };
-  LocateCache cache(8, std::numeric_limits<double>::infinity(), is_live);
+  LocateCache cache(8, is_live);
   const NodeId a(spec, 0x11), b(spec, 0x12);
   const NodeId holder(spec, 0x22), server(spec, 0x33);
   const Guid g1(spec, 1), g2(spec, 2);
@@ -415,7 +406,7 @@ TEST(LocateCache, ExpiryEdgesAreInclusive) {
   // must agree on BOTH edges — never serve a hint at its deadline, never
   // admit an entry born at its deadline.
   const IdSpec spec{4, 8};
-  LocateCache cache(8, std::numeric_limits<double>::infinity());
+  LocateCache cache(8);
   const NodeId at(spec, 0x11);
   const Guid g(spec, 7);
   cache.insert(at, g,

@@ -430,7 +430,7 @@ TEST(Scenarios, ChurnTranscriptIsPinned) {
 
   EXPECT_EQ(log.size(), 852u);
   EXPECT_EQ(rep.events_fired, 2520u);
-  EXPECT_EQ(h.value(), 13586208473321037054ull);
+  EXPECT_EQ(h.value(), 7332473740173528566ull);
 }
 
 }  // namespace

@@ -253,8 +253,12 @@ TEST(ThreadedJoin, WaveAgreesWithSerialAndCoordinator) {
   // through a 4-worker join_bulk wave, and through the event coordinator
   // must reach the same membership and, Property 1 holding on each, the
   // same occupancy pattern, with symmetric backpointers and no pins left.
+  // join_via and join_bulk run one insertion body, so on these object-free
+  // overlays a one-worker wave is the serial leg's exact twin: the same
+  // tables, the same booked messages and the same deliveries.
   for (const std::uint64_t seed : {411u, 412u, 413u}) {
     auto serial = test::grow_ring_network(96, seed);
+    auto single = test::grow_ring_network(96, seed);
     auto threaded = test::grow_ring_network(96, seed);
     auto event = test::grow_ring_network(96, seed);
     Rng draw(seed ^ 0x7a11);
@@ -279,8 +283,11 @@ TEST(ThreadedJoin, WaveAgreesWithSerialAndCoordinator) {
       event_reqs.push_back(e);
     }
 
+    Trace serial_trace;
     for (const JoinRequest& r : reqs)
-      serial.net->join_via(*r.gateway, r.loc, r.id);
+      serial.net->join_via(*r.gateway, r.loc, r.id, &serial_trace);
+    Trace single_trace;
+    single.net->join_bulk(reqs, /*workers=*/1, &single_trace);
     threaded.net->join_bulk(reqs, /*workers=*/4);
     ParallelJoinCoordinator coord(*event.net, 0.05);
     coord.run(event_reqs);
@@ -291,8 +298,16 @@ TEST(ThreadedJoin, WaveAgreesWithSerialAndCoordinator) {
       std::sort(v.begin(), v.end());
       return v;
     };
-    for (const Network* net : {serial.net.get(), threaded.net.get(),
-                               event.net.get()}) {
+    EXPECT_EQ(fingerprint_tables(*single.net),
+              fingerprint_tables(*serial.net))
+        << "seed " << seed;
+    EXPECT_EQ(single_trace.messages(), serial_trace.messages())
+        << "seed " << seed;
+    EXPECT_EQ(single.net->transport().stats().messages.load(),
+              serial.net->transport().stats().messages.load())
+        << "seed " << seed;
+    for (const Network* net : {serial.net.get(), single.net.get(),
+                               threaded.net.get(), event.net.get()}) {
       EXPECT_EQ(sorted_ids(*net), sorted_ids(*serial.net)) << "seed " << seed;
       EXPECT_EQ(fingerprint_occupancy(*net),
                 fingerprint_occupancy(*serial.net))

@@ -618,37 +618,20 @@ TEST(ThreadedRepair, WaveLeavesHolesItDidNotOpenToTheSweep) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     auto g = static_ring_network(128, 419, sharded_params());
     const auto ids = g.net->node_ids();
-    // The first slot, other than its owner's own digit, with one member.
-    NodeId owner{};
-    NodeId member{};
-    unsigned level = 0;
-    unsigned digit = 0;
-    for (const NodeId& id : ids) {
-      const RoutingTable& t = g.net->node(id).table();
-      for (unsigned l = 0; l < t.levels() && !owner.valid(); ++l) {
-        for (unsigned j = 0; j < t.radix() && !owner.valid(); ++j) {
-          if (j == id.digit(l) || t.at(l, j).size() != 1) continue;
-          owner = id;
-          member = t.at(l, j).entries()[0].id;
-          level = l;
-          digit = j;
-        }
-      }
-      if (owner.valid()) break;
-    }
-    ASSERT_TRUE(owner.valid());
-    tap::unlink(g.net->registry(), g.net->node(owner), level, member);
-    ASSERT_TRUE(g.net->node(owner).table().slot_empty(level, digit));
+    const test::Hole h = test::unlink_sole_member(*g.net);
+    ASSERT_TRUE(g.net->node(h.owner).table().slot_empty(h.level, h.digit));
 
     std::vector<NodeId> victims;
     for (std::size_t i = 1; victims.size() < 16; i += 6)
-      if (!(ids[i] == owner) && !(ids[i] == member)) victims.push_back(ids[i]);
+      if (!(ids[i] == h.owner) && !(ids[i] == h.member))
+        victims.push_back(ids[i]);
     g.net->fail_and_repair_bulk(victims, workers);
-    EXPECT_TRUE(g.net->node(owner).table().slot_empty(level, digit))
+    EXPECT_TRUE(g.net->node(h.owner).table().slot_empty(h.level, h.digit))
         << "the wave filled a hole it did not open";
 
     g.net->heartbeat_sweep_bulk(workers);
-    EXPECT_TRUE(g.net->node(owner).table().at(level, digit).contains(member));
+    EXPECT_TRUE(g.net->node(h.owner).table().at(h.level, h.digit).contains(
+        h.member));
     g.net->check_property1();
     g.net->check_backpointer_symmetry();
   }

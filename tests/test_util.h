@@ -162,6 +162,44 @@ inline GrownNetwork fail_stopped_ring(bool grown, std::uint64_t seed,
   return g;
 }
 
+/// Property 1 as a value, for loops that stop at the first break.
+inline bool property1_holds(const Network& net) {
+  try {
+    net.check_property1();
+    return true;
+  } catch (const CheckError&) {
+    return false;
+  }
+}
+
+/// A hole no repair opened: slot (level, digit) of `owner`, whose only
+/// member was unlinked by hand.  The member is live, so Property 1 stays
+/// broken until a heartbeat sweep's fill pass relinks it.
+struct Hole {
+  NodeId owner{};
+  NodeId member{};
+  unsigned level = 0;
+  unsigned digit = 0;
+};
+
+/// Opens a Hole at the first slot, in node_ids() order and other than its
+/// owner's own digit, that lists exactly one member.
+inline Hole unlink_sole_member(Network& net) {
+  for (const NodeId& id : net.node_ids()) {
+    const RoutingTable& t = net.node(id).table();
+    for (unsigned l = 0; l < t.levels(); ++l) {
+      for (unsigned j = 0; j < t.radix(); ++j) {
+        if (j == id.digit(l) || t.at(l, j).size() != 1) continue;
+        const Hole h{id, t.at(l, j).entries()[0].id, l, j};
+        tap::unlink(net.registry(), net.node(id), l, h.member);
+        return h;
+      }
+    }
+  }
+  TAP_CHECK(false, "no slot lists exactly one member");
+  return {};
+}
+
 /// What one heartbeat sweep owes the mesh as it stands: one push per
 /// distinct (live node, backpointer holder) pair, and one probe per
 /// distinct (live node, dead member) pair.

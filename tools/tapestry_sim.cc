@@ -88,7 +88,6 @@
 //
 // Demand-aware locate flags (any scenario; see src/tapestry/hotspot.h):
 //   --cache=N                per-node locate-cache entries (0 = off)  [0]
-//   --cache-ttl=T            extra age cap on cache entries (0 = none) [0]
 //   --popularity=uniform|zipf  query-target skew (churn scenarios) [uniform]
 //   --zipf-s=S               zipf exponent                          [1.0]
 //   --hotspot                demand-driven replica placement        [off]
@@ -188,7 +187,6 @@ struct Options {
 
   // Demand-aware locate path (src/tapestry/hotspot.h).
   std::size_t cache = 0;       // locate-cache entries per node (0 = off)
-  double cache_ttl = 0.0;      // 0 => defer to the pointer TTL
   std::string popularity;      // empty => uniform (zipf under hotspot)
   bool hotspot = false;
 
@@ -265,7 +263,7 @@ Options parse(int argc, char** argv) {
         num("--expiry-interval", &sc.expiry_interval) ||
         num("--heartbeat-interval", &sc.heartbeat_interval) ||
         num("--ttl", &o.ttl) || num("--min-nodes", &o.min_nodes) ||
-        num("--cache", &o.cache) || num("--cache-ttl", &o.cache_ttl) ||
+        num("--cache", &o.cache) ||
         num("--zipf-s", &sc.zipf_s) || num("--flash-at", &sc.flash_at) ||
         num("--flash-factor", &sc.flash_factor) ||
         num("--flash-index", &sc.flash_index) ||
@@ -900,7 +898,6 @@ int main(int argc, char** argv) {
                                       : RoutingMode::kTapestryNative;
   if (churn_family(o.scenario)) params.pointer_ttl = o.ttl;
   params.locate_cache_size = o.cache;
-  if (o.cache_ttl > 0.0) params.locate_cache_ttl = o.cache_ttl;
   if (o.transport == "loopback") params.transport = TransportKind::kLoopback;
   if (o.store == "sharded") params.store_backend = StoreBackend::kSharded;
   if (o.store == "replicated") params.store_backend = StoreBackend::kReplicated;
