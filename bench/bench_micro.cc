@@ -245,7 +245,7 @@ int run_handrolled(bool json) {
   const std::uint64_t filtered_allocs = allocs_of([&] {
     slot_pass(w, [&](const TapestryNode& at, unsigned l, unsigned d,
                      bool& ph) {
-      const NodeId* member = nullptr;
+      NodeId member;
       return router.select_slot(at, l, d, ph, &exclude, /*live_only=*/true,
                                 &member);
     });

@@ -61,6 +61,16 @@ class Id {
     TAP_CHECK(value <= spec.mask(), "Id value exceeds namespace");
   }
 
+  /// Rebuilds an id from a value a container checked against `spec` when
+  /// it stored it (RoutingTable keeps bare values under its own spec), so
+  /// no check runs again.
+  [[nodiscard]] static Id unchecked(IdSpec spec, std::uint64_t value) noexcept {
+    Id id;
+    id.bits_ = value;
+    id.spec_ = spec;
+    return id;
+  }
+
   /// Uniformly random identifier — the paper assumes identifiers are
   /// uniformly distributed in the namespace.
   [[nodiscard]] static Id random(IdSpec spec, Rng& rng) {

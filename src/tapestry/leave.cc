@@ -49,7 +49,8 @@ void MaintenanceEngine::depart(TapestryNode& a, Trace* trace,
       NodeLockTable::Guard g(locks, id);
       for (const auto& e : a.table().at(l, digit).entries())
         if (!(e.id == id) && reg_.is_live(e.id)) hints.push_back(e.id);
-      holders = a.table().backpointers(l);
+      const auto row = a.table().backpointers(l);
+      holders.assign(row.begin(), row.end());
     }
     for (const NodeId& holder : holders) {
       if (!reg_.is_live(holder)) continue;

@@ -238,7 +238,7 @@ void MaintenanceEngine::heartbeat_round(Trace* trace,
     {
       NodeLockTable::Guard g(locks, x.id());
       for (unsigned l = 0; l < digits; ++l) {
-        const auto& row = x.table().backpointers(l);
+        const auto row = x.table().backpointers(l);
         holders.insert(holders.end(), row.begin(), row.end());
       }
     }

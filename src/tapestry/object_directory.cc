@@ -314,7 +314,7 @@ void ObjectDirectory::publish_batch(const std::vector<PublishRequest>& batch,
           for (;;) {
             deposits[t].push_back(Deposit{cur, arriving});
             const auto next =
-                router_.route_step_peek(cur->id(), task.target, state, locks);
+                router_.route_step_peek(*cur, task.target, state, locks);
             if (!next.has_value()) break;  // cur is the root
             TapestryNode* nxt = reg_.find(*next);
             TAP_ASSERT(nxt != nullptr);
@@ -936,7 +936,7 @@ void ObjectDirectory::optimize_pointer(TapestryNode& from, const Guid& guid,
       step = router_.route_step(*prev, guid, state, trace);
     } else {
       try {
-        step = router_.route_step_peek(prev->id(), guid, state, locks);
+        step = router_.route_step_peek(*prev, guid, state, locks);
       } catch (const CheckError&) {
         return;  // transiently unroutable under the race
       }

@@ -37,18 +37,18 @@ unsigned leading_bit_match(unsigned a, unsigned b, unsigned bits) {
 Router::Router(NodeRegistry& registry, const TapestryParams& params)
     : reg_(registry), params_(params) {}
 
-const NodeId* Router::usable_member(const TapestryNode& at, unsigned level,
-                                    unsigned j, const ExcludeSet* exclude,
-                                    bool live_only) const {
+NodeId Router::usable_member(const TapestryNode& at, unsigned level,
+                             unsigned j, const ExcludeSet* exclude,
+                             bool live_only) const {
   // A partitioned-away member is unreachable but alive: route around it
   // without purging (the table must survive the cut intact).
-  for (const auto& e : at.table().at(level, j).entries()) {
+  for (const NeighborEntry& e : at.table().at(level, j).entries()) {
     if (exclude != nullptr && exclude->count(e.id.value()) != 0) continue;
     if (!reg_.reachable(at.id(), e.id)) continue;
     if (live_only && !reg_.is_live(e.id)) continue;
-    return &e.id;
+    return e.id;
   }
-  return nullptr;
+  return NodeId{};
 }
 
 std::optional<unsigned> Router::select_slot(const TapestryNode& at,
@@ -56,20 +56,20 @@ std::optional<unsigned> Router::select_slot(const TapestryNode& at,
                                             bool& past_hole,
                                             const ExcludeSet* exclude,
                                             bool live_only,
-                                            const NodeId** member) const {
+                                            NodeId* member) const {
   const std::uint64_t row = at.table().row_mask(level);
   // Occupancy answers "slot non-empty" exactly; a filter, an active
   // partition or a wanted member forces a look at the members themselves
   // (and then only for occupied slots).
   const bool bits_only = member == nullptr && exclude == nullptr &&
                          !live_only && !reg_.partition_active();
-  const NodeId* found = nullptr;
+  NodeId found;
   auto filled = [&](unsigned j) {
     if (bits_only) return true;  // callers only offer occupied j
     found = usable_member(at, level, j, exclude, live_only);
-    return found != nullptr;
+    return found.valid();
   };
-  auto chose = [&](unsigned j, const NodeId* m) {
+  auto chose = [&](unsigned j, const NodeId& m) {
     if (member != nullptr) *member = m;
     return std::optional<unsigned>(j);
   };
@@ -97,7 +97,7 @@ std::optional<unsigned> Router::select_slot(const TapestryNode& at,
     past_hole = true;
     // First hole: best leading-bit match, ties to the higher digit.
     std::optional<unsigned> best;
-    const NodeId* best_found = nullptr;
+    NodeId best_found;
     unsigned best_score = 0;
     for (unsigned j = occ::next(row, 0); j != occ::kNone;
          j = occ::next(row, j + 1)) {
@@ -123,28 +123,26 @@ std::optional<unsigned> Router::select_slot(const TapestryNode& at,
 
 std::optional<NodeId> Router::live_primary_repair(TapestryNode& at,
                                                   unsigned level,
-                                                  unsigned digit,
-                                                  const NodeId* prim,
+                                                  unsigned digit, NodeId prim,
                                                   Trace* trace,
                                                   const ExcludeSet* exclude) {
   // The primary for this step is the closest member not being routed
   // around (Figure 10's "as if the new node had not yet entered").  After
   // a purge the same slot is re-read: re-selecting would see past_hole
   // already set and, under PRR, skip the first-hole best match.
-  for (; prim != nullptr;
+  for (; prim.valid();
        prim = usable_member(at, level, digit, exclude, /*live_only=*/false)) {
-    const NodeId id = *prim;  // the purge below rewrites the slot
-    if (id == at.id()) return id;
-    TapestryNode* p = reg_.find(id);
+    if (prim == at.id()) return prim;
+    TapestryNode* p = reg_.find(prim);
     TAP_ASSERT(p != nullptr);
-    if (p->alive) return id;
+    if (p->alive) return prim;
     // Dead primary: the probe that discovered it cost one (unanswered)
     // message; then repair.
     transport_->send(
-        make_message(MessageKind::kHeartbeatProbe, at.id(), id, id),
+        make_message(MessageKind::kHeartbeatProbe, at.id(), prim, prim),
         reg_.hop_dist(trace, at, *p), trace);
     TAP_ASSERT_MSG(repair_ != nullptr, "router has no repair handler bound");
-    repair_->purge_dead_neighbor(at, id, trace);
+    repair_->purge_dead_neighbor(at, prim, trace);
   }
   return std::nullopt;
 }
@@ -155,7 +153,7 @@ std::optional<NodeId> Router::route_step(TapestryNode& at, const Id& target,
   TAP_ASSERT(target.valid() && target.spec() == params_.id);
   const unsigned digits = params_.id.num_digits;
   while (state.level < digits) {
-    const NodeId* member = nullptr;
+    NodeId member;
     auto j = select_slot(at, state.level, target.digit(state.level),
                          state.past_hole, exclude, /*live_only=*/false,
                          &member);
@@ -170,19 +168,18 @@ std::optional<NodeId> Router::route_step(TapestryNode& at, const Id& target,
 }
 
 std::optional<NodeId> Router::route_step_peek(
-    const NodeId& at, const Id& target, RouteState& state,
+    const TapestryNode& at, const Id& target, RouteState& state,
     const NodeLockTable* locks) const {
   // One stripe per routing decision when guarded: the step reads only
   // `at`'s table (member liveness probes go through the lock-free registry
   // index).
-  NodeLockTable::Guard g(locks, at);
-  const TapestryNode& n = reg_.checked(at);
+  NodeLockTable::Guard g(locks, at.id());
   const unsigned digits = params_.id.num_digits;
   while (state.level < digits) {
     // Peek treats a slot as filled only if it has a live member; this is
     // the steady state the repairing walk converges to.
-    const NodeId* prim = nullptr;
-    const auto j = select_slot(n, state.level, target.digit(state.level),
+    NodeId prim;
+    const auto j = select_slot(at, state.level, target.digit(state.level),
                                state.past_hole, /*exclude=*/nullptr,
                                /*live_only=*/true, &prim);
     // Reachable under failures before repair: every member of every slot
@@ -190,7 +187,7 @@ std::optional<NodeId> Router::route_step_peek(
     // peek reports it as a checkable condition.
     TAP_CHECK(j.has_value(), "peek: routing row with no live slot");
     ++state.level;
-    if (!(*prim == n.id())) return *prim;
+    if (!(prim == at.id())) return prim;
   }
   return std::nullopt;
 }
@@ -245,25 +242,24 @@ RouteResult Router::route_to_root_peek(NodeId from, const Id& target,
                                        const NodeLockTable* locks) const {
   return walk_to_root(from, target, trace,
                       [&](TapestryNode& at, RouteState& state) {
-                        return route_step_peek(at.id(), target, state, locks);
+                        return route_step_peek(at, target, state, locks);
                       });
 }
 
 NodeId Router::surrogate_root(const Id& target) const {
   TAP_CHECK(reg_.live_count() > 0, "surrogate_root on empty network");
-  const TapestryNode* start = nullptr;
+  const TapestryNode* cur = nullptr;
   for (const auto& n : reg_.nodes()) {
     if (n->alive) {
-      start = n.get();
+      cur = n.get();
       break;
     }
   }
   RouteState state;
-  NodeId cur = start->id();
   for (;;) {
-    auto next = route_step_peek(cur, target, state);
-    if (!next.has_value()) return cur;
-    cur = *next;
+    const auto next = route_step_peek(*cur, target, state);
+    if (!next.has_value()) return cur->id();
+    cur = &reg_.checked(*next);
   }
 }
 

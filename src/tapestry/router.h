@@ -55,17 +55,16 @@ class Router {
   /// configured routing mode (§2.3).  A slot counts as filled when some
   /// member is outside `exclude`, is reachable across an active partition
   /// and, with `live_only`, is alive.  Returns the chosen digit, or nullopt
-  /// if no slot of the row is filled; `member` (if given) receives the
-  /// slot's first such member — its usable primary, a pointer into the
-  /// table's packed member array that any mutation of that table (of any
-  /// slot, not only this one) invalidates.  Driven by the row's
-  /// occupancy bitmask: empty slots are skipped with O(1) bit scans, and
-  /// each occupied slot considered has its members read once, only when a
+  /// if no slot of the row is filled; `member` (if given) receives a copy
+  /// of the slot's first such member — its usable primary — and is left
+  /// as it was when no slot is filled.  Driven by the row's occupancy
+  /// bitmask: empty slots are skipped with O(1) bit scans, and each
+  /// occupied slot considered has its members read once, only when a
   /// filter or `member` asks for them.
   [[nodiscard]] std::optional<unsigned> select_slot(
       const TapestryNode& at, unsigned level, unsigned desired,
       bool& past_hole, const ExcludeSet* exclude = nullptr,
-      bool live_only = false, const NodeId** member = nullptr) const;
+      bool live_only = false, NodeId* member = nullptr) const;
 
   /// Mutating route step with lazy repair.
   std::optional<NodeId> route_step(TapestryNode& at, const Id& target,
@@ -80,8 +79,15 @@ class Router {
   /// stripe, which makes it safe against concurrent routing-table mutation
   /// (a thread-parallel wave).
   [[nodiscard]] std::optional<NodeId> route_step_peek(
-      const NodeId& at, const Id& target, RouteState& state,
+      const TapestryNode& at, const Id& target, RouteState& state,
       const NodeLockTable* locks = nullptr) const;
+  /// The same step for a caller holding only the node's id: one registry
+  /// lookup, then the step above.
+  [[nodiscard]] std::optional<NodeId> route_step_peek(
+      const NodeId& at, const Id& target, RouteState& state,
+      const NodeLockTable* locks = nullptr) const {
+    return route_step_peek(reg_.checked(at), target, state, locks);
+  }
 
   /// Sends one routing hop from `from` to `to` as a `kind` wire message
   /// carrying the cursor, books it against `trace`, and continues `state`
@@ -136,21 +142,22 @@ class Router {
                            NextHop&& next_hop) const;
 
   /// First member of slot (level, j) of `at` passing select_slot's
-  /// filter, or nullptr.  Members are distance-sorted, so this is the
-  /// slot's usable primary.
-  [[nodiscard]] const NodeId* usable_member(const TapestryNode& at,
-                                            unsigned level, unsigned j,
-                                            const ExcludeSet* exclude,
-                                            bool live_only) const;
+  /// filter, or an invalid (default) id when none does.  Members are
+  /// distance-sorted, so this is the slot's usable primary.  A plain
+  /// 16-byte NodeId, not an optional, so it returns in registers.
+  [[nodiscard]] NodeId usable_member(const TapestryNode& at, unsigned level,
+                                     unsigned j, const ExcludeSet* exclude,
+                                     bool live_only) const;
 
   /// Live primary of slot (level, digit) with lazy repair, starting from
-  /// its usable member `prim`: prunes dead members it trips over (§5.2)
+  /// its usable member `prim` (invalid when the slot has none): prunes
+  /// dead members it trips over (§5.2)
   /// and re-reads the same slot after each purge; nullopt once the slot
   /// has no usable member left.  Private so the mutating-repair entry
   /// points stay at route_step / route_to_root, which re-select after a
   /// slot empties.
   std::optional<NodeId> live_primary_repair(TapestryNode& at, unsigned level,
-                                            unsigned digit, const NodeId* prim,
+                                            unsigned digit, NodeId prim,
                                             Trace* trace,
                                             const ExcludeSet* exclude);
 

@@ -15,15 +15,20 @@
 // slot's members back to back in (level, digit) order, each slot's run
 // sorted by (distance, id); slot s = level * radix + digit owns
 // members_[start_[s], start_[s + 1]), with levels * radix + 1 uint16_t
-// offsets.  Most of a table's levels * radix slots are empty (rows past
-// log_radix n hold only the owner), so an empty slot costs two bytes, not
-// a container header.  Inserting or erasing a member shifts the array's
-// tail and bumps the later offsets; replacing a member of a full slot, or
-// re-ranking one whose distance changed, re-sorts that slot's run in
-// place.  Pins (§4.4) are not part of a member: the table keeps a short
-// list of (slot, id) pairs, empty outside insertions.  at(level, digit)
-// returns a NeighborSet view of one run, so any table mutation
-// invalidates every view and member pointer taken from that table.
+// offsets.  Every id the table holds, member or backpointer, is stored
+// as its 8-byte value under the table's IdSpec (the owner's), so a member
+// is a 16-byte {value, distance} pair.  The stored form does not record
+// the spec: every mutation and lookup checks that an id carries it, and
+// views rebuild each NodeId on read.  Most of a table's levels * radix
+// slots are empty (rows past log_radix n hold only the owner), so an
+// empty slot costs two bytes, not a container header.  Inserting or
+// erasing a member shifts the array's tail and bumps the later offsets;
+// replacing a member of a full slot, or re-ranking one whose distance
+// changed, re-sorts that slot's run in place.  Pins (§4.4) are not part
+// of a member: the table keeps a short list of (slot, id) pairs, empty
+// outside insertions.  at(level, digit) returns a NeighborSet view of one
+// run, so any table mutation invalidates every view taken from that
+// table.
 //
 // Growth: the member array and each level's backpointer vector grow by a
 // fixed step of kGrowStep elements, not by doubling — a table one link
@@ -33,10 +38,10 @@
 //
 // For each forward link A -> B, node B keeps a backpointer (level, A);
 // the Network layer keeps the two sides coherent.  Each level's
-// backpointers live in one sorted, duplicate-free vector: 16 bytes per
-// holder (a node-based set spends a 64-byte heap chunk on each), and the
-// ascending-id order that table fingerprints and join/repair candidate
-// lists depend on.
+// backpointers live in one sorted, duplicate-free vector of id values: 8
+// bytes per holder (a node-based set spends a 64-byte heap chunk on
+// each), and the ascending-id order that table fingerprints and
+// join/repair candidate lists depend on.
 //
 // Occupancy bitmasks: each row carries a bitmask with bit j set iff slot
 // (l, j) is non-empty, so the routing hot path (Router::select_slot /
@@ -95,6 +100,9 @@ class RoutingTable {
  public:
   /// Elements the member array and a backpointer vector grow by when full.
   static constexpr std::size_t kGrowStep = 4;
+
+  /// Read-only range over one level's backpointer holders.
+  using Backpointers = PackedView<std::uint64_t, NodeId>;
 
   RoutingTable(IdSpec spec, NodeId self, unsigned redundancy);
 
@@ -189,9 +197,14 @@ class RoutingTable {
   /// Removing an absent holder is a no-op.
   void remove_backpointer(unsigned level, const NodeId& who);
   [[nodiscard]] bool has_backpointer(unsigned level, const NodeId& who) const;
-  /// Holders at one level, ascending by id.  Mutations invalidate
-  /// iterators, so a caller that edits backpointers while walking copies.
-  [[nodiscard]] const std::vector<NodeId>& backpointers(unsigned level) const;
+  /// Holders at one level, ascending by id: a view that any backpointer
+  /// mutation invalidates, so a caller that edits backpointers while
+  /// walking copies.
+  [[nodiscard]] Backpointers backpointers(unsigned level) const {
+    TAP_ASSERT(level < levels_);
+    const std::vector<std::uint64_t>& v = backptrs_[level];
+    return Backpointers(v.data(), v.data() + v.size(), spec());
+  }
   /// Unique nodes holding any backpointer to the owner, ascending by id.
   [[nodiscard]] std::vector<NodeId> all_backpointers() const;
   /// The static builder's bulk path: append_backpointer adds a holder with
@@ -201,7 +214,8 @@ class RoutingTable {
   /// not sorted.
   void append_backpointer(unsigned level, NodeId who) {
     TAP_ASSERT(level < levels_);
-    backptrs_[level].push_back(who);
+    check_spec(who);
+    backptrs_[level].push_back(who.value());
   }
   void settle_backpointers();
 
@@ -211,16 +225,27 @@ class RoutingTable {
     return static_cast<std::size_t>(level) * radix_ + digit;
   }
   [[nodiscard]] NeighborSet slot(std::size_t s) const {
-    const NeighborEntry* base = members_.data();
-    return NeighborSet({base + start_[s], base + start_[s + 1]}, capacity_,
-                       static_cast<std::uint32_t>(s), pins_);
+    const PackedMember* base = members_.data();
+    return NeighborSet({base + start_[s], base + start_[s + 1], spec()},
+                       capacity_, static_cast<std::uint32_t>(s), pins_);
+  }
+  /// The spec of every id the table holds: the owner's.
+  [[nodiscard]] IdSpec spec() const noexcept { return self_.spec(); }
+  /// Throws CheckError unless `id` is under the table's spec: stored as a
+  /// bare value, an id of another spec would alias one of this spec.
+  void check_spec(const NodeId& id) const {
+    TAP_CHECK(id.spec() == spec(), "id's IdSpec differs from the table's");
+  }
+  /// The id a stored value names.
+  [[nodiscard]] NodeId id_of(std::uint64_t v) const noexcept {
+    return unpack(spec(), v);
   }
   /// Position of `id` in slot `s`'s run, or members_.size() when absent.
-  [[nodiscard]] std::size_t find(std::size_t s, const NodeId& id) const;
+  [[nodiscard]] std::size_t find(std::size_t s, std::uint64_t id) const;
   /// Clears pin (s, id) if set.
   void drop_pin(std::size_t s, const NodeId& id);
-  /// Inserts `e` into slot `s` in (distance, id) order.
-  void insert_sorted(std::size_t s, const NeighborEntry& e);
+  /// Inserts `m` into slot `s` in (distance, id) order.
+  void insert_sorted(std::size_t s, const PackedMember& m);
   /// Erases members_[pos], which lies in slot `s`.
   void erase_at(std::size_t s, std::size_t pos);
   /// Restores (distance, id) order in slot `s` after members_[pos] changed.
@@ -240,12 +265,13 @@ class RoutingTable {
   NodeId self_;
   unsigned levels_;
   unsigned radix_;
-  unsigned capacity_;                          // R, per slot, pins aside
-  std::vector<NeighborEntry> members_;         // every slot, (level, digit)
-  std::vector<std::uint16_t> start_;           // levels * radix + 1 offsets
-  std::vector<SlotPin> pins_;                  // §4.4 pins; empty otherwise
-  std::vector<std::uint64_t> occupancy_;       // one mask word per level
-  std::vector<std::vector<NodeId>> backptrs_;  // per level, sorted, unique
+  unsigned capacity_;                     // R, per slot, pins aside
+  std::vector<PackedMember> members_;     // every slot, (level, digit)
+  std::vector<std::uint16_t> start_;      // levels * radix + 1 offsets
+  std::vector<SlotPin> pins_;             // §4.4 pins; empty otherwise
+  std::vector<std::uint64_t> occupancy_;  // one mask word per level
+  // Per level, holder id values, sorted and unique.
+  std::vector<std::vector<std::uint64_t>> backptrs_;
 };
 
 }  // namespace tap

@@ -19,20 +19,20 @@ inline std::optional<unsigned> select_slot_reference(
     const NodeRegistry& reg, const TapestryNode& at, unsigned level,
     unsigned desired, bool& past_hole,
     const Router::ExcludeSet* exclude = nullptr, bool live_only = false,
-    const NodeId** member = nullptr) {
+    NodeId* member = nullptr) {
   const TapestryParams& params = reg.params();
   const unsigned radix = params.id.radix();
   // First member of slot j passing the filter (members are distance-sorted).
-  auto usable = [&](unsigned j) -> const NodeId* {
+  auto usable = [&](unsigned j) -> std::optional<NodeId> {
     for (const auto& e : at.table().at(level, j).entries()) {
       if (exclude != nullptr && exclude->count(e.id.value()) != 0) continue;
       if (!reg.reachable(at.id(), e.id)) continue;
       if (live_only && !reg.is_live(e.id)) continue;
-      return &e.id;
+      return e.id;
     }
-    return nullptr;
+    return std::nullopt;
   };
-  auto chose = [&](unsigned j, const NodeId* m) {
+  auto chose = [&](unsigned j, const NodeId& m) {
     if (member != nullptr) *member = m;
     return std::optional<unsigned>(j);
   };
@@ -50,9 +50,9 @@ inline std::optional<unsigned> select_slot_reference(
   if (params.routing == RoutingMode::kTapestryNative) {
     for (unsigned off = 0; off < radix; ++off) {
       const unsigned j = (desired + off) % radix;
-      if (const NodeId* m = usable(j)) {
+      if (const auto m = usable(j)) {
         if (j != desired) past_hole = true;
-        return chose(j, m);
+        return chose(j, *m);
       }
     }
     return std::nullopt;
@@ -60,20 +60,20 @@ inline std::optional<unsigned> select_slot_reference(
 
   // RoutingMode::kPrrLike.
   if (!past_hole) {
-    if (const NodeId* m = usable(desired)) return chose(desired, m);
+    if (const auto m = usable(desired)) return chose(desired, *m);
     past_hole = true;
     // First hole: best leading-bit match, ties to the higher digit.
     std::optional<unsigned> best;
-    const NodeId* best_member = nullptr;
+    NodeId best_member;
     unsigned best_score = 0;
     for (unsigned j = 0; j < radix; ++j) {
-      const NodeId* m = usable(j);
-      if (m == nullptr) continue;
+      const auto m = usable(j);
+      if (!m.has_value()) continue;
       const unsigned score = leading_bit_match(j, desired);
       if (!best.has_value() || score > best_score ||
           (score == best_score && j > *best)) {
         best = j;
-        best_member = m;
+        best_member = *m;
         best_score = score;
       }
     }
@@ -82,7 +82,7 @@ inline std::optional<unsigned> select_slot_reference(
   }
   // After the first hole: numerically highest filled digit.
   for (unsigned j = radix; j-- > 0;)
-    if (const NodeId* m = usable(j)) return chose(j, m);
+    if (const auto m = usable(j)) return chose(j, *m);
   return std::nullopt;
 }
 

@@ -171,8 +171,8 @@ void expect_select_agreement(const Network& net, std::uint64_t seed) {
     const Router::ExcludeSet* ex = use_exclude ? &exclude : nullptr;
 
     bool hole_fast = start_hole, hole_ref = start_hole, hole_bare = start_hole;
-    const NodeId* m_fast = nullptr;
-    const NodeId* m_ref = nullptr;
+    NodeId m_fast;
+    NodeId m_ref;
     const auto fast = router.select_slot(at, level, desired, hole_fast, ex,
                                          live_only, &m_fast);
     const auto ref = select_slot_reference(reg, at, level, desired, hole_ref,
@@ -183,7 +183,7 @@ void expect_select_agreement(const Network& net, std::uint64_t seed) {
                          << " live_only " << live_only;
     ASSERT_EQ(hole_fast, hole_ref) << "past_hole divergence";
     ASSERT_EQ(m_fast, m_ref) << "reported member divergence";
-    ASSERT_EQ(fast.has_value(), m_fast != nullptr);
+    ASSERT_EQ(fast.has_value(), m_fast.valid());
     ASSERT_EQ(bare, fast) << "member-less selection diverged";
     ASSERT_EQ(hole_bare, hole_fast);
   }
@@ -252,15 +252,15 @@ RouteResult reference_peek_walk(const Network& net, NodeId from,
   res.path.push_back(from);
   RouteState state;
   while (state.level < net.params().id.num_digits) {
-    const NodeId* m = nullptr;
+    NodeId m;
     const auto j = select_slot_reference(
         reg, reg.checked(res.path.back()), state.level,
         target.digit(state.level), state.past_hole, nullptr,
         /*live_only=*/true, &m);
     if (!j.has_value()) throw CheckError("reference: row with no live slot");
     ++state.level;
-    if (*m == res.path.back()) continue;  // self-advance
-    res.path.push_back(*m);
+    if (m == res.path.back()) continue;  // self-advance
+    res.path.push_back(m);
     ++res.hops;
     if (state.past_hole) ++res.surrogate_hops;
   }

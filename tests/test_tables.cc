@@ -1,10 +1,12 @@
 // Data-structure semantics: a routing-table slot's capacity/eviction/
 // pinning rules (checked against the per-slot reference container),
-// RoutingTable self-entries, packed growth and backpointers, ObjectStore
-// records and soft-state expiry.
+// RoutingTable self-entries, packed growth, stored form and id checks,
+// backpointers (checked against a per-level set), ObjectStore records and
+// soft-state expiry.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <set>
 
 #include "neighbor_set_reference.h"
 #include "src/tapestry/object_store.h"
@@ -318,6 +320,82 @@ TEST(RoutingTable, MemberArrayGrowsByFixedStep) {
   EXPECT_EQ(table.member_capacity(), 4u + 2 * RoutingTable::kGrowStep);
 }
 
+TEST(RoutingTable, HeapBytesCountEightBytesPerId) {
+  // Every id is stored as its 8-byte value under the table's spec: a
+  // member is 16 bytes ({id, distance}) and a backpointer 8.  Beside them
+  // a kSpec table (4 levels of 16 slots) holds 65 uint16_t slot offsets,
+  // one mask word per level and one backpointer vector header per level.
+  RoutingTable table(kSpec, nid(0x1000), 2);
+  const std::size_t fixed =
+      65 * 2 + 4 * 8 + 4 * sizeof(std::vector<std::uint64_t>);
+  ASSERT_EQ(table.member_capacity(), 4u);  // the four self-entries
+  EXPECT_EQ(table.heap_bytes(), fixed + 4 * 16);
+
+  // Five links (members 4 -> 9, capacity 4 -> 12 by fixed steps), five
+  // holders at level 1 (capacity 8) and one at level 2 (capacity 4).
+  for (std::uint64_t j = 2; j <= 6; ++j)
+    table.consider(0, static_cast<unsigned>(j), nid(j << 12), 1.0);
+  for (const std::uint64_t v : {0x1100, 0x1200, 0x1300, 0x1400, 0x1500})
+    table.add_backpointer(1, nid(v));
+  table.add_backpointer(2, nid(0x1010));
+  ASSERT_EQ(table.member_capacity(), 12u);
+  EXPECT_EQ(table.heap_bytes(), fixed + 12 * 16 + (8 + 4) * 8);
+}
+
+/// Everything a table holds, for "left unchanged" checks: its footprint,
+/// each row mask, each slot's (id, distance, pinned) run and each level's
+/// backpointers.
+std::vector<double> table_state(const RoutingTable& t) {
+  std::vector<double> s{static_cast<double>(t.heap_bytes()),
+                        static_cast<double>(t.member_count())};
+  for (unsigned l = 0; l < t.levels(); ++l) {
+    s.push_back(static_cast<double>(t.row_mask(l)));
+    for (unsigned j = 0; j < t.radix(); ++j) {
+      const NeighborSet slot = t.at(l, j);
+      s.push_back(static_cast<double>(slot.size()));
+      for (const NeighborEntry& e : slot.entries()) {
+        s.push_back(static_cast<double>(e.id.value()));
+        s.push_back(e.dist);
+        s.push_back(slot.pinned(e.id) ? 1.0 : 0.0);
+      }
+    }
+    const RoutingTable::Backpointers bp = t.backpointers(l);
+    s.push_back(static_cast<double>(bp.size()));
+    for (const NodeId& b : bp) s.push_back(static_cast<double>(b.value()));
+  }
+  return s;
+}
+
+TEST(RoutingTable, RejectsIdsOfAnotherSpec) {
+  // A table stores bare id values, so an id of another spec whose value
+  // is in range would alias one of the table's own.  Every call that
+  // takes an id refuses it and leaves the table as it was.
+  RoutingTable table(kSpec, nid(0x1000), 2);
+  table.consider(0, 0x2, nid(0x2AAA), 1.0);
+  table.add_backpointer(1, nid(0x1234));
+  const IdSpec other{2, 8};  // also 16 bits: every kSpec value fits
+  const NodeId member(other, 0x2AAA);
+  const NodeId holder(other, 0x1234);
+  const NodeId stranger(other, 0x3BBB);
+  const auto before = table_state(table);
+  std::vector<NodeId> evicted;
+  EXPECT_THROW(table.consider(0, 0x2, member, 0.5), CheckError);
+  EXPECT_THROW(table.consider(0, 0x3, stranger, 0.5), CheckError);
+  EXPECT_THROW(table.pin(0, 0x2, member, 0.5), CheckError);
+  EXPECT_THROW(table.pin(0, 0x3, stranger, 0.5), CheckError);
+  EXPECT_THROW(table.remove(0, 0x2, member), CheckError);
+  EXPECT_THROW(table.unpin(0, 0x2, member, evicted), CheckError);
+  EXPECT_THROW(table.add_backpointer(1, holder), CheckError);
+  EXPECT_THROW(table.add_backpointer(1, stranger), CheckError);
+  EXPECT_THROW(table.append_backpointer(1, stranger), CheckError);
+  EXPECT_THROW(table.remove_backpointer(1, holder), CheckError);
+  EXPECT_THROW((void)table.has_backpointer(1, holder), CheckError);
+  // A default-constructed id carries no spec at all.
+  EXPECT_THROW(table.add_backpointer(1, NodeId{}), CheckError);
+  EXPECT_TRUE(evicted.empty());
+  EXPECT_EQ(table_state(table), before);
+}
+
 TEST(RoutingTable, MemberCountPastOffsetRangeFailsCheck) {
   // Slot offsets are 16-bit: the 65536th member must be refused, not wrap.
   const IdSpec spec{6, 10};
@@ -334,6 +412,13 @@ TEST(RoutingTable, MemberCountPastOffsetRangeFailsCheck) {
   EXPECT_THROW(table.consider(spec.num_digits - 1, 1, NodeId(spec, next), 0.0),
                CheckError);
   EXPECT_EQ(table.member_count(), limit);
+}
+
+/// Holders at one level, copied out of the table's view.
+std::vector<NodeId> backpointers_at(const RoutingTable& table,
+                                    unsigned level) {
+  const RoutingTable::Backpointers v = table.backpointers(level);
+  return {v.begin(), v.end()};
 }
 
 TEST(RoutingTable, BackpointerBookkeeping) {
@@ -354,14 +439,14 @@ TEST(RoutingTable, BackpointerBookkeeping) {
   table.add_backpointer(1, nid(0x1800));
   const std::vector<NodeId> want{nid(0x1001), nid(0x1567), nid(0x1800),
                                  nid(0x1F00)};
-  EXPECT_EQ(table.backpointers(1), want);
+  EXPECT_EQ(backpointers_at(table, 1), want);
 
   // A duplicate add is idempotent; removing an absent id is a no-op.
   table.add_backpointer(1, nid(0x1800));
-  EXPECT_EQ(table.backpointers(1), want);
+  EXPECT_EQ(backpointers_at(table, 1), want);
   table.remove_backpointer(1, nid(0x1234));
   table.remove_backpointer(3, nid(0x1234));
-  EXPECT_EQ(table.backpointers(1), want);
+  EXPECT_EQ(backpointers_at(table, 1), want);
 
   EXPECT_TRUE(table.has_backpointer(1, nid(0x1800)));
   EXPECT_FALSE(table.has_backpointer(1, nid(0x1234)));
@@ -371,6 +456,93 @@ TEST(RoutingTable, BackpointerBookkeeping) {
   const std::vector<NodeId> all{nid(0x1001), nid(0x1234), nid(0x1567),
                                 nid(0x1800), nid(0x1F00)};
   EXPECT_EQ(table.all_backpointers(), all);  // ascending, deduplicated
+}
+
+/// Drives `ops` random add_backpointer / remove_backpointer calls into one
+/// table and into one std::set of id values per level; now and then a
+/// static-builder batch instead: append_backpointer calls in any order,
+/// repeats included, then settle_backpointers.  After every op it
+/// compares each level's backpointers (contents and ascending order),
+/// has_backpointer for every id in the level's pool, and all_backpointers.
+void expect_backpointers_match_reference(IdSpec spec, std::uint64_t seed,
+                                         int ops) {
+  SCOPED_TRACE(::testing::Message()
+               << "radix " << spec.radix() << " seed " << seed);
+  Rng rng(seed);
+  const unsigned levels = spec.num_digits;
+  const NodeId self(spec, rng() & spec.mask());
+  RoutingTable table(spec, self, 2);
+  std::vector<std::set<std::uint64_t>> ref(levels);
+
+  // A small pool of holders per level, each sharing the level's prefix
+  // with the owner as a real holder does, so adds repeat and removals
+  // mostly hit.
+  constexpr std::size_t kPool = 8;
+  std::vector<std::vector<NodeId>> pool(levels);
+  for (unsigned l = 0; l < levels; ++l) {
+    for (std::uint64_t k = 0; pool[l].size() < kPool; ++k) {
+      NodeId id(spec, splitmix64(seed ^ (std::uint64_t{l} << 32 | k)) &
+                          spec.mask());
+      for (unsigned i = 0; i < l; ++i) id = id.with_digit(i, self.digit(i));
+      if (!(id == self)) pool[l].push_back(id);
+    }
+  }
+  auto any_holder = [&](unsigned l) {
+    return pool[l][rng.next_u64(pool[l].size())];
+  };
+
+  auto expect_levels_match = [&](int op) {
+    std::set<std::uint64_t> all;
+    for (unsigned l = 0; l < levels; ++l) {
+      std::vector<NodeId> want;
+      for (const std::uint64_t v : ref[l]) want.emplace_back(spec, v);
+      ASSERT_EQ(table.backpointers(l).size(), want.size())
+          << "level " << l << " after op " << op;
+      ASSERT_EQ(backpointers_at(table, l), want)
+          << "level " << l << " after op " << op;
+      for (const NodeId& id : pool[l])
+        ASSERT_EQ(table.has_backpointer(l, id), ref[l].count(id.value()) != 0)
+            << "level " << l << " id " << id.to_string() << " after op "
+            << op;
+      all.insert(ref[l].begin(), ref[l].end());
+    }
+    std::vector<NodeId> want_all;
+    for (const std::uint64_t v : all) want_all.emplace_back(spec, v);
+    ASSERT_EQ(table.all_backpointers(), want_all) << "after op " << op;
+  };
+
+  for (int op = 0; op < ops; ++op) {
+    const auto l = static_cast<unsigned>(rng.next_u64(levels));
+    const std::uint64_t kind = rng.next_u64(20);
+    if (kind < 11) {
+      const NodeId id = any_holder(l);
+      table.add_backpointer(l, id);
+      ref[l].insert(id.value());
+    } else if (kind < 19) {
+      const NodeId id = any_holder(l);
+      table.remove_backpointer(l, id);
+      ref[l].erase(id.value());
+    } else {
+      for (int k = 0; k < 6; ++k) {
+        const auto bl = static_cast<unsigned>(rng.next_u64(levels));
+        const NodeId id = any_holder(bl);
+        table.append_backpointer(bl, id);
+        ref[bl].insert(id.value());
+      }
+      table.settle_backpointers();
+    }
+    expect_levels_match(op);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(RoutingTable, BackpointersMatchPerLevelSetReference) {
+  const IdSpec specs[] = {IdSpec{1, 12}, IdSpec{4, 4}, IdSpec{6, 3}};
+  for (const IdSpec& spec : specs)
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      expect_backpointers_match_reference(spec, seed * 7919, 5'000);
+      if (HasFatalFailure()) return;
+    }
 }
 
 // ---------------------------------------------------- MemoryStore backend
