@@ -8,7 +8,7 @@
 // --threads — and the bench gates the §5 repair contract: identical
 // terminal membership and Property 1 occupancy fingerprints, converged
 // invariants, and every tracked object locatable WITHOUT a republish
-// (§4.2 rerouting happened inside the waves).
+// (each wave re-routes §4.2 serially around its threads).
 //
 // Flags: --nodes=N [256]  --rounds=R [4]  --threads=T [4]  --seed=S [1]
 //        --json (machine-readable metrics for CI)

@@ -6,7 +6,9 @@
 // runs a wave of them on real threads under the stripe locks, both through
 // the one body `insert` (maintenance.h has the wave's contract), and
 // ParallelJoinCoordinator (parallel_join.h) interleaves the same steps as
-// events in simulated time.
+// events in simulated time.  The §4.2 pointer re-routes below happen
+// around each table change serially; a wave's threads change tables only,
+// and the wave re-routes every live node's pointers after they join.
 //
 // INSERT:
 //   1. acquire the primary surrogate by routing toward the new node-ID;
@@ -61,23 +63,6 @@
 namespace tap {
 
 namespace {
-
-/// §4.2 around a table change of `n`.  Serially, the pointers whose next
-/// hop moved are re-routed at once.  Join waves touch no store (the §6.5
-/// republish backstops them; see join_bulk), so given a lock table the
-/// change runs bare: the one place the insertion steps differ in what they
-/// do rather than in how they synchronise.
-template <typename Change>
-void rerouting(ObjectDirectory& dir, TapestryNode& n, Trace* trace,
-               const NodeLockTable* locks, Change&& change) {
-  if (locks != nullptr) {
-    change();
-    return;
-  }
-  const auto before = dir.snapshot_pointer_hops(n);
-  change();
-  dir.reroute_changed_pointers(n, before, trace);
-}
 
 /// The §3 k-list trim: dedupe, drop dead nodes and the node itself, order
 /// by (distance, id), keep the k closest.  Pure reads of distances and
@@ -201,16 +186,19 @@ std::vector<NodeId> MaintenanceEngine::join_bulk(
                                           : live[rng_.next_u64(live.size())];
   }
 
-  std::vector<Trace> traces(requests.size());
-  const NodeLockTable* locks = &reg_.node_locks();
-  parallel_for(
-      requests.size(),
-      [&](std::size_t i) {
-        insert(ids[i], gateways[i], requests[i].loc, &traces[i], locks);
-      },
-      workers);
-  if (trace != nullptr)
-    for (const Trace& t : traces) trace->absorb(t);
+  // Any live node may adopt a joiner, so every one is snapshotted.
+  run_wave(reg_.nodes_snapshot(), trace, [&] {
+    std::vector<Trace> traces(requests.size());
+    const NodeLockTable* locks = &reg_.node_locks();
+    parallel_for(
+        requests.size(),
+        [&](std::size_t i) {
+          insert(ids[i], gateways[i], requests[i].loc, &traces[i], locks);
+        },
+        workers);
+    if (trace != nullptr)
+      for (const Trace& t : traces) trace->absorb(t);
+  });
   return ids;
 }
 
@@ -329,17 +317,24 @@ std::optional<std::vector<MulticastChild>> MaintenanceEngine::visit(
 
   // Watch-list service (Figure 11 line 1); reports change the inserter's
   // table.
-  rerouting(dir_, nn, s.trace, locks,
+  rerouting(nn, s.trace, locks,
             [&] { serve_watch_list(s, at, nn, watch, locks); });
 
   // Pin the inserting node into the slot it fills (§4.4, Lemma 4) and
   // adopt it wherever it improves this node's table (Theorem 4); both
-  // change this node's forward routes.
-  rerouting(dir_, at, s.trace, locks, [&] {
+  // change this node's forward routes.  The forwarding targets are read
+  // between the two: an adoption can evict a slot's last other live
+  // member, and the multicast never forwards to the joiner in its place.
+  std::vector<MulticastChild> children;
+  rerouting(at, s.trace, locks, [&] {
     if (s.pinned_at.insert(at_id.value()).second) {
       NodeLockTable::Guard g(locks, at_id, s.nn);
       at.table().pin(s.alpha, s.hole_digit, s.nn, reg_.dist(at, nn));
       nn.table().add_backpointer(s.alpha, at_id);
+    }
+    {
+      NodeLockTable::Guard g(locks, at_id);
+      children = multicast_children(reg_, at, s, prefix_len);
     }
     add_to_table_if_closer(reg_, at, nn, locks);
   });
@@ -349,11 +344,6 @@ std::optional<std::vector<MulticastChild>> MaintenanceEngine::visit(
   // other (Lemma 6).  Serially nothing runs in between.
   if (locks != nullptr) serve_watch_list(s, at, nn, watch, locks);
 
-  std::vector<MulticastChild> children;
-  {
-    NodeLockTable::Guard g(locks, at_id);
-    children = multicast_children(reg_, at, s, prefix_len);
-  }
   // FUNCTION (LINKANDXFERROOT) applied: record this node on the α-list
   // exactly once.
   s.alpha_list.push_back(at_id);
@@ -419,7 +409,7 @@ void MaintenanceEngine::finish_insertion(InsertionSession& s,
   // rewrites the new node's table, so pointers already transferred to it
   // are re-checked afterwards.
   TapestryNode& nn = reg_.checked(s.nn);
-  rerouting(dir_, nn, s.trace, locks, [&] {
+  rerouting(nn, s.trace, locks, [&] {
     acquire_neighbor_table(nn, s.alpha, std::move(s.alpha_list), s.trace,
                            locks);
   });
@@ -486,7 +476,7 @@ void MaintenanceEngine::link_and_xfer_root(TapestryNode& host,
   // Update the table; serially, then re-route any pointer whose path
   // changed (this transfers to the new node the pointers it is now root
   // of, and deposits them along the new paths — §4.2).
-  rerouting(dir_, host, trace, locks,
+  rerouting(host, trace, locks,
             [&] { add_to_table_if_closer(reg_, host, nn, locks); });
 }
 

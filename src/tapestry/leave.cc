@@ -56,18 +56,18 @@ void MaintenanceEngine::depart(TapestryNode& a, Trace* trace,
       if (!reg_.is_live(holder)) continue;
       TapestryNode& b = reg_.live(holder);
       reg_.acct(trace, a, b, 1);  // LEAVINGNETWORK notification with hints
-      const auto before = dir_.snapshot_pointer_hops(b, locks);
-      unlink(reg_, b, l, id, locks);
-      for (const NodeId& h : hints)
-        if (!(h == holder) && reg_.is_live(h))
-          link(reg_, b, l, reg_.live(h), locks);
-      // An own-digit slot drained to ourselves carries no hint; the
-      // holder's search then finds any live node that fits.
-      refill_slot(b, l, digit, trace, locks);
-      // Re-route local pointers that used to travel through the leaver —
+      // Re-routes local pointers that used to travel through the leaver —
       // including those the leaver *rooted*, which now flow onward to
       // their new surrogate roots.
-      dir_.reroute_changed_pointers(b, before, trace, locks);
+      rerouting(b, trace, locks, [&] {
+        unlink(reg_, b, l, id, locks);
+        for (const NodeId& h : hints)
+          if (!(h == holder) && reg_.is_live(h))
+            link(reg_, b, l, reg_.live(h), locks);
+        // An own-digit slot drained to ourselves carries no hint; the
+        // holder's search then finds any live node that fits.
+        refill_slot(b, l, digit, trace, locks);
+      });
     }
   }
 

@@ -122,16 +122,15 @@ void MaintenanceEngine::purge_dead_neighbor(TapestryNode& at, NodeId dead,
 void MaintenanceEngine::purge_dead_neighbor(TapestryNode& at, NodeId dead,
                                             Trace* trace,
                                             const NodeLockTable* locks) {
-  const auto before = dir_.snapshot_pointer_hops(at, locks);
-  const unsigned gcp = at.id().common_prefix_len(dead);
-  const unsigned digits = params_.id.num_digits;
-  for (unsigned l = 0; l <= gcp && l < digits; ++l) {
-    unlink(reg_, at, l, dead, locks);
-    refill_slot(at, l, dead.digit(l), trace, locks);
-    NodeLockTable::Guard g(locks, at.id());
-    at.table().remove_backpointer(l, dead);
-  }
-  dir_.reroute_changed_pointers(at, before, trace, locks);
+  rerouting(at, trace, locks, [&] {
+    const unsigned gcp = at.id().common_prefix_len(dead);
+    for (unsigned l = 0; l <= gcp && l < params_.id.num_digits; ++l) {
+      unlink(reg_, at, l, dead, locks);
+      refill_slot(at, l, dead.digit(l), trace, locks);
+      NodeLockTable::Guard g(locks, at.id());
+      at.table().remove_backpointer(l, dead);
+    }
+  });
 }
 
 void MaintenanceEngine::refill_slot(TapestryNode& at, unsigned level,
@@ -279,8 +278,8 @@ void MaintenanceEngine::fill_pass(Trace* trace, const NodeLockTable* locks,
   // such as one left by a join made during a partition.  The search is
   // complete and a fill only adds a link, so one pass leaves no fillable
   // hole.  A slot no live id fits (Property 1's empty slots, mostly) is
-  // skipped without a search, and the pointer snapshot waits until a
-  // replacement turns up.
+  // skipped without a search, and the serial pointer snapshot waits until
+  // a replacement turns up.
   for_each_live(locks, workers, trace, [&](TapestryNode& n, Trace* t) {
     for (unsigned l = 0; l < digits; ++l) {
       for (unsigned j = 0; j < radix; ++j) {
@@ -289,9 +288,8 @@ void MaintenanceEngine::fill_pass(Trace* trace, const NodeLockTable* locks,
         if (first == last) continue;
         const auto rep = find_replacement(n, l, j, t, locks);
         if (!rep.has_value()) continue;
-        const auto before = dir_.snapshot_pointer_hops(n, locks);
-        link(reg_, n, l, reg_.live(*rep), locks);
-        dir_.reroute_changed_pointers(n, before, t, locks);
+        rerouting(n, t, locks,
+                  [&] { link(reg_, n, l, reg_.live(*rep), locks); });
       }
       // Every deeper class lies inside n's own-digit class; once n is its
       // only live member, no hole below is fillable.
@@ -336,39 +334,43 @@ void check_victims(const NodeRegistry& reg, const std::vector<NodeId>& victims,
             "the " + wave + " wave would empty the network");
 }
 
-// A wave on more than one worker writes node stores from several threads
-// at once (in-wave reroutes), and only the sharded backend locks them.
-// Zero workers (hardware concurrency) counts as more than one on every
-// machine, so whether a call is refused never depends on the host.
-void check_wave_store(const TapestryParams& params, std::size_t workers,
-                      const std::string& wave) {
-  TAP_CHECK(workers == 1 || params.store_backend == StoreBackend::kSharded,
-            "a " + wave +
-                " wave on more than one worker needs the sharded store "
-                "backend");
-}
-
 }  // namespace
 
-void MaintenanceEngine::run_wave(
+void MaintenanceEngine::run_wave(const std::vector<TapestryNode*>& relinked,
+                                 Trace* trace,
+                                 const std::function<void()>& threads) {
+  using Hops = std::vector<ObjectDirectory::PendingReroute>;
+  std::vector<std::pair<TapestryNode*, Hops>> before;
+  for (TapestryNode* n : relinked)
+    if (n->alive) before.emplace_back(n, dir_.snapshot_pointer_hops(*n));
+  threads();
+  for (const auto& [n, hops] : before)
+    dir_.reroute_changed_pointers(*n, hops, trace);
+}
+
+void MaintenanceEngine::repair_wave(
     const std::vector<NodeId>& victims, std::size_t workers, Trace* trace,
     const std::function<void(const NodeId&, Trace*)>& repair) {
-  std::vector<Trace> traces(victims.size());
-  parallel_for(
-      victims.size(), [&](std::size_t i) { repair(victims[i], &traces[i]); },
-      workers);
-  // Merge per-victim traces in request order (deterministic counters up to
-  // scheduling-dependent repair overlap; invariants never depend on them).
-  if (trace != nullptr)
-    for (const Trace& t : traces) trace->absorb(t);
-  // Close the one §4.2 window threads open that serial execution cannot:
-  // records deposited on a holder after that holder's snapshot was taken.
-  dir_.repair_pointer_chains(trace);
+  // The repairs change the forward tables of the victims' holders only.
+  std::vector<TapestryNode*> holders;
+  std::unordered_set<std::uint64_t> seen;
+  for (const NodeId& v : victims)
+    for (const NodeId& h : reg_.checked(v).table().all_backpointers())
+      if (seen.insert(h.value()).second) holders.push_back(&reg_.checked(h));
+  run_wave(holders, trace, [&] {
+    std::vector<Trace> traces(victims.size());
+    parallel_for(
+        victims.size(), [&](std::size_t i) { repair(victims[i], &traces[i]); },
+        workers);
+    // Merged in victim order: deterministic counters up to scheduling-
+    // dependent repair overlap; invariants never depend on them.
+    if (trace != nullptr)
+      for (const Trace& t : traces) trace->absorb(t);
+  });
 }
 
 void MaintenanceEngine::leave_bulk(const std::vector<NodeId>& victims,
                                    std::size_t workers, Trace* trace) {
-  check_wave_store(params_, workers, "leave");
   WaveTimer timer;
   check_victims(reg_, victims, "leave");
   // Withdraw every victim's replicas while the mesh still routes through
@@ -377,7 +379,7 @@ void MaintenanceEngine::leave_bulk(const std::vector<NodeId>& victims,
   for (const NodeId& v : victims)
     for (const Guid& g : dir_.guids_served_by(v)) dir_.unpublish(v, g, trace);
   for (const NodeId& v : victims) fail(v);
-  run_wave(victims, workers, trace, [&](const NodeId& v, Trace* t) {
+  repair_wave(victims, workers, trace, [&](const NodeId& v, Trace* t) {
     depart(reg_.checked(v), t, &reg_.node_locks());
   });
 }
@@ -385,12 +387,11 @@ void MaintenanceEngine::leave_bulk(const std::vector<NodeId>& victims,
 void MaintenanceEngine::fail_and_repair_bulk(const std::vector<NodeId>& victims,
                                              std::size_t workers,
                                              Trace* trace) {
-  check_wave_store(params_, workers, "fail");
   WaveTimer timer;
   check_victims(reg_, victims, "fail");
   // Tombstones keep their tables and stores, as in fail().
   for (const NodeId& v : victims) fail(v);
-  run_wave(victims, workers, trace, [&](const NodeId& v, Trace* t) {
+  repair_wave(victims, workers, trace, [&](const NodeId& v, Trace* t) {
     const NodeLockTable* locks = &reg_.node_locks();
     std::vector<NodeId> holders;
     {
@@ -405,12 +406,12 @@ void MaintenanceEngine::fail_and_repair_bulk(const std::vector<NodeId>& victims,
 
 void MaintenanceEngine::heartbeat_sweep_bulk(std::size_t workers,
                                              Trace* trace) {
-  check_wave_store(params_, workers, "heartbeat");
   WaveTimer timer;
   metrics::heartbeat_sweeps_total().inc();
-  heartbeat_round(trace, &reg_.node_locks(), workers);
-  fill_pass(trace, &reg_.node_locks(), workers);
-  dir_.repair_pointer_chains(trace);
+  run_wave(reg_.nodes_snapshot(), trace, [&] {
+    heartbeat_round(trace, &reg_.node_locks(), workers);
+    fill_pass(trace, &reg_.node_locks(), workers);
+  });
 }
 
 void MaintenanceEngine::start_heartbeats(double every, Trace* trace) {
@@ -439,62 +440,60 @@ void MaintenanceEngine::optimize_primaries(NodeId id, Trace* trace) {
   // backpointer to it, so the re-ranking below meets live members only.
   for (const NodeId& m : n.table().all_neighbors())
     if (!reg_.is_live(m)) purge_dead_neighbor(n, m, trace);
-  const auto before = dir_.snapshot_pointer_hops(n);
-  const unsigned digits = params_.id.num_digits;
-  for (unsigned l = 0; l < digits; ++l) {
-    for (unsigned j = 0; j < params_.id.radix(); ++j) {
-      // Re-measure every member and re-rank; consider() re-sorts in place.
-      const auto slot = n.table().at(l, j).entries();
-      const std::vector<NeighborEntry> members(slot.begin(), slot.end());
-      for (const auto& e : members) {  // a copy: the loop mutates the table
-        if (e.id == n.id()) continue;
-        const TapestryNode& other = reg_.live(e.id);
-        reg_.acct(trace, n, other, 2);  // distance probe
-        n.table().consider(l, j, e.id, reg_.dist(n, other));
+  rerouting(n, trace, nullptr, [&] {
+    for (unsigned l = 0; l < params_.id.num_digits; ++l) {
+      for (unsigned j = 0; j < params_.id.radix(); ++j) {
+        // Re-measure every member and re-rank; consider() re-sorts in place.
+        const auto slot = n.table().at(l, j).entries();
+        const std::vector<NeighborEntry> members(slot.begin(), slot.end());
+        for (const auto& e : members) {  // a copy: the loop mutates the table
+          if (e.id == n.id()) continue;
+          const TapestryNode& other = reg_.live(e.id);
+          reg_.acct(trace, n, other, 2);  // distance probe
+          n.table().consider(l, j, e.id, reg_.dist(n, other));
+        }
       }
     }
-  }
-  dir_.reroute_changed_pointers(n, before, trace);
+  });
 }
 
 void MaintenanceEngine::optimize_gossip(NodeId id, Trace* trace) {
   TapestryNode& n = reg_.live(id);
-  const auto before = dir_.snapshot_pointer_hops(n);
-  const unsigned digits = params_.id.num_digits;
-  for (unsigned l = 0; l < digits; ++l) {
-    // Ask each level-l neighbor for its level-l row; adopt closer members
-    // (the "local sharing of information" heuristic).
-    const auto peers = n.table().row_members(l);
-    for (const NodeId& m : peers) {
-      if (m == n.id() || !reg_.is_live(m)) continue;
-      TapestryNode& member = reg_.live(m);
-      reg_.acct(trace, n, member, 2);  // row exchange
-      for (const NodeId& x : member.table().row_members(l)) {
-        if (x == n.id() || !reg_.is_live(x)) continue;
-        link(reg_, n, l, reg_.live(x));
+  rerouting(n, trace, nullptr, [&] {
+    for (unsigned l = 0; l < params_.id.num_digits; ++l) {
+      // Ask each level-l neighbor for its level-l row; adopt closer members
+      // (the "local sharing of information" heuristic).
+      const auto peers = n.table().row_members(l);
+      for (const NodeId& m : peers) {
+        if (m == n.id() || !reg_.is_live(m)) continue;
+        TapestryNode& member = reg_.live(m);
+        reg_.acct(trace, n, member, 2);  // row exchange
+        for (const NodeId& x : member.table().row_members(l)) {
+          if (x == n.id() || !reg_.is_live(x)) continue;
+          link(reg_, n, l, reg_.live(x));
+        }
       }
     }
-  }
-  dir_.reroute_changed_pointers(n, before, trace);
+  });
 }
 
 void MaintenanceEngine::rebuild_neighbor_table(NodeId id, Trace* trace) {
   TapestryNode& n = reg_.live(id);
-  const auto before = dir_.snapshot_pointer_hops(n);
-  // Deepest level at which anyone shares our prefix; the multicast over
-  // that prefix regenerates the first list exactly as at insertion time.
-  unsigned max_level = 0;
-  for (unsigned l = 0; l < params_.id.num_digits; ++l)
-    if (n.table().row_has_other(l)) max_level = l;
-  std::vector<NodeId> list;
-  router_.multicast(
-      id, n.id(), max_level,
-      [&](NodeId y) {
-        if (!(y == id)) list.push_back(y);
-      },
-      trace, {id});
-  acquire_neighbor_table(n, max_level, std::move(list), trace, nullptr);
-  dir_.reroute_changed_pointers(n, before, trace);
+  rerouting(n, trace, nullptr, [&] {
+    // Deepest level at which anyone shares our prefix; the multicast over
+    // that prefix regenerates the first list exactly as at insertion time.
+    unsigned max_level = 0;
+    for (unsigned l = 0; l < params_.id.num_digits; ++l)
+      if (n.table().row_has_other(l)) max_level = l;
+    std::vector<NodeId> list;
+    router_.multicast(
+        id, n.id(), max_level,
+        [&](NodeId y) {
+          if (!(y == id)) list.push_back(y);
+        },
+        trace, {id});
+    acquire_neighbor_table(n, max_level, std::move(list), trace, nullptr);
+  });
 }
 
 }  // namespace tap

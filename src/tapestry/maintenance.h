@@ -17,7 +17,11 @@
 // serially on a quiescent mesh (join_via, leave, heartbeat_sweep, and
 // ParallelJoinCoordinator's event-driven joins), the registry's table runs
 // it inside a thread-parallel wave (join_bulk, leave_bulk and friends
-// below) under the stripe discipline of node_locks.h.
+// below) under the stripe discipline of node_locks.h.  A step changes
+// tables through `rerouting`: serially it re-routes the object pointers
+// (§4.2) around each change; given the lock table it changes tables only,
+// and the wave re-routes serially around its threads (run_wave), so no
+// worker thread touches a store.
 #pragma once
 
 #include <cstdint>
@@ -177,17 +181,14 @@ class MaintenanceEngine final : public RepairHandler {
   /// fingerprint_occupancy (fingerprint.h) is the cross-worker-count
   /// witness.
   ///
-  /// Object pointers: waves touch no store.  The insertion steps do no
-  /// incremental §4.2 pointer rerouting given a lock table (a joining node
-  /// holds no pointers yet, and the walks would couple every join to every
-  /// store) — the one thing they do differently rather than only
-  /// synchronise differently; the §6.5 soft-state republish is the
-  /// designated backstop for join waves.  The network must be quiescent
-  /// apart from racers that synchronise through the node-lock table
-  /// (guarded publish batches, store expiry sweeps).  Repair waves are
-  /// different — leave_bulk / fail_and_repair_bulk reroute incrementally
-  /// inside the wave, per holder, under the same stripe discipline, and do
-  /// NOT rely on the republish backstop.
+  /// Object pointers: the wave snapshots every live node's pointer hops
+  /// before its threads start and re-routes each snapshot after they join
+  /// (§4.2, run_wave), so it keeps Property 4 with no republish, as serial
+  /// joins do.  The network must be quiescent apart from racers that
+  /// synchronise through the node-lock table and the sharded store
+  /// (guarded publish batches, store expiry sweeps); a record such a racer
+  /// deposits after the snapshot is left to repair_pointer_chains or the
+  /// §6.5 republish.
   std::vector<NodeId> join_bulk(const std::vector<JoinRequest>& requests,
                                 std::size_t workers = 0,
                                 Trace* trace = nullptr);
@@ -219,16 +220,13 @@ class MaintenanceEngine final : public RepairHandler {
   // proactive purge every holder would otherwise perform lazily — racing
   // every other victim's repair through the shared link primitives.
   //
-  // §4.2 pointer rerouting happens *incrementally inside the wave*: around
-  // each holder's table mutations the holder's pointer hops are
-  // snapshotted and re-pushed through the directory's pointer maintenance
-  // given the stripe locks, never deferred to the §6.5 republish backstop.
-  // Two racing reroutes can strand a record that lands on a holder after
-  // that holder's snapshot was taken (impossible serially).  A leave or
-  // fail wave therefore ends with one epilogue, the quiescent
-  // ObjectDirectory::repair_pointer_chains pass, which re-pushes the
-  // stranded records, so objects are locatable the moment the wave
-  // returns.  The epilogue sends no heartbeat and fills no slot.
+  // §4.2 pointer rerouting runs serially around the threads (run_wave),
+  // never deferred to the §6.5 republish backstop: before they start the
+  // wave snapshots the pointer hops of every node it may re-link (a leave
+  // or fail wave: the victims' backpointer holders, read off their
+  // tombstones; a heartbeat wave: every live node), and after they join
+  // it re-routes each snapshot in order, as the serial calls do around
+  // one change.  Objects are locatable the moment the wave returns.
   //
   // A leave or fail wave repairs only what it breaks, as the serial leave
   // and lazy purge do: it notifies or purges exactly the nodes that link
@@ -249,33 +247,32 @@ class MaintenanceEngine final : public RepairHandler {
   // orderings — and which of several equally good neighbors a slot
   // holds — may differ run to run; convergence is asserted on invariants.
   //
-  // Concurrency requirements: guarded reroutes write through the store
-  // backends, so a leave, fail or heartbeat wave on more than one worker
-  // (0 = hardware concurrency counts as more) needs StoreBackend::kSharded
-  // and TAP_CHECKs it before touching anything; waves racing other store
-  // users need it too.  join_bulk touches no store and is unchecked.
+  // Worker threads read and write routing tables only, so a wave runs on
+  // any store backend at any worker count.  Racers that write stores
+  // while a wave runs (guarded publish batches, expiry sweeps) need
+  // StoreBackend::kSharded.
 
   /// Voluntary departure of every victim at once.  Serial preamble:
   /// withdraw the victims' replicas while the mesh still routes through
   /// them, then mark every victim dead, so hint and holder lists never
-  /// name a co-departing node.  Parallel phase: per-victim holder repair
-  /// with in-wave rerouting, then REMOVELINK.  Then the epilogue (chain
-  /// repair only: no heartbeat, no fill pass).
+  /// name a co-departing node.  Parallel phase: per-victim holder repair,
+  /// then REMOVELINK.  Then the holders' §4.2 re-route (no heartbeat, no
+  /// fill pass).
   void leave_bulk(const std::vector<NodeId>& victims, std::size_t workers = 0,
                   Trace* trace = nullptr);
   /// Fail-stop of every victim at once plus the repair a lazy system would
   /// perform over time: victims are marked dead serially, then every
   /// backpointer holder of each victim is purged in parallel (slot
-  /// removal, complete replacement hunt, in-wave reroute), then the
-  /// epilogue (chain repair only: no heartbeat, no fill pass).  Backpointer
-  /// symmetry makes the holders exactly the nodes lazy repair would
-  /// eventually have discovered the corpse from.  Corpses that are not
-  /// victims are left to the next heartbeat sweep.
+  /// removal, complete replacement hunt), then the holders' §4.2 re-route
+  /// (no heartbeat, no fill pass).  Backpointer symmetry makes the holders
+  /// exactly the nodes lazy repair would eventually have discovered the
+  /// corpse from.  Corpses that are not victims are left to the next
+  /// heartbeat sweep.
   void fail_and_repair_bulk(const std::vector<NodeId>& victims,
                             std::size_t workers = 0, Trace* trace = nullptr);
   /// heartbeat_sweep fanned out across `workers` real threads (one task
-  /// per node): the heartbeat round, then the fill pass, then the chain
-  /// repair.  Membership must be quiescent; guarded store
+  /// per node): the heartbeat round, then the fill pass, then every live
+  /// node's §4.2 re-route.  Membership must be quiescent; guarded store
   /// racers (publish batches, expiry sweeps, peeked queries) are fine.
   /// Counts one sweep, as heartbeat_sweep does.  It is the only wave that
   /// heartbeats: leave and fail waves send no heartbeat and count no sweep.
@@ -389,7 +386,8 @@ class MaintenanceEngine final : public RepairHandler {
   // readable (NodeRegistry::live_in_slot).
 
   /// Drops `dead` from every slot of `at` it could occupy, refills each
-  /// slot that empties, and re-routes the pointers whose next hop moved.
+  /// slot that empties, and (rerouting) re-routes the pointers whose next
+  /// hop moved.
   void purge_dead_neighbor(TapestryNode& at, NodeId dead, Trace* trace,
                            const NodeLockTable* locks);
   /// A live node for slot (level, digit) of `at`, the closest by (distance,
@@ -428,13 +426,35 @@ class MaintenanceEngine final : public RepairHandler {
   void for_each_live(const NodeLockTable* locks, std::size_t workers,
                      Trace* trace,
                      const std::function<void(TapestryNode&, Trace*)>& body);
-  /// The threaded half of a wave: `repair` per victim, then the epilogue,
-  /// the quiescent chain repair.  No heartbeat round and no fill pass: a
-  /// wave's repairs already reached every node that listed a victim, and
-  /// other corpses and holes wait for a sweep.
-  void run_wave(const std::vector<NodeId>& victims, std::size_t workers,
-                Trace* trace,
-                const std::function<void(const NodeId&, Trace*)>& repair);
+  /// §4.2 around a table change of `n`: serially (`locks` null) the
+  /// pointers whose next hop moved are re-routed at once; given a lock
+  /// table the change runs bare, inside a wave that re-routes around its
+  /// threads (run_wave).
+  template <typename Change>
+  void rerouting(TapestryNode& n, Trace* trace, const NodeLockTable* locks,
+                 Change&& change) {
+    if (locks != nullptr) {
+      change();
+      return;
+    }
+    const auto before = dir_.snapshot_pointer_hops(n);
+    change();
+    dir_.reroute_changed_pointers(n, before, trace);
+  }
+  /// A wave's §4.2, serial around its threads: snapshots the pointer hops
+  /// of every live node in `relinked`, which must hold each node whose
+  /// forward table `threads` may change, then runs `threads`, then
+  /// re-routes each snapshot in order, booked on `trace`.
+  void run_wave(const std::vector<TapestryNode*>& relinked, Trace* trace,
+                const std::function<void()>& threads);
+  /// A leave or fail wave: `repair` per victim on `workers` threads, one
+  /// Trace each, absorbed in victim order, inside run_wave over the
+  /// victims' backpointer holders, read off their tombstones.  No
+  /// heartbeat round and no fill pass: the repairs reach every node that
+  /// lists a victim, and other corpses and holes wait for a sweep.
+  void repair_wave(const std::vector<NodeId>& victims, std::size_t workers,
+                   Trace* trace,
+                   const std::function<void(const NodeId&, Trace*)>& repair);
 
   Transport* transport_ = nullptr;
   NodeRegistry& reg_;

@@ -137,12 +137,10 @@ class Network {
 
   /// Thread-parallel voluntary departure: every victim's §5.1 protocol
   /// runs on real `sim/thread_pool` workers under the per-node stripe
-  /// locks, §4.2 rerouting included inside the wave (see
-  /// MaintenanceEngine::leave_bulk for the determinism contract).  This
-  /// wave, fail_and_repair_bulk and heartbeat_sweep_bulk write node
-  /// stores from every worker: on more than one (0 = hardware
-  /// concurrency counts as more) they refuse, with CheckError, any store
-  /// backend but kSharded.
+  /// locks, and the holders' §4.2 rerouting runs serially around them
+  /// (see MaintenanceEngine::leave_bulk for the determinism contract).
+  /// Like every wave, its workers touch routing tables only, so it runs
+  /// over any store backend at any worker count.
   void leave_bulk(const std::vector<NodeId>& victims, std::size_t workers = 0,
                   Trace* trace = nullptr) {
     maintenance_.leave_bulk(victims, workers, trace);
@@ -160,9 +158,9 @@ class Network {
   }
 
   /// heartbeat_sweep across `workers` real threads (membership must be
-  /// quiescent; guarded store racers are fine), then the chain repair; the
-  /// one wave that heartbeats, purges corpses nobody announced and fills
-  /// holes no repair opened.
+  /// quiescent; guarded store racers are fine), then every live node's
+  /// §4.2 re-route; the one wave that heartbeats, purges corpses nobody
+  /// announced and fills holes no repair opened.
   void heartbeat_sweep_bulk(std::size_t workers = 0, Trace* trace = nullptr) {
     maintenance_.heartbeat_sweep_bulk(workers, trace);
   }

@@ -884,63 +884,37 @@ std::optional<NodeId> ObjectDirectory::pointer_next_hop(
 }
 
 std::vector<ObjectDirectory::PendingReroute>
-ObjectDirectory::snapshot_pointer_hops(const TapestryNode& at,
-                                       const NodeLockTable* locks) const {
-  // The store snapshot synchronises itself (sharded backend); with `locks`
-  // the table walk per record runs under `at`'s stripe so no concurrent
-  // repair half-writes a row out from under the selector.
+ObjectDirectory::snapshot_pointer_hops(const TapestryNode& at) const {
   const auto records = at.store().snapshot();
   std::vector<PendingReroute> out;
   out.reserve(records.size());
-  NodeLockTable::Guard g(locks, at.id());
   for (const auto& [guid, rec] : records)
     out.push_back(PendingReroute{guid, rec, pointer_next_hop(at, guid, rec)});
   return out;
 }
 
 void ObjectDirectory::reroute_changed_pointers(
-    TapestryNode& at, const std::vector<PendingReroute>& before, Trace* trace,
-    const NodeLockTable* locks) {
+    TapestryNode& at, const std::vector<PendingReroute>& before,
+    Trace* trace) {
   for (const auto& p : before) {
     // The record may have been refreshed or dropped meanwhile; re-read.
     const auto current = at.store().find(p.guid, p.record.server);
-    if (!current.has_value()) continue;
-    std::optional<NodeId> now_hop;
-    {
-      NodeLockTable::Guard g(locks, at.id());
-      now_hop = pointer_next_hop(at, p.guid, *current);
-    }
-    if (now_hop == p.next_hop) continue;
-    optimize_pointer(at, p.guid, *current, trace, locks);
+    if (current.has_value() &&
+        pointer_next_hop(at, p.guid, *current) != p.next_hop)
+      optimize_pointer(at, p.guid, *current, trace);
   }
 }
 
 void ObjectDirectory::optimize_pointer(TapestryNode& from, const Guid& guid,
                                        const PointerRecord& record,
-                                       Trace* trace,
-                                       const NodeLockTable* locks) {
-  // Serial (no `locks`): the mutating route_step, repairing corpses it
-  // trips over.  Inside a thread-parallel wave every routing decision uses
-  // the mutation-free peek under the deciding node's stripe instead —
-  // route_step's lazy repair would re-enter the table surgery that belongs
-  // to the wave itself — and store writes go through the backend's own
-  // synchronisation.  A row left transiently without a live slot mid-wave
-  // aborts that walk; repair_pointer_chains() re-pushes whatever was cut
-  // short once the wave settles.
+                                       Trace* trace) {
+  // The mutating route_step: a corpse met on the way is purged (§5.2).
   const NodeId changed = from.id();
   RouteState state{record.level, record.past_hole};
   TapestryNode* prev = &from;
   for (;;) {
-    std::optional<NodeId> step;
-    if (locks == nullptr) {
-      step = router_.route_step(*prev, guid, state, trace);
-    } else {
-      try {
-        step = router_.route_step_peek(*prev, guid, state, locks);
-      } catch (const CheckError&) {
-        return;  // transiently unroutable under the race
-      }
-    }
+    const std::optional<NodeId> step =
+        router_.route_step(*prev, guid, state, trace);
     if (!step.has_value()) return;
     TapestryNode& v = reg_.live(*step);
     const PointerRecord arrived = carry_pointer(
@@ -953,10 +927,9 @@ void ObjectDirectory::optimize_pointer(TapestryNode& from, const Guid& guid,
     if (existing.has_value() && existing->last_hop.has_value() &&
         !(*existing->last_hop == prev->id())) {
       // Converged onto the old path: above here nothing changed.  Prune the
-      // outdated branch backward along last-hop links.  delete_backward
-      // touches only stores, never routing tables, so it serves both
-      // modes; its confirm-then-delete structure keeps racy interleavings
-      // on the under-deletion side, which soft-state expiry absorbs.
+      // outdated branch backward along last-hop links.  Its
+      // confirm-then-delete structure errs on the under-deletion side,
+      // which soft-state expiry absorbs.
       if (!(*existing->last_hop == changed))
         delete_backward(v.id(), *existing->last_hop, guid, record.server,
                         changed, trace);
@@ -1012,11 +985,11 @@ void ObjectDirectory::delete_backward(const NodeId& notifier,
 }
 
 std::size_t ObjectDirectory::repair_pointer_chains(Trace* trace) {
-  // Serial, quiescent.  Interleaved guarded reroutes can strand a record:
-  // thread A snapshots holder H, thread B's walk then deposits a record on
-  // H, and A's table mutation + reroute never revisits it (A's snapshot
-  // predates the deposit).  Detect exactly that — a record whose current
-  // next hop does not hold it — and re-push forward from the holder.
+  // Serial, quiescent.  A racing guarded publish can strand a record: the
+  // wave snapshots holder H, the racer then deposits on H, and the wave's
+  // re-route of H never revisits it (its snapshot predates the deposit).
+  // Detect exactly that — a record whose current next hop does not hold
+  // it — and re-push forward from the holder.
   std::size_t fixed = 0;
   for (unsigned round = 0; round <= params_.id.num_digits; ++round) {
     std::size_t fixed_this_round = 0;

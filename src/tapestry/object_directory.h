@@ -170,23 +170,19 @@ class ObjectDirectory {
   void stop_soft_state();
 
   // --- pointer maintenance (§4.2, Figure 9) ---
-  // Serial on a quiescent mesh when `locks` is null.  Repair waves that
-  // mutate routing tables from many threads pass the registry's
-  // NodeLockTable: every table read then runs under the owning node's
-  // stripe, one guard at a time (node_locks.h), routing uses the peek, and
-  // deposits rely on the store backend's own synchronisation.
+  // Serial, while no thread changes a routing table.  A thread-parallel
+  // wave snapshots the nodes it may re-link before its threads start and
+  // re-routes them after they join (MaintenanceEngine::run_wave).
   /// Snapshot the records of `at` whose next hop will change if tables
   /// change; used around table mutations.
   [[nodiscard]] std::vector<PendingReroute> snapshot_pointer_hops(
-      const TapestryNode& at, const NodeLockTable* locks = nullptr) const;
+      const TapestryNode& at) const;
   /// Re-push the affected records along the new paths (OPTIMIZEOBJECTPTRS).
   void reroute_changed_pointers(TapestryNode& at,
                                 const std::vector<PendingReroute>& before,
-                                Trace* trace,
-                                const NodeLockTable* locks = nullptr);
+                                Trace* trace);
   void optimize_pointer(TapestryNode& from, const Guid& guid,
-                        const PointerRecord& record, Trace* trace,
-                        const NodeLockTable* locks = nullptr);
+                        const PointerRecord& record, Trace* trace);
   /// `notifier` is the converge node that discovered the outdated branch:
   /// it originates the first delete message of the backward chain (§4.2).
   void delete_backward(const NodeId& notifier, const NodeId& start,
@@ -196,14 +192,12 @@ class ObjectDirectory {
       const TapestryNode& at, const Guid& guid,
       const PointerRecord& record) const;
 
-  /// Quiescent convergence pass after a threaded wave: re-pushes every
-  /// record whose snapshot-time next hop no longer holds it (two waves'
-  /// guarded reroutes can interleave so a deposit lands after its holder's
-  /// snapshot was taken; serial execution cannot).  Iterates to a fixed
-  /// point (bounded by the digit count) and returns the number of records
-  /// re-pushed.  With this pass, threaded repair restores Property-4-style
-  /// locatability inside the wave — the §6.5 republish backstop is not
-  /// involved.
+  /// Quiescent convergence pass for a guarded publish batch that raced a
+  /// wave: re-pushes every record whose next hop does not hold it.  The
+  /// racer can deposit on a node after the wave snapshotted it, or on a
+  /// node that died mid-walk, and the wave's re-route never sees that
+  /// record.  Iterates to a fixed point (bounded by the digit count) and
+  /// returns the number of records re-pushed.  No wave calls it.
   std::size_t repair_pointer_chains(Trace* trace = nullptr);
 
   // --- ground truth / oracle accessors (tests and benches only) ---

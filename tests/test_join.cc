@@ -288,11 +288,12 @@ TEST(SerialJoin, PartitionedJoinsKeepProperty1) {
   // across the cut.  The multicast still reaches every α-node (only
   // routing respects the cut), and its §4.4 watch list has those nodes
   // report fillers for the new node's rows past α, so Property 1 holds
-  // once the cut heals.  Radix 2 at R = 1 is left out: there a node
-  // across the cut can still be missed (ROADMAP item 1).
+  // once the cut heals.  At radix 2 with R = 1 an adoption evicts a
+  // slot's only other member, so each multicast reads its forwarding
+  // targets before adopting the new node.
   for (const auto& [id, r] :
        {std::pair{IdSpec{4, 3}, 3u}, std::pair{IdSpec{4, 8}, 3u},
-        std::pair{IdSpec{2, 6}, 2u}}) {
+        std::pair{IdSpec{2, 6}, 2u}, std::pair{IdSpec{1, 12}, 1u}}) {
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
       SCOPED_TRACE("radix " + std::to_string(id.radix()) + " digits " +
                    std::to_string(id.num_digits) + " seed " +

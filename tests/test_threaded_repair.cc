@@ -3,12 +3,14 @@
 // sim/thread_pool workers must converge — for the same seed at ANY worker
 // count — to the same surviving membership and the same Property 1
 // occupancy pattern, with backpointer symmetry and no leftover pins at
-// quiescence, and with §4.2 rerouting completed INSIDE the wave: objects
-// are locatable the moment the call returns, no republish backstop.  The
-// serial calls and the waves run one protocol implementation; the *Agrees
-// WithSerial twins check both modes land on the same invariants.  The
-// whole binary runs under TSan in CI; the prober test is where guarded
-// peeks genuinely race the repair threads.
+// quiescence, and with §4.2 rerouting completed before the call returns
+// (serially, around the worker threads): objects are locatable at once,
+// no republish backstop.  The serial calls and the waves run one protocol
+// implementation; the *AgreesWithSerial twins check both modes land on
+// the same invariants.  The waves take the store backend from TAP_STORE.
+// The whole binary runs under TSan in CI: the prober test is where guarded
+// peeks genuinely race the repair threads, and the memory-store waves are
+// where a store write from a worker thread would show as a race.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,12 +33,6 @@ namespace {
 using test::make_guid;
 using test::small_params;
 using test::static_ring_network;
-
-TapestryParams sharded_params() {
-  TapestryParams p = small_params();
-  p.store_backend = StoreBackend::kSharded;
-  return p;
-}
 
 /// Every `stride`-th live node, skipping index 0 (a gateway/server pool
 /// survivor).  Registration order is deterministic, so for a fixed seed
@@ -124,7 +120,7 @@ TEST(ThreadedRepair, LeaveWaveConvergesForEveryWorkerCount) {
   std::vector<std::uint64_t> member_fp;
   std::vector<std::uint64_t> occupancy_fp;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    auto g = static_ring_network(128, 410, sharded_params());
+    auto g = static_ring_network(128, 410, small_params());
     const auto ids = g.net->node_ids();
     const auto victims = pick_victims(ids, 24, 5);
     g.net->leave_bulk(victims, workers);
@@ -149,11 +145,11 @@ TEST(ThreadedRepair, FailWaveConvergesAndReroutesInsideTheWave) {
   // Workers 1/2/4/8 again, with a workload on the mesh: every object must
   // be locatable the moment fail_and_repair_bulk returns — no
   // republish_all — even though some victims rooted or relayed the
-  // publish paths (§4.2 inside the wave plus the chain-repair pass).
+  // publish paths (the wave's §4.2 re-route of the victims' holders).
   std::vector<std::uint64_t> member_fp;
   std::vector<std::uint64_t> occupancy_fp;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    auto g = static_ring_network(128, 411, sharded_params());
+    auto g = static_ring_network(128, 411, small_params());
     const auto ids = g.net->node_ids();
     const auto victims = pick_victims(ids, 20, 6);
     const auto servers = pick_survivor_servers(ids, victims, 12);
@@ -200,7 +196,7 @@ std::string twin_name(const TwinCase& c) {
 }
 
 TapestryParams twin_params(const TwinCase& c) {
-  TapestryParams p = sharded_params();
+  TapestryParams p = small_params();
   p.id = c.id;
   p.redundancy = c.redundancy;
   return p;
@@ -322,7 +318,7 @@ TEST(ThreadedRepair, GuardedPeekProberRacesFailWave) {
   // of the mesh on 4 real threads.  Mid-wave a walk may find a row whose
   // every member is momentarily dead — that surfaces as CheckError, which
   // is a legal transient; crashes and torn reads are not (TSan's job).
-  auto g = static_ring_network(160, 413, sharded_params());
+  auto g = static_ring_network(160, 413, small_params());
   const auto ids = g.net->node_ids();
   const auto victims = pick_victims(ids, 24, 6);
   const auto servers = pick_survivor_servers(ids, victims, 8);
@@ -369,9 +365,9 @@ TEST(ThreadedRepair, GuardedPeekProberRacesFailWave) {
 
 TEST(ThreadedRepair, LeaveKeepsObjectsLocatableOnGrownCore) {
   // Organic tables (dynamic-join core), victims chosen so some of them
-  // root the published objects: in-wave rerouting must hand the pointers
-  // to the new surrogate roots before leave_bulk returns.
-  auto g = test::grow_ring_network(64, 414, sharded_params());
+  // root the published objects: the wave's §4.2 re-route must hand the
+  // pointers to the new surrogate roots before leave_bulk returns.
+  auto g = test::grow_ring_network(64, 414, small_params());
   const auto ids = g.net->node_ids();
   const auto victims = pick_victims(ids, 12, 4);
   const auto servers = pick_survivor_servers(ids, victims, 8);
@@ -395,54 +391,75 @@ TEST(ThreadedRepair, LeaveKeepsObjectsLocatableOnGrownCore) {
            "locatability";
 }
 
-TEST(ThreadedRepair, MultiWorkerWavesRefuseUnlockedStores) {
-  // Leave, fail and heartbeat waves write node stores from every worker,
-  // and the memory store has no locks: on more than one worker (0 =
-  // hardware concurrency counts as more on every machine) each wave is
-  // refused before it changes anything.  One worker runs it as usual.
+TEST(ThreadedRepair, EveryWaveKeepsProperty4OnTheMemoryStore) {
+  // Worker threads change routing tables only, and each wave re-routes
+  // the object pointers serially around them, so every wave runs over the
+  // unlocked memory store on any worker count (0 = hardware concurrency
+  // counts as more than one) and keeps Property 4 with no republish.
+  // Under TSan this is the witness that no worker thread writes a store.
+  // One published ring takes a join, a leave, a fail and a heartbeat wave
+  // in turn; after each: no throw, Property 1, symmetric backpointers,
+  // Property 4, and every object found.
   TapestryParams p = small_params();
   p.store_backend = StoreBackend::kMemory;
-  for (const char* wave : {"leave", "fail", "heartbeat"}) {
-    SCOPED_TRACE(wave);
-    auto g = static_ring_network(96, 418, p);
+  for (const std::size_t workers : {0u, 4u}) {
+    auto g = static_ring_network(96, 431, p);
     const auto ids = g.net->node_ids();
-    const auto victims = pick_victims(ids, 10, 8);
-    const auto servers = pick_survivor_servers(ids, victims, 16);
-    for (std::size_t i = 0; i < servers.size(); ++i)
-      g.net->publish(servers[i], make_guid(*g.net, 8900 + i));
-    const std::string kind = wave;
-    if (kind == "heartbeat")
-      for (const NodeId& v : victims) g.net->fail(v);
-    auto run = [&](std::size_t workers) {
-      if (kind == "leave") g.net->leave_bulk(victims, workers);
-      if (kind == "fail") g.net->fail_and_repair_bulk(victims, workers);
-      if (kind == "heartbeat") g.net->heartbeat_sweep_bulk(workers);
+    // Disjoint doomed sets: leavers, fail victims, and the corpses of
+    // plain fail() calls that only the sweep repairs.
+    std::vector<NodeId> leavers, failers, corpses;
+    for (std::size_t i = 1; i + 2 < ids.size(); i += 9) {
+      leavers.push_back(ids[i]);
+      failers.push_back(ids[i + 1]);
+      corpses.push_back(ids[i + 2]);
+    }
+    std::vector<NodeId> doomed = leavers;
+    doomed.insert(doomed.end(), failers.begin(), failers.end());
+    doomed.insert(doomed.end(), corpses.begin(), corpses.end());
+    const auto servers = pick_survivor_servers(ids, doomed, 16);
+    std::vector<Guid> guids;
+    for (std::size_t i = 0; i < servers.size(); ++i) {
+      guids.push_back(make_guid(*g.net, 8900 + i));
+      g.net->publish(servers[i], guids.back());
+    }
+    auto run = [&](const std::string& wave) {
+      if (wave == "join") {
+        std::vector<JoinRequest> reqs(24);
+        for (std::size_t i = 0; i < reqs.size(); ++i) reqs[i].loc = 96 + i;
+        g.net->join_bulk(reqs, workers);
+      }
+      if (wave == "leave") g.net->leave_bulk(leavers, workers);
+      if (wave == "fail") g.net->fail_and_repair_bulk(failers, workers);
+      if (wave == "heartbeat") {
+        for (const NodeId& v : corpses) g.net->fail(v);
+        g.net->heartbeat_sweep_bulk(workers);
+      }
     };
 
-    const std::uint64_t members = membership_fingerprint(*g.net);
-    const auto published = sorted_published(*g.net);
-    const std::uint64_t stores = fingerprint_stores(*g.net);
-    for (const std::size_t workers : {0u, 4u}) {
-      EXPECT_THROW(run(workers), CheckError) << "workers=" << workers;
-      EXPECT_EQ(membership_fingerprint(*g.net), members);
-      EXPECT_EQ(sorted_published(*g.net), published);
-      EXPECT_EQ(fingerprint_stores(*g.net), stores);
+    for (const std::string wave : {"join", "leave", "fail", "heartbeat"}) {
+      SCOPED_TRACE(wave + " workers=" + std::to_string(workers));
+      ASSERT_NO_THROW(run(wave));
+      EXPECT_NO_THROW(g.net->check_property1());
+      EXPECT_NO_THROW(g.net->check_backpointer_symmetry());
+      EXPECT_NO_THROW(g.net->check_property4());
+      const auto live = g.net->node_ids();
+      Rng ql(89);
+      for (const Guid& guid : guids)
+        EXPECT_TRUE(g.net->locate(live[ql.next_u64(live.size())], guid).found)
+            << guid.to_string();
     }
-    run(1);
-    EXPECT_EQ(g.net->size(), 96u - victims.size());
-    g.net->check_property1();
-    g.net->check_backpointer_symmetry();
   }
 }
 
 TEST(ThreadedRepair, HeartbeatSweepBulkRepairsUnannouncedFailures) {
   // Plain fail() marks corpses without repair; the threaded sweep must
   // then restore Property 1 and symmetry at any worker count, matching
-  // the serial sweep's invariants.  Its purges and fills reroute pointers
-  // on parallel threads, so it ends with the wave epilogue's chain repair:
-  // objects published on survivors are locatable without a republish.
+  // the serial sweep's invariants.  Its purges and fills change tables on
+  // parallel threads, and it re-routes every live node's pointers after
+  // them: objects published on survivors are locatable without a
+  // republish.
   for (const std::size_t workers : {1u, 4u}) {
-    auto g = static_ring_network(96, 415, sharded_params());
+    auto g = static_ring_network(96, 415, small_params());
     const auto ids = g.net->node_ids();
     const auto victims = pick_victims(ids, 12, 7);
     const auto servers = pick_survivor_servers(ids, victims, 10);
@@ -476,8 +493,8 @@ TEST(ThreadedRepair, HealthySweepBulkAgreesWithSerial) {
   // The serial sweep and the threaded one share that code, so they must
   // deliver the same heartbeats, book them alike on the Trace and leave
   // identical tables.
-  auto serial = static_ring_network(96, 417, sharded_params());
-  auto threaded = static_ring_network(96, 417, sharded_params());
+  auto serial = static_ring_network(96, 417, small_params());
+  auto threaded = static_ring_network(96, 417, small_params());
   auto heartbeats = [](const Network& net) {
     return net.transport().stats().kind_count(MessageKind::kHeartbeatAck);
   };
@@ -509,7 +526,7 @@ TEST(ThreadedRepair, SweepBulkServesEachPairPresentAtItsStart) {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
       SCOPED_TRACE((grown ? "grown seed " : "static seed ") +
                    std::to_string(seed));
-      auto g = test::fail_stopped_ring(grown, seed, sharded_params());
+      auto g = test::fail_stopped_ring(grown, seed, small_params());
       const test::SweepPairs want = test::sweep_pairs(*g.net);
       ASSERT_GT(want.probes, 0u);
       const TransportStats& ts = g.net->transport().stats();
@@ -528,7 +545,7 @@ TEST(ThreadedRepair, SweepBulkServesEachPairPresentAtItsStart) {
 
 TEST(ThreadedRepair, RepairWavesSendNoHeartbeats) {
   // A leave or fail wave reaches exactly its victims' holders and ends
-  // with the chain pass: no heartbeat push, no probe,
+  // with their §4.2 re-route: no heartbeat push, no probe,
   // no sweep counted, at any worker count.  Nor does it leave a sweep any
   // work: a serial heartbeat_sweep right after it finds no corpse listed
   // and changes no forward slot.  The sweep's pushes to the victims go
@@ -536,7 +553,7 @@ TEST(ThreadedRepair, RepairWavesSendNoHeartbeats) {
   for (const std::string wave : {"fail", "leave"}) {
     for (const std::size_t workers : {1u, 4u}) {
       SCOPED_TRACE(wave + " workers=" + std::to_string(workers));
-      auto g = static_ring_network(128, 419, sharded_params());
+      auto g = static_ring_network(128, 419, small_params());
       const auto victims = pick_victims(g.net->node_ids(), 20, 6);
       const TransportStats& ts = g.net->transport().stats();
       auto pushes = [&] { return ts.kind_count(MessageKind::kHeartbeatAck); };
@@ -578,7 +595,7 @@ TEST(ThreadedRepair, WaveLeavesUnannouncedCorpsesToTheSweep) {
   // and restores Property 1 and symmetry.
   for (const std::size_t workers : {1u, 4u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    auto g = static_ring_network(128, 420, sharded_params());
+    auto g = static_ring_network(128, 420, small_params());
     const auto ids = g.net->node_ids();
     const auto victims = pick_victims(ids, 20, 6);  // ids 1, 7, 13, ...
     const NodeId x = ids[2];
@@ -616,7 +633,7 @@ TEST(ThreadedRepair, WaveLeavesHolesItDidNotOpenToTheSweep) {
   // fail wave of other nodes; the next heartbeat_sweep_bulk fills it.
   for (const std::size_t workers : {1u, 4u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    auto g = static_ring_network(128, 419, sharded_params());
+    auto g = static_ring_network(128, 419, small_params());
     const auto ids = g.net->node_ids();
     const test::Hole h = test::unlink_sole_member(*g.net);
     ASSERT_TRUE(g.net->node(h.owner).table().slot_empty(h.level, h.digit));
