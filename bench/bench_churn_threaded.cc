@@ -25,12 +25,19 @@
 //                                   the parallel leg; the soak runs no
 //                                   sweep, so all would come from the
 //                                   waves, which send none; exact 0
+//   unlinked_corpse_tables_freed    over the corpses no live node lists or
+//                                   keeps a backpointer to, the share whose
+//                                   table holds no member, the lower of the
+//                                   two legs (0 with no such corpse); the
+//                                   waves run with their racers live, so
+//                                   every release runs under them; exact 1
 #include <chrono>
 #include <cstring>
 
 #include "bench_util.h"
 #include "src/sim/churn_driver.h"
 #include "src/sim/thread_pool.h"
+#include "src/tapestry/fingerprint.h"
 
 namespace tap::bench {
 namespace {
@@ -39,7 +46,15 @@ struct SoakResult {
   ThreadedChurnReport rep;
   double soak_ms = 0.0;
   std::uint64_t heartbeats = 0;  ///< kHeartbeatAck + kHeartbeatProbe
+  TombstoneCensus tombstones;    ///< at the soak's end
 };
+
+/// Share of the unlinked corpses whose tables were freed; 0 with none.
+double unlinked_freed_share(const TombstoneCensus& c) {
+  return c.unlinked == 0 ? 0.0
+                         : static_cast<double>(c.unlinked_freed) /
+                               static_cast<double>(c.unlinked);
+}
 
 SoakResult run_soak(const MetricSpace& space, const TapestryParams& params,
                     std::size_t nodes, std::size_t rounds, std::size_t workers,
@@ -75,6 +90,7 @@ SoakResult run_soak(const MetricSpace& space, const TapestryParams& params,
                   std::chrono::steady_clock::now() - t0)
                   .count();
   r.heartbeats = heartbeats() - heartbeats0;
+  r.tombstones = tombstone_census(net);
   return r;
 }
 
@@ -127,10 +143,13 @@ int main(int argc, char** argv) {
   const bool no_pins = serial.rep.no_pins && parallel.rep.no_pins;
   const double locate_found =
       std::min(serial.rep.availability(), parallel.rep.availability());
+  const double tables_freed =
+      std::min(unlinked_freed_share(serial.tombstones),
+               unlinked_freed_share(parallel.tombstones));
 
   const bool contract_ok = property1_ok && symmetry_ok && no_pins &&
                            membership_match && occupancy_match &&
-                           locate_found == 1.0;
+                           locate_found == 1.0 && tables_freed == 1.0;
 
   if (json) {
     std::printf(
@@ -138,17 +157,18 @@ int main(int argc, char** argv) {
         "\"property1_ok\":%d,\"symmetry_ok\":%d,\"no_pins_left\":%d,"
         "\"membership_match\":%d,\"occupancy_match\":%d,"
         "\"locate_found\":%.4f,\"repair_throughput\":%.1f,"
-        "\"wave_heartbeats\":%llu,"
+        "\"wave_heartbeats\":%llu,\"unlinked_corpse_tables_freed\":%.4f,"
+        "\"unlinked_corpses\":%zu,\"linked_corpses\":%zu,"
         "\"soak_ms_serial\":%.1f,\"soak_ms_parallel\":%.1f,"
         "\"probes\":%zu,\"probe_transients\":%zu,"
         "\"threads\":%zu,\"hardware_threads\":%zu}}\n",
         property1_ok ? 1 : 0, symmetry_ok ? 1 : 0, no_pins ? 1 : 0,
         membership_match ? 1 : 0, occupancy_match ? 1 : 0, locate_found,
         parallel.rep.repairs_per_sec(),
-        static_cast<unsigned long long>(parallel.heartbeats), serial.soak_ms,
-        parallel.soak_ms,
-        parallel.rep.probes, parallel.rep.probe_transients, threads,
-        default_worker_count());
+        static_cast<unsigned long long>(parallel.heartbeats), tables_freed,
+        parallel.tombstones.unlinked, parallel.tombstones.linked,
+        serial.soak_ms, parallel.soak_ms, parallel.rep.probes,
+        parallel.rep.probe_transients, threads, default_worker_count());
     return contract_ok ? 0 : 1;
   }
 
@@ -176,12 +196,14 @@ int main(int argc, char** argv) {
       "the parallel leg;\n%zu racer publishes, %zu expiry sweeps, %zu "
       "guarded probes (%zu mid-wave transients)\nmembership %s, occupancy "
       "pattern %s across worker counts; every tracked object\nlocated with "
-      "NO republish: %s\n",
+      "NO republish: %s\n%zu corpses no live node links with, tables "
+      "freed: %s; %zu still linked keep theirs\n",
       rounds, nodes, parallel.rep.joins, parallel.rep.fails,
       parallel.rep.leaves, parallel.rep.publishes, parallel.rep.expiry_sweeps,
       parallel.rep.probes, parallel.rep.probe_transients,
       membership_match ? "identical" : "MISMATCH!",
       occupancy_match ? "identical" : "MISMATCH!",
-      locate_found == 1.0 ? "yes" : "NO!");
+      locate_found == 1.0 ? "yes" : "NO!", parallel.tombstones.unlinked,
+      tables_freed == 1.0 ? "all" : "NOT ALL!", parallel.tombstones.linked);
   return contract_ok ? 0 : 1;
 }

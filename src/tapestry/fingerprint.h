@@ -6,11 +6,14 @@
 // record fields) updates the test and the CI perf gate together.
 //
 // Both walks visit live nodes in registry insertion order and require
-// quiescence (they read tables and stores without synchronisation).
+// quiescence (they read tables and stores without synchronisation).  The
+// tombstone census below is defined here for the same reason: the
+// tests and bench_churn_threaded's gate count tombstones one way.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "src/tapestry/network.h"
@@ -94,6 +97,45 @@ class Fnv1a {
     }
   }
   return h.value();
+}
+
+/// The tombstones of a quiescent network, split by whether a live node
+/// links with them — lists them in a slot, or keeps a backpointer to
+/// them — and by whether their tables still hold members.
+struct TombstoneCensus {
+  std::size_t linked = 0;               ///< corpses a live node links with
+  std::size_t linked_with_members = 0;  ///< ... whose tables hold members
+  std::size_t unlinked = 0;             ///< corpses no live node links with
+  std::size_t unlinked_freed = 0;       ///< ... whose tables hold none
+};
+
+[[nodiscard]] inline TombstoneCensus tombstone_census(const Network& net) {
+  const NodeRegistry& reg = net.registry();
+  std::unordered_set<std::uint64_t> linked;
+  for (const auto& n : reg.nodes()) {
+    if (!n->alive) continue;
+    const RoutingTable& t = n->table();
+    for (unsigned l = 0; l < t.levels(); ++l) {
+      for (const NodeId& h : t.backpointers(l))
+        if (!reg.is_live(h)) linked.insert(h.value());
+      for (unsigned j = 0; j < t.radix(); ++j)
+        for (const auto& e : t.at(l, j).entries())
+          if (!reg.is_live(e.id)) linked.insert(e.id.value());
+    }
+  }
+  TombstoneCensus c;
+  for (const auto& n : reg.nodes()) {
+    if (n->alive) continue;
+    const bool freed = n->table().member_count() == 0;
+    if (linked.count(n->id().value()) != 0) {
+      ++c.linked;
+      if (!freed) ++c.linked_with_members;
+    } else {
+      ++c.unlinked;
+      if (freed) ++c.unlinked_freed;
+    }
+  }
+  return c;
 }
 
 }  // namespace tap

@@ -92,6 +92,10 @@ void MaintenanceEngine::depart(TapestryNode& a, Trace* trace,
       }
     }
   }
+
+  // 3. No live node lists us or keeps a backpointer to us any more: the
+  //    tombstone's table goes, its store stays.
+  release_if_unlinked(reg_, a, locks);
 }
 
 }  // namespace tap

@@ -76,6 +76,49 @@ void sync_backpointer(NodeRegistry& reg, const NodeId& owner,
     m->table().remove_backpointer(level, owner);
 }
 
+namespace {
+
+/// True when a live node lists `c` or keeps a backpointer to it.
+bool live_linked(const NodeRegistry& reg, const TapestryNode& c,
+                 const NodeLockTable* locks) {
+  const RoutingTable& t = c.table();
+  {
+    NodeLockTable::Guard g(locks, c.id());
+    for (unsigned l = 0; l < t.levels(); ++l)
+      for (const NodeId& holder : t.backpointers(l))
+        if (reg.is_live(holder)) return true;
+  }
+  // A member's backpointer is read under its own stripe, so c's entries
+  // are re-read one at a time: a thread holds one Guard at a time.
+  for (unsigned l = 0; l < t.levels(); ++l) {
+    for (unsigned j = 0; j < t.radix(); ++j) {
+      for (std::size_t k = 0;; ++k) {
+        NodeId m;
+        {
+          NodeLockTable::Guard g(locks, c.id());
+          const auto members = t.at(l, j).entries();
+          if (k >= members.size()) break;
+          m = members[k].id;
+        }
+        const TapestryNode* n = reg.find(m);
+        if (m == c.id() || n == nullptr || !n->alive) continue;
+        NodeLockTable::Guard g(locks, m);
+        if (n->table().has_backpointer(l, c.id())) return true;
+      }
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+void release_if_unlinked(const NodeRegistry& reg, TapestryNode& c,
+                         const NodeLockTable* locks) {
+  if (c.alive || live_linked(reg, c, locks)) return;
+  NodeLockTable::Guard g(locks, c.id());
+  c.table().release();
+}
+
 // ---------------------------------------------------------------------
 // Fail-stop and lazy repair (§5.2)
 // ---------------------------------------------------------------------
@@ -104,13 +147,30 @@ std::optional<NodeId> dead_member(const NodeRegistry& reg,
 }  // namespace
 
 void MaintenanceEngine::fail(NodeId id) {
-  reg_.mark_dead(reg_.live(id));
-  // The tombstone keeps its table, store and backpointers: last-hop chains
-  // crossing the corpse stay traversable for DELETEPOINTERSBACKWARD, and
-  // lazy repair discovers the corpse exactly where a live system would —
-  // by failing to talk to it.  Locate-cache hints naming the corpse die
-  // when next read; queries already jumping toward it fail holder
-  // verification and fall back to the walk on their own.
+  TapestryNode& v = reg_.live(id);
+  reg_.mark_dead(v);
+  // The tombstone keeps its store for good: last-hop chains crossing the
+  // corpse stay traversable for DELETEPOINTERSBACKWARD.  It keeps its
+  // table while a live node links with it, so lazy repair discovers the
+  // corpse exactly where a live system would — by failing to talk to it —
+  // and its live holders' purges and its live members' heartbeat pushes
+  // cut those links one by one (release_if_unlinked).  Its own links no
+  // longer count as live, so each corpse it lists or that lists it may
+  // have just lost its last.  Those releases hold the corpse's stripe: a
+  // wave's guarded racers may be reading it.  Locate-cache hints naming
+  // the corpse die when next read; queries already jumping toward it fail
+  // holder verification and fall back to the walk on their own.
+  const NodeLockTable* locks = &reg_.node_locks();
+  const RoutingTable& t = v.table();
+  for (unsigned l = 0; l < t.levels(); ++l) {
+    for (const NodeId& holder : t.backpointers(l))
+      release_if_unlinked(reg_, reg_.checked(holder), locks);
+    const std::uint64_t row = t.row_mask(l);
+    for (unsigned j = occ::next(row, 0); j != occ::kNone;
+         j = occ::next(row, j + 1))
+      for (const auto& e : t.at(l, j).entries())
+        if (!(e.id == id)) release_if_unlinked(reg_, reg_.checked(e.id), locks);
+  }
   dir_.on_node_death(id);
 }
 
@@ -131,6 +191,7 @@ void MaintenanceEngine::purge_dead_neighbor(TapestryNode& at, NodeId dead,
       at.table().remove_backpointer(l, dead);
     }
   });
+  release_if_unlinked(reg_, reg_.checked(dead), locks);
 }
 
 void MaintenanceEngine::refill_slot(TapestryNode& at, unsigned level,
@@ -249,8 +310,12 @@ void MaintenanceEngine::heartbeat_round(Trace* trace,
       alive.flag = true;
       transport_->send(alive, reg_.hop_dist(t, x, to), t);
       if (to.alive) continue;
-      NodeLockTable::Guard g(locks, x.id());
-      for (unsigned l = 0; l < digits; ++l) x.table().remove_backpointer(l, h);
+      {
+        NodeLockTable::Guard g(locks, x.id());
+        for (unsigned l = 0; l < digits; ++l)
+          x.table().remove_backpointer(l, h);
+      }
+      release_if_unlinked(reg_, to, locks);
     }
   });
 
@@ -341,8 +406,10 @@ void MaintenanceEngine::run_wave(const std::vector<TapestryNode*>& relinked,
                                  const std::function<void()>& threads) {
   using Hops = std::vector<ObjectDirectory::PendingReroute>;
   std::vector<std::pair<TapestryNode*, Hops>> before;
+  // An empty store snapshots to nothing, so it has nothing to re-route.
   for (TapestryNode* n : relinked)
-    if (n->alive) before.emplace_back(n, dir_.snapshot_pointer_hops(*n));
+    if (n->alive && !n->store().empty())
+      before.emplace_back(n, dir_.snapshot_pointer_hops(*n));
   threads();
   for (const auto& [n, hops] : before)
     dir_.reroute_changed_pointers(*n, hops, trace);

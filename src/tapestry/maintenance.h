@@ -115,6 +115,19 @@ bool add_to_table_if_closer(NodeRegistry& reg, TapestryNode& host,
 void sync_backpointer(NodeRegistry& reg, const NodeId& owner,
                       const NodeId& member, unsigned level,
                       const NodeLockTable* locks = nullptr);
+/// Frees corpse `c`'s routing table (RoutingTable::release) once no link
+/// held by a live node names it: no live node lists it, which its
+/// backpointers mirror, and no live node keeps a backpointer to it, which
+/// only a live member it lists can.  A corpse gains no link, so a cut
+/// that leaves it none is final.  The repairs call this after each cut
+/// they make — the end of depart, a purge, a heartbeat push to the
+/// corpse, and the death of a node it links with — so a corpse they
+/// unlink holds no table at the next quiescent point.  A live node is
+/// left alone.  The check reads through the table views (each read under
+/// the node's stripe when `locks` is given), and neither it nor the
+/// release allocates.
+void release_if_unlinked(const NodeRegistry& reg, TapestryNode& c,
+                         const NodeLockTable* locks = nullptr);
 
 class MaintenanceEngine final : public RepairHandler {
  public:
@@ -194,9 +207,12 @@ class MaintenanceEngine final : public RepairHandler {
                                 Trace* trace = nullptr);
 
   /// Voluntary departure (§5.1): notifies backpointer holders with
-  /// replacement hints, re-roots object pointers, then disconnects.
+  /// replacement hints, re-roots object pointers, then disconnects, which
+  /// frees the tombstone's table.
   void leave(NodeId node, Trace* trace = nullptr);
-  /// Involuntary fail-stop (§5.2): the node simply stops responding.
+  /// Involuntary fail-stop (§5.2): the node simply stops responding.  Its
+  /// table stays while live nodes link with it; a corpse it linked with
+  /// whose last live link it was is freed (release_if_unlinked).
   void fail(NodeId node);
   /// Soft-state heartbeat maintenance (§5.2, §6.5): every live node first
   /// pushes a heartbeat to each distinct backpointer holder, then probes
@@ -251,6 +267,14 @@ class MaintenanceEngine final : public RepairHandler {
   // any store backend at any worker count.  Racers that write stores
   // while a wave runs (guarded publish batches, expiry sweeps) need
   // StoreBackend::kSharded.
+  //
+  // Tombstones: a leave wave frees each victim's table as its departure
+  // ends, since nothing live links with it then.  A fail wave frees none:
+  // the victims' live members still keep backpointers to them until a
+  // sweep's pushes drop those, and the symmetry check's converse half
+  // reads the corpse's slots meanwhile.  Each release runs under the
+  // corpse's stripe, so a guarded peek racing it reads the old table or
+  // the freed one, whose empty rows surface as a CheckError.
 
   /// Voluntary departure of every victim at once.  Serial preamble:
   /// withdraw the victims' replicas while the mesh still routes through
@@ -399,7 +423,8 @@ class MaintenanceEngine final : public RepairHandler {
   std::optional<NodeId> find_replacement(TapestryNode& at, unsigned level,
                                          unsigned digit, Trace* trace,
                                          const NodeLockTable* locks);
-  /// §5.1 holder notifications and REMOVELINK for `a`, already dead.
+  /// §5.1 holder notifications and REMOVELINK for `a`, already dead; then
+  /// nothing live links with `a`, and its table goes.
   void depart(TapestryNode& a, Trace* trace, const NodeLockTable* locks);
   /// Refills slot (level, digit) of `at` if it is empty (Property 1).
   void refill_slot(TapestryNode& at, unsigned level, unsigned digit,
@@ -442,9 +467,9 @@ class MaintenanceEngine final : public RepairHandler {
     dir_.reroute_changed_pointers(n, before, trace);
   }
   /// A wave's §4.2, serial around its threads: snapshots the pointer hops
-  /// of every live node in `relinked`, which must hold each node whose
-  /// forward table `threads` may change, then runs `threads`, then
-  /// re-routes each snapshot in order, booked on `trace`.
+  /// of every live node in `relinked` that holds a record (`relinked` must
+  /// hold each node whose forward table `threads` may change), then runs
+  /// `threads`, then re-routes each snapshot in order, booked on `trace`.
   void run_wave(const std::vector<TapestryNode*>& relinked, Trace* trace,
                 const std::function<void()>& threads);
   /// A leave or fail wave: `repair` per victim on `workers` threads, one

@@ -38,7 +38,9 @@ class TapestryNode {
   }
 
   /// False once the node has failed (§5.2) or left (§5.1).  Dead nodes stay
-  /// allocated as tombstones so lazy repair can discover them.  Atomic so
+  /// allocated as tombstones: id, location and store for good, the table
+  /// while a live node links with it, so lazy repair can discover it (it
+  /// is freed once none does; registry.h).  Atomic so
   /// guarded-peek walkers and repair waves may read liveness while a
   /// serial preamble on another thread marks victims dead (threaded repair
   /// kills nodes strictly before its parallel phase, so a reader sees a

@@ -22,9 +22,10 @@
 //   MemoryStore      unordered_map, the conformance reference and the only
 //                    record container: every other backend keeps its
 //                    records in MemoryStores (object_store.cc);
-//   ShardedStore     sixteen {mutex, MemoryStore} stripes, so batch drains
-//                    and expiry sweeps may hit one node's store from
-//                    several threads (sharded_store.{h,cc});
+//   ShardedStore     sixteen {mutex, MemoryStore} stripes, each allocated
+//                    at its first record, so batch drains and expiry
+//                    sweeps may hit one node's store from several threads
+//                    (sharded_store.{h,cc});
 //   PersistentStore  MemoryStore mirror + append-only WAL and compacting
 //                    snapshot on disk; recover() rebuilds identical visible
 //                    state after a restart (persistent_store.{h,cc}).

@@ -1,11 +1,18 @@
 // NodeRegistry: node storage and identity for the overlay simulator.
 //
-// Owns every TapestryNode ever registered (dead nodes stay allocated as
-// tombstones so lazy repair can discover them), the id -> node index, the
-// live count, and the metric-space distance/cost-accounting helpers every
+// Owns every TapestryNode ever registered, the id -> node index, the live
+// count, and the metric-space distance/cost-accounting helpers every
 // other subsystem routes through.  The registry knows nothing about the
 // distributed algorithms — it is the "hardware" the Router, ObjectDirectory
 // and MaintenanceEngine run on.
+//
+// A dead node stays registered as a tombstone: its id, location, index
+// entry, `alive == false` and its object store, whose last-hop records
+// DELETEPOINTERSBACKWARD still walks.  Its routing table stays while a
+// live node links with it, so lazy repair can discover it, and is freed
+// once none does (release_if_unlinked, maintenance.h): at the end of a
+// departure, or when the last holder's purge or member's heartbeat push
+// cuts the last live link.
 //
 // Concurrency model.  The id index is sharded by id prefix (the top bits
 // of the identifier, i.e. the leading digit(s)); each shard publishes an
@@ -18,8 +25,8 @@
 // publish a grown copy when the load factor crosses its bound; superseded
 // tables are retired, not freed, so a reader holding an old snapshot stays
 // safe for the registry's lifetime (total retired memory is bounded by the
-// doubling growth).  Deletions never happen — dead nodes are tombstones by
-// design — which is what makes the scheme this simple.
+// doubling growth).  Index deletions never happen — dead nodes are
+// tombstones by design — which is what makes the scheme this simple.
 //
 // The insertion-order nodes() vector is append-only under its own mutex,
 // which also guards the two live-id lists (registration order, and sorted

@@ -229,6 +229,14 @@ std::size_t RoutingTable::heap_bytes() const noexcept {
   return n;
 }
 
+void RoutingTable::release() noexcept {
+  std::vector<PackedMember>().swap(members_);
+  std::vector<SlotPin>().swap(pins_);
+  std::fill(start_.begin(), start_.end(), std::uint16_t{0});
+  std::fill(occupancy_.begin(), occupancy_.end(), std::uint64_t{0});
+  for (auto& level : backptrs_) std::vector<std::uint64_t>().swap(level);
+}
+
 void RoutingTable::add_backpointer(unsigned level, NodeId who) {
   TAP_ASSERT(level < levels_);
   check_spec(who);

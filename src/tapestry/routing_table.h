@@ -187,6 +187,14 @@ class RoutingTable {
   /// Reserves room for exactly `n` members (the static builder's count).
   void reserve_members(std::size_t n) { members_.reserve(n); }
 
+  /// Frees the member array, the pins and every backpointer level, and
+  /// zeroes the slot offsets and row masks in place: every slot is empty,
+  /// self-entries included, and member_count() is 0.  Allocates nothing.
+  /// A tombstone's table ends this way once no live node links with it
+  /// (release_if_unlinked, maintenance.h); the table stays valid for the
+  /// read and removal calls that may still reach it.
+  void release() noexcept;
+
   /// Heap bytes this table holds: each of its containers' capacity times
   /// its element size.
   [[nodiscard]] std::size_t heap_bytes() const noexcept;

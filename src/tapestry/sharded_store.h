@@ -1,4 +1,5 @@
-// ShardedStore: sixteen MemoryStores, each behind its own lock.
+// ShardedStore: sixteen MemoryStores, each behind its own lock, each
+// allocated when its first record arrives.
 //
 // Guids hash onto kStripeCount independent stripes, each a {mutex,
 // MemoryStore} pair; every operation locks its guid's stripe and calls the
@@ -9,6 +10,13 @@
 // serializing each registry shard's stores behind a single worker, and
 // what makes multi-threaded expiry sweeps safe against concurrent
 // deposits.
+//
+// Memory: a stripe is a heap object the store points to, installed by
+// the first upsert into it (a compare-exchange; the loser of two racing
+// first writes deletes its copy) and freed with the store.  Every read,
+// removal and sweep treats a missing stripe as empty.  Most nodes of a
+// large overlay hold no record, so an untouched store is its pointer
+// array and count (144 bytes), not sixteen mutexes and maps (1,808).
 //
 // Determinism: all ordered state is per (guid, server) and a guid lives in
 // one stripe's MemoryStore, so per-guid first-insertion order is
@@ -31,6 +39,11 @@ namespace tap {
 class ShardedStore : public ObjectStoreBackend {
  public:
   static constexpr unsigned kStripeCount = 16;
+
+  ShardedStore() = default;
+  ~ShardedStore() override;
+  ShardedStore(const ShardedStore&) = delete;
+  ShardedStore& operator=(const ShardedStore&) = delete;
 
   /// Stripe a guid maps to; ObjectDirectory::publish_batch keys its
   /// concurrent drain partition on this, so it must stay a pure function
@@ -61,7 +74,12 @@ class ShardedStore : public ObjectStoreBackend {
     MemoryStore store;  // guarded by mu
   };
 
-  std::array<Stripe, kStripeCount> stripes_;
+  /// Stripe `i`, or null while no record has reached it.
+  [[nodiscard]] Stripe* stripe(unsigned i) const noexcept {
+    return stripes_[i].load(std::memory_order_acquire);
+  }
+
+  std::array<std::atomic<Stripe*>, kStripeCount> stripes_{};
   std::atomic<std::size_t> count_{0};
 };
 

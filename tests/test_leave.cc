@@ -3,6 +3,7 @@
 // a failed node come back after soft-state republish.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <utility>
@@ -344,6 +345,86 @@ TEST(SerialRepair, RepairSendsNoMulticast) {
   g.net->heartbeat_sweep();
   g.net->check_property1();
   EXPECT_EQ(stats.kind_count(MessageKind::kMulticastForward), forwards0);
+}
+
+TEST(Tombstones, ALeaverFreesItsTableAsItGoes) {
+  // A departure cuts every live link to the leaver — its holders unlink
+  // it, REMOVELINK retracts its own links — so its table goes at once;
+  // its store stays.  The mesh keeps Property 1 and symmetric
+  // backpointers, and the next sweep has no corpse left to probe.
+  auto g = static_ring_network(128, 431, serial_params(IdSpec{4, 8}, 3));
+  for (std::size_t i = 2; i < g.ids.size(); i += 9) {
+    const NodeId v = g.ids[i];
+    g.net->leave(v);
+    EXPECT_EQ(g.net->node(v).table().member_count(), 0u) << v.to_string();
+  }
+  g.net->check_property1();
+  g.net->check_backpointer_symmetry();
+  test::expect_tombstones_follow_links(*g.net);
+  const TransportStats& ts = g.net->transport().stats();
+  const std::uint64_t probes0 = ts.kind_count(MessageKind::kHeartbeatProbe);
+  g.net->heartbeat_sweep();
+  EXPECT_EQ(ts.kind_count(MessageKind::kHeartbeatProbe), probes0);
+  test::expect_tombstones_follow_links(*g.net);
+}
+
+TEST(Tombstones, AFailedNodeKeepsItsTableUntilTheSweepCutsItsLinks) {
+  // A fail-stop cuts nothing: the corpse's holders still list it and its
+  // members still keep backpointers to it, so its table stays for lazy
+  // repair to discover.  One serial sweep cuts both — each member's push
+  // drops its backpointers, each holder's probe purges it — and the last
+  // cut frees the table.
+  auto g = static_ring_network(128, 432, serial_params(IdSpec{4, 8}, 3));
+  const NodeId x = g.ids[5];
+  const std::size_t links = g.net->node(x).table().total_entries();
+  g.net->fail(x);
+  EXPECT_EQ(g.net->node(x).table().total_entries(), links);
+  test::expect_tombstones_follow_links(*g.net);
+  g.net->heartbeat_sweep();
+  EXPECT_EQ(g.net->node(x).table().member_count(), 0u);
+  g.net->check_property1();
+  g.net->check_backpointer_symmetry();
+  test::expect_tombstones_follow_links(*g.net);
+}
+
+TEST(Tombstones, ACorpseGoesWithItsLastLiveLink) {
+  // A corpse keeps its table while any live node links with it, and the
+  // death of the last one frees it.  After a fail wave only the victim's
+  // live members link with it, through their backpointers (a purging
+  // holder drops its own).  After a plain fail() its holders still list
+  // it too; the members die first here, so the last death is a holder's.
+  for (const bool wave : {true, false}) {
+    SCOPED_TRACE(wave ? "after a fail wave" : "after a plain fail");
+    auto g = static_ring_network(128, 434, serial_params(IdSpec{4, 8}, 3));
+    const NodeId c = g.ids[5];
+    if (wave)
+      g.net->fail_and_repair_bulk({c}, 1);
+    else
+      g.net->fail(c);
+    std::vector<NodeId> members, holders;
+    for (const NodeId& id : g.net->node_ids()) {
+      const RoutingTable& t = g.net->node(id).table();
+      const auto bps = t.all_backpointers();
+      const auto listed = t.all_neighbors();
+      if (std::find(bps.begin(), bps.end(), c) != bps.end())
+        members.push_back(id);
+      else if (std::find(listed.begin(), listed.end(), c) != listed.end())
+        holders.push_back(id);
+    }
+    EXPECT_EQ(holders.empty(), wave);
+    std::vector<NodeId> linkers = members;
+    linkers.insert(linkers.end(), holders.begin(), holders.end());
+    ASSERT_GT(linkers.size(), 1u);
+    for (std::size_t i = 0; i < linkers.size(); ++i) {
+      EXPECT_GT(g.net->node(c).table().member_count(), 0u) << "death " << i;
+      if (i % 2 == 0)
+        g.net->leave(linkers[i]);
+      else
+        g.net->fail(linkers[i]);
+    }
+    EXPECT_EQ(g.net->node(c).table().member_count(), 0u);
+    test::expect_tombstones_follow_links(*g.net);
+  }
 }
 
 TEST(MixedChurn, JoinsAndLeavesInterleaved) {

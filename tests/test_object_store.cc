@@ -574,6 +574,74 @@ TEST(ShardedStoreTest, ConcurrentWritersMatchSerialReference) {
                     {0.0, 5.0, 10.0 + kOps / 2.0}, "sharded vs serial");
 }
 
+/// A store allocates each stripe at its first record, and an untouched
+/// one is its pointer array and count.  Four threads race the first
+/// writes into fresh stores, 200 rounds each way: distinct servers under
+/// one guid (one stripe, one guid), and distinct guids of one stripe.
+/// Every record must be found, the count exact, and the snapshot the
+/// records a MemoryStore fed the same upserts holds.
+TEST(ShardedStoreTest, RacingFirstWritesInstallEachStripeOnce) {
+  EXPECT_LE(sizeof(ShardedStore), 160u)
+      << "the stripes must stay out of line";
+  {
+    // Every read, removal and sweep of an untouched stripe sees nothing.
+    ShardedStore fresh;
+    EXPECT_FALSE(fresh.find(gid(1), nid(1)).has_value());
+    EXPECT_TRUE(fresh.find_all(gid(1)).empty());
+    EXPECT_FALSE(fresh.remove(gid(1), nid(1)));
+    EXPECT_EQ(fresh.remove_expired(1e9), 0u);
+    EXPECT_TRUE(fresh.snapshot().empty());
+    EXPECT_EQ(fresh.stats().stripes, ShardedStore::kStripeCount);
+  }
+  constexpr std::size_t kThreads = 4;
+  constexpr int kRounds = 200;
+  std::vector<std::uint64_t> one_stripe;
+  for (std::uint64_t g = 1; one_stripe.size() < kThreads; ++g)
+    if (ShardedStore::stripe_of(gid(g)) == ShardedStore::stripe_of(gid(1)))
+      one_stripe.push_back(g);
+
+  for (const bool one_guid : {true, false}) {
+    SCOPED_TRACE(one_guid ? "servers under one guid" : "guids of one stripe");
+    for (int round = 0; round < kRounds; ++round) {
+      auto op = [&](std::size_t t) {
+        return std::make_pair(
+            gid(one_guid ? one_stripe[0] : one_stripe[t]),
+            PointerRecord{nid(1 + t), std::nullopt,
+                          static_cast<unsigned>(t), false, 10.0 + round});
+      };
+      ShardedStore shard;
+      ASSERT_TRUE(shard.empty());
+      std::atomic<std::size_t> ready{0};
+      std::vector<std::thread> writers;
+      for (std::size_t t = 0; t < kThreads; ++t)
+        writers.emplace_back([&, t] {
+          ready.fetch_add(1);
+          while (ready.load() < kThreads) std::this_thread::yield();
+          const auto [g, rec] = op(t);
+          shard.upsert(g, rec);
+        });
+      for (std::thread& w : writers) w.join();
+
+      MemoryStore ref;
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        const auto [g, rec] = op(t);
+        ref.upsert(g, rec);
+        const auto found = shard.find(g, rec.server);
+        ASSERT_TRUE(found.has_value()) << "round " << round << " writer " << t;
+        EXPECT_TRUE(record_eq(*found, rec));
+      }
+      ASSERT_EQ(shard.size(), kThreads) << "round " << round;
+      const auto got = sorted_snapshot(shard);
+      const auto want = sorted_snapshot(ref);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].first, want[i].first);
+        EXPECT_TRUE(record_eq(got[i].second, want[i].second));
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------------
 // Factory and overlay-level round trip
 // ------------------------------------------------------------------

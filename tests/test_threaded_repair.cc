@@ -627,6 +627,60 @@ TEST(ThreadedRepair, WaveLeavesUnannouncedCorpsesToTheSweep) {
   }
 }
 
+TEST(ThreadedRepair, LeaveWaveTombstonesFreeTheirTables) {
+  // Each departure ends with no live link to its leaver, so a leave wave
+  // frees every victim's table, on one worker or four, and the mesh keeps
+  // Property 1, symmetric backpointers and nothing for a sweep to probe.
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    auto g = static_ring_network(128, 433, small_params());
+    const auto victims = pick_victims(g.net->node_ids(), 20, 6);
+    g.net->leave_bulk(victims, workers);
+    for (const NodeId& v : victims)
+      EXPECT_EQ(g.net->node(v).table().member_count(), 0u) << v.to_string();
+    g.net->check_property1();
+    g.net->check_backpointer_symmetry();
+    test::expect_tombstones_follow_links(*g.net);
+    const TransportStats& ts = g.net->transport().stats();
+    const std::uint64_t probes0 = ts.kind_count(MessageKind::kHeartbeatProbe);
+    g.net->heartbeat_sweep_bulk(workers);
+    EXPECT_EQ(ts.kind_count(MessageKind::kHeartbeatProbe), probes0);
+    test::expect_tombstones_follow_links(*g.net);
+  }
+}
+
+TEST(ThreadedRepair, FailWaveTombstonesKeepTheirTablesUntilTheSweep) {
+  // A fail wave purges every victim from its holders, but the victims'
+  // live members still keep backpointers to them, so each keeps its table
+  // and the converse half of the symmetry check still reads it.  A node
+  // that died by a plain fail() before the wave is still listed by its
+  // holders and keeps its table too.  The next sweep's pushes and probes
+  // cut every one of those links, and each table goes with its last.
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    auto g = static_ring_network(128, 420, small_params());
+    const auto ids = g.net->node_ids();
+    const auto victims = pick_victims(ids, 20, 6);  // ids 1, 7, 13, ...
+    const NodeId x = ids[2];
+    g.net->fail(x);
+    g.net->fail_and_repair_bulk(victims, workers);
+    EXPECT_GT(g.net->node(x).table().total_entries(), 0u);
+    for (const NodeId& v : victims)
+      EXPECT_GT(g.net->node(v).table().total_entries(), 0u) << v.to_string();
+    g.net->check_property1();
+    g.net->check_backpointer_symmetry();
+    test::expect_tombstones_follow_links(*g.net);
+
+    g.net->heartbeat_sweep_bulk(workers);
+    EXPECT_EQ(g.net->node(x).table().member_count(), 0u);
+    for (const NodeId& v : victims)
+      EXPECT_EQ(g.net->node(v).table().member_count(), 0u) << v.to_string();
+    g.net->check_property1();
+    g.net->check_backpointer_symmetry();
+    test::expect_tombstones_follow_links(*g.net);
+  }
+}
+
 TEST(ThreadedRepair, WaveLeavesHolesItDidNotOpenToTheSweep) {
   // A wave repairs only what it breaks.  A hole it did not open, here a
   // slot whose only member was unlinked by hand, stays open through a

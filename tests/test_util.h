@@ -12,11 +12,14 @@
 
 #include <unistd.h>
 
+#include <gtest/gtest.h>
+
 #include "src/common/rng.h"
 #include "src/metric/euclidean.h"
 #include "src/metric/ring.h"
 #include "src/metric/torus.h"
 #include "src/metric/transit_stub.h"
+#include "src/tapestry/fingerprint.h"
 #include "src/tapestry/network.h"
 
 namespace tap::test {
@@ -217,6 +220,17 @@ inline SweepPairs sweep_pairs(const Network& net) {
       if (!net.registry().is_live(m)) ++p.probes;
   }
   return p;
+}
+
+/// Tombstones free exactly what nothing live names: a corpse no live node
+/// lists or keeps a backpointer to has no members left, and one a live
+/// node links with keeps its table.
+inline void expect_tombstones_follow_links(const Network& net) {
+  const TombstoneCensus c = tombstone_census(net);
+  EXPECT_EQ(c.unlinked_freed, c.unlinked)
+      << "a corpse nothing live names kept its table";
+  EXPECT_EQ(c.linked_with_members, c.linked)
+      << "a corpse a live node links with lost its table";
 }
 
 }  // namespace tap::test
