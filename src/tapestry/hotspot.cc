@@ -126,16 +126,6 @@ HotspotManager::HotspotManager(NodeRegistry& registry,
   TAP_CHECK(hp_.half_life > 0.0, "hotspot half_life must be positive");
   TAP_CHECK(hp_.demote_threshold < hp_.promote_threshold,
             "hotspot demote_threshold must sit below promote_threshold");
-  // Node death reaches the directory (on_node_death) before any
-  // other replication bookkeeping runs; piggyback on it so dead hosts are
-  // dropped from `extra` the moment they die, not at the next promotion.
-  dir_.set_node_death_hook(
-      [this](const NodeId& dead) { prune_dead_extras(dead); });
-}
-
-HotspotManager::~HotspotManager() {
-  stop();
-  dir_.set_node_death_hook(nullptr);
 }
 
 double HotspotManager::decay_factor(double age) const {
@@ -195,7 +185,8 @@ bool HotspotManager::evict_coldest() {
   auto coldest = states_.end();
   double coldest_w = 0.0;
   for (auto it = states_.begin(); it != states_.end(); ++it) {
-    const ObjState& s = it->second;
+    ObjState& s = it->second;
+    prune_dead_extras(s);
     if (!s.extra.empty()) continue;  // owns replicas; demotion reclaims it
     const double w = s.weight * decay_factor(now - s.stamp);
     // Min by (decayed weight, guid) so the victim is independent of
@@ -212,22 +203,18 @@ bool HotspotManager::evict_coldest() {
   return true;
 }
 
-void HotspotManager::prune_dead_extras(const NodeId& dead) {
-  for (auto& [g, s] : states_) {
-    auto tail = std::remove(s.extra.begin(), s.extra.end(), dead);
-    extra_pruned_ += static_cast<std::size_t>(s.extra.end() - tail);
-    s.extra.erase(tail, s.extra.end());
-  }
+void HotspotManager::prune_dead_extras(ObjState& s) {
+  auto tail = std::remove_if(s.extra.begin(), s.extra.end(),
+                             [&](const NodeId& n) { return !reg_.is_live(n); });
+  extra_pruned_ += static_cast<std::size_t>(s.extra.end() - tail);
+  s.extra.erase(tail, s.extra.end());
 }
 
 void HotspotManager::consider_promote(const Guid& base, ObjState& s) {
   // Replica slots must name live hosts: an extra whose node crashed since
   // promotion would otherwise pin the max_extra_replicas cap forever while
   // serving nothing, blocking re-promotion of a still-hot object.
-  auto tail = std::remove_if(s.extra.begin(), s.extra.end(),
-                             [&](const NodeId& n) { return !reg_.is_live(n); });
-  extra_pruned_ += static_cast<std::size_t>(s.extra.end() - tail);
-  s.extra.erase(tail, s.extra.end());
+  prune_dead_extras(s);
   while (s.extra.size() < hp_.max_extra_replicas &&
          s.weight >= hp_.promote_threshold *
                          static_cast<double>(s.extra.size() + 1)) {
@@ -279,6 +266,7 @@ void HotspotManager::tick() {
     ObjState& s = states_[g];
     s.weight *= decay_factor(now - s.stamp);
     s.stamp = now;
+    prune_dead_extras(s);
     if (!s.extra.empty() && s.weight < hp_.demote_threshold)
       demote_last(g, s);  // one per tick: flash crowds drain gradually
     if (s.extra.empty() && s.weight < 1e-3) states_.erase(g);
@@ -299,7 +287,15 @@ HotspotManager::Stats HotspotManager::stats() const {
   st.cold_evictions = cold_evictions_;
   st.track_drops = track_drops_;
   st.extra_pruned = extra_pruned_;
-  for (const auto& [g, s] : states_) st.extra_live += s.extra.size();
+  // A dead host still listed counts as pruned: it goes when `extra` is
+  // next read.
+  for (const auto& [g, s] : states_)
+    for (const NodeId& n : s.extra) {
+      if (reg_.is_live(n))
+        ++st.extra_live;
+      else
+        ++st.extra_pruned;
+    }
   return st;
 }
 

@@ -21,7 +21,9 @@
 //     estimates, fed by the traffic drivers from locate completions.
 //     Sustained demand publishes extra replicas at the querying nodes
 //     (content replication where the demand is); decayed demand withdraws
-//     them again through the ordinary unpublish machinery.
+//     them again through the ordinary unpublish machinery.  A replica
+//     host that died is dropped where the object's replica list is next
+//     read, so a death walks no hotspot state either.
 //
 // Both components are RNG-free, so enabling them cannot perturb a driver's
 // workload random stream — replay determinism is preserved verbatim.
@@ -147,7 +149,8 @@ class HotspotManager {
     std::size_t extra_live = 0;  ///< extra replicas currently registered
     std::size_t cold_evictions = 0;  ///< tracked states evicted at the cap
     std::size_t track_drops = 0;     ///< queries untracked (cap, no victim)
-    std::size_t extra_pruned = 0;    ///< dead hosts dropped from `extra`
+    std::size_t extra_pruned = 0;    ///< dead hosts dropped from, or
+                                     ///< still listed in, `extra`
   };
 
   /// `synchronous` selects publish() over publish_async() for promotions
@@ -157,7 +160,6 @@ class HotspotManager {
   HotspotManager(NodeRegistry& registry, ObjectDirectory& directory,
                  EventQueue& events, HotspotParams params, bool synchronous,
                  Trace* trace = nullptr);
-  ~HotspotManager();
 
   HotspotManager(const HotspotManager&) = delete;
   HotspotManager& operator=(const HotspotManager&) = delete;
@@ -199,8 +201,9 @@ class HotspotManager {
   /// Reclaims the coldest tracked state that owns no extra replicas; false
   /// when every tracked object still holds replicas (nothing evictable).
   bool evict_coldest();
-  /// Drops `dead` from every object's `extra` list (node-death hook).
-  void prune_dead_extras(const NodeId& dead);
+  /// Drops the dead hosts from `s.extra`.  Every reader of `extra` calls
+  /// it first, so a death walks no hotspot state.
+  void prune_dead_extras(ObjState& s);
 
   NodeRegistry& reg_;
   ObjectDirectory& dir_;

@@ -2,13 +2,14 @@
 // nearest-neighbor algorithm (paper §3, Figure 4), with step 3 run as the
 // simultaneous-insertion multicast of §4.4 (Figure 11).  Every step is one
 // implementation taking a `const NodeLockTable* locks` (null = serial),
-// driven three ways: join_via runs one insertion serially and join_bulk
-// runs a wave of them on real threads under the stripe locks, both through
-// the one body `insert` (maintenance.h has the wave's contract), and
-// ParallelJoinCoordinator (parallel_join.h) interleaves the same steps as
-// events in simulated time.  The §4.2 pointer re-routes below happen
-// around each table change serially; a wave's threads change tables only,
-// and the wave re-routes every live node's pointers after they join.
+// and one body, `insert`, runs them for three drivers: join_via runs one
+// insertion serially, join_bulk runs a wave of them on real threads under
+// the stripe locks (maintenance.h has the wave's contract), and
+// join_events interleaves them as events in simulated time.  The drivers
+// differ only in how a multicast message travels.  The §4.2 pointer
+// re-routes below happen around each table change serially; a wave's
+// threads change tables only, and the wave re-routes every live node's
+// pointers after they join.
 //
 // INSERT:
 //   1. acquire the primary surrogate by routing toward the new node-ID;
@@ -57,6 +58,7 @@
 #include "src/tapestry/maintenance.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "src/sim/thread_pool.h"
 
@@ -88,59 +90,137 @@ std::vector<NodeId> trim_closest(const NodeRegistry& reg,
   return list;
 }
 
-/// The §4.4 forwarding targets at `at` (the caller holds at's stripe):
-/// walking `at`'s prefix chain from `prefix_len` to the last row, per slot
-/// one unpinned member plus all pinned members (Lemma 4); plus the members
-/// already filling the session's (alpha, hole_digit) slot so conflicting
-/// same-hole inserters learn of each other (MULTICASTTOFILLEDHOLE, Lemma 5).
-std::vector<MulticastChild> multicast_children(const NodeRegistry& reg,
-                                               const TapestryNode& at,
-                                               const InsertionSession& s,
-                                               unsigned prefix_len) {
-  const NodeId& at_id = at.id();
-  const unsigned digits = reg.params().id.num_digits;
-  const unsigned radix = reg.params().id.radix();
-  std::vector<MulticastChild> children;
-
-  // Self-messages are free and immediate, so the levels where we are the
-  // chosen recipient collapse into the caller's single visit.  No row
-  // tells us we are alone (our own-digit slot may list only us while
-  // deeper nodes exist), so every row is walked.  The inserter itself is
-  // never forwarded to.
-  for (unsigned l = prefix_len; l < digits; ++l) {
-    for (unsigned j = 0; j < radix; ++j) {
-      bool unpinned_taken = false;
-      const NeighborSet slot = at.table().at(l, j);
-      for (const auto& e : slot.entries()) {
-        if (e.id == s.nn) continue;
-        if (e.id == at_id) {
-          unpinned_taken = true;  // the self-message collapses into here
-          continue;
-        }
-        const TapestryNode* m = reg.find(e.id);
-        if (m == nullptr || !m->alive) continue;
-        if (slot.pinned(e.id)) {
-          children.push_back({e.id, l + 1});
-        } else if (!unpinned_taken) {
-          unpinned_taken = true;
-          children.push_back({e.id, l + 1});
-        }
-      }
+/// Rejects a malformed join batch before any of it runs (join_bulk,
+/// join_events).  The batch must be non-empty and the network not;
+/// locations must lie in the metric space, explicit ids must match the
+/// IdSpec and be unused and unique within the batch, and explicit gateways
+/// live.  Returns the explicit ids, which the ids drawn for the batch's
+/// other joins must avoid (fresh_join_id).
+std::unordered_set<std::uint64_t> check_join_batch(
+    const NodeRegistry& reg, const std::vector<JoinRequest>& requests) {
+  TAP_CHECK(!requests.empty(), "no join requests");
+  TAP_CHECK(reg.live_count() > 0,
+            "a join batch requires a non-empty network; bootstrap first");
+  std::unordered_set<std::uint64_t> ids;
+  for (const JoinRequest& req : requests) {
+    TAP_CHECK(req.loc < reg.space().size(),
+              "location outside the metric space");
+    if (req.id.has_value()) {
+      TAP_CHECK(req.id->valid() && req.id->spec() == reg.params().id,
+                "node id does not match the network's IdSpec");
+      TAP_CHECK(reg.find(*req.id) == nullptr, "node id already in use");
+      TAP_CHECK(ids.insert(req.id->value()).second,
+                "duplicate node id within the join batch");
     }
+    if (req.gateway.has_value())
+      TAP_CHECK(reg.is_live(*req.gateway), "gateway must be a live node");
   }
+  return ids;
+}
 
-  // MULTICASTTOFILLEDHOLE (Figure 11 line 9).
-  for (const auto& e : at.table().at(s.alpha, s.hole_digit).entries()) {
-    if (e.id == s.nn || e.id == at_id) continue;
-    if (s.processed.count(e.id.value()) != 0) continue;
-    const TapestryNode* m = reg.find(e.id);
-    if (m == nullptr || !m->alive) continue;
-    children.push_back({e.id, s.alpha + 1});
-  }
-  return children;
+/// A fresh random id outside `taken`, which it joins.
+NodeId fresh_join_id(NodeRegistry& reg,
+                     std::unordered_set<std::uint64_t>& taken) {
+  NodeId id = reg.fresh_node_id();
+  while (!taken.insert(id.value()).second) id = reg.fresh_node_id();
+  return id;
 }
 
 }  // namespace
+
+/// Per-join state of one insertion in flight (§4.4).
+struct MaintenanceEngine::InsertionSession {
+  NodeId nn{};              ///< the inserting node
+  NodeId surrogate{};       ///< core node the multicast starts from
+  unsigned alpha = 0;       ///< prefix length of the filled hole
+  unsigned hole_digit = 0;  ///< nn's digit at alpha: the slot nn fills
+  /// A node the multicast reached: it ran FUNCTION and pinned nn, and
+  /// once the `awaiting` children it forwarded to have acknowledged, it
+  /// unpins nn and acknowledges `parent` (none at the start node).
+  struct Visit {
+    std::size_t awaiting = 0;
+    std::optional<NodeId> parent{};
+  };
+  std::unordered_map<std::uint64_t, Visit> visits;  ///< by node id value
+  std::vector<NodeId> alpha_list;  ///< the α-list, in visit order
+  /// Where this join's messages are booked: the caller's Trace for a
+  /// serial join (may be null), a per-join Trace in a wave or in
+  /// join_events.
+  Trace* trace = nullptr;
+  std::optional<double> done_time{};  ///< event time finish_insertion ran
+};
+
+struct MaintenanceEngine::MulticastChild {
+  NodeId id{};
+  unsigned prefix_len = 0;
+};
+
+// ---------------------------------------------------------------------
+// The insertion and its §4.4 acknowledged multicast, for every driver
+// ---------------------------------------------------------------------
+
+template <typename Send>
+void MaintenanceEngine::insert(InsertionSession& s, NodeId gateway,
+                               Location loc, const NodeLockTable* locks,
+                               Send& send) {
+  // 1. ACQUIREPRIMARYSURROGATE: the root reached from the gateway is the
+  //    node whose ID shares the longest existing prefix with ours, bounced
+  //    on to a core node if it is itself inserting.
+  s.surrogate = acquire_surrogate(gateway, s.nn, s.trace, locks);
+  // 2. Register as inserting; GETPRELIMNEIGHBORTABLE: one bulk RPC for the
+  //    surrogate's table.
+  begin_insertion(s, loc, locks);
+  // 3. The §4.4 acknowledged multicast of LINKANDXFERROOT from the
+  //    surrogate, asked for in one message, reaches every α-node.  Its
+  //    completion runs 4.: the neighbor table is built level by level
+  //    from the α-list (finish_insertion).
+  reg_.acct(s.trace, reg_.checked(s.nn), reg_.checked(s.surrogate));
+  send(s.nn, s.surrogate,
+       [this, &s, watch = watch_list(s, locks), locks, &send]() mutable {
+         reach(s, s.surrogate, std::nullopt, s.alpha, watch, locks, send);
+       });
+}
+
+template <typename Send>
+void MaintenanceEngine::reach(InsertionSession& s, const NodeId& at,
+                              std::optional<NodeId> parent,
+                              unsigned prefix_len, WatchList& watch,
+                              const NodeLockTable* locks, Send& send) {
+  const auto children = visit(s, at, parent, prefix_len, watch, locks);
+  if (!children.has_value()) {  // reached before: acknowledge at once
+    acknowledge(s, at, parent, locks, send);
+    return;
+  }
+  if (children->empty()) {  // a leaf: its subtree is acknowledged already
+    release_pin(s, at, locks);
+    acknowledge(s, at, parent, locks, send);
+    return;
+  }
+  for (const MulticastChild& c : *children) {
+    reg_.acct(s.trace, reg_.checked(at), reg_.checked(c.id));  // forward
+    send(at, c.id, [this, &s, c, from = at, watch, locks, &send]() mutable {
+      reach(s, c.id, from, c.prefix_len, watch, locks, send);
+    });
+  }
+}
+
+template <typename Send>
+void MaintenanceEngine::acknowledge(InsertionSession& s, const NodeId& at,
+                                    std::optional<NodeId> parent,
+                                    const NodeLockTable* locks, Send& send) {
+  if (!parent.has_value()) {  // the start node: the multicast is complete
+    finish_insertion(s, locks);
+    return;
+  }
+  reg_.acct(s.trace, reg_.checked(at), reg_.checked(*parent));
+  send(at, *parent, [this, &s, to = *parent, locks, &send] {
+    InsertionSession::Visit& v = s.visits.at(to.value());
+    if (--v.awaiting > 0) return;
+    // Subtree fully acknowledged: unlock the pinned pointer (Lemma 4).
+    release_pin(s, to, locks);
+    acknowledge(s, to, v.parent, locks, send);
+  });
+}
 
 NodeId MaintenanceEngine::bootstrap(Location loc, std::optional<NodeId> id) {
   TAP_CHECK(reg_.live_count() == 0, "bootstrap requires an empty network");
@@ -164,7 +244,7 @@ NodeId MaintenanceEngine::join_via(NodeId gateway, Location loc,
   TAP_CHECK(reg_.is_live(gateway), "gateway must be a live node");
   const NodeId nn = id.has_value() ? *id : reg_.fresh_node_id();
   TAP_CHECK(reg_.find(nn) == nullptr, "node id already in use");
-  insert(nn, gateway, loc, trace, nullptr);
+  insert_now(nn, gateway, loc, trace, nullptr);
   return nn;
 }
 
@@ -181,7 +261,7 @@ std::vector<NodeId> MaintenanceEngine::join_bulk(
   std::vector<NodeId> gateways(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const JoinRequest& req = requests[i];
-    ids[i] = req.id.has_value() ? *req.id : fresh_join_id(taken);
+    ids[i] = req.id.has_value() ? *req.id : fresh_join_id(reg_, taken);
     gateways[i] = req.gateway.has_value() ? *req.gateway
                                           : live[rng_.next_u64(live.size())];
   }
@@ -193,7 +273,7 @@ std::vector<NodeId> MaintenanceEngine::join_bulk(
     parallel_for(
         requests.size(),
         [&](std::size_t i) {
-          insert(ids[i], gateways[i], requests[i].loc, &traces[i], locks);
+          insert_now(ids[i], gateways[i], requests[i].loc, &traces[i], locks);
         },
         workers);
     if (trace != nullptr)
@@ -202,53 +282,64 @@ std::vector<NodeId> MaintenanceEngine::join_bulk(
   return ids;
 }
 
-void MaintenanceEngine::insert(const NodeId& nn, NodeId gateway, Location loc,
-                               Trace* trace, const NodeLockTable* locks) {
+std::vector<JoinOutcome> MaintenanceEngine::join_events(
+    const std::vector<EventJoin>& requests, double jitter) {
+  TAP_CHECK(jitter >= 0.0, "jitter must be non-negative");
+  // A throw from inside the event loop would leave scheduled events behind
+  // that capture this frame, so the batch is checked up front.  Ids left
+  // to draw are drawn at event time, in start order.
+  std::vector<JoinRequest> batch;
+  batch.reserve(requests.size());
+  for (const EventJoin& r : requests) batch.push_back({r.loc, r.id, r.gateway});
+  std::unordered_set<std::uint64_t> taken = check_join_batch(reg_, batch);
+
+  // A message arrives after the hop's distance plus its jitter draw; a
+  // zero-delay one still takes a scheduling step, so ordering stays
+  // observable.
+  auto send = [&](const NodeId& from, const NodeId& to, auto&& handle) {
+    double d = reg_.distance(from, to);
+    if (jitter > 0.0) d += rng_.uniform(0.0, jitter);
+    events_.schedule_in(d > 0.0 ? d : 1e-9,
+                        std::forward<decltype(handle)>(handle));
+  };
+  std::vector<InsertionSession> sessions(requests.size());
+  std::vector<Trace> traces(requests.size());
+  std::vector<JoinOutcome> out(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    sessions[i].trace = &traces[i];
+    events_.schedule_at(
+        std::max(requests[i].start_time, events_.now()), [&, i] {
+          const EventJoin& r = requests[i];
+          InsertionSession& s = sessions[i];
+          s.nn = r.id.has_value() ? *r.id : fresh_join_id(reg_, taken);
+          out[i].start_time = events_.now();
+          insert(s, r.gateway, r.loc, nullptr, send);
+        });
+  }
+  events_.run();
+
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const InsertionSession& s = sessions[i];
+    TAP_CHECK(s.done_time.has_value(), "a join's multicast never completed");
+    out[i].id = s.nn;
+    out[i].surrogate = s.surrogate;
+    out[i].alpha = s.alpha;
+    out[i].core_time = out[i].done_time = *s.done_time;
+    out[i].messages = traces[i].messages();
+  }
+  return out;
+}
+
+void MaintenanceEngine::insert_now(const NodeId& nn, NodeId gateway,
+                                   Location loc, Trace* trace,
+                                   const NodeLockTable* locks) {
   InsertionSession s;
   s.nn = nn;
   s.trace = trace;
-  // 1. ACQUIREPRIMARYSURROGATE: the root reached from the gateway is the
-  //    node whose ID shares the longest existing prefix with ours, bounced
-  //    on to a core node if it is itself inserting.
-  s.surrogate = acquire_surrogate(gateway, nn, trace, locks);
-  // 2. Register as inserting; GETPRELIMNEIGHBORTABLE: one bulk RPC for the
-  //    surrogate's table.
-  begin_insertion(s, loc, locks);
-  // 3. The §4.4 acknowledged multicast of LINKANDXFERROOT from the
-  //    surrogate, asked for in one message, reaches every α-node.
-  reg_.acct(trace, reg_.checked(nn), reg_.checked(s.surrogate));
-  multicast_wave(s, s.surrogate, s.alpha, watch_list(s, locks), locks);
-  // 4. Build the neighbor table level by level from the α-list.
-  finish_insertion(s, locks);
-}
-
-std::unordered_set<std::uint64_t> check_join_batch(
-    const NodeRegistry& reg, const std::vector<JoinRequest>& requests) {
-  TAP_CHECK(!requests.empty(), "no join requests");
-  TAP_CHECK(reg.live_count() > 0,
-            "a join batch requires a non-empty network; bootstrap first");
-  std::unordered_set<std::uint64_t> ids;
-  for (const JoinRequest& req : requests) {
-    TAP_CHECK(req.loc < reg.space().size(),
-              "location outside the metric space");
-    if (req.id.has_value()) {
-      TAP_CHECK(req.id->valid() && req.id->spec() == reg.params().id,
-                "node id does not match the network's IdSpec");
-      TAP_CHECK(reg.find(*req.id) == nullptr, "node id already in use");
-      TAP_CHECK(ids.insert(req.id->value()).second,
-                "duplicate node id within the join batch");
-    }
-    if (req.gateway.has_value())
-      TAP_CHECK(reg.is_live(*req.gateway), "gateway must be a live node");
-  }
-  return ids;
-}
-
-NodeId MaintenanceEngine::fresh_join_id(
-    std::unordered_set<std::uint64_t>& taken) {
-  NodeId id = reg_.fresh_node_id();
-  while (!taken.insert(id.value()).second) id = reg_.fresh_node_id();
-  return id;
+  auto at_once = [](const NodeId&, const NodeId&, auto&& handle) {
+    handle();
+  };
+  insert(s, gateway, loc, locks, at_once);
 }
 
 // ---------------------------------------------------------------------
@@ -294,8 +385,8 @@ void MaintenanceEngine::begin_insertion(InsertionSession& s, Location loc,
   copy_preliminary_table(nn, reg_.live(s.surrogate), s.alpha, s.trace, locks);
 }
 
-WatchList MaintenanceEngine::watch_list(const InsertionSession& s,
-                                        const NodeLockTable* locks) const {
+MaintenanceEngine::WatchList MaintenanceEngine::watch_list(
+    const InsertionSession& s, const NodeLockTable* locks) const {
   // The complement of the new node's row occupancy masks.
   const unsigned radix = params_.id.radix();
   const std::uint64_t full_row =
@@ -308,10 +399,14 @@ WatchList MaintenanceEngine::watch_list(const InsertionSession& s,
   return watch;
 }
 
-std::optional<std::vector<MulticastChild>> MaintenanceEngine::visit(
-    InsertionSession& s, const NodeId& at_id, unsigned prefix_len,
-    WatchList& watch, const NodeLockTable* locks) {
-  if (!s.processed.insert(at_id.value()).second) return std::nullopt;
+std::optional<std::vector<MaintenanceEngine::MulticastChild>>
+MaintenanceEngine::visit(InsertionSession& s, const NodeId& at_id,
+                         std::optional<NodeId> parent, unsigned prefix_len,
+                         WatchList& watch, const NodeLockTable* locks) {
+  const auto [reached, first] =
+      s.visits.try_emplace(at_id.value(), InsertionSession::Visit{0, parent});
+  if (!first) return std::nullopt;
+  InsertionSession::Visit& v = reached->second;
   TapestryNode& at = reg_.checked(at_id);
   TapestryNode& nn = reg_.checked(s.nn);
 
@@ -327,14 +422,14 @@ std::optional<std::vector<MulticastChild>> MaintenanceEngine::visit(
   // member, and the multicast never forwards to the joiner in its place.
   std::vector<MulticastChild> children;
   rerouting(at, s.trace, locks, [&] {
-    if (s.pinned_at.insert(at_id.value()).second) {
+    {
       NodeLockTable::Guard g(locks, at_id, s.nn);
       at.table().pin(s.alpha, s.hole_digit, s.nn, reg_.dist(at, nn));
       nn.table().add_backpointer(s.alpha, at_id);
     }
     {
       NodeLockTable::Guard g(locks, at_id);
-      children = multicast_children(reg_, at, s, prefix_len);
+      children = multicast_children(at, s, prefix_len);
     }
     add_to_table_if_closer(reg_, at, nn, locks);
   });
@@ -345,8 +440,61 @@ std::optional<std::vector<MulticastChild>> MaintenanceEngine::visit(
   if (locks != nullptr) serve_watch_list(s, at, nn, watch, locks);
 
   // FUNCTION (LINKANDXFERROOT) applied: record this node on the α-list
-  // exactly once.
+  // exactly once; it awaits one acknowledgement per forward.
   s.alpha_list.push_back(at_id);
+  v.awaiting = children.size();
+  return children;
+}
+
+std::vector<MaintenanceEngine::MulticastChild>
+MaintenanceEngine::multicast_children(const TapestryNode& at,
+                                      const InsertionSession& s,
+                                      unsigned prefix_len) const {
+  // Walking `at`'s prefix chain from `prefix_len` to the last row, per
+  // slot one unpinned member plus all pinned members (Lemma 4); plus the
+  // members already filling the session's (alpha, hole_digit) slot so
+  // conflicting same-hole inserters learn of each other
+  // (MULTICASTTOFILLEDHOLE, Lemma 5).
+  const NodeId& at_id = at.id();
+  const unsigned digits = params_.id.num_digits;
+  const unsigned radix = params_.id.radix();
+  std::vector<MulticastChild> children;
+
+  // Self-messages are free and immediate, so the levels where we are the
+  // chosen recipient collapse into the caller's single visit.  No row
+  // tells us we are alone (our own-digit slot may list only us while
+  // deeper nodes exist), so every row is walked.  The inserter itself is
+  // never forwarded to.
+  for (unsigned l = prefix_len; l < digits; ++l) {
+    for (unsigned j = 0; j < radix; ++j) {
+      bool unpinned_taken = false;
+      const NeighborSet slot = at.table().at(l, j);
+      for (const auto& e : slot.entries()) {
+        if (e.id == s.nn) continue;
+        if (e.id == at_id) {
+          unpinned_taken = true;  // the self-message collapses into here
+          continue;
+        }
+        const TapestryNode* m = reg_.find(e.id);
+        if (m == nullptr || !m->alive) continue;
+        if (slot.pinned(e.id)) {
+          children.push_back({e.id, l + 1});
+        } else if (!unpinned_taken) {
+          unpinned_taken = true;
+          children.push_back({e.id, l + 1});
+        }
+      }
+    }
+  }
+
+  // MULTICASTTOFILLEDHOLE (Figure 11 line 9).
+  for (const auto& e : at.table().at(s.alpha, s.hole_digit).entries()) {
+    if (e.id == s.nn || e.id == at_id) continue;
+    if (s.visits.count(e.id.value()) != 0) continue;
+    const TapestryNode* m = reg_.find(e.id);
+    if (m == nullptr || !m->alive) continue;
+    children.push_back({e.id, s.alpha + 1});
+  }
   return children;
 }
 
@@ -387,7 +535,6 @@ void MaintenanceEngine::serve_watch_list(InsertionSession& s,
 
 void MaintenanceEngine::release_pin(InsertionSession& s, const NodeId& at,
                                     const NodeLockTable* locks) {
-  if (s.pinned_at.erase(at.value()) == 0) return;
   std::vector<NodeId> evicted;
   {
     NodeLockTable::Guard g(locks, at);
@@ -399,11 +546,10 @@ void MaintenanceEngine::release_pin(InsertionSession& s, const NodeId& at,
 
 void MaintenanceEngine::finish_insertion(InsertionSession& s,
                                          const NodeLockTable* locks) {
-  // Defensive: every pin is released as its subtree acknowledges.
-  const std::vector<std::uint64_t> leftovers(s.pinned_at.begin(),
-                                             s.pinned_at.end());
-  for (const std::uint64_t v : leftovers)
-    release_pin(s, NodeId(params_.id, v), locks);
+  // Each pin went as its subtree acknowledged, and the start node
+  // acknowledges last.
+  for (const auto& [node, v] : s.visits)
+    TAP_ASSERT_MSG(v.awaiting == 0, "a reached node is still awaiting acks");
 
   // ACQUIRENEIGHBORTABLE over the α-list (§3, Figure 4).  The descent
   // rewrites the new node's table, so pointers already transferred to it
@@ -418,24 +564,7 @@ void MaintenanceEngine::finish_insertion(InsertionSession& s,
   NodeLockTable::Guard g(locks, s.nn);
   nn.inserting = false;
   nn.psurrogate.reset();
-  s.done = true;
-}
-
-void MaintenanceEngine::multicast_wave(InsertionSession& s, const NodeId& at,
-                                       unsigned prefix_len, WatchList watch,
-                                       const NodeLockTable* locks) {
-  // A duplicate acknowledges at once: the caller's return is the ack.
-  const auto children = visit(s, at, prefix_len, watch, locks);
-  if (!children.has_value()) return;
-  const TapestryNode& from = reg_.checked(at);
-  for (const MulticastChild& c : *children) {
-    const TapestryNode& to = reg_.checked(c.id);
-    reg_.acct(s.trace, from, to);  // forward
-    multicast_wave(s, c.id, c.prefix_len, watch, locks);
-    reg_.acct(s.trace, to, from);  // ack
-  }
-  // Subtree fully acknowledged: unlock the pinned pointer (Lemma 4).
-  release_pin(s, at, locks);
+  s.done_time = events_.now();
 }
 
 // ---------------------------------------------------------------------

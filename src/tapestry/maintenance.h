@@ -14,14 +14,14 @@
 // Every §3-§4.4 insertion step, every §5 repair step — departure, purge,
 // replacement search, heartbeat and fill — and every table link is
 // one implementation taking a `const NodeLockTable* locks`: null runs it
-// serially on a quiescent mesh (join_via, leave, heartbeat_sweep, and
-// ParallelJoinCoordinator's event-driven joins), the registry's table runs
-// it inside a thread-parallel wave (join_bulk, leave_bulk and friends
-// below) under the stripe discipline of node_locks.h.  A step changes
-// tables through `rerouting`: serially it re-routes the object pointers
-// (§4.2) around each change; given the lock table it changes tables only,
-// and the wave re-routes serially around its threads (run_wave), so no
-// worker thread touches a store.
+// serially on a quiescent mesh (join_via, join_events, leave,
+// heartbeat_sweep), the registry's table runs it inside a thread-parallel
+// wave (join_bulk, leave_bulk and friends below) under the stripe
+// discipline of node_locks.h.  A step changes tables through `rerouting`:
+// serially it re-routes the object pointers (§4.2) around each change;
+// given the lock table it changes tables only, and the wave re-routes
+// serially around its threads (run_wave), so no worker thread touches a
+// store.
 #pragma once
 
 #include <cstdint>
@@ -43,42 +43,23 @@ struct JoinRequest {
   std::optional<NodeId> gateway{};  ///< default: uniformly random live node
 };
 
-/// Rejects a malformed join batch before any of it runs; join_bulk and
-/// ParallelJoinCoordinator::run share it.  The batch must be non-empty and
-/// the network not; locations must lie in the metric space, explicit ids
-/// must match the IdSpec and be unused and unique within the batch, and
-/// explicit gateways live.  Returns the explicit ids, which the ids drawn
-/// for the batch's other joins must avoid (MaintenanceEngine::fresh_join_id).
-[[nodiscard]] std::unordered_set<std::uint64_t> check_join_batch(
-    const NodeRegistry& reg, const std::vector<JoinRequest>& requests);
-
-/// The §4.4 watch list a multicast carries (Figure 11, Lemma 6): one
-/// bitmask per level, bit j set => slot (level, j) is still unknown to the
-/// inserting node.
-using WatchList = std::vector<std::uint64_t>;
-
-/// One forwarding target of the §4.4 acknowledged multicast.
-struct MulticastChild {
-  NodeId id{};
-  unsigned prefix_len = 0;
+/// One join of an event-driven batch (see join_events).
+struct EventJoin {
+  Location loc{};
+  std::optional<NodeId> id{};  ///< default: fresh random id
+  double start_time = 0.0;     ///< absolute event-queue time
+  NodeId gateway{};            ///< must be a core node at start_time
 };
 
-/// Per-join state of one insertion in flight (§4.4), shared by the two
-/// drivers of the insertion steps: MaintenanceEngine::insert (join_via and
-/// join_bulk) and ParallelJoinCoordinator.
-struct InsertionSession {
-  NodeId nn{};              ///< the inserting node
-  NodeId surrogate{};       ///< core node the multicast starts from
-  unsigned alpha = 0;       ///< prefix length of the filled hole
-  unsigned hole_digit = 0;  ///< nn's digit at alpha: the slot nn fills
-  std::unordered_set<std::uint64_t> processed;  ///< nodes that ran FUNCTION
-  std::unordered_set<std::uint64_t> pinned_at;  ///< nodes holding our pin
-  std::vector<NodeId> alpha_list;  ///< the α-list, in visit order
-  /// Where this join's messages are booked: the caller's Trace for a
-  /// serial join (may be null), a per-join Trace in a wave or in the
-  /// coordinator.
-  Trace* trace = nullptr;
-  bool done = false;  ///< finish_insertion ran
+/// What one join of join_events did.
+struct JoinOutcome {
+  NodeId id{};
+  NodeId surrogate{};        ///< core node the multicast started from
+  unsigned alpha = 0;        ///< prefix length of the filled hole
+  double start_time = 0.0;
+  double core_time = 0.0;    ///< multicast fully acknowledged (Def. 1)
+  double done_time = 0.0;    ///< neighbor table complete (= core_time)
+  std::size_t messages = 0;  ///< total messages attributed to this join
 };
 
 // --- table-link coherence ---
@@ -165,13 +146,13 @@ class MaintenanceEngine final : public RepairHandler {
   /// watch lists / filled-hole forwarding, pin release, and the §3
   /// nearest-neighbor table construction — synchronously, racing every
   /// other in-flight join through the registry's lock-free index
-  /// snapshots and the per-node stripe locks.  The multicast is a
-  /// depth-first walk whose return from a subtree IS that subtree's
-  /// acknowledgement.  Where ParallelJoinCoordinator interleaves
-  /// *messages* in simulated time, a wave interleaves *real memory
-  /// operations*: pinned-pointer insertion, filled-hole forwarding and
-  /// watch-list reports from concurrent joins genuinely contend on the
-  /// same RoutingTable mutation wrappers.
+  /// snapshots and the per-node stripe locks.  Each message of the
+  /// multicast is handled the moment it is sent, so the multicast is a
+  /// depth-first walk.  Where join_events interleaves *messages* in
+  /// simulated time, a wave interleaves *real memory operations*:
+  /// pinned-pointer insertion, filled-hole forwarding and watch-list
+  /// reports from concurrent joins genuinely contend on the same
+  /// RoutingTable mutation wrappers.
   ///
   /// Locking discipline (see node_locks.h): every access to a node's
   /// routing table or insertion flags takes that node's stripe; mutations
@@ -205,6 +186,17 @@ class MaintenanceEngine final : public RepairHandler {
   std::vector<NodeId> join_bulk(const std::vector<JoinRequest>& requests,
                                 std::size_t workers = 0,
                                 Trace* trace = nullptr);
+  /// Simultaneous insertion in simulated time (§4.4): the insertion body
+  /// join_via runs, with every multicast forward and acknowledgement an
+  /// event that arrives after the hop's metric distance plus a uniform
+  /// [0, jitter] draw (one per message, seeded), so racing multicasts
+  /// interleave as a real network would.  Each join starts at its
+  /// start_time (or now, if later); ids left to draw are drawn then.  The
+  /// batch is validated before anything is scheduled, so a malformed one
+  /// throws CheckError and leaves the queue untouched.  Runs the event
+  /// queue to quiescence and returns the outcomes in request order.
+  std::vector<JoinOutcome> join_events(const std::vector<EventJoin>& requests,
+                                       double jitter = 0.0);
 
   /// Voluntary departure (§5.1): notifies backpointer holders with
   /// replacement hints, re-roots object pointers, then disconnects, which
@@ -338,13 +330,43 @@ class MaintenanceEngine final : public RepairHandler {
   /// it (static_build.cc).
   void rebuild_static_tables(std::size_t workers = 1);
 
-  // --- insertion steps (§3-§4.4; join.cc) ---
-  // One implementation each, driven by `insert` (join_via serially,
-  // join_bulk on real threads given the registry's lock table) and by
-  // ParallelJoinCoordinator (events in simulated time, null locks).
+ private:
+  // --- the insertion (§3-§4.4; join.cc) ---
+  // One implementation of each step, and one of the §4.4 multicast, run by
+  // `insert` for all three drivers: join_via serially, join_bulk on real
+  // threads given the registry's lock table, join_events as events in
+  // simulated time (null locks).
+  struct InsertionSession;
+  struct MulticastChild;
+  /// The §4.4 watch list a multicast carries (Figure 11, Lemma 6): one
+  /// bitmask per level, bit j set => slot (level, j) is still unknown to
+  /// the inserting node.
+  using WatchList = std::vector<std::uint64_t>;
 
-  /// A fresh random id outside `taken`, which it joins.
-  [[nodiscard]] NodeId fresh_join_id(std::unordered_set<std::uint64_t>& taken);
+  /// One whole insertion of s.nn at `loc` through `gateway`: the
+  /// surrogate, the preliminary table, the §4.4 multicast and, once the
+  /// start node acknowledges, finish_insertion.  `send(from, to, handle)`
+  /// carries each multicast message, already booked on s.trace, and runs
+  /// `handle` where it arrives: at once for join_via and join_bulk, as an
+  /// event for join_events.
+  template <typename Send>
+  void insert(InsertionSession& s, NodeId gateway, Location loc,
+              const NodeLockTable* locks, Send& send);
+  /// The multicast message reaching `at` from `parent` (none: the
+  /// inserter's request to the start node): runs FUNCTION (visit), then
+  /// forwards to the children, or acknowledges at once if it has none or
+  /// `at` was reached before.
+  template <typename Send>
+  void reach(InsertionSession& s, const NodeId& at,
+             std::optional<NodeId> parent, unsigned prefix_len,
+             WatchList& watch, const NodeLockTable* locks, Send& send);
+  /// `at`'s subtree is acknowledged: acks `parent`, whose last awaited ack
+  /// unlocks its pin (Lemma 4) and acks its own parent in turn; the start
+  /// node's acknowledgement (no parent) completes the insertion.
+  template <typename Send>
+  void acknowledge(InsertionSession& s, const NodeId& at,
+                   std::optional<NodeId> parent, const NodeLockTable* locks,
+                   Send& send);
   /// ACQUIREPRIMARYSURROGATE plus the §4.4 core-start rule: routes from
   /// `gateway` toward `nn` and, while the root reached is itself
   /// inserting, bounces to that node's own surrogate.
@@ -361,19 +383,21 @@ class MaintenanceEngine final : public RepairHandler {
                                      const NodeLockTable* locks) const;
   /// FUNCTION of the §4.4 multicast at `at`: serves the watch list, pins
   /// the new node into the hole it fills, adopts it where it is closer,
-  /// and returns the forwarding targets — or nullopt if `at` already ran
-  /// FUNCTION for this session (a duplicate: acknowledge at once).
+  /// records `at` as reached from `parent`, and returns the forwarding
+  /// targets — or nullopt if `at` was reached before (a duplicate).
   [[nodiscard]] std::optional<std::vector<MulticastChild>> visit(
-      InsertionSession& s, const NodeId& at, unsigned prefix_len,
-      WatchList& watch, const NodeLockTable* locks);
+      InsertionSession& s, const NodeId& at, std::optional<NodeId> parent,
+      unsigned prefix_len, WatchList& watch, const NodeLockTable* locks);
+  /// The forwarding targets at `at` (the caller holds its stripe).
+  [[nodiscard]] std::vector<MulticastChild> multicast_children(
+      const TapestryNode& at, const InsertionSession& s,
+      unsigned prefix_len) const;
   /// Unlocks the pin at `at` once its subtree is acknowledged (Lemma 4).
   void release_pin(InsertionSession& s, const NodeId& at,
                    const NodeLockTable* locks);
-  /// Releases leftover pins, runs the §3 descent over the α-list and
-  /// clears the node's inserting flag.
+  /// Runs the §3 descent over the α-list, clears the node's inserting
+  /// flag and stamps the session done.
   void finish_insertion(InsertionSession& s, const NodeLockTable* locks);
-
- private:
   void copy_preliminary_table(TapestryNode& nn, TapestryNode& surrogate,
                               unsigned max_level, Trace* trace,
                               const NodeLockTable* locks);
@@ -393,17 +417,11 @@ class MaintenanceEngine final : public RepairHandler {
   void serve_watch_list(InsertionSession& s, TapestryNode& at,
                         TapestryNode& nn, WatchList& watch,
                         const NodeLockTable* locks);
-  /// The synchronous §4.4 multicast from `at`: depth-first over visit
-  /// and release_pin, each subtree's return being its acknowledgement.
-  /// Forwards and acks are booked, not delivered.
-  void multicast_wave(InsertionSession& s, const NodeId& at,
-                      unsigned prefix_len, WatchList watch,
-                      const NodeLockTable* locks);
-  /// One whole insertion of `nn` at `loc` through `gateway`: surrogate,
-  /// preliminary table, the booked surrogate request, multicast_wave and
-  /// finish_insertion.  join_via runs it serially, join_bulk per worker.
-  void insert(const NodeId& nn, NodeId gateway, Location loc, Trace* trace,
-              const NodeLockTable* locks);
+  /// insert with every message handled the moment it is sent, so the
+  /// multicast is a depth-first walk: join_via serially, join_bulk per
+  /// worker.
+  void insert_now(const NodeId& nn, NodeId gateway, Location loc,
+                  Trace* trace, const NodeLockTable* locks);
 
   // Non-null `locks` below means "inside a wave", whose membership is
   // fixed before its threads start, so the registry's live-id index stays

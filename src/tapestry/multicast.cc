@@ -18,12 +18,13 @@
 //
 // Callers: MaintenanceEngine::rebuild_neighbor_table and
 // Network::multicast.  Joins run the variant with pinned pointers and
-// watch lists of §4.4 (Figure 11) instead, in join.cc
-// (MaintenanceEngine::visit), driven by join_via, join_bulk and
-// ParallelJoinCoordinator.  Repair never multicasts: a multicast from a
-// node whose (level, digit) slot is empty enters that digit's subtree
-// only through the same empty slot, so it cannot find a replacement;
-// find_replacement probes the registry's live-id index instead.
+// watch lists of §4.4 (Figure 11) instead, written once in join.cc
+// (MaintenanceEngine::reach and acknowledge) for join_via, join_bulk and
+// join_events, which books its forwards and acks in one place.  Repair
+// never multicasts: a multicast from a node whose (level, digit) slot is
+// empty enters that digit's subtree only through the same empty slot, so
+// it cannot find a replacement; find_replacement probes the registry's
+// live-id index instead.
 #include "src/tapestry/router.h"
 
 #include <algorithm>

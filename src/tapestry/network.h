@@ -21,7 +21,7 @@
 //   publish / locate / unpublish §2.2 object publication and location
 //   multicast                    §4.1 acknowledged multicast (Figure 8)
 //   join / join_via / join_bulk  §4   node insertion (Figure 7) with the
-//                                §4.4 multicast (Figure 11) and the
+//   join_events                  §4.4 multicast (Figure 11) and the
 //                                §3   nearest-neighbor algorithm (Figure 4)
 //   leave                        §5.1 voluntary delete (Figure 12)
 //   fail + lazy repair           §5.2 involuntary delete
@@ -62,9 +62,9 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   // ------------------------------------------------------------------
-  // Subsystems.  The facade methods below cover the common surface; the
-  // coordinators (ParallelJoinCoordinator, LocalityManager) and tests that
-  // need a layer's full interface reach it here.
+  // Subsystems.  The facade methods below cover the common surface;
+  // LocalityManager and the tests that need a layer's full interface
+  // reach it here.
   // ------------------------------------------------------------------
   [[nodiscard]] NodeRegistry& registry() noexcept { return registry_; }
   [[nodiscard]] const NodeRegistry& registry() const noexcept {
@@ -123,6 +123,15 @@ class Network {
                                 std::size_t workers = 0,
                                 Trace* trace = nullptr) {
     return maintenance_.join_bulk(requests, workers, trace);
+  }
+
+  /// Simultaneous insertion in simulated time: the same insertion body,
+  /// its §4.4 multicast messages interleaved as events on this network's
+  /// queue, which runs to quiescence (see MaintenanceEngine::join_events).
+  /// Returns per-join outcomes in request order.
+  std::vector<JoinOutcome> join_events(const std::vector<EventJoin>& requests,
+                                       double jitter = 0.0) {
+    return maintenance_.join_events(requests, jitter);
   }
 
   /// Voluntary departure (§5.1): notifies backpointer holders with

@@ -45,7 +45,6 @@ void ObjectDirectory::bind_transport(Transport* transport) noexcept {
 void ObjectDirectory::on_node_death(const NodeId& id) {
   cache_.drop_node(id);
   if (replicator_) replicator_->on_node_death(id);
-  if (node_death_hook_) node_death_hook_(id);
 }
 
 // ---------------------------------------------------------------------

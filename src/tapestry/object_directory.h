@@ -230,8 +230,9 @@ class ObjectDirectory {
   /// elsewhere naming it dies when read, and queries already in flight
   /// toward the corpse fail holder verification and fall back to the
   /// walk.  The QuorumReplicator (when the replicated backend is active)
-  /// re-replicates every holder set the dead node belonged to before the
-  /// external hook fires.
+  /// re-replicates every holder set the dead node belonged to.
+  /// HotspotManager needs no call: it drops a dead replica host where it
+  /// next reads the object's replica list.
   void on_node_death(const NodeId& id);
 
   /// Quorum replication coordinator; nullptr unless params.store_backend
@@ -239,14 +240,6 @@ class ObjectDirectory {
   /// holder sets, replica areas and stats through it).
   [[nodiscard]] QuorumReplicator* replicator() noexcept {
     return replicator_.get();
-  }
-
-  /// Registers a callback fired from on_node_death — i.e. on every
-  /// §5 death/departure the maintenance layer reports.  HotspotManager uses
-  /// it to drop dead hosts from its replica bookkeeping the moment they
-  /// die.  Pass nullptr to unregister; at most one hook at a time.
-  void set_node_death_hook(std::function<void(const NodeId&)> hook) {
-    node_death_hook_ = std::move(hook);
   }
 
  private:
@@ -324,9 +317,6 @@ class ObjectDirectory {
   std::size_t in_flight_ = 0;
   Timer republish_timer_;
   Timer expiry_timer_;
-
-  // Fired from on_node_death on node death/departure.
-  std::function<void(const NodeId&)> node_death_hook_;
 
   // Wire layer for all cross-node pointer traffic (see bind_transport).
   Transport* transport_ = nullptr;

@@ -180,7 +180,7 @@ class NodeRegistry {
   ///     GETFORWARDANDBACKPOINTERS and the distance probes (join.cc);
   ///   - the §4.4 insertion: the surrogate bounce, the request to the
   ///     surrogate, each watch-list report and each multicast forward and
-  ///     ack of every join (join.cc) and of ParallelJoinCoordinator;
+  ///     ack of every join, whatever its driver (join.cc);
   ///   - find_replacement's peer queries and index probes;
   ///   - leave's LEAVINGNETWORK notifications and REMOVELINK;
   ///   - the §6.4 distance probes and row exchanges.

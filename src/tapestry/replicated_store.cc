@@ -186,7 +186,7 @@ void QuorumReplicator::mirror_remove(const TapestryNode& root,
     m = transport_->send(m, reg_.hop_dist(trace, root, *node), trace);
     replicas_at(h).remove(target, m.server);
   }
-  if (!held(target, it->second)) holder_sets_.erase(it);
+  if (!held(target, it->second)) drop_set(it);
 }
 
 std::vector<PointerRecord> QuorumReplicator::quorum_read(
@@ -261,9 +261,18 @@ std::vector<PointerRecord> QuorumReplicator::quorum_read(
 
 void QuorumReplicator::on_node_death(const NodeId& dead) {
   areas_.erase(dead);
-  for (auto& [target, holders] : holder_sets_) {
+  for (auto it = holder_sets_.begin(); it != holder_sets_.end();) {
+    auto& [target, holders] = *it;
     const auto pos = std::find(holders.begin(), holders.end(), dead);
-    if (pos == holders.end()) continue;
+    if (pos == holders.end()) {
+      ++it;
+      continue;
+    }
+    // Nothing left worth keeping: no surviving mirror names a live server.
+    if (!held(target, holders)) {
+      it = drop_set(it);
+      continue;
+    }
 
     // Replacement: the live node nearest to the dead holder (its tombstone
     // keeps the location) that is not already in the set.
@@ -271,19 +280,22 @@ void QuorumReplicator::on_node_death(const NodeId& dead) {
         nearest_live(reg_.checked(dead), 1, holders);
     if (next.empty()) {  // overlay too small to keep k holders; shrink the set
       holders.erase(pos);
+      ++it;
       continue;
     }
     const NodeId best = next.front();
     *pos = best;
 
-    // Copy the merged surviving records onto the replacement so the set is
-    // back to full strength before the next failure.
+    // Copy the merged surviving records of live servers onto the
+    // replacement so the set is back to full strength before the next
+    // failure.
     std::map<NodeId, PointerRecord> merged;
     for (const NodeId& h : holders) {
       if (h == best) continue;
       TapestryNode* node = reg_.find(h);
       if (node == nullptr || !node->alive) continue;
       for (const PointerRecord& rec : replicas_at(h).find_all(target)) {
+        if (!reg_.is_live(rec.server)) continue;
         auto [mit, inserted] = merged.emplace(rec.server, rec);
         if (!inserted && rec.expires_at > mit->second.expires_at) {
           mit->second = rec;
@@ -294,6 +306,7 @@ void QuorumReplicator::on_node_death(const NodeId& dead) {
     for (const auto& [server, rec] : merged) dst.upsert(target, rec);
     metrics::replica_rereplications_total().inc();
     ++stats_.rereplications;
+    ++it;
   }
 }
 
@@ -301,7 +314,7 @@ void QuorumReplicator::remove_expired(double now) {
   for (auto& [holder, area] : areas_)
     if (reg_.is_live(holder)) area.remove_expired(now);
   for (auto it = holder_sets_.begin(); it != holder_sets_.end();)
-    it = held(it->first, it->second) ? std::next(it) : holder_sets_.erase(it);
+    it = held(it->first, it->second) ? std::next(it) : drop_set(it);
 }
 
 bool QuorumReplicator::held(const Guid& target,
@@ -309,9 +322,20 @@ bool QuorumReplicator::held(const Guid& target,
   bool any = false;
   for (const NodeId& h : holders)
     if (const auto a = areas_.find(h); a != areas_.end())
-      a->second.for_each_of(
-          target, [&](const Guid&, const PointerRecord&) { any = true; });
+      a->second.for_each_of(target,
+                            [&](const Guid&, const PointerRecord& rec) {
+                              any = any || reg_.is_live(rec.server);
+                            });
   return any;
+}
+
+QuorumReplicator::HolderSets::iterator QuorumReplicator::drop_set(
+    HolderSets::iterator it) {
+  for (const NodeId& h : it->second)
+    if (const auto a = areas_.find(h); a != areas_.end())
+      for (const PointerRecord& rec : a->second.find_all(it->first))
+        a->second.remove(it->first, rec.server);
+  return holder_sets_.erase(it);
 }
 
 const std::vector<NodeId>* QuorumReplicator::holders(

@@ -26,9 +26,14 @@
 //     merged records at the root, so the locate resolves exactly as if
 //     the root had never lost them.
 //   * When a holder dies (reported through ObjectDirectory's node-death
-//     seam, the same one HotspotManager uses), a replacement holder is
-//     chosen and the surviving copies are merged onto it
-//     (re-replication), keeping N holders ahead of further failures.
+//     seam), a replacement holder is chosen and the surviving copies are
+//     merged onto it (re-replication), keeping N holders ahead of further
+//     failures.
+//   * A mirror naming a dead server dies where it is read: a holder's
+//     death re-replicates only the mirrors naming a live server, and a
+//     set with none left goes, mirrors and all, at that death, at an
+//     unpublish of its guid or at an expiry sweep.  A server's own death
+//     walks no holder set.
 //
 // With w + r > k (default k=3, W=2, R=2) every quorum read intersects
 // every acknowledged write, so losing the root or any single holder
@@ -103,7 +108,8 @@ class QuorumReplicator {
                              const PointerRecord& rec, Trace* trace);
 
   /// An unpublish reached `root`: withdraw server's mirrored record.  The
-  /// guid's holder set goes with its last mirrored record.
+  /// guid's holder set goes, mirrors and all, once no holder mirrors a
+  /// record of it naming a live server.
   void mirror_remove(const TapestryNode& root, const Guid& target,
                      const NodeId& server, Trace* trace);
 
@@ -117,13 +123,15 @@ class QuorumReplicator {
                                          Trace* trace);
 
   /// `dead` just died or departed: for every holder set containing it,
-  /// pick a replacement holder and merge the surviving copies onto it.
-  /// The dead node's own replica area is dropped (ids are never reused).
+  /// pick a replacement holder and merge onto it the surviving copies
+  /// that name a live server; a set left with none goes.  The dead node's
+  /// own replica area is dropped (ids are never reused).
   void on_node_death(const NodeId& dead);
 
   /// Drops every expired mirror from the live holders' areas: mirrors are
   /// §6.5 soft state too (ObjectDirectory::expire_pointers calls this).
-  /// Then drops every holder set none of whose holders mirrors a record.
+  /// Then drops every holder set none of whose holders mirrors a record
+  /// naming a live server.
   void remove_expired(double now);
 
   /// The records mirrored to `holder` for roots elsewhere, created empty
@@ -132,9 +140,10 @@ class QuorumReplicator {
     return areas_[holder];
   }
 
-  /// Holder set of `target` while some holder mirrors a record of it
-  /// (tests/benches).  A set forms at the first mirror and goes once an
-  /// unpublish or an expiry sweep leaves no holder a record.
+  /// Holder set of `target` (tests/benches).  A set forms at the first
+  /// mirror and goes once an unpublish, an expiry sweep or a holder's
+  /// death finds no holder mirroring a record of it that names a live
+  /// server.
   [[nodiscard]] const std::vector<NodeId>* holders(const Guid& target) const;
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -146,9 +155,15 @@ class QuorumReplicator {
   /// nearest_live scan when the walk cannot prove its answer.
   std::vector<NodeId>& holder_set(const TapestryNode& root,
                                   const Guid& target);
-  /// Whether some holder's area holds a record of `target`.
+  using HolderSets = std::map<Guid, std::vector<NodeId>>;
+
+  /// Whether some holder's area holds a record of `target` naming a live
+  /// server.
   [[nodiscard]] bool held(const Guid& target,
                           const std::vector<NodeId>& holders) const;
+  /// Erases `it`'s holder set and every mirror of its guid from the
+  /// holders' areas; returns the next set.
+  HolderSets::iterator drop_set(HolderSets::iterator it);
   /// The k live nodes nearest to `root` under (distance, id), read off
   /// the root's own routing table: every slot except the root's own-digit
   /// one per row, plus the backpointer holders that differ from the root
@@ -172,7 +187,7 @@ class QuorumReplicator {
   Transport* transport_ = nullptr;
   // Ordered by guid so death-time scans visit sets in a deterministic
   // order regardless of insertion history.
-  std::map<Guid, std::vector<NodeId>> holder_sets_;
+  HolderSets holder_sets_;
   // Replica area per holder (see replicas_at).
   std::unordered_map<NodeId, MemoryStore> areas_;
   Stats stats_;

@@ -470,10 +470,10 @@ TEST(HotspotManager, CapEvictsColdestInsteadOfDroppingNewDemand) {
 }
 
 TEST(HotspotManager, CrashedPromotedSiteIsPrunedAndReplaced) {
-  // Crash a promoted replica site mid-flash: the node-death hook must
-  // drop it from the manager's `extra` book-keeping (no dead id holding a
-  // replica slot), and continued demand must publish a replacement at a
-  // surviving demand site.
+  // Crash a promoted replica site mid-flash: the manager must count it
+  // pruned from its `extra` book-keeping at once and drop it when the list
+  // is next read (no dead id holding a replica slot), and continued demand
+  // must publish a replacement at a surviving demand site.
   auto g = test::static_ring_network(64, 20, small_params());
   const Guid guid = make_guid(*g.net, 700);
   const NodeId server = g.ids[3];
@@ -498,7 +498,7 @@ TEST(HotspotManager, CrashedPromotedSiteIsPrunedAndReplaced) {
     if (!(s == server)) victim = s;
   g.net->fail(victim);
   EXPECT_GE(mgr.stats().extra_pruned, 1u)
-      << "the death hook must drop the corpse from `extra`";
+      << "the corpse must count as pruned from `extra`";
   EXPECT_EQ(mgr.stats().extra_live, 0u);
 
   // The flash is still on: the very next promotions check must replace

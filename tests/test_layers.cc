@@ -14,7 +14,6 @@
 
 #include "src/sim/metrics.h"
 #include "src/tapestry/locality.h"
-#include "src/tapestry/parallel_join.h"
 #include "src/tapestry/replicated_store.h"
 #include "tests/test_util.h"
 
@@ -249,10 +248,9 @@ TEST(RegistrySeam, MessageCounterEqualsTraceLedger) {
     (void)net.join_bulk(batch, 2, t);
   });
   {
-    ParallelJoinCoordinator coord(net, 0.05);
-    std::vector<ParallelJoinCoordinator::Request> batch;
+    std::vector<EventJoin> batch;
     for (std::size_t i = 0; i < 6; ++i) {
-      ParallelJoinCoordinator::Request r;
+      EventJoin r;
       r.loc = spare++;
       r.gateway = ids[2 + i];
       r.start_time = net.now() + 0.1 * static_cast<double>(i);
@@ -262,11 +260,11 @@ TEST(RegistrySeam, MessageCounterEqualsTraceLedger) {
     const std::uint64_t before = counter.value();
     const std::uint64_t sent0 = net.transport().stats().messages.load();
     std::size_t booked = 0;
-    for (const auto& out : coord.run(batch)) booked += out.messages;
+    for (const auto& out : net.join_events(batch, 0.05)) booked += out.messages;
     EXPECT_GT(booked, 0u);
-    EXPECT_EQ(counter.value() - before, booked) << "coordinator";
+    EXPECT_EQ(counter.value() - before, booked) << "join_events";
     EXPECT_LE(net.transport().stats().messages.load() - sent0, booked)
-        << "coordinator";
+        << "join_events";
   }
   for (std::size_t i = 10; i < 13; ++i) net.fail(ids[i]);
   expect_ledgers(net, "heartbeat_sweep after fails", some,

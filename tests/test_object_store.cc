@@ -1477,5 +1477,64 @@ TEST(QuorumReplication, HolderDeathReReplicatesOntoReplacement) {
   }
 }
 
+/// A mirror naming a dead server dies where the replicator next reads it.
+/// (a) The only server of an object dies, then one of its holders: the
+/// holder's death finds no mirror naming a live server, so it drops the
+/// set and re-replicates nothing.  (b) One of two servers dies and the
+/// other unpublishes: the dead server's mirror does not keep the set.
+/// Either way the set goes with its mirrors.
+TEST(QuorumReplication, MirrorsNamingADeadServerDieWhereRead) {
+  const auto params = replicated_params();
+  ASSERT_EQ(params.replication.k, 3u);
+  auto g = test::static_ring_network(128, 37, params);
+  Network& net = *g.net;
+  QuorumReplicator* repl = net.directory().replicator();
+  ASSERT_NE(repl, nullptr);
+  auto listed = [](const std::vector<NodeId>& v, const NodeId& x) {
+    return std::find(v.begin(), v.end(), x) != v.end();
+  };
+  auto mirrored = [&](const Guid& salted, const std::vector<NodeId>& hs) {
+    std::size_t n = 0;
+    for (const NodeId& h : hs)
+      if (net.registry().is_live(h))
+        n += repl->replicas_at(h).find_all(salted).size();
+    return n;
+  };
+
+  // (a)
+  const Guid a = test::make_guid(net, 71);
+  const Guid salted_a = salted_guid(a, 0);
+  const NodeId server = g.ids[11];
+  net.publish(server, a);
+  ASSERT_NE(repl->holders(salted_a), nullptr);
+  const std::vector<NodeId> holders_a = *repl->holders(salted_a);
+  ASSERT_FALSE(listed(holders_a, server));
+  net.fail(server);
+  ASSERT_NE(repl->holders(salted_a), nullptr)
+      << "a server's death walks no holder set";
+  const std::size_t rereplications = repl->stats().rereplications;
+  net.fail(holders_a[0]);
+  EXPECT_EQ(repl->holders(salted_a), nullptr);
+  EXPECT_EQ(repl->stats().rereplications, rereplications);
+  EXPECT_EQ(mirrored(salted_a, holders_a), 0u);
+
+  // (b)
+  const Guid b = test::make_guid(net, 72);
+  const Guid salted_b = salted_guid(b, 0);
+  const NodeId dying = g.ids[21];
+  const NodeId staying = g.ids[31];
+  net.publish(dying, b);
+  net.publish(staying, b);
+  ASSERT_NE(repl->holders(salted_b), nullptr);
+  const std::vector<NodeId> holders_b = *repl->holders(salted_b);
+  ASSERT_FALSE(listed(holders_b, dying));
+  ASSERT_EQ(mirrored(salted_b, holders_b), 2 * holders_b.size());
+  net.fail(dying);
+  ASSERT_NE(repl->holders(salted_b), nullptr);
+  net.unpublish(staying, b);
+  EXPECT_EQ(repl->holders(salted_b), nullptr);
+  EXPECT_EQ(mirrored(salted_b, holders_b), 0u);
+}
+
 }  // namespace
 }  // namespace tap

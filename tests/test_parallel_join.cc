@@ -4,11 +4,14 @@
 // same-hole and same-prefix-different-hole conflicts of Lemmas 5 and 6.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "src/tapestry/fingerprint.h"
-#include "src/tapestry/parallel_join.h"
+#include "src/tapestry/network.h"
 #include "test_util.h"
 
 namespace tap {
@@ -18,9 +21,9 @@ using test::grow_ring_network;
 using test::make_guid;
 using test::small_params;
 
-ParallelJoinCoordinator::Request req(Location loc, NodeId gw, double t,
-                                     std::optional<NodeId> id = std::nullopt) {
-  ParallelJoinCoordinator::Request r;
+EventJoin req(Location loc, NodeId gw, double t,
+              std::optional<NodeId> id = std::nullopt) {
+  EventJoin r;
   r.loc = loc;
   r.gateway = gw;
   r.start_time = t;
@@ -30,8 +33,7 @@ ParallelJoinCoordinator::Request req(Location loc, NodeId gw, double t,
 
 TEST(ParallelJoin, SingleAsyncJoinMatchesInvariants) {
   auto g = grow_ring_network(64, 120);
-  ParallelJoinCoordinator coord(*g.net, 0.01);
-  const auto outcomes = coord.run({req(64, g.ids[0], 0.0)});
+  const auto outcomes = g.net->join_events({req(64, g.ids[0], 0.0)}, 0.01);
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_TRUE(g.net->contains(outcomes[0].id));
   EXPECT_FALSE(g.net->node(outcomes[0].id).inserting);
@@ -41,13 +43,12 @@ TEST(ParallelJoin, SingleAsyncJoinMatchesInvariants) {
 
 TEST(ParallelJoin, ConcurrentBatchLeavesNoHoles) {
   auto g = grow_ring_network(96, 121);
-  ParallelJoinCoordinator coord(*g.net, 0.05);
-  std::vector<ParallelJoinCoordinator::Request> reqs;
+  std::vector<EventJoin> reqs;
   for (int i = 0; i < 16; ++i)
     reqs.push_back(req(96 + i, g.ids[static_cast<std::size_t>(i) * 3 %
                                      g.ids.size()],
                        0.001 * i));
-  const auto outcomes = coord.run(reqs);
+  const auto outcomes = g.net->join_events(reqs, 0.05);
   EXPECT_EQ(g.net->size(), 96u + 16u);
   for (const auto& o : outcomes) {
     EXPECT_TRUE(g.net->contains(o.id));
@@ -86,8 +87,8 @@ TEST(ParallelJoin, SameHoleConflictBothLearnOfEachOther) {
   const NodeId n2 = free_prefix->with_digit(7, 2);
   ASSERT_FALSE(n1 == n2);
 
-  ParallelJoinCoordinator coord(*g.net, 0.08);
-  coord.run({req(64, g.ids[0], 0.0, n1), req(65, g.ids[5], 0.0001, n2)});
+  g.net->join_events(
+      {req(64, g.ids[0], 0.0, n1), req(65, g.ids[5], 0.0001, n2)}, 0.08);
 
   // Both nodes must know each other (they share >= 2 digits, so each fills
   // the other's table at the shared-prefix levels).
@@ -125,9 +126,8 @@ TEST(ParallelJoin, DifferentHolesSamePrefixWatchListCatches) {
   const NodeId n2 =
       Id::random(spec, tail_rng).with_digit(0, d0).with_digit(1, dj);
 
-  ParallelJoinCoordinator coord(*g.net, 0.08);
-  const auto outcomes =
-      coord.run({req(64, g.ids[0], 0.0, n1), req(65, g.ids[7], 0.0001, n2)});
+  const auto outcomes = g.net->join_events(
+      {req(64, g.ids[0], 0.0, n1), req(65, g.ids[7], 0.0001, n2)}, 0.08);
   EXPECT_EQ(outcomes[0].alpha, 1u);
   EXPECT_EQ(outcomes[1].alpha, 1u);
 
@@ -158,13 +158,12 @@ TEST(ParallelJoin, ObjectsAvailableDuringInsertions) {
       if (!g.net->locate(client, guid).found) ++failures;
     });
   }
-  ParallelJoinCoordinator coord(*g.net, 0.05);
-  std::vector<ParallelJoinCoordinator::Request> reqs;
+  std::vector<EventJoin> reqs;
   for (int i = 0; i < 12; ++i)
     reqs.push_back(req(96 + i, g.ids[static_cast<std::size_t>(i) * 5 %
                                      g.ids.size()],
                        0.005 * i));
-  coord.run(reqs);
+  g.net->join_events(reqs, 0.05);
   EXPECT_EQ(failures, 0u) << "lookups failed while nodes were inserting";
   g.net->check_property4();
 }
@@ -172,13 +171,12 @@ TEST(ParallelJoin, ObjectsAvailableDuringInsertions) {
 TEST(ParallelJoin, LargeBatchOnSmallCore) {
   // Stress: 24 simultaneous inserts on a 16-node core.
   auto g = grow_ring_network(16, 125);
-  ParallelJoinCoordinator coord(*g.net, 0.1);
-  std::vector<ParallelJoinCoordinator::Request> reqs;
+  std::vector<EventJoin> reqs;
   for (int i = 0; i < 24; ++i)
     reqs.push_back(req(16 + i, g.ids[static_cast<std::size_t>(i) %
                                      g.ids.size()],
                        0.002 * i));
-  coord.run(reqs);
+  g.net->join_events(reqs, 0.1);
   EXPECT_EQ(g.net->size(), 40u);
   g.net->check_property1();
   g.net->check_backpointer_symmetry();
@@ -194,7 +192,7 @@ TEST(ParallelJoin, LargeBatchOnSmallCore) {
 
 TEST(ParallelJoin, PeekAgreesWithMutatingRouteMidFlight) {
   // route_to_root_peek vs route_to_root while joins are mid-flight with
-  // pinned entries present (event-coordinator side; the threaded-driver
+  // pinned entries present (join_events side; the threaded-driver
   // side lives in test_threaded_join.cc).  A reference pass learns each
   // join's [start, core] window; the probe pass replays the identical
   // schedule (probes neither mutate tables nor draw from the network Rng,
@@ -202,7 +200,7 @@ TEST(ParallelJoin, PeekAgreesWithMutatingRouteMidFlight) {
   // variants in the thick of the multicasts.
   auto build = [] { return grow_ring_network(64, 127); };
   auto reqs_for = [](const test::GrownNetwork& g) {
-    std::vector<ParallelJoinCoordinator::Request> reqs;
+    std::vector<EventJoin> reqs;
     for (int i = 0; i < 12; ++i)
       reqs.push_back(req(64 + i,
                          g.ids[static_cast<std::size_t>(i) * 5 % g.ids.size()],
@@ -211,8 +209,8 @@ TEST(ParallelJoin, PeekAgreesWithMutatingRouteMidFlight) {
   };
 
   auto reference = build();
-  ParallelJoinCoordinator ref_coord(*reference.net, 0.05);
-  const auto ref_outcomes = ref_coord.run(reqs_for(reference));
+  const auto ref_outcomes =
+      reference.net->join_events(reqs_for(reference), 0.05);
 
   auto g = build();
   std::size_t compared = 0, with_pins = 0;
@@ -241,8 +239,7 @@ TEST(ParallelJoin, PeekAgreesWithMutatingRouteMidFlight) {
       ++compared;
     });
   }
-  ParallelJoinCoordinator coord(*g.net, 0.05);
-  coord.run(reqs_for(g));
+  g.net->join_events(reqs_for(g), 0.05);
   EXPECT_EQ(compared, ref_outcomes.size());
   EXPECT_GT(with_pins, 0u) << "probes must sample mid-flight pinned state";
   g.net->check_property1();
@@ -251,13 +248,12 @@ TEST(ParallelJoin, PeekAgreesWithMutatingRouteMidFlight) {
 TEST(ParallelJoin, DeterministicGivenSeed) {
   auto run_once = [](std::uint64_t seed) {
     auto g = grow_ring_network(32, seed);
-    ParallelJoinCoordinator coord(*g.net, 0.05);
-    std::vector<ParallelJoinCoordinator::Request> reqs;
+    std::vector<EventJoin> reqs;
     for (int i = 0; i < 6; ++i)
       reqs.push_back(req(32 + i, g.ids[static_cast<std::size_t>(i) %
                                        g.ids.size()],
                          0.001 * i));
-    const auto outcomes = coord.run(reqs);
+    const auto outcomes = g.net->join_events(reqs, 0.05);
     std::vector<std::uint64_t> ids;
     for (const auto& o : outcomes) ids.push_back(o.id.value());
     return ids;
@@ -267,25 +263,22 @@ TEST(ParallelJoin, DeterministicGivenSeed) {
 
 TEST(ParallelJoin, MalformedBatchRejectedBeforeScheduling) {
   // A malformed batch must throw before anything is scheduled.  A throw
-  // from inside the event loop would leave events behind that capture the
-  // coordinator and outlive it, and a joiner registered mid-insertion.
+  // from inside the event loop would leave events behind that capture
+  // join_events' frame and outlive it, and a joiner registered
+  // mid-insertion.
   // The queue is deliberately not drained here.
   auto g = grow_ring_network(64, 120);
   g.net->fail(g.ids[9]);
   const std::size_t size = g.net->size();
   const NodeId unused = g.net->fresh_node_id();
-  auto expect_rejected =
-      [&](const std::vector<ParallelJoinCoordinator::Request>& reqs,
-          const char* what) {
-        {
-          ParallelJoinCoordinator coord(*g.net, 0.05);
-          EXPECT_THROW(coord.run(reqs), CheckError) << what;
-        }
-        EXPECT_EQ(g.net->events().pending(), 0u) << what;
-        EXPECT_EQ(g.net->size(), size) << what;
-        for (const auto& n : g.net->registry().nodes())
-          EXPECT_FALSE(n->inserting) << what;
-      };
+  auto expect_rejected = [&](const std::vector<EventJoin>& reqs,
+                             const char* what) {
+    EXPECT_THROW(g.net->join_events(reqs, 0.05), CheckError) << what;
+    EXPECT_EQ(g.net->events().pending(), 0u) << what;
+    EXPECT_EQ(g.net->size(), size) << what;
+    for (const auto& n : g.net->registry().nodes())
+      EXPECT_FALSE(n->inserting) << what;
+  };
   expect_rejected(
       {req(64, g.ids[0], 0.0, unused), req(65, g.ids[1], 0.001, unused)},
       "duplicate id");
@@ -322,11 +315,10 @@ TEST(ParallelJoin, BackpointersStaySymmetricWhileSweepsRunMidBatch) {
         g.net->heartbeat_sweep();
       });
     }
-    ParallelJoinCoordinator coord(*g.net, 0.05);
-    std::vector<ParallelJoinCoordinator::Request> reqs;
+    std::vector<EventJoin> reqs;
     for (std::size_t i = 0; i < 24; ++i)
       reqs.push_back(req(128 + i, g.ids[5 * i % g.ids.size()], 0.002 * i));
-    coord.run(reqs);
+    g.net->join_events(reqs, 0.05);
     EXPECT_EQ(g.net->size(), 128u + 24u);
     g.net->check_property1();
     g.net->check_backpointer_symmetry();
@@ -354,13 +346,79 @@ TEST(ParallelJoin, CoordinatorKeepsProperty1AtRedundancyOne) {
       p.id = id;
       p.redundancy = 1;
       auto g = test::static_ring_network(32, seed, p);
-      std::vector<ParallelJoinCoordinator::Request> reqs;
+      std::vector<EventJoin> reqs;
       for (std::size_t i = 0; i < 48; ++i)
         reqs.push_back(req(32 + i, g.ids[i % 32], 0.001 * double(i)));
-      ParallelJoinCoordinator coord(*g.net, 0.5);
-      coord.run(reqs);
+      g.net->join_events(reqs, 0.5);
       EXPECT_NO_THROW(g.net->check_property1());
       g.net->check_backpointer_symmetry();
+    }
+  }
+}
+
+TEST(ParallelJoin, EventJoinsThatDoNotOverlapAreJoinViasTwin) {
+  // join_events and join_via run one insertion body and differ only in how
+  // a multicast message travels.  Joins spaced so that none overlaps
+  // another must therefore change the mesh exactly as the same joins made
+  // serially do, whatever the jitter: the same tables, booked messages,
+  // deliveries and pointer records.  The records are compared sorted
+  // (node, guid, server, last hop, level), since a store's iteration
+  // order is not part of its state.
+  using Record = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                            std::uint64_t, unsigned>;
+  auto records = [](const Network& net) {
+    std::vector<Record> out;
+    for (const auto& n : net.registry().nodes())
+      n->store().for_each([&](const Guid& g, const PointerRecord& r) {
+        out.emplace_back(n->id().value(), g.value(), r.server.value(),
+                         r.last_hop.has_value() ? r.last_hop->value() : ~0ull,
+                         r.level);
+      });
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  for (const double jitter : {0.0, 0.5}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("jitter " + std::to_string(jitter) + " seed " +
+                   std::to_string(seed));
+      auto serial = grow_ring_network(96, seed);
+      auto event = grow_ring_network(96, seed);
+      for (const test::GrownNetwork* g : {&serial, &event})
+        for (std::size_t i = 0; i < 24; ++i)
+          g->net->publish(g->ids[5 * i % 96], make_guid(*g->net, 700 + i));
+      Rng draw(seed ^ 0x7e1a);
+      std::set<std::uint64_t> used;
+      for (const NodeId& id : serial.ids) used.insert(id.value());
+      std::vector<EventJoin> reqs;
+      while (reqs.size() < 16) {
+        const NodeId id = Id::random(serial.net->params().id, draw);
+        if (!used.insert(id.value()).second) continue;
+        const std::size_t i = reqs.size();
+        reqs.push_back(req(96 + i, serial.ids[draw.next_u64(96)],
+                           1000.0 * double(i), id));
+      }
+      const std::uint64_t sent0 =
+          serial.net->transport().stats().messages.load();
+      ASSERT_EQ(event.net->transport().stats().messages.load(), sent0);
+
+      Trace trace;
+      for (const EventJoin& r : reqs)
+        serial.net->join_via(r.gateway, r.loc, r.id, &trace);
+      const auto outcomes = event.net->join_events(reqs, jitter);
+      std::size_t booked = 0;
+      for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        booked += outcomes[i].messages;
+        if (i + 1 < outcomes.size()) {
+          ASSERT_LT(outcomes[i].done_time, reqs[i + 1].start_time);
+        }
+      }
+
+      EXPECT_EQ(fingerprint_tables(*event.net),
+                fingerprint_tables(*serial.net));
+      EXPECT_EQ(booked, trace.messages());
+      EXPECT_EQ(event.net->transport().stats().messages.load(),
+                serial.net->transport().stats().messages.load());
+      EXPECT_EQ(records(*event.net), records(*serial.net));
     }
   }
 }
@@ -369,9 +427,9 @@ TEST(ParallelJoin, TranscriptIsPinned) {
   // The event-driven §4.4 transcript, pinned: 16 overlapping joins on a
   // grown 64-node ring holding 24 objects, so the §4.2 reroutes around
   // watch-list reports, pins and the final descent are part of the
-  // count.  The coordinator drives the steps serial and threaded
-  // insertion share; these constants hold it to its exact message
-  // schedule and jitter draws.  Memory store and direct transport are set
+  // count.  join_events runs the insertion body serial and threaded
+  // joins share; these constants hold it to its exact message schedule
+  // and jitter draws.  Memory store and direct transport are set
   // here, not taken from TAP_STORE / TAP_TRANSPORT.
   TapestryParams p;
   p.id = IdSpec{4, 8};
@@ -381,12 +439,11 @@ TEST(ParallelJoin, TranscriptIsPinned) {
   auto g = grow_ring_network(64, 98, p);
   for (std::size_t i = 0; i < 24; ++i)
     g.net->publish(g.ids[7 * i % 64], make_guid(*g.net, 800 + i));
-  std::vector<ParallelJoinCoordinator::Request> reqs;
+  std::vector<EventJoin> reqs;
   for (std::size_t i = 0; i < 16; ++i)
     reqs.push_back(req(64 + i, g.ids[3 * i % 64], 0.001 * double(i)));
-  ParallelJoinCoordinator coord(*g.net, 0.05);
   std::size_t messages = 0;
-  for (const auto& o : coord.run(reqs)) messages += o.messages;
+  for (const auto& o : g.net->join_events(reqs, 0.05)) messages += o.messages;
 
   g.net->check_property1();
   g.net->check_property4();

@@ -17,7 +17,6 @@
 
 #include "src/tapestry/fingerprint.h"
 #include "src/tapestry/network.h"
-#include "src/tapestry/parallel_join.h"
 #include "test_util.h"
 
 namespace tap {
@@ -250,7 +249,7 @@ TEST(ThreadedJoin, GuardedPeekAgreesWithMutatingRouteAfterWave) {
 TEST(ThreadedJoin, WaveAgreesWithSerialAndCoordinator) {
   // One protocol, run three ways: the same 24 insertions (explicit ids and
   // gateways, drawn up front) through serial join_via in request order,
-  // through a 4-worker join_bulk wave, and through the event coordinator
+  // through a 4-worker join_bulk wave, and through join_events
   // must reach the same membership and, Property 1 holding on each, the
   // same occupancy pattern, with symmetric backpointers and no pins left.
   // join_via and join_bulk run one insertion body, so on these object-free
@@ -265,7 +264,7 @@ TEST(ThreadedJoin, WaveAgreesWithSerialAndCoordinator) {
     std::set<std::uint64_t> used;
     for (const NodeId& id : serial.ids) used.insert(id.value());
     std::vector<JoinRequest> reqs;
-    std::vector<ParallelJoinCoordinator::Request> event_reqs;
+    std::vector<EventJoin> event_reqs;
     while (reqs.size() < 24) {
       const NodeId id = Id::random(serial.net->params().id, draw);
       if (!used.insert(id.value()).second) continue;
@@ -275,7 +274,7 @@ TEST(ThreadedJoin, WaveAgreesWithSerialAndCoordinator) {
       r.id = id;
       r.gateway = serial.ids[draw.next_u64(serial.ids.size())];
       reqs.push_back(r);
-      ParallelJoinCoordinator::Request e;
+      EventJoin e;
       e.loc = r.loc;
       e.id = id;
       e.gateway = *r.gateway;
@@ -289,8 +288,7 @@ TEST(ThreadedJoin, WaveAgreesWithSerialAndCoordinator) {
     Trace single_trace;
     single.net->join_bulk(reqs, /*workers=*/1, &single_trace);
     threaded.net->join_bulk(reqs, /*workers=*/4);
-    ParallelJoinCoordinator coord(*event.net, 0.05);
-    coord.run(event_reqs);
+    event.net->join_events(event_reqs, 0.05);
 
     auto sorted_ids = [](const Network& net) {
       std::vector<std::uint64_t> v;

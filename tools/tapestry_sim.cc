@@ -60,8 +60,8 @@
 //   --threads=N              worker threads (0 = hardware)           [0]
 //   --join-wave=W            concurrent dynamic joins on top         [0]
 //   --join-threads=N         drive the join wave on N real threads
-//                            (Network::join_bulk) instead of the
-//                            simulated-time event coordinator        [0]
+//                            (Network::join_bulk) instead of as
+//                            simulated-time events (join_events)     [0]
 //
 // Churn-scenario flags (--scenario=churn; event-driven §6.5 experiments,
 // deterministically reproducible from --seed).  A flag that sets a
@@ -154,7 +154,6 @@
 #include "src/sim/metrics.h"
 #include "src/sim/thread_pool.h"
 #include "src/tapestry/network.h"
-#include "src/tapestry/parallel_join.h"
 
 namespace {
 
@@ -193,7 +192,7 @@ struct Options {
   // Bigbuild-scenario mode.
   std::size_t threads = 0;       // 0 => hardware concurrency
   std::size_t join_wave = 0;     // concurrent dynamic joins on top
-  std::size_t join_threads = 0;  // 0 => event coordinator; N => real threads
+  std::size_t join_threads = 0;  // 0 => join_events; N => real threads
 
   // Threaded-churn-soak mode (--scenario=churn only).
   std::size_t churn_threads = 0;  // 0 => event-driven ChurnDriver
@@ -778,19 +777,18 @@ int run_bigbuild_scenario(const Options& o, const MetricSpace& space,
     net.join_bulk(reqs, o.join_threads);
     wave_ms = wall_ms(t0);
   } else if (o.join_wave > 0) {
-    // Simulated time: the event coordinator interleaves the same protocol
-    // on one thread.
+    // Simulated time: join_events interleaves the same protocol's messages
+    // as events on one thread.
     Rng wave_rng(o.seed ^ 0x9a7e);
     const auto core_ids = net.node_ids();
-    std::vector<ParallelJoinCoordinator::Request> reqs(o.join_wave);
+    std::vector<EventJoin> reqs(o.join_wave);
     for (std::size_t i = 0; i < o.join_wave; ++i) {
       reqs[i].loc = core + i;
       reqs[i].gateway = core_ids[wave_rng.next_u64(core_ids.size())];
       reqs[i].start_time = 0.0;
     }
     t0 = std::chrono::steady_clock::now();
-    ParallelJoinCoordinator coordinator(net);
-    coordinator.run(reqs);
+    net.join_events(reqs);
     wave_ms = wall_ms(t0);
   }
 
