@@ -77,16 +77,6 @@ void LocateCache::erase(const NodeId& at, const Guid& base) {
   pn.index.erase(it);
 }
 
-void LocateCache::invalidate_object(const Guid& base) {
-  for (auto& [node, pn] : nodes_) {
-    auto it = pn.index.find(base);
-    if (it == pn.index.end()) continue;
-    pn.lru.erase(it->second);
-    pn.index.erase(it);
-    ++stats_.invalidated;
-  }
-}
-
 void LocateCache::drop_node(const NodeId& dead) {
   if (auto nit = nodes_.find(dead.value()); nit != nodes_.end()) {
     stats_.invalidated += nit->second.lru.size();

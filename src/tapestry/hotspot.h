@@ -74,8 +74,8 @@ class LocateCache {
     std::size_t expired = 0;     ///< entries dropped at lookup for age
     std::size_t fallbacks = 0;   ///< hits whose holder verification failed
     std::size_t insertions = 0;  ///< upserts (refreshes included)
-    /// Entries dropped by invalidate_object and drop_node, and hints
-    /// lookup dropped for naming a dead holder or server.
+    /// Entries drop_node dropped with a corpse's LRU, and hints lookup
+    /// dropped for naming a dead holder or server.
     std::size_t invalidated = 0;
   };
 
@@ -101,9 +101,6 @@ class LocateCache {
 
   /// Drops node `at`'s entry for `base` (failed verification).
   void erase(const NodeId& at, const Guid& base);
-
-  /// Drops every node's entry for `base` (unpublish).
-  void invalidate_object(const Guid& base);
 
   /// Drops the dead or departed node's own LRU (§5).  Hints elsewhere
   /// that name it as pointer holder or replica stay until lookup reads

@@ -133,9 +133,7 @@ bool slot_empty(const TapestryNode& n, unsigned level, unsigned digit,
 
 /// The first dead member of `n`'s row `level`, in slot order.
 std::optional<NodeId> dead_member(const NodeRegistry& reg,
-                                  const TapestryNode& n, unsigned level,
-                                  const NodeLockTable* locks) {
-  NodeLockTable::Guard g(locks, n.id());
+                                  const TapestryNode& n, unsigned level) {
   const std::uint64_t row = n.table().row_mask(level);
   for (unsigned j = occ::next(row, 0); j != occ::kNone;
        j = occ::next(row, j + 1))
@@ -259,102 +257,78 @@ std::optional<NodeId> MaintenanceEngine::find_replacement(
 
 void MaintenanceEngine::heartbeat_sweep(Trace* trace) {
   metrics::heartbeat_sweeps_total().inc();
-  heartbeat_round(trace, nullptr, 1);
-  fill_pass(trace, nullptr, 1);
+  heartbeat_round(trace);
+  fill_pass(trace);
 }
 
-void MaintenanceEngine::for_each_live(
-    const NodeLockTable* locks, std::size_t workers, Trace* trace,
-    const std::function<void(TapestryNode&, Trace*)>& body) {
-  if (locks == nullptr) {
-    for (const auto& n : reg_.nodes())
-      if (n->alive) body(*n, trace);
-    return;
-  }
-  const std::vector<TapestryNode*> nodes = reg_.nodes_snapshot();
-  std::vector<Trace> traces(nodes.size());
-  parallel_for(
-      nodes.size(),
-      [&](std::size_t i) {
-        if (nodes[i]->alive) body(*nodes[i], &traces[i]);
-      },
-      workers);
-  if (trace != nullptr)
-    for (const Trace& t : traces) trace->absorb(t);
-}
-
-void MaintenanceEngine::heartbeat_round(Trace* trace,
-                                        const NodeLockTable* locks,
-                                        std::size_t workers) {
+void MaintenanceEngine::heartbeat_round(Trace* trace) {
   const unsigned digits = params_.id.num_digits;
 
   // Pushes, all at the sweep's instant: each live node sends one "alive"
   // heartbeat to every distinct backpointer holder.  A holder that is a
   // corpse never hears it, so the pusher drops its backpointers to it and
   // pushes to it only this once.  A node touches only its own table.
-  for_each_live(locks, workers, trace, [&](TapestryNode& x, Trace* t) {
-    thread_local std::vector<NodeId> holders;
-    holders.clear();
-    {
-      NodeLockTable::Guard g(locks, x.id());
-      for (unsigned l = 0; l < digits; ++l) {
-        const auto row = x.table().backpointers(l);
-        holders.insert(holders.end(), row.begin(), row.end());
-      }
+  for (const auto& xp : reg_.nodes()) {
+    if (!xp->alive) continue;
+    TapestryNode& x = *xp;
+    holders_.clear();
+    for (unsigned l = 0; l < digits; ++l) {
+      const auto row = x.table().backpointers(l);
+      holders_.insert(holders_.end(), row.begin(), row.end());
     }
-    std::sort(holders.begin(), holders.end());
-    holders.erase(std::unique(holders.begin(), holders.end()), holders.end());
-    for (const NodeId& h : holders) {
+    std::sort(holders_.begin(), holders_.end());
+    holders_.erase(std::unique(holders_.begin(), holders_.end()),
+                   holders_.end());
+    for (const NodeId& h : holders_) {
       TapestryNode& to = reg_.checked(h);
       Message alive = make_message(MessageKind::kHeartbeatAck, x.id(), h, h);
       alive.flag = true;
-      transport_->send(alive, reg_.hop_dist(t, x, to), t);
+      transport_->send(alive, reg_.hop_dist(trace, x, to), trace);
       if (to.alive) continue;
-      {
-        NodeLockTable::Guard g(locks, x.id());
-        for (unsigned l = 0; l < digits; ++l)
-          x.table().remove_backpointer(l, h);
-      }
-      release_if_unlinked(reg_, to, locks);
+      for (unsigned l = 0; l < digits; ++l) x.table().remove_backpointer(l, h);
+      release_if_unlinked(reg_, to);
     }
-  });
+  }
 
   // Probes: a member no push came from is dead.  Each live node probes it
   // (no answer) and runs the same purge a failed routing step would, in
   // table order.  The row is re-read before each probe: a purge's §4.2
   // reroute may already have purged the next corpse.
-  for_each_live(locks, workers, trace, [&](TapestryNode& n, Trace* t) {
+  for (const auto& np : reg_.nodes()) {
+    if (!np->alive) continue;
+    TapestryNode& n = *np;
     for (unsigned l = 0; l < digits; ++l) {
-      while (const auto dead = dead_member(reg_, n, l, locks)) {
+      while (const auto dead = dead_member(reg_, n, l)) {
         transport_->send(
             make_message(MessageKind::kHeartbeatProbe, n.id(), *dead, *dead),
-            reg_.hop_dist(t, n, reg_.checked(*dead)), t);
-        purge_dead_neighbor(n, *dead, t, locks);
+            reg_.hop_dist(trace, n, reg_.checked(*dead)), trace);
+        purge_dead_neighbor(n, *dead, trace);
       }
     }
-  });
+  }
 }
 
-void MaintenanceEngine::fill_pass(Trace* trace, const NodeLockTable* locks,
-                                  std::size_t workers) {
+void MaintenanceEngine::fill_pass(Trace* trace) {
   const unsigned digits = params_.id.num_digits;
   const unsigned radix = params_.id.radix();
   // Refills every empty slot some live id fits: holes no repair opened,
   // such as one left by a join made during a partition.  The search is
   // complete and a fill only adds a link, so one pass leaves no fillable
   // hole.  A slot no live id fits (Property 1's empty slots, mostly) is
-  // skipped without a search, and the serial pointer snapshot waits until
-  // a replacement turns up.
-  for_each_live(locks, workers, trace, [&](TapestryNode& n, Trace* t) {
+  // skipped without a search, and the pointer snapshot waits until a
+  // replacement turns up.
+  for (const auto& np : reg_.nodes()) {
+    if (!np->alive) continue;
+    TapestryNode& n = *np;
     for (unsigned l = 0; l < digits; ++l) {
       for (unsigned j = 0; j < radix; ++j) {
-        if (!slot_empty(n, l, j, locks)) continue;
+        if (!n.table().slot_empty(l, j)) continue;
         const auto [first, last] = reg_.live_in_slot(n.id(), l, j);
         if (first == last) continue;
-        const auto rep = find_replacement(n, l, j, t, locks);
+        const auto rep = find_replacement(n, l, j, trace, nullptr);
         if (!rep.has_value()) continue;
-        rerouting(n, t, locks,
-                  [&] { link(reg_, n, l, reg_.live(*rep), locks); });
+        rerouting(n, trace, nullptr,
+                  [&] { link(reg_, n, l, reg_.live(*rep)); });
       }
       // Every deeper class lies inside n's own-digit class; once n is its
       // only live member, no hole below is fillable.
@@ -362,7 +336,7 @@ void MaintenanceEngine::fill_pass(Trace* trace, const NodeLockTable* locks,
           reg_.live_in_slot(n.id(), l, n.id().digit(l));
       if (mine_end - mine == 1) break;
     }
-  });
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -468,16 +442,6 @@ void MaintenanceEngine::fail_and_repair_bulk(const std::vector<NodeId>& victims,
     for (const NodeId& h : holders)
       if (TapestryNode* b = reg_.find(h); b != nullptr && b->alive)
         purge_dead_neighbor(*b, v, t, locks);
-  });
-}
-
-void MaintenanceEngine::heartbeat_sweep_bulk(std::size_t workers,
-                                             Trace* trace) {
-  WaveTimer timer;
-  metrics::heartbeat_sweeps_total().inc();
-  run_wave(reg_.nodes_snapshot(), trace, [&] {
-    heartbeat_round(trace, &reg_.node_locks(), workers);
-    fill_pass(trace, &reg_.node_locks(), workers);
   });
 }
 

@@ -11,17 +11,17 @@
 // replacement hunt, pointer re-route) happens here.  Pointer re-routing is
 // delegated to the ObjectDirectory so Property 4 survives table churn.
 //
-// Every §3-§4.4 insertion step, every §5 repair step — departure, purge,
-// replacement search, heartbeat and fill — and every table link is
-// one implementation taking a `const NodeLockTable* locks`: null runs it
-// serially on a quiescent mesh (join_via, join_events, leave,
-// heartbeat_sweep), the registry's table runs it inside a thread-parallel
-// wave (join_bulk, leave_bulk and friends below) under the stripe
-// discipline of node_locks.h.  A step changes tables through `rerouting`:
-// serially it re-routes the object pointers (§4.2) around each change;
-// given the lock table it changes tables only, and the wave re-routes
-// serially around its threads (run_wave), so no worker thread touches a
-// store.
+// Every §3-§4.4 insertion step, every §5 repair step a wave runs —
+// departure, purge, replacement search — and every table link is one
+// implementation taking a `const NodeLockTable* locks`: null runs it
+// serially on a quiescent mesh (join_via, join_events, leave, the
+// heartbeat sweep), the registry's table runs it inside a thread-parallel
+// wave (join_bulk, leave_bulk, fail_and_repair_bulk) under the stripe
+// discipline of node_locks.h.  The sweep's own passes, heartbeat and fill,
+// run serially only.  A step changes tables through `rerouting`: serially
+// it re-routes the object pointers (§4.2) around each change; given the
+// lock table it changes tables only, and the wave re-routes serially
+// around its threads (run_wave), so no worker thread touches a store.
 #pragma once
 
 #include <cstdint>
@@ -215,7 +215,9 @@ class MaintenanceEngine final : public RepairHandler {
   /// (node, holder) pair and one probe per (live node, dead member) pair
   /// present when it starts; a link the sweep makes itself is heard from
   /// at the next.  Every message is booked as it is sent.  Counts one
-  /// tapestry_heartbeat_sweeps_total.
+  /// tapestry_heartbeat_sweeps_total.  Serial, on a quiescent mesh; it and
+  /// its timer (start_heartbeats) are the only calls that heartbeat: leave
+  /// and fail waves send no heartbeat and count no sweep.
   void heartbeat_sweep(Trace* trace = nullptr);
 
   // --- thread-parallel repair waves (§5.1, §5.2 on real threads) ---
@@ -230,19 +232,18 @@ class MaintenanceEngine final : public RepairHandler {
   //
   // §4.2 pointer rerouting runs serially around the threads (run_wave),
   // never deferred to the §6.5 republish backstop: before they start the
-  // wave snapshots the pointer hops of every node it may re-link (a leave
-  // or fail wave: the victims' backpointer holders, read off their
-  // tombstones; a heartbeat wave: every live node), and after they join
-  // it re-routes each snapshot in order, as the serial calls do around
-  // one change.  Objects are locatable the moment the wave returns.
+  // wave snapshots the pointer hops of every node it may re-link (the
+  // victims' backpointer holders, read off their tombstones), and after
+  // they join it re-routes each snapshot in order, as the serial calls do
+  // around one change.  Objects are locatable the moment the wave returns.
   //
   // A leave or fail wave repairs only what it breaks, as the serial leave
   // and lazy purge do: it notifies or purges exactly the nodes that link
   // to a victim, and never scans the mesh for other corpses or holes.  A
   // node that died by a plain fail() stays in its holders' tables, and a
-  // hole no repair opened stays empty, until a heartbeat sweep (serial,
-  // timed or heartbeat_sweep_bulk) probes the one and fills the other; a
-  // routing walk that trips over a corpse purges it too.
+  // hole no repair opened stays empty, until a heartbeat sweep (called or
+  // timed) probes the one and fills the other; a routing walk that trips
+  // over a corpse purges it too.
   //
   // Determinism contract (invariant-convergent, as for joins): victims are
   // validated and membership changes are applied serially before any
@@ -286,14 +287,6 @@ class MaintenanceEngine final : public RepairHandler {
   /// heartbeat sweep.
   void fail_and_repair_bulk(const std::vector<NodeId>& victims,
                             std::size_t workers = 0, Trace* trace = nullptr);
-  /// heartbeat_sweep fanned out across `workers` real threads (one task
-  /// per node): the heartbeat round, then the fill pass, then every live
-  /// node's §4.2 re-route.  Membership must be quiescent; guarded store
-  /// racers (publish batches, expiry sweeps, peeked queries) are fine.
-  /// Counts one sweep, as heartbeat_sweep does.  It is the only wave that
-  /// heartbeats: leave and fail waves send no heartbeat and count no sweep.
-  void heartbeat_sweep_bulk(std::size_t workers = 0, Trace* trace = nullptr);
-
   /// Runs heartbeat_sweep as a recurring EventQueue event every `every`
   /// simulated time units (first firing at now + every), so lazy repair
   /// interleaves with in-flight publishes and queries.  Restarting
@@ -447,28 +440,21 @@ class MaintenanceEngine final : public RepairHandler {
   /// Refills slot (level, digit) of `at` if it is empty (Property 1).
   void refill_slot(TapestryNode& at, unsigned level, unsigned digit,
                    Trace* trace, const NodeLockTable* locks);
-  /// A sweep's heartbeat round, in two passes over the live nodes.  First
-  /// each pushes one kHeartbeatAck to every distinct backpointer holder
-  /// and drops its backpointers to a dead one: link, unlink and the §4.4
-  /// pins keep a live node's backpointers the exact inverse of the
-  /// forward links to it, so every live link hears its member once.
-  /// Then each probes every dead member it still lists (one unanswered
-  /// kHeartbeatProbe) and purges it, in table order, re-reading the row
-  /// before each probe.  Neither pass reads a corpse's table.
-  void heartbeat_round(Trace* trace, const NodeLockTable* locks,
-                       std::size_t workers);
-  /// One pass over every live node refilling each empty slot a live id
-  /// fits: the sweeps' recovery for holes no repair opened.  The search is
-  /// complete and a fill only adds a link, so the pass leaves no fillable
-  /// hole.
-  void fill_pass(Trace* trace, const NodeLockTable* locks,
-                 std::size_t workers);
-  /// Runs `body` on every live node.  Serial: registry order, `trace`
-  /// passed straight through.  Threaded: one task and one Trace per node,
-  /// absorbed in node order.
-  void for_each_live(const NodeLockTable* locks, std::size_t workers,
-                     Trace* trace,
-                     const std::function<void(TapestryNode&, Trace*)>& body);
+  /// A sweep's heartbeat round, in two passes over the live nodes in
+  /// registration order.  First each pushes one kHeartbeatAck to every
+  /// distinct backpointer holder and drops its backpointers to a dead one:
+  /// link, unlink and the §4.4 pins keep a live node's backpointers the
+  /// exact inverse of the forward links to it, so every live link hears
+  /// its member once.  Then each probes every dead member it still lists
+  /// (one unanswered kHeartbeatProbe) and purges it, in table order,
+  /// re-reading the row before each probe.  Neither pass reads a corpse's
+  /// table.
+  void heartbeat_round(Trace* trace);
+  /// One pass over every live node, in registration order, refilling
+  /// each empty slot a live id fits: the sweep's recovery for holes no
+  /// repair opened.  The search is complete and a fill only adds a link,
+  /// so the pass leaves no fillable hole.
+  void fill_pass(Trace* trace);
   /// §4.2 around a table change of `n`: serially (`locks` null) the
   /// pointers whose next hop moved are re-routed at once; given a lock
   /// table the change runs bare, inside a wave that re-routes around its
@@ -507,6 +493,9 @@ class MaintenanceEngine final : public RepairHandler {
   EventQueue& events_;
   Rng& rng_;
   Timer heartbeat_timer_;
+  /// heartbeat_round's push buffer, one node's distinct backpointer
+  /// holders: kept across sweeps, so a pass allocates only to grow it.
+  std::vector<NodeId> holders_;
 };
 
 }  // namespace tap

@@ -166,14 +166,6 @@ class Network {
     maintenance_.fail_and_repair_bulk(victims, workers, trace);
   }
 
-  /// heartbeat_sweep across `workers` real threads (membership must be
-  /// quiescent; guarded store racers are fine), then every live node's
-  /// §4.2 re-route; the one wave that heartbeats, purges corpses nobody
-  /// announced and fills holes no repair opened.
-  void heartbeat_sweep_bulk(std::size_t workers = 0, Trace* trace = nullptr) {
-    maintenance_.heartbeat_sweep_bulk(workers, trace);
-  }
-
   // ------------------------------------------------------------------
   // Fault injection: network partition
   // ------------------------------------------------------------------

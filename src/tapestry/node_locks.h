@@ -1,11 +1,12 @@
 // NodeLockTable: striped per-node mutexes for the thread-parallel
 // protocol paths — §4.4 join waves (MaintenanceEngine::join_bulk) and the
-// §5.1 leave / §5.2 fail-stop repair / heartbeat-sweep waves
-// (MaintenanceEngine::leave_bulk and friends; both in maintenance.h),
-// whose worker threads change routing tables only, and the guarded peek
-// walks that race them (Router::route_to_root_peek, guarded
-// publish_batch).  Every routine that takes a `const NodeLockTable*` runs
-// serially when it is null: a Guard on a null table locks nothing.
+// §5.1 leave / §5.2 fail-stop repair waves (MaintenanceEngine::leave_bulk,
+// fail_and_repair_bulk; both in maintenance.h), whose worker threads
+// change routing tables only, and the guarded peek walks that race them
+// (Router::route_to_root_peek, guarded publish_batch).  Every routine that
+// takes a `const NodeLockTable*` runs serially when it is null: a Guard on
+// a null table locks nothing.  The heartbeat sweep takes no lock table: it
+// runs serially only.
 //
 // The registry's index is already lock-free for readers, and the object
 // stores bring their own synchronisation (ShardedStore's guid stripes) —

@@ -423,11 +423,10 @@ void ObjectDirectory::unpublish(NodeId server, const Guid& guid,
                   servers.end());
     if (servers.empty()) replicas_.erase(it);
   }
-  // Cached hints may name the withdrawn replica; drop them all rather than
-  // letting every holder verification discover the removal one probe at a
-  // time.  (Verification would still keep the answers correct — this is
-  // the eager half of the invalidation contract.)
-  cache_.invalidate_object(guid);
+  // A cached hint naming the withdrawn replica stays where it is: the next
+  // query that reads it jumps to the holder, finds no live record there,
+  // drops it and resumes the walk (cache-verify), booking the detour on
+  // that query as a deployment would.
 }
 
 // ---------------------------------------------------------------------

@@ -211,13 +211,22 @@ TEST(SecondarySearch, NeverWorseStretchOnAverageCostsMoreMessages) {
 TEST(Heartbeat, PurgesEveryCorpseReference) {
   auto g = grow_ring_network(96, 148);
   Rng rng(4);
+  std::vector<NodeId> survivors = g.net->node_ids();
   std::vector<NodeId> dead;
   for (int i = 0; i < 12; ++i) {
-    auto ids = g.net->node_ids();
-    const NodeId victim = ids[rng.next_u64(ids.size())];
-    g.net->fail(victim);
-    dead.push_back(victim);
+    const std::size_t k = rng.next_u64(survivors.size());
+    dead.push_back(survivors[k]);
+    survivors.erase(survivors.begin() + static_cast<std::ptrdiff_t>(k));
   }
+  // Objects on survivors, published before the fail-stops: each purge
+  // re-routes the pointers whose next hop it moved (§4.2), so the sweep
+  // leaves them locatable with no republish.
+  std::vector<Guid> guids;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    guids.push_back(make_guid(*g.net, 8600 + i));
+    g.net->publish(survivors[i], guids.back());
+  }
+  for (const NodeId& v : dead) g.net->fail(v);
   // Only a corpse is probed: one unanswered probe per distinct
   // (live node, corpse) link.  Live neighbors push their heartbeats.
   std::size_t corpse_links = 0;
@@ -227,7 +236,9 @@ TEST(Heartbeat, PurgesEveryCorpseReference) {
   ASSERT_GT(corpse_links, 0u);
   const TransportStats& stats = g.net->transport().stats();
   const std::uint64_t probes = stats.kind_count(MessageKind::kHeartbeatProbe);
+  const std::uint64_t sweeps = metrics::heartbeat_sweeps_total().value();
   g.net->heartbeat_sweep();
+  EXPECT_EQ(metrics::heartbeat_sweeps_total().value() - sweeps, 1u);
   EXPECT_EQ(stats.kind_count(MessageKind::kHeartbeatProbe) - probes,
             corpse_links);
   for (const NodeId& id : g.net->node_ids()) {
@@ -241,6 +252,12 @@ TEST(Heartbeat, PurgesEveryCorpseReference) {
   }
   g.net->check_property1();
   g.net->check_backpointer_symmetry();
+  test::expect_no_pins(*g.net);
+  Rng ql(88);
+  for (const Guid& guid : guids)
+    EXPECT_TRUE(
+        g.net->locate(survivors[ql.next_u64(survivors.size())], guid).found)
+        << "object lost in the sweep: " << guid.to_string();
 }
 
 // Records every heartbeat push that lands on a corpse, then delivers
@@ -367,13 +384,15 @@ TEST(Heartbeat, CountsProbeTraffic) {
   const std::uint64_t forwards =
       stats.kind_count(MessageKind::kMulticastForward);
   const std::uint64_t delivered = stats.messages.load();
+  const std::uint64_t tables = fingerprint_tables(*g.net);
   Trace t;
   g.net->heartbeat_sweep(&t);
   // On a healthy overlay a sweep is one pushed heartbeat per distinct
   // neighbor of each node, however many slots the neighbor occupies, no
   // probe (nobody stays silent) and no replacement search: Property 1
-  // leaves no fillable hole.  The Trace and the transport count the same
-  // messages.
+  // leaves no fillable hole, so no table changes.  The Trace and the
+  // transport count the same messages.
+  EXPECT_EQ(fingerprint_tables(*g.net), tables);
   std::size_t neighbors = 0;
   for (const NodeId& id : g.net->node_ids())
     neighbors += g.net->node(id).table().all_neighbors().size();

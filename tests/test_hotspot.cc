@@ -71,7 +71,10 @@ TEST(LocateCache, PastDeadlineRecordIsNeverCached) {
   EXPECT_EQ(cache.entries_at(at), 0u);
 }
 
-TEST(LocateCache, InvalidateByObjectAndByNode) {
+TEST(LocateCache, InvalidateByNode) {
+  // A death drops the corpse's own LRU and nothing else: a hint naming
+  // the corpse as holder or server stays until a lookup reads it, which
+  // drops it and counts a miss.
   const IdSpec spec{4, 8};
   std::set<std::uint64_t> dead;
   auto is_live = [&](const NodeId& id) { return dead.count(id.value()) == 0; };
@@ -80,16 +83,7 @@ TEST(LocateCache, InvalidateByObjectAndByNode) {
   const NodeId holder(spec, 0x22), server(spec, 0x33);
   const Guid g1(spec, 1), g2(spec, 2);
   cache.insert(a, g1, {g1, holder, server, 100.0}, 0.0);
-  cache.insert(b, g1, {g1, holder, server, 100.0}, 0.0);
   cache.insert(b, g2, {g2, server, server, 100.0}, 0.0);
-  cache.invalidate_object(g1);
-  EXPECT_FALSE(cache.lookup(a, g1, 0.0).has_value());
-  EXPECT_FALSE(cache.lookup(b, g1, 0.0).has_value());
-  EXPECT_TRUE(cache.lookup(b, g2, 0.0).has_value());
-  // A death drops the corpse's own LRU and nothing else: a hint naming
-  // the corpse as holder or server stays until a lookup reads it, which
-  // drops it and counts a miss.
-  cache.insert(a, g1, {g1, holder, server, 100.0}, 0.0);
   const NodeId c(spec, 0x44);
   cache.insert(c, g2, {g2, server, server, 100.0}, 0.0);
   ASSERT_EQ(cache.entries(), 3u);
@@ -137,20 +131,28 @@ TEST(HotspotCache, RepeatLocateHitsCacheAndAgrees) {
   EXPECT_GE(g.net->directory().locate_cache().stats().hits, 1u);
 }
 
-TEST(HotspotCache, UnpublishInvalidatesEverywhere) {
+TEST(HotspotCache, UnpublishedHintDiesWhereRead) {
+  // Unpublish walks no locate cache: a hint naming the withdrawn replica
+  // stays until a query reads it.  That query jumps to the remembered
+  // holder, finds no live record, drops the hint, counts a fallback and
+  // resumes the walk, so it misses as the uncached locate does.
   auto g = test::static_ring_network(64, 12, cached_params());
   const Guid guid = make_guid(*g.net, 501);
   const NodeId server = g.ids[5];
   g.net->publish(server, guid);
   const NodeId client = pick_client(g, guid, server);
   ASSERT_TRUE(g.net->locate(client, guid).found);  // warm the path caches
-  ASSERT_GT(g.net->directory().locate_cache().entries(), 0u);
+  const LocateCache& cache = g.net->directory().locate_cache();
+  const std::size_t warmed = cache.entries();
+  ASSERT_GT(warmed, 0u);
 
   g.net->unpublish(server, guid);
-  EXPECT_EQ(g.net->directory().locate_cache().entries(), 0u)
-      << "unpublish must drop every node's hint for the object";
+  EXPECT_EQ(cache.entries(), warmed) << "unpublish must walk no cache";
+  const std::size_t fallbacks = cache.stats().fallbacks;
   const LocateResult after = g.net->locate(client, guid);
   EXPECT_FALSE(after.found) << "cached locate must agree with uncached";
+  EXPECT_GT(cache.stats().fallbacks, fallbacks);
+  EXPECT_EQ(cache.entries(), 0u) << "each hint the query read must die";
 }
 
 TEST(HotspotCache, ReplicaCrashFallsBackToSurvivingReplica) {

@@ -22,6 +22,7 @@
 namespace tap {
 namespace {
 
+using test::expect_no_pins;
 using test::make_guid;
 using test::small_params;
 using test::static_ring_network;
@@ -30,18 +31,6 @@ std::vector<JoinRequest> wave_requests(std::size_t core, std::size_t count) {
   std::vector<JoinRequest> reqs(count);
   for (std::size_t i = 0; i < count; ++i) reqs[i].loc = core + i;
   return reqs;
-}
-
-void expect_no_pins(const Network& net) {
-  for (const auto& n : net.registry().nodes()) {
-    if (!n->alive) continue;
-    const RoutingTable& t = n->table();
-    for (unsigned l = 0; l < t.levels(); ++l)
-      for (unsigned j = 0; j < t.radix(); ++j)
-        ASSERT_TRUE(t.at(l, j).pinned_members().empty())
-            << "leftover pin at " << n->id().to_string() << " slot (" << l
-            << "," << j << ")";
-  }
 }
 
 void expect_surrogate_agreement(Network& net, std::uint64_t salt,
@@ -226,6 +215,9 @@ TEST(ThreadedJoin, GuardedPeekAgreesWithMutatingRouteAfterWave) {
       probes.fetch_add(1, std::memory_order_relaxed);
     }
   });
+  // The wave starts after the prober's first walk, so the two overlap
+  // however the threads are scheduled.
+  while (probes.load() == 0) std::this_thread::yield();
   g.net->join_bulk(wave_requests(96, 32), /*workers=*/4);
   stop.store(true, std::memory_order_relaxed);
   prober.join();

@@ -30,6 +30,7 @@
 namespace tap {
 namespace {
 
+using test::expect_no_pins;
 using test::make_guid;
 using test::small_params;
 using test::static_ring_network;
@@ -57,18 +58,6 @@ std::vector<NodeId> pick_survivor_servers(const std::vector<NodeId>& ids,
     if (doomed.count(id.value()) == 0) servers.push_back(id);
   }
   return servers;
-}
-
-void expect_no_pins(const Network& net) {
-  for (const auto& n : net.registry().nodes()) {
-    if (!n->alive) continue;
-    const RoutingTable& t = n->table();
-    for (unsigned l = 0; l < t.levels(); ++l)
-      for (unsigned j = 0; j < t.radix(); ++j)
-        ASSERT_TRUE(t.at(l, j).pinned_members().empty())
-            << "leftover pin at " << n->id().to_string() << " slot (" << l
-            << "," << j << ")";
-  }
 }
 
 std::uint64_t membership_fingerprint(const Network& net) {
@@ -349,6 +338,9 @@ TEST(ThreadedRepair, GuardedPeekProberRacesFailWave) {
       probes.fetch_add(1, std::memory_order_relaxed);
     }
   });
+  // The wave starts after the prober's first walk, so the two overlap
+  // however the threads are scheduled.
+  while (probes.load() == 0) std::this_thread::yield();
   g.net->fail_and_repair_bulk(victims, /*workers=*/4);
   stop.store(true, std::memory_order_relaxed);
   prober.join();
@@ -397,9 +389,10 @@ TEST(ThreadedRepair, EveryWaveKeepsProperty4OnTheMemoryStore) {
   // unlocked memory store on any worker count (0 = hardware concurrency
   // counts as more than one) and keeps Property 4 with no republish.
   // Under TSan this is the witness that no worker thread writes a store.
-  // One published ring takes a join, a leave, a fail and a heartbeat wave
-  // in turn; after each: no throw, Property 1, symmetric backpointers,
-  // Property 4, and every object found.
+  // One published ring takes a join, a leave and a fail wave, then plain
+  // fail()s healed by a serial heartbeat sweep, in turn; after each: no
+  // throw, Property 1, symmetric backpointers, Property 4, and every
+  // object found.
   TapestryParams p = small_params();
   p.store_backend = StoreBackend::kMemory;
   for (const std::size_t workers : {0u, 4u}) {
@@ -432,7 +425,7 @@ TEST(ThreadedRepair, EveryWaveKeepsProperty4OnTheMemoryStore) {
       if (wave == "fail") g.net->fail_and_repair_bulk(failers, workers);
       if (wave == "heartbeat") {
         for (const NodeId& v : corpses) g.net->fail(v);
-        g.net->heartbeat_sweep_bulk(workers);
+        g.net->heartbeat_sweep();
       }
     };
 
@@ -447,98 +440,6 @@ TEST(ThreadedRepair, EveryWaveKeepsProperty4OnTheMemoryStore) {
       for (const Guid& guid : guids)
         EXPECT_TRUE(g.net->locate(live[ql.next_u64(live.size())], guid).found)
             << guid.to_string();
-    }
-  }
-}
-
-TEST(ThreadedRepair, HeartbeatSweepBulkRepairsUnannouncedFailures) {
-  // Plain fail() marks corpses without repair; the threaded sweep must
-  // then restore Property 1 and symmetry at any worker count, matching
-  // the serial sweep's invariants.  Its purges and fills change tables on
-  // parallel threads, and it re-routes every live node's pointers after
-  // them: objects published on survivors are locatable without a
-  // republish.
-  for (const std::size_t workers : {1u, 4u}) {
-    auto g = static_ring_network(96, 415, small_params());
-    const auto ids = g.net->node_ids();
-    const auto victims = pick_victims(ids, 12, 7);
-    const auto servers = pick_survivor_servers(ids, victims, 10);
-    std::vector<Guid> guids;
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-      const Guid guid = make_guid(*g.net, 8600 + i);
-      guids.push_back(guid);
-      g.net->publish(servers[i], guid);
-    }
-    for (const NodeId& v : victims) g.net->fail(v);
-
-    const std::uint64_t sweeps = metrics::heartbeat_sweeps_total().value();
-    g.net->heartbeat_sweep_bulk(workers);
-    EXPECT_EQ(metrics::heartbeat_sweeps_total().value() - sweeps, 1u);
-
-    g.net->check_property1();
-    g.net->check_backpointer_symmetry();
-    expect_no_pins(*g.net);
-    const auto survivors = g.net->node_ids();
-    Rng ql(88);
-    for (const Guid& guid : guids)
-      EXPECT_TRUE(
-          g.net->locate(survivors[ql.next_u64(survivors.size())], guid).found)
-          << "object lost in the sweep (workers=" << workers << ")";
-  }
-}
-
-TEST(ThreadedRepair, HealthySweepBulkAgreesWithSerial) {
-  // Heartbeats on a healthy overlay: every live member pushes one "alive"
-  // message per distinct link, nobody is probed, and nothing changes.
-  // The serial sweep and the threaded one share that code, so they must
-  // deliver the same heartbeats, book them alike on the Trace and leave
-  // identical tables.
-  auto serial = static_ring_network(96, 417, small_params());
-  auto threaded = static_ring_network(96, 417, small_params());
-  auto heartbeats = [](const Network& net) {
-    return net.transport().stats().kind_count(MessageKind::kHeartbeatAck);
-  };
-  const std::uint64_t serial_before = heartbeats(*serial.net);
-  const std::uint64_t threaded_before = heartbeats(*threaded.net);
-  Trace serial_trace, threaded_trace;
-  serial.net->heartbeat_sweep(&serial_trace);
-  threaded.net->heartbeat_sweep_bulk(/*workers=*/4, &threaded_trace);
-
-  const std::uint64_t pushed = heartbeats(*serial.net) - serial_before;
-  EXPECT_GT(pushed, 0u);
-  EXPECT_EQ(heartbeats(*threaded.net) - threaded_before, pushed);
-  EXPECT_EQ(serial_trace.messages(), pushed);
-  EXPECT_EQ(threaded_trace.messages(), pushed);
-  for (const Network* net : {serial.net.get(), threaded.net.get()}) {
-    EXPECT_EQ(net->transport().stats().kind_count(MessageKind::kHeartbeatProbe),
-              0u);
-    net->check_property1();
-    net->check_backpointer_symmetry();
-  }
-  EXPECT_EQ(fingerprint_tables(*serial.net), fingerprint_tables(*threaded.net));
-}
-
-TEST(ThreadedRepair, SweepBulkServesEachPairPresentAtItsStart) {
-  // The serial sweep's count, on four workers: after fail-stops, one push
-  // per distinct (node, backpointer holder) pair and one probe per
-  // distinct (live node, dead member) pair present when the sweep starts.
-  for (const bool grown : {false, true}) {
-    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-      SCOPED_TRACE((grown ? "grown seed " : "static seed ") +
-                   std::to_string(seed));
-      auto g = test::fail_stopped_ring(grown, seed, small_params());
-      const test::SweepPairs want = test::sweep_pairs(*g.net);
-      ASSERT_GT(want.probes, 0u);
-      const TransportStats& ts = g.net->transport().stats();
-      const std::uint64_t pushes = ts.kind_count(MessageKind::kHeartbeatAck);
-      const std::uint64_t probes = ts.kind_count(MessageKind::kHeartbeatProbe);
-      g.net->heartbeat_sweep_bulk(/*workers=*/4);
-      EXPECT_EQ(ts.kind_count(MessageKind::kHeartbeatAck) - pushes,
-                want.pushes);
-      EXPECT_EQ(ts.kind_count(MessageKind::kHeartbeatProbe) - probes,
-                want.probes);
-      g.net->check_property1();
-      g.net->check_backpointer_symmetry();
     }
   }
 }
@@ -614,7 +515,7 @@ TEST(ThreadedRepair, WaveLeavesUnannouncedCorpsesToTheSweep) {
 
     const TransportStats& ts = g.net->transport().stats();
     const std::uint64_t probes0 = ts.kind_count(MessageKind::kHeartbeatProbe);
-    g.net->heartbeat_sweep_bulk(workers);
+    g.net->heartbeat_sweep();
     EXPECT_EQ(ts.kind_count(MessageKind::kHeartbeatProbe) - probes0,
               listers.size());
     for (const auto& n : reg.nodes()) {
@@ -643,7 +544,7 @@ TEST(ThreadedRepair, LeaveWaveTombstonesFreeTheirTables) {
     test::expect_tombstones_follow_links(*g.net);
     const TransportStats& ts = g.net->transport().stats();
     const std::uint64_t probes0 = ts.kind_count(MessageKind::kHeartbeatProbe);
-    g.net->heartbeat_sweep_bulk(workers);
+    g.net->heartbeat_sweep();
     EXPECT_EQ(ts.kind_count(MessageKind::kHeartbeatProbe), probes0);
     test::expect_tombstones_follow_links(*g.net);
   }
@@ -671,7 +572,7 @@ TEST(ThreadedRepair, FailWaveTombstonesKeepTheirTablesUntilTheSweep) {
     g.net->check_backpointer_symmetry();
     test::expect_tombstones_follow_links(*g.net);
 
-    g.net->heartbeat_sweep_bulk(workers);
+    g.net->heartbeat_sweep();
     EXPECT_EQ(g.net->node(x).table().member_count(), 0u);
     for (const NodeId& v : victims)
       EXPECT_EQ(g.net->node(v).table().member_count(), 0u) << v.to_string();
@@ -684,7 +585,7 @@ TEST(ThreadedRepair, FailWaveTombstonesKeepTheirTablesUntilTheSweep) {
 TEST(ThreadedRepair, WaveLeavesHolesItDidNotOpenToTheSweep) {
   // A wave repairs only what it breaks.  A hole it did not open, here a
   // slot whose only member was unlinked by hand, stays open through a
-  // fail wave of other nodes; the next heartbeat_sweep_bulk fills it.
+  // fail wave of other nodes; the next heartbeat sweep fills it.
   for (const std::size_t workers : {1u, 4u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     auto g = static_ring_network(128, 419, small_params());
@@ -700,7 +601,7 @@ TEST(ThreadedRepair, WaveLeavesHolesItDidNotOpenToTheSweep) {
     EXPECT_TRUE(g.net->node(h.owner).table().slot_empty(h.level, h.digit))
         << "the wave filled a hole it did not open";
 
-    g.net->heartbeat_sweep_bulk(workers);
+    g.net->heartbeat_sweep();
     EXPECT_TRUE(g.net->node(h.owner).table().at(h.level, h.digit).contains(
         h.member));
     g.net->check_property1();

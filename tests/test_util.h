@@ -165,6 +165,19 @@ inline GrownNetwork fail_stopped_ring(bool grown, std::uint64_t seed,
   return g;
 }
 
+/// No live node holds a §4.4 pin: every insertion released its pins.
+inline void expect_no_pins(const Network& net) {
+  for (const auto& n : net.registry().nodes()) {
+    if (!n->alive) continue;
+    const RoutingTable& t = n->table();
+    for (unsigned l = 0; l < t.levels(); ++l)
+      for (unsigned j = 0; j < t.radix(); ++j)
+        ASSERT_TRUE(t.at(l, j).pinned_members().empty())
+            << "leftover pin at " << n->id().to_string() << " slot (" << l
+            << "," << j << ")";
+  }
+}
+
 /// Property 1 as a value, for loops that stop at the first break.
 inline bool property1_holds(const Network& net) {
   try {
