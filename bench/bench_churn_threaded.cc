@@ -2,13 +2,12 @@
 //
 // ThreadedChurnSoak (src/sim/churn_driver.h) on one overlay: every round
 // runs thread-parallel join, fail-stop repair and voluntary-leave waves
-// back to back while racer threads drive guarded batch publishes, §6.5
-// expiry sweeps and guarded-peek locate probes against the same mesh.
-// The soak runs twice from the same seed — once at 1 worker, once at
-// --threads — and the bench gates the §5 repair contract: identical
-// terminal membership and Property 1 occupancy fingerprints, converged
-// invariants, and every tracked object locatable WITHOUT a republish
-// (each wave re-routes §4.2 serially around its threads).
+// back to back, each alone on the mesh.  The soak runs twice from the
+// same seed — once at 1 worker, once at --threads — and the bench gates
+// the §5 repair contract: identical terminal membership and Property 1
+// occupancy fingerprints, converged invariants, and every tracked object
+// locatable WITHOUT a republish (each wave re-routes §4.2 serially around
+// its threads).
 //
 // Flags: --nodes=N [256]  --rounds=R [4]  --threads=T [4]  --seed=S [1]
 //        --json (machine-readable metrics for CI)
@@ -28,13 +27,15 @@
 //   unlinked_corpse_tables_freed    over the corpses no live node lists or
 //                                   keeps a backpointer to, the share whose
 //                                   table holds no member, the lower of the
-//                                   two legs (0 with no such corpse); the
-//                                   waves run with their racers live, so
-//                                   every release runs under them; exact 1
+//                                   two legs (0 with no such corpse); a
+//                                   leave wave frees each victim's table
+//                                   on its worker thread, under the
+//                                   victim's stripe; exact 1
 #include <chrono>
 #include <cstring>
 
 #include "bench_util.h"
+#include "src/common/flags.h"
 #include "src/sim/churn_driver.h"
 #include "src/sim/thread_pool.h"
 #include "src/tapestry/fingerprint.h"
@@ -72,7 +73,6 @@ SoakResult run_soak(const MetricSpace& space, const TapestryParams& params,
   sc.leaves_per_round = std::max<std::size_t>(2, nodes / 32);
   sc.min_nodes = nodes / 2;
   sc.objects = 32;
-  sc.publishes_per_round = 8;
   sc.workers = workers;
   sc.seed = seed;
 
@@ -105,15 +105,12 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   bool json = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--nodes=", 8) == 0)
-      nodes = std::stoul(argv[i] + 8);
-    else if (std::strncmp(argv[i], "--rounds=", 9) == 0)
-      rounds = std::stoul(argv[i] + 9);
-    else if (std::strncmp(argv[i], "--threads=", 10) == 0)
-      threads = std::stoul(argv[i] + 10);
-    else if (std::strncmp(argv[i], "--seed=", 7) == 0)
-      seed = std::stoull(argv[i] + 7);
-    else if (std::strcmp(argv[i], "--json") == 0)
+    if (number_flag(argv[i], "--nodes", &nodes) ||
+        number_flag(argv[i], "--rounds", &rounds) ||
+        number_flag(argv[i], "--threads", &threads) ||
+        number_flag(argv[i], "--seed", &seed))
+      continue;
+    if (std::strcmp(argv[i], "--json") == 0)
       json = true;
     else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
@@ -160,20 +157,18 @@ int main(int argc, char** argv) {
         "\"wave_heartbeats\":%llu,\"unlinked_corpse_tables_freed\":%.4f,"
         "\"unlinked_corpses\":%zu,\"linked_corpses\":%zu,"
         "\"soak_ms_serial\":%.1f,\"soak_ms_parallel\":%.1f,"
-        "\"probes\":%zu,\"probe_transients\":%zu,"
         "\"threads\":%zu,\"hardware_threads\":%zu}}\n",
         property1_ok ? 1 : 0, symmetry_ok ? 1 : 0, no_pins ? 1 : 0,
         membership_match ? 1 : 0, occupancy_match ? 1 : 0, locate_found,
         parallel.rep.repairs_per_sec(),
         static_cast<unsigned long long>(parallel.heartbeats), tables_freed,
         parallel.tombstones.unlinked, parallel.tombstones.linked,
-        serial.soak_ms, parallel.soak_ms, parallel.rep.probes,
-        parallel.rep.probe_transients, threads, default_worker_count());
+        serial.soak_ms, parallel.soak_ms, threads, default_worker_count());
     return contract_ok ? 0 : 1;
   }
 
   print_header("E15 — fully threaded churn soak",
-               "§5 repair waves racing guarded store traffic: invariant "
+               "§4.4 join and §5 repair waves on real threads: invariant "
                "convergence at any worker count, no republish backstop");
   print_space_info(*space, seed);
   TextTable table({"workers", "soak ms", "repairs/s", "avail", "P1", "sym",
@@ -193,15 +188,12 @@ int main(int argc, char** argv) {
   table.print();
   std::printf(
       "\n%zu rounds on a %zu-node core: %zu joins, %zu fails, %zu leaves in "
-      "the parallel leg;\n%zu racer publishes, %zu expiry sweeps, %zu "
-      "guarded probes (%zu mid-wave transients)\nmembership %s, occupancy "
-      "pattern %s across worker counts; every tracked object\nlocated with "
-      "NO republish: %s\n%zu corpses no live node links with, tables "
-      "freed: %s; %zu still linked keep theirs\n",
+      "the parallel leg;\nmembership %s, occupancy pattern %s across worker "
+      "counts; every tracked object\nlocated with NO republish: %s\n%zu "
+      "corpses no live node links with, tables freed: %s; %zu still linked "
+      "keep theirs\n",
       rounds, nodes, parallel.rep.joins, parallel.rep.fails,
-      parallel.rep.leaves, parallel.rep.publishes, parallel.rep.expiry_sweeps,
-      parallel.rep.probes, parallel.rep.probe_transients,
-      membership_match ? "identical" : "MISMATCH!",
+      parallel.rep.leaves, membership_match ? "identical" : "MISMATCH!",
       occupancy_match ? "identical" : "MISMATCH!",
       locate_found == 1.0 ? "yes" : "NO!", parallel.tombstones.unlinked,
       tables_freed == 1.0 ? "all" : "NOT ALL!", parallel.tombstones.linked);

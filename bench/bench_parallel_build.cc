@@ -34,6 +34,7 @@
 #include <string>
 
 #include "bench_util.h"
+#include "src/common/flags.h"
 #include "src/sim/thread_pool.h"
 #include "src/tapestry/fingerprint.h"
 
@@ -115,16 +116,13 @@ int main(int argc, char** argv) {
   std::string space_kind = "ring";
   bool json = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--nodes=", 8) == 0) nodes = std::stoul(argv[i] + 8);
-    else if (std::strncmp(argv[i], "--objects=", 10) == 0)
-      objects = std::stoul(argv[i] + 10);
-    else if (std::strncmp(argv[i], "--threads=", 10) == 0)
-      threads = std::stoul(argv[i] + 10);
-    else if (std::strncmp(argv[i], "--seed=", 7) == 0)
-      seed = std::stoull(argv[i] + 7);
-    else if (std::strncmp(argv[i], "--space=", 8) == 0)
-      space_kind = argv[i] + 8;
-    else if (std::strcmp(argv[i], "--json") == 0) json = true;
+    if (number_flag(argv[i], "--nodes", &nodes) ||
+        number_flag(argv[i], "--objects", &objects) ||
+        number_flag(argv[i], "--threads", &threads) ||
+        number_flag(argv[i], "--seed", &seed) ||
+        parse_flag(argv[i], "--space", &space_kind))
+      continue;
+    if (std::strcmp(argv[i], "--json") == 0) json = true;
     else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;

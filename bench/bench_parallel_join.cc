@@ -7,10 +7,10 @@
 // same seed at any worker count gives the same membership and the same
 // Property 1 occupancy pattern (fingerprint_occupancy), with no leftover
 // pins and full surrogate agreement — then reports the wall-clock
-// speedup.  A third leg races the wave against a guarded ShardedStore
-// batch publish: objects published before the wave must stay locatable
-// with no republish (the wave re-routes §4.2 around its threads), and one
-// soft-state republish must restore full locatability of the racer's.
+// speedup.  A third leg runs the wave on a ShardedStore overlay that holds
+// objects published before it: they must stay locatable, and Property 4
+// must hold, with no republish (the wave re-routes §4.2 around its
+// threads).
 //
 // Flags: --core=N [2000]  --wave=W [64]  --threads=T [4]  --seed=S [1]
 //        --json (machine-readable metrics for CI)
@@ -20,10 +20,9 @@
 //   property1_ok / no_pins_left /
 //   surrogate_agreement / occupancy_match   convergence contract, exact
 //   wave_locate_found                       availability of the objects
-//                                           published before the racing
-//                                           wave, with no republish, exact
-//   race_locate_found                       availability after the racing
-//                                           publish + republish, exact
+//                                           published before the third
+//                                           leg's wave, with no republish,
+//                                           exact
 //   table_bytes_per_node                    mean RoutingTable::heap_bytes
 //                                           after the serial (1-worker,
 //                                           deterministic) wave, exact:
@@ -37,9 +36,9 @@
 #include <chrono>
 #include <cstring>
 #include <set>
-#include <thread>
 
 #include "bench_util.h"
+#include "src/common/flags.h"
 #include "src/sim/thread_pool.h"
 #include "src/tapestry/fingerprint.h"
 
@@ -139,15 +138,12 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   bool json = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--core=", 7) == 0)
-      core = std::stoul(argv[i] + 7);
-    else if (std::strncmp(argv[i], "--wave=", 7) == 0)
-      wave = std::stoul(argv[i] + 7);
-    else if (std::strncmp(argv[i], "--threads=", 10) == 0)
-      threads = std::stoul(argv[i] + 10);
-    else if (std::strncmp(argv[i], "--seed=", 7) == 0)
-      seed = std::stoull(argv[i] + 7);
-    else if (std::strcmp(argv[i], "--json") == 0)
+    if (number_flag(argv[i], "--core", &core) ||
+        number_flag(argv[i], "--wave", &wave) ||
+        number_flag(argv[i], "--threads", &threads) ||
+        number_flag(argv[i], "--seed", &seed))
+      continue;
+    if (std::strcmp(argv[i], "--json") == 0)
       json = true;
     else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
@@ -173,30 +169,21 @@ int main(int argc, char** argv) {
   const double speedup =
       parallel.wave_ms > 0.0 ? serial.wave_ms / parallel.wave_ms : 1.0;
 
-  // Race leg: the same wave on a sharded-store overlay while a guarded
-  // batch publish drains underneath it.  Objects published before the
-  // wave stay locatable through it; one republish restores Property 4.
+  // Object leg: the same wave on a sharded-store overlay holding objects
+  // published before it.  They stay locatable through it, and Property 4
+  // holds after it, with no republish.
   double wave_found = 1.0;
-  double race_found = 1.0;
   {
-    TapestryParams race_params = params;
-    race_params.store_backend = StoreBackend::kSharded;
-    Network net(*space, race_params, seed);
+    TapestryParams store_params = params;
+    store_params.store_backend = StoreBackend::kSharded;
+    Network net(*space, store_params, seed);
     std::vector<Location> locs(core);
     for (std::size_t i = 0; i < core; ++i) locs[i] = i;
     net.insert_static_bulk(locs, threads);
     net.rebuild_static_tables(threads);
 
-    Rng wl(seed ^ 0xbead);
     const auto ids = net.node_ids();
-    std::vector<ObjectDirectory::PublishRequest> pubs;
     const std::size_t n_objects = wave * 2;
-    for (std::size_t i = 0; i < n_objects; ++i)
-      pubs.push_back({ids[wl.next_u64(ids.size())],
-                      bench_guid(net, 43'000 + i)});
-
-    // Guids outside the racer's range, drawn from their own Rng so the
-    // racer's draws are unchanged.
     Rng pre(seed ^ 0xfeed);
     std::vector<Guid> before_wave;
     for (std::size_t i = 0; i < n_objects; ++i) {
@@ -204,32 +191,19 @@ int main(int argc, char** argv) {
       net.publish(ids[pre.next_u64(ids.size())], before_wave.back());
     }
 
-    std::thread racer(
-        [&] { net.publish_batch(pubs, threads, nullptr, /*guarded=*/true); });
     net.join_bulk(wave_requests(core, wave), threads);
-    racer.join();
 
     const auto wave_ids = net.node_ids();
     std::size_t kept = 0;
     for (const Guid& g : before_wave)
       if (net.locate(wave_ids[pre.next_u64(wave_ids.size())], g).found) ++kept;
     wave_found = n_objects == 0 ? 1.0 : double(kept) / double(n_objects);
-
-    net.republish_all();
     net.check_property4();
-    const auto all_ids = net.node_ids();
-    std::size_t found = 0;
-    for (std::size_t i = 0; i < n_objects; ++i)
-      if (net.locate(all_ids[wl.next_u64(all_ids.size())],
-                     bench_guid(net, 43'000 + i))
-              .found)
-        ++found;
-    race_found = n_objects == 0 ? 1.0 : double(found) / double(n_objects);
   }
 
   const bool contract_ok = property1_ok && no_pins && surrogates &&
                            membership_match && occupancy_match;
-  const bool located = wave_found == 1.0 && race_found == 1.0;
+  const bool located = wave_found == 1.0;
 
   if (json) {
     std::printf(
@@ -237,14 +211,12 @@ int main(int argc, char** argv) {
         "\"property1_ok\":%d,\"no_pins_left\":%d,"
         "\"surrogate_agreement\":%d,\"membership_match\":%d,"
         "\"occupancy_match\":%d,\"wave_locate_found\":%.4f,"
-        "\"race_locate_found\":%.4f,"
         "\"table_bytes_per_node\":%.2f,"
         "\"join_speedup\":%.3f,\"wave_ms_serial\":%.1f,"
         "\"wave_ms_parallel\":%.1f,\"msgs_per_join_parallel\":%.1f,"
         "\"threads\":%zu,\"hardware_threads\":%zu}}\n",
         property1_ok ? 1 : 0, no_pins ? 1 : 0, surrogates ? 1 : 0,
         membership_match ? 1 : 0, occupancy_match ? 1 : 0, wave_found,
-        race_found,
         serial.table_bytes, speedup, serial.wave_ms, parallel.wave_ms,
         wave == 0 ? 0.0 : double(parallel.messages) / double(wave), threads,
         default_worker_count());
@@ -270,9 +242,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\n%zu joins on a %zu-node core: speedup %.2fx at %zu workers (%zu "
       "hardware threads)\nmembership %s, occupancy pattern %s across worker "
-      "counts; objects published before the racing\nwave locate %.1f%% "
-      "with no republish, the racer's %.1f%% after one; "
-      "%.0f table bytes per node after the serial wave\n"
+      "counts; objects published before the wave\nlocate %.1f%% with no "
+      "republish; %.0f table bytes per node after the serial wave\n"
       "reading guide: tables need not be bit-identical across worker counts "
       "—\nthe §4.4 contract is invariant convergence (membership, Property 1 "
       "occupancy,\nno pins, unique roots), which must hold at every thread "
@@ -280,6 +251,6 @@ int main(int argc, char** argv) {
       wave, core, speedup, threads, default_worker_count(),
       membership_match ? "identical" : "MISMATCH!",
       occupancy_match ? "identical" : "MISMATCH!", 100.0 * wave_found,
-      100.0 * race_found, serial.table_bytes);
+      serial.table_bytes);
   return contract_ok && located ? 0 : 1;
 }

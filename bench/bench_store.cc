@@ -41,6 +41,7 @@
 #include <memory>
 
 #include "bench_util.h"
+#include "src/common/flags.h"
 #include "src/metric/ring.h"
 #include "src/sim/thread_pool.h"
 #include "src/tapestry/network.h"
@@ -510,8 +511,7 @@ int main(int argc, char** argv) {
   std::size_t threads = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) json = true;
-    else if (std::strncmp(argv[i], "--threads=", 10) == 0)
-      threads = std::stoul(argv[i] + 10);
+    else if (tap::number_flag(argv[i], "--threads", &threads)) continue;
     else {
       std::fprintf(stderr, "usage: bench_store [--json] [--threads=N]\n");
       return 2;

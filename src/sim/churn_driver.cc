@@ -1,11 +1,9 @@
 #include "src/sim/churn_driver.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <thread>
 #include <unordered_set>
 
 #include "src/metric/transit_stub.h"
@@ -512,12 +510,6 @@ ChurnReport ChurnDriver::finalize() {
 
 ThreadedChurnSoak::ThreadedChurnSoak(Network& net, ThreadedChurnScenario sc)
     : net_(net), sc_(sc), rng_(sc.seed ^ 0x50a4c7ull) {
-  TAP_CHECK(net_.params().store_backend == StoreBackend::kSharded,
-            "the threaded churn soak needs the sharded store backend: racer "
-            "publishes and expiry sweeps mutate stores mid-wave");
-  TAP_CHECK(net_.params().locate_cache_size == 0,
-            "the threaded churn soak needs the locate cache disabled: cache "
-            "maps are not synchronized against the repair waves");
   TAP_CHECK(sc_.min_nodes >= 2, "min_nodes must keep at least two nodes");
   TAP_CHECK(net_.size() >= sc_.min_nodes,
             "initial population is already below min_nodes");
@@ -576,19 +568,6 @@ ThreadedChurnSoak::RoundPlan ThreadedChurnSoak::plan_round() {
   };
   draw(sc_.fails_per_round, &plan.fails);
   draw(sc_.leaves_per_round, &plan.leaves);
-
-  // Racer publishes: new objects served by this round's survivors, pushed
-  // through the guarded batch path while the waves run.
-  for (std::size_t i = 0; i < sc_.publishes_per_round; ++i) {
-    ObjectDirectory::PublishRequest pub;
-    pub.guid = soak_guid();
-    std::size_t attempts = 0;
-    do {
-      pub.server = ids[rng_.next_u64(ids.size())];
-    } while (doomed.count(pub.server.value()) != 0 && ++attempts < 256);
-    if (doomed.count(pub.server.value()) != 0) break;
-    plan.racer_pubs.push_back(pub);
-  }
   return plan;
 }
 
@@ -614,50 +593,8 @@ ThreadedChurnReport ThreadedChurnSoak::run() {
     for (const NodeId v : plan.leaves)
       free_locs_.push_back(net_.node(v).location());
 
-    // Survivor list for the prober, captured before anything dies.
-    std::unordered_set<std::uint64_t> doomed;
-    for (const NodeId v : plan.fails) doomed.insert(v.value());
-    for (const NodeId v : plan.leaves) doomed.insert(v.value());
-    std::vector<NodeId> sources;
-    for (const NodeId id : net_.node_ids())
-      if (doomed.count(id.value()) == 0) sources.push_back(id);
-
-    std::atomic<bool> stop{false};
-    std::atomic<std::size_t> probes{0}, transients{0}, sweeps{0};
-
-    // Racer 1: one guarded batch publish racing the waves (§2.2 deposits
-    // under per-hop stripe locks).
-    std::thread publisher([&] {
-      if (!plan.racer_pubs.empty())
-        net_.publish_batch(plan.racer_pubs, 2, nullptr, /*guarded=*/true);
-    });
-    // Racer 2: §6.5 expiry sweeps in a loop until the waves finish.
-    std::thread expirer([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        net_.expire_pointers(2);
-        sweeps.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-    // Racer 3: guarded-peek root walks from survivors.  A walk tripping
-    // over a mid-repair row surfaces as CheckError — a legal transient,
-    // counted and swallowed; torn reads and crashes are TSan's job.
-    std::thread prober([&] {
-      Rng prng(sc_.seed ^ (0xbeef00ull + round));
-      while (!stop.load(std::memory_order_relaxed)) {
-        const NodeId src = sources[prng.next_u64(sources.size())];
-        const Guid& target = tracked_[prng.next_u64(tracked_.size())].first;
-        try {
-          (void)net_.router().route_to_root_peek(
-              src, target, nullptr, &net_.registry().node_locks());
-        } catch (const CheckError&) {
-          transients.fetch_add(1, std::memory_order_relaxed);
-        }
-        probes.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-
     // The waves: join, then fail-stop repair, then voluntary leave — all
-    // on `workers` real threads against the racers above.
+    // on `workers` real threads, one wave at a time.
     if (!plan.joins.empty()) (void)net_.join_bulk(plan.joins, sc_.workers);
     const auto t0 = std::chrono::steady_clock::now();
     if (!plan.fails.empty())
@@ -666,19 +603,6 @@ ThreadedChurnReport ThreadedChurnSoak::run() {
     rep.repair_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-
-    stop.store(true, std::memory_order_relaxed);
-    publisher.join();
-    expirer.join();
-    prober.join();
-
-    // A racer-published chain may have deposited on a node that died
-    // mid-walk; one quiescent conformance pass re-pushes those records
-    // along current next hops (§4.2) — still no republish.
-    (void)net_.directory().repair_pointer_chains();
-    for (const auto& pub : plan.racer_pubs)
-      tracked_.emplace_back(pub.guid, pub.server);
-    rep.publishes += plan.racer_pubs.size();
 
     // Quiescent availability sweep: every tracked object (servers are all
     // still live by construction) from a random live client, no republish.
@@ -694,9 +618,6 @@ ThreadedChurnReport ThreadedChurnSoak::run() {
     rep.joins += plan.joins.size();
     rep.fails += plan.fails.size();
     rep.leaves += plan.leaves.size();
-    rep.probes += probes.load();
-    rep.probe_transients += transients.load();
-    rep.expiry_sweeps += sweeps.load();
     ++rep.rounds;
   }
 

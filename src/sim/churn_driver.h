@@ -300,19 +300,17 @@ class ChurnDriver {
 // ThreadedChurnSoak: wall-clock churn on real threads
 // ---------------------------------------------------------------------
 
-/// Round-based churn soak where everything races on one overlay at once:
-/// each round draws a join batch, a fail batch and a leave batch serially
-/// (the determinism contract of join_bulk / leave_bulk), then runs the
-/// three thread-parallel waves back to back while racer threads hammer the
-/// same mesh with guarded batch publishes, §6.5 expiry sweeps and
-/// guarded-peek locate probes.  After the racers stop, one quiescent
-/// pointer-chain repair conforms anything the racers published mid-wave,
-/// every tracked object is located WITHOUT republishing, and the §4
-/// structural invariants are checked.
+/// Round-based churn soak on real threads: each round draws a join batch,
+/// a fail batch and a leave batch serially (the determinism contract of
+/// join_bulk / leave_bulk), then runs the three thread-parallel waves back
+/// to back, each alone on the overlay.  After every round each tracked
+/// object is located WITHOUT republishing; at the end the §4 structural
+/// invariants are checked.
 ///
-/// Requires the sharded store backend and the locate cache disabled; both
-/// are TAP_CHECKed.  Same seed + any worker count converges to identical
-/// membership and occupancy fingerprints — the bench's contract gate.
+/// Runs on any store backend, with or without the locate cache: the
+/// waves' threads touch neither.  Same seed + any worker count converges
+/// to identical membership and occupancy fingerprints — the bench's
+/// contract gate.
 struct ThreadedChurnScenario {
   std::size_t rounds = 4;
   std::size_t joins_per_round = 8;
@@ -320,7 +318,6 @@ struct ThreadedChurnScenario {
   std::size_t fails_per_round = 4;    ///< fail-stop §5.2, non-servers only
   std::size_t min_nodes = 24;         ///< no departures below this population
   std::size_t objects = 24;           ///< published up front, one server each
-  std::size_t publishes_per_round = 8;  ///< racer-published during the waves
   std::size_t workers = 0;            ///< wave width; 0 = hardware concurrency
   std::uint64_t seed = 1;
 };
@@ -328,10 +325,6 @@ struct ThreadedChurnScenario {
 struct ThreadedChurnReport {
   std::size_t rounds = 0;
   std::size_t joins = 0, leaves = 0, fails = 0;
-  std::size_t publishes = 0;         ///< objects racer-published mid-wave
-  std::size_t probes = 0;            ///< guarded-peek walks issued by the racer
-  std::size_t probe_transients = 0;  ///< CheckError observed mid-wave (benign)
-  std::size_t expiry_sweeps = 0;
   std::size_t queries = 0, found = 0;  ///< quiescent locates, no republish
   bool property1_ok = false;
   bool symmetry_ok = false;
@@ -370,7 +363,6 @@ class ThreadedChurnSoak {
     std::vector<JoinRequest> joins;
     std::vector<NodeId> fails;
     std::vector<NodeId> leaves;
-    std::vector<ObjectDirectory::PublishRequest> racer_pubs;
   };
   RoundPlan plan_round();
   Guid soak_guid();

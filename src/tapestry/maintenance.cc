@@ -154,10 +154,13 @@ void MaintenanceEngine::fail(NodeId id) {
   // and its live holders' purges and its live members' heartbeat pushes
   // cut those links one by one (release_if_unlinked).  Its own links no
   // longer count as live, so each corpse it lists or that lists it may
-  // have just lost its last.  Those releases hold the corpse's stripe: a
-  // wave's guarded racers may be reading it.  Locate-cache hints naming
-  // the corpse die when next read; queries already jumping toward it fail
-  // holder verification and fall back to the walk on their own.
+  // have just lost its last.  Those releases take the corpse's stripe.
+  // No wave thread runs while fail() does (a wave's preamble calls it
+  // before its threads start), so the lock is uncontended; it stays so
+  // that a release never frees a table another thread may be reading,
+  // wherever fail() is called from.  Locate-cache hints naming the corpse
+  // die when next read; queries already jumping toward it fail holder
+  // verification and fall back to the walk on their own.
   const NodeLockTable* locks = &reg_.node_locks();
   const RoutingTable& t = v.table();
   for (unsigned l = 0; l < t.levels(); ++l) {

@@ -178,11 +178,8 @@ class MaintenanceEngine final : public RepairHandler {
   /// Object pointers: the wave snapshots every live node's pointer hops
   /// before its threads start and re-routes each snapshot after they join
   /// (§4.2, run_wave), so it keeps Property 4 with no republish, as serial
-  /// joins do.  The network must be quiescent apart from racers that
-  /// synchronise through the node-lock table and the sharded store
-  /// (guarded publish batches, store expiry sweeps); a record such a racer
-  /// deposits after the snapshot is left to repair_pointer_chains or the
-  /// §6.5 republish.
+  /// joins do.  Like every wave it runs alone (see the repair waves'
+  /// contract below).
   std::vector<NodeId> join_bulk(const std::vector<JoinRequest>& requests,
                                 std::size_t workers = 0,
                                 Trace* trace = nullptr);
@@ -256,18 +253,22 @@ class MaintenanceEngine final : public RepairHandler {
   // orderings — and which of several equally good neighbors a slot
   // holds — may differ run to run; convergence is asserted on invariants.
   //
-  // Worker threads read and write routing tables only, so a wave runs on
-  // any store backend at any worker count.  Racers that write stores
-  // while a wave runs (guarded publish batches, expiry sweeps) need
-  // StoreBackend::kSharded.
+  // A wave runs alone, joins included: from its serial preamble to its
+  // last re-route nothing else runs on the overlay, so no one writes a
+  // store or a locate cache while it runs.  Its worker threads read and
+  // write routing tables only, under the stripe locks (a join worker's
+  // guarded surrogate walk reads them the same way), so a wave runs on
+  // any store backend, with or without the locate cache, at any worker
+  // count.  Interleaving protocol messages is simulated time's job
+  // (join_events, ChurnDriver), not that of threads beside a wave.
   //
   // Tombstones: a leave wave frees each victim's table as its departure
   // ends, since nothing live links with it then.  A fail wave frees none:
   // the victims' live members still keep backpointers to them until a
   // sweep's pushes drop those, and the symmetry check's converse half
   // reads the corpse's slots meanwhile.  Each release runs under the
-  // corpse's stripe, so a guarded peek racing it reads the old table or
-  // the freed one, whose empty rows surface as a CheckError.
+  // corpse's stripe, so another worker reading that table sees it whole
+  // or freed.
 
   /// Voluntary departure of every victim at once.  Serial preamble:
   /// withdraw the victims' replicas while the mesh still routes through

@@ -197,12 +197,9 @@ class Network {
   /// Batched publish for bulk overlay construction: publish paths walked
   /// concurrently through the Router's mutation-free read path, deposits
   /// drained per registry shard (see ObjectDirectory::publish_batch).
-  /// `guarded` takes the per-node stripe locks on each routing decision —
-  /// required when the batch deliberately races a join_bulk wave.
   void publish_batch(const std::vector<ObjectDirectory::PublishRequest>& batch,
-                     std::size_t workers = 0, Trace* trace = nullptr,
-                     bool guarded = false) {
-    directory_.publish_batch(batch, workers, trace, guarded);
+                     std::size_t workers = 0, Trace* trace = nullptr) {
+    directory_.publish_batch(batch, workers, trace);
   }
 
   /// Removes the replica mapping (guid -> server) along its root paths.
@@ -224,12 +221,8 @@ class Network {
   }
 
   /// Drops expired pointers everywhere (driven by the event clock).
-  /// The per-node sweeps run on `workers` threads through sim/thread_pool
-  /// (0 = hardware concurrency; requires quiescence, like every
-  /// whole-network pass).
-  void expire_pointers(std::size_t workers = 1) {
-    directory_.expire_pointers(workers);
-  }
+  /// Serial; requires quiescence, like every whole-network pass.
+  void expire_pointers() { directory_.expire_pointers(); }
 
   /// Flushes every node's store and writes `dir`/manifest: clock, live
   /// membership, replica registry (see ObjectDirectory::checkpoint).

@@ -40,11 +40,11 @@ class TapestryNode {
   /// False once the node has failed (§5.2) or left (§5.1).  Dead nodes stay
   /// allocated as tombstones: id, location and store for good, the table
   /// while a live node links with it, so lazy repair can discover it (it
-  /// is freed once none does; registry.h).  Atomic so
-  /// guarded-peek walkers and repair waves may read liveness while a
-  /// serial preamble on another thread marks victims dead (threaded repair
-  /// kills nodes strictly before its parallel phase, so a reader sees a
-  /// consistent value either way — the atomic only de-races the flag).
+  /// is freed once none does; registry.h).  Atomic so a wave's worker
+  /// threads may read liveness, each other's guarded-peek walks included,
+  /// without a lock: waves mark their victims dead in a serial preamble
+  /// strictly before their parallel phase, so a reader sees a consistent
+  /// value either way — the atomic only de-races the flag.
   std::atomic<bool> alive{true};
 
   /// True from registration until the insertion completes (§4.3): requests

@@ -2,8 +2,10 @@
 // protocol paths — §4.4 join waves (MaintenanceEngine::join_bulk) and the
 // §5.1 leave / §5.2 fail-stop repair waves (MaintenanceEngine::leave_bulk,
 // fail_and_repair_bulk; both in maintenance.h), whose worker threads
-// change routing tables only, and the guarded peek walks that race them
-// (Router::route_to_root_peek, guarded publish_batch).  Every routine that
+// change routing tables only, and the guarded peek walk a join worker
+// takes to its surrogate while the other workers change tables
+// (Router::route_to_root_peek given the table).  Nothing outside a wave
+// runs beside it (maintenance.h's wave contract).  Every routine that
 // takes a `const NodeLockTable*` runs serially when it is null: a Guard on
 // a null table locks nothing.  The heartbeat sweep takes no lock table: it
 // runs serially only.

@@ -233,22 +233,11 @@ void ObjectDirectory::publish(NodeId server, const Guid& guid, Trace* trace) {
 }
 
 void ObjectDirectory::publish_batch(const std::vector<PublishRequest>& batch,
-                                    std::size_t workers, Trace* trace,
-                                    bool guarded) {
-  // The replicator has no internal synchronisation; racing a join wave
-  // would also form holder sets from tables in flux.
-  TAP_CHECK(!(guarded && replicator_),
-            "publish_batch: guarded mode is incompatible with the "
-            "replicated store backends");
+                                    std::size_t workers, Trace* trace) {
   if (batch.empty()) return;
   if (params_.prr_secondary_search) {
     // Secondary deposits mutate neighbor stores mid-walk; keep the serial
-    // semantics rather than complicating the concurrent drain.  That
-    // fallback routes with the unguarded mutating walk, so it must never
-    // be reached from a caller racing a join wave.
-    TAP_CHECK(!guarded,
-              "publish_batch: guarded mode is incompatible with the "
-              "prr_secondary_search serial fallback");
+    // semantics rather than complicating the concurrent drain.
     for (const PublishRequest& r : batch) publish(r.server, r.guid, trace);
     return;
   }
@@ -292,13 +281,9 @@ void ObjectDirectory::publish_batch(const std::vector<PublishRequest>& batch,
 
   // Phase 1: walk every publish path with the mutation-free peek router —
   // any number of threads may read the quiescent mesh — collecting the
-  // deposits and per-task cost accounting.  Drained group by group.  In
-  // guarded mode each routing decision additionally takes the current
-  // node's stripe lock, so the walk synchronises with a thread-parallel
-  // join wave mutating the tables underneath it.
+  // deposits and per-task cost accounting.  Drained group by group.
   std::vector<std::vector<Deposit>> deposits(n_tasks);
   std::vector<Trace> task_traces(n_tasks);
-  const NodeLockTable* locks = guarded ? &reg_.node_locks() : nullptr;
   parallel_for(
       radix,
       [&](std::size_t d) {
@@ -313,7 +298,7 @@ void ObjectDirectory::publish_batch(const std::vector<PublishRequest>& batch,
           for (;;) {
             deposits[t].push_back(Deposit{cur, arriving});
             const auto next =
-                router_.route_step_peek(*cur, task.target, state, locks);
+                router_.route_step_peek(*cur, task.target, state);
             if (!next.has_value()) break;  // cur is the root
             TapestryNode* nxt = reg_.find(*next);
             TAP_ASSERT(nxt != nullptr);
@@ -814,24 +799,11 @@ void ObjectDirectory::republish_all(Trace* trace) {
       if (reg_.is_live(server)) publish_paths(server, guid, trace);
 }
 
-void ObjectDirectory::expire_pointers(std::size_t workers) {
+void ObjectDirectory::expire_pointers() {
   const double now = events_.now();
-  // Snapshot under the registry's append mutex rather than iterating
-  // nodes_ raw: a thread-parallel join wave may be registering nodes while
-  // this sweep races it, and the snapshot pins a stable prefix (joins
-  // never touch stores, so the per-node sweeps themselves race nothing —
-  // with a striped backend not even concurrent guarded deposits).
-  const std::vector<TapestryNode*> nodes = reg_.nodes_snapshot();
   if (replicator_) replicator_->remove_expired(now);  // the mirrors
-  // Per-node sweeps are independent (one store each), so the fan-out is
-  // safe with every backend and the result identical for every worker
-  // count; one worker runs them inline in node order.
-  parallel_for(
-      nodes.size(),
-      [&](std::size_t i) {
-        if (nodes[i]->alive) nodes[i]->store().remove_expired(now);
-      },
-      workers);
+  for (const auto& n : reg_.nodes())
+    if (n->alive) n->store().remove_expired(now);
 }
 
 void ObjectDirectory::start_soft_state(double republish_every,
@@ -980,34 +952,6 @@ void ObjectDirectory::delete_backward(const NodeId& notifier,
     w->store().remove(guid, victim);
     prev = w;
   }
-}
-
-std::size_t ObjectDirectory::repair_pointer_chains(Trace* trace) {
-  // Serial, quiescent.  A racing guarded publish can strand a record: the
-  // wave snapshots holder H, the racer then deposits on H, and the wave's
-  // re-route of H never revisits it (its snapshot predates the deposit).
-  // Detect exactly that — a record whose current next hop does not hold
-  // it — and re-push forward from the holder.
-  std::size_t fixed = 0;
-  for (unsigned round = 0; round <= params_.id.num_digits; ++round) {
-    std::size_t fixed_this_round = 0;
-    for (const auto& n : reg_.nodes()) {
-      if (!n->alive) continue;
-      for (const auto& [guid, rec] : n->store().snapshot()) {
-        const auto hop = pointer_next_hop(*n, guid, rec);
-        if (!hop.has_value()) continue;  // at the record's root
-        TapestryNode* h = reg_.find(*hop);
-        if (h != nullptr && h->alive &&
-            h->store().find(guid, rec.server).has_value())
-          continue;
-        optimize_pointer(*n, guid, rec, trace);
-        ++fixed_this_round;
-      }
-    }
-    fixed += fixed_this_round;
-    if (fixed_this_round == 0) break;
-  }
-  return fixed;
 }
 
 // ---------------------------------------------------------------------

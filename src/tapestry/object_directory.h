@@ -71,19 +71,8 @@ class ObjectDirectory {
   /// holder sets and mirrors, replica registry and message counts match
   /// exactly; trace latency matches up to floating-point summation order.
   /// The §2.4 secondary-deposit variant falls back to the serial loop.
-  /// `guarded` switches the path walks from the lock-free peek to the
-  /// per-hop node-stripe locks (Router::route_to_root_peek given
-  /// `locks`): required when the mesh is NOT quiescent — i.e. when a
-  /// thread-parallel join wave is mutating routing tables while this
-  /// batch deliberately races it.  On a quiescent mesh the result is
-  /// identical either way; under a race each hop observes whatever table
-  /// state the contacted node holds at that instant, and the §6.5
-  /// republish backstop restores Property 4 once the wave settles.
-  /// Guarded mode rejects the replicated backends: the replicator is
-  /// single-threaded.
   void publish_batch(const std::vector<PublishRequest>& batch,
-                     std::size_t workers = 0, Trace* trace = nullptr,
-                     bool guarded = false);
+                     std::size_t workers = 0, Trace* trace = nullptr);
 
   // --- event-driven publication and location ---
   // The same operation record and step function as publish/locate, but
@@ -118,13 +107,10 @@ class ObjectDirectory {
 
   // --- soft state (§6.5) ---
   void republish_all(Trace* trace = nullptr);
-  /// Sweeps expired pointers from every live node's store, and expired
-  /// mirrors from the live holders' replica areas.  The per-node sweeps
-  /// run on `workers` threads through sim/thread_pool (0 = hardware
-  /// concurrency, 1 = inline) — safe with any backend (stores are per
-  /// node) and deterministic (each sweep is independent); requires
-  /// quiescence, like every whole-network pass.
-  void expire_pointers(std::size_t workers = 1);
+  /// Sweeps expired mirrors from the live holders' replica areas, then
+  /// expired pointers from every live node's store in registration order.
+  /// Serial; requires quiescence, like every whole-network pass.
+  void expire_pointers();
 
   // --- checkpoint / restore (persistent backend) ---
   /// Membership and replica-registry state a checkpoint records alongside
@@ -191,14 +177,6 @@ class ObjectDirectory {
   [[nodiscard]] std::optional<NodeId> pointer_next_hop(
       const TapestryNode& at, const Guid& guid,
       const PointerRecord& record) const;
-
-  /// Quiescent convergence pass for a guarded publish batch that raced a
-  /// wave: re-pushes every record whose next hop does not hold it.  The
-  /// racer can deposit on a node after the wave snapshotted it, or on a
-  /// node that died mid-walk, and the wave's re-route never sees that
-  /// record.  Iterates to a fixed point (bounded by the digit count) and
-  /// returns the number of records re-pushed.  No wave calls it.
-  std::size_t repair_pointer_chains(Trace* trace = nullptr);
 
   // --- ground truth / oracle accessors (tests and benches only) ---
   /// Registered replica servers of a (base) guid, live ones only.

@@ -714,53 +714,6 @@ TEST(StoreBackendOverlay, ShardedBatchPublishMatchesSerial) {
   }
 }
 
-/// Multi-threaded expiry sweeps over the striped backend must drop exactly
-/// what the serial sweep drops.
-TEST(StoreBackendOverlay, ParallelExpirySweepMatchesSerial) {
-  const std::size_t n = 96;
-  auto params = test::small_params();
-  params.store_backend = StoreBackend::kSharded;
-  params.store_dir.clear();
-  params.pointer_ttl = 5.0;
-
-  auto build = [&] {
-    Rng rng(3);
-    auto space = std::make_unique<RingMetric>(n + 8, rng);
-    auto net = std::make_unique<Network>(*space, params, 21);
-    for (std::size_t i = 0; i < n; ++i) net->insert_static(i);
-    net->rebuild_static_tables();
-    const auto ids = net->node_ids();
-    Rng wl(8);
-    // Two publish waves with different deadlines: t=0 (expires 5) and
-    // t=4 (expires 9); at t=7 only the first wave is overdue.
-    for (std::size_t i = 0; i < 24; ++i)
-      net->publish(ids[wl.next_u64(ids.size())], test::make_guid(*net, i));
-    net->events().run_until(4.0);
-    for (std::size_t i = 24; i < 48; ++i)
-      net->publish(ids[wl.next_u64(ids.size())], test::make_guid(*net, i));
-    net->events().run_until(7.0);
-    return std::make_pair(std::move(space), std::move(net));
-  };
-  auto [space_a, serial] = build();
-  auto [space_b, parallel] = build();
-  const std::size_t before = serial->total_object_pointers();
-  ASSERT_EQ(before, parallel->total_object_pointers());
-
-  serial->expire_pointers(1);
-  parallel->expire_pointers(4);
-  EXPECT_EQ(serial->total_object_pointers(),
-            parallel->total_object_pointers());
-  EXPECT_LT(serial->total_object_pointers(), before);  // wave 1 expired
-  EXPECT_GT(serial->total_object_pointers(), 0u);      // wave 2 survives
-  for (const NodeId& id : serial->node_ids()) {
-    const auto sa = sorted_snapshot(serial->node(id).store());
-    const auto sb = sorted_snapshot(parallel->node(id).store());
-    ASSERT_EQ(sa.size(), sb.size()) << "node " << id.to_string();
-    for (std::size_t i = 0; i < sa.size(); ++i)
-      EXPECT_TRUE(record_eq(sa[i].second, sb[i].second));
-  }
-}
-
 /// Overlay-level kill-and-resume: publish into a persistent overlay,
 /// checkpoint, destroy the Network, rebuild the membership from the
 /// manifest, restore — published() and every locate must come back.
@@ -1016,57 +969,54 @@ TEST(QuorumReplication, QuorumReadMergesFreshestAndReadRepairs) {
 }
 
 /// Mirrors are §6.5 soft state like the records they copy, and they live
-/// in the replicator, never in a holder's own store.  Each expiry sweep,
-/// serial or fanned out, empties every live holder's area once the
-/// publish deadline has passed; a quorum read then finds nothing.
+/// in the replicator, never in a holder's own store.  An expiry sweep
+/// empties every live holder's area once the publish deadline has passed;
+/// a quorum read then finds nothing.
 TEST(QuorumReplication, MirrorsExpireWithPrimaries) {
   auto params = replicated_params();
   params.pointer_ttl = 10.0;
   auto twin_params = params;
   twin_params.store_backend = StoreBackend::kMemory;
-  for (const std::size_t workers : {1, 4}) {
-    SCOPED_TRACE(workers);
-    auto g = test::static_ring_network(64, 29, params);
-    auto twin = test::static_ring_network(64, 29, twin_params);
-    Network& net = *g.net;
-    QuorumReplicator* repl = net.directory().replicator();
-    ASSERT_NE(repl, nullptr);
-    const Guid obj = test::make_guid(net, 41);
-    const NodeId server = g.ids[7];
-    net.publish(server, obj);
-    twin.net->publish(server, obj);
-    const Guid salted = salted_guid(obj, 0);
-    const NodeId root = net.surrogate_root(salted);
-    ASSERT_NE(repl->holders(salted), nullptr);
-    const std::vector<NodeId> holders = *repl->holders(salted);
-    ASSERT_EQ(holders.size(), params.replication.k);
+  auto g = test::static_ring_network(64, 29, params);
+  auto twin = test::static_ring_network(64, 29, twin_params);
+  Network& net = *g.net;
+  QuorumReplicator* repl = net.directory().replicator();
+  ASSERT_NE(repl, nullptr);
+  const Guid obj = test::make_guid(net, 41);
+  const NodeId server = g.ids[7];
+  net.publish(server, obj);
+  twin.net->publish(server, obj);
+  const Guid salted = salted_guid(obj, 0);
+  const NodeId root = net.surrogate_root(salted);
+  ASSERT_NE(repl->holders(salted), nullptr);
+  const std::vector<NodeId> holders = *repl->holders(salted);
+  ASSERT_EQ(holders.size(), params.replication.k);
 
-    // Before the deadline every holder mirrors the record, while each
-    // node's own store holds what the unreplicated twin's does: a holder
-    // off the publish path has nothing for the object there.
-    EXPECT_EQ(net.total_object_pointers(), twin.net->total_object_pointers());
-    std::size_t off_path = 0;
-    for (const NodeId& h : holders) {
-      EXPECT_TRUE(repl->replicas_at(h).find(salted, server).has_value());
-      const bool on_path =
-          twin.net->node(h).store().find(salted, server).has_value();
-      EXPECT_EQ(net.node(h).store().find(salted, server).has_value(),
-                on_path);
-      if (!on_path) ++off_path;
-    }
-    EXPECT_GT(off_path, 0u);
-
-    // Past the deadline the mirrors stay until a sweep removes them.
-    net.events().run_until(net.now() + params.pointer_ttl + 1.0);
-    for (const NodeId& h : holders)
-      EXPECT_EQ(repl->replicas_at(h).size(), 1u);
-    net.expire_pointers(workers);
-    EXPECT_EQ(net.total_object_pointers(), 0u);
-    for (const NodeId& id : g.ids)
-      EXPECT_TRUE(repl->replicas_at(id).empty()) << id.to_string();
-    EXPECT_TRUE(
-        repl->quorum_read(net.node(root), salted, net.now(), nullptr).empty());
+  // Before the deadline every holder mirrors the record, while each
+  // node's own store holds what the unreplicated twin's does: a holder
+  // off the publish path has nothing for the object there.
+  EXPECT_EQ(net.total_object_pointers(), twin.net->total_object_pointers());
+  std::size_t off_path = 0;
+  for (const NodeId& h : holders) {
+    EXPECT_TRUE(repl->replicas_at(h).find(salted, server).has_value());
+    const bool on_path =
+        twin.net->node(h).store().find(salted, server).has_value();
+    EXPECT_EQ(net.node(h).store().find(salted, server).has_value(),
+              on_path);
+    if (!on_path) ++off_path;
   }
+  EXPECT_GT(off_path, 0u);
+
+  // Past the deadline the mirrors stay until a sweep removes them.
+  net.events().run_until(net.now() + params.pointer_ttl + 1.0);
+  for (const NodeId& h : holders)
+    EXPECT_EQ(repl->replicas_at(h).size(), 1u);
+  net.expire_pointers();
+  EXPECT_EQ(net.total_object_pointers(), 0u);
+  for (const NodeId& id : g.ids)
+    EXPECT_TRUE(repl->replicas_at(id).empty()) << id.to_string();
+  EXPECT_TRUE(
+      repl->quorum_read(net.node(root), salted, net.now(), nullptr).empty());
 }
 
 /// A holder set lives while some holder mirrors a record of its guid: an

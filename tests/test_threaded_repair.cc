@@ -8,20 +8,18 @@
 // no republish backstop.  The serial calls and the waves run one protocol
 // implementation; the *AgreesWithSerial twins check both modes land on
 // the same invariants.  The waves take the store backend from TAP_STORE.
-// The whole binary runs under TSan in CI: the prober test is where guarded
-// peeks genuinely race the repair threads, and the memory-store waves are
-// where a store write from a worker thread would show as a race.
+// The whole binary runs under TSan in CI: the memory-store waves, and the
+// soak with the locate cache on, are where a store or cache write from a
+// worker thread would show as a race.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "src/common/assert.h"
+#include "src/sim/churn_driver.h"
 #include "src/sim/metrics.h"
 #include "src/tapestry/fingerprint.h"
 #include "src/tapestry/network.h"
@@ -301,60 +299,6 @@ TEST(ThreadedRepair, ThreadedFailAgreesWithSerial) {
   }
 }
 
-TEST(ThreadedRepair, GuardedPeekProberRacesFailWave) {
-  // The TSan acceptance race: a prober thread hammers guarded root walks
-  // from surviving sources while fail_and_repair_bulk tears 24 nodes out
-  // of the mesh on 4 real threads.  Mid-wave a walk may find a row whose
-  // every member is momentarily dead — that surfaces as CheckError, which
-  // is a legal transient; crashes and torn reads are not (TSan's job).
-  auto g = static_ring_network(160, 413, small_params());
-  const auto ids = g.net->node_ids();
-  const auto victims = pick_victims(ids, 24, 6);
-  const auto servers = pick_survivor_servers(ids, victims, 8);
-  std::vector<Guid> guids;
-  for (std::size_t i = 0; i < servers.size(); ++i) {
-    const Guid guid = make_guid(*g.net, 8300 + i);
-    guids.push_back(guid);
-    g.net->publish(servers[i], guid);
-  }
-  const auto sources = pick_survivor_servers(ids, victims, 32);
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::size_t> probes{0};
-  std::atomic<std::size_t> transients{0};
-  std::thread prober([&] {
-    // gtest assertions are not thread-safe off the main thread: count,
-    // assert after joining.
-    Rng pr(1234);
-    while (!stop.load(std::memory_order_relaxed)) {
-      const NodeId src = sources[pr.next_u64(sources.size())];
-      const Guid target = make_guid(*g.net, 8300 + pr.next_u64(64));
-      try {
-        (void)g.net->router().route_to_root_peek(
-            src, target, nullptr, &g.net->registry().node_locks());
-      } catch (const CheckError&) {
-        transients.fetch_add(1, std::memory_order_relaxed);
-      }
-      probes.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  // The wave starts after the prober's first walk, so the two overlap
-  // however the threads are scheduled.
-  while (probes.load() == 0) std::this_thread::yield();
-  g.net->fail_and_repair_bulk(victims, /*workers=*/4);
-  stop.store(true, std::memory_order_relaxed);
-  prober.join();
-
-  EXPECT_GT(probes.load(), 0u) << "the prober must actually race the wave";
-  g.net->check_property1();
-  g.net->check_backpointer_symmetry();
-  expect_no_pins(*g.net);
-  // Quiescent now: every object locatable, still without a republish.
-  const auto survivors = g.net->node_ids();
-  for (const Guid& guid : guids)
-    EXPECT_TRUE(g.net->locate(survivors[2], guid).found);
-}
-
 TEST(ThreadedRepair, LeaveKeepsObjectsLocatableOnGrownCore) {
   // Organic tables (dynamic-join core), victims chosen so some of them
   // root the published objects: the wave's §4.2 re-route must hand the
@@ -442,6 +386,37 @@ TEST(ThreadedRepair, EveryWaveKeepsProperty4OnTheMemoryStore) {
             << guid.to_string();
     }
   }
+}
+
+TEST(ThreadedRepair, SoakConvergesOnTheMemoryStoreWithTheCacheOn) {
+  // The threaded churn soak takes any store backend and the locate cache:
+  // each wave runs alone, and its worker threads touch neither.  Three
+  // rounds of 8 joins, 4 fails and 4 leaves on the unlocked memory store
+  // with a 32-entry cache, at 1 and 4 workers: each run converges and
+  // locates every tracked object with no republish, and both reach the
+  // same membership and occupancy.  Under TSan this is the witness that
+  // no wave thread writes a store or a cache.
+  TapestryParams p = small_params();
+  p.store_backend = StoreBackend::kMemory;
+  p.locate_cache_size = 32;
+  std::vector<ThreadedChurnReport> reports;
+  for (const std::size_t workers : {1u, 4u}) {
+    auto g = static_ring_network(96, 441, p);
+    ThreadedChurnScenario sc;
+    sc.rounds = 3;
+    sc.joins_per_round = 8;
+    sc.fails_per_round = 4;
+    sc.leaves_per_round = 4;
+    sc.objects = 24;
+    sc.workers = workers;
+    sc.seed = 441;
+    reports.push_back(ThreadedChurnSoak(*g.net, sc).run());
+    const ThreadedChurnReport& rep = reports.back();
+    EXPECT_TRUE(rep.converged()) << "workers=" << workers;
+    EXPECT_EQ(rep.found, rep.queries) << "workers=" << workers;
+  }
+  EXPECT_EQ(reports[0].membership_fp, reports[1].membership_fp);
+  EXPECT_EQ(reports[0].occupancy_fp, reports[1].occupancy_fp);
 }
 
 TEST(ThreadedRepair, RepairWavesSendNoHeartbeats) {

@@ -398,12 +398,11 @@ TEST(Transport, PointerRerouteKindsFlowOnFailure) {
   for (std::uint64_t i = 0; i < 48; ++i)
     net.publish(g.ids[i % g.ids.size()], make_guid(net, 300 + i));
 
-  // Kill a third of the overlay, sweep (purges reroute each holder's
-  // pointers, §4.2) and mend stranded chains: enough topology change to
-  // reliably produce both optimize deposits and backward deletes.
+  // Kill a third of the overlay and sweep (purges reroute each holder's
+  // pointers, §4.2): enough topology change to reliably produce both
+  // optimize deposits and backward deletes.
   for (std::size_t i = 0; i < 32; ++i) net.fail(g.ids[3 * i + 1]);
   net.heartbeat_sweep();
-  net.directory().repair_pointer_chains();
 
   const TransportStats& s = net.transport().stats();
   EXPECT_GT(s.kind_count(MessageKind::kPointerOptimize), 0u);

@@ -69,10 +69,9 @@
 // below, writes that field directly, so its bracketed default is
 // ChurnScenario's:
 //   --churn-threads=N        run the wall-clock ThreadedChurnSoak instead
-//                            of the event-driven driver: N-thread
-//                            join/fail/leave repair waves racing guarded
-//                            publishes, expiry sweeps and peeked probes
-//                            (requires --store=sharded, --cache=0)     [0]
+//                            of the event-driven driver: rounds of
+//                            N-thread join, fail and leave waves, each
+//                            alone on the overlay                     [0]
 //   --scenario=static|churn  one-shot measurement vs scripted churn [static]
 //   --horizon=T              simulated run length                    [40]
 //   --epoch-len=T            statistics bucket length                [5]
@@ -137,13 +136,13 @@
 //                            127.0.0.1:N for the life of the process
 //                            (N=0 picks an ephemeral port, printed)
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
 
+#include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/metric/general.h"
@@ -216,37 +215,13 @@ bool churn_family(const std::string& scenario) {
          scenario == "rootfail" || scenario == "burst";
 }
 
-/// Parses the whole of `v` into `*out` for numeric flag `name`, or exits 2
-/// naming the flag.  std::from_chars takes no sign for unsigned types and
-/// no leading space, and the value must end where the argument does.
-template <typename T>
-void parse_number(const char* name, const std::string& v, T* out) {
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, *out);
-  if (ec != std::errc() || ptr != end) {
-    std::fprintf(stderr, "invalid value for %s: '%s'\n", name, v.c_str());
-    std::exit(2);
-  }
-}
-
-bool parse_flag(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
 Options parse(int argc, char** argv) {
   Options o;
   ChurnScenario& sc = o.sc;
   for (int i = 1; i < argc; ++i) {
     std::string v;
     auto num = [&](const char* name, auto* out) {
-      if (!parse_flag(argv[i], name, &v)) return false;
-      parse_number(name, v, out);
-      return true;
+      return number_flag(argv[i], name, out);
     };
     if (num("--nodes", &o.nodes) || num("--objects", &o.objects) ||
         num("--queries", &o.queries) || num("--replicas", &o.replicas) ||
@@ -399,14 +374,6 @@ Options parse(int argc, char** argv) {
       std::fprintf(stderr, "--churn-threads requires --scenario=churn\n");
       std::exit(2);
     }
-    if (o.store != "sharded") {
-      std::fprintf(stderr, "--churn-threads requires --store=sharded\n");
-      std::exit(2);
-    }
-    if (o.cache != 0) {
-      std::fprintf(stderr, "--churn-threads requires --cache=0\n");
-      std::exit(2);
-    }
     if (!sc.metrics_out.empty()) {
       std::fprintf(stderr,
                    "--metrics-out is not supported with --churn-threads\n");
@@ -465,8 +432,8 @@ Guid make_guid(const Network& net, std::uint64_t raw) {
 }
 
 // Wall-clock threaded churn soak (--churn-threads=N): rounds of
-// join/fail/leave repair waves on N real threads racing guarded store
-// traffic on the same overlay.  Exit code 0 iff the mesh converged
+// join/fail/leave waves on N real threads, one wave at a time.  Exit code
+// 0 iff the mesh converged
 // (Property 1, backpointer symmetry, no pins) and every tracked object
 // stayed locatable without a republish.
 int run_threaded_churn(const Options& o, Network& net) {
@@ -478,7 +445,6 @@ int run_threaded_churn(const Options& o, Network& net) {
   sc.leaves_per_round = std::max<std::size_t>(2, o.nodes / 32);
   sc.min_nodes = o.min_nodes;
   sc.objects = o.objects;
-  sc.publishes_per_round = 8;
   sc.workers = o.churn_threads;
   sc.seed = o.seed;
 
@@ -494,10 +460,6 @@ int run_threaded_churn(const Options& o, Network& net) {
       "waves (%.0f repairs/s)\n",
       rep.rounds, rep.joins, rep.fails, rep.leaves, rep.repair_seconds,
       rep.repairs_per_sec());
-  std::printf(
-      "  racers: %zu publishes, %zu expiry sweeps, %zu probes "
-      "(%zu transient mid-wave misses)\n",
-      rep.publishes, rep.expiry_sweeps, rep.probes, rep.probe_transients);
   std::printf("  availability: %zu/%zu located, no republish (%.4f)\n",
               rep.found, rep.queries, rep.availability());
   std::printf(
