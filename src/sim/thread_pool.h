@@ -2,13 +2,12 @@
 // every call and joins them before returning; there is no standing pool.
 //
 // The library runs its parallel phases on it: bulk registration, static
-// table builds, batched publishes, pointer-expiry and heartbeat sweeps,
-// and join, repair and leave waves.  Those callers bring their own
-// synchronisation (stripe locks, per-task Traces) and their own
-// determinism argument.  The benchmark harness and heavyweight tests use
-// run_trials, where each trial owns an independent simulator instance
-// seeded from the trial index, so results come back in trial order
-// whatever the thread count.
+// table builds, batched publishes, and join, repair and leave waves.
+// Those callers bring their own synchronisation (stripe locks, per-task
+// Traces) and their own determinism argument.  The benchmark harness and
+// heavyweight tests use run_trials, where each trial owns an independent
+// simulator instance seeded from the trial index, so results come back in
+// trial order whatever the thread count.
 #pragma once
 
 #include <cstddef>

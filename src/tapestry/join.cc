@@ -256,7 +256,7 @@ std::vector<NodeId> MaintenanceEngine::join_bulk(
   // Serial preamble: draw ids and gateways in request order so the drawn
   // sequence — and with it the final membership — is a function of the
   // seed alone, never of the worker count or thread scheduling.
-  const std::vector<NodeId> live = reg_.node_ids();
+  const std::vector<NodeId>& live = reg_.live_ids();
   std::vector<NodeId> ids(requests.size());
   std::vector<NodeId> gateways(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -267,7 +267,16 @@ std::vector<NodeId> MaintenanceEngine::join_bulk(
   }
 
   // Any live node may adopt a joiner, so every one is snapshotted.
-  run_wave(reg_.nodes_snapshot(), trace, [&] {
+  std::vector<TapestryNode*> relinked;
+  for (const auto& n : reg_.nodes()) relinked.push_back(n.get());
+  // The joiners are registered here, in request order and marked
+  // inserting, so the registry changes only before the threads start.
+  // Each counts in live_count() only once its insertion begins, and no
+  // table names it before then.
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    reg_.register_node(ids[i], requests[i].loc, /*inserting=*/true);
+
+  run_wave(relinked, trace, [&] {
     std::vector<Trace> traces(requests.size());
     const NodeLockTable* locks = &reg_.node_locks();
     parallel_for(
@@ -376,10 +385,19 @@ NodeId MaintenanceEngine::acquire_surrogate(NodeId gateway, const NodeId& nn,
 
 void MaintenanceEngine::begin_insertion(InsertionSession& s, Location loc,
                                         const NodeLockTable* locks) {
-  // Registered pre-marked as inserting: any thread that finds the node in
-  // the index already sees the §4.3 transient state.
-  TapestryNode& nn =
-      reg_.register_node(s.nn, loc, /*inserting=*/true, s.surrogate);
+  // A wave registered its joiners in its preamble; join_via and
+  // join_events register theirs here, after the surrogate walk, whose
+  // repairs may read the live-id lists.  Either way the node is marked
+  // inserting before any table names it, and counts as live from here.
+  TapestryNode* found = reg_.find(s.nn);
+  TapestryNode& nn = found != nullptr
+                         ? *found
+                         : reg_.register_node(s.nn, loc, /*inserting=*/true);
+  {
+    NodeLockTable::Guard g(locks, s.nn);
+    nn.psurrogate = s.surrogate;
+  }
+  reg_.count_insertion(nn);
   s.alpha = s.nn.common_prefix_len(s.surrogate);
   s.hole_digit = s.nn.digit(s.alpha);
   copy_preliminary_table(nn, reg_.live(s.surrogate), s.alpha, s.trace, locks);

@@ -145,14 +145,14 @@ class MaintenanceEngine final : public RepairHandler {
   /// preliminary table copy, acknowledged multicast with pinned pointers /
   /// watch lists / filled-hole forwarding, pin release, and the §3
   /// nearest-neighbor table construction — synchronously, racing every
-  /// other in-flight join through the registry's lock-free index
-  /// snapshots and the per-node stripe locks.  Each message of the
-  /// multicast is handled the moment it is sent, so the multicast is a
-  /// depth-first walk.  Where join_events interleaves *messages* in
-  /// simulated time, a wave interleaves *real memory operations*:
-  /// pinned-pointer insertion, filled-hole forwarding and watch-list
-  /// reports from concurrent joins genuinely contend on the same
-  /// RoutingTable mutation wrappers.
+  /// other in-flight join through the per-node stripe locks.  Its walk to
+  /// the surrogate is the non-repairing peek, so no worker reads the
+  /// registry's live-id lists.  Each message of the multicast is handled
+  /// the moment it is sent, so the multicast is a depth-first walk.
+  /// Where join_events interleaves *messages* in simulated time, a wave
+  /// interleaves *real memory operations*: pinned-pointer insertion,
+  /// filled-hole forwarding and watch-list reports from concurrent joins
+  /// genuinely contend on the same RoutingTable mutation wrappers.
   ///
   /// Locking discipline (see node_locks.h): every access to a node's
   /// routing table or insertion flags takes that node's stripe; mutations
@@ -164,10 +164,12 @@ class MaintenanceEngine final : public RepairHandler {
   /// for an (owner, member, level) triple writes the truth, so forward
   /// links and backpointers mirror exactly at quiescence.
   ///
-  /// Determinism contract: the batch is validated (check_join_batch) and
-  /// node ids and gateways are drawn serially before any thread starts,
-  /// so same seed + any worker count produces the same membership — and
-  /// therefore the same Property 1 occupancy pattern — while message
+  /// Determinism contract: the batch is validated (check_join_batch), node
+  /// ids and gateways are drawn, and the joiners are registered in request
+  /// order, all serially before any thread starts, so the registry does
+  /// not change beside the threads (registry.h).  Same seed + any worker
+  /// count produces the same membership, registered in the same order —
+  /// and therefore the same Property 1 occupancy pattern — while message
   /// orderings (and hence which of several equally valid neighbors a slot
   /// holds) may differ run to run.  Convergence is asserted on invariants
   /// (no lost pins, all watched holes resolved, surrogate agreement,
@@ -255,12 +257,16 @@ class MaintenanceEngine final : public RepairHandler {
   //
   // A wave runs alone, joins included: from its serial preamble to its
   // last re-route nothing else runs on the overlay, so no one writes a
-  // store or a locate cache while it runs.  Its worker threads read and
-  // write routing tables only, under the stripe locks (a join worker's
-  // guarded surrogate walk reads them the same way), so a wave runs on
-  // any store backend, with or without the locate cache, at any worker
-  // count.  Interleaving protocol messages is simulated time's job
-  // (join_events, ChurnDriver), not that of threads beside a wave.
+  // store or a locate cache while it runs.  Its membership changes happen
+  // in that preamble too (a join wave registers its joiners, a leave or
+  // fail wave marks its victims dead), so the registry does not change
+  // beside its threads; a join worker only counts its joiner live.  Its
+  // worker threads read and write routing tables only, under the stripe
+  // locks (a join worker's guarded surrogate walk reads them the same
+  // way), so a wave runs on any store backend, with or without the locate
+  // cache, at any worker count.  Interleaving protocol messages is
+  // simulated time's job (join_events, ChurnDriver), not that of threads
+  // beside a wave.
   //
   // Tombstones: a leave wave frees each victim's table as its departure
   // ends, since nothing live links with it then.  A fail wave frees none:
@@ -367,8 +373,9 @@ class MaintenanceEngine final : public RepairHandler {
   [[nodiscard]] NodeId acquire_surrogate(NodeId gateway, const NodeId& nn,
                                          Trace* trace,
                                          const NodeLockTable* locks);
-  /// Registers s.nn at `loc` as inserting under s.surrogate, fixes α and
-  /// the hole digit, and copies the surrogate's preliminary table.
+  /// Registers s.nn at `loc` as inserting, unless its wave's preamble did,
+  /// records s.surrogate as its psurrogate and counts it live; then fixes
+  /// α and the hole digit, and copies the surrogate's preliminary table.
   void begin_insertion(InsertionSession& s, Location loc,
                        const NodeLockTable* locks);
   /// The watch list a §4.4 multicast starts with: every slot the new node

@@ -196,7 +196,7 @@ class Network {
 
   /// Batched publish for bulk overlay construction: publish paths walked
   /// concurrently through the Router's mutation-free read path, deposits
-  /// drained per registry shard (see ObjectDirectory::publish_batch).
+  /// drained per node group (see ObjectDirectory::publish_batch).
   void publish_batch(const std::vector<ObjectDirectory::PublishRequest>& batch,
                      std::size_t workers = 0, Trace* trace = nullptr) {
     directory_.publish_batch(batch, workers, trace);

@@ -9,7 +9,6 @@
 // method).
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <optional>
 
@@ -40,12 +39,10 @@ class TapestryNode {
   /// False once the node has failed (§5.2) or left (§5.1).  Dead nodes stay
   /// allocated as tombstones: id, location and store for good, the table
   /// while a live node links with it, so lazy repair can discover it (it
-  /// is freed once none does; registry.h).  Atomic so a wave's worker
-  /// threads may read liveness, each other's guarded-peek walks included,
-  /// without a lock: waves mark their victims dead in a serial preamble
-  /// strictly before their parallel phase, so a reader sees a consistent
-  /// value either way — the atomic only de-races the flag.
-  std::atomic<bool> alive{true};
+  /// is freed once none does; registry.h).  Written only at quiescent
+  /// points, like the registry: a wave marks its victims dead in its
+  /// serial preamble, so its worker threads read the flag without a lock.
+  bool alive = true;
 
   /// True from registration until the insertion completes (§4.3): requests
   /// for objects the node does not hold are bounced to its surrogate.

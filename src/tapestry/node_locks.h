@@ -10,14 +10,14 @@
 // a null table locks nothing.  The heartbeat sweep takes no lock table: it
 // runs serially only.
 //
-// The registry's index is already lock-free for readers, and the object
-// stores bring their own synchronisation (ShardedStore's guid stripes) —
-// what has none is the per-node *protocol* state: the RoutingTable (slots,
-// occupancy masks, backpointers) and the transient insertion flags
-// (`inserting`, `psurrogate`).  When joins run on real threads, every
-// access to that state goes through this table: node ids hash onto a fixed
-// array of mutexes, so the lock footprint is O(stripes) regardless of
-// overlay size and nodes registered mid-wave are covered automatically.
+// The registry needs no lock: it changes only at quiescent points (a
+// wave registers its joiners and marks its victims dead in its serial
+// preamble; registry.h), and no wave worker writes a store.  What a wave's
+// workers do change is the per-node *protocol* state: the RoutingTable
+// (slots, occupancy masks, backpointers) and the transient insertion
+// flags (`inserting`, `psurrogate`).  Every access to that state inside a
+// wave goes through this table: node ids hash onto a fixed array of
+// mutexes, so the lock footprint is O(stripes) regardless of overlay size.
 //
 // Deadlock discipline: a thread holds at most one Guard at a time.  The
 // two-node Guard (table mutation + backpointer mirror on the other side)

@@ -315,27 +315,30 @@ void ObjectDirectory::publish_batch(const std::vector<PublishRequest>& batch,
 
   // Phase 2: drain the deposits concurrently.  The safety partition
   // depends on the backend: a plain store may only be touched by one
-  // worker at a time, so deposits group by the registry shard of the
-  // receiving node (the PR 3 scheme).  A striped backend (ShardedStore)
-  // additionally splits each shard's work by the target guid's lock
+  // worker at a time, so deposits group by a hash of the receiving node
+  // into kNodeGroups groups.  A striped backend (ShardedStore)
+  // additionally splits each node group's work by the target guid's lock
   // stripe — workers hitting the same node's store then always hold
-  // different stripes, so up to kShardCount * kStripeCount groups drain
-  // at once instead of serializing whole shards.  Either way a given
+  // different stripes, so up to kNodeGroups * kStripeCount groups drain
+  // at once instead of serializing whole node groups.  Either way a given
   // (node, guid) pair always lands in exactly one group and each group
   // applies its deposits in task order, so the store contents match the
   // serial publish loop record for record, whatever the worker count.
+  constexpr std::size_t kNodeGroups = 16;
   const std::size_t stripes =
       params_.store_backend == StoreBackend::kSharded
           ? ShardedStore::kStripeCount
           : 1;
   std::vector<std::vector<std::pair<std::size_t, std::size_t>>> by_group(
-      NodeRegistry::kShardCount * stripes);  // (task, deposit) indices
+      kNodeGroups * stripes);  // (task, deposit) indices
   for (std::size_t t = 0; t < n_tasks; ++t) {
     const std::size_t stripe =
         stripes == 1 ? 0 : ShardedStore::stripe_of(tasks[t].target);
-    for (std::size_t k = 0; k < deposits[t].size(); ++k)
-      by_group[reg_.shard_of(deposits[t][k].at->id()) * stripes + stripe]
-          .emplace_back(t, k);
+    for (std::size_t k = 0; k < deposits[t].size(); ++k) {
+      const std::size_t node_group =
+          splitmix64(deposits[t][k].at->id().value()) & (kNodeGroups - 1);
+      by_group[node_group * stripes + stripe].emplace_back(t, k);
+    }
   }
   parallel_for(
       by_group.size(),

@@ -63,7 +63,7 @@ class ObjectDirectory {
   /// phases drained through sim/thread_pool: the publish paths are walked
   /// with the Router's mutation-free peek (grouped by the salted guid's
   /// leading digit — the root region each path converges into), and the
-  /// collected deposits land per registry shard, each shard applying its
+  /// collected deposits land per node group, each group applying its
   /// deposits in batch order.  On the replicated backends a last, serial
   /// phase mirrors each root deposit to its quorum holders in batch
   /// order.  The result is identical to calling publish() per request on

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "src/sim/metrics.h"
 #include "src/sim/thread_pool.h"
@@ -10,70 +11,40 @@ namespace tap {
 
 NodeRegistry::NodeRegistry(const MetricSpace& space,
                            const TapestryParams& params, Rng& rng)
-    : space_(space), params_(params), rng_(rng) {
-  const unsigned total = params_.id.valid() ? params_.id.total_bits() : 64;
-  shard_shift_ = total > kShardBits ? total - kShardBits : 0;
-}
+    : space_(space), params_(params), rng_(rng) {}
 
 NodeRegistry::~NodeRegistry() = default;
 
 // ---------------------------------------------------------------------
-// Sharded index: lock-free reads, per-shard writer mutex
+// Id index
 // ---------------------------------------------------------------------
 
 TapestryNode* NodeRegistry::lookup(std::uint64_t key) const {
-  const Shard& sh =
-      shards_[static_cast<unsigned>(key >> shard_shift_) & (kShardCount - 1)];
-  const IndexTable* t = sh.table.load(std::memory_order_acquire);
-  if (t == nullptr) return nullptr;
-  std::size_t i = splitmix64(key) & t->mask;
-  for (;;) {
-    // The release store of `node` (after `key`) is the publish gate: a
-    // non-null pointer implies the matching key is visible.  A null slot
-    // ends the probe chain — occupied slots never empty (no deletions).
-    TapestryNode* n = t->slots[i].node.load(std::memory_order_acquire);
-    if (n == nullptr) return nullptr;
-    if (t->slots[i].key.load(std::memory_order_relaxed) == key) return n;
-    i = (i + 1) & t->mask;
+  if (index_.empty()) return nullptr;
+  const std::size_t mask = index_.size() - 1;
+  // An empty slot ends the probe chain: entries are never removed.
+  for (std::size_t i = splitmix64(key) & mask;; i = (i + 1) & mask) {
+    const IndexSlot& slot = index_[i];
+    if (slot.node == nullptr) return nullptr;
+    if (slot.key == key) return slot.node;
   }
 }
 
-void NodeRegistry::shard_insert(Shard& shard, std::uint64_t key,
-                                TapestryNode* node) {
-  std::lock_guard<std::mutex> lock(shard.mu);
-  IndexTable* t = shard.table.load(std::memory_order_relaxed);
-  if (t == nullptr || (t->used + 1) * 10 >= (t->mask + 1) * 7) {
-    // Grow (or create) and republish: readers keep probing the old
-    // snapshot until the release store below makes the new one visible.
-    const std::size_t cap = t == nullptr ? 16 : 2 * (t->mask + 1);
-    auto grown = std::make_unique<IndexTable>(cap);
-    if (t != nullptr) {
-      grown->used = t->used;
-      for (const IndexSlot& s : t->slots) {
-        TapestryNode* n = s.node.load(std::memory_order_relaxed);
-        if (n == nullptr) continue;
-        const std::uint64_t k = s.key.load(std::memory_order_relaxed);
-        std::size_t i = splitmix64(k) & grown->mask;
-        while (grown->slots[i].node.load(std::memory_order_relaxed) !=
-               nullptr)
-          i = (i + 1) & grown->mask;
-        grown->slots[i].key.store(k, std::memory_order_relaxed);
-        grown->slots[i].node.store(n, std::memory_order_relaxed);
-      }
-    }
-    t = grown.get();
-    shard.tables.push_back(std::move(grown));
-    shard.table.store(t, std::memory_order_release);
-  }
-  std::size_t i = splitmix64(key) & t->mask;
-  while (t->slots[i].node.load(std::memory_order_relaxed) != nullptr) {
-    TAP_ASSERT_MSG(t->slots[i].key.load(std::memory_order_relaxed) != key,
-                   "duplicate key in shard index");
-    i = (i + 1) & t->mask;
-  }
-  t->slots[i].key.store(key, std::memory_order_relaxed);
-  t->slots[i].node.store(node, std::memory_order_release);
-  ++t->used;
+void NodeRegistry::reserve_index(std::size_t entries) {
+  std::size_t cap = index_.empty() ? 16 : index_.size();
+  while (entries * 10 >= cap * 7) cap *= 2;
+  if (cap == index_.size()) return;
+  std::vector<IndexSlot> old =
+      std::exchange(index_, std::vector<IndexSlot>(cap));
+  for (const IndexSlot& slot : old)
+    if (slot.node != nullptr) index_put(slot.key, slot.node);
+}
+
+void NodeRegistry::index_put(std::uint64_t key, TapestryNode* node) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = splitmix64(key) & mask;
+  while (index_[i].node != nullptr) i = (i + 1) & mask;
+  index_[i] = IndexSlot{key, node};
 }
 
 // ---------------------------------------------------------------------
@@ -124,35 +95,24 @@ void NodeRegistry::validate_registration(const NodeId& id,
 }
 
 TapestryNode& NodeRegistry::register_node(NodeId id, Location loc,
-                                          bool inserting,
-                                          std::optional<NodeId> psurrogate) {
+                                          bool inserting) {
   validate_registration(id, loc);
-  auto owned = std::make_unique<TapestryNode>(id, loc, params_);
-  TapestryNode* node = owned.get();
-  // Insertion flags land before the index publish: a reader that finds the
-  // node sees it already marked inserting (release/acquire on the index
-  // slot orders these plain writes before any concurrent read).
-  node->inserting = inserting;
-  node->psurrogate = psurrogate;
-  {
-    std::lock_guard<std::mutex> lock(nodes_mu_);
-    nodes_.push_back(std::move(owned));
-    live_ids_.push_back(id);
-    live_sorted_.insert(std::lower_bound(live_sorted_.begin(),
-                                         live_sorted_.end(), id.value()),
-                        id.value());
-  }
-  shard_insert(shards_[shard_of(id)], id.value(), node);
-  live_count_.fetch_add(1, std::memory_order_relaxed);
-  return *node;
+  reserve_index(nodes_.size() + 1);
+  nodes_.push_back(std::make_unique<TapestryNode>(id, loc, params_));
+  TapestryNode& node = *nodes_.back();
+  node.inserting = inserting;
+  index_put(id.value(), &node);
+  live_ids_.push_back(id);
+  live_sorted_.insert(
+      std::lower_bound(live_sorted_.begin(), live_sorted_.end(), id.value()),
+      id.value());
+  if (!inserting) live_count_.fetch_add(1, std::memory_order_relaxed);
+  return node;
 }
 
-std::vector<TapestryNode*> NodeRegistry::nodes_snapshot() const {
-  std::lock_guard<std::mutex> lock(nodes_mu_);
-  std::vector<TapestryNode*> out;
-  out.reserve(nodes_.size());
-  for (const auto& n : nodes_) out.push_back(n.get());
-  return out;
+void NodeRegistry::count_insertion(const TapestryNode& node) {
+  TAP_ASSERT_MSG(node.inserting, "only an inserting node is counted late");
+  live_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void NodeRegistry::register_bulk(
@@ -167,44 +127,25 @@ void NodeRegistry::register_bulk(
               "duplicate node id within the batch");
   }
 
-  // Reserve the insertion-order slots up front so construction can fan out
-  // while the order stays exactly the batch order for every worker count.
-  // nodes_mu_ stays held across the fill: the workers write disjoint
-  // elements of a buffer whose stability the lock guarantees — a racing
-  // register_node/register_bulk must not reallocate it mid-construction.
-  // The raw pointers are captured under the lock too, so the index phase
-  // below never touches nodes_ itself.
-  std::vector<TapestryNode*> built(batch.size());
-  {
-    std::lock_guard<std::mutex> lock(nodes_mu_);
-    const std::size_t base = nodes_.size();
-    nodes_.resize(base + batch.size());
-    parallel_for(
-        batch.size(),
-        [&](std::size_t i) {
-          nodes_[base + i] = std::make_unique<TapestryNode>(
-              batch[i].first, batch[i].second, params_);
-          built[i] = nodes_[base + i].get();
-        },
-        workers);
-    for (const auto& entry : batch) {
-      live_ids_.push_back(entry.first);
-      live_sorted_.push_back(entry.first.value());
-    }
-    std::sort(live_sorted_.begin(), live_sorted_.end());
-  }
-
-  // Index inserts grouped per shard — one writer per shard, no contention.
-  std::array<std::vector<std::size_t>, kShardCount> by_shard;
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    by_shard[shard_of(batch[i].first)].push_back(i);
+  // Construction fans out into reserved slots, so the insertion order is
+  // the batch order for every worker count; the index and live lists
+  // follow serially.
+  const std::size_t base = nodes_.size();
+  nodes_.resize(base + batch.size());
   parallel_for(
-      kShardCount,
-      [&](std::size_t s) {
-        for (const std::size_t i : by_shard[s])
-          shard_insert(shards_[s], batch[i].first.value(), built[i]);
+      batch.size(),
+      [&](std::size_t i) {
+        nodes_[base + i] = std::make_unique<TapestryNode>(
+            batch[i].first, batch[i].second, params_);
       },
       workers);
+  reserve_index(nodes_.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    index_put(batch[i].first.value(), nodes_[base + i].get());
+    live_ids_.push_back(batch[i].first);
+    live_sorted_.push_back(batch[i].first.value());
+  }
+  std::sort(live_sorted_.begin(), live_sorted_.end());
   live_count_.fetch_add(batch.size(), std::memory_order_relaxed);
 }
 
@@ -212,16 +153,12 @@ void NodeRegistry::mark_dead(TapestryNode& node) {
   TAP_CHECK(node.alive, "node " + node.id().to_string() + " is already dead");
   node.alive = false;
   live_count_.fetch_sub(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(nodes_mu_);
   live_ids_.erase(std::find(live_ids_.begin(), live_ids_.end(), node.id()));
   live_sorted_.erase(std::lower_bound(live_sorted_.begin(), live_sorted_.end(),
                                       node.id().value()));
 }
 
-std::vector<NodeId> NodeRegistry::node_ids() const {
-  std::lock_guard<std::mutex> lock(nodes_mu_);
-  return live_ids_;
-}
+std::vector<NodeId> NodeRegistry::node_ids() const { return live_ids_; }
 
 std::pair<const std::uint64_t*, const std::uint64_t*>
 NodeRegistry::live_in_slot(const NodeId& at, unsigned level,
@@ -261,12 +198,12 @@ void NodeRegistry::acct(Trace* trace, const TapestryNode& a,
 void NodeRegistry::set_partition(const std::vector<NodeId>& side_b) {
   partition_side_b_.clear();
   for (const NodeId& id : side_b) partition_side_b_.insert(id.value());
-  partition_active_.store(true, std::memory_order_release);
+  partition_active_ = true;
   metrics::partition_transitions_total().inc();
 }
 
 void NodeRegistry::clear_partition() {
-  partition_active_.store(false, std::memory_order_release);
+  partition_active_ = false;
   metrics::partition_transitions_total().inc();
 }
 

@@ -14,34 +14,22 @@
 // departure, or when the last holder's purge or member's heartbeat push
 // cuts the last live link.
 //
-// Concurrency model.  The id index is sharded by id prefix (the top bits
-// of the identifier, i.e. the leading digit(s)); each shard publishes an
-// immutable open-addressing table through an atomic pointer.  Readers —
-// find / checked / live / is_live, which sit under every routing hot path —
-// take no locks: they acquire-load the shard's current table and probe it.
-// Writers (register_node / register_bulk) serialize per shard on a small
-// mutex, insert in place where a slot is free (key store before a release
-// store of the node pointer makes half-written entries invisible), and
-// publish a grown copy when the load factor crosses its bound; superseded
-// tables are retired, not freed, so a reader holding an old snapshot stays
-// safe for the registry's lifetime (total retired memory is bounded by the
-// doubling growth).  Index deletions never happen — dead nodes are
-// tombstones by design — which is what makes the scheme this simple.
-//
-// The insertion-order nodes() vector is append-only under its own mutex,
-// which also guards the two live-id lists (registration order, and sorted
-// by value for the repair's prefix-range search); iterating any of them
-// concurrently with registration or a death is the one operation that
-// still requires quiescence (every current caller is a whole-network
-// oracle/invariant pass, a serial draw or repair, or a wave whose
-// membership is fixed before its threads start).
+// Concurrency model: the registry changes only at quiescent points.
+// Registration, deaths and partition transitions run serially — a wave
+// (maintenance.h) registers its joiners and marks its victims dead in its
+// serial preamble, before its threads start — so the id index is one plain
+// open-addressing table, and its readers (find / checked / live / is_live,
+// under every routing hot path) take no lock because nothing writes it
+// while they read.  The one membership change a wave's workers make is
+// counting: a joiner registered `inserting` counts in live_count() only
+// from begin_insertion, when its insertion begins, so live_count() is the
+// registry's one atomic.  Per-node protocol state is not the registry's:
+// the stripe locks (node_locks.h) guard it inside a wave.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -57,10 +45,6 @@ namespace tap {
 
 class NodeRegistry {
  public:
-  /// Index shards; ids map to shards by their top kShardBits bits.
-  static constexpr unsigned kShardBits = 4;
-  static constexpr unsigned kShardCount = 1u << kShardBits;
-
   /// `params` and `rng` must outlive the registry (both live on Network).
   NodeRegistry(const MetricSpace& space, const TapestryParams& params,
                Rng& rng);
@@ -69,7 +53,7 @@ class NodeRegistry {
   NodeRegistry(const NodeRegistry&) = delete;
   NodeRegistry& operator=(const NodeRegistry&) = delete;
 
-  // --- lookup (lock-free snapshot reads) ---
+  // --- lookup ---
   [[nodiscard]] TapestryNode* find(const NodeId& id);
   [[nodiscard]] const TapestryNode* find(const NodeId& id) const;
   /// Node that must exist (alive or tombstone); throws CheckError otherwise.
@@ -80,18 +64,19 @@ class NodeRegistry {
   [[nodiscard]] bool is_live(const NodeId& id) const;
 
   // --- membership bookkeeping ---
-  /// Registers one node.  The optional insertion flags are set on the node
-  /// *before* it is published to the lock-free index, so a concurrent
-  /// reader can never observe a mid-insertion node with `inserting` still
-  /// false (the §4.4 core-start rule depends on that flag being visible
-  /// with the node).
-  TapestryNode& register_node(NodeId id, Location loc, bool inserting = false,
-                              std::optional<NodeId> psurrogate = std::nullopt);
+  /// Registers one live node.  An `inserting` one is registered pre-marked
+  /// (§4.3) and counts in live_count() only from count_insertion(), when
+  /// its insertion begins: a join wave registers every joiner in its
+  /// serial preamble, yet k = effective_k(live_count()) grows one
+  /// insertion at a time, as it does for serial joins.
+  TapestryNode& register_node(NodeId id, Location loc, bool inserting = false);
+  /// Counts an `inserting` node in live_count(): its insertion has begun.
+  /// A join wave's workers call it, so the count is atomic.
+  void count_insertion(const TapestryNode& node);
   /// Registers a batch of nodes — ids must be fresh and unique — with node
   /// construction (the dominant cost: levels * radix neighbor sets each)
   /// fanned out across `workers` threads.  Insertion order and the final
-  /// index are identical for every worker count; concurrent lock-free
-  /// readers may observe any prefix of the batch while it lands.
+  /// index are identical for every worker count.
   void register_bulk(const std::vector<std::pair<NodeId, Location>>& batch,
                      std::size_t workers = 0);
   /// Marks an alive node dead (tombstone); the caller owns protocol duties.
@@ -104,7 +89,8 @@ class NodeRegistry {
   [[nodiscard]] std::vector<NodeId> node_ids() const;
   /// The live ids in registration order — nodes() filtered by `alive` —
   /// without the copy: registration appends, mark_dead erases in place.
-  /// Reading it requires quiescence with respect to both.
+  /// Inside a join wave it also lists the joiners whose insertion has not
+  /// begun; no wave worker reads it.
   [[nodiscard]] const std::vector<NodeId>& live_ids() const noexcept {
     return live_ids_;
   }
@@ -117,31 +103,17 @@ class NodeRegistry {
 
   /// Every node ever registered, tombstones included, in insertion order.
   /// The container is registry-owned; callers may mutate the *nodes* (the
-  /// simulator's algorithms do) but never the vector itself.  Iteration
-  /// requires quiescence with respect to registration.
+  /// simulator's algorithms do) but never the vector itself.
   [[nodiscard]] const std::vector<std::unique_ptr<TapestryNode>>& nodes()
       const noexcept {
     return nodes_;
   }
-
-  /// Stable pointers to every node registered so far, copied under the
-  /// append mutex — the safe way to enumerate nodes while registration may
-  /// be running on other threads (a thread-parallel join wave).  The
-  /// snapshot observes some prefix of the concurrent registrations; node
-  /// pointers stay valid for the registry's lifetime.
-  [[nodiscard]] std::vector<TapestryNode*> nodes_snapshot() const;
 
   /// Striped per-node mutexes guarding routing-table and insertion-flag
   /// access on the thread-parallel join and repair paths (see
   /// node_locks.h).  Serial (quiescent) callers pass a null table instead.
   [[nodiscard]] const NodeLockTable& node_locks() const noexcept {
     return node_locks_;
-  }
-
-  /// Shard an id belongs to (by id prefix — its most significant bits).
-  [[nodiscard]] unsigned shard_of(const NodeId& id) const noexcept {
-    return static_cast<unsigned>(id.value() >> shard_shift_) &
-           (kShardCount - 1);
   }
 
   // --- network partition model (fault-injection scenarios) ---
@@ -153,12 +125,11 @@ class NodeRegistry {
   /// Ground-truth liveness (is_live, heartbeat sweeps, driver
   /// bookkeeping) is deliberately unaffected: the control plane of the
   /// simulation sees through the cut; only protocol traffic is blocked.
-  /// Transitions require quiescence with respect to routing (the
-  /// event-driven scenarios satisfy this trivially).
+  /// Transitions happen at quiescent points, like every registry change.
   void set_partition(const std::vector<NodeId>& side_b);
   void clear_partition();
   [[nodiscard]] bool partition_active() const noexcept {
-    return partition_active_.load(std::memory_order_acquire);
+    return partition_active_;
   }
   /// May `a` and `b` exchange messages under the current partition?
   /// Always true when no partition is active.
@@ -207,50 +178,34 @@ class NodeRegistry {
   }
 
  private:
-  // One entry of a shard's open-addressing table.  `node` is the publish
-  // gate: a reader that acquire-loads a non-null node pointer is guaranteed
-  // to see the matching key (stored before the release).
+  // One slot of the id index; a null `node` marks it empty.
   struct IndexSlot {
-    std::atomic<std::uint64_t> key{0};
-    std::atomic<TapestryNode*> node{nullptr};
-  };
-  struct IndexTable {
-    explicit IndexTable(std::size_t capacity_pow2)
-        : slots(capacity_pow2), mask(capacity_pow2 - 1) {}
-    std::vector<IndexSlot> slots;
-    std::size_t mask;
-    std::size_t used = 0;  // writer-side, guarded by the shard mutex
-  };
-  struct Shard {
-    std::mutex mu;  // serializes writers; readers never take it
-    std::atomic<IndexTable*> table{nullptr};
-    // Every table ever published, current one last; superseded snapshots
-    // are retired here (not freed) so readers holding them stay safe.
-    std::vector<std::unique_ptr<IndexTable>> tables;
+    std::uint64_t key = 0;
+    TapestryNode* node = nullptr;
   };
 
   [[nodiscard]] TapestryNode* lookup(std::uint64_t key) const;
-  /// Inserts under the shard's writer mutex, growing + republishing the
-  /// table when the load factor crosses 70%.
-  void shard_insert(Shard& shard, std::uint64_t key, TapestryNode* node);
+  /// Doubles the index until `entries` fill it to under 70%.
+  void reserve_index(std::size_t entries);
+  /// Puts a node into the index, which has room for it.
+  void index_put(std::uint64_t key, TapestryNode* node);
   void validate_registration(const NodeId& id, Location loc) const;
 
   const MetricSpace& space_;
   const TapestryParams& params_;
   Rng& rng_;
 
-  unsigned shard_shift_;  // id.value() >> shard_shift_ = shard index bits
-  std::array<Shard, kShardCount> shards_;
-
-  // Guards nodes_ appends, live_ids_ and live_sorted_.
-  mutable std::mutex nodes_mu_;
+  // The id index: open addressing with linear probing from the id's
+  // splitmix64 hash, a power-of-two capacity (or none before the first
+  // registration), one entry per node in nodes_.
+  std::vector<IndexSlot> index_;
   std::vector<std::unique_ptr<TapestryNode>> nodes_;
   std::vector<NodeId> live_ids_;
   std::vector<std::uint64_t> live_sorted_;  // live id values, ascending
   std::atomic<std::size_t> live_count_{0};
   NodeLockTable node_locks_;
 
-  std::atomic<bool> partition_active_{false};
+  bool partition_active_ = false;
   std::unordered_set<std::uint64_t> partition_side_b_;
 };
 

@@ -171,8 +171,8 @@ std::optional<NodeId> Router::route_step_peek(
     const TapestryNode& at, const Id& target, RouteState& state,
     const NodeLockTable* locks) const {
   // One stripe per routing decision when guarded: the step reads only
-  // `at`'s table (member liveness probes go through the lock-free registry
-  // index).
+  // `at`'s table.  Its member liveness probes read the registry, which
+  // takes no lock because nothing changes it while a wave runs.
   NodeLockTable::Guard g(locks, at.id());
   const unsigned digits = params_.id.num_digits;
   while (state.level < digits) {

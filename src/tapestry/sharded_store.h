@@ -6,8 +6,8 @@
 // MemoryStore method, and the record count is a relaxed atomic.  Two
 // threads touching *different guids* of one node's store may therefore
 // run concurrently — this is what lets ObjectDirectory::publish_batch
-// drain pointer deposits per (registry shard x guid stripe) instead of
-// serializing each registry shard's stores behind a single worker.
+// drain pointer deposits per (node group x guid stripe) instead of
+// serializing each node group's stores behind a single worker.
 //
 // Memory: a stripe is a heap object the store points to, installed by
 // the first upsert into it (a compare-exchange; the loser of two racing

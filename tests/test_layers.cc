@@ -145,6 +145,38 @@ TEST(RegistrySeam, JoinLeaveFailKeepLivenessAndIndexConsistent) {
   const auto ids = reg.node_ids();
   EXPECT_EQ(std::find(ids.begin(), ids.end(), leaver), ids.end());
   EXPECT_EQ(std::find(ids.begin(), ids.end(), victim), ids.end());
+
+  // Bulk registration across several index growths: 256 nodes, then six
+  // batches of 384.  Every node resolves to itself, random absent ids
+  // miss, the live count is exact and a duplicate id is rejected.
+  Rng rng(33);
+  RingMetric space(4096, rng);
+  Network bulk(space, small_params(), 77);
+  const NodeRegistry& bulk_reg = bulk.registry();
+  std::size_t next_loc = 0;
+  for (const std::size_t batch : {256, 384, 384, 384, 384, 384, 384}) {
+    std::vector<Location> locs(batch);
+    for (std::size_t i = 0; i < batch; ++i) locs[i] = next_loc + i;
+    bulk.insert_static_bulk(locs, 2);
+    next_loc += batch;
+  }
+  EXPECT_EQ(bulk_reg.live_count(), next_loc);
+  std::unordered_set<std::uint64_t> registered;
+  for (const auto& n : bulk_reg.nodes()) {
+    EXPECT_EQ(bulk_reg.find(n->id()), n.get());
+    registered.insert(n->id().value());
+  }
+  Rng probe(100);
+  std::size_t misses = 0;
+  for (int i = 0; i < 4096; ++i) {
+    const Id absent = Id::random(bulk.params().id, probe);
+    if (registered.count(absent.value()) != 0) continue;
+    EXPECT_EQ(bulk_reg.find(absent), nullptr);
+    ++misses;
+  }
+  EXPECT_GT(misses, 0u);
+  EXPECT_THROW(bulk.registry().register_node(bulk_reg.nodes()[300]->id(), 4095),
+               CheckError);
 }
 
 TEST(RegistrySeam, LiveIdsKeepRegistrationOrder) {
@@ -177,11 +209,19 @@ TEST(RegistrySeam, LiveIdsKeepRegistrationOrder) {
   net.fail(last_join);
   expect_live_order("fails and a leave");
 
+  // A wave registers its joiners in request order, on any worker count.
   std::vector<JoinRequest> wave;
   for (Location loc = 56; loc < 72; ++loc) wave.push_back({loc});
-  (void)net.join_bulk(wave, 2);
+  const std::vector<NodeId> joined = net.join_bulk(wave, 4);
   expect_live_order("join_bulk wave");
   EXPECT_EQ(reg.live_ids().size(), reg.live_count());
+  ASSERT_EQ(joined.size(), wave.size());
+  const std::size_t first_node = reg.nodes().size() - joined.size();
+  const std::size_t first_live = reg.live_ids().size() - joined.size();
+  for (std::size_t i = 0; i < joined.size(); ++i) {
+    EXPECT_EQ(reg.nodes()[first_node + i]->id(), joined[i]) << i;
+    EXPECT_EQ(reg.live_ids()[first_live + i], joined[i]) << i;
+  }
 }
 
 TEST(RegistrySeam, FreshNodeIdAvoidsTombstones) {

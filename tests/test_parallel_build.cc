@@ -1,18 +1,15 @@
 // Concurrent overlay construction: the bulk pipeline (register_bulk +
 // parallel rebuild_static_tables + publish_batch) must produce bit-identical
-// results for every worker count and match the serial paths exactly; the
-// sharded registry's lock-free snapshot reads must stay coherent while a
-// bulk registration races them.  The pivot-ordered table build must equal
-// an every-candidate reference scan on every space.  This binary is the
-// ThreadSanitizer CI target for the sharded-registry / parallel-build /
-// thread_pool machinery.
+// results for every worker count and match the serial paths exactly.  The
+// pivot-ordered table build must equal an every-candidate reference scan
+// on every space.  This binary is the ThreadSanitizer CI target for the
+// parallel-build / batch-publish / thread_pool machinery.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/metric/general.h"
@@ -238,65 +235,6 @@ TEST(ParallelBuild, PublishBatchDeterministicAcrossWorkers) {
     if (!want.has_value()) want = got;
     EXPECT_EQ(got, *want) << "stores diverged at " << workers << " workers";
   }
-}
-
-// ---------------------------------------------------------------------
-// Sharded registry: lock-free reads racing a bulk registration
-// ---------------------------------------------------------------------
-
-TEST(ShardedRegistry, LockFreeReadsStayCoherentDuringBulkRegistration) {
-  Rng rng(33);
-  RingMetric space(4096, rng);
-  TapestryParams params = small_params();
-  Network net(space, params, 77);
-  NodeRegistry& reg = net.registry();
-
-  // A settled prefix the readers hammer while the writer lands batches.
-  std::vector<Location> first(256);
-  for (std::size_t i = 0; i < first.size(); ++i) first[i] = i;
-  const std::vector<NodeId> known = net.insert_static_bulk(first, 2);
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::size_t> read_errors{0};
-  std::atomic<std::size_t> reads{0};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&, r] {
-      Rng rr(100 + r);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const NodeId& id = known[rr.next_u64(known.size())];
-        const TapestryNode* n = reg.find(id);
-        if (n == nullptr || !(n->id() == id) || !reg.is_live(id))
-          read_errors.fetch_add(1, std::memory_order_relaxed);
-        // Random probes may hit or miss, but a hit must never surface a
-        // half-published entry: the node handed back carries the probed id.
-        const std::uint64_t probe = rr() & 0xFFFFFFFFull;
-        const TapestryNode* m = reg.find(Id(params.id, probe));
-        if (m != nullptr && m->id().value() != probe)
-          read_errors.fetch_add(1, std::memory_order_relaxed);
-        reads.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  // Writer: several bulk batches, each internally parallel, forcing many
-  // in-place inserts and several grow-and-republish table swaps per shard.
-  std::size_t next_loc = first.size();
-  for (int batch = 0; batch < 6; ++batch) {
-    std::vector<Location> locs(384);
-    for (std::size_t i = 0; i < locs.size(); ++i) locs[i] = next_loc + i;
-    net.insert_static_bulk(locs, 2);
-    next_loc += locs.size();
-  }
-  stop.store(true);
-  for (auto& t : readers) t.join();
-
-  EXPECT_EQ(read_errors.load(), 0u);
-  EXPECT_GT(reads.load(), 0u);
-  EXPECT_EQ(reg.live_count(), next_loc);
-  // Every id registered across all batches is findable afterwards.
-  for (const auto& n : reg.nodes())
-    EXPECT_EQ(reg.find(n->id()), n.get());
 }
 
 // ---------------------------------------------------------------------

@@ -4,15 +4,13 @@
 // satisfying the §4.4 invariants (Property 1, backpointer symmetry, no
 // leftover pins, surrogate agreement).  The whole binary runs under TSan
 // in CI: these tests are where real threads genuinely contend on the
-// routing tables.  The guarded-peek prober stands in for a join worker's
-// own surrogate walk (acquire_surrogate), which takes the same stripes.
+// routing tables, and where wave workers read node liveness and the
+// registry's index while other workers count their joiners live.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/tapestry/fingerprint.h"
@@ -106,39 +104,13 @@ TEST(ThreadedJoin, RepeatedSeedsConverge) {
 }
 
 TEST(ThreadedJoin, GuardedPeekAgreesWithMutatingRouteAfterWave) {
-  // Satellite of the peek-vs-mutating agreement suite, threaded side:
-  // guarded peeks hammer the mesh from a prober thread while joins are
-  // mid-flight with pinned entries present (any result is acceptable
-  // mid-race as long as it is a live node and the walk terminates); once
-  // quiescent, the guarded peek, the plain peek and the mutating walk must
-  // agree on every sampled root.
+  // Satellite of the peek-vs-mutating agreement suite, threaded side: once
+  // a 4-worker wave is quiescent, the guarded peek (a join worker's walk
+  // to its surrogate), the plain peek and the mutating walk must agree on
+  // every sampled root.
   auto g = static_ring_network(96, 224);
-  std::atomic<bool> stop{false};
-  std::atomic<bool> dead_root{false};
-  std::atomic<std::size_t> probes{0};
-  const auto core_ids = g.net->node_ids();
   const NodeLockTable* locks = &g.net->registry().node_locks();
-  std::thread prober([&] {
-    // gtest assertions are not thread-safe off the main thread; flag it.
-    Rng pr(4321);
-    while (!stop.load(std::memory_order_relaxed)) {
-      const NodeId src = core_ids[pr.next_u64(core_ids.size())];
-      const Guid target = make_guid(*g.net, 5000 + pr.next_u64(64));
-      const RouteResult r =
-          g.net->router().route_to_root_peek(src, target, nullptr, locks);
-      if (!g.net->registry().is_live(r.root))
-        dead_root.store(true, std::memory_order_relaxed);
-      probes.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  // The wave starts after the prober's first walk, so the two overlap
-  // however the threads are scheduled.
-  while (probes.load() == 0) std::this_thread::yield();
   g.net->join_bulk(wave_requests(96, 32), /*workers=*/4);
-  stop.store(true, std::memory_order_relaxed);
-  prober.join();
-  EXPECT_GT(probes.load(), 0u) << "the prober must actually race the wave";
-  EXPECT_FALSE(dead_root.load()) << "a guarded walk reached a dead root";
 
   Rng pr(8765);
   const auto ids = g.net->node_ids();
@@ -162,65 +134,81 @@ TEST(ThreadedJoin, WaveAgreesWithSerialAndCoordinator) {
   // same occupancy pattern, with symmetric backpointers and no pins left.
   // join_via and join_bulk run one insertion body, so on these object-free
   // overlays a one-worker wave is the serial leg's exact twin: the same
-  // tables, the same booked messages and the same deliveries.
-  for (const std::uint64_t seed : {411u, 412u, 413u}) {
-    auto serial = test::grow_ring_network(96, seed);
-    auto single = test::grow_ring_network(96, seed);
-    auto threaded = test::grow_ring_network(96, seed);
-    auto event = test::grow_ring_network(96, seed);
-    Rng draw(seed ^ 0x7a11);
-    std::set<std::uint64_t> used;
-    for (const NodeId& id : serial.ids) used.insert(id.value());
-    std::vector<JoinRequest> reqs;
-    std::vector<EventJoin> event_reqs;
-    while (reqs.size() < 24) {
-      const NodeId id = Id::random(serial.net->params().id, draw);
-      if (!used.insert(id.value()).second) continue;
-      const std::size_t i = reqs.size();
-      JoinRequest r;
-      r.loc = 96 + i;
-      r.id = id;
-      r.gateway = serial.ids[draw.next_u64(serial.ids.size())];
-      reqs.push_back(r);
-      EventJoin e;
-      e.loc = r.loc;
-      e.id = id;
-      e.gateway = *r.gateway;
-      e.start_time = 0.001 * double(i);
-      event_reqs.push_back(e);
-    }
+  // tables, the same booked messages and the same deliveries.  The twin
+  // runs at radix 16, 4 and 2.  At the last two the §3 descent trims its
+  // lists to k = effective_k(live_count()), which grows from 20 to 21
+  // during the 24 joins, so it also pins when a wave's joiner starts to
+  // count as live: when its insertion begins, as a serial join's does.
+  // The 4-worker and event legs run at radix 16.
+  for (const IdSpec spec : {IdSpec{4, 8}, IdSpec{2, 8}, IdSpec{1, 16}}) {
+    for (const std::uint64_t seed : {411u, 412u, 413u}) {
+      SCOPED_TRACE("radix " + std::to_string(spec.radix()));
+      const bool all_legs = spec.radix() == 16;
+      TapestryParams p = small_params();
+      p.id = spec;
+      auto serial = test::grow_ring_network(96, seed, p);
+      auto single = test::grow_ring_network(96, seed, p);
+      Rng draw(seed ^ 0x7a11);
+      std::set<std::uint64_t> used;
+      for (const NodeId& id : serial.ids) used.insert(id.value());
+      std::vector<JoinRequest> reqs;
+      std::vector<EventJoin> event_reqs;
+      while (reqs.size() < 24) {
+        const NodeId id = Id::random(serial.net->params().id, draw);
+        if (!used.insert(id.value()).second) continue;
+        const std::size_t i = reqs.size();
+        JoinRequest r;
+        r.loc = 96 + i;
+        r.id = id;
+        r.gateway = serial.ids[draw.next_u64(serial.ids.size())];
+        reqs.push_back(r);
+        EventJoin e;
+        e.loc = r.loc;
+        e.id = id;
+        e.gateway = *r.gateway;
+        e.start_time = 0.001 * double(i);
+        event_reqs.push_back(e);
+      }
 
-    Trace serial_trace;
-    for (const JoinRequest& r : reqs)
-      serial.net->join_via(*r.gateway, r.loc, r.id, &serial_trace);
-    Trace single_trace;
-    single.net->join_bulk(reqs, /*workers=*/1, &single_trace);
-    threaded.net->join_bulk(reqs, /*workers=*/4);
-    event.net->join_events(event_reqs, 0.05);
+      Trace serial_trace;
+      for (const JoinRequest& r : reqs)
+        serial.net->join_via(*r.gateway, r.loc, r.id, &serial_trace);
+      Trace single_trace;
+      single.net->join_bulk(reqs, /*workers=*/1, &single_trace);
 
-    auto sorted_ids = [](const Network& net) {
-      std::vector<std::uint64_t> v;
-      for (const NodeId& id : net.node_ids()) v.push_back(id.value());
-      std::sort(v.begin(), v.end());
-      return v;
-    };
-    EXPECT_EQ(fingerprint_tables(*single.net),
-              fingerprint_tables(*serial.net))
-        << "seed " << seed;
-    EXPECT_EQ(single_trace.messages(), serial_trace.messages())
-        << "seed " << seed;
-    EXPECT_EQ(single.net->transport().stats().messages.load(),
-              serial.net->transport().stats().messages.load())
-        << "seed " << seed;
-    for (const Network* net : {serial.net.get(), single.net.get(),
-                               threaded.net.get(), event.net.get()}) {
-      EXPECT_EQ(sorted_ids(*net), sorted_ids(*serial.net)) << "seed " << seed;
-      EXPECT_EQ(fingerprint_occupancy(*net),
-                fingerprint_occupancy(*serial.net))
+      auto sorted_ids = [](const Network& net) {
+        std::vector<std::uint64_t> v;
+        for (const NodeId& id : net.node_ids()) v.push_back(id.value());
+        std::sort(v.begin(), v.end());
+        return v;
+      };
+      EXPECT_EQ(fingerprint_tables(*single.net),
+                fingerprint_tables(*serial.net))
           << "seed " << seed;
-      net->check_property1();
-      net->check_backpointer_symmetry();
-      expect_no_pins(*net);
+      EXPECT_EQ(single_trace.messages(), serial_trace.messages())
+          << "seed " << seed;
+      EXPECT_EQ(single.net->transport().stats().messages.load(),
+                serial.net->transport().stats().messages.load())
+          << "seed " << seed;
+      std::vector<const Network*> legs{serial.net.get(), single.net.get()};
+      test::GrownNetwork threaded, event;
+      if (all_legs) {
+        threaded = test::grow_ring_network(96, seed, p);
+        event = test::grow_ring_network(96, seed, p);
+        threaded.net->join_bulk(reqs, /*workers=*/4);
+        event.net->join_events(event_reqs, 0.05);
+        legs.push_back(threaded.net.get());
+        legs.push_back(event.net.get());
+      }
+      for (const Network* net : legs) {
+        EXPECT_EQ(sorted_ids(*net), sorted_ids(*serial.net)) << "seed " << seed;
+        EXPECT_EQ(fingerprint_occupancy(*net),
+                  fingerprint_occupancy(*serial.net))
+            << "seed " << seed;
+        net->check_property1();
+        net->check_backpointer_symmetry();
+        expect_no_pins(*net);
+      }
     }
   }
 }
