@@ -15,11 +15,12 @@
 //     times Router::select_slot against the linear-scan
 //     select_slot_reference (tests/select_slot_reference.h) on the same
 //     deterministic workload, verifies digit-for-digit agreement, counts
-//     the allocations of the routing read path, and emits the metrics the
-//     perf-smoke CI job gates via tools/check_bench.py.  Absolute
-//     nanoseconds are machine-dependent; the gated metrics are the *ratio*
-//     (bitmask speedup) and the exact agreement, work and allocation
-//     counters.
+//     the allocations of the routing read path and of a warm locate
+//     cache, measures the cache's heap bytes per hint, and emits the
+//     metrics the perf-smoke CI job gates via tools/check_bench.py.
+//     Absolute nanoseconds are machine-dependent; the gated metrics are
+//     the *ratio* (bitmask speedup) and the exact agreement, work,
+//     allocation and byte counts.
 //
 // Every allocation goes through the counting operator new below, so the
 // *_allocs metrics are exact counts (the same on every toolchain when 0).
@@ -167,6 +168,52 @@ double best_pass_ms(const std::function<std::uint64_t()>& pass, int reps) {
 }
 
 // --------------------------------------------------------------------
+// Locate-cache costs at one node
+// --------------------------------------------------------------------
+
+constexpr std::size_t kCacheCapacity = 128;
+constexpr int kCacheRounds = 1024;
+
+struct CacheCosts {
+  double bytes_per_entry = 0.0;
+  std::uint64_t insert_allocs = 0;
+  std::uint64_t lookup_allocs = 0;
+};
+
+CacheCosts cache_costs(const Network& net) {
+  const auto ids = net.node_ids();
+  const NodeRegistry& reg = net.registry();
+  LocateCache cache(net.params().id, kCacheCapacity,
+                    [&reg](const NodeId& id) { return reg.is_live(id); });
+  const NodeId at = ids[0];
+  auto guid = [&](std::uint64_t i) { return bench_guid(net, 5000 + i); };
+  auto hint = [&](std::uint64_t i) {
+    return LocateCache::Entry{guid(i), ids[1 + i % 7], ids[8 + i % 5], 1e9};
+  };
+  for (std::uint64_t i = 0; i < kCacheCapacity; ++i)
+    cache.insert(at, guid(i), hint(i), 0.0);
+  (void)cache.lookup(at, guid(0), 0.0);  // registers the hit counter
+  CacheCosts c;
+  c.bytes_per_entry = static_cast<double>(cache.heap_bytes()) /
+                      static_cast<double>(cache.entries());
+  // Each round inserts a new guid, which evicts the stalest, and then
+  // refreshes the one inserted 32 rounds earlier (still cached).
+  c.insert_allocs = allocs_of([&] {
+    for (std::uint64_t i = kCacheCapacity; i < kCacheCapacity + kCacheRounds;
+         ++i) {
+      cache.insert(at, guid(i), hint(i), 0.0);
+      cache.insert(at, guid(i - 32), hint(i), 0.0);
+    }
+  });
+  // Hits on the cached guids, misses on the evicted ones.
+  c.lookup_allocs = allocs_of([&] {
+    for (std::uint64_t i = 0; i < 2 * kCacheRounds; ++i)
+      (void)cache.lookup(at, guid(i % (kCacheCapacity + kCacheRounds)), 0.0);
+  });
+  return c;
+}
+
+// --------------------------------------------------------------------
 // Hand-rolled harness (also the --json CI path)
 // --------------------------------------------------------------------
 
@@ -251,16 +298,26 @@ int run_handrolled(bool json) {
     });
   });
 
+  // The locate cache at one full 128-entry node: heap bytes per hint, and
+  // the allocations of evicting inserts, refreshes, hits and misses once
+  // the node's arrays are warm.
+  const CacheCosts cache = cache_costs(*w.net);
+
   if (json) {
     std::printf(
         "{\"bench\":\"bench_micro\",\"metrics\":{"
         "\"select_slot_agreement\":%d,\"select_slot_speedup\":%.3f,"
         "\"select_slot_ns_bitmask\":%.2f,\"select_slot_ns_reference\":%.2f,"
         "\"peek_route_hops_2000q\":%zu,\"peek_route_us\":%.2f,"
-        "\"peek_step_allocs\":%llu,\"select_slot_filtered_allocs\":%llu}}\n",
+        "\"peek_step_allocs\":%llu,\"select_slot_filtered_allocs\":%llu,"
+        "\"cache_insert_allocs\":%llu,\"cache_lookup_allocs\":%llu,"
+        "\"cache_bytes_per_entry\":%.7f}}\n",
         agree ? 1 : 0, speedup, ns_per_bitmask, ns_per_reference, peek_hops,
         peek_us, static_cast<unsigned long long>(peek_step_allocs),
-        static_cast<unsigned long long>(filtered_allocs));
+        static_cast<unsigned long long>(filtered_allocs),
+        static_cast<unsigned long long>(cache.insert_allocs),
+        static_cast<unsigned long long>(cache.lookup_allocs),
+        cache.bytes_per_entry);
     return agree ? 0 : 1;
   }
 
@@ -278,6 +335,13 @@ int run_handrolled(bool json) {
               "the filtered select_slot workload\n",
               static_cast<unsigned long long>(peek_step_allocs),
               static_cast<unsigned long long>(filtered_allocs));
+  std::printf("locate cache: %.2f B per hint at a full %zu-entry node; "
+              "%llu allocations over %d warm inserts, %llu over %d lookups\n",
+              cache.bytes_per_entry, kCacheCapacity,
+              static_cast<unsigned long long>(cache.insert_allocs),
+              2 * kCacheRounds,
+              static_cast<unsigned long long>(cache.lookup_allocs),
+              2 * kCacheRounds);
   return agree ? 0 : 1;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/sim/metrics.h"
 #include "src/tapestry/object_directory.h"
@@ -13,86 +14,183 @@ namespace tap {
 // LocateCache
 // ---------------------------------------------------------------------
 
+namespace {
+
+/// A node's slot array grows by this many slots, or by an eighth once
+/// that is more: slack stays small at part-full nodes, and a large
+/// capacity still fills in amortized constant time.
+constexpr std::size_t kGrowStep = 8;
+
+}  // namespace
+
+LocateCache::LocateCache(IdSpec spec, std::size_t capacity, Liveness is_live)
+    : spec_(spec), capacity_(capacity), is_live_(std::move(is_live)) {
+  TAP_CHECK(capacity_ <= kMaxCapacity,
+            "locate_cache_size exceeds LocateCache::kMaxCapacity (65534)");
+}
+
+std::size_t LocateCache::PerNode::cell(std::uint64_t base) const {
+  const std::size_t mask = index.size() - 1;
+  std::size_t c = splitmix64(base) & mask;
+  while (index[c] != kNil && slots[index[c]].base != base) c = (c + 1) & mask;
+  return c;
+}
+
+std::uint16_t LocateCache::PerNode::find(std::uint64_t base) const {
+  return index.empty() ? kNil : index[cell(base)];
+}
+
+std::uint16_t LocateCache::PerNode::take(std::size_t capacity) {
+  if (free != kNil) {
+    const std::uint16_t s = free;
+    free = slots[s].next;
+    return s;
+  }
+  if (slots.size() == slots.capacity()) {
+    slots.reserve(std::min(
+        capacity, slots.size() + std::max(kGrowStep, slots.size() / 8)));
+    // Keep the index at most half full: rebuild it from the LRU list.
+    std::size_t cells = 2;
+    while (cells < 2 * slots.capacity()) cells *= 2;
+    if (cells > index.size()) {
+      index.assign(cells, kNil);
+      for (std::uint16_t s = head; s != kNil; s = slots[s].next)
+        index[cell(slots[s].base)] = s;
+    }
+  }
+  slots.emplace_back();
+  return static_cast<std::uint16_t>(slots.size() - 1);
+}
+
+void LocateCache::PerNode::link_front(std::uint16_t s) {
+  slots[s].prev = kNil;
+  slots[s].next = head;
+  (head == kNil ? tail : slots[head].prev) = s;
+  head = s;
+}
+
+void LocateCache::PerNode::unlink(std::uint16_t s) {
+  const Slot& x = slots[s];
+  (x.prev == kNil ? head : slots[x.prev].next) = x.next;
+  (x.next == kNil ? tail : slots[x.next].prev) = x.prev;
+}
+
+void LocateCache::PerNode::remove(std::uint16_t s) {
+  // Backward-shift deletion: move each later member of the probe run back
+  // into the hole when the hole lies between its home cell and its cell.
+  const std::size_t mask = index.size() - 1;
+  std::size_t hole = cell(slots[s].base);
+  for (std::size_t c = (hole + 1) & mask; index[c] != kNil;
+       c = (c + 1) & mask) {
+    const std::size_t home = splitmix64(slots[index[c]].base) & mask;
+    if (((c - home) & mask) >= ((c - hole) & mask)) {
+      index[hole] = index[c];
+      hole = c;
+    }
+  }
+  index[hole] = kNil;
+  unlink(s);
+  slots[s].next = free;
+  free = s;
+  --size;
+}
+
 std::optional<LocateCache::Entry> LocateCache::lookup(const NodeId& at,
                                                       const Guid& base,
                                                       double now) {
   if (!enabled()) return std::nullopt;
+  check_spec(at);
+  check_spec(base);
   auto nit = nodes_.find(at.value());
-  if (nit == nodes_.end()) {
+  const std::uint16_t s =
+      nit == nodes_.end() ? kNil : nit->second.find(base.value());
+  if (s == kNil) {
     ++stats_.misses;
     return std::nullopt;
   }
   PerNode& pn = nit->second;
-  auto it = pn.index.find(base);
-  if (it == pn.index.end()) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
   // A hint naming a dead holder or replica leads nowhere; it dies here,
   // where it is read, not at the death.  The cache is also one instant
   // stricter than the store, which still treats now == expires_at as live:
   // a hint dies at its deadline, so it can never name a pointer the
   // holder's store no longer returns.
-  const Entry& e = it->second->second;
+  const Entry e = entry_of(pn.slots[s]);
   const bool stale = is_live_ && !(is_live_(e.holder) && is_live_(e.server));
   if (stale || e.expires <= now) {
     ++(stale ? stats_.invalidated : stats_.expired);
-    pn.lru.erase(it->second);
-    pn.index.erase(it);
+    pn.remove(s);
     ++stats_.misses;
     return std::nullopt;
   }
-  pn.lru.splice(pn.lru.begin(), pn.lru, it->second);  // refresh LRU position
+  pn.unlink(s);  // refresh LRU position
+  pn.link_front(s);
   ++stats_.hits;
   metrics::cache_hits_total().inc();
-  return it->second->second;
+  return e;
 }
 
 void LocateCache::insert(const NodeId& at, const Guid& base, Entry entry,
                          double now) {
   if (!enabled()) return;
   if (entry.expires <= now) return;  // born dead; nothing worth remembering
+  for (const Id& id : {at, base, entry.target, entry.holder, entry.server})
+    check_spec(id);
   PerNode& pn = nodes_[at.value()];
   ++stats_.insertions;
-  if (auto it = pn.index.find(base); it != pn.index.end()) {
-    it->second->second = entry;
-    pn.lru.splice(pn.lru.begin(), pn.lru, it->second);
-    return;
+  std::uint16_t s = pn.find(base.value());
+  if (s != kNil) {
+    pn.unlink(s);
+  } else {
+    if (pn.size == capacity_) pn.remove(pn.tail);  // evict the stalest
+    s = pn.take(capacity_);
+    pn.slots[s].base = base.value();
+    pn.index[pn.cell(base.value())] = s;
+    ++pn.size;
   }
-  pn.lru.emplace_front(base, entry);
-  pn.index.emplace(base, pn.lru.begin());
-  if (pn.lru.size() > capacity_) {
-    pn.index.erase(pn.lru.back().first);
-    pn.lru.pop_back();
-  }
+  Slot& slot = pn.slots[s];
+  slot.target = entry.target.value();
+  slot.holder = entry.holder.value();
+  slot.server = entry.server.value();
+  slot.expires = entry.expires;
+  pn.link_front(s);
 }
 
 void LocateCache::erase(const NodeId& at, const Guid& base) {
+  check_spec(at);
+  check_spec(base);
   auto nit = nodes_.find(at.value());
   if (nit == nodes_.end()) return;
-  PerNode& pn = nit->second;
-  auto it = pn.index.find(base);
-  if (it == pn.index.end()) return;
-  pn.lru.erase(it->second);
-  pn.index.erase(it);
+  if (const std::uint16_t s = nit->second.find(base.value()); s != kNil)
+    nit->second.remove(s);
 }
 
 void LocateCache::drop_node(const NodeId& dead) {
+  check_spec(dead);
   if (auto nit = nodes_.find(dead.value()); nit != nodes_.end()) {
-    stats_.invalidated += nit->second.lru.size();
+    stats_.invalidated += nit->second.size;
     nodes_.erase(nit);
   }
 }
 
 std::size_t LocateCache::entries() const noexcept {
   std::size_t n = 0;
-  for (const auto& [node, pn] : nodes_) n += pn.lru.size();
+  for (const auto& [node, pn] : nodes_) n += pn.size;
   return n;
 }
 
 std::size_t LocateCache::entries_at(const NodeId& at) const {
+  check_spec(at);
   auto nit = nodes_.find(at.value());
-  return nit == nodes_.end() ? 0 : nit->second.lru.size();
+  return nit == nodes_.end() ? 0 : nit->second.size;
+}
+
+std::size_t LocateCache::heap_bytes() const noexcept {
+  std::size_t n = nodes_.bucket_count() * sizeof(void*) +
+                  nodes_.size() * sizeof(decltype(nodes_)::value_type);
+  for (const auto& [node, pn] : nodes_)
+    n += pn.slots.capacity() * sizeof(Slot) +
+         pn.index.capacity() * sizeof(std::uint16_t);
+  return n;
 }
 
 // ---------------------------------------------------------------------

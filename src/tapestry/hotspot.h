@@ -32,10 +32,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <optional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -54,6 +52,17 @@ class Trace;
 /// node gets an independent LRU of at most `capacity` entries, touched only
 /// by queries that pass through that node — the state a real node would
 /// keep locally.
+///
+/// Layout: each node's hints sit in one flat slot array.  A slot holds the
+/// base guid, the salted target, the holder and the server as bare 8-byte
+/// values under the overlay's IdSpec (every call checks an id's spec, as
+/// RoutingTable does), the expiry, and 16-bit prev/next links that thread
+/// the LRU order through the array.  A per-node open-addressing index of
+/// 16-bit slot numbers, keyed by the base guid and at most half full,
+/// finds a slot; evicted and erased slots go on a free list for reuse.
+/// The array grows by small steps up to `capacity`, so a hint costs about
+/// 53 bytes at a full 128-entry node (heap_bytes()), and an insert or a
+/// lookup at a node whose array is warm allocates nothing.
 class LocateCache {
  public:
   /// A remembered resolution: the salted root name the pointer was filed
@@ -82,10 +91,15 @@ class LocateCache {
   /// Whether a node is alive; ObjectDirectory binds the registry's.
   using Liveness = std::function<bool(const NodeId&)>;
 
+  /// The most hints one node can hold: slot numbers, links and the count
+  /// are 16-bit, and all stay below the nil mark 0xFFFF.
+  static constexpr std::size_t kMaxCapacity = 65534;
+
   /// `capacity` == 0 disables the cache entirely (every call is a no-op and
-  /// lookups never hit).  Without `is_live` every node counts as alive.
-  explicit LocateCache(std::size_t capacity, Liveness is_live = nullptr)
-      : capacity_(capacity), is_live_(std::move(is_live)) {}
+  /// lookups never hit); above kMaxCapacity it throws CheckError.  Every
+  /// id the cache is handed must be under `spec`.  Without `is_live` every
+  /// node counts as alive.
+  LocateCache(IdSpec spec, std::size_t capacity, Liveness is_live = nullptr);
 
   [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
 
@@ -119,14 +133,54 @@ class LocateCache {
   /// entries_at).
   [[nodiscard]] std::size_t entries() const noexcept;
   [[nodiscard]] std::size_t entries_at(const NodeId& at) const;
+  /// Heap bytes the cache holds: each container's capacity times its
+  /// element size (RoutingTable::heap_bytes' convention).
+  [[nodiscard]] std::size_t heap_bytes() const noexcept;
 
  private:
-  using Item = std::pair<Guid, Entry>;
-  struct PerNode {
-    std::list<Item> lru;  // front = most recently used
-    std::unordered_map<Guid, std::list<Item>::iterator> index;
+  static constexpr std::uint16_t kNil = 0xFFFF;
+
+  struct Slot {
+    std::uint64_t base;
+    std::uint64_t target;
+    std::uint64_t holder;
+    std::uint64_t server;
+    double expires;
+    std::uint16_t prev;  ///< toward the most recently used
+    std::uint16_t next;  ///< toward the stalest; a free slot's list link
   };
 
+  struct PerNode {
+    std::vector<Slot> slots;
+    std::vector<std::uint16_t> index;  ///< slot numbers; kNil = empty cell
+    std::uint16_t head = kNil;         ///< most recently used
+    std::uint16_t tail = kNil;         ///< stalest: the eviction victim
+    std::uint16_t free = kNil;         ///< first reusable slot
+    std::uint16_t size = 0;            ///< hints held
+
+    /// The slot holding `base`, or kNil.
+    [[nodiscard]] std::uint16_t find(std::uint64_t base) const;
+    /// The index cell holding `base`, or the empty cell ending its probe.
+    [[nodiscard]] std::size_t cell(std::uint64_t base) const;
+    /// A slot for a new hint: the free list's first, else one more array
+    /// slot (the array grows by a step, never past `capacity`).
+    std::uint16_t take(std::size_t capacity);
+    void link_front(std::uint16_t s);
+    void unlink(std::uint16_t s);
+    /// Drops slot `s`'s hint: out of the LRU and the index, onto the free
+    /// list.
+    void remove(std::uint16_t s);
+  };
+
+  void check_spec(const Id& id) const {
+    TAP_CHECK(id.spec() == spec_, "id's IdSpec differs from the cache's");
+  }
+  [[nodiscard]] Entry entry_of(const Slot& s) const {
+    return Entry{Id::unchecked(spec_, s.target), Id::unchecked(spec_, s.holder),
+                 Id::unchecked(spec_, s.server), s.expires};
+  }
+
+  IdSpec spec_;
   std::size_t capacity_;
   Liveness is_live_;
   std::unordered_map<std::uint64_t, PerNode> nodes_;

@@ -27,7 +27,7 @@ ObjectDirectory::ObjectDirectory(NodeRegistry& registry, Router& router,
                                  EventQueue& events, Rng& rng)
     : reg_(registry), router_(router), params_(params), events_(events),
       rng_(rng),
-      cache_(params.locate_cache_size,
+      cache_(params.id, params.locate_cache_size,
              [&registry](const NodeId& id) { return registry.is_live(id); }) {
   if (params.store_backend == StoreBackend::kReplicated ||
       params.store_backend == StoreBackend::kReplicatedPersistent) {

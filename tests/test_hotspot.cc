@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "locate_cache_reference.h"
 #include "src/tapestry/hotspot.h"
 #include "test_util.h"
 
@@ -37,7 +38,7 @@ NodeId pick_client(const test::GrownNetwork& g, const Guid& guid,
 
 TEST(LocateCache, LruBoundAndEviction) {
   const IdSpec spec{4, 8};
-  LocateCache cache(3);
+  LocateCache cache(spec, 3);
   const NodeId at(spec, 0x11);
   auto guid = [&](std::uint64_t v) { return Guid(spec, v); };
   auto entry = [&](std::uint64_t v) {
@@ -60,7 +61,7 @@ TEST(LocateCache, LruBoundAndEviction) {
 
 TEST(LocateCache, PastDeadlineRecordIsNeverCached) {
   const IdSpec spec{4, 8};
-  LocateCache cache(8);
+  LocateCache cache(spec, 8);
   const NodeId at(spec, 0x11);
   const Guid g(spec, 7);
   // A record already past its deadline is never cached.
@@ -78,7 +79,7 @@ TEST(LocateCache, InvalidateByNode) {
   const IdSpec spec{4, 8};
   std::set<std::uint64_t> dead;
   auto is_live = [&](const NodeId& id) { return dead.count(id.value()) == 0; };
-  LocateCache cache(8, is_live);
+  LocateCache cache(spec, 8, is_live);
   const NodeId a(spec, 0x11), b(spec, 0x12);
   const NodeId holder(spec, 0x22), server(spec, 0x33);
   const Guid g1(spec, 1), g2(spec, 2);
@@ -107,6 +108,166 @@ TEST(LocateCache, InvalidateByNode) {
   EXPECT_FALSE(cache.lookup(b, g2, 0.0).has_value());
   EXPECT_EQ(cache.stats().misses, misses + 1);
   EXPECT_EQ(cache.entries(), 0u);
+}
+
+TEST(LocateCache, FlatSlotsMatchListReference) {
+  // One random op stream drives the flat slot arrays and the std::list
+  // LRU they replaced (tests/locate_cache_reference.h) over 8 nodes:
+  // inserts of new, cached and born-dead guids; lookups that hit, miss,
+  // expire or read a dead holder or server; erase; and deaths, which
+  // drop_node the corpse's LRU.  A liveness oracle and a clock that
+  // passes deadlines drive the dead and expired cases.  After every op
+  // both must agree on the returned entry, all six counters and every
+  // node's size.
+  const IdSpec spec{4, 8};
+  for (const std::size_t capacity : {1, 2, 3, 128}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(testing::Message()
+                   << "capacity " << capacity << ", seed " << seed);
+      std::set<std::uint64_t> dead;
+      auto is_live = [&dead](const NodeId& id) {
+        return dead.count(id.value()) == 0;
+      };
+      LocateCache flat(spec, capacity, is_live);
+      reference::LocateCache ref(capacity, is_live);
+      std::vector<NodeId> nodes;
+      for (std::uint64_t v = 0; v < 8; ++v) nodes.emplace_back(spec, 0x100 + v);
+      // Holders and servers: the 8 cache nodes and 4 nodes without a cache.
+      std::vector<NodeId> peers = nodes;
+      for (std::uint64_t v = 0; v < 4; ++v) peers.emplace_back(spec, 0x200 + v);
+      // Enough guids past capacity that inserts evict, few enough that
+      // they also refresh cached ones.
+      const std::uint64_t guids = 2 * capacity + 4;
+      Rng rng(seed * 977 + capacity);
+      auto pick = [&rng](const std::vector<NodeId>& v) {
+        return v[rng.next_u64(v.size())];
+      };
+      double now = 0.0;
+      std::size_t full_nodes_seen = 0, absent_misses = 0;
+      for (int op = 0; op < 6000; ++op) {
+        // Node 0 takes over half the ops, so it fills even at capacity 128.
+        const NodeId at = nodes[rng.next_u64(2) == 0 ? 0 : rng.next_u64(8)];
+        const Guid base(spec, 1 + rng.next_u64(guids));
+        const std::uint64_t roll = rng.next_u64(100);
+        if (roll < 45) {
+          // A third live briefly (some are born dead), the rest outlive
+          // hundreds of ops.  Deadlines and clock steps are multiples of
+          // 0.25, so the clock also lands exactly on deadlines.
+          const double life =
+              0.25 * static_cast<double>(rng.next_u64(3) == 0
+                                             ? rng.next_u64(18)
+                                             : 80 + rng.next_u64(80)) -
+              0.5;
+          const LocateCache::Entry e{Guid(spec, rng.next_u64(spec.mask())),
+                                     pick(peers), pick(peers), now + life};
+          flat.insert(at, base, e, now);
+          ref.insert(at, base, e, now);
+        } else if (roll < 80) {
+          const std::size_t dropped =
+              flat.stats().expired + flat.stats().invalidated;
+          const auto a = flat.lookup(at, base, now);
+          const auto b = ref.lookup(at, base, now);
+          ASSERT_EQ(a.has_value(), b.has_value()) << "op " << op;
+          if (a.has_value()) {
+            EXPECT_EQ(a->target, b->target) << "op " << op;
+            EXPECT_EQ(a->holder, b->holder) << "op " << op;
+            EXPECT_EQ(a->server, b->server) << "op " << op;
+            EXPECT_EQ(a->expires, b->expires) << "op " << op;
+          } else if (flat.stats().expired + flat.stats().invalidated ==
+                     dropped) {
+            ++absent_misses;
+          }
+        } else if (roll < 88) {
+          flat.erase(at, base);
+          ref.erase(at, base);
+        } else if (roll < 94) {
+          now += 0.25 * static_cast<double>(rng.next_u64(8));
+        } else if (roll < 96) {
+          flat.note_fallback();
+          ref.note_fallback();
+        } else if (roll < 98) {
+          const NodeId victim = pick(peers);
+          dead.insert(victim.value());
+          flat.drop_node(victim);
+          ref.drop_node(victim);
+        } else {
+          dead.clear();  // fresh peers under the same ids
+        }
+        const LocateCache::Stats& fs = flat.stats();
+        const LocateCache::Stats& rs = ref.stats();
+        ASSERT_EQ(fs.hits, rs.hits) << "op " << op;
+        ASSERT_EQ(fs.misses, rs.misses) << "op " << op;
+        ASSERT_EQ(fs.expired, rs.expired) << "op " << op;
+        ASSERT_EQ(fs.fallbacks, rs.fallbacks) << "op " << op;
+        ASSERT_EQ(fs.insertions, rs.insertions) << "op " << op;
+        ASSERT_EQ(fs.invalidated, rs.invalidated) << "op " << op;
+        ASSERT_EQ(flat.entries(), ref.entries()) << "op " << op;
+        for (const NodeId& n : nodes) {
+          ASSERT_EQ(flat.entries_at(n), ref.entries_at(n)) << "op " << op;
+          if (flat.entries_at(n) == capacity) ++full_nodes_seen;
+        }
+      }
+      // The stream reached every case it is meant to cover.
+      const LocateCache::Stats& st = flat.stats();
+      EXPECT_GT(st.hits, 0u);
+      EXPECT_GT(st.expired, 0u);
+      EXPECT_GT(st.invalidated, 0u);
+      EXPECT_GT(absent_misses, 0u);
+      EXPECT_GT(full_nodes_seen, 0u);
+    }
+  }
+}
+
+TEST(LocateCache, FullNodeCostsAtMost64BytesPerHint) {
+  // The flat layout's budget at a full 128-entry node (the std::list +
+  // unordered_map pair cost about 160 B per hint), and no growth once
+  // the node is full.
+  const IdSpec spec{4, 10};
+  LocateCache cache(spec, 128);
+  const NodeId at(spec, 0x11), holder(spec, 0x22), server(spec, 0x33);
+  for (std::uint64_t v = 1; v <= 128; ++v)
+    cache.insert(at, Guid(spec, v), {Guid(spec, v), holder, server, 10.0}, 0.0);
+  ASSERT_EQ(cache.entries_at(at), 128u);
+  const std::size_t full = cache.heap_bytes();
+  EXPECT_LE(full, 64u * 128u) << full / 128.0 << " B per hint";
+  for (std::uint64_t v = 129; v <= 1024; ++v)
+    cache.insert(at, Guid(spec, v), {Guid(spec, v), holder, server, 10.0}, 0.0);
+  EXPECT_EQ(cache.entries_at(at), 128u);
+  EXPECT_EQ(cache.heap_bytes(), full) << "a full node's arrays must not grow";
+}
+
+TEST(LocateCache, CapacityPastSixteenBitSlotsIsRejected) {
+  // Slot numbers and links are 16-bit: locate_cache_size above
+  // kMaxCapacity must fail when the Network is built, not wrap a link.
+  Rng rng(7);
+  RingMetric space(16, rng);
+  TapestryParams p;
+  p.locate_cache_size = LocateCache::kMaxCapacity;
+  EXPECT_NO_THROW(Network(space, p, 1));
+  for (const std::size_t bad :
+       {LocateCache::kMaxCapacity + 1, std::size_t{100000}, SIZE_MAX}) {
+    p.locate_cache_size = bad;
+    EXPECT_THROW(Network(space, p, 1), CheckError) << bad;
+  }
+}
+
+TEST(LocateCache, RejectsIdsOfAnotherSpec) {
+  // Hints are stored as bare values, so an id of another spec whose value
+  // is in range would alias one of the cache's own spec.
+  const IdSpec spec{4, 8}, other{2, 16};  // both 32 bits
+  LocateCache cache(spec, 8);
+  const NodeId at(spec, 0x11), holder(spec, 0x22);
+  const Guid g(spec, 7), alien(other, 7);
+  EXPECT_THROW(cache.insert(at, alien, {g, holder, holder, 10.0}, 0.0),
+               CheckError);
+  EXPECT_THROW(cache.insert(at, g, {g, NodeId(other, 0x22), holder, 10.0}, 0.0),
+               CheckError);
+  EXPECT_THROW((void)cache.lookup(at, alien, 0.0), CheckError);
+  EXPECT_THROW((void)cache.lookup(NodeId(other, 0x11), g, 0.0), CheckError);
+  EXPECT_THROW(cache.erase(at, alien), CheckError);
+  EXPECT_THROW(cache.drop_node(NodeId{}), CheckError);
+  EXPECT_EQ(cache.entries(), 0u);
+  EXPECT_EQ(cache.stats().insertions, 0u);
 }
 
 // ------------------------------------------------- cached locate = uncached
@@ -408,7 +569,7 @@ TEST(LocateCache, ExpiryEdgesAreInclusive) {
   // must agree on BOTH edges — never serve a hint at its deadline, never
   // admit an entry born at its deadline.
   const IdSpec spec{4, 8};
-  LocateCache cache(8);
+  LocateCache cache(spec, 8);
   const NodeId at(spec, 0x11);
   const Guid g(spec, 7);
   cache.insert(at, g,

@@ -86,7 +86,8 @@
 //   --min-nodes=N            churn floor (no departures below)  [nodes/2]
 //
 // Demand-aware locate flags (any scenario; see src/tapestry/hotspot.h):
-//   --cache=N                per-node locate-cache entries (0 = off)  [0]
+//   --cache=N                per-node locate-cache entries (0 = off;
+//                            at most 65534)                          [0]
 //   --popularity=uniform|zipf  query-target skew (churn scenarios) [uniform]
 //   --zipf-s=S               zipf exponent                          [1.0]
 //   --hotspot                demand-driven replica placement        [off]
@@ -125,16 +126,17 @@
 //                     delivers in-process, loopback serializes every
 //                     message through the Datagram codec        [direct]
 //
-// Metrics export (any scenario; see docs/metrics.md):
+// Metrics export (see docs/metrics.md):
 //   --metrics-out=FILE       reset the metrics registry and append one
 //                            deterministic JSONL snapshot per epoch plus
 //                            a terminal drain snapshot (churn-family
-//                            scenarios only; the wall-clock
-//                            --churn-threads soak has no epochs and
-//                            rejects it)
+//                            scenarios only: static, bigbuild, recover
+//                            and the wall-clock --churn-threads soak
+//                            have no epochs and reject it)
 //   --metrics-port=N         serve Prometheus text exposition on
 //                            127.0.0.1:N for the life of the process
-//                            (N=0 picks an ephemeral port, printed)
+//                            (any scenario; N=0 picks an ephemeral
+//                            port, printed)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -367,6 +369,18 @@ Options parse(int argc, char** argv) {
   if (o.store_dir.empty()) o.store_dir = "tapestry_store." + o.scenario;
   if (o.join_wave >= o.nodes) {
     std::fprintf(stderr, "--join-wave must be smaller than --nodes\n");
+    std::exit(2);
+  }
+  if (o.cache > LocateCache::kMaxCapacity) {
+    std::fprintf(stderr, "--cache=%zu exceeds the per-node cap of %zu\n",
+                 o.cache, LocateCache::kMaxCapacity);
+    std::exit(2);
+  }
+  if (!sc.metrics_out.empty() && !churn_family(o.scenario)) {
+    std::fprintf(stderr,
+                 "--metrics-out is not supported with --scenario=%s (it "
+                 "has no epochs to export)\n",
+                 o.scenario.c_str());
     std::exit(2);
   }
   if (o.churn_threads > 0) {
