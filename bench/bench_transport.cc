@@ -14,7 +14,12 @@
 //     loopback_multicast_forwards — three of those messages' kinds
 //     (TransportStats::kind_count): the pushed "alive" heartbeats, the
 //     probes of silent members, and multicast edges, so a change in sweep
-//     or multicast traffic names its layer.
+//     or multicast traffic names its layer;
+//   * sweep_pushes_per_link — the heartbeat pushes of one more sweep, run
+//     after the workload's own sweep purged its corpse, over the pairs of
+//     live nodes linked in either direction as it starts
+//     (live_linked_pairs): 1 when each such link carries one push per
+//     sweep, whichever way it runs.
 //
 // Timed metrics (tolerant gates):
 //   * codec_mps — encode+decode round-trips per second over the corpus;
@@ -26,6 +31,7 @@
 #include <limits>
 
 #include "bench_util.h"
+#include "src/tapestry/fingerprint.h"
 #include "src/tapestry/transport.h"
 #include "src/tapestry/wire.h"
 
@@ -144,7 +150,8 @@ double codec_throughput(const std::vector<Message>& msgs) {
 /// The overlay workload both transports run: grow 64 nodes, publish 32
 /// objects, locate each from 4 clients, multicast, fail one node, sweep.
 /// Every protocol family sends traffic, so the loopback counters cover
-/// routing, directory, multicast, heartbeat and reroute kinds.
+/// routing, directory, multicast, heartbeat and reroute kinds.  Untimed
+/// and uncounted after it, one more sweep measures the pushes per link.
 struct WorkloadResult {
   double seconds = 0.0;
   std::uint64_t messages = 0;
@@ -152,6 +159,7 @@ struct WorkloadResult {
   std::uint64_t heartbeats = 0;
   std::uint64_t heartbeat_probes = 0;
   std::uint64_t multicast_forwards = 0;
+  double sweep_pushes_per_link = 0.0;
 };
 
 WorkloadResult run_workload(TransportKind kind) {
@@ -186,6 +194,15 @@ WorkloadResult run_workload(TransportKind kind) {
   r.heartbeats = stats.kind_count(MessageKind::kHeartbeatAck);
   r.heartbeat_probes = stats.kind_count(MessageKind::kHeartbeatProbe);
   r.multicast_forwards = stats.kind_count(MessageKind::kMulticastForward);
+
+  // The workload's sweep cut every link to the failed node, so this one
+  // pushes to no corpse.
+  const std::size_t links = live_linked_pairs(*net);
+  net->heartbeat_sweep();
+  r.sweep_pushes_per_link =
+      static_cast<double>(stats.kind_count(MessageKind::kHeartbeatAck) -
+                          r.heartbeats) /
+      static_cast<double>(links);
   return r;
 }
 
@@ -211,6 +228,7 @@ int run_json() {
               "\"loopback_heartbeats\":%llu,"
               "\"loopback_heartbeat_probes\":%llu,"
               "\"loopback_multicast_forwards\":%llu,"
+              "\"sweep_pushes_per_link\":%.6f,"
               "\"loopback_overhead_ratio\":%.4f}}\n",
               kWireKindCount,
               static_cast<unsigned long long>(fixture_bytes), mps,
@@ -219,7 +237,7 @@ int run_json() {
               static_cast<unsigned long long>(loop.heartbeats),
               static_cast<unsigned long long>(loop.heartbeat_probes),
               static_cast<unsigned long long>(loop.multicast_forwards),
-              ratio);
+              loop.sweep_pushes_per_link, ratio);
   return 0;
 }
 
@@ -260,6 +278,8 @@ int main(int argc, char** argv) {
   table.add_row({"  heartbeats (alive)", fmt(loop.heartbeats)});
   table.add_row({"  heartbeat probes", fmt(loop.heartbeat_probes)});
   table.add_row({"  multicast forwards", fmt(loop.multicast_forwards)});
+  table.add_row({"sweep pushes per live link",
+                 fmt(loop.sweep_pushes_per_link, 3)});
   table.add_row({"direct workload (s)", fmt(direct.seconds, 3)});
   table.add_row({"loopback workload (s)", fmt(loop.seconds, 3)});
   table.add_row({"loopback/direct ratio",

@@ -5,11 +5,13 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <system_error>
+#include <type_traits>
 
 namespace tap {
 
@@ -25,12 +27,16 @@ inline bool parse_flag(const char* arg, const char* name, std::string* out) {
 
 /// Parses the whole of `v` into `*out` for numeric flag `name`, or exits 2
 /// naming the flag.  std::from_chars takes no sign for unsigned types and
-/// no leading space, and the value must end where the argument does.
+/// no leading space, and the value must end where the argument does.  It
+/// reads `nan` and `inf` as floating values; no flag takes one, so a
+/// floating value must be finite.
 template <typename T>
 void parse_number(const char* name, const std::string& v, T* out) {
   const char* end = v.data() + v.size();
   const auto [ptr, ec] = std::from_chars(v.data(), end, *out);
-  if (ec != std::errc() || ptr != end) {
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(*out);
+  if (!ok) {
     std::fprintf(stderr, "invalid value for %s: '%s'\n", name, v.c_str());
     std::exit(2);
   }

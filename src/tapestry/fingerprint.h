@@ -7,13 +7,15 @@
 //
 // Both walks visit live nodes in registry insertion order and require
 // quiescence (they read tables and stores without synchronisation).  The
-// tombstone census below is defined here for the same reason: the
-// tests and bench_churn_threaded's gate count tombstones one way.
+// tombstone census and the live-link count below are defined here for
+// the same reason: the tests and a bench gate (bench_churn_threaded's,
+// bench_transport's) count them one way.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/tapestry/network.h"
@@ -136,6 +138,24 @@ struct TombstoneCensus {
     }
   }
   return c;
+}
+
+/// Pairs of live nodes one of which lists the other, each pair counted
+/// once whichever way its links run: what a heartbeat sweep pushes over,
+/// one push each, beside its pushes to corpses.
+[[nodiscard]] inline std::size_t live_linked_pairs(const Network& net) {
+  const NodeRegistry& reg = net.registry();
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
+  for (const auto& n : reg.nodes()) {
+    if (!n->alive) continue;
+    const std::uint64_t a = n->id().value();
+    for (const NodeId& m : n->table().all_neighbors())
+      if (reg.is_live(m))
+        pairs.emplace_back(std::min(a, m.value()), std::max(a, m.value()));
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return static_cast<std::size_t>(
+      std::unique(pairs.begin(), pairs.end()) - pairs.begin());
 }
 
 }  // namespace tap

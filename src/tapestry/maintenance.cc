@@ -142,6 +142,15 @@ std::optional<NodeId> dead_member(const NodeRegistry& reg,
   return std::nullopt;
 }
 
+/// True when `t` lists `id` in some slot.  A member sits only in slot
+/// (l, id.digit(l)) of a level l up to the two ids' common prefix.
+bool lists(const RoutingTable& t, const NodeId& id) {
+  const unsigned shared = t.self().common_prefix_len(id);
+  for (unsigned l = 0; l <= shared && l < t.levels(); ++l)
+    if (t.at(l, id.digit(l)).contains(id)) return true;
+  return false;
+}
+
 }  // namespace
 
 void MaintenanceEngine::fail(NodeId id) {
@@ -268,9 +277,12 @@ void MaintenanceEngine::heartbeat_round(Trace* trace) {
   const unsigned digits = params_.id.num_digits;
 
   // Pushes, all at the sweep's instant: each live node sends one "alive"
-  // heartbeat to every distinct backpointer holder.  A holder that is a
-  // corpse never hears it, so the pusher drops its backpointers to it and
-  // pushes to it only this once.  A node touches only its own table.
+  // heartbeat to every distinct backpointer holder, except a live holder
+  // with a lower id that it lists too: that holder's own push crosses the
+  // same link, and a delivered push tells both ends the other is alive.
+  // A holder that is a corpse never hears its push, so the pusher drops
+  // its backpointers to it and pushes to it only this once.  A node
+  // touches only its own table.
   for (const auto& xp : reg_.nodes()) {
     if (!xp->alive) continue;
     TapestryNode& x = *xp;
@@ -284,6 +296,7 @@ void MaintenanceEngine::heartbeat_round(Trace* trace) {
                    holders_.end());
     for (const NodeId& h : holders_) {
       TapestryNode& to = reg_.checked(h);
+      if (to.alive && h < x.id() && lists(x.table(), h)) continue;
       Message alive = make_message(MessageKind::kHeartbeatAck, x.id(), h, h);
       alive.flag = true;
       transport_->send(alive, reg_.hop_dist(trace, x, to), trace);

@@ -206,17 +206,20 @@ class MaintenanceEngine final : public RepairHandler {
   /// whose last live link it was is freed (release_if_unlinked).
   void fail(NodeId node);
   /// Soft-state heartbeat maintenance (§5.2, §6.5): every live node first
-  /// pushes a heartbeat to each distinct backpointer holder, then probes
-  /// and purges the table members it did not hear from (corpses); then
-  /// one fill pass refills every empty slot a live node fits.  A push to
-  /// a corpse goes unheard, and the pusher drops its backpointers to it,
-  /// so it pushes to each corpse once.  A sweep delivers one push per
-  /// (node, holder) pair and one probe per (live node, dead member) pair
-  /// present when it starts; a link the sweep makes itself is heard from
-  /// at the next.  Every message is booked as it is sent.  Counts one
-  /// tapestry_heartbeat_sweeps_total.  Serial, on a quiescent mesh; it and
-  /// its timer (start_heartbeats) are the only calls that heartbeat: leave
-  /// and fail waves send no heartbeat and count no sweep.
+  /// pushes a heartbeat to its backpointer holders, then probes and
+  /// purges the table members it did not hear from (corpses); then one
+  /// fill pass refills every empty slot a live node fits.  A link both
+  /// live ends list carries one push, from the lower id: a delivered push
+  /// tells both ends the other is alive.  A push to a corpse goes unheard,
+  /// and the pusher drops its backpointers to it, so it pushes to each
+  /// corpse once.  A sweep delivers one push per pair of live nodes linked
+  /// either way, one per (live node, corpse holder) pair and one probe per
+  /// (live node, dead member) pair present when it starts; a link the
+  /// sweep makes itself is heard from at the next.  Every message is
+  /// booked as it is sent.  Counts one tapestry_heartbeat_sweeps_total.
+  /// Serial, on a quiescent mesh; it and its timer (start_heartbeats) are
+  /// the only calls that heartbeat: leave and fail waves send no heartbeat
+  /// and count no sweep.
   void heartbeat_sweep(Trace* trace = nullptr);
 
   // --- thread-parallel repair waves (§5.1, §5.2 on real threads) ---
@@ -450,13 +453,15 @@ class MaintenanceEngine final : public RepairHandler {
                    Trace* trace, const NodeLockTable* locks);
   /// A sweep's heartbeat round, in two passes over the live nodes in
   /// registration order.  First each pushes one kHeartbeatAck to every
-  /// distinct backpointer holder and drops its backpointers to a dead one:
-  /// link, unlink and the §4.4 pins keep a live node's backpointers the
-  /// exact inverse of the forward links to it, so every live link hears
-  /// its member once.  Then each probes every dead member it still lists
-  /// (one unanswered kHeartbeatProbe) and purges it, in table order,
-  /// re-reading the row before each probe.  Neither pass reads a corpse's
-  /// table.
+  /// distinct backpointer holder, save a live one with a lower id that it
+  /// lists too, and drops its backpointers to a dead one: link, unlink and
+  /// the §4.4 pins keep a live node's backpointers the exact inverse of
+  /// the forward links to it, so the lower id of a mutual live pair holds
+  /// a backpointer to the higher, and every pair of live nodes linked
+  /// either way exchanges exactly one push.  Then each probes every dead
+  /// member it still lists (one unanswered kHeartbeatProbe) and purges
+  /// it, in table order, re-reading the row before each probe.  Neither
+  /// pass reads a corpse's table.
   void heartbeat_round(Trace* trace);
   /// One pass over every live node, in registration order, refilling
   /// each empty slot a live id fits: the sweep's recovery for holes no

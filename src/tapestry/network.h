@@ -238,11 +238,13 @@ class Network {
   }
 
   /// Soft-state heartbeat maintenance (§5.2, §6.5): every live node first
-  /// pushes one heartbeat to each distinct backpointer holder, then probes
-  /// and purges the table members it did not hear from (corpses); then
-  /// one fill pass refills every empty slot a live node fits.  A push to
-  /// a corpse goes unheard and the pusher drops its backpointers to it,
-  /// so it pushes to each corpse once.  No sweep reads a corpse's table.
+  /// pushes one heartbeat to each distinct backpointer holder, save a
+  /// live one with a lower id that it lists too (one push per mutual
+  /// link), then probes and purges the table members it did not hear
+  /// from (corpses); then one fill pass refills every empty slot a live
+  /// node fits.  A push to a corpse goes unheard and the pusher drops its
+  /// backpointers to it, so it pushes to each corpse once.  No sweep
+  /// reads a corpse's table.
   void heartbeat_sweep(Trace* trace = nullptr) {
     maintenance_.heartbeat_sweep(trace);
   }

@@ -260,25 +260,31 @@ TEST(Heartbeat, PurgesEveryCorpseReference) {
         << "object lost in the sweep: " << guid.to_string();
 }
 
-// Records every heartbeat push that lands on a corpse, then delivers
-// through the network's own transport.
-class CorpsePushRecorder final : public Transport {
+using IdPair = std::pair<std::uint64_t, std::uint64_t>;
+
+// Records every heartbeat push, by (sender, receiver) id values, then
+// delivers through the network's own transport.
+class PushRecorder final : public Transport {
  public:
-  explicit CorpsePushRecorder(Network& net)
-      : net_(net), inner_(net.transport()) {
+  explicit PushRecorder(Network& net) : net_(net), inner_(net.transport()) {
     net_.maintenance().bind_transport(this);
   }
-  ~CorpsePushRecorder() override {
-    net_.maintenance().bind_transport(&inner_);
-  }
+  ~PushRecorder() override { net_.maintenance().bind_transport(&inner_); }
   [[nodiscard]] const char* name() const override { return "recorder"; }
   [[nodiscard]] Message deliver(const Message& m) override {
-    if (m.kind == MessageKind::kHeartbeatAck &&
-        !net_.registry().is_live(m.dst))
+    if (m.kind == MessageKind::kHeartbeatAck)
       ++pushes[{m.src.value(), m.dst.value()}];
     return inner_.deliver(m);
   }
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::size_t> pushes;
+  /// The recorded pushes whose receiver is a corpse.
+  [[nodiscard]] std::map<IdPair, std::size_t> to_corpses() const {
+    std::map<IdPair, std::size_t> out;
+    for (const auto& [pair, count] : pushes)
+      if (!net_.registry().is_live(NodeId(net_.params().id, pair.second)))
+        out.emplace(pair, count);
+    return out;
+  }
+  std::map<IdPair, std::size_t> pushes;
 
  private:
   Network& net_;
@@ -286,12 +292,13 @@ class CorpsePushRecorder final : public Transport {
 };
 
 TEST(Heartbeat, PushesReachEveryBackpointerHolder) {
-  // A live node pushes its heartbeat to each distinct backpointer holder,
-  // corpses included: a corpse that linked to it is still among its
-  // holders.  Nobody receives a push to a corpse, so the pusher drops
-  // its backpointers to it.  The first sweep after the fail-stops pushes
-  // once to each (live node, corpse) pair; the second pushes to no corpse
-  // and delivers exactly what it books.
+  // A live node pushes its heartbeat to its backpointer holders, corpses
+  // included: a corpse that linked to it is still among its holders.
+  // Nobody receives a push to a corpse, so the pusher drops its
+  // backpointers to it.  The first sweep after the fail-stops pushes once
+  // to each (live node, corpse) pair; the second pushes to no corpse,
+  // once per pair of live nodes linked either way, and delivers exactly
+  // what it books.
   auto g = grow_ring_network(96, 151);
   Rng rng(5);
   for (int i = 0; i < 12; ++i) {
@@ -299,7 +306,7 @@ TEST(Heartbeat, PushesReachEveryBackpointerHolder) {
     g.net->fail(ids[rng.next_u64(ids.size())]);
   }
   auto corpse_holders = [&] {
-    std::set<std::pair<std::uint64_t, std::uint64_t>> pairs;
+    std::set<IdPair> pairs;
     for (const NodeId& id : g.net->node_ids())
       for (const NodeId& h : g.net->node(id).table().all_backpointers())
         if (!g.net->registry().is_live(h))
@@ -309,19 +316,19 @@ TEST(Heartbeat, PushesReachEveryBackpointerHolder) {
   const auto pairs = corpse_holders();
   ASSERT_FALSE(pairs.empty()) << "no backpointer to a corpse";
 
-  CorpsePushRecorder recorder(*g.net);
+  PushRecorder recorder(*g.net);
   g.net->heartbeat_sweep();
-  ASSERT_EQ(recorder.pushes.size(), pairs.size());
-  for (const auto& [pair, count] : recorder.pushes) {
+  const auto to_corpses = recorder.to_corpses();
+  ASSERT_EQ(to_corpses.size(), pairs.size());
+  for (const auto& [pair, count] : to_corpses) {
     EXPECT_EQ(pairs.count(pair), 1u);
     EXPECT_EQ(count, 1u);
   }
   EXPECT_TRUE(corpse_holders().empty());
 
-  // Every holder left is live, and each live node pushes once to each.
-  std::size_t to_live = 0;
-  for (const NodeId& id : g.net->node_ids())
-    to_live += g.net->node(id).table().all_backpointers().size();
+  // Every holder left is live: one push per pair of live nodes linked
+  // either way.
+  const std::size_t to_live = live_linked_pairs(*g.net);
   ASSERT_GT(to_live, 0u);
   const TransportStats& stats = g.net->transport().stats();
   const std::uint64_t pushes = stats.kind_count(MessageKind::kHeartbeatAck);
@@ -331,7 +338,7 @@ TEST(Heartbeat, PushesReachEveryBackpointerHolder) {
   recorder.pushes.clear();
   Trace t;
   g.net->heartbeat_sweep(&t);
-  EXPECT_TRUE(recorder.pushes.empty()) << "a corpse heard a second push";
+  EXPECT_TRUE(recorder.to_corpses().empty()) << "a corpse heard a second push";
   EXPECT_EQ(stats.kind_count(MessageKind::kHeartbeatAck) - pushes, to_live);
   EXPECT_EQ(stats.kind_count(MessageKind::kHeartbeatProbe), probes);
   EXPECT_EQ(t.messages(), to_live);
@@ -340,11 +347,12 @@ TEST(Heartbeat, PushesReachEveryBackpointerHolder) {
 }
 
 TEST(Heartbeat, SweepServesEachPairPresentAtItsStart) {
-  // After fail-stops, one serial sweep delivers one push per distinct
-  // (node, backpointer holder) pair and one probe per distinct (live
-  // node, dead member) pair present when it starts.  A replacement a purge
-  // links mid-sweep is heard from at the next sweep, and a corpse a
-  // reroute's lazy repair already purged is not probed again.
+  // After fail-stops, one serial sweep delivers one push per pair of live
+  // nodes linked either way, one per distinct (live node, corpse holder)
+  // pair and one probe per distinct (live node, dead member) pair present
+  // when it starts.  A replacement a purge links mid-sweep is heard from
+  // at the next sweep, and a corpse a reroute's lazy repair already purged
+  // is not probed again.
   for (const bool grown : {false, true}) {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
       SCOPED_TRACE((grown ? "grown seed " : "static seed ") +
@@ -362,6 +370,77 @@ TEST(Heartbeat, SweepServesEachPairPresentAtItsStart) {
                 want.probes);
       g.net->check_property1();
       g.net->check_backpointer_symmetry();
+    }
+  }
+}
+
+TEST(Heartbeat, EachLiveLinkCarriesOnePush) {
+  // A sweep pushes once over each link between live nodes: a mutual pair
+  // hears one push, from its lower id, and a one-way link one push, from
+  // the member to the node that lists it.  Each (live node, corpse
+  // holder) pair hears one push too, and nothing else is pushed.  Read off
+  // the tables as the sweep starts, at radix 16, 4 and 2 and R = 1, 2 and
+  // 3, on static and grown rings, healthy and after fail-stops.
+  for (const IdSpec id : {IdSpec{4, 8}, IdSpec{2, 8}, IdSpec{1, 12}}) {
+    for (const unsigned r : {1u, 2u, 3u}) {
+      for (const bool grown : {false, true}) {
+        for (const bool failed : {false, true}) {
+          SCOPED_TRACE("radix " + std::to_string(id.radix()) + " R=" +
+                       std::to_string(r) + (grown ? " grown" : " static") +
+                       (failed ? " fail-stopped" : " healthy"));
+          TapestryParams p = small_params();
+          p.id = id;
+          p.redundancy = r;
+          const std::uint64_t seed = 40 + r;
+          auto g = failed  ? test::fail_stopped_ring(grown, seed, p)
+                   : grown ? grow_ring_network(96, seed, p)
+                           : static_ring_network(128, seed, p);
+          const NodeRegistry& reg = g.net->registry();
+          std::set<IdPair> lists;  // (owner, member), both live
+          std::set<IdPair> want;   // (sender, receiver), one push each
+          std::size_t corpse_holders = 0;
+          for (const auto& n : reg.nodes()) {
+            if (!n->alive) continue;
+            for (const NodeId& m : n->table().all_neighbors())
+              if (reg.is_live(m)) lists.emplace(n->id().value(), m.value());
+            for (const NodeId& h : n->table().all_backpointers()) {
+              if (reg.is_live(h)) continue;
+              want.emplace(n->id().value(), h.value());
+              ++corpse_holders;
+            }
+          }
+          std::size_t mutual = 0;
+          std::size_t one_way = 0;
+          for (const auto& [owner, member] : lists) {
+            if (lists.count({member, owner}) == 0) {
+              want.emplace(member, owner);
+              ++one_way;
+            } else if (owner < member) {
+              want.emplace(owner, member);
+              ++mutual;
+            }
+          }
+          ASSERT_GT(mutual, 0u);
+          ASSERT_GT(one_way, 0u);
+          EXPECT_EQ(corpse_holders > 0, failed);
+
+          PushRecorder recorder(*g.net);
+          g.net->heartbeat_sweep();
+          std::size_t missing = 0;
+          std::size_t extra = 0;
+          for (const IdPair& pair : want) {
+            const auto it = recorder.pushes.find(pair);
+            if (it == recorder.pushes.end() || it->second != 1) ++missing;
+          }
+          for (const auto& [pair, count] : recorder.pushes)
+            if (want.count(pair) == 0) extra += count;
+          EXPECT_EQ(missing, 0u) << "a link heard no push or several";
+          EXPECT_EQ(extra, 0u) << "pushes over no link, or the second push "
+                                  "of a mutual pair";
+          EXPECT_NO_THROW(g.net->check_property1());
+          EXPECT_NO_THROW(g.net->check_backpointer_symmetry());
+        }
+      }
     }
   }
 }
@@ -385,21 +464,19 @@ TEST(Heartbeat, CountsProbeTraffic) {
       stats.kind_count(MessageKind::kMulticastForward);
   const std::uint64_t delivered = stats.messages.load();
   const std::uint64_t tables = fingerprint_tables(*g.net);
+  const std::size_t links = live_linked_pairs(*g.net);
   Trace t;
   g.net->heartbeat_sweep(&t);
-  // On a healthy overlay a sweep is one pushed heartbeat per distinct
-  // neighbor of each node, however many slots the neighbor occupies, no
-  // probe (nobody stays silent) and no replacement search: Property 1
-  // leaves no fillable hole, so no table changes.  The Trace and the
-  // transport count the same messages.
+  // On a healthy overlay a sweep is one pushed heartbeat per pair of
+  // nodes linked either way, however many slots either lists the other
+  // in, no probe (nobody stays silent) and no replacement search:
+  // Property 1 leaves no fillable hole, so no table changes.  The Trace
+  // and the transport count the same messages.
   EXPECT_EQ(fingerprint_tables(*g.net), tables);
-  std::size_t neighbors = 0;
-  for (const NodeId& id : g.net->node_ids())
-    neighbors += g.net->node(id).table().all_neighbors().size();
-  EXPECT_EQ(t.messages(), neighbors);
+  EXPECT_EQ(t.messages(), links);
   EXPECT_EQ(stats.messages.load() - delivered, t.messages());
   EXPECT_EQ(stats.kind_count(MessageKind::kHeartbeatProbe), probes);
-  EXPECT_EQ(stats.kind_count(MessageKind::kHeartbeatAck) - acks, neighbors);
+  EXPECT_EQ(stats.kind_count(MessageKind::kHeartbeatAck) - acks, links);
   EXPECT_EQ(stats.kind_count(MessageKind::kMulticastForward), forwards);
 }
 

@@ -245,7 +245,7 @@ TEST(SerialRepair, TranscriptIsPinned) {
   g.net->check_backpointer_symmetry();
   EXPECT_EQ(g.net->size(), 80u);
   EXPECT_EQ(fingerprint_tables(*g.net), 9780718294167188899ull);
-  EXPECT_EQ(trace.messages(), 5474u);
+  EXPECT_EQ(trace.messages(), 4179u);
 }
 
 TEST(SerialRepair, Radix2LeavesKeepProperty1) {

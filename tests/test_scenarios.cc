@@ -352,14 +352,25 @@ std::uint64_t double_bits(double d) {
   return b;
 }
 
-void mix_bucket(detail::Fnv1a& h, const ChurnEpoch& e) {
-  for (const double d : {e.t0, e.t1, e.stretch_sum}) h.mix(double_bits(d));
+/// The churn transcript's two pins: `state` takes what the run did and
+/// found, `msgs` the messages it booked doing so.  A change to message
+/// traffic alone moves `msgs` and leaves `state` as it was.
+struct TranscriptPins {
+  detail::Fnv1a state;
+  detail::Fnv1a msgs;
+};
+
+void mix_bucket(TranscriptPins& h, const ChurnEpoch& e) {
+  for (const double d : {e.t0, e.t1, e.stretch_sum})
+    h.state.mix(double_bits(d));
   for (const std::size_t v :
        {e.joins, e.leaves, e.fails, e.queries, e.found,
         e.queries_post_failure, e.found_post_failure, e.queries_skipped,
-        e.stretch_n, e.maintenance_msgs, e.churn_msgs, e.live_nodes})
-    h.mix(v);
-  for (const double s : e.hops.samples()) h.mix(double_bits(s));
+        e.stretch_n, e.live_nodes})
+    h.state.mix(v);
+  for (const double s : e.hops.samples()) h.state.mix(double_bits(s));
+  h.msgs.mix(e.maintenance_msgs);
+  h.msgs.mix(e.churn_msgs);
 }
 
 TEST(Scenarios, ChurnTranscriptIsPinned) {
@@ -368,10 +379,13 @@ TEST(Scenarios, ChurnTranscriptIsPinned) {
   // epochs, the hotspot decay tick after a flash crowd, a partition and
   // its heal, a rack kill and a root kill.  The replay tests compare two
   // runs of one build; only constants see a change in the order the
-  // processes schedule their events.  A change that alters the churn
-  // transcript on purpose updates them and says so.  Memory store and
-  // direct transport are set here, not taken from TAP_STORE /
-  // TAP_TRANSPORT.
+  // processes schedule their events.  Two pins: the state pin (event log,
+  // counts, stretch, hops, population, cache and hotspot counters) and
+  // the message pin (maintenance and churn messages), so a change that
+  // moves only message traffic shows it by keeping the state pin.  A
+  // change that alters the churn transcript on purpose updates them and
+  // says so.  Memory store and direct transport are set here, not taken
+  // from TAP_STORE / TAP_TRANSPORT.
   TapestryParams p;
   p.id = IdSpec{4, 8};
   p.redundancy = 3;
@@ -409,28 +423,30 @@ TEST(Scenarios, ChurnTranscriptIsPinned) {
   EXPECT_GT(rep.hotspot_promotions, 0u);
   EXPECT_GT(rep.cache_hits, 0u);
 
-  detail::Fnv1a h;
+  TranscriptPins h;
   for (const std::string& line : log) {
     // The checkpoint directory is per process; the rest of a line is not.
     for (const char c : line.substr(0, line.find(dir)))
-      h.mix(static_cast<unsigned char>(c));
+      h.state.mix(static_cast<unsigned char>(c));
   }
   for (const ChurnEpoch& e : rep.epochs) mix_bucket(h, e);
   mix_bucket(h, rep.drain);
-  h.mix(double_bits(rep.stretch_sum));
+  h.state.mix(double_bits(rep.stretch_sum));
   for (const std::size_t v :
        {rep.joins, rep.leaves, rep.fails, rep.queries, rep.found,
         rep.queries_post_failure, rep.found_post_failure,
-        rep.queries_skipped, rep.stretch_n, rep.maintenance_msgs,
-        rep.churn_msgs, rep.load_max, rep.load_nodes, rep.cache_hits,
-        rep.cache_misses, rep.cache_fallbacks, rep.hotspot_promotions,
-        rep.hotspot_demotions})
-    h.mix(v);
-  for (const double s : rep.hops.samples()) h.mix(double_bits(s));
+        rep.queries_skipped, rep.stretch_n, rep.live_nodes, rep.load_max,
+        rep.load_nodes, rep.cache_hits, rep.cache_misses,
+        rep.cache_fallbacks, rep.hotspot_promotions, rep.hotspot_demotions})
+    h.state.mix(v);
+  for (const double s : rep.hops.samples()) h.state.mix(double_bits(s));
+  h.msgs.mix(rep.maintenance_msgs);
+  h.msgs.mix(rep.churn_msgs);
 
   EXPECT_EQ(log.size(), 852u);
   EXPECT_EQ(rep.events_fired, 2520u);
-  EXPECT_EQ(h.value(), 7332473740173528566ull);
+  EXPECT_EQ(h.state.value(), 5472975045923002175ull);
+  EXPECT_EQ(h.msgs.value(), 17449761561398216269ull);
 }
 
 }  // namespace

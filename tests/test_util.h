@@ -216,9 +216,10 @@ inline Hole unlink_sole_member(Network& net) {
   return {};
 }
 
-/// What one heartbeat sweep owes the mesh as it stands: one push per
-/// distinct (live node, backpointer holder) pair, and one probe per
-/// distinct (live node, dead member) pair.
+/// What one heartbeat sweep owes the mesh as it stands: one push per pair
+/// of live nodes linked in either direction, one per distinct (live node,
+/// corpse backpointer holder) pair, and one probe per distinct (live
+/// node, dead member) pair.
 struct SweepPairs {
   std::size_t pushes = 0;
   std::size_t probes = 0;
@@ -226,9 +227,11 @@ struct SweepPairs {
 
 inline SweepPairs sweep_pairs(const Network& net) {
   SweepPairs p;
+  p.pushes = live_linked_pairs(net);
   for (const auto& n : net.registry().nodes()) {
     if (!n->alive) continue;
-    p.pushes += n->table().all_backpointers().size();
+    for (const NodeId& h : n->table().all_backpointers())
+      if (!net.registry().is_live(h)) ++p.pushes;
     for (const NodeId& m : n->table().all_neighbors())
       if (!net.registry().is_live(m)) ++p.probes;
   }

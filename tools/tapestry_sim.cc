@@ -13,8 +13,10 @@
 //   tapestry_sim --scenario=churn --nodes=256 --fail-rate=1.5 --ttl=8 --csv
 //
 // Flags (defaults in brackets).  A numeric flag's value must parse whole —
-// no sign on a count, no trailing characters — or the run exits 2 naming
-// the flag, as it does for an unknown flag or choice:
+// no sign on a count, no trailing characters, a finite real — or the run
+// exits 2 naming the flag, as it does for an unknown flag or choice.  So
+// does a negative real, and a horizon, epoch or burst factor that is not
+// positive:
 //   --space=ring|torus|transit-stub|euclid6d|two-cluster   [ring]
 //   --nodes=N        overlay size                           [256]
 //   --objects=N      published objects                      [nodes/2]
@@ -143,6 +145,8 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "src/common/flags.h"
 #include "src/common/rng.h"
@@ -222,8 +226,20 @@ Options parse(int argc, char** argv) {
   ChurnScenario& sc = o.sc;
   for (int i = 1; i < argc; ++i) {
     std::string v;
+    // A real value out of its range exits 2 naming its flag, as one that
+    // does not parse does.  No real flag takes a negative value: a
+    // negative interval or rate would read as off, and a negative TTL
+    // would expire every pointer at once.
     auto num = [&](const char* name, auto* out) {
-      return number_flag(argv[i], name, out);
+      if (!number_flag(argv[i], name, out)) return false;
+      if constexpr (std::is_floating_point_v<std::decay_t<decltype(*out)>>) {
+        if (*out < 0.0) {
+          std::fprintf(stderr, "invalid value for %s: %g (must be "
+                       "non-negative)\n", name, *out);
+          std::exit(2);
+        }
+      }
+      return true;
     };
     if (num("--nodes", &o.nodes) || num("--objects", &o.objects) ||
         num("--queries", &o.queries) || num("--replicas", &o.replicas) ||
@@ -275,6 +291,16 @@ Options parse(int argc, char** argv) {
                    argv[i]);
       std::exit(2);
     }
+  }
+  // A horizon, epoch or burst factor that is not positive exits 2 too:
+  // each would abort inside ChurnDriver.
+  for (const auto& [flag, v] :
+       {std::pair{"--horizon", sc.horizon}, {"--epoch-len", sc.epoch},
+        {"--burst-factor", sc.burst_factor}}) {
+    if (v > 0.0) continue;
+    std::fprintf(stderr, "invalid value for %s: %g (must be positive)\n",
+                 flag, v);
+    std::exit(2);
   }
   if (o.objects == 0) o.objects = o.nodes / 2;
   if (o.queries == 0) o.queries = 4 * o.nodes;
